@@ -2,9 +2,10 @@
 and the fixture regression runner.
 
 Output is canonical JSON (sorted keys); identical configs produce
-byte-identical payloads regardless of --threads (enforced by tests).
-Exit codes: 0 success, 2 on NotStabilized / PrecisionExhausted, 1 on
-usage errors.
+byte-identical payloads (the fixture regression in the tests compares them).
+Exit codes: 0 success, 1 on usage errors (UsageError, including unknown or
+malformed config keys), 2 when a computation cannot certify its answer
+(any NotCertified).
 """
 
 import argparse
@@ -12,15 +13,13 @@ import json
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .complexes import Complex, eta_cohomology_law_check
-from .linalg import PGroup
+from .errors import NotCertified, UsageError
 from .pdalg import (
-    NotStabilized as PDNotStabilized,
     PDAlgebra,
-    PrecisionExhausted as PDPrecisionExhausted,
     conj_graded_map_check,
     conjugate_filtration_equality_check,
     frobenius_fixed_points,
@@ -36,17 +35,8 @@ from .qtorus import (
     q_nygaard_stability_check,
     specialization_check,
 )
-from .syntomic import (
-    BoundViolated,
-    NotStabilized,
-    PrecisionExhausted,
-    contraction_bound_check,
-    syntomic_acrys,
-    syntomic_charp,
-    syntomic_q,
-)
+from .syntomic import syntomic_acrys, syntomic_charp, syntomic_q
 from .torus import (
-    PrecisionExhausted as TorusPrecisionExhausted,
     build_torus,
     conjugate_check,
     divided_frobenius_identity_check,
@@ -69,10 +59,6 @@ from .witt import (
 from .rings import PolyTruncFp
 
 
-class UsageError(Exception):
-    pass
-
-
 @dataclass
 class RunConfig:
     p: int = 2
@@ -89,12 +75,14 @@ class RunConfig:
     f: str = "p"
     fixture: str = "koszul_p"
     out: str = ""
-    threads: int = 1
 
     def __post_init__(self):
-        for name in ("n", "r", "N", "e", "d", "threads"):
+        for name in ("n", "r", "N", "e", "d"):
             if getattr(self, name) < 1:
                 raise UsageError("%s must be >= 1" % name)
+        for name in ("W", "M", "V"):  # 0 selects the default for W and V
+            if getattr(self, name) < 0:
+                raise UsageError("%s must be >= 0" % name)
         if not _is_prime(self.p):
             raise UsageError("p = %d is not prime" % self.p)
 
@@ -124,10 +112,6 @@ def _resolve_f(cfg):
     if tok.startswith("p^"):
         return cfg.p ** int(tok[2:])
     return int(tok)
-
-
-def _pgroups_json(groups):
-    return {str(k): g.to_json() for k, g in sorted(groups.items())}
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +198,6 @@ def cmd_eta(cfg):
     }
 
 
-def _chunk(seq, k):
-    if k <= 1:
-        return [list(seq)]
-    out = [[] for _ in range(k)]
-    for t, x in enumerate(seq):
-        out[t % k].append(x)
-    return [c for c in out if c]
-
-
 def cmd_derham(cfg):
     X = build_torus(cfg.p, cfg.d, cfg.n)
     payload = {}
@@ -295,20 +270,15 @@ def cmd_acrys(cfg):
 def cmd_syntomic(cfg):
     V = cfg.V if cfg.V else None
     if cfg.model == "charp":
-        res = syntomic_charp(cfg.p, cfg.d, cfg.i, cfg.r, M=cfg.M, V=V, threads=cfg.threads)
+        res = syntomic_charp(cfg.p, cfg.d, cfg.i, cfg.r, M=cfg.M, V=V)
     elif cfg.model == "q":
-        res = syntomic_q(cfg.p, cfg.d, cfg.i, cfg.r, N=cfg.N, M=cfg.M, V=V,
-                         threads=cfg.threads)
+        res = syntomic_q(cfg.p, cfg.d, cfg.i, cfg.r, N=cfg.N, M=cfg.M, V=V)
     elif cfg.model == "acrys":
         W = cfg.W if cfg.W else None
         res = syntomic_acrys(cfg.p, cfg.i, cfg.r, e=cfg.e, W=W)
     else:
         raise UsageError("unknown model %r" % cfg.model)
     return res.to_json()
-
-
-def cmd_contraction(cfg):
-    return contraction_bound_check(cfg.p, cfg.i, cfg.M, N=cfg.N)
 
 
 COMMANDS = {
@@ -391,15 +361,22 @@ def _load_config_file(path):
     return out
 
 
-_INT_FIELDS = {"p", "n", "r", "N", "e", "W", "M", "V", "d", "i", "threads"}
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def build_config(args):
     values = {}
     if args.config:
         for k, v in _load_config_file(args.config).items():
-            values[k] = int(v) if k in _INT_FIELDS else v
-    for k in list(_INT_FIELDS) + ["model", "f", "fixture", "out"]:
+            if k not in _FIELD_TYPES:
+                raise UsageError("unknown config key %r" % k)
+            if _FIELD_TYPES[k] is int:
+                try:
+                    v = int(v)
+                except ValueError:
+                    raise UsageError("config key %r needs an integer, got %r" % (k, v)) from None
+            values[k] = v
+    for k in _FIELD_TYPES:
         v = getattr(args, k, None)
         if v is not None:
             values[k] = v
@@ -424,11 +401,10 @@ def make_parser():
     common.add_argument("-V", type=int, default=None, help="orbit window override")
     common.add_argument("-d", type=int, default=None, help="torus dimension")
     common.add_argument("-i", type=int, default=None, help="twist / filtration level")
-    common.add_argument("--model", default=None, choices=["charp", "q", "acrys", "fp"])
+    common.add_argument("--model", default=None, choices=["charp", "q", "acrys"])
     common.add_argument("--f", default=None, help="decalage element (integer or p, p^2, ...)")
     common.add_argument("--fixture", default=None, help="named fixture complex")
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--config", default=None, help="flat key=value config file")
     common.add_argument("--write-fixture", default=None, help=argparse.SUPPRESS)
     for name in COMMANDS:
@@ -470,8 +446,7 @@ def main(argv=None):
     except UsageError as ex:
         print("usage error: %s" % ex, file=sys.stderr)
         return 1
-    except (NotStabilized, PrecisionExhausted, PDNotStabilized, PDPrecisionExhausted,
-            TorusPrecisionExhausted, BoundViolated) as ex:
+    except NotCertified as ex:
         print("not certified: %s" % ex, file=sys.stderr)
         return 2
 

@@ -17,7 +17,6 @@ from .linalg import (
     intersect_lattices,
     kernel_mod,
     lattice_contains,
-    lattice_eq,
     lattice_sum,
     mat_is_zero,
     mat_mul,
@@ -600,13 +599,10 @@ def _solve_fp(basis, row, p):
         return None if any(a % p for a in row) else []
     A = [[x % p for x in b] for b in basis]
     m, n = len(A), len(A[0])
-    aug = [A[i] + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    # row reduce
     target = [x % p for x in row]
     # Gaussian elimination solving x A = target  <=>  A^T x^T = target^T
     At = [list(col) for col in zip(*A)]
     b = target[:]
-    piv_cols = []
     r = 0
     where = {}
     for c in range(m):

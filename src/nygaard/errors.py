@@ -1,0 +1,26 @@
+"""The errors of the workbench, by what the command line does with them.
+
+UsageError: the parameters or input are bad (exit code 1).
+NotCertified: a computation ran but could not certify its answer (exit code
+2); its subclasses say which certificate failed.
+"""
+
+
+class UsageError(Exception):
+    """Bad parameters or input from outside the program."""
+
+
+class NotCertified(Exception):
+    """A computation could not certify its answer."""
+
+
+class NotStabilized(NotCertified):
+    """A directed system or truncation did not stabilize within its budget."""
+
+
+class PrecisionExhausted(NotCertified):
+    """The internal precision a computation needs exceeds its cap."""
+
+
+class BoundViolated(NotCertified):
+    """A proven bound or series termination failed on the computed data."""

@@ -8,7 +8,6 @@ Howell form over Z/p^n.
 """
 
 from dataclasses import dataclass
-from math import gcd
 
 
 class CompositeNonzero(Exception):
@@ -49,26 +48,9 @@ def mat_mul(A, B):
                     orow[j] += a * brow[j]
     return out
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
 
 def mat_scale(c, A):
     return [[c * a for a in row] for row in A]
-
-
-def mat_mod(A, q):
-    return [[a % q for a in row] for row in A]
-
-
-def mat_transpose(A):
-    if not A:
-        return []
-    return [list(col) for col in zip(*A)]
 
 
 def mat_is_zero(A):
@@ -221,11 +203,6 @@ def lattice_eq(L1, L2):
 
 def lattice_sum(*Ls):
     return hermite_form(mat_stack(*Ls))
-
-
-def lattice_index_subset(L1, L2):
-    """True if span(L1) is contained in span(L2)."""
-    return all(lattice_contains(L2, row) for row in L1)
 
 
 def preimage_lattice(D, L):
@@ -421,23 +398,8 @@ def quotient_invariants(L, M):
     return invs, len(L) - rank
 
 
-def quotient_group(L, M, p):
-    invs, free = quotient_invariants(L, M)
-    return PGroup.from_invariants(p, invs, free)
-
-
 # ---------------------------------------------------------------------------
 # cochain complexes of free modules (row convention)
-
-
-def check_complex(ranks, diffs):
-    """diffs[j] has shape (ranks[j], ranks[j+1]); composites must vanish."""
-    degs = sorted(ranks)
-    for j in degs:
-        if j in diffs and (j + 1) in diffs and diffs[j] and diffs[j + 1]:
-            comp = mat_mul(diffs[j], diffs[j + 1])
-            if not mat_is_zero(comp):
-                raise CompositeNonzero("d^2 != 0 between degrees %d..%d" % (j, j + 2))
 
 
 def _diff_or_zero(ranks, diffs, j):
@@ -645,10 +607,7 @@ def howell_form(M, p, n):
             if c2 >= c:
                 break
             row = pivots[c2]
-            if row[c] % pv:
-                factor = row[c] // pv
-            else:
-                factor = row[c] // pv
+            factor = row[c] // pv
             if factor:
                 pivots[c2] = [(a - factor * b) % q for a, b in zip(row, piv)]
     return [pivots[c] for c in sorted(pivots)]

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
+from .errors import NotStabilized, PrecisionExhausted
 from .linalg import (
     quotient_invariants,
     PGroup,
@@ -40,14 +41,6 @@ class TruncationTooTight(Exception):
     pass
 
 
-class NotStabilized(Exception):
-    pass
-
-
-class PrecisionExhausted(Exception):
-    pass
-
-
 def vp_factorial(m, p):
     """Legendre: v_p(m!) = sum_k floor(m/p^k)."""
     v = 0
@@ -56,16 +49,6 @@ def vp_factorial(m, p):
         v += m // q
         q *= p
     return v
-
-
-def unit_part_factorial(m, p, modulus):
-    """m! / p^{v_p(m!)} mod modulus."""
-    u = 1
-    for t in range(2, m + 1):
-        while t % p == 0:
-            t //= p
-        u = (u * t) % modulus
-    return u
 
 
 @dataclass(frozen=True)

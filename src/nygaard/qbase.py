@@ -100,6 +100,17 @@ class QBase:
             rows.append(list(self.mul(mu_i, a)))
         return rows
 
+    def block_mult_matrix(self, a, width):
+        """Multiplication by a on Z^width = B^(width / N): block diagonal,
+        one copy of mult_matrix(a) per B summand."""
+        Ma = self.mult_matrix(a)
+        N = self.N
+        big = [[0] * width for _ in range(width)]
+        for b in range(width // N):
+            for i in range(N):
+                big[b * N + i][b * N:(b + 1) * N] = Ma[i]
+        return big
+
     def phi_matrix(self):
         rows = []
         for i in range(self.N):

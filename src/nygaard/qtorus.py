@@ -12,24 +12,18 @@ linalg applies unchanged.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .complexes import Complex
 from .linalg import (
     hermite_form,
     solve_left,
-    howell_span_eq,
     identity,
     intersect_lattices,
     lattice_contains,
-    lattice_eq,
-    lattice_sum,
     mat_mul,
     mat_scale,
-    mat_stack,
     preimage_lattice,
     presented_complex_cohomology,
-    presented_invariants,
     row_mul,
     zeros,
 )
@@ -401,19 +395,8 @@ def _cone_mu_rows(X, cone_terms):
     B = X.B
     out = {}
     for j, (gens, _) in cone_terms.items():
-        if not gens:
-            out[j] = []
-            continue
-        width = len(gens[0])
-        # the ambient is a concatenation of expanded blocks of width N each
-        blocks = width // B.N
-        Mmu = B.mult_matrix(B.mu)
-        big = zeros(width, width)
-        for b in range(blocks):
-            for a in range(B.N):
-                for c in range(B.N):
-                    big[b * B.N + a][b * B.N + c] = Mmu[a][c]
-        out[j] = [row_mul(g, big) for g in gens]
+        mu = B.block_mult_matrix(B.mu, len(gens[0])) if gens else []
+        out[j] = [row_mul(g, mu) for g in gens]
     return out
 
 

@@ -1,5 +1,15 @@
 """Syntomic complexes Z/p^r(i) as fibers of (divided Frobenius - can).
 
+One pipeline computes them for both torus models.  The models differ only in
+their per-degree data (`_Model`): in characteristic p (crystalline side,
+`TorusDeRham`) the Nygaard lattice in Koszul degree t is p^{max(i-t,0)} times
+the full term, so the Nygaard-side differential is the Koszul differential
+scaled by the ratio of consecutive scales and can is that scale; in the
+q-model (`QTorusComplex` over B) Nygaard coordinates are normalized by powers
+of xi, so the Nygaard-side differential is the normalized one and can embeds
+the xi-power lattice rows.  Each public function adds its model's tail test,
+certificates and dlog flags.
+
 The torus models decompose by Frobenius orbits of weights {m, pm, p^2 m, ...}
 (m primitive).  Each orbit is computed on a finite window: Nygaard-side steps
 s <= V, full-side steps s <= V + 1 (a subcomplex of the infinite orbit
@@ -15,7 +25,10 @@ direction carry an explicit "global model" flag.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
+from .errors import BoundViolated, NotStabilized
 from .linalg import (
     PGroup,
     hermite_form,
@@ -29,25 +42,16 @@ from .linalg import (
     preimage_lattice,
     quotient_invariants,
     row_mul,
-    solve_left,
     zeros,
 )
-from .pdalg import PDAlgebra, frobenius_fixed_points, nygaard_acrys, span_identity_check
-from .pdalg import divided_frobenius_on_gens, pd_filtration_rows, conjugate_filtration_spans
+from .pdalg import (
+    PDAlgebra,
+    conjugate_filtration_spans,
+    frobenius_fixed_points,
+    span_identity_check,
+)
 from .qtorus import build_qtorus
 from .torus import build_torus, weights_box
-
-
-class NotStabilized(Exception):
-    pass
-
-
-class PrecisionExhausted(Exception):
-    pass
-
-
-class BoundViolated(Exception):
-    pass
 
 
 @dataclass
@@ -81,61 +85,93 @@ class SyntomicResult:
 
 
 # ---------------------------------------------------------------------------
-# generic window assembly
+# the shared pipeline: model data, windows, orbits
 
 
-def _assemble_window(dmax, V, rank_N, rank_X, dN, dX, phi, can, same_step_phi=False):
-    """Total complex of fib(phi - can) on an orbit window.
+@dataclass(frozen=True)
+class _Model:
+    """A torus model of fib(phi_i - can), read per Koszul degree t.
 
-    Degrees t = 0..dmax+1; term t = (+)_{s<=V} N^t_s (+) (+)_{s<=V+1} X^{t-1}_s.
-    phi maps step s to s+1 (or s when same_step_phi, for the weight-0 block).
+    rank(t) is the rank of the degree-t term; dN(w, t) and dX(w, t) are the
+    Nygaard-side and full-side differentials t -> t+1 on the weight-w block;
+    phi(t) is the divided Frobenius and can(t) the canonical map from the
+    Nygaard side to the full side."""
+
+    p: int
+    d: int
+    rank: Callable
+    dN: Callable
+    dX: Callable
+    phi: Callable
+    can: Callable
+
+
+def _charp_model(X, i):
+    def dN(w, t):
+        ratio = X.nygaard_scale(i, t) // X.nygaard_scale(i, t + 1)
+        return mat_scale(ratio, X.diff_matrix(w, t))
+
+    return _Model(
+        X.p, X.d, X.rank, dN, X.diff_matrix,
+        phi=lambda t: X.divided_frobenius_matrix(i, t),
+        can=lambda t: mat_scale(X.nygaard_scale(i, t), identity(X.rank(t))),
+    )
+
+
+def _q_model(Xq, i):
+    return _Model(
+        Xq.p, Xq.d, Xq.exp_rank,
+        dN=lambda w, t: Xq.normalized_diff_matrix(i, w, t),
+        dX=Xq.diff_matrix,
+        phi=lambda t: Xq.divided_frobenius_matrix(i, t),
+        can=lambda t: Xq.nygaard_lattice_rows(i, t),
+    )
+
+
+def _assemble_window(model, V, m0=None):
+    """Total complex of fib(phi - can) on the window W_V of the orbit of m0.
+
+    Degrees t = 0..d+1; term t = (+)_{s<=V} N^t_s (+) (+)_{s<=V+1} X^{t-1}_s,
+    where step s carries the weight p^s m0 and phi maps step s to s+1.
+    Without m0 it is the weight-0 block (call it with V = 0): no
+    differentials, and phi maps each step to itself.
     Returns (ranks, diffs, basis_info) with basis_info[t] listing labels
     ("N", s, k) and ("X", s, k)."""
-    stepsN = V + 1
-    stepsX = V + 2 if not same_step_phi else V + 1
-    ranks = {}
-    basis_info = {}
-    for t in range(dmax + 2):
-        labels = []
-        for s in range(stepsN):
-            for k in range(rank_N(t)):
-                labels.append(("N", s, k))
-        for s in range(stepsX):
-            for k in range(rank_X(t - 1)):
-                labels.append(("X", s, k))
-        basis_info[t] = labels
-        ranks[t] = len(labels)
+    d, rank = model.d, model.rank
+    orbit = m0 is not None
+    steps = {"N": V + 1, "X": V + 2 if orbit else V + 1}
+    weights = [tuple(model.p**s * a for a in m0) for s in range(V + 2)] if orbit else []
+    basis_info = {
+        t: [(side, s, k) for side, j in (("N", t), ("X", t - 1))
+            for s in range(steps[side]) for k in range(rank(j))]
+        for t in range(d + 2)
+    }
+    ranks = {t: len(labels) for t, labels in basis_info.items()}
     diffs = {}
-    for t in range(dmax + 1):
-        src = basis_info[t]
-        tgt = basis_info[t + 1]
-        pos = {lab: c for c, lab in enumerate(tgt)}
-        D = zeros(len(src), len(tgt))
-        for rr, lab in enumerate(src):
-            side, s, k = lab
-            if side == "N":
-                dn = dN(s, t)
-                if dn and dn[0]:
-                    for c in range(len(dn[0])):
-                        if dn[k][c]:
-                            D[rr][pos[("N", s, c)]] += dn[k][c]
-                ph = phi(s, t)
-                s_tgt = s if same_step_phi else s + 1
-                if ph and ph[0] and ("X", s_tgt, 0) in pos:
-                    for c in range(len(ph[0])):
-                        if ph[k][c]:
-                            D[rr][pos[("X", s_tgt, c)]] += ph[k][c]
-                cn = can(s, t)
-                if cn and cn[0] and ("X", s, 0) in pos:
-                    for c in range(len(cn[0])):
-                        if cn[k][c]:
-                            D[rr][pos[("X", s, c)]] -= cn[k][c]
-            else:
-                dx = dX(s, t - 1)
-                if dx and dx[0]:
-                    for c in range(len(dx[0])):
-                        if dx[k][c]:
-                            D[rr][pos[("X", s, c)]] -= dx[k][c]
+    for t in range(d + 1):
+        # (first source row, target block, matrix, sign) for every block
+        blocks = []
+        phi, can = model.phi(t), model.can(t)
+        for s in range(steps["N"]):
+            row0 = s * rank(t)
+            if orbit and t < d:
+                blocks.append((row0, ("N", s), model.dN(weights[s], t), 1))
+            blocks.append((row0, ("X", s + 1 if orbit else s), phi, 1))
+            blocks.append((row0, ("X", s), can, -1))
+        if orbit and t >= 1:
+            for s in range(steps["X"]):
+                row0 = steps["N"] * rank(t) + s * rank(t - 1)
+                blocks.append((row0, ("X", s), model.dX(weights[s], t - 1), -1))
+        pos = {lab: c for c, lab in enumerate(basis_info[t + 1])}
+        D = zeros(ranks[t], ranks[t + 1])
+        for row0, (side, s), mat, sign in blocks:
+            col0 = pos.get((side, s, 0))
+            if col0 is None:
+                continue  # the target block is outside the window or empty
+            for k, row in enumerate(mat):
+                for c, a in enumerate(row):
+                    if a:
+                        D[row0 + k][col0 + c] += sign * a
         diffs[t] = D
     return ranks, diffs, basis_info
 
@@ -205,27 +241,21 @@ def _embed_rows(rows, labs_small, labs_big):
     return out
 
 
-def _orbit_contribution(window_builder, p, r, i, dmax, V, cap=4):
-    """Certified per-degree groups of one orbit in degrees <= i+1.
+def _orbit_contribution(model, m0, i, r, V, extra_rels=None, cap=4):
+    """Certified per-degree groups of the orbit of m0 in degrees <= i+1.
 
     The window inclusions W_V into W_{V+k} are chain maps; the orbit group in
     degree t is the stable image of H^t(W_V) in H^t(W_{V+k}) (the directed
     system of finite groups has non-increasing image orders, so two equal
     consecutive images certify the colimit; beyond the window the attaching
-    data is constant by the tail-vanishing certificate)."""
-    cache = {}
+    data is constant by the tail-vanishing certificate).  extra_rels, when
+    given, maps window ranks to the extra relations of _window_cohomology."""
+    p, dmax = model.p, model.d
 
     def window(k):
-        if k not in cache:
-            built = window_builder(V + k)
-            if len(built) == 4:
-                ranks, diffs, basis, extra = built
-            else:
-                ranks, diffs, basis = built
-                extra = None
-            _, pk = _window_cohomology(ranks, diffs, p, r, extra_rels=extra)
-            cache[k] = (basis, pk)
-        return cache[k]
+        ranks, diffs, basis = _assemble_window(model, V + k, m0)
+        extra = extra_rels(ranks) if extra_rels else None
+        return basis, _window_cohomology(ranks, diffs, p, r, extra_rels=extra)[1]
 
     basis0, pres0 = window(0)
     out = {}
@@ -261,8 +291,51 @@ def _orbit_contribution(window_builder, p, r, i, dmax, V, cap=4):
     return out, k_used
 
 
-# ---------------------------------------------------------------------------
-# characteristic p torus
+def _orbit_sum(model, i, r, M, V, tail_vanishes, extra_rels=None):
+    """fib(phi_i - can) summed over the primitive orbits of the weight box of
+    radius M, plus the weight-0 block.
+
+    Returns (total, pres0, tail_ok): the groups per degree, the weight-0
+    presentations (for the dlog flags) and whether tail_vanishes(m0) held
+    for every orbit."""
+    p, d = model.p, model.d
+    total = {t: PGroup.zero(p) for t in range(d + 2)}
+    tail_ok = True
+    for m0 in _primitive_orbit_reps(d, p, M):
+        # degrees <= i+1 are certified by the stable window image; degrees
+        # >= i+2 lie in the invertibility zone (Koszul degrees > i) where the
+        # twisted Frobenius minus one is invertible by a terminating series,
+        # so the orbit contributes nothing there
+        contrib, _ = _orbit_contribution(model, m0, i, r, V, extra_rels)
+        for t, g in contrib.items():
+            total[t] = total[t] + g
+        if not tail_vanishes(m0):
+            tail_ok = False
+    # weight zero: phi_i and can act on the same block; exact, no window
+    ranks0, diffs0, _ = _assemble_window(model, 0)
+    extra0 = extra_rels(ranks0) if extra_rels else None
+    H0, pres0 = _window_cohomology(ranks0, diffs0, p, r, extra_rels=extra0)
+    for t in range(d + 2):
+        total[t] = total[t] + H0[t]
+    return total, pres0, tail_ok
+
+
+def _dlog_flags(model, i, pres0, phi_fixed):
+    """The weight-zero dlog class in degree i: cocycle, nonzero in H, and
+    phi_fixed(phi(i)).  In the weight-0 window the N-side degree-i basis
+    starts at position 0, and dlog T_1 ^ ... ^ dlog T_i (its constant
+    coefficient, in the q-model) is the first basis vector."""
+    if i < 0 or i > model.d:
+        return {"degree": i, "present": False}
+    K, B = pres0[i]
+    if not K:
+        return {"degree": i, "present": False}
+    vec = [0] * len(K[0])
+    vec[0] = 1
+    is_cocycle = lattice_contains(K, vec)
+    nonzero = not lattice_contains(hermite_form(B), vec) if B else True
+    return {"degree": i, "present": True, "cocycle": is_cocycle,
+            "nonzero_in_H": nonzero, "phi_fixed": phi_fixed(model.phi(i))}
 
 
 def _primitive_orbit_reps(d, p, M):
@@ -276,63 +349,8 @@ def _primitive_orbit_reps(d, p, M):
     return reps
 
 
-def _charp_window(X, i, r, m0, V):
-    p = X.p
-
-    def rank_N(j):
-        return X.rank(j)
-
-    def rank_X(j):
-        return X.rank(j)
-
-    def weight(s):
-        return tuple(p**s * a for a in m0)
-
-    def dN(s, t):
-        if t >= X.d:
-            return []
-        ratio = X.nygaard_scale(i, t) // X.nygaard_scale(i, t + 1)
-        return mat_scale(ratio, X.diff_matrix(weight(s), t))
-
-    def dX(s, t):
-        if t < 0 or t >= X.d:
-            return []
-        return X.diff_matrix(weight(s), t)
-
-    def phi(s, t):
-        if t > X.d:
-            return []
-        return X.divided_frobenius_matrix(i, t)
-
-    def can(s, t):
-        if t > X.d:
-            return []
-        return mat_scale(X.nygaard_scale(i, t), identity(X.rank(t)))
-
-    return _assemble_window(X.d, V, rank_N, rank_X, dN, dX, phi, can)
-
-
-def _charp_weight0(X, i, r):
-    def rank_N(j):
-        return X.rank(j)
-
-    def rank_X(j):
-        return X.rank(j)
-
-    def dzero(s, t):
-        return []
-
-    def phi(s, t):
-        if t > X.d:
-            return []
-        return X.divided_frobenius_matrix(i, t)
-
-    def can(s, t):
-        if t > X.d:
-            return []
-        return mat_scale(X.nygaard_scale(i, t), identity(X.rank(t)))
-
-    return _assemble_window(X.d, 0, rank_N, rank_X, dzero, dzero, phi, can, same_step_phi=True)
+# ---------------------------------------------------------------------------
+# characteristic p torus
 
 
 def _negative_twist_invertible(p, d, i, r):
@@ -343,17 +361,7 @@ def _negative_twist_invertible(p, d, i, r):
     return r <= abs(i) * r + 1  # p^{|i| * r} >= p^r always
 
 
-def _pmap(fn, items, threads):
-    """Deterministic map: thread-pooled when threads > 1, order preserved."""
-    if threads > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(fn, items))
-    return [fn(x) for x in items]
-
-
-def syntomic_charp(p, d, i, r, M=4, V=None, threads=1):
+def syntomic_charp(p, d, i, r, M=4, V=None):
     """Cohomology of fib(phi_i - can) on the d-torus over Z/p^r, by orbits."""
     X = build_torus(p, d, r)
     if i < 0:
@@ -363,36 +371,15 @@ def syntomic_charp(p, d, i, r, M=4, V=None, threads=1):
                               certificates={"negative_twist_series": True},
                               dlog={})
     V = V if V is not None else r + 1
-    total = {t: PGroup.zero(p) for t in range(d + 2)}
-    tail_ok = True
-    reps = _primitive_orbit_reps(d, p, M)
-
-    def worker(m0):
-        # degrees <= i+1 are certified by the stable window image; degrees
-        # >= i+2 lie in the invertibility zone (Koszul degrees > i) where the
-        # twisted Frobenius minus one is invertible by a terminating series,
-        # so the orbit contributes nothing there
-        contrib, _ = _orbit_contribution(
-            lambda VV: _charp_window(X, i, r, m0, VV), p, r, i, d, V
-        )
-        tail = not any((p ** (V + 1) * a) % p**r for a in m0)
-        return contrib, tail
-
-    for contrib, tail in _pmap(worker, reps, threads):
-        for t, g in contrib.items():
-            total[t] = total[t] + g
-        if not tail:
-            tail_ok = False
-    series_k = _charp_zone_series_exponent(p, i, r, d)
-    stabilized = True
-    # weight zero: phi_i and can act on the same block; exact, no window
-    ranks0, diffs0, _ = _charp_weight0(X, i, r)
-    H0, pres0 = _window_cohomology(ranks0, diffs0, p, r)
-    for t in range(d + 2):
-        total[t] = total[t] + H0[t]
-    if not (stabilized and tail_ok):
+    model = _charp_model(X, i)
+    total, pres0, tail_ok = _orbit_sum(
+        model, i, r, M, V,
+        lambda m0: not any((p ** (V + 1) * a) % p**r for a in m0),
+    )
+    if not tail_ok:
         raise NotStabilized("orbit windows did not certify at V = %d" % V)
-    dlog = _dlog_flags_charp(X, i, r, pres0)
+    series_k = _charp_zone_series_exponent(p, i, r, d)
+    dlog = _dlog_flags(model, i, pres0, lambda Phi: Phi == identity(len(Phi)))
     return SyntomicResult(
         "charp", p, i, r, M, V + 1, total, dlog=dlog,
         certificates={
@@ -417,77 +404,8 @@ def _charp_zone_series_exponent(p, i, r, d):
     return out
 
 
-def _dlog_flags_charp(X, i, r, pres0):
-    """The weight-zero dlog classes in degree i: cocycles, nonzero, phi_i-fixed."""
-    if i < 0 or i > X.d:
-        return {"degree": i, "present": False}
-    K, B = pres0[i]
-    # in the weight-0 window the N-side degree-i basis starts at position 0
-    vec = [0] * (len(K[0]) if K else 0)
-    if not K:
-        return {"degree": i, "present": False}
-    vec[0] = 1  # dlog T_1 ^ ... ^ dlog T_i is the first N-basis vector
-    is_cocycle = lattice_contains(K, vec)
-    nonzero = not lattice_contains(hermite_form(B), vec) if B else True
-    fixed = X.divided_frobenius_matrix(i, i) == identity(X.rank(i))
-    return {"degree": i, "present": True, "cocycle": is_cocycle,
-            "nonzero_in_H": nonzero, "phi_fixed": fixed}
-
-
 # ---------------------------------------------------------------------------
 # q-model
-
-
-def _q_window(Xq, i, r, m0, V):
-    p = Xq.p
-
-    def weight(s):
-        return tuple(p**s * a for a in m0)
-
-    def rank(j):
-        return Xq.exp_rank(j)
-
-    def dN(s, t):
-        if t >= Xq.d:
-            return []
-        return Xq.normalized_diff_matrix(i, weight(s), t)
-
-    def dX(s, t):
-        if t < 0 or t >= Xq.d:
-            return []
-        return Xq.diff_matrix(weight(s), t)
-
-    def phi(s, t):
-        if t > Xq.d:
-            return []
-        return Xq.divided_frobenius_matrix(i, t)
-
-    def can(s, t):
-        if t > Xq.d:
-            return []
-        return Xq.nygaard_lattice_rows(i, t)
-
-    return _assemble_window(Xq.d, V, rank, rank, dN, dX, phi, can)
-
-
-def _q_weight0(Xq, i, r):
-    def rank(j):
-        return Xq.exp_rank(j)
-
-    def dzero(s, t):
-        return []
-
-    def phi(s, t):
-        if t > Xq.d:
-            return []
-        return Xq.divided_frobenius_matrix(i, t)
-
-    def can(s, t):
-        if t > Xq.d:
-            return []
-        return Xq.nygaard_lattice_rows(i, t)
-
-    return _assemble_window(Xq.d, 0, rank, rank, dzero, dzero, phi, can, same_step_phi=True)
 
 
 def _q_tail_vanishes(Xq, r, m0, V):
@@ -505,8 +423,6 @@ def degree_bound_inverse_certificate(Xq, i, r, jmax=None):
     """In Koszul degrees j > i the operator xi_tilde^{j-i} phi - 1 is
     invertible: the series -(1 + A + A^2 + ...) terminates because A^k = 0
     mod (p^r, mu^N).  Returns the termination exponents."""
-    import copy
-
     p = Xq.p
     B = Xq.B
     out = {}
@@ -524,26 +440,12 @@ def degree_bound_inverse_certificate(Xq, i, r, jmax=None):
     return out
 
 
-def _mu_rows(Xq, ranks):
+def _mu_rows(B, ranks):
     """Blockwise mu-multiplication rows per degree (for the q -> 1 fiber)."""
-    B = Xq.B
-    Mmu = B.mult_matrix(B.mu)
-    out = {}
-    for t, rk in ranks.items():
-        if rk == 0:
-            out[t] = []
-            continue
-        blocks = rk // B.N
-        big = zeros(rk, rk)
-        for b in range(blocks):
-            for a in range(B.N):
-                for c in range(B.N):
-                    big[b * B.N + a][b * B.N + c] = Mmu[a][c]
-        out[t] = big
-    return out
+    return {t: B.block_mult_matrix(B.mu, rk) for t, rk in ranks.items()}
 
 
-def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False, threads=1):
+def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False):
     """Syntomic cohomology in the q-model over B/p^r, with the degree-bound
     invertibility certificate.
 
@@ -557,37 +459,18 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False, threads=1):
         return SyntomicResult("q", p, i, r, M, 0, groups,
                               certificates={"negative_twist_series": True})
     V = V if V is not None else r + 1
-    total = {t: PGroup.zero(p) for t in range(d + 2)}
-    stabilized = True
-    tail_ok = True
-    def builder(m0):
-        def build(VV):
-            ranks, diffs, basis = _q_window(Xq, i, r, m0, VV)
-            extra = _mu_rows(Xq, ranks) if collapse_mu else None
-            return ranks, diffs, basis, extra
-
-        return build
-
-    reps = _primitive_orbit_reps(d, p, M)
-
-    def worker(m0):
-        contrib, _ = _orbit_contribution(builder(m0), p, r, i, d, V)
-        return contrib, _q_tail_vanishes(Xq, r, m0, V)
-
-    for contrib, tail in _pmap(worker, reps, threads):
-        for t, g in contrib.items():
-            total[t] = total[t] + g
-        if not tail:
-            tail_ok = False
-    ranks0, diffs0, _ = _q_weight0(Xq, i, r)
-    extra0 = _mu_rows(Xq, ranks0) if collapse_mu else None
-    H0, pres0 = _window_cohomology(ranks0, diffs0, p, r, extra_rels=extra0)
-    for t in range(d + 2):
-        total[t] = total[t] + H0[t]
-    if not (stabilized and tail_ok):
+    model = _q_model(Xq, i)
+    total, pres0, tail_ok = _orbit_sum(
+        model, i, r, M, V,
+        lambda m0: _q_tail_vanishes(Xq, r, m0, V),
+        extra_rels=partial(_mu_rows, Xq.B) if collapse_mu else None,
+    )
+    if not tail_ok:
         raise NotStabilized("q-model orbit windows did not certify at V = %d" % V)
     series = degree_bound_inverse_certificate(Xq, i, r)
-    dlog = _dlog_flags_q(Xq, i, r, pres0)
+    # phi_i fixes the dlog monomials: the normalized matrix at degree i is
+    # the coefficient Frobenius, which fixes constants
+    dlog = _dlog_flags(model, i, pres0, lambda Phi: Phi[0][0] == 1)
     return SyntomicResult(
         "q", p, i, r, M, V + 1, total, dlog=dlog,
         certificates={
@@ -599,24 +482,6 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False, threads=1):
             "mu_cliff_classes_possible": (not collapse_mu) and i >= 1,
         },
     )
-
-
-def _dlog_flags_q(Xq, i, r, pres0):
-    if i < 0 or i > Xq.d:
-        return {"degree": i, "present": False}
-    K, B = pres0[i]
-    if not K:
-        return {"degree": i, "present": False}
-    vec = [0] * len(K[0])
-    vec[0] = 1  # constant coefficient of dlog T_1 ^ ... ^ dlog T_i
-    is_cocycle = lattice_contains(K, vec)
-    nonzero = not lattice_contains(hermite_form(B), vec) if B else True
-    # phi_i fixes the dlog monomials: the normalized matrix at degree i is
-    # the coefficient Frobenius, which fixes constants
-    Phi = Xq.divided_frobenius_matrix(i, i)
-    fixed = Phi[0][0] == 1
-    return {"degree": i, "present": True, "cocycle": is_cocycle,
-            "nonzero_in_H": nonzero, "phi_fixed": fixed}
 
 
 # ---------------------------------------------------------------------------

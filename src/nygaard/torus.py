@@ -16,13 +16,13 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .complexes import Complex, eta
+from .errors import PrecisionExhausted
 from .linalg import (
     det_sign,
     howell_span_eq,
     identity,
     induced_map_is_iso,
     intersect_lattices,
-    lattice_contains,
     lattice_eq,
     lattice_sum,
     mat_mul,
@@ -35,10 +35,6 @@ from .linalg import (
 
 
 class DivisionFailure(Exception):
-    pass
-
-
-class PrecisionExhausted(Exception):
     pass
 
 
