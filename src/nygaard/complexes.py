@@ -26,6 +26,7 @@ from .linalg import (
     quotient_invariants,
     row_mul,
     solve_left,
+    span_exponent_mod,
     zeros,
 )
 
@@ -541,8 +542,9 @@ def ext_in_Ch_check(p, c, k=2, steps=8):
             continue
         dout = trans[i] if i < len(trans) and trans[i] is not None else None
         din = trans[i - 1] if i - 1 >= 0 and trans[i - 1] is not None else None
-        rk_out = _rank_fp(dout, p) if dout else 0
-        rk_in = _rank_fp(din, p) if din else 0
+        # over F_p the order exponent of a row span is its rank
+        rk_out = span_exponent_mod(dout, p, 1) if dout else 0
+        rk_in = span_exponent_mod(din, p, 1) if din else 0
         ext_dims[i] = dims[i] - rk_out - rk_in
     # right side: Ext_R from the module resolution
     ext_R = {}
@@ -563,34 +565,6 @@ def ext_in_Ch_check(p, c, k=2, steps=8):
         if ext_dims.get(i, 0) != want:
             law_ok = False
     return {"p": p, "c": c, "k": k, "ext_ch_dims": ext_dims, "ext_R_dims": ext_R, "law_ok": law_ok}
-
-
-def _rank_fp(M, p):
-    """Rank over F_p of an integer matrix."""
-    A = [[x % p for x in row] for row in M]
-    rank = 0
-    cols = len(A[0]) if A else 0
-    row_i = 0
-    for c in range(cols):
-        piv = None
-        for r in range(row_i, len(A)):
-            if A[r][c] % p:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[row_i], A[piv] = A[piv], A[row_i]
-        inv = pow(A[row_i][c], -1, p)
-        A[row_i] = [(x * inv) % p for x in A[row_i]]
-        for r in range(len(A)):
-            if r != row_i and A[r][c]:
-                f = A[r][c]
-                A[r] = [(x - f * y) % p for x, y in zip(A[r], A[row_i])]
-        row_i += 1
-        rank += 1
-        if row_i == len(A):
-            break
-    return rank
 
 
 def _solve_fp(basis, row, p):

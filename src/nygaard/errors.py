@@ -24,3 +24,8 @@ class PrecisionExhausted(NotCertified):
 
 class BoundViolated(NotCertified):
     """A proven bound or series termination failed on the computed data."""
+
+
+class CompositeNonzero(NotCertified):
+    """A claimed subcomplex does not close up: consecutive differentials do
+    not compose to zero, or relation rows leave the span they must lie in."""

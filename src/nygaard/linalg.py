@@ -2,16 +2,20 @@
 
 Matrices are lists of lists of Python ints (arbitrary precision), acting on
 row vectors: a matrix M with shape (m, n) sends x (length m) to x*M (length n).
-Lattices in Z^n are given by generator matrices whose rows span them; the
-canonical form for a row span is the row Hermite normal form over Z and the
-Howell form over Z/p^n.
+
+Two kinds of row spans are handled.  Lattices in Z^n, for answers that really
+live over Z (free ranks, eta, complexes of free abelian groups), are
+canonicalised by the row Hermite normal form.  Submodules of (Z/p^r)^n are
+never lifted to Z: `eliminate_mod` reduces their generators over the local
+ring Z/p^r with entries kept in [0, p^r), and kernels, preimages, orders and
+quotient invariants are read off its pivot valuations and row transform.
+The Howell form is the canonical form over Z/p^r when rows must be compared.
 """
 
 from dataclasses import dataclass
+from math import gcd
 
-
-class CompositeNonzero(Exception):
-    """Consecutive differentials do not compose to zero."""
+from .errors import CompositeNonzero
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +389,14 @@ class PGroup:
 def quotient_invariants(L, M):
     """Invariant factors and free rank of span(L)/span(M), M inside L."""
     if not L:
-        assert not M or mat_is_zero(M)
+        if M and not mat_is_zero(M):
+            raise CompositeNonzero("relation rows must lie in the generator span")
         return [], 0
     coords = []
     for row in M:
         x = solve_left(L, row)
-        assert x is not None, "relation rows must lie in the generator span"
+        if x is None:
+            raise CompositeNonzero("relation rows must lie in the generator span")
         coords.append(x)
     if not coords:
         return [], len(L)
@@ -442,7 +448,8 @@ def cohomology_invariants(ranks, diffs, modulus=None):
             I = [row for row in Dprev if any(row)] if Dprev else []
             I = I + mat_scale(q, identity(r))
         for row in I:
-            assert lattice_contains(K, row), "image not inside kernel"
+            if not lattice_contains(K, row):
+                raise CompositeNonzero("degree %d: image not inside kernel" % j)
         out[j] = quotient_invariants(K, I)
     return out
 
@@ -455,14 +462,6 @@ def complex_cohomology(ranks, diffs, p, modulus=None):
 
 # ---------------------------------------------------------------------------
 # presented modules and presented complexes (subquotients of Z^n)
-
-
-def presented_invariants(gens, rels):
-    """Invariants of span(gens)/span(rels) without assuming rels ⊆ gens rows."""
-    if not gens:
-        return [], 0
-    rels = [r for r in rels if any(r)]
-    return quotient_invariants(gens, rels)
 
 
 def presented_cocycles_boundaries(terms, maps, j):
@@ -619,30 +618,116 @@ def howell_span_eq(A, B, p, n):
 
 def kernel_mod(M, p, n):
     """Howell-canonical generators of {x : x*M = 0 over Z/p^n}."""
-    q = p**n
-    m = len(M)
-    if m == 0:
-        return []
-    ncols = len(M[0])
-    if ncols == 0:
-        return howell_form(identity(m), p, n)
-    target = mat_scale(q, identity(ncols))
-    K = preimage_lattice(M, target)
-    return howell_form(K, p, n) if K else []
+    return howell_form(preimage_mod(M, [], p, n), p, n)
 
 
 def module_invariants_mod(gens, p, n):
-    """Invariant exponents of the Z/p^n-module spanned by gens in (Z/p^n)^c.
+    """Invariant exponents (largest first) of the Z/p^n-module spanned by
+    gens in (Z/p^n)^c: one Z/p^{n-v} per pivot of valuation v."""
+    vals, _ = eliminate_mod(gens, p, n)
+    return tuple(sorted((n - v for v in vals), reverse=True))
 
-    Computed over Z as (span(gens) + p^n Z^c) / p^n Z^c; Howell pivots alone
-    only determine the order, not the isomorphism type.
+
+# ---------------------------------------------------------------------------
+# elimination over the local ring Z/p^r
+
+
+def eliminate_mod(M, p, r, T=None):
+    """Smith-style elimination of the rows of M over Z/p^r.
+
+    Each step takes an entry of least p-valuation v among the rows not yet
+    used as pivots (a unit times p^v), and clears its column in those rows
+    by row operations.  Clearing the rest of the pivot row is a column
+    operation that changes no other row, because the pivot column is then
+    zero in every other row; it is left implicit.  Entries stay in [0, p^r).
+
+    Returns (vals, T'): vals lists the pivot valuations (each < r) in pivot
+    order.  When T is given (one row per row of M), the same row operations
+    are applied to it, and T' holds its rows in pivot order followed by the
+    rows whose M-part ended at zero.  With T = identity, T' = U is
+    invertible and U*M*V is diagonal with entries unit*p^vals, then zero
+    rows, for some invertible V.
     """
-    q = p**n
-    gens = [g for g in gens if any(a % q for a in g)]
-    if not gens:
+    q = p**r
+    n = len(M[0]) if M else 0
+    qs = [q] * n
+    # low[k] = gcd(row k, p^r) = p^(least valuation of its M-part); p^r
+    # means the M-part is zero and the row leaves the elimination
+    active, low, null = [], [], []
+    for k, row in enumerate(M):
+        row = [a % q for a in row]
+        if T is not None:
+            row += [a % q for a in T[k]]
+        g = min(map(gcd, row, qs), default=q)
+        if g < q:
+            active.append(row)
+            low.append(g)
+        else:
+            null.append(row)
+    vals, pivots = [], []
+    while active:
+        best = min(low)
+        at = low.index(best)
+        P = active[at]
+        active[at], low[at] = active[-1], low[-1]
+        active.pop()
+        low.pop()
+        c = list(map(gcd, P, qs)).index(best)
+        uinv = pow(P[c] // best, -1, q)
+        vals.append(_vp(best, p))
+        pivots.append(P)
+        for k in [k for k, row in enumerate(active) if row[c]]:
+            row = active[k]
+            f = (row[c] // best) * uinv % q
+            active[k] = row = [(x - f * y) % q for x, y in zip(row, P)]
+            low[k] = min(map(gcd, row, qs))
+        if q in low:
+            null += [row for row, g in zip(active, low) if g == q]
+            active = [row for row, g in zip(active, low) if g < q]
+            low = [g for g in low if g < q]
+    if T is None:
+        return vals, None
+    return vals, [row[n:] for row in pivots + null]
+
+
+def preimage_mod(D, L, p, r):
+    """Generators of {x : x*D in span(L)} over Z/p^r (the kernel of D when L
+    is empty).
+
+    Eliminating [D; L] with the D-coordinates tracked gives U; the relation
+    module is spanned by p^{r-v}*U_t for each pivot row t and by U_t for
+    each row past the rank."""
+    m = len(D)
+    if not m:
+        return []
+    q = p**r
+    T = identity(m) + zeros(len(L), m)
+    vals, U = eliminate_mod(D + L, p, r, T)
+    out = [[p ** (r - v) * a % q for a in row] for v, row in zip(vals, U) if v]
+    out += U[len(vals):]
+    return [row for row in out if any(row)]
+
+
+def span_exponent_mod(rows, p, r):
+    """e with |span(rows)| = p^e over Z/p^r: the sum of r - v over the
+    pivots."""
+    vals, _ = eliminate_mod(rows, p, r)
+    return r * len(vals) - sum(vals)
+
+
+def span_contains_mod(L, v, p, r):
+    """Whether v lies in span(L) over Z/p^r, i.e. adding v keeps the order."""
+    return span_exponent_mod(L + [v], p, r) == span_exponent_mod(L, p, r)
+
+
+def quotient_exponents_mod(L, B, p, r):
+    """Exponents (largest first) of span(L + B)/span(B) over Z/p^r.
+
+    The quotient is (Z/p^r)^len(L) modulo the relations R = {x : x*L in
+    span(B)}; eliminating R leaves a Z/p^v for each pivot of valuation v > 0
+    and a Z/p^r for each row of L past the rank of R."""
+    if not L:
         return ()
-    c = len(gens[0])
-    L = lattice_sum(gens, mat_scale(q, identity(c)))
-    invs, free = quotient_invariants(L, mat_scale(q, identity(c)))
-    assert free == 0
-    return PGroup.from_invariants(p, invs).exponents
+    vals, _ = eliminate_mod(preimage_mod(L, B, p, r), p, r)
+    exps = [v for v in vals if v] + [r] * (len(L) - len(vals))
+    return tuple(sorted(exps, reverse=True))

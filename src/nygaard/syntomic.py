@@ -13,11 +13,16 @@ certificates and dlog flags.
 The torus models decompose by Frobenius orbits of weights {m, pm, p^2 m, ...}
 (m primitive).  Each orbit is computed on a finite window: Nygaard-side steps
 s <= V, full-side steps s <= V + 1 (a subcomplex of the infinite orbit
-complex).  The stabilization certificate is: (1) every Koszul entry beyond
-the window vanishes mod p^r (valuations are monotone along the orbit), and
-(2) the window-inclusion induces isomorphisms H(W_V) -> H(W_{V+1}) in every
-degree, verified on explicit presentations.  Degrees j > i are additionally
-covered by the geometric-series invertibility of the twisted Frobenius.
+complex).  Window cohomology is computed over Z/p^r and never lifted to Z:
+each degree is presented by cocycle rows K (the kernel of the differential
+mod p^r) and boundary rows B, submodules of (Z/p^r)^rank with entries in
+[0, p^r), and its group is read off the pivot valuations of
+`linalg.eliminate_mod`.  The orbit group is the stable image of H(W_V) in
+H(W_{V+k}), i.e. span(K_V + B_{V+k}) / span(B_{V+k}); two equal consecutive
+images end the search.  Beyond the window every Koszul entry vanishes mod
+p^r (valuations are monotone along the orbit).  Degrees j > i are
+additionally covered by the geometric-series invertibility of the twisted
+Frobenius.
 
 Global sections of the torus are Laurent polynomials, not their completion;
 kernels computed here are faithful, while cokernels in the Artin-Schreier
@@ -28,20 +33,22 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .errors import BoundViolated, NotStabilized
-from .linalg import (
+from .errors import BoundViolated, CompositeNonzero, NotStabilized
+from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
     PGroup,
     hermite_form,
     howell_form,
     identity,
-    induced_map_is_iso,
     lattice_contains,
     lattice_sum,
     mat_mul,
     mat_scale,
-    preimage_lattice,
+    preimage_mod,
+    quotient_exponents_mod,
     quotient_invariants,
     row_mul,
+    span_contains_mod,
+    span_exponent_mod,
     zeros,
 )
 from .pdalg import (
@@ -176,56 +183,57 @@ def _assemble_window(model, V, m0=None):
     return ranks, diffs, basis_info
 
 
-def _window_cohomology(ranks, diffs, p, r, extra_rels=None):
-    """Presented (cocycles, boundaries) and PGroups mod p^r per degree.
+def _window_presentations(ranks, diffs, p, r, extra_rels=None):
+    """Presentations (K, B) over Z/p^r per degree.
 
-    extra_rels[t], when given, adds ambient relation rows in degree t (used
-    for the q -> 1 collapse of q-model windows)."""
+    K spans the cocycles mod p^r and B the boundaries, both as rows with
+    entries in [0, p^r) (no p^r*I rows: the ambient module is (Z/p^r)^rank).
+    extra_rels[t], when given, adds relation rows in degree t (used for the
+    q -> 1 collapse of q-model windows): cocycles then map into the
+    relations of degree t+1, and the relations join the boundaries.
+    Raises CompositeNonzero when a boundary row is not a cocycle."""
     q = p**r
-    out = {}
+    rels = extra_rels or {}
     pres = {}
     for t in sorted(ranks):
         rk = ranks[t]
         if rk == 0:
-            out[t] = PGroup.zero(p)
             pres[t] = ([], [])
             continue
-        rel_t = [row[:] for row in extra_rels.get(t, [])] if extra_rels else []
         D = diffs.get(t)
         if D and ranks.get(t + 1, 0):
-            tgt = mat_scale(q, identity(ranks[t + 1]))
-            if extra_rels and extra_rels.get(t + 1):
-                tgt = lattice_sum(tgt, extra_rels[t + 1])
-            K = preimage_lattice(D, tgt)
+            K = preimage_mod(D, rels.get(t + 1, []), p, r)
         else:
             K = identity(rk)
-        B = [row[:] for row in diffs.get(t - 1, [])] if ranks.get(t - 1, 0) else []
+        B = diffs.get(t - 1, []) if ranks.get(t - 1, 0) else []
+        B = [[a % q for a in row] for row in B + rels.get(t, [])]
         B = [row for row in B if any(row)]
-        B = B + mat_scale(q, identity(rk)) + rel_t
-        invs, free = quotient_invariants(K, [b for b in B if lattice_contains(K, b)])
-        assert free == 0
-        out[t] = PGroup.from_invariants(p, invs)
+        if span_exponent_mod(K + B, p, r) != span_exponent_mod(K, p, r):
+            raise CompositeNonzero("degree %d: boundaries are not cocycles mod %d" % (t, q))
         pres[t] = (K, B)
+    return pres
+
+
+def _window_cohomology(ranks, diffs, p, r, extra_rels=None):
+    """PGroups H = span(K)/span(B) and the presentations (K, B) per degree
+    (see _window_presentations)."""
+    pres = _window_presentations(ranks, diffs, p, r, extra_rels)
+    out = {t: PGroup(p, quotient_exponents_mod(K, B, p, r)) for t, (K, B) in pres.items()}
     return out, pres
 
 
-def _transition_iso_by_degree(presV, presV1, basisV, basisV1, p):
+def _transition_iso_by_degree(presV, presV1, basisV, basisV1, p, r):
     """Whether the window inclusion W_V -> W_{V+1} induces an isomorphism on
-    cohomology, degree by degree."""
+    cohomology, degree by degree: the image of H(W_V) must have the order of
+    both H(W_V) and H(W_{V+1})."""
     out = {}
     for t in presV:
         KV, BV = presV[t]
         KV1, BV1 = presV1.get(t, ([], []))
-        labs = basisV[t]
-        labs1 = basisV1[t]
-        pos = {lab: c for c, lab in enumerate(labs1)}
-        Phi = zeros(len(labs), len(labs1))
-        for rr, lab in enumerate(labs):
-            Phi[rr][pos[lab]] = 1
-        if not KV and not KV1:
-            out[t] = True
-            continue
-        out[t] = induced_map_is_iso((KV, BV), (KV1, BV1), Phi, p)
+        image = quotient_exponents_mod(_embed_rows(KV, basisV[t], basisV1[t]), BV1, p, r)
+        orders = {sum(image), sum(quotient_exponents_mod(KV, BV, p, r)),
+                  sum(quotient_exponents_mod(KV1, BV1, p, r))}
+        out[t] = len(orders) == 1
     return out
 
 
@@ -249,13 +257,13 @@ def _orbit_contribution(model, m0, i, r, V, extra_rels=None, cap=4):
     system of finite groups has non-increasing image orders, so two equal
     consecutive images certify the colimit; beyond the window the attaching
     data is constant by the tail-vanishing certificate).  extra_rels, when
-    given, maps window ranks to the extra relations of _window_cohomology."""
+    given, maps window ranks to the extra relations of _window_presentations."""
     p, dmax = model.p, model.d
 
     def window(k):
         ranks, diffs, basis = _assemble_window(model, V + k, m0)
         extra = extra_rels(ranks) if extra_rels else None
-        return basis, _window_cohomology(ranks, diffs, p, r, extra_rels=extra)[1]
+        return basis, _window_presentations(ranks, diffs, p, r, extra_rels=extra)
 
     basis0, pres0 = window(0)
     out = {}
@@ -273,14 +281,11 @@ def _orbit_contribution(model, m0, i, r, V, extra_rels=None, cap=4):
         basis_k, pres_k = window(k)
         for t in list(pending):
             K0, _ = pres0[t]
-            Kbig, Bbig = pres_k[t]
+            _, Bbig = pres_k[t]
             emb = _embed_rows(K0, basis0[t], basis_k[t])
-            L = lattice_sum(emb, Bbig) if Bbig else hermite_form(emb)
-            invs, free = quotient_invariants(L, [b for b in Bbig if lattice_contains(L, b)])
-            assert free == 0
-            cur = tuple(sorted((d for d in invs if d > 1), reverse=True))
+            cur = quotient_exponents_mod(emb, Bbig, p, r)
             if t in prev and cur == prev[t]:
-                out[t] = PGroup.from_invariants(p, list(cur))
+                out[t] = PGroup(p, cur)
                 k_used[t] = k
                 pending.remove(t)
             else:
@@ -320,7 +325,7 @@ def _orbit_sum(model, i, r, M, V, tail_vanishes, extra_rels=None):
     return total, pres0, tail_ok
 
 
-def _dlog_flags(model, i, pres0, phi_fixed):
+def _dlog_flags(model, i, r, pres0, phi_fixed):
     """The weight-zero dlog class in degree i: cocycle, nonzero in H, and
     phi_fixed(phi(i)).  In the weight-0 window the N-side degree-i basis
     starts at position 0, and dlog T_1 ^ ... ^ dlog T_i (its constant
@@ -332,8 +337,8 @@ def _dlog_flags(model, i, pres0, phi_fixed):
         return {"degree": i, "present": False}
     vec = [0] * len(K[0])
     vec[0] = 1
-    is_cocycle = lattice_contains(K, vec)
-    nonzero = not lattice_contains(hermite_form(B), vec) if B else True
+    is_cocycle = span_contains_mod(K, vec, model.p, r)
+    nonzero = not span_contains_mod(B, vec, model.p, r)
     return {"degree": i, "present": True, "cocycle": is_cocycle,
             "nonzero_in_H": nonzero, "phi_fixed": phi_fixed(model.phi(i))}
 
@@ -379,7 +384,7 @@ def syntomic_charp(p, d, i, r, M=4, V=None):
     if not tail_ok:
         raise NotStabilized("orbit windows did not certify at V = %d" % V)
     series_k = _charp_zone_series_exponent(p, i, r, d)
-    dlog = _dlog_flags(model, i, pres0, lambda Phi: Phi == identity(len(Phi)))
+    dlog = _dlog_flags(model, i, r, pres0, lambda Phi: Phi == identity(len(Phi)))
     return SyntomicResult(
         "charp", p, i, r, M, V + 1, total, dlog=dlog,
         certificates={
@@ -470,7 +475,7 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False):
     series = degree_bound_inverse_certificate(Xq, i, r)
     # phi_i fixes the dlog monomials: the normalized matrix at degree i is
     # the coefficient Frobenius, which fixes constants
-    dlog = _dlog_flags(model, i, pres0, lambda Phi: Phi[0][0] == 1)
+    dlog = _dlog_flags(model, i, r, pres0, lambda Phi: Phi[0][0] == 1)
     return SyntomicResult(
         "q", p, i, r, M, V + 1, total, dlog=dlog,
         certificates={

@@ -1,10 +1,15 @@
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from nygaard import cli, errors, pdalg, syntomic, torus
+from nygaard import cli, errors, linalg, pdalg, syntomic, torus
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 
 
 def test_fixture_regress_all_pass():
@@ -41,13 +46,46 @@ def test_error_classes_are_shared():
     assert syntomic.NotStabilized is pdalg.NotStabilized is errors.NotStabilized
     assert pdalg.PrecisionExhausted is torus.PrecisionExhausted is errors.PrecisionExhausted
     assert syntomic.BoundViolated is errors.BoundViolated
+    assert linalg.CompositeNonzero is syntomic.CompositeNonzero is errors.CompositeNonzero
+    assert issubclass(errors.CompositeNonzero, errors.NotCertified)
 
 
 @pytest.mark.parametrize("exc", [errors.NotStabilized, errors.PrecisionExhausted,
-                                 errors.BoundViolated])
+                                 errors.BoundViolated, errors.CompositeNonzero])
 def test_main_not_certified_exit_2(monkeypatch, exc):
     def fail(cfg):
         raise exc("forced")
 
     monkeypatch.setitem(cli.COMMANDS, "witt", fail)
     assert cli.main(["witt"]) == 2
+
+
+def _cli_result(argv, *flags):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        x for x in (str(ROOT / "src"), env.get("PYTHONPATH")) if x)
+    out = subprocess.run([sys.executable, *flags, "-m", "nygaard.cli", *argv],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)["result"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["syntomic", "--model", "q", "-p", "2", "-d", "1", "-i", "1", "-r", "2", "-N", "3", "-M", "1"],
+    ["syntomic", "--model", "charp", "-p", "3", "-d", "2", "-i", "1", "-r", "2", "-M", "1"],
+])
+def test_syntomic_result_same_under_python_O(argv):
+    # every check is a typed raise, so stripping asserts changes nothing
+    assert _cli_result(argv, "-O") == _cli_result(argv)
+
+
+def test_syntomic_q_p2_i1_r2_N4_M2(capsys):
+    # the config that took 87 s while the orbit windows were computed over Z
+    argv = ["syntomic", "--model", "q", "-p", "2", "-d", "1", "-i", "1", "-r", "2",
+            "-N", "4", "-M", "2"]
+    assert cli.main(argv) == 0
+    groups = json.loads(capsys.readouterr().out)["result"]["groups"]
+    assert groups == {
+        "0": {"exponents": [2] * 10, "free_rank": 0},
+        "1": {"exponents": [2] * 15, "free_rank": 0},
+        "2": {"exponents": [2], "free_rank": 0},
+    }

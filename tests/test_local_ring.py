@@ -1,0 +1,220 @@
+"""Elimination over Z/p^r against the integer path and sympy, and the
+syntomic windows against an over-Z reimplementation of the same windows."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors
+
+from nygaard.linalg import (
+    CompositeNonzero,
+    PGroup,
+    _vp,
+    eliminate_mod,
+    howell_form,
+    identity,
+    kernel_mod,
+    lattice_contains,
+    lattice_sum,
+    mat_scale,
+    module_invariants_mod,
+    preimage_lattice,
+    preimage_mod,
+    quotient_exponents_mod,
+    quotient_invariants,
+    row_mul,
+    span_contains_mod,
+    span_exponent_mod,
+)
+from nygaard.qtorus import build_qtorus
+from nygaard.syntomic import (
+    _assemble_window,
+    _charp_model,
+    _embed_rows,
+    _mu_rows,
+    _primitive_orbit_reps,
+    _q_model,
+    _window_cohomology,
+)
+from nygaard.torus import build_torus
+
+
+@st.composite
+def local_matrices(draw):
+    """(M, p, r, n) with M over Z/p^r of width n; entries lean to zeros and
+    p-multiples, so zero rows, zero columns and low-rank pivots all occur."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    r = draw(st.integers(1, 3))
+    q = p**r
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1),
+                      st.integers(0, q // p - 1).map(lambda a: p * a))
+    M = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    return M, p, r, n
+
+
+def integer_span(rows, q, n):
+    """span(rows) + q*Z^n as an integer lattice."""
+    return lattice_sum(*(x for x in (rows, mat_scale(q, identity(n))) if x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrices())
+def test_kernel_annihilates_and_has_predicted_order(data):
+    M, p, r, n = data
+    q = p**r
+    vals, _ = eliminate_mod(M, p, r)
+    assert all(0 <= v < r for v in vals)
+    K = preimage_mod(M, [], p, r)
+    for row in K:
+        assert len(row) == len(M)
+        assert all(a % q == 0 for a in row_mul(row, M))
+    # x*M = 0 leaves x_t in p^{r-v_t} Z/p^r at each pivot and x_t free past it
+    assert span_exponent_mod(K, p, r) == sum(vals) + r * (len(M) - len(vals))
+
+
+@settings(max_examples=100, deadline=None)
+@given(local_matrices())
+def test_kernel_mod_matches_integer_preimage(data):
+    M, p, r, n = data
+    if not M or not n:
+        return
+    q = p**r
+    old = howell_form(preimage_lattice(M, mat_scale(q, identity(n))), p, r)
+    assert kernel_mod(M, p, r) == old
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrices())
+def test_span_exponents_match_sympy(data):
+    M, p, r, n = data
+    q = p**r
+    exps = module_invariants_mod(M, p, r)
+    if not n:
+        assert exps == ()
+        return
+    # Z^n / span(M + q*Z^n) = (+) Z/d; span(M) mod q is (+) Z/(q/d) over d < q
+    invs = [int(d) for d in invariant_factors(Matrix(M + mat_scale(q, identity(n))))]
+    want = tuple(sorted((r - _vp(d, p) for d in invs if d % q), reverse=True))
+    assert exps == want
+    assert span_exponent_mod(M, p, r) == sum(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrices(), st.data())
+def test_quotient_exponents_match_integer_path(data, draw):
+    L, p, r, n = data
+    q = p**r
+    entry = st.integers(0, q - 1)
+    B = draw.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    got = quotient_exponents_mod(L, B, p, r)
+    if not n:
+        assert got == ()
+        return
+    Lz = integer_span(L + B, q, n)
+    Bz = integer_span(B, q, n)
+    invs, free = quotient_invariants(Lz, Bz)
+    assert free == 0
+    assert got == PGroup.from_invariants(p, invs).exponents
+    for v in L:
+        assert span_contains_mod(B + L, v, p, r)
+        assert span_contains_mod(B, v, p, r) == lattice_contains(Bz, v)
+
+
+def test_empty_and_degenerate_shapes():
+    assert eliminate_mod([], 2, 2) == ([], None)
+    assert preimage_mod([], [], 2, 2) == []
+    assert preimage_mod([[], []], [], 3, 1) == identity(2)
+    assert preimage_mod([[4, 0], [0, 0]], [], 2, 2) == identity(2)
+    assert module_invariants_mod([[0, 0], [0, 4]], 2, 2) == ()
+    assert quotient_exponents_mod([], [[1]], 2, 1) == ()
+    assert quotient_exponents_mod([[2, 0]], [], 2, 2) == (1,)
+
+
+# ---------------------------------------------------------------------------
+# windows: the Z/p^r presentations against the same windows computed over Z
+
+
+def integer_window_groups(ranks, diffs, p, r, extra_rels=None):
+    """The window groups over Z: cocycles are the preimage of p^r*Z plus the
+    next relations, boundaries carry p^r*I rows."""
+    q = p**r
+    out = {}
+    for t in sorted(ranks):
+        rk = ranks[t]
+        if rk == 0:
+            out[t] = PGroup.zero(p)
+            continue
+        rel = extra_rels.get(t, []) if extra_rels else []
+        D = diffs.get(t)
+        if D and ranks.get(t + 1, 0):
+            tgt = mat_scale(q, identity(ranks[t + 1]))
+            if extra_rels and extra_rels.get(t + 1):
+                tgt = lattice_sum(tgt, extra_rels[t + 1])
+            K = preimage_lattice(D, tgt)
+        else:
+            K = identity(rk)
+        B = diffs.get(t - 1, []) if ranks.get(t - 1, 0) else []
+        B = [row for row in B if any(row)] + mat_scale(q, identity(rk)) + rel
+        assert all(lattice_contains(K, b) for b in B)
+        invs, free = quotient_invariants(K, B)
+        assert free == 0
+        out[t] = PGroup.from_invariants(p, invs)
+    return out
+
+
+def integer_image(K0, B1, p, r, n):
+    """Image of the small window's cocycles in the big window's group, over Z."""
+    q = p**r
+    Bz = integer_span(B1, q, n)
+    invs, free = quotient_invariants(lattice_sum(K0, Bz) if K0 else Bz, Bz)
+    assert free == 0
+    return PGroup.from_invariants(p, invs).exponents
+
+
+def check_windows(model, r, M, V, extra_rels=None):
+    p = model.p
+    ranks0, diffs0, _ = _assemble_window(model, 0)
+    extra = extra_rels(ranks0) if extra_rels else None
+    got, _ = _window_cohomology(ranks0, diffs0, p, r, extra)
+    assert got == integer_window_groups(ranks0, diffs0, p, r, extra)
+    for m0 in _primitive_orbit_reps(model.d, p, M):
+        wins = []
+        for k in (0, 1):
+            ranks, diffs, basis = _assemble_window(model, V + k, m0)
+            extra = extra_rels(ranks) if extra_rels else None
+            got, pres = _window_cohomology(ranks, diffs, p, r, extra)
+            assert got == integer_window_groups(ranks, diffs, p, r, extra), (m0, k)
+            wins.append((ranks, basis, pres))
+        (_, basis0, pres0), (ranks1, basis1, pres1) = wins
+        for t in pres0:
+            emb = _embed_rows(pres0[t][0], basis0[t], basis1[t])
+            assert quotient_exponents_mod(emb, pres1[t][1], p, r) == \
+                integer_image(emb, pres1[t][1], p, r, ranks1[t]), (m0, t)
+
+
+@pytest.mark.parametrize("p, d, i, r, M", [
+    (2, 1, 0, 1, 2), (2, 1, 1, 2, 2), (3, 1, 1, 2, 2), (2, 1, 2, 3, 1),
+    (2, 2, 1, 1, 1), (3, 2, 0, 2, 1), (2, 2, 2, 2, 1),
+])
+def test_charp_windows_match_integer_path(p, d, i, r, M):
+    check_windows(_charp_model(build_torus(p, d, r), i), r, M, r + 1)
+
+
+@pytest.mark.parametrize("collapse_mu", [False, True])
+@pytest.mark.parametrize("p, i, r, N", [(2, 0, 1, 3), (2, 1, 1, 3), (3, 1, 1, 2), (2, 1, 2, 2)])
+def test_q_windows_match_integer_path(p, i, r, N, collapse_mu):
+    Xq = build_qtorus(p, 1, N)
+    extra = (lambda ranks: _mu_rows(Xq.B, ranks)) if collapse_mu else None
+    check_windows(_q_model(Xq, i), r, 2, r + 1, extra)
+
+
+def test_window_boundary_outside_cocycles_raises():
+    # d*d = 2 is nonzero mod 4 but zero mod 2
+    ranks = {0: 1, 1: 1, 2: 1}
+    diffs = {0: [[1]], 1: [[2]]}
+    assert _window_cohomology(ranks, diffs, 2, 1)[0][1] == PGroup.zero(2)
+    with pytest.raises(CompositeNonzero):
+        _window_cohomology(ranks, diffs, 2, 2)
