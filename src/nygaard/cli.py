@@ -244,7 +244,7 @@ def cmd_acrys(cfg):
     rng = random.Random(0)
     payload = {
         "conjugate_filtration_eq": conjugate_filtration_equality_check(
-            PDAlgebra(cfg.p, 1, 1, cfg.e, W), nmax=min(cfg.i + 1, 2)
+            PDAlgebra(cfg.p, 1, 1, cfg.e, W), nmax=cfg.i + 1
         )["ok"],
         "graded_map": all(
             conj_graded_map_check(PDAlgebra(cfg.p, 1, 1, cfg.e, W), nn)["ok"]
@@ -253,7 +253,7 @@ def cmd_acrys(cfg):
         "phi_pth_power": phi_pth_power_check(A, rng),
         "nygaard_image": all(
             nygaard_graded_image_check(PDAlgebra(cfg.p, 1, 1, cfg.e, W), j)["ok"]
-            for j in range(min(cfg.i, 2) + 1)
+            for j in range(cfg.i + 1)
         ),
         "span_identity": span_identity_check(A, max(cfg.i, 1)),
     }

@@ -9,7 +9,9 @@ canonicalised by the row Hermite normal form.  Submodules of (Z/p^r)^n are
 never lifted to Z: `eliminate_mod` reduces their generators over the local
 ring Z/p^r with entries kept in [0, p^r), and kernels, preimages, orders and
 quotient invariants are read off its pivot valuations and row transform.
-The Howell form is the canonical form over Z/p^r when rows must be compared.
+Two such spans are compared by order: span(A) = span(B) iff |A| = |B| =
+|A + B|.  The Howell form is kept only where a canonical set of rows is the
+output (`kernel_mod` and `pdalg.nygaard_acrys`).
 """
 
 from dataclasses import dataclass
@@ -610,10 +612,6 @@ def howell_form(M, p, n):
             if factor:
                 pivots[c2] = [(a - factor * b) % q for a, b in zip(row, piv)]
     return [pivots[c] for c in sorted(pivots)]
-
-
-def howell_span_eq(A, B, p, n):
-    return howell_form(A, p, n) == howell_form(B, p, n)
 
 
 def kernel_mod(M, p, n):

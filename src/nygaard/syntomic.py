@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
+from .complexes import _solve_fp
 from .errors import BoundViolated, CompositeNonzero, NotStabilized
 from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
     PGroup,
     hermite_form,
-    howell_form,
     identity,
     lattice_contains,
     lattice_sum,
@@ -45,7 +45,6 @@ from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches
     mat_scale,
     preimage_mod,
     quotient_exponents_mod,
-    quotient_invariants,
     row_mul,
     span_contains_mod,
     span_exponent_mod,
@@ -53,6 +52,8 @@ from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches
 )
 from .pdalg import (
     PDAlgebra,
+    _nygaard_kernel_blocks,
+    _phi_block_matrix,
     conjugate_filtration_spans,
     frobenius_fixed_points,
     span_identity_check,
@@ -540,7 +541,7 @@ def contraction_bound_check(p, i, m, N=4, V=None):
         T = []
         ok = True
         for row in Timg:
-            sol = _solve_mod_p(Mxa, row, p)
+            sol = _solve_fp(Mxa, row, p)
             if sol is None:
                 ok = False
                 break
@@ -582,12 +583,6 @@ def contraction_bound_check(p, i, m, N=4, V=None):
     }
 
 
-def _solve_mod_p(Mrows, y, p):
-    from .complexes import _solve_fp
-
-    return _solve_fp(Mrows, y, p)
-
-
 # ---------------------------------------------------------------------------
 # acrys model
 
@@ -608,34 +603,26 @@ def syntomic_acrys(p, i, r, e=2, W=None, g=1):
     # the internal precision r + i (reducing them mod p^r first would lose
     # the p * N^{>= i-1} classes, which are nonzero in the tensor product);
     # the operator preserves weight chains, so the cokernel shards
-    from .pdalg import _nygaard_kernel_blocks, _phi_block_matrix
-
     Aint = PDAlgebra(p, g, r + i, e, A.W)
     q = p**r
     h1 = PGroup.zero(p)
-    mech_rows = []  # block-local (indices, image rows mod p) for the mechanism
+    mech_rows = []  # block-local (indices, image rows mod p^r) for the mechanism
     for idxs, gens in _nygaard_kernel_blocks(Aint, i):
-        width = len(idxs)
         Mphi = _phi_block_matrix(Aint, idxs)
         rows = []
         for grow in gens:
             img = row_mul(grow, Mphi)
-            assert all(a % p**i == 0 for a in img)
+            if any(a % p**i for a in img):
+                raise CompositeNonzero("Nygaard generator not phi-divisible")
             rows.append([((a // p**i) - b) % q for a, b in zip(img, grow)])
-        den = lattice_sum(rows, mat_scale(q, identity(width))) if rows else mat_scale(
-            q, identity(width)
-        )
-        invs, free = quotient_invariants(identity(width), den)
-        assert free == 0
-        h1 = h1 + PGroup.from_invariants(p, invs)
+        h1 = h1 + PGroup(p, quotient_exponents_mod(identity(len(idxs)), rows, p, r))
         mech_rows.append((idxs, rows))
     span_ok = span_identity_check(A, i) if i >= 1 else None
-    # the image of phi_i - 1 mod p contains Fil^{i+1}_pd and Fil^conj_{i-1},
-    # checked block by block (both filtrations are monomial)
+    # the image of phi_i - 1 mod p contains Fil^{i+1}_pd and Fil^conj_{i-1}:
+    # per block, adding a filtration's unit rows must keep the order mod p
     mech = None
     if i >= 1:
         basis = A.basis()
-        basis_int = Aint.basis()
         fil = conjugate_filtration_spans(A, max(i, 1))
         conj_idx = {
             t for t in fil[i - 1] if not any(cj % p for cj in basis[t].c)
@@ -644,15 +631,14 @@ def syntomic_acrys(p, i, r, e=2, W=None, g=1):
         pd_ok = True
         conj_ok = True
         for idxs, rows in mech_rows:
-            H = howell_form(rows, p, 1) if rows else []
-            width = len(idxs)
-            for k, t in enumerate(idxs):
-                v = [0] * width
-                v[k] = 1
-                if t in pd_idx and not _in_span_mod_p(H, v, p):
-                    pd_ok = False
-                if t in conj_idx and not _in_span_mod_p(H, v, p):
-                    conj_ok = False
+            e_img = span_exponent_mod(rows, p, 1)
+            units = identity(len(idxs))
+            pd_rows = [units[k] for k, t in enumerate(idxs) if t in pd_idx]
+            conj_rows = [units[k] for k, t in enumerate(idxs) if t in conj_idx]
+            if span_exponent_mod(rows + pd_rows, p, 1) != e_img:
+                pd_ok = False
+            if span_exponent_mod(rows + conj_rows, p, 1) != e_img:
+                conj_ok = False
         mech = {"pd_part": pd_ok, "conj_part": conj_ok}
     res = SyntomicResult(
         "acrys", p, i, r, 0, A.W, {0: h0, 1: h1},
@@ -662,11 +648,3 @@ def syntomic_acrys(p, i, r, e=2, W=None, g=1):
     res.evidence["h1_order_at_truncation"] = str(h1)
     res.evidence["k_theory_readoff"] = {"K_%d" % (2 * i): h0.to_json()}
     return res
-
-
-def _in_span_mod_p(H, v, p):
-    if not any(a % p for a in v):
-        return True
-    if not H:
-        return False
-    return howell_form(H + [v], p, 1) == H

@@ -19,7 +19,6 @@ from .complexes import Complex, eta
 from .errors import PrecisionExhausted
 from .linalg import (
     det_sign,
-    howell_span_eq,
     identity,
     induced_map_is_iso,
     intersect_lattices,
@@ -275,9 +274,9 @@ def frobenius_eta_check(X, i, M):
     """Exact per-weight lattice identity: the image of N^{>=i} in the weight
     p*m block equals p^i X  intersect  eta_p X there, degree by degree.
 
-    Verified both over Z and mod p^n (Howell forms)."""
+    Verified over Z, which also gives the identity mod p^n: equal lattices
+    have equal spans mod p^n."""
     p = X.p
-    q = p**X.n
     N = X.nygaard_lattice(i)
     report = {}
     for m in weights_box(X.d, M):
@@ -292,8 +291,6 @@ def frobenius_eta_check(X, i, M):
             phi_img = mat_scale(N.scale(j) * p**j, identity(r))
             fil = intersect_lattices(mat_scale(p**i, identity(r)), incl[j]) if incl[j] else []
             if not lattice_eq(phi_img, fil):
-                ok = False
-            if not howell_span_eq(phi_img, fil if fil else [[0] * r], p, X.n):
                 ok = False
         report[m] = ok
     report["all_ok"] = all(v for k, v in report.items() if isinstance(k, tuple))

@@ -72,6 +72,7 @@ def _cli_result(argv, *flags):
 @pytest.mark.parametrize("argv", [
     ["syntomic", "--model", "q", "-p", "2", "-d", "1", "-i", "1", "-r", "2", "-N", "3", "-M", "1"],
     ["syntomic", "--model", "charp", "-p", "3", "-d", "2", "-i", "1", "-r", "2", "-M", "1"],
+    ["syntomic", "--model", "acrys", "-p", "3", "-e", "1", "-i", "1", "-r", "1"],
 ])
 def test_syntomic_result_same_under_python_O(argv):
     # every check is a typed raise, so stripping asserts changes nothing
@@ -89,3 +90,22 @@ def test_syntomic_q_p2_i1_r2_N4_M2(capsys):
         "1": {"exponents": [2] * 15, "free_rank": 0},
         "2": {"exponents": [2], "free_rank": 0},
     }
+
+
+def test_acrys_runs_every_level_up_to_i(monkeypatch):
+    # -i is honoured, not narrowed to 2
+    levels = {"conjugate": [], "nygaard": []}
+
+    def conjugate(A, nmax):
+        levels["conjugate"].append(nmax)
+        return {"ok": True}
+
+    def nygaard(A, j):
+        levels["nygaard"].append(j)
+        return {"ok": True}
+
+    monkeypatch.setattr(cli, "conjugate_filtration_equality_check", conjugate)
+    monkeypatch.setattr(cli, "nygaard_graded_image_check", nygaard)
+    payload = cli.cmd_acrys(cli.RunConfig(p=2, n=1, e=1, i=4))
+    assert levels == {"conjugate": [5], "nygaard": [0, 1, 2, 3, 4]}
+    assert payload["all_ok"]

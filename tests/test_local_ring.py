@@ -86,6 +86,20 @@ def test_kernel_mod_matches_integer_preimage(data):
     assert kernel_mod(M, p, r) == old
 
 
+@settings(max_examples=100, deadline=None)
+@given(local_matrices(), st.integers(0, 3))
+def test_preimage_of_scaled_identity_matches_integer_preimage(data, i):
+    # the Nygaard kernel per weight chain: {x : x*M = 0 mod p^i} at precision
+    # r >= i, as `pdalg._nygaard_kernel_blocks` computes it
+    M, p, r, n = data
+    if not M or not n:
+        return
+    i = min(i, r)
+    target = mat_scale(p**i, identity(n))
+    old = howell_form(preimage_lattice(M, target), p, r)
+    assert howell_form(preimage_mod(M, target, p, r), p, r) == old
+
+
 @settings(max_examples=150, deadline=None)
 @given(local_matrices())
 def test_span_exponents_match_sympy(data):

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from nygaard.linalg import PGroup
+from nygaard import pdalg, syntomic
+from nygaard.errors import CompositeNonzero
+from nygaard.linalg import PGroup, howell_form, identity
 from nygaard.pdalg import (
     Monomial,
     NotStabilized,
@@ -11,8 +13,10 @@ from nygaard.pdalg import (
     acrys,
     conj_graded_map_check,
     conj_level,
+    conjugate_filtration_description1,
     conjugate_filtration_equality_check,
     conjugate_filtration_spans,
+    divided_frobenius_on_gens,
     filtration_multiplicativity_check,
     frobenius_fixed_points,
     nygaard_acrys,
@@ -103,6 +107,77 @@ def test_conjugate_filtration_equality_g2():
     A = PDAlgebra(2, g=2, n=1, e=1, W=5)
     rep = conjugate_filtration_equality_check(A, nmax=1)
     assert rep["ok"], rep
+
+
+def dense_description1(A, nn):
+    """Reference for description (1): the closure run on dense vectors, one
+    row per product with its coefficient mod p, expanding every new row."""
+    p = A.p
+    rows = []
+
+    def gen_products(j, l_acc, budget):
+        if j == A.g:
+            yield tuple(l_acc)
+            return
+        for lj in range(budget + 1):
+            yield from gen_products(j + 1, l_acc + [lj], budget - lj)
+
+    for l in gen_products(0, [], min((nn + 1) * p - 1, A.W)):
+        seed = A.monomial((0,) * A.g, l)
+        if seed:
+            rows.append(A.to_vector(seed))
+    seen = {tuple(r) for r in rows}
+    multipliers = []
+    for j in range(A.g):
+        for a in range(1, p**A.e):
+            c = [0] * A.g
+            c[j] = a
+            multipliers.append(A.monomial(c, (0,) * A.g))
+        l = [0] * A.g
+        l[j] = 1
+        multipliers.append(A.monomial((0,) * A.g, l))
+    frontier = [A.from_vector(r) for r in rows]
+    while frontier:
+        nxt = []
+        for el in frontier:
+            for v in multipliers:
+                prod = A.mul(el, v)
+                vec = tuple(a % p for a in A.to_vector(prod))
+                if any(vec) and vec not in seen:
+                    seen.add(vec)
+                    rows.append(list(vec))
+                    nxt.append(prod)
+        frontier = nxt
+    return rows
+
+
+@pytest.mark.parametrize("p,g,e,n", [
+    (p, g, e, n) for p in (2, 3) for g in (1, 2) for e in (1, 2)
+    for n in ((1, 2) if g == 1 else (1,))
+])
+def test_description1_index_set_matches_dense_closure(p, g, e, n):
+    # the weight cap keeps the dense reference small at g = 2
+    A = PDAlgebra(p, g=g, n=n, e=e, W=2 * p if g == 1 else p)
+    units = identity(len(A.basis()))
+    for nn in (0, 1, 2):
+        reached = conjugate_filtration_description1(A, nn)
+        want = [units[t] for t in sorted(reached)]
+        assert howell_form(dense_description1(A, nn), p, 1) == want, nn
+
+
+def test_conjugate_filtration_check_sees_a_missing_monomial(monkeypatch):
+    A = small_algebra(p=2, n=1, e=1, W=8)
+    spans = conjugate_filtration_spans
+
+    def drop_one(A, nmax=None):
+        fil = spans(A, nmax)
+        fil[1] = fil[1] - {max(fil[1] - fil[0])}
+        return fil
+
+    monkeypatch.setattr(pdalg, "conjugate_filtration_spans", drop_one)
+    rep = conjugate_filtration_equality_check(A, nmax=2)
+    assert not rep["ok"]
+    assert rep["levels"] == {0: True, 1: False, 2: True}
 
 
 def test_filtration_multiplicative():
@@ -212,8 +287,6 @@ def test_p_in_nygaard_1():
     # p * 1 belongs to N^{>=1} (phi(p) = p)
     A = small_algebra(p=2, n=2)
     gens = nygaard_acrys(A, 1)
-    from nygaard.linalg import howell_span_eq, howell_form
-
     v = A.to_vector(A.monomial((0,), (0,), 2))
     H = howell_form(gens + [v], 2, 2)
     assert H == howell_form(gens, 2, 2)
@@ -228,8 +301,6 @@ def test_x_pd_membership_via_legendre():
         v = vp_factorial(p * m_exp, p) - vp_factorial(m_exp, p)
         assert v == m_exp  # Legendre: v_p((pm)!/m!) = m for these sizes
         gens = nygaard_acrys(A, v)
-        from nygaard.linalg import howell_form
-
         vec = A.to_vector(A.monomial((0,), (m_exp,)))
         H = howell_form(gens + [vec], p, 1)
         assert H == howell_form(gens, p, 1)
@@ -247,6 +318,36 @@ def test_phi_divisibility_ladder():
     A = small_algebra(p=2, n=1, e=1, W=8)
     for i in (0, 1):
         assert phi_divisibility_ladder_check(A, i)
+
+
+def test_divided_frobenius_rejects_a_non_nygaard_generator():
+    # phi(1) = 1 is not divisible by p, so 1 is no generator of N^{>=1}
+    A = small_algebra(p=2, n=1, e=1, W=6)
+    with pytest.raises(CompositeNonzero):
+        divided_frobenius_on_gens(A, 1, [A.to_vector(A.one())])
+
+
+def _whole_algebra_as_nygaard(A2, i):
+    return [(idxs, identity(len(idxs))) for idxs in orbit_blocks(A2)]
+
+
+@pytest.mark.parametrize("check", [
+    lambda: nygaard_graded_image_check(small_algebra(p=2, n=1, e=1, W=6), 1),
+    lambda: syntomic.syntomic_acrys(2, 1, 1, e=1, W=6),
+])
+def test_phi_divisibility_checks_raise(monkeypatch, check):
+    # hand the whole algebra in as N^{>=1}: the divided Frobenius of 1 fails
+    monkeypatch.setattr(pdalg, "_nygaard_kernel_blocks", _whole_algebra_as_nygaard)
+    monkeypatch.setattr(syntomic, "_nygaard_kernel_blocks", _whole_algebra_as_nygaard)
+    with pytest.raises(CompositeNonzero):
+        check()
+
+
+def test_phi_leaving_its_weight_chain_raises(monkeypatch):
+    A = small_algebra(p=2, n=2, e=1, W=6)
+    monkeypatch.setattr(pdalg, "orbit_blocks", lambda A: [[t] for t in range(len(A.basis()))])
+    with pytest.raises(CompositeNonzero):
+        nygaard_acrys(A, 1)
 
 
 # ---------------------------------------------------------------------------
