@@ -24,11 +24,31 @@ p^r (valuations are monotone along the orbit).  Degrees j > i are
 additionally covered by the geometric-series invertibility of the twisted
 Frobenius.
 
+The orbit sum runs over orbit classes (`_Model.orbit_class`): one window per
+class, its groups added once per member.  In characteristic p every primitive
+m0 lies in the class of e_1 = (1, 0, ..., 0):
+
+1. Let c = gcd(m0); c is a p-unit because m0 is primitive.  A coordinate
+   change g in GL_d(Z) with g m0 = c e_1 acts on every weight block by
+   Lambda^t(g), which carries the Koszul differential of m (wedge with m) to
+   that of g m.  It commutes with phi, can and the Nygaard scales, which are
+   scalars in each Koszul degree.
+2. Rescaling the basis vectors dlog T_I with 1 in I by c^{-1} mod p^r carries
+   K(c e_1) to K(e_1); it commutes with the same scalars.
+3. Both maps are linear and independent of the step, so they act on all
+   steps p^s m0 of a window at once.  They therefore carry every window
+   W_{V+k} of m0 to that of e_1 over Z/p^r, together with the window
+   inclusions: the stable images agree and stabilise at the same depth.
+
+In the q-model the de Rham complex depends on the coordinates and no such
+proof is written, so every m0 is its own class.
+
 Global sections of the torus are Laurent polynomials, not their completion;
 kernels computed here are faithful, while cokernels in the Artin-Schreier
 direction carry an explicit "global model" flag.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
@@ -103,7 +123,9 @@ class _Model:
     rank(t) is the rank of the degree-t term; dN(w, t) and dX(w, t) are the
     Nygaard-side and full-side differentials t -> t+1 on the weight-w block;
     phi(t) is the divided Frobenius and can(t) the canonical map from the
-    Nygaard side to the full side."""
+    Nygaard side to the full side.  orbit_class(m0) is the representative of
+    the primitive weights whose orbit windows are isomorphic to that of m0
+    (see the module docstring for the charp proof)."""
 
     p: int
     d: int
@@ -112,6 +134,7 @@ class _Model:
     dX: Callable
     phi: Callable
     can: Callable
+    orbit_class: Callable
 
 
 def _charp_model(X, i):
@@ -123,6 +146,7 @@ def _charp_model(X, i):
         X.p, X.d, X.rank, dN, X.diff_matrix,
         phi=lambda t: X.divided_frobenius_matrix(i, t),
         can=lambda t: mat_scale(X.nygaard_scale(i, t), identity(X.rank(t))),
+        orbit_class=lambda m0: (1,) + (0,) * (X.d - 1),
     )
 
 
@@ -133,6 +157,7 @@ def _q_model(Xq, i):
         dX=Xq.diff_matrix,
         phi=lambda t: Xq.divided_frobenius_matrix(i, t),
         can=lambda t: Xq.nygaard_lattice_rows(i, t),
+        orbit_class=lambda m0: m0,
     )
 
 
@@ -301,21 +326,23 @@ def _orbit_sum(model, i, r, M, V, tail_vanishes, extra_rels=None):
     """fib(phi_i - can) summed over the primitive orbits of the weight box of
     radius M, plus the weight-0 block.
 
-    Returns (total, pres0, tail_ok): the groups per degree, the weight-0
-    presentations (for the dlog flags) and whether tail_vanishes(m0) held
-    for every orbit."""
+    One window per orbit class (model.orbit_class): its groups are added once
+    per member.  Returns (total, pres0, tail_ok): the groups per degree, the
+    weight-0 presentations (for the dlog flags) and whether tail_vanishes
+    held for every class representative."""
     p, d = model.p, model.d
     total = {t: PGroup.zero(p) for t in range(d + 2)}
     tail_ok = True
-    for m0 in _primitive_orbit_reps(d, p, M):
+    classes = Counter(model.orbit_class(m0) for m0 in _primitive_orbit_reps(d, p, M))
+    for rep, count in classes.items():
         # degrees <= i+1 are certified by the stable window image; degrees
         # >= i+2 lie in the invertibility zone (Koszul degrees > i) where the
         # twisted Frobenius minus one is invertible by a terminating series,
         # so the orbit contributes nothing there
-        contrib, _ = _orbit_contribution(model, m0, i, r, V, extra_rels)
+        contrib, _ = _orbit_contribution(model, rep, i, r, V, extra_rels)
         for t, g in contrib.items():
-            total[t] = total[t] + g
-        if not tail_vanishes(m0):
+            total[t] = sum([g] * count, total[t])
+        if not tail_vanishes(rep):
             tail_ok = False
     # weight zero: phi_i and can act on the same block; exact, no window
     ranks0, diffs0, _ = _assemble_window(model, 0)
@@ -359,23 +386,22 @@ def _primitive_orbit_reps(d, p, M):
 # characteristic p torus
 
 
-def _negative_twist_invertible(p, d, i, r):
-    """For i < 0 the operator p^{|i|+max(j,0)} phi - 1 is invertible mod p^r
-    (geometric series terminates); the syntomic groups vanish."""
-    assert i < 0
-    # termination: (p^{|i|})^k = 0 mod p^r for k >= r
-    return r <= abs(i) * r + 1  # p^{|i| * r} >= p^r always
-
-
 def syntomic_charp(p, d, i, r, M=4, V=None):
-    """Cohomology of fib(phi_i - can) on the d-torus over Z/p^r, by orbits."""
+    """Cohomology of fib(phi_i - can) on the d-torus over Z/p^r, by orbit
+    classes: one window for all primitive weights (module docstring).
+
+    For i < 0 every Koszul degree j >= 0 lies in the zone j > i, where
+    p^{j-i} phi - 1 is invertible by a terminating series, so all groups
+    vanish; the certificate reports the termination exponent per degree.
+    The tail test p^{V+1} m0 = 0 mod p^r is class-invariant: a primitive m0
+    has a p-unit coordinate, so it reads V + 1 >= r."""
     X = build_torus(p, d, r)
     if i < 0:
-        assert _negative_twist_invertible(p, d, i, r)
         groups = {t: PGroup.zero(p) for t in range(d + 2)}
-        return SyntomicResult("charp", p, i, r, M, 0, groups,
-                              certificates={"negative_twist_series": True},
-                              dlog={})
+        return SyntomicResult(
+            "charp", p, i, r, M, 0, groups,
+            certificates={"negative_twist_series": _charp_zone_series_exponent(p, i, r, d)},
+            dlog={})
     V = V if V is not None else r + 1
     model = _charp_model(X, i)
     total, pres0, tail_ok = _orbit_sum(
@@ -390,7 +416,7 @@ def syntomic_charp(p, d, i, r, M=4, V=None):
         "charp", p, i, r, M, V + 1, total, dlog=dlog,
         certificates={
             "stabilized": True,
-            "tail_vanishing": True,
+            "tail_vanishing": tail_ok,
             "transition_iso": True,
             "zone_series_exponents": series_k,
         },
@@ -481,7 +507,7 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False):
         "q", p, i, r, M, V + 1, total, dlog=dlog,
         certificates={
             "stabilized": True,
-            "tail_vanishing": True,
+            "tail_vanishing": tail_ok,
             "transition_iso": True,
             "degree_bound_series": series,
             "mu_collapsed": collapse_mu,

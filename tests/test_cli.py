@@ -92,6 +92,25 @@ def test_syntomic_q_p2_i1_r2_N4_M2(capsys):
     }
 
 
+def test_syntomic_charp_p2_d3_i1_r2_M3(capsys):
+    # 316 primitive weights in one orbit class: one window instead of 316
+    argv = ["syntomic", "--model", "charp", "-p", "2", "-d", "3", "-i", "1", "-r", "2",
+            "-M", "3"]
+    assert cli.main(argv) == 0
+    zero = {"exponents": [], "free_rank": 0}
+    assert json.loads(capsys.readouterr().out)["result"] == {
+        "model": "charp", "p": 2, "i": 1, "r": 2, "weight_box": 3, "V_used": 4,
+        "groups": {"0": zero, "1": {"exponents": [2] * 3, "free_rank": 0},
+                   "2": {"exponents": [2] * 635, "free_rank": 0}, "3": zero, "4": zero},
+        "dlog": {"degree": 1, "present": True, "cocycle": True, "nonzero_in_H": True,
+                 "phi_fixed": True},
+        "certificates": {"stabilized": True, "tail_vanishing": True, "transition_iso": True,
+                         "zone_series_exponents": {"2": 2, "3": 1}},
+        "global_model": True,
+        "evidence": {},
+    }
+
+
 def test_acrys_runs_every_level_up_to_i(monkeypatch):
     # -i is honoured, not narrowed to 2
     levels = {"conjugate": [], "nygaard": []}

@@ -9,9 +9,16 @@ from nygaard.syntomic import (
     degree_bound_inverse_certificate,
     syntomic_acrys,
     syntomic_charp,
+    _assemble_window,
+    _charp_model,
+    _orbit_contribution,
+    _primitive_orbit_reps,
+    _q_model,
+    _window_cohomology,
     syntomic_q,
 )
 from nygaard.qtorus import build_qtorus
+from nygaard.torus import build_torus
 
 
 # ---------------------------------------------------------------------------
@@ -80,6 +87,60 @@ def test_charp_module_scaling_sanity():
     assert PGroup(2, (2,)).order() // 2 == 2
 
 
+def _weight0_groups(model, r):
+    ranks, diffs, _ = _assemble_window(model, 0)
+    return _window_cohomology(ranks, diffs, model.p, r)[0]
+
+
+# every p and r at d = 1 (gcd(m0) up to 3); one (p, r) per row at d = 2, 3
+# (the full product over d = 2, 3 takes about a minute)
+@pytest.mark.parametrize("p, d, r, M", [
+    *((p, 1, r, 3) for p in (2, 3, 5) for r in (1, 2, 3)),
+    (2, 2, 1, 2), (3, 2, 2, 2), (5, 2, 3, 2),
+    (3, 3, 2, 1),
+])
+def test_charp_orbit_windows_agree_with_class_representative(p, d, r, M):
+    # the GL_d(Z) symmetry behind the orbit classes, checked by enumeration:
+    # every primitive orbit has the groups and stabilisation depth of e_1,
+    # at the default V and at the smallest certifying override V = r - 1
+    reps = _primitive_orbit_reps(d, p, M)
+    for i in range(d + 1):
+        model = _charp_model(build_torus(p, d, r), i)
+        assert {model.orbit_class(m0) for m0 in reps} == {(1,) + (0,) * (d - 1)}
+        for V in (r + 1, r - 1):
+            ref = _orbit_contribution(model, (1,) + (0,) * (d - 1), i, r, V)
+            total = _weight0_groups(model, r)
+            for m0 in reps:
+                groups, k_used = _orbit_contribution(model, m0, i, r, V)
+                assert (groups, k_used) == ref, (m0, i, V)
+                for t, g in groups.items():
+                    total[t] = total[t] + g
+            assert syntomic_charp(p, d, i, r, M=M, V=V).groups == total, (i, V)
+
+
+def test_charp_negative_twist_series_certificate():
+    # every Koszul degree j >= 0 lies in the zone j > i: the termination
+    # exponent of p^{j-i} phi - 1 is the least k with (j - i) k >= r
+    res = syntomic_charp(2, 2, -1, 3, M=1)
+    assert res.certificates["negative_twist_series"] == {0: 3, 1: 2, 2: 1}
+    assert syntomic_charp(3, 1, -2, 4).certificates["negative_twist_series"] == {0: 2, 1: 2}
+
+
+@pytest.mark.parametrize("p, d, i, r", [(2, 1, 1, 2), (3, 2, 0, 1), (2, 2, 2, 3)])
+def test_charp_box_radius_0_is_weight0(p, d, i, r):
+    # -M 0 has no primitive weights, so no orbit class: only weight 0 remains
+    res = syntomic_charp(p, d, i, r, M=0)
+    assert res.groups == _weight0_groups(_charp_model(build_torus(p, d, r), i), r)
+    assert res.certificates["tail_vanishing"]
+
+
+def test_charp_tail_test_is_class_invariant():
+    # the tail test reads V + 1 >= r: V = r - 1 certifies, V = r - 2 does not
+    assert syntomic_charp(2, 2, 1, 3, M=1, V=2).certificates["tail_vanishing"]
+    with pytest.raises(NotStabilized):
+        syntomic_charp(2, 2, 1, 3, M=1, V=1)
+
+
 # ---------------------------------------------------------------------------
 # q-model
 
@@ -112,6 +173,13 @@ def test_q_matches_charp_mod_mu():
     rc = syntomic_charp(2, 1, 0, 1, M=2)
     assert all(rq.groups[t] == rc.groups[t] for t in rc.groups)
     assert not rq.certificates["mu_cliff_classes_possible"]
+
+
+@pytest.mark.parametrize("i, r", [(0, 1), (1, 2)])
+def test_q_box_radius_0_is_weight0(i, r):
+    res = syntomic_q(2, 1, i, r, N=3, M=0)
+    assert res.groups == _weight0_groups(_q_model(build_qtorus(2, 1, 3), i), r)
+    assert res.certificates["tail_vanishing"]
 
 
 def test_q_negative_twist():
