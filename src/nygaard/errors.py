@@ -29,3 +29,8 @@ class BoundViolated(NotCertified):
 class CompositeNonzero(NotCertified):
     """A claimed subcomplex does not close up: consecutive differentials do
     not compose to zero, or relation rows leave the span they must lie in."""
+
+
+class TruncationTooTight(NotCertified):
+    """A product or Frobenius image that does not vanish leaves the weight
+    window of a truncated model."""

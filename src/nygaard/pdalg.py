@@ -12,8 +12,24 @@ sum(l) <= W.  Multiplication merges integer overflow of Teichmuller exponents
 into divided powers via the exact binomial bookkeeping; Frobenius acts by
 p-th powers on the base and by phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}.
 
-The monomial weight is c + l per variable; Frobenius multiplies weights by p,
-so all kernel computations shard by weight orbit.
+Weight chains.  Scaled by p^e, the weight of a monomial is the integer vector
+c + l * p^e, one entry per variable; distinct monomials have distinct
+weights, and Frobenius multiplies weights by p.  So phi maps each basis
+monomial to a multiple of the monomial of p times its weight, and the basis
+splits into maximal chains t -> phi(t) -> ..., along which every kernel
+computation shards.  The chains depend only on (p, g, e, W), not on the
+precision n, so they are computed once per basis and shared by the copies of
+an algebra at n, n + i and n + i + 1.  Two facts about a chain save work:
+
+- Whether phi(x) = 0 mod p^i depends only on x mod p^i, because phi is given
+  by an integer matrix.  So the generators of {x : phi(x) = 0 mod p^i} at
+  precision n + i + 1, reduced mod p^{n+i}, generate the same module at
+  precision n + i, and one kernel per level serves both precisions.
+- When the phi-block of a chain vanishes at the working precision, every x
+  satisfies phi(x) = 0 mod p^i, so the Nygaard kernel of the chain is the
+  identity (which is what elimination returns), and ker(phi - p^i) =
+  ker(-p^i) mod p^{n+i} is p^n times the chain, which projects to 0 mod p^n.
+  Such chains skip elimination.
 
 Spans over Z/p^n come in two kinds.  The conjugate and divided-power
 filtrations are spanned by monomials, and so is every span built from them by
@@ -26,15 +42,21 @@ compared by order: span(A) = span(B) iff |A| = |B| = |A + B|.
 
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
-from .errors import CompositeNonzero, NotStabilized, PrecisionExhausted
+from .errors import (
+    CompositeNonzero,
+    NotStabilized,
+    PrecisionExhausted,
+    TruncationTooTight,
+    UsageError,
+)
 from .linalg import (
     PGroup,
     howell_form,
     identity,
     kernel_mod,
+    mat_is_zero,
     mat_scale,
     module_invariants_mod,
     preimage_mod,
@@ -42,10 +64,6 @@ from .linalg import (
     row_mul,
     span_exponent_mod,
 )
-
-
-class TruncationTooTight(Exception):
-    pass
 
 
 def vp_factorial(m, p):
@@ -65,9 +83,6 @@ class Monomial:
     c: tuple  # length g, integers 0 <= c_j < p^e
     l: tuple  # length g, integers >= 0
 
-    def weight(self, p, e):
-        return tuple(Fraction(cj, p**e) + lj for cj, lj in zip(self.c, self.l))
-
     def total_pd_weight(self):
         return sum(self.l)
 
@@ -76,6 +91,7 @@ class Monomial:
 class _Basis:
     monomials: list
     index: dict  # monomial -> its position in monomials
+    chains: list  # maximal phi-chains of basis indices, see `orbit_blocks`
 
 
 # (p, g, e, W) -> _Basis, held only while an algebra uses it.  The basis does
@@ -88,7 +104,9 @@ class PDAlgebra:
     """The truncated model of the divided-power envelope, with Frobenius."""
 
     def __init__(self, p, g=1, n=1, e=1, W=None):
-        assert n >= 1 and e >= 0 and g >= 1
+        if n < 1 or e < 0 or g < 1:
+            raise UsageError("PD algebra needs n >= 1, e >= 0, g >= 1; got n=%d e=%d g=%d"
+                             % (n, e, g))
         self.p = p
         self.g = g
         self.n = n
@@ -99,7 +117,9 @@ class PDAlgebra:
         self._basis = _BASES.get(key)
         if self._basis is None:
             basis = self.monomials()
-            self._basis = _BASES[key] = _Basis(basis, {m: t for t, m in enumerate(basis)})
+            self._basis = _BASES[key] = _Basis(
+                basis, {m: t for t, m in enumerate(basis)}, _weight_chains(basis, p, e)
+            )
 
     # -- monomial basis --------------------------------------------------
 
@@ -265,7 +285,7 @@ class PDAlgebra:
                     out.pop(mm, None)
         return out
 
-    # -- vectors and weight strata -----------------------------------------
+    # -- vectors -----------------------------------------------------------
 
     def to_vector(self, a, basis=None, index=None):
         basis = basis or self.basis()
@@ -278,13 +298,6 @@ class PDAlgebra:
     def from_vector(self, v, basis=None):
         basis = basis or self.basis()
         return {m: c % self.q for m, c in zip(basis, v) if c % self.q}
-
-    def weight_strata(self):
-        """Monomial indices grouped by total weight (a Fraction tuple)."""
-        strata = {}
-        for t, m in enumerate(self.basis()):
-            strata.setdefault(m.weight(self.p, self.e), []).append(t)
-        return strata
 
 
 def acrys(p, g=1, n=1, e=1, W=None):
@@ -487,34 +500,36 @@ def phi_multiplicative_check(A, rng, trials=50):
 
 
 # ---------------------------------------------------------------------------
-# weight orbits
-#
-# Every monomial has a distinct weight vector (c_j/p^e + l_j); Frobenius
-# multiplies weights by p, so the basis splits into chains t -> phi(t).  All
-# kernel computations shard along these chains.
+# weight chains (module docstring)
+
+
+def _weight_chains(monomials, p, e):
+    """Maximal phi-chains of basis indices, by the integer weight c + l * p^e.
+
+    A chain starts at each weight that is not p times another weight of the
+    basis; weight 0 is fixed by phi and is a chain of its own."""
+    pe = p**e
+    index_of = {
+        tuple(cj + lj * pe for cj, lj in zip(m.c, m.l)): t for t, m in enumerate(monomials)
+    }
+    chains = []
+    for w, t in index_of.items():
+        if any(w) and not any(wj % p for wj in w) and tuple(wj // p for wj in w) in index_of:
+            continue  # not a chain root
+        chain = [t]
+        while any(w):
+            w = tuple(p * wj for wj in w)
+            if w not in index_of:
+                break
+            chain.append(index_of[w])
+        chains.append(chain)
+    return chains
 
 
 def orbit_blocks(A):
-    """Lists of basis indices, one per maximal phi-chain of weights."""
-    strata = A.weight_strata()
-    index_of_weight = {w: idxs[0] for w, idxs in strata.items()}
-    weights = set(strata)
-    blocks = []
-    zero_w = tuple(Fraction(0) for _ in range(A.g))
-    for w in sorted(weights, key=str):
-        if w == zero_w:
-            blocks.append([index_of_weight[w]])
-            continue
-        prev = tuple(wj / A.p for wj in w)
-        if prev in weights:
-            continue  # not a chain root
-        chain = []
-        cur = w
-        while cur in weights:
-            chain.append(index_of_weight[cur])
-            cur = tuple(wj * A.p for wj in cur)
-        blocks.append(chain)
-    return blocks
+    """Lists of basis indices, one per maximal phi-chain of weights; computed
+    once per basis and shared, so callers must not modify them."""
+    return A._basis.chains
 
 
 def _phi_block_matrix(A, idxs):
@@ -533,18 +548,32 @@ def _phi_block_matrix(A, idxs):
     return M
 
 
+def _divided_phi_rows(rows, Mphi, p, i):
+    """phi(x)/p^i for each row x, with phi given by its block matrix Mphi;
+    CompositeNonzero when some phi(x) is not divisible by p^i."""
+    pi = p**i
+    out = []
+    for row in rows:
+        img = row_mul(row, Mphi)
+        if any(a % pi for a in img):
+            raise CompositeNonzero("Nygaard generator not phi-divisible")
+        out.append([a // pi for a in img])
+    return out
+
+
 def _nygaard_kernel_blocks(A2, i):
     """Per weight chain: (indices, block-local generators over Z/p^{A2.n} of
-    {x : phi(x) = 0 mod p^i})."""
+    {x : phi(x) = 0 mod p^i}).  A chain whose phi-block is zero gets the
+    identity without elimination (module docstring)."""
     p = A2.p
     out = []
     for idxs in orbit_blocks(A2):
-        if i == 0:
-            out.append((idxs, identity(len(idxs))))
-            continue
-        M = _phi_block_matrix(A2, idxs)
-        target = mat_scale(p**i, identity(len(idxs)))
-        out.append((idxs, preimage_mod(M, target, p, A2.n)))
+        K = identity(len(idxs))
+        if i:
+            M = _phi_block_matrix(A2, idxs)
+            if not mat_is_zero(M):
+                K = preimage_mod(M, mat_scale(p**i, K), p, A2.n)
+        out.append((idxs, K))
     return out
 
 
@@ -579,23 +608,18 @@ def nygaard_acrys(A, i):
 
 
 def divided_frobenius_on_gens(A, i, gens):
-    """phi(x)/p^i on Nygaard generators, computed at precision n+i."""
-    p = A.p
-    n_int = A.n + i
-    Ahi = PDAlgebra(p, A.g, n_int, A.e, A.W)
-    basis = Ahi.basis()
-    index = Ahi.index()
-    out = []
-    for row in gens:
-        img = [0] * len(basis)
-        for t, c in enumerate(row):
-            if not c:
-                continue
-            for m, cc in Ahi.frobenius_monomial(basis[t]).items():
-                img[index[m]] = (img[index[m]] + c * cc) % Ahi.q
-        if any(a % p**i for a in img):
-            raise CompositeNonzero("Nygaard generator not phi-divisible")
-        out.append([a // p**i for a in img])
+    """phi(x)/p^i mod p^n on Nygaard generators, computed per weight chain at
+    precision n+i; chains the generators do not touch contribute zero."""
+    Ahi = PDAlgebra(A.p, A.g, A.n + i, A.e, A.W)
+    out = [[0] * len(row) for row in gens]
+    for idxs in orbit_blocks(Ahi):
+        sub = [[row[t] for t in idxs] for row in gens]
+        if not any(map(any, sub)):
+            continue
+        imgs = _divided_phi_rows(sub, _phi_block_matrix(Ahi, idxs), A.p, i)
+        for full, img in zip(out, imgs):
+            for t, a in zip(idxs, img):
+                full[t] = a % A.q
     return out
 
 
@@ -609,28 +633,24 @@ def nygaard_graded_image_check(A, i):
     weight chain: phi preserves the chains and the filtration is monomial.
     Per chain, the image and the filtration are compared by order mod p, and
     the graded piece N^i / N^{i+1} is read off at the common precision
-    n + i + 1, where N^{i+1} must lie inside N^i."""
+    n + i + 1, where N^{i+1} must lie inside N^i.  Two kernels per level
+    suffice: phi(x) = 0 mod p^i depends only on x mod p^i, so the level-i
+    kernel at n + i + 1 reduced mod p^{n+i} is the level-i kernel at n + i,
+    and the image phi(x)/p^i mod p, which depends only on x mod p^{i+1}, is
+    read off from it directly."""
     p = A.p
-    Ahi = PDAlgebra(p, A.g, A.n + i, A.e, A.W)
     Acmp = PDAlgebra(p, A.g, A.n + i + 1, A.e, A.W)
     fil = conjugate_filtration_spans(A, i + 1)
     basis = A.basis()
     fil_idx = {
         t for t in fil[i] if not any(cj % p for cj in basis[t].c)
     }
-    cmp_blocks = {tuple(idxs): K for idxs, K in _nygaard_kernel_blocks(Acmp, i)}
-    cmp_blocks1 = {tuple(idxs): K for idxs, K in _nygaard_kernel_blocks(Acmp, i + 1)}
+    deeper = _nygaard_kernel_blocks(Acmp, i + 1)
     same = True
     dim_src = 0
     dim_img = 0
-    for idxs, gens in _nygaard_kernel_blocks(Ahi, i):
-        Mphi = _phi_block_matrix(Ahi, idxs)
-        imgs = []
-        for row in gens:
-            img = row_mul(row, Mphi)
-            if any(a % p**i for a in img):
-                raise CompositeNonzero("Nygaard generator not phi-divisible")
-            imgs.append([a // p**i for a in img])
+    for (idxs, Ki), (_, Ki1) in zip(_nygaard_kernel_blocks(Acmp, i), deeper):
+        imgs = _divided_phi_rows(Ki, _phi_block_matrix(Acmp, idxs), p, i)
         width = len(idxs)
         fil_rows = []
         for k, t in enumerate(idxs):
@@ -643,8 +663,6 @@ def nygaard_graded_image_check(A, i):
             same = False
         dim_img += e_img
         # graded dimension at the common precision n+i+1
-        Ki = cmp_blocks[tuple(idxs)]
-        Ki1 = cmp_blocks1[tuple(idxs)]
         if span_exponent_mod(Ki + Ki1, p, Acmp.n) != span_exponent_mod(Ki, p, Acmp.n):
             raise CompositeNonzero("N^{>=%d} is not inside N^{>=%d}" % (i + 1, i))
         dim_src += len(quotient_exponents_mod(Ki, Ki1, p, Acmp.n))
@@ -682,10 +700,11 @@ def _fixed_points_at(A, i, W):
     nbasis = len(Aw.basis())
     for idxs in orbit_blocks(Aw):
         M = _phi_block_matrix(Aw, idxs)
-        op = [row[:] for row in M]
-        for t in range(len(op)):
-            op[t][t] -= p**i
-        K = kernel_mod(op, p, n_int)
+        if mat_is_zero(M):
+            continue  # ker(-p^i) mod p^{n+i} projects to 0 mod p^n
+        for t in range(len(M)):
+            M[t][t] -= p**i
+        K = kernel_mod(M, p, n_int)
         if not K:
             continue
         proj = [[a % A.q for a in row] for row in K]
@@ -727,22 +746,11 @@ def span_identity_check(A, j):
 
     Both sides are monomial spans: a monomial escapes Fil^conj_{j-1} exactly
     when sum floor(l/p) >= j, which forces sum l >= pj."""
-    assert j >= 1
+    if j < 1:
+        raise UsageError("span identity needs j >= 1, got %d" % j)
     for m in A.basis():
         in_conj = conj_level(m, A.p) <= j - 1
         in_pd = m.total_pd_weight() >= A.p * j
         if not (in_conj or in_pd):
             return False
     return True
-
-
-def pd_filtration_rows(A, m_level):
-    """Generator rows of Fil^{m_level}_pd (monomials of pd-weight >= m)."""
-    basis = A.basis()
-    rows = []
-    for t, m in enumerate(basis):
-        if m.total_pd_weight() >= m_level:
-            v = [0] * len(basis)
-            v[t] = 1
-            rows.append(v)
-    return rows

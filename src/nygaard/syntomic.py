@@ -65,13 +65,13 @@ from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches
     mat_scale,
     preimage_mod,
     quotient_exponents_mod,
-    row_mul,
     span_contains_mod,
     span_exponent_mod,
     zeros,
 )
 from .pdalg import (
     PDAlgebra,
+    _divided_phi_rows,
     _nygaard_kernel_blocks,
     _phi_block_matrix,
     conjugate_filtration_spans,
@@ -634,13 +634,8 @@ def syntomic_acrys(p, i, r, e=2, W=None, g=1):
     h1 = PGroup.zero(p)
     mech_rows = []  # block-local (indices, image rows mod p^r) for the mechanism
     for idxs, gens in _nygaard_kernel_blocks(Aint, i):
-        Mphi = _phi_block_matrix(Aint, idxs)
-        rows = []
-        for grow in gens:
-            img = row_mul(grow, Mphi)
-            if any(a % p**i for a in img):
-                raise CompositeNonzero("Nygaard generator not phi-divisible")
-            rows.append([((a // p**i) - b) % q for a, b in zip(img, grow)])
+        imgs = _divided_phi_rows(gens, _phi_block_matrix(Aint, idxs), p, i)
+        rows = [[(a - b) % q for a, b in zip(img, grow)] for img, grow in zip(imgs, gens)]
         h1 = h1 + PGroup(p, quotient_exponents_mod(identity(len(idxs)), rows, p, r))
         mech_rows.append((idxs, rows))
     span_ok = span_identity_check(A, i) if i >= 1 else None

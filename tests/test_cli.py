@@ -60,12 +60,37 @@ def test_main_not_certified_exit_2(monkeypatch, exc):
     assert cli.main(["witt"]) == 2
 
 
-def _cli_result(argv, *flags):
+def _cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         x for x in (str(ROOT / "src"), env.get("PYTHONPATH")) if x)
+    return env
+
+
+@pytest.mark.parametrize("argv", [
+    ["acrys", "-p", "2", "-n", "3", "-e", "1", "-i", "2", "-W", "1"],
+    ["syntomic", "--model", "acrys", "-p", "2", "-e", "1", "-i", "1", "-r", "1", "-W", "1"],
+])
+def test_truncation_too_tight_exit_2(capsys, argv):
+    # the weight window W = 1 cannot hold phi(x^{[1]}) = p! x^{[p]}
+    assert issubclass(pdalg.TruncationTooTight, errors.NotCertified)
+    assert pdalg.TruncationTooTight is errors.TruncationTooTight
+    assert cli.main(argv) == 2
+    assert "not certified: phi image" in capsys.readouterr().err
+
+
+def test_python_O_m_nygaard_exit_2():
+    argv = ["acrys", "-p", "2", "-n", "3", "-e", "1", "-i", "2", "-W", "1"]
+    out = subprocess.run([sys.executable, "-O", "-m", "nygaard", *argv],
+                         env=_cli_env(), capture_output=True, text=True)
+    assert out.returncode == 2
+    assert out.stderr.startswith("not certified:")
+    assert "Traceback" not in out.stderr
+
+
+def _cli_result(argv, *flags):
     out = subprocess.run([sys.executable, *flags, "-m", "nygaard.cli", *argv],
-                         env=env, capture_output=True, text=True, check=True)
+                         env=_cli_env(), capture_output=True, text=True, check=True)
     return json.loads(out.stdout)["result"]
 
 

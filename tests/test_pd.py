@@ -1,10 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from nygaard import pdalg, syntomic
-from nygaard.errors import CompositeNonzero
-from nygaard.linalg import PGroup, howell_form, identity
+from nygaard.errors import CompositeNonzero, UsageError
+from nygaard.linalg import (
+    PGroup,
+    howell_form,
+    identity,
+    kernel_mod,
+    mat_is_zero,
+    mat_scale,
+    module_invariants_mod,
+    preimage_mod,
+)
 from nygaard.pdalg import (
     Monomial,
     NotStabilized,
@@ -275,6 +285,104 @@ def test_orbit_blocks_partition():
     blocks = orbit_blocks(A)
     seen = sorted(t for b in blocks for t in b)
     assert seen == list(range(len(A.basis())))
+
+
+def fraction_weight_chains(A):
+    """Reference chains from the weights c/p^e + l as exact fractions: start
+    at each weight that is not p times another, multiply by p while the
+    weight stays in the basis."""
+    weight = {
+        tuple(Fraction(cj, A.p**A.e) + lj for cj, lj in zip(m.c, m.l)): t
+        for t, m in enumerate(A.basis())
+    }
+    chains = []
+    for w, t in weight.items():
+        if any(w) and tuple(wj / A.p for wj in w) in weight:
+            continue
+        chain = [t]
+        while any(w) and tuple(wj * A.p for wj in w) in weight:
+            w = tuple(wj * A.p for wj in w)
+            chain.append(weight[w])
+        chains.append(tuple(chain))
+    return chains
+
+
+@pytest.mark.parametrize("p,e,g", [
+    (p, e, g) for p in (2, 3, 5) for e in (0, 1, 2) for g in (1, 2)
+])
+def test_integer_weight_chains_match_fraction_oracle(p, e, g):
+    A = PDAlgebra(p, g=g, n=1, e=e, W=2 * p if g == 1 else p)
+    chains = [tuple(c) for c in orbit_blocks(A)]
+    assert len(chains) == len(set(chains))
+    assert set(chains) == set(fraction_weight_chains(A))
+    assert max(map(len, chains)) >= 2
+    # one set of chains per basis, shared by every precision
+    assert orbit_blocks(PDAlgebra(p, g=g, n=3, e=e, W=A.W)) is orbit_blocks(A)
+
+
+@pytest.mark.parametrize("p,e,n,i", [
+    (p, e, n, i) for p in (2, 3) for e in (1, 2) for n in (1, 2) for i in (1, 2)
+])
+def test_reduced_level_kernel_is_the_lower_precision_kernel(p, e, n, i):
+    # {x : phi(x) = 0 mod p^i} at n+i+1, reduced mod p^{n+i}, spans the same
+    # module as the kernel computed at n+i
+    q = p ** (n + i)
+    hi = pdalg._nygaard_kernel_blocks(PDAlgebra(p, 1, n + i + 1, e), i)
+    lo = pdalg._nygaard_kernel_blocks(PDAlgebra(p, 1, n + i, e), i)
+    assert [idxs for idxs, _ in hi] == [idxs for idxs, _ in lo]
+    for (_, Khi), (_, Klo) in zip(hi, lo):
+        reduced = [[a % q for a in row] for row in Khi]
+        assert howell_form(reduced, p, n + i) == howell_form(Klo, p, n + i)
+
+
+def _fixed_points_eliminating_every_chain(A, i):
+    """ker(phi - p^i) at n + i projected to n, with a kernel computed on
+    every chain: the invariants and full-basis generators."""
+    Aw = PDAlgebra(A.p, A.g, A.n + i, A.e, A.W)
+    invs = []
+    gens = []
+    for idxs in orbit_blocks(Aw):
+        op = pdalg._phi_block_matrix(Aw, idxs)
+        for t in range(len(op)):
+            op[t][t] -= A.p**i
+        proj = [[a % A.q for a in row] for row in kernel_mod(op, A.p, A.n + i)]
+        proj = [row for row in proj if any(row)]
+        if proj:
+            invs.extend(module_invariants_mod(proj, A.p, A.n))
+        for row in proj:
+            full = [0] * len(Aw.basis())
+            for k, t in enumerate(idxs):
+                full[t] = row[k]
+            gens.append(full)
+    return tuple(sorted(invs, reverse=True)), gens
+
+
+@pytest.mark.parametrize("p,e,n", [(p, e, n) for p in (2, 3) for e in (1, 2) for n in (1, 2)])
+def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
+    A = small_algebra(p=p, n=n, e=e)
+    for i in (0, 1, 2):
+        A2 = PDAlgebra(p, 1, n + i, e, A.W)
+        zero_chains = 0
+        for idxs, K in pdalg._nygaard_kernel_blocks(A2, i):
+            M = pdalg._phi_block_matrix(A2, idxs)
+            if not mat_is_zero(M):
+                continue
+            zero_chains += 1
+            if i:
+                assert K == preimage_mod(M, mat_scale(p**i, identity(len(idxs))), p, A2.n)
+        assert zero_chains
+        _, invs, gens = pdalg._fixed_points_at(A, i, A.W)
+        want_invs, want_gens = _fixed_points_eliminating_every_chain(A, i)
+        assert invs == want_invs
+        assert gens == want_gens
+
+
+def test_pd_algebra_rejects_bad_parameters():
+    for kw in ({"n": 0}, {"e": -1}, {"g": 0}):
+        with pytest.raises(UsageError):
+            PDAlgebra(2, **kw)
+    with pytest.raises(UsageError):
+        span_identity_check(small_algebra(), 0)
 
 
 def test_nygaard_i0_everything():
