@@ -201,7 +201,7 @@ def cmd_eta(cfg):
 def cmd_derham(cfg):
     X = build_torus(cfg.p, cfg.d, cfg.n)
     payload = {}
-    payload["chain_map"] = frobenius_chain_map_check(X, weights_box(cfg.d, min(cfg.M, 3)))
+    payload["chain_map"] = frobenius_chain_map_check(X, weights_box(cfg.d, cfg.M))
     payload["divided_frobenius"] = all(
         divided_frobenius_identity_check(X, i) for i in range(cfg.i + 1)
     )
@@ -220,14 +220,14 @@ def cmd_derham(cfg):
 def cmd_qderham(cfg):
     Xq = build_qtorus(cfg.p, cfg.d, cfg.N)
     payload = {
-        "specialization": specialization_check(Xq, M=min(cfg.M, 3)),
-        "chain_map": q_frobenius_chain_map_check(Xq, M=min(cfg.M, 2)),
+        "specialization": specialization_check(Xq, M=cfg.M),
+        "chain_map": q_frobenius_chain_map_check(Xq, M=cfg.M),
         "nygaard_stable": all(
-            q_nygaard_stability_check(Xq, i, M=min(cfg.M, 2)) for i in range(cfg.i + 1)
+            q_nygaard_stability_check(Xq, i, M=cfg.M) for i in range(cfg.i + 1)
         ),
         "divided_frobenius": all(q_divided_frobenius_checks(Xq, i) for i in range(cfg.i + 1)),
     }
-    lnu = lnu_identification_check(Xq, i_max=cfg.i, M=min(cfg.M, 2), n_prec=cfg.n)
+    lnu = lnu_identification_check(Xq, i_max=cfg.i, M=cfg.M, n_prec=cfg.n)
     payload["lnu_containment"] = lnu["containment"]
     payload["lnu_graded"] = lnu["graded"]
     payload["all_ok"] = all(

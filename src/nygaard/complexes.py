@@ -8,6 +8,7 @@ depend on indices outside the declared pattern.
 
 from dataclasses import dataclass, field
 
+from .errors import CompositeNonzero, NotNonzerodivisor, UsageError, WindowTooSmall
 from .linalg import (
     PGroup,
     cohomology_invariants,
@@ -22,21 +23,15 @@ from .linalg import (
     mat_mul,
     mat_scale,
     preimage_lattice,
+    presented_cohomology_mod,
     presented_complex_cohomology,
     quotient_invariants,
     row_mul,
     solve_left,
+    solve_mod_p,
     span_exponent_mod,
     zeros,
 )
-
-
-class NotNonzerodivisor(Exception):
-    pass
-
-
-class WindowTooSmall(Exception):
-    pass
 
 
 @dataclass
@@ -48,14 +43,13 @@ class Complex:
 
     def __post_init__(self):
         for n, D in self.diffs.items():
-            assert len(D) == self.ranks.get(n, 0)
-            if D:
-                assert len(D[0]) == self.ranks.get(n + 1, 0)
+            if len(D) != self.ranks.get(n, 0) or (D and len(D[0]) != self.ranks.get(n + 1, 0)):
+                raise UsageError("differential %d does not match the ranks" % n)
         for n in self.diffs:
             if n + 1 in self.diffs:
                 D1, D2 = self.diffs[n], self.diffs[n + 1]
-                if D1 and D2 and D1[0] and D2[0]:
-                    assert mat_is_zero(mat_mul(D1, D2)), "d*d != 0"
+                if D1 and D2 and D1[0] and D2[0] and not mat_is_zero(mat_mul(D1, D2)):
+                    raise CompositeNonzero("d*d != 0 at degree %d" % n)
 
     def degrees(self):
         return sorted(self.ranks)
@@ -72,8 +66,8 @@ class Complex:
     def cohomology(self, p, modulus=None):
         return complex_cohomology(self.ranks, self.diffs, p, modulus=modulus)
 
-    def invariants(self, modulus=None):
-        return cohomology_invariants(self.ranks, self.diffs, modulus=modulus)
+    def invariants(self):
+        return cohomology_invariants(self.ranks, self.diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +104,9 @@ def eta(f, C):
         D = []
         for row in incl[n]:
             img = row_mul(row, C.diff(n))
-            if not incl[n + 1]:
-                assert not any(img)
-                D.append([])
-                continue
-            sol = solve_left(incl[n + 1], img)
-            assert sol is not None, "eta image must land in the eta lattice"
+            sol = solve_left(incl[n + 1], img) if incl[n + 1] else (None if any(img) else [])
+            if sol is None:
+                raise CompositeNonzero("degree %d: the eta image leaves the eta lattice" % n)
             D.append(sol)
         if ranks.get(n + 1, 0):
             diffs[n] = D
@@ -192,15 +183,15 @@ class FilteredComplex:
             for n in self.C.degrees():
                 G = self.fil(i, n)
                 Gn = self.fil(i + 1, n)
-                for row in Gn:
-                    assert lattice_contains(G, row), "Fil^{i+1} not inside Fil^i"
+                if not all(lattice_contains(G, row) for row in Gn):
+                    raise CompositeNonzero("Fil^%d not inside Fil^%d in degree %d" % (i + 1, i, n))
                 D = self.C.diff(n)
                 if self.C.rank(n + 1):
                     tgt = self.fil(i, n + 1)
                     for row in G:
                         img = row_mul(row, D)
-                        if any(img):
-                            assert lattice_contains(tgt, img), "d does not preserve Fil"
+                        if any(img) and not lattice_contains(tgt, img):
+                            raise CompositeNonzero("d does not preserve Fil^%d in degree %d" % (i, n))
         return True
 
 
@@ -306,6 +297,64 @@ def graded_law_check(F, p):
 
 
 # ---------------------------------------------------------------------------
+# cones of maps of presented complexes
+
+
+def presented_cone(src, tgt, fmaps):
+    """Cone of a chain map f: src -> tgt of presented complexes.
+
+    src and tgt are (terms, maps) pairs as in presented_complex_cohomology;
+    fmaps[j] is f in degree j on the ambients.  E^n = src^{n+1} (+) tgt^n
+    with d(x, y) = (-x d_src, x f + y d_tgt), so f is a quasi-isomorphism
+    iff the cone is acyclic."""
+    (s_terms, s_maps), (t_terms, t_maps) = src, tgt
+
+    def width(terms, j):
+        gens = terms.get(j, ([], []))[0]
+        return len(gens[0]) if gens else 0
+
+    def pad(rows, left, right):
+        return [[0] * left + list(row) + [0] * right for row in rows]
+
+    degs = sorted({j - 1 for j in s_terms} | set(t_terms))
+    terms, maps = {}, {}
+    for n in degs:
+        gs, rs = s_terms.get(n + 1, ([], []))
+        gt, rt = t_terms.get(n, ([], []))
+        a_s, a_t = width(s_terms, n + 1), width(t_terms, n)
+        terms[n] = (pad(gs, 0, a_t) + pad(gt, a_s, 0), pad(rs, 0, a_t) + pad(rt, a_s, 0))
+    for n in degs:
+        a_s, a_t = width(s_terms, n + 1), width(t_terms, n)
+        b_s, b_t = width(s_terms, n + 2), width(t_terms, n + 1)
+        if n + 1 not in terms or a_s + a_t == 0 or b_s + b_t == 0:
+            continue
+        M = zeros(a_s + a_t, b_s + b_t)
+        Ds, f, Dt = s_maps.get(n + 1), fmaps.get(n + 1), t_maps.get(n)
+        for r in range(a_s):
+            if Ds is not None and b_s:
+                M[r][:b_s] = [-a for a in Ds[r]]
+            if f is not None and b_t:
+                M[r][b_s:] = f[r]
+        if Dt is not None and b_t:
+            for r in range(a_t):
+                M[a_s + r][b_s:] = Dt[r]
+        maps[n] = M
+    return terms, maps
+
+
+def acyclic_mod(terms, maps, p, r):
+    """Whether a presented complex has zero cohomology mod p^r.
+
+    False as well when it is not a complex of presented groups: a map leaves
+    the generator span, or two maps do not compose to zero."""
+    try:
+        coh = presented_cohomology_mod(terms, maps, p, r)
+    except CompositeNonzero:
+        return False
+    return all(g.is_zero() for g in coh.values())
+
+
+# ---------------------------------------------------------------------------
 # the heart: chain complexes from filtered complexes
 
 
@@ -355,8 +404,8 @@ def beilinson_H0(F, p):
     gens_out = {}
     for i in cocycles:
         if cocycles[i]:
-            for r in boundaries[i]:
-                assert lattice_contains(cocycles[i], r)
+            if not all(lattice_contains(cocycles[i], r) for r in boundaries[i]):
+                raise CompositeNonzero("slot %d: boundaries leave the graded cocycles" % i)
             slots[i] = quotient_invariants(cocycles[i], boundaries[i])
         else:
             slots[i] = ([], 0)
@@ -372,7 +421,8 @@ def beilinson_H0(F, p):
                 rows.append([0] * len(cocycles[i + 1]))
                 continue
             sol = solve_left(cocycles[i + 1], img)
-            assert sol is not None, "boundary image must be a graded cocycle"
+            if sol is None:
+                raise CompositeNonzero("slot %d: the boundary image is not a graded cocycle" % i)
             rows.append(sol)
         diff[i] = rows
     # d^2 = 0 in the presented sense: composite lands in boundaries
@@ -381,10 +431,8 @@ def beilinson_H0(F, p):
             comp = mat_mul(diff[i], diff[i + 1])
             for row in comp:
                 amb = row_mul(row, cocycles[i + 2])
-                if any(amb):
-                    assert lattice_contains(
-                        lattice_sum(boundaries[i + 2]), amb
-                    ), "heart differential does not square to zero"
+                if any(amb) and not lattice_contains(lattice_sum(boundaries[i + 2]), amb):
+                    raise CompositeNonzero("heart differential does not square to zero at %d" % i)
     return ChainComplexObject(slots, diff, gens_out), table
 
 
@@ -450,7 +498,8 @@ def _check_total_resolution(p, k, steps):
                 for lab2, c in img.items():
                     for lab3, c2 in bt1.get(lab2, {}).items():
                         acc[lab3] = (acc.get(lab3, 0) + c * c2) % q
-                assert all(v % q == 0 for v in acc.values()), "boundary^2 != 0"
+                if any(v % q for v in acc.values()):
+                    raise CompositeNonzero("resolution boundary^2 != 0 at step %d" % t)
         # chain-map property: internal d is ("lo", j) -> ("hi", j)
         for j in range(t + 1):
             # d then boundary
@@ -461,9 +510,8 @@ def _check_total_resolution(p, k, steps):
                 if lab2[0] == "lo":
                     route2[("hi", lab2[1])] = route2.get(("hi", lab2[1]), 0) + c
             keys = set(route1) | set(route2)
-            assert all((route1.get(kk, 0) - route2.get(kk, 0)) % q == 0 for kk in keys), (
-                "resolution boundary is not a chain map"
-            )
+            if any((route1.get(kk, 0) - route2.get(kk, 0)) % q for kk in keys):
+                raise CompositeNonzero("resolution boundary is not a chain map at step %d" % t)
 
 
 def _hom_space_to_stalk(p, k, t, c):
@@ -530,9 +578,10 @@ def ext_in_Ch_check(p, c, k=2, steps=8):
         # express in the tgt basis (kernel basis rows over F_p)
         expressed = []
         for row in rows:
-            sol = _solve_fp(tgt_basis, row, p)
-            assert sol is not None
-            expressed.append([s % p for s in sol])
+            sol = solve_mod_p(tgt_basis, row, p)
+            if sol is None:
+                raise CompositeNonzero("step %d: a transition image leaves the Hom basis" % t)
+            expressed.append(sol)
         trans.append(expressed)
     # cohomology of the cochain complex of F_p-spaces
     ext_dims = {}
@@ -566,48 +615,3 @@ def ext_in_Ch_check(p, c, k=2, steps=8):
             law_ok = False
     return {"p": p, "c": c, "k": k, "ext_ch_dims": ext_dims, "ext_R_dims": ext_R, "law_ok": law_ok}
 
-
-def _solve_fp(basis, row, p):
-    """Solve x*basis = row over F_p."""
-    if not basis:
-        return None if any(a % p for a in row) else []
-    A = [[x % p for x in b] for b in basis]
-    m, n = len(A), len(A[0])
-    target = [x % p for x in row]
-    # Gaussian elimination solving x A = target  <=>  A^T x^T = target^T
-    At = [list(col) for col in zip(*A)]
-    b = target[:]
-    r = 0
-    where = {}
-    for c in range(m):
-        piv = None
-        for rr in range(r, n):
-            if At[rr][c] % p:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        At[r], At[piv] = At[piv], At[r]
-        b[r], b[piv] = b[piv], b[r]
-        inv = pow(At[r][c], -1, p)
-        At[r] = [(x * inv) % p for x in At[r]]
-        b[r] = (b[r] * inv) % p
-        for rr in range(n):
-            if rr != r and At[rr][c]:
-                f = At[rr][c]
-                At[rr] = [(x - f * y) % p for x, y in zip(At[rr], At[r])]
-                b[rr] = (b[rr] - f * b[r]) % p
-        where[c] = r
-        r += 1
-    x = [0] * m
-    for c, rr in where.items():
-        x[c] = b[rr] % p
-    # verify
-    chk = [0] * n
-    for i, xi in enumerate(x):
-        if xi:
-            for j in range(n):
-                chk[j] = (chk[j] + xi * A[i][j]) % p
-    if chk != [t % p for t in row]:
-        return None
-    return x

@@ -34,3 +34,26 @@ class CompositeNonzero(NotCertified):
 class TruncationTooTight(NotCertified):
     """A product or Frobenius image that does not vanish leaves the weight
     window of a truncated model."""
+
+
+class DivisionFailure(NotCertified):
+    """A divided Frobenius phi/p^i or phi/xi_tilde^i is not an exact
+    division on the computed data."""
+
+
+class NotNonzerodivisor(UsageError):
+    """The element given to the decalage eta_f is not a nonzerodivisor."""
+
+
+class WindowTooSmall(UsageError):
+    """A filtration declares no extension pattern above its index window, so
+    the requested piece depends on indices it does not describe."""
+
+
+class LengthMismatch(UsageError):
+    """Witt vectors of different lengths were combined."""
+
+
+class RingError(NotCertified):
+    """A ring operation needs an exact division, or a perfection depth, that
+    the element at hand does not allow."""

@@ -12,12 +12,21 @@ quotient invariants are read off its pivot valuations and row transform.
 Two such spans are compared by order: span(A) = span(B) iff |A| = |B| =
 |A + B|.  The Howell form is kept only where a canonical set of rows is the
 output (`kernel_mod` and `pdalg.nygaard_acrys`).
+
+A presented group span(gens)/span(rels) lives in an ambient Z^n, and its
+gens need not be saturated there.  So the one routine for presented
+complexes mod p^r, `presented_cohomology_mod`, first writes rels and map
+images in the coordinates of the Hermite form of the gens (the one step
+over Z), then works over Z/p^r only.  Complexes of free modules mod p^r
+(`complex_cohomology` with a modulus) go through it with gens = I.
+`presented_complex_cohomology` answers over Z, free ranks included, and is
+the oracle the mod p^r routine is tested against.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CompositeNonzero
+from .errors import CompositeNonzero, UsageError
 
 
 # ---------------------------------------------------------------------------
@@ -176,27 +185,28 @@ def kernel_int(M):
     return hermite_form(ker) if ker else []
 
 
-def solve_left(M, y):
-    """One solution x of x*M = y over Z, or None."""
-    m = len(M)
-    if m == 0:
-        return None if any(y) else []
-    H, U, _ = hermite_form(M, transform=True)
-    x = [0] * m
+def _hnf_coordinates(H, y):
+    """The x with x*H = y for H in Hermite form (independent rows), or None."""
+    x = []
     rem = list(y)
-    for i, row in enumerate(H):
-        c = next((j for j, a in enumerate(row) if a), None)
-        if c is None:
-            continue
+    for row in H:
+        c = next(j for j, a in enumerate(row) if a)
         if rem[c] % row[c]:
             return None
         q = rem[c] // row[c]
         if q:
             rem = [a - q * b for a, b in zip(rem, row)]
-        x[i] = q
-    if any(rem):
-        return None
-    return row_mul(x, U)
+        x.append(q)
+    return None if any(rem) else x
+
+
+def solve_left(M, y):
+    """One solution x of x*M = y over Z, or None."""
+    if not M:
+        return None if any(y) else []
+    H, U, _ = hermite_form(M, transform=True)
+    x = _hnf_coordinates(H, y)
+    return None if x is None else row_mul(x, U)
 
 
 def lattice_contains(L, y):
@@ -416,39 +426,20 @@ def _diff_or_zero(ranks, diffs, j):
     return zeros(ranks.get(j, 0), ranks.get(j + 1, 0))
 
 
-def cohomology_invariants(ranks, diffs, modulus=None):
-    """Per-degree (invariant factors, free rank) of a complex of free modules.
-
-    Over Z when modulus is None; over Z/modulus otherwise (the diffs are then
-    integer lifts, composites only need to vanish mod modulus).
-    """
+def cohomology_invariants(ranks, diffs):
+    """Per-degree (invariant factors, free rank) of a complex of free Z-modules."""
     out = {}
-    degs = sorted(ranks)
-    for j in degs:
+    for j in sorted(ranks):
         r = ranks[j]
         if r == 0:
             out[j] = ([], 0)
             continue
         D = _diff_or_zero(ranks, diffs, j)
         Dprev = _diff_or_zero(ranks, diffs, j - 1)
-        if modulus is None:
-            if Dprev and D and not mat_is_zero(mat_mul(Dprev, D)):
-                raise CompositeNonzero("degree %d" % j)
-            K = kernel_int(D) if (D and ranks.get(j + 1, 0)) else identity(r)
-            I = [row for row in Dprev if any(row)] if Dprev else []
-        else:
-            q = modulus
-            if Dprev and D:
-                comp = mat_mul(Dprev, D)
-                if any(a % q for row in comp for a in row):
-                    raise CompositeNonzero("degree %d (mod %d)" % (j, q))
-            if D and ranks.get(j + 1, 0):
-                target = mat_scale(q, identity(ranks[j + 1]))
-                K = preimage_lattice(D, target)
-            else:
-                K = identity(r)
-            I = [row for row in Dprev if any(row)] if Dprev else []
-            I = I + mat_scale(q, identity(r))
+        if Dprev and D and not mat_is_zero(mat_mul(Dprev, D)):
+            raise CompositeNonzero("degree %d" % j)
+        K = kernel_int(D) if (D and ranks.get(j + 1, 0)) else identity(r)
+        I = [row for row in Dprev if any(row)] if Dprev else []
         for row in I:
             if not lattice_contains(K, row):
                 raise CompositeNonzero("degree %d: image not inside kernel" % j)
@@ -457,91 +448,86 @@ def cohomology_invariants(ranks, diffs, modulus=None):
 
 
 def complex_cohomology(ranks, diffs, p, modulus=None):
-    """Cohomology as PGroups at the prime p, degree by degree."""
-    inv = cohomology_invariants(ranks, diffs, modulus=modulus)
-    return {j: PGroup.from_invariants(p, invs, free) for j, (invs, free) in inv.items()}
+    """Cohomology as PGroups at the prime p, degree by degree: over Z, or of
+    the complex tensored with Z/modulus for a modulus p^r (r >= 1)."""
+    if modulus is None:
+        inv = cohomology_invariants(ranks, diffs)
+        return {j: PGroup.from_invariants(p, invs, free) for j, (invs, free) in inv.items()}
+    if modulus < p or p ** _vp(modulus, p) != modulus:
+        raise UsageError("modulus %d is not a positive power of p = %d" % (modulus, p))
+    terms = {j: (identity(r), []) for j, r in ranks.items()}
+    return presented_cohomology_mod(terms, diffs, p, _vp(modulus, p))
 
 
 # ---------------------------------------------------------------------------
 # presented modules and presented complexes (subquotients of Z^n)
 
 
-def presented_cocycles_boundaries(terms, maps, j):
-    """Ambient cocycle and boundary lattices of a presented complex at j.
-
-    Cocycles: elements of span(gens_j) mapping into span(rels_{j+1});
-    boundaries: span(rels_j) + image of span(gens_{j-1}).
-    """
-    gens, rels = terms[j]
-    if not gens:
-        return [], []
-    D = maps.get(j)
-    if D is not None and j + 1 in terms:
-        _, rnext = terms[j + 1]
-        GD = [row_mul(g, D) for g in gens]
-        K = preimage_lattice(GD, rnext) if GD and GD[0] else identity(len(gens))
-    else:
-        K = identity(len(gens))
-    ker_rows = [row_mul(x, gens) for x in K]
-    ker_rows = hermite_form([r for r in ker_rows if any(r)])
-    denom = [r[:] for r in rels]
-    Dprev = maps.get(j - 1)
-    if Dprev is not None and j - 1 in terms:
-        gprev, _ = terms[j - 1]
-        denom += [row_mul(g, Dprev) for g in gprev]
-    denom = [r for r in denom if any(r)]
-    return ker_rows, denom
-
-
 def presented_complex_cohomology(terms, maps, p):
-    """Cohomology of a complex of presented groups.
+    """Cohomology over Z of a complex of presented groups.
 
     terms[j] = (gens, rels) with span(rels) ⊆ span(gens) in a common ambient
-    Z^{n_j}; maps[j] is the ambient matrix from degree j to j+1.
+    Z^{n_j}; maps[j] is the ambient matrix from degree j to j+1.  Cocycles are
+    the elements of span(gens_j) mapping into span(rels_{j+1}); boundaries
+    are span(rels_j) plus the image of span(gens_{j-1}).
     """
     out = {}
     for j in sorted(terms):
-        ker_rows, denom = presented_cocycles_boundaries(terms, maps, j)
+        gens, rels = terms[j]
+        D = maps.get(j)
+        if gens and D is not None and j + 1 in terms:
+            GD = [row_mul(g, D) for g in gens]
+            K = preimage_lattice(GD, terms[j + 1][1]) if GD[0] else identity(len(gens))
+        else:
+            K = identity(len(gens))
+        ker_rows = hermite_form([r for r in (row_mul(x, gens) for x in K) if any(r)])
         if not ker_rows:
             out[j] = PGroup.zero(p)
             continue
-        denom = [r for r in denom if lattice_contains(ker_rows, r)] if denom else []
+        denom = [r[:] for r in rels]
+        Dprev = maps.get(j - 1)
+        if Dprev is not None and j - 1 in terms:
+            denom += [row_mul(g, Dprev) for g in terms[j - 1][0]]
+        denom = [r for r in denom if any(r) and lattice_contains(ker_rows, r)]
         invs, free = quotient_invariants(ker_rows, denom)
         out[j] = PGroup.from_invariants(p, invs, free)
     return out
 
 
-def induced_map_is_iso(src, tgt, Phi, p):
-    """Whether the ambient chain map Phi induces an isomorphism of finite
-    cohomology groups presented as (cocycles, boundaries) pairs.
+def presented_cohomology_mod(terms, maps, p, r):
+    """Cohomology of a presented complex tensored with Z/p^r.
 
-    src and tgt are (cocycle rows, boundary rows); both groups must be finite.
+    terms and maps are as in presented_complex_cohomology; degree j is
+    span(gens_j)/(span(rels_j) + p^r span(gens_j)).  Over Z, only the rels
+    and the images of the Hermite rows H_j of gens_j are written in Hermite
+    coordinates (see the module docstring); cocycles come from preimage_mod,
+    groups from quotient_exponents_mod.  CompositeNonzero when a row leaves
+    its generator span, or a boundary leaves the cocycles.
     """
-    Ksrc, Bsrc = src
-    Ktgt, Btgt = tgt
-    invs_s, free_s = quotient_invariants(Ksrc, [r for r in Bsrc if lattice_contains(Ksrc, r)]) if Ksrc else ([], 0)
-    invs_t, free_t = quotient_invariants(Ktgt, [r for r in Btgt if lattice_contains(Ktgt, r)]) if Ktgt else ([], 0)
-    assert free_s == 0 and free_t == 0, "induced-map iso check needs finite groups"
-    gs = PGroup.from_invariants(p, invs_s)
-    gt = PGroup.from_invariants(p, invs_t)
-    if gs.order() != gt.order():
-        return False
-    images = []
-    for row in Ksrc:
-        img = row_mul(row, Phi)
-        if not Ktgt:
-            if any(img):
-                return False
+    H = {j: hermite_form(g) if g else [] for j, (g, _) in terms.items()}
+
+    def coords(j, rows):
+        xs = [_hnf_coordinates(H[j], y) for y in rows]
+        if None in xs:
+            raise CompositeNonzero("degree %d: a row leaves the generator span" % j)
+        return xs
+
+    rels = {j: coords(j, [row for row in R if any(row)]) for j, (_, R) in terms.items()}
+    D = {
+        j: coords(j + 1, [row_mul(h, maps[j]) for h in H[j]])
+        for j in maps if j in terms and j + 1 in terms
+    }
+    out = {}
+    for j in sorted(terms):
+        if not H[j]:
+            out[j] = PGroup.zero(p)
             continue
-        if not lattice_contains(lattice_sum(Ktgt, Btgt) if Btgt else Ktgt, img):
-            return False
-        images.append(img)
-    # surjectivity: images + boundaries span the target cocycles
-    span = lattice_sum(*(x for x in (images, Btgt) if x)) if (images or Btgt) else []
-    for row in Ktgt:
-        if not lattice_contains(span, row):
-            return False
-    return True
+        Z = preimage_mod(D[j], rels[j + 1], p, r) if j in D and H[j + 1] else identity(len(H[j]))
+        Bd = rels[j] + D.get(j - 1, [])
+        if Bd and span_exponent_mod(Z + Bd, p, r) != span_exponent_mod(Z, p, r):
+            raise CompositeNonzero("degree %d: boundaries leave the cocycles" % j)
+        out[j] = PGroup(p, quotient_exponents_mod(Z, Bd, p, r))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +690,16 @@ def preimage_mod(D, L, p, r):
     out = [[p ** (r - v) * a % q for a in row] for v, row in zip(vals, U) if v]
     out += U[len(vals):]
     return [row for row in out if any(row)]
+
+
+def solve_mod_p(A, y, p):
+    """One x with x*A = y over F_p, or None: a kernel vector of [A; -y]
+    whose last coordinate is a unit, scaled to make it 1."""
+    for row in preimage_mod(A + [[-a for a in y]], [], p, 1):
+        if row[-1]:
+            c = pow(row[-1], -1, p)
+            return [a * c % p for a in row[:-1]]
+    return None
 
 
 def span_exponent_mod(rows, p, r):

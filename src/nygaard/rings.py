@@ -8,9 +8,7 @@ coefficient) pairs for perfect truncations.
 
 from fractions import Fraction
 
-
-class RingError(Exception):
-    pass
+from .errors import RingError
 
 
 class ZRing:

@@ -15,12 +15,9 @@ canonical map u -> xi*sigma, v -> sigma^{-1}.
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import LengthMismatch
 from .linalg import identity, lattice_contains, mat_scale
 from .qbase import QBase
-
-
-class LengthMismatch(Exception):
-    pass
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from nygaard import cli, errors, linalg, pdalg, syntomic, torus
+from nygaard import cli, complexes, errors, linalg, pdalg, qtorus, rings, syntomic, torus, witt
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -58,6 +58,59 @@ def test_main_not_certified_exit_2(monkeypatch, exc):
 
     monkeypatch.setitem(cli.COMMANDS, "witt", fail)
     assert cli.main(["witt"]) == 2
+
+
+MOVED_ERRORS = [
+    (torus, "DivisionFailure", errors.NotCertified),
+    (qtorus, "DivisionFailure", errors.NotCertified),
+    (complexes, "NotNonzerodivisor", errors.UsageError),
+    (complexes, "WindowTooSmall", errors.UsageError),
+    (witt, "LengthMismatch", errors.UsageError),
+    (rings, "RingError", errors.NotCertified),
+]
+
+
+@pytest.mark.parametrize("module, name, base", MOVED_ERRORS)
+def test_moved_error_classes_keep_their_import_paths(monkeypatch, capsys, module, name, base):
+    exc = getattr(errors, name)
+    assert getattr(module, name) is exc and issubclass(exc, base)
+
+    def fail(cfg):
+        raise exc("forced")
+
+    monkeypatch.setitem(cli.COMMANDS, "witt", fail)
+    assert cli.main(["witt"]) == (1 if base is errors.UsageError else 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, argv, loops", [
+    ("derham", ["-p", "2", "-d", "1", "-i", "1", "-M", "3"], 3),
+    ("qderham", ["-p", "2", "-d", "1", "-i", "1", "-N", "3", "-M", "3"], 5),
+])
+def test_M_is_honoured(monkeypatch, capsys, command, argv, loops):
+    # every weight loop runs over the box of radius 3, which holds (3, ...)
+    radii = []
+    box = torus.weights_box
+
+    def spy(d, M):
+        radii.append(M)
+        return box(d, M)
+
+    for module in (cli, torus, qtorus):
+        monkeypatch.setattr(module, "weights_box", spy)
+    assert cli.main([command, *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["all_ok"]
+    assert radii == [3] * loops
+
+
+def test_regress_fixtures_under_python_O():
+    # every certificate is a typed check, so stripping asserts changes nothing
+    out = subprocess.run([sys.executable, "-O", "-m", "nygaard.cli", "regress", str(FIXTURES)],
+                         env=_cli_env(), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert len(report["passed"]) == 34
+    assert report["failed"] == [] and report["errors"] == []
 
 
 def _cli_env():

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +122,32 @@ def test_eta_identity():
 def test_eta_zero_rejected():
     with pytest.raises(NotNonzerodivisor):
         eta(0, mult_p_complex(3))
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_complex_invariants_raise_typed_errors(flags):
+    # the checks are raises, not asserts, so python -O keeps them
+    code = """
+from nygaard.complexes import Complex, FilteredComplex
+from nygaard.errors import CompositeNonzero, UsageError
+for make, exc in (
+    (lambda: Complex({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}), CompositeNonzero),
+    (lambda: Complex({0: 1, 1: 2}, {0: [[1]]}), UsageError),
+    (lambda: FilteredComplex(Complex({0: 1}, {}), 0, 1,
+                             {(0, 0): [[2]], (1, 0): [[1]]}).validate(), CompositeNonzero),
+):
+    try:
+        make()
+    except exc:
+        continue
+    raise SystemExit("no %s" % exc.__name__)
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr + out.stdout
 
 
 def test_eta_mult_p():

@@ -30,6 +30,7 @@ from nygaard.linalg import (
     solve_left,
     row_mul,
 )
+from nygaard.errors import UsageError
 
 
 def rand_mat(rng, m, n, lo=-9, hi=9):
@@ -367,3 +368,18 @@ def test_module_invariants_mod():
     p = 2
     assert module_invariants_mod([[2, 1], [0, 2]], p, 2) == (2,)
     assert module_invariants_mod([[2, 0], [0, 2]], p, 2) == (1, 1)
+
+
+def test_mod_pn_cohomology_checks_the_composite_mod_pn():
+    # d*d = 2 vanishes mod 2 but not mod 4
+    ranks, diffs = {0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[2]]}
+    H = complex_cohomology(ranks, diffs, 2, modulus=2)
+    assert H == {0: PGroup.zero(2), 1: PGroup.zero(2), 2: PGroup(2, (1,))}
+    with pytest.raises(CompositeNonzero):
+        complex_cohomology(ranks, diffs, 2, modulus=4)
+
+
+@pytest.mark.parametrize("modulus", [0, 1, 6, 9, -4])
+def test_modulus_must_be_a_positive_power_of_p(modulus):
+    with pytest.raises(UsageError):
+        complex_cohomology({0: 1}, {}, 2, modulus=modulus)

@@ -18,14 +18,20 @@ from nygaard.linalg import (
     lattice_contains,
     lattice_sum,
     mat_scale,
+    kernel_int,
+    mat_mul,
     module_invariants_mod,
     preimage_lattice,
     preimage_mod,
+    presented_cohomology_mod,
+    presented_complex_cohomology,
     quotient_exponents_mod,
     quotient_invariants,
     row_mul,
+    solve_mod_p,
     span_contains_mod,
     span_exponent_mod,
+    zeros,
 )
 from nygaard.qtorus import build_qtorus
 from nygaard.syntomic import (
@@ -135,6 +141,98 @@ def test_quotient_exponents_match_integer_path(data, draw):
     for v in L:
         assert span_contains_mod(B + L, v, p, r)
         assert span_contains_mod(B, v, p, r) == lattice_contains(Bz, v)
+
+
+@st.composite
+def presented_complexes(draw):
+    """(terms, maps, p, r): a presented complex with known coordinates.
+
+    In coordinates, degree j is Z^{k_j} with differential delta_j
+    (delta_j delta_{j+1} = 0) and a subcomplex of relations R_j.  It is
+    embedded with gens G_j = p^{a_j} [I | 0] U_j for a unimodular U_j, so the
+    gens are not saturated when a_j > 0, and ambient maps
+    A_j = U_j^{-1} P_j U_{j+1}, P_j having p^{a_{j+1}-a_j} delta_j in its
+    top-left block, so that G_j A_j = delta_j G_{j+1}."""
+    p = draw(st.sampled_from((2, 3, 5)))
+    r = draw(st.integers(1, 3))
+    L = draw(st.integers(1, 3))
+    small = st.integers(-3, 3)
+
+    def matrix(m, n):
+        return draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=m, max_size=m))
+
+    ks = [draw(st.integers(0, 3)) for _ in range(L)]
+    deltas = {}
+    for j in reversed(range(L - 1)):
+        nxt = deltas.get(j + 1)
+        if nxt is None:
+            deltas[j] = matrix(ks[j], ks[j + 1])
+        else:
+            K = kernel_int(nxt) if ks[j + 1] else []
+            deltas[j] = mat_mul(matrix(ks[j], len(K)), K) if K else zeros(ks[j], ks[j + 1])
+    rels = {0: matrix(draw(st.integers(0, 2)), ks[0])}
+    for j in range(1, L):
+        rels[j] = matrix(draw(st.integers(0, 2)), ks[j]) + (
+            mat_mul(rels[j - 1], deltas[j - 1]) if rels[j - 1] and ks[j - 1] else [])
+    a = [draw(st.integers(0, 1))]
+    for _ in range(L - 1):
+        a.append(a[-1] + draw(st.integers(0, 1)))
+    ns = [k + draw(st.integers(0, 1)) for k in ks]
+    U, Uinv = [], []
+    for n in ns:
+        E, Einv = identity(n), identity(n)
+        for _ in range(draw(st.integers(0, 3)) if n > 1 else 0):
+            s, t = draw(st.permutations(range(n)))[:2]
+            c = draw(small)
+            E[s] = [x + c * y for x, y in zip(E[s], E[t])]
+            for row in Einv:
+                row[t] -= c * row[s]
+        U.append(E)
+        Uinv.append(Einv)
+    terms, maps = {}, {}
+    for j in range(L):
+        G = mat_scale(p ** a[j], [row[:] for row in U[j][: ks[j]]])
+        gens = G + ([[x + y for x, y in zip(G[0], G[-1])]] if len(G) > 1 else [])
+        terms[j] = (gens, mat_mul(rels[j], G) if rels[j] and G else [])
+        if j + 1 < L:
+            P = zeros(ns[j], ns[j + 1])
+            for s_, row in enumerate(deltas[j]):
+                P[s_][: ks[j + 1]] = [p ** (a[j + 1] - a[j]) * x for x in row]
+            maps[j] = mat_mul(mat_mul(Uinv[j], P), U[j + 1]) if ns[j] and ns[j + 1] else P
+    return terms, maps, p, r
+
+
+@settings(max_examples=150, deadline=None)
+@given(presented_complexes())
+def test_presented_cohomology_mod_matches_integer_path(data):
+    # the oracle: the same complex over Z with p^r * gens added to the rels
+    terms, maps, p, r = data
+    q = p**r
+    scaled = {j: (g, R + mat_scale(q, g)) for j, (g, R) in terms.items()}
+    assert presented_cohomology_mod(terms, maps, p, r) == presented_complex_cohomology(
+        scaled, maps, p)
+
+
+def test_presented_cohomology_mod_reads_unsaturated_gens():
+    # gens = p*Z presents Z/p mod p although its ambient row is 0 mod p
+    for p in (2, 3):
+        assert presented_cohomology_mod({0: ([[p]], [])}, {}, p, 1) == {0: PGroup(p, (1,))}
+        assert presented_cohomology_mod({0: ([[p, 0]], [[p * p, 0]])}, {}, p, 3) == {
+            0: PGroup(p, (1,))}
+    with pytest.raises(CompositeNonzero):
+        presented_cohomology_mod({0: ([[2]], [[1]])}, {}, 2, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(local_matrices(), st.data())
+def test_solve_mod_p_solves_exactly_when_the_span_contains(data, draw):
+    M, p, _, n = data
+    y = draw.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
+    x = solve_mod_p(M, y, p)
+    if span_contains_mod(M, y, p, 1):
+        assert x is not None and all(a % p == b for a, b in zip(row_mul(x, M), y))
+    else:
+        assert x is None
 
 
 def test_empty_and_degenerate_shapes():

@@ -1,9 +1,18 @@
 import pytest
 
-from nygaard.linalg import PGroup, lattice_contains, mat_mul, row_mul
+from nygaard.linalg import (
+    PGroup,
+    lattice_contains,
+    mat_mul,
+    presented_cohomology_mod,
+    presented_complex_cohomology,
+    row_mul,
+)
 from nygaard.qbase import QBase
 from nygaard.qtorus import (
+    _graded_cone,
     build_qtorus,
+    eta_filtration,
     eta_lattices_B,
     lnu_identification_check,
     q_divided_frobenius_checks,
@@ -126,3 +135,39 @@ def test_truncation_consistency():
             for a in range(N):
                 for b in range(N):
                     assert Ds[a][b] == Dl[a][b]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lnu_graded_check_rejects_a_corrupted_phi(p):
+    # zero the constant-coefficient row of phi in degree 0; the (a) and (b)
+    # containments cannot see a zero row, the cone can
+    for i in range(3):
+        X = build_qtorus(p, 1, 3)
+        orig = X.frobenius_matrix
+
+        def corrupted(j, orig=orig):
+            Phi = [row[:] for row in orig(j)]
+            if j == 0:
+                Phi[0] = [0] * len(Phi[0])
+            return Phi
+
+        X.frobenius_matrix = corrupted
+        rep = lnu_identification_check(X, i_max=i, M=1, n_prec=2)
+        assert not rep["graded"] and not rep["all_ok"]
+        assert not rep["weights"][(0,)]["c"]
+
+
+@pytest.mark.parametrize("p, d, N", [(2, 1, 3), (3, 1, 3), (2, 1, 4), (2, 2, 3)])
+def test_lnu_cone_over_z_is_finite_and_killed_by_p(p, d, N):
+    # the dropped rank-over-Q half: over Z the q -> 1 fibre of the cone has
+    # free rank 0 and is killed by p, so its groups are the groups mod p^n
+    X = build_qtorus(p, d, N)
+    for m in weights_box(d, 1):
+        pm = tuple(p * a for a in m)
+        fils = eta_filtration(X, eta_lattices_B(X, pm, X.B.xi_tilde), 3)
+        for i in range(3):
+            terms, maps = _graded_cone(X, i, m, pm, fils)
+            over_z = presented_complex_cohomology(terms, maps, p)
+            assert all(g.free_rank == 0 and set(g.exponents) <= {1} for g in over_z.values())
+            for n in (1, 2):
+                assert presented_cohomology_mod(terms, maps, p, n) == over_z

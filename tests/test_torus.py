@@ -167,3 +167,33 @@ def test_hodge_quotient_i0_trivial_case():
     X = build_torus(5, 1, 1)
     rep = hodge_quotient_check(X, 0)
     assert rep["ok"]
+
+
+def _zero_row_of_phi_i(X, jbad):
+    """Corrupt phi_i: zero the first row of its matrix in degree jbad."""
+    orig = X.divided_frobenius_matrix
+
+    def corrupted(i, j):
+        Phi = [row[:] for row in orig(i, j)]
+        if j == jbad:
+            Phi[0] = [0] * len(Phi[0])
+        return Phi
+
+    X.divided_frobenius_matrix = corrupted
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_conjugate_check_rejects_a_corrupted_phi_i(p, d):
+    for i in range(d + 1):
+        for jbad in range(d + 1):
+            X = build_torus(p, d, 1)
+            _zero_row_of_phi_i(X, jbad)
+            rep = conjugate_check(X, i, M=2)
+            failed = {w for w, v in rep.items() if w != "all_ok" and not v["ok"]}
+            if jbad <= i:
+                # every weight where phi_i is compared fails, and no other
+                assert failed == {w for w in weights_box(d, 2) if all(a % p == 0 for a in w)}
+                assert not rep["all_ok"]
+            else:
+                # above degree i the truncated target is zero
+                assert rep["all_ok"]
