@@ -13,14 +13,15 @@ Two such spans are compared by order: span(A) = span(B) iff |A| = |B| =
 |A + B|.  The Howell form is kept only where a canonical set of rows is the
 output (`kernel_mod` and `pdalg.nygaard_acrys`).
 
-A presented group span(gens)/span(rels) lives in an ambient Z^n, and its
-gens need not be saturated there.  So the one routine for presented
-complexes mod p^r, `presented_cohomology_mod`, first writes rels and map
-images in the coordinates of the Hermite form of the gens (the one step
-over Z), then works over Z/p^r only.  Complexes of free modules mod p^r
-(`complex_cohomology` with a modulus) go through it with gens = I.
-`presented_complex_cohomology` answers over Z, free ranks included, and is
-the oracle the mod p^r routine is tested against.
+One loop computes cohomology mod p^r: `cocycles_boundaries_mod` presents
+each degree of a complex of free Z/p^r-modules, optionally modulo relation
+rows, by cocycle rows Z and boundary rows B, and checks B in Z as B*d in
+span(next relations): without relations that is d*d = 0 mod p^r, a matrix
+product.  `cohomology_mod` reads the groups off.  A presented group
+span(gens)/span(rels) in an ambient Z^n may have unsaturated gens, so
+`presented_cohomology_mod` first writes rels and map images in Hermite
+coordinates of the gens (its one step over Z), then runs the same loop.
+`presented_complex_cohomology` answers over Z and is the test oracle.
 """
 
 from dataclasses import dataclass
@@ -52,7 +53,8 @@ def mat_mul(A, B):
     if not A:
         return []
     n, k = len(A[0]), len(B[0]) if B else 0
-    assert len(B) == n, "shape mismatch"
+    if len(B) != n:
+        raise UsageError("shape mismatch: %d columns times %d rows" % (n, len(B)))
     out = zeros(len(A), k)
     for i, arow in enumerate(A):
         orow = out[i]
@@ -357,9 +359,9 @@ class PGroup:
     free_rank: int = 0
 
     def __post_init__(self):
-        assert all(e > 0 for e in self.exponents)
-        assert tuple(sorted(self.exponents, reverse=True)) == self.exponents
-        assert self.free_rank >= 0
+        exps = list(self.exponents)
+        if self.free_rank < 0 or exps != sorted(exps, reverse=True) or exps and exps[-1] <= 0:
+            raise UsageError("not a PGroup: exponents %s, free rank %d" % (exps, self.free_rank))
 
     @classmethod
     def from_invariants(cls, p, invariants, free_rank=0):
@@ -381,13 +383,20 @@ class PGroup:
         return not self.exponents and self.free_rank == 0
 
     def order(self):
-        assert self.free_rank == 0
+        if self.free_rank:
+            raise UsageError("a group with free rank %d has no finite order" % self.free_rank)
         return self.p ** sum(self.exponents)
 
     def __add__(self, other):
-        assert self.p == other.p
+        if self.p != other.p:
+            raise UsageError("cannot add a %d-group to a %d-group" % (self.p, other.p))
         exps = tuple(sorted(self.exponents + other.exponents, reverse=True))
         return PGroup(self.p, exps, self.free_rank + other.free_rank)
+
+    def __rmul__(self, count):
+        """count * G, the direct sum of count copies of G."""
+        exps = tuple(e for e in self.exponents for _ in range(count))
+        return PGroup(self.p, exps, self.free_rank * count)
 
     def __str__(self):
         parts = ["Z"] * self.free_rank
@@ -455,8 +464,7 @@ def complex_cohomology(ranks, diffs, p, modulus=None):
         return {j: PGroup.from_invariants(p, invs, free) for j, (invs, free) in inv.items()}
     if modulus < p or p ** _vp(modulus, p) != modulus:
         raise UsageError("modulus %d is not a positive power of p = %d" % (modulus, p))
-    terms = {j: (identity(r), []) for j, r in ranks.items()}
-    return presented_cohomology_mod(terms, diffs, p, _vp(modulus, p))
+    return cohomology_mod(ranks, diffs, p, _vp(modulus, p))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +508,9 @@ def presented_cohomology_mod(terms, maps, p, r):
     terms and maps are as in presented_complex_cohomology; degree j is
     span(gens_j)/(span(rels_j) + p^r span(gens_j)).  Over Z, only the rels
     and the images of the Hermite rows H_j of gens_j are written in Hermite
-    coordinates (see the module docstring); cocycles come from preimage_mod,
-    groups from quotient_exponents_mod.  CompositeNonzero when a row leaves
-    its generator span, or a boundary leaves the cocycles.
-    """
+    coordinates (see the module docstring); cohomology_mod does the rest.
+    CompositeNonzero when a row leaves its generator span, or a boundary
+    leaves the cocycles."""
     H = {j: hermite_form(g) if g else [] for j, (g, _) in terms.items()}
 
     def coords(j, rows):
@@ -517,17 +524,46 @@ def presented_cohomology_mod(terms, maps, p, r):
         j: coords(j + 1, [row_mul(h, maps[j]) for h in H[j]])
         for j in maps if j in terms and j + 1 in terms
     }
-    out = {}
-    for j in sorted(terms):
-        if not H[j]:
-            out[j] = PGroup.zero(p)
+    return cohomology_mod({j: len(h) for j, h in H.items()}, D, p, r, rels)[0]
+
+
+def cohomology_mod(ranks, diffs, p, r, rels=None):
+    """Cohomology of a complex of free Z/p^r-modules modulo relations.
+
+    Returns (groups, pres): per degree the PGroup span(Z_t)/span(B_t) and
+    the presentation (Z_t, B_t) of cocycles_boundaries_mod."""
+    pres = cocycles_boundaries_mod(ranks, diffs, p, r, rels)
+    return {t: PGroup(p, quotient_exponents_mod(Z, B, p, r)) for t, (Z, B) in pres.items()}, pres
+
+
+def cocycles_boundaries_mod(ranks, diffs, p, r, rels=None):
+    """Cocycle rows Z_t and boundary rows B_t per degree, over Z/p^r.
+
+    Degree t is (Z/p^r)^ranks[t] modulo span(rels[t]), and diffs[t] maps
+    degree t to t+1.  Z_t is preimage_mod(d_t, rels[t+1]), B_t the nonzero
+    rows of d_{t-1} and rels[t] in [0, p^r).  B_t lies in Z_t iff B_t*d_t
+    lies in span(rels[t+1]); without relations there that is B_t*d_t = 0
+    mod p^r, a matrix product, and otherwise the order of span(rels[t+1])
+    must not grow.  CompositeNonzero if it fails."""
+    q = p**r
+    rels = rels or {}
+    pres = {}
+    for t in sorted(ranks):
+        if not ranks[t]:
+            pres[t] = ([], [])
             continue
-        Z = preimage_mod(D[j], rels[j + 1], p, r) if j in D and H[j + 1] else identity(len(H[j]))
-        Bd = rels[j] + D.get(j - 1, [])
-        if Bd and span_exponent_mod(Z + Bd, p, r) != span_exponent_mod(Z, p, r):
-            raise CompositeNonzero("degree %d: boundaries leave the cocycles" % j)
-        out[j] = PGroup(p, quotient_exponents_mod(Z, Bd, p, r))
-    return out
+        B = diffs.get(t - 1, []) if ranks.get(t - 1, 0) else []
+        B = [row for row in ([a % q for a in b] for b in B + rels.get(t, [])) if any(row)]
+        D, R = diffs.get(t), rels.get(t + 1, [])
+        if D and ranks.get(t + 1, 0):
+            Z = preimage_mod(D, R, p, r)
+            BD = [row for row in ([a % q for a in b] for b in mat_mul(B, D)) if any(row)]
+            if BD and (not R or span_exponent_mod(R + BD, p, r) != span_exponent_mod(R, p, r)):
+                raise CompositeNonzero("degree %d: boundaries are not cocycles mod %d" % (t, q))
+        else:
+            Z = identity(ranks[t])
+        pres[t] = (Z, B)
+    return pres
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ certificates and dlog flags.
 The torus models decompose by Frobenius orbits of weights {m, pm, p^2 m, ...}
 (m primitive).  Each orbit is computed on a finite window: Nygaard-side steps
 s <= V, full-side steps s <= V + 1 (a subcomplex of the infinite orbit
-complex).  Window cohomology is computed over Z/p^r and never lifted to Z:
-each degree is presented by cocycle rows K (the kernel of the differential
-mod p^r) and boundary rows B, submodules of (Z/p^r)^rank with entries in
-[0, p^r), and its group is read off the pivot valuations of
-`linalg.eliminate_mod`.  The orbit group is the stable image of H(W_V) in
+complex).  Window cohomology is computed over Z/p^r and never lifted to Z,
+by the one loop `linalg.cocycles_boundaries_mod`: each degree is presented
+by cocycle rows K (the kernel of the differential mod p^r, or the preimage
+of the mu relations for the q -> 1 collapse) and boundary rows B,
+submodules of (Z/p^r)^rank with entries in [0, p^r), and B lies in K
+because d*d = 0 mod p^r (checked as a matrix product; with mu relations,
+as a span containment).  The orbit group is the stable image of H(W_V) in
 H(W_{V+k}), i.e. span(K_V + B_{V+k}) / span(B_{V+k}); two equal consecutive
 images end the search.  Beyond the window every Koszul entry vanishes mod
 p^r (valuations are monotone along the orbit).  Degrees j > i are
@@ -25,8 +27,8 @@ additionally covered by the geometric-series invertibility of the twisted
 Frobenius.
 
 The orbit sum runs over orbit classes (`_Model.orbit_class`): one window per
-class, its groups added once per member.  In characteristic p every primitive
-m0 lies in the class of e_1 = (1, 0, ..., 0):
+class, its groups added once, times the class size.  In characteristic p
+every primitive m0 lies in the class of e_1 = (1, 0, ..., 0):
 
 1. Let c = gcd(m0); c is a p-unit because m0 is primitive.  A coordinate
    change g in GL_d(Z) with g m0 = c e_1 acts on every weight block by
@@ -56,11 +58,12 @@ from typing import Callable
 from .errors import BoundViolated, CompositeNonzero, NotStabilized
 from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
     PGroup,
+    cocycles_boundaries_mod,
+    cohomology_mod,
     hermite_form,
     identity,
     mat_mul,
     mat_scale,
-    preimage_mod,
     quotient_exponents_mod,
     solve_mod_p,
     span_contains_mod,
@@ -207,45 +210,6 @@ def _assemble_window(model, V, m0=None):
     return ranks, diffs, basis_info
 
 
-def _window_presentations(ranks, diffs, p, r, extra_rels=None):
-    """Presentations (K, B) over Z/p^r per degree.
-
-    K spans the cocycles mod p^r and B the boundaries, both as rows with
-    entries in [0, p^r) (no p^r*I rows: the ambient module is (Z/p^r)^rank).
-    extra_rels[t], when given, adds relation rows in degree t (used for the
-    q -> 1 collapse of q-model windows): cocycles then map into the
-    relations of degree t+1, and the relations join the boundaries.
-    Raises CompositeNonzero when a boundary row is not a cocycle."""
-    q = p**r
-    rels = extra_rels or {}
-    pres = {}
-    for t in sorted(ranks):
-        rk = ranks[t]
-        if rk == 0:
-            pres[t] = ([], [])
-            continue
-        D = diffs.get(t)
-        if D and ranks.get(t + 1, 0):
-            K = preimage_mod(D, rels.get(t + 1, []), p, r)
-        else:
-            K = identity(rk)
-        B = diffs.get(t - 1, []) if ranks.get(t - 1, 0) else []
-        B = [[a % q for a in row] for row in B + rels.get(t, [])]
-        B = [row for row in B if any(row)]
-        if span_exponent_mod(K + B, p, r) != span_exponent_mod(K, p, r):
-            raise CompositeNonzero("degree %d: boundaries are not cocycles mod %d" % (t, q))
-        pres[t] = (K, B)
-    return pres
-
-
-def _window_cohomology(ranks, diffs, p, r, extra_rels=None):
-    """PGroups H = span(K)/span(B) and the presentations (K, B) per degree
-    (see _window_presentations)."""
-    pres = _window_presentations(ranks, diffs, p, r, extra_rels)
-    out = {t: PGroup(p, quotient_exponents_mod(K, B, p, r)) for t, (K, B) in pres.items()}
-    return out, pres
-
-
 def _transition_iso_by_degree(presV, presV1, basisV, basisV1, p, r):
     """Whether the window inclusion W_V -> W_{V+1} induces an isomorphism on
     cohomology, degree by degree: the image of H(W_V) must have the order of
@@ -281,13 +245,13 @@ def _orbit_contribution(model, m0, i, r, V, extra_rels=None, cap=4):
     system of finite groups has non-increasing image orders, so two equal
     consecutive images certify the colimit; beyond the window the attaching
     data is constant by the tail-vanishing certificate).  extra_rels, when
-    given, maps window ranks to the extra relations of _window_presentations."""
+    given, maps window ranks to the extra relations in each degree."""
     p, dmax = model.p, model.d
 
     def window(k):
         ranks, diffs, basis = _assemble_window(model, V + k, m0)
         extra = extra_rels(ranks) if extra_rels else None
-        return basis, _window_presentations(ranks, diffs, p, r, extra_rels=extra)
+        return basis, cocycles_boundaries_mod(ranks, diffs, p, r, extra)
 
     basis0, pres0 = window(0)
     out = {}
@@ -324,14 +288,18 @@ def _orbit_sum(model, i, r, M, V, tail_vanishes, extra_rels=None):
     """fib(phi_i - can) summed over the primitive orbits of the weight box of
     radius M, plus the weight-0 block.
 
-    One window per orbit class (model.orbit_class): its groups are added once
-    per member.  Returns (total, pres0, tail_ok): the groups per degree, the
-    weight-0 presentations (for the dlog flags) and whether tail_vanishes
-    held for every class representative."""
+    One window per orbit class (model.orbit_class): its groups are added once,
+    times the class size.  Returns (total, pres0, tail_ok, V_used): the
+    groups per degree, the weight-0 presentations (for the dlog flags),
+    whether tail_vanishes held for every class representative, and V + 1,
+    or 0 when the box holds no primitive weight and no window is built."""
     p, d = model.p, model.d
-    total = {t: PGroup.zero(p) for t in range(d + 2)}
     tail_ok = True
     classes = Counter(model.orbit_class(m0) for m0 in _primitive_orbit_reps(d, p, M))
+    # weight zero: phi_i and can act on the same block; exact, no window
+    ranks0, diffs0, _ = _assemble_window(model, 0)
+    extra0 = extra_rels(ranks0) if extra_rels else None
+    total, pres0 = cohomology_mod(ranks0, diffs0, p, r, extra0)
     for rep, count in classes.items():
         # degrees <= i+1 are certified by the stable window image; degrees
         # >= i+2 lie in the invertibility zone (Koszul degrees > i) where the
@@ -339,16 +307,10 @@ def _orbit_sum(model, i, r, M, V, tail_vanishes, extra_rels=None):
         # so the orbit contributes nothing there
         contrib, _ = _orbit_contribution(model, rep, i, r, V, extra_rels)
         for t, g in contrib.items():
-            total[t] = sum([g] * count, total[t])
+            total[t] = total[t] + count * g
         if not tail_vanishes(rep):
             tail_ok = False
-    # weight zero: phi_i and can act on the same block; exact, no window
-    ranks0, diffs0, _ = _assemble_window(model, 0)
-    extra0 = extra_rels(ranks0) if extra_rels else None
-    H0, pres0 = _window_cohomology(ranks0, diffs0, p, r, extra_rels=extra0)
-    for t in range(d + 2):
-        total[t] = total[t] + H0[t]
-    return total, pres0, tail_ok
+    return total, pres0, tail_ok, V + 1 if classes else 0
 
 
 def _dlog_flags(model, i, r, pres0, phi_fixed):
@@ -402,7 +364,7 @@ def syntomic_charp(p, d, i, r, M=4, V=None):
             dlog={})
     V = V if V is not None else r + 1
     model = _charp_model(X, i)
-    total, pres0, tail_ok = _orbit_sum(
+    total, pres0, tail_ok, V_used = _orbit_sum(
         model, i, r, M, V,
         lambda m0: not any((p ** (V + 1) * a) % p**r for a in m0),
     )
@@ -411,7 +373,7 @@ def syntomic_charp(p, d, i, r, M=4, V=None):
     series_k = _charp_zone_series_exponent(p, i, r, d)
     dlog = _dlog_flags(model, i, r, pres0, lambda Phi: Phi == identity(len(Phi)))
     return SyntomicResult(
-        "charp", p, i, r, M, V + 1, total, dlog=dlog,
+        "charp", p, i, r, M, V_used, total, dlog=dlog,
         certificates={
             "stabilized": True,
             "tail_vanishing": tail_ok,
@@ -490,7 +452,7 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False):
                               certificates={"negative_twist_series": True})
     V = V if V is not None else r + 1
     model = _q_model(Xq, i)
-    total, pres0, tail_ok = _orbit_sum(
+    total, pres0, tail_ok, V_used = _orbit_sum(
         model, i, r, M, V,
         lambda m0: _q_tail_vanishes(Xq, r, m0, V),
         extra_rels=partial(_mu_rows, Xq.B) if collapse_mu else None,
@@ -502,7 +464,7 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False):
     # the coefficient Frobenius, which fixes constants
     dlog = _dlog_flags(model, i, r, pres0, lambda Phi: Phi[0][0] == 1)
     return SyntomicResult(
-        "q", p, i, r, M, V + 1, total, dlog=dlog,
+        "q", p, i, r, M, V_used, total, dlog=dlog,
         certificates={
             "stabilized": True,
             "tail_vanishing": tail_ok,

@@ -130,7 +130,16 @@ def test_complex_invariants_raise_typed_errors(flags):
     code = """
 from nygaard.complexes import Complex, FilteredComplex
 from nygaard.errors import CompositeNonzero, UsageError
+from nygaard.linalg import PGroup, cohomology_mod, mat_mul
 for make, exc in (
+    # a window whose d*d = 2 is nonzero mod 4
+    (lambda: cohomology_mod({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[2]]}, 2, 2), CompositeNonzero),
+    (lambda: mat_mul([[1, 2]], [[1]]), UsageError),
+    (lambda: PGroup(2, (0,)), UsageError),
+    (lambda: PGroup(2, (1, 2)), UsageError),
+    (lambda: PGroup(2, (), -1), UsageError),
+    (lambda: PGroup(2, (), 1).order(), UsageError),
+    (lambda: PGroup(2, (1,)) + PGroup(3, (1,)), UsageError),
     (lambda: Complex({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}), CompositeNonzero),
     (lambda: Complex({0: 1, 1: 2}, {0: [[1]]}), UsageError),
     (lambda: FilteredComplex(Complex({0: 1}, {}), 0, 1,

@@ -151,6 +151,12 @@ def test_pgroup_from_invariants():
     assert (g + PGroup(2, (3,), 0)).exponents == (3, 2, 1)
 
 
+def test_pgroup_multiplicity():
+    g = PGroup(3, (2, 1), 1)
+    assert 3 * g == g + g + g == PGroup(3, (2, 2, 2, 1, 1, 1), 3)
+    assert 0 * g == PGroup.zero(3)
+
+
 # ---------------------------------------------------------------------------
 # complex cohomology
 

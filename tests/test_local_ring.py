@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
+from nygaard.complexes import acyclic_mod
 from nygaard.linalg import (
     CompositeNonzero,
     PGroup,
     _vp,
+    cohomology_mod,
     eliminate_mod,
     howell_form,
     identity,
@@ -41,7 +43,6 @@ from nygaard.syntomic import (
     _mu_rows,
     _primitive_orbit_reps,
     _q_model,
-    _window_cohomology,
 )
 from nygaard.torus import build_torus
 
@@ -290,14 +291,14 @@ def check_windows(model, r, M, V, extra_rels=None):
     p = model.p
     ranks0, diffs0, _ = _assemble_window(model, 0)
     extra = extra_rels(ranks0) if extra_rels else None
-    got, _ = _window_cohomology(ranks0, diffs0, p, r, extra)
+    got, _ = cohomology_mod(ranks0, diffs0, p, r, extra)
     assert got == integer_window_groups(ranks0, diffs0, p, r, extra)
     for m0 in _primitive_orbit_reps(model.d, p, M):
         wins = []
         for k in (0, 1):
             ranks, diffs, basis = _assemble_window(model, V + k, m0)
             extra = extra_rels(ranks) if extra_rels else None
-            got, pres = _window_cohomology(ranks, diffs, p, r, extra)
+            got, pres = cohomology_mod(ranks, diffs, p, r, extra)
             assert got == integer_window_groups(ranks, diffs, p, r, extra), (m0, k)
             wins.append((ranks, basis, pres))
         (_, basis0, pres0), (ranks1, basis1, pres1) = wins
@@ -323,10 +324,33 @@ def test_q_windows_match_integer_path(p, i, r, N, collapse_mu):
     check_windows(_q_model(Xq, i), r, 2, r + 1, extra)
 
 
+def test_relation_outside_next_relations_raises():
+    # the rel of degree 0 maps to (1, 0), outside span(rels_1) = span((0, 1))
+    I2 = identity(2)
+    for p, r in ((2, 1), (3, 2)):
+        bad = {0: ([[1]], [[1]]), 1: (I2, [[0, 1]])}, {0: [[1, 0]]}
+        with pytest.raises(CompositeNonzero):
+            presented_cohomology_mod(*bad, p, r)
+        assert not acyclic_mod(*bad, p, r)
+        good = {0: ([[1]], [[1]]), 1: (I2, [[0, 1]])}, {0: [[0, 1]]}
+        assert presented_cohomology_mod(*good, p, r) == {0: PGroup.zero(p), 1: PGroup(p, (r,))}
+
+
+def test_boundaries_checked_against_the_next_relations():
+    # d*d = 1 is not 0, but it lands in the relations of degree 1, so the
+    # boundary of degree 0 is a cocycle; degree 0 itself has no relations
+    ranks = {-1: 1, 0: 1, 1: 1}
+    diffs = {-1: [[1]], 0: [[1]]}
+    groups, _ = cohomology_mod(ranks, diffs, 2, 2, {1: [[1]]})
+    assert all(g.is_zero() for g in groups.values())
+    with pytest.raises(CompositeNonzero):
+        cohomology_mod(ranks, diffs, 2, 2, {0: [[2]], 1: [[2]]})
+
+
 def test_window_boundary_outside_cocycles_raises():
     # d*d = 2 is nonzero mod 4 but zero mod 2
     ranks = {0: 1, 1: 1, 2: 1}
     diffs = {0: [[1]], 1: [[2]]}
-    assert _window_cohomology(ranks, diffs, 2, 1)[0][1] == PGroup.zero(2)
+    assert cohomology_mod(ranks, diffs, 2, 1)[0][1] == PGroup.zero(2)
     with pytest.raises(CompositeNonzero):
-        _window_cohomology(ranks, diffs, 2, 2)
+        cohomology_mod(ranks, diffs, 2, 2)

@@ -1,6 +1,8 @@
+from math import comb
+
 import pytest
 
-from nygaard.linalg import PGroup
+from nygaard.linalg import PGroup, cohomology_mod
 from nygaard.syntomic import (
     BoundViolated,
     NotStabilized,
@@ -14,7 +16,6 @@ from nygaard.syntomic import (
     _orbit_contribution,
     _primitive_orbit_reps,
     _q_model,
-    _window_cohomology,
     syntomic_q,
 )
 from nygaard.qtorus import build_qtorus
@@ -89,7 +90,7 @@ def test_charp_module_scaling_sanity():
 
 def _weight0_groups(model, r):
     ranks, diffs, _ = _assemble_window(model, 0)
-    return _window_cohomology(ranks, diffs, model.p, r)[0]
+    return cohomology_mod(ranks, diffs, model.p, r)[0]
 
 
 # every p and r at d = 1 (gcd(m0) up to 3); one (p, r) per row at d = 2, 3
@@ -132,6 +133,20 @@ def test_charp_box_radius_0_is_weight0(p, d, i, r):
     res = syntomic_charp(p, d, i, r, M=0)
     assert res.groups == _weight0_groups(_charp_model(build_torus(p, d, r), i), r)
     assert res.certificates["tail_vanishing"]
+    # no window is built, so V_used is 0, as for i < 0; M = 1 builds one
+    assert res.V_used == 0
+    assert syntomic_charp(p, d, i, r, M=1).V_used == r + 2
+
+
+def test_charp_orbit_multiplicity_at_the_frontier():
+    # p = 3, d = 3, i = 1, r = 2, M = 8: H^{i+1} is (Z/p^r)^{C(d,i) + C(d-1,i) n}
+    # with n = (2M+1)^d - (2 floor(M/p) + 1)^d primitive weights in the box
+    p, d, i, r, M = 3, 3, 1, 2, 8
+    n = (2 * M + 1) ** d - (2 * (M // p) + 1) ** d
+    assert n == len(_primitive_orbit_reps(d, p, M)) == 4788
+    res = syntomic_charp(p, d, i, r, M=M)
+    assert res.groups[i + 1] == PGroup(p, (r,) * (comb(d, i) + comb(d - 1, i) * n))
+    assert res.groups[i] == PGroup(p, (r,) * comb(d, i))
 
 
 def test_charp_tail_test_is_class_invariant():
@@ -180,6 +195,8 @@ def test_q_box_radius_0_is_weight0(i, r):
     res = syntomic_q(2, 1, i, r, N=3, M=0)
     assert res.groups == _weight0_groups(_q_model(build_qtorus(2, 1, 3), i), r)
     assert res.certificates["tail_vanishing"]
+    assert res.V_used == 0
+    assert syntomic_q(2, 1, i, r, N=3, M=1).V_used == r + 2
 
 
 def test_q_negative_twist():
