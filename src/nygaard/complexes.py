@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from .errors import CompositeNonzero, NotNonzerodivisor, UsageError, WindowTooSmall
 from .linalg import (
     PGroup,
+    cocycles_boundaries,
     cohomology_invariants,
     complex_cohomology,
     hermite_form,
@@ -18,7 +19,6 @@ from .linalg import (
     intersect_lattices,
     kernel_mod,
     lattice_contains,
-    lattice_sum,
     mat_is_zero,
     mat_mul,
     mat_scale,
@@ -26,7 +26,6 @@ from .linalg import (
     presented_cohomology_mod,
     presented_complex_cohomology,
     quotient_invariants,
-    row_mul,
     solve_left,
     solve_mod_p,
     span_exponent_mod,
@@ -101,13 +100,9 @@ def eta(f, C):
     for n in degs:
         if n + 1 not in ranks or not incl[n]:
             continue
-        D = []
-        for row in incl[n]:
-            img = row_mul(row, C.diff(n))
-            sol = solve_left(incl[n + 1], img) if incl[n + 1] else (None if any(img) else [])
-            if sol is None:
-                raise CompositeNonzero("degree %d: the eta image leaves the eta lattice" % n)
-            D.append(sol)
+        D = solve_left(incl[n + 1], mat_mul(incl[n], C.diff(n)))
+        if None in D:
+            raise CompositeNonzero("degree %d: the eta image leaves the eta lattice" % n)
         if ranks.get(n + 1, 0):
             diffs[n] = D
     return Complex(ranks, diffs), incl
@@ -183,15 +178,11 @@ class FilteredComplex:
             for n in self.C.degrees():
                 G = self.fil(i, n)
                 Gn = self.fil(i + 1, n)
-                if not all(lattice_contains(G, row) for row in Gn):
+                if not lattice_contains(G, Gn):
                     raise CompositeNonzero("Fil^%d not inside Fil^%d in degree %d" % (i + 1, i, n))
-                D = self.C.diff(n)
-                if self.C.rank(n + 1):
-                    tgt = self.fil(i, n + 1)
-                    for row in G:
-                        img = row_mul(row, D)
-                        if any(img) and not lattice_contains(tgt, img):
-                            raise CompositeNonzero("d does not preserve Fil^%d in degree %d" % (i, n))
+                img = mat_mul(G, self.C.diff(n))
+                if self.C.rank(n + 1) and not lattice_contains(self.fil(i, n + 1), img):
+                    raise CompositeNonzero("d does not preserve Fil^%d in degree %d" % (i, n))
         return True
 
 
@@ -371,69 +362,34 @@ def beilinson_H0(F, p):
     """The heart object (H^i(gr^i F), Bockstein-style boundary), d^2 = 0.
 
     Also returns the full graded cohomology table H^n(gr^i F) for reporting.
+    Slot i and row i of the table come from one presentation of gr^i F.
     """
     C = F.C
-    degs = C.degrees()
     cocycles = {}
     boundaries = {}
+    slots = {}
     table = {}
     for i in range(F.i0, F.i1 + 1):
-        terms, maps = graded_piece(F, i)
-        table[i] = {n: g.to_json() for n, g in presented_complex_cohomology(terms, maps, p).items()}
-        gens = F.fil(i, i) if i in degs else []
-        if not gens:
-            cocycles[i] = []
-            boundaries[i] = []
-            continue
-        rels = F.fil(i + 1, i)
-        if C.rank(i + 1):
-            # x with dx in Fil^{i+1}
-            GD = [row_mul(g, C.diff(i)) for g in gens]
-            K = preimage_lattice(GD, F.fil(i + 1, i + 1)) if GD and GD[0] else identity(len(gens))
-            coc = [row_mul(x, gens) for x in K]
-        else:
-            coc = gens
-        coc = hermite_form([r for r in coc if any(r)])
-        bnd = [r[:] for r in rels]
-        if i - 1 in degs and C.rank(i - 1):
-            bnd += [row_mul(g, C.diff(i - 1)) for g in F.fil(i, i - 1)]
-        bnd = [r for r in bnd if any(r)]
-        cocycles[i] = coc
-        boundaries[i] = bnd
-    slots = {}
-    gens_out = {}
-    for i in cocycles:
-        if cocycles[i]:
-            if not all(lattice_contains(cocycles[i], r) for r in boundaries[i]):
-                raise CompositeNonzero("slot %d: boundaries leave the graded cocycles" % i)
-            slots[i] = quotient_invariants(cocycles[i], boundaries[i])
-        else:
-            slots[i] = ([], 0)
-        gens_out[i] = cocycles[i]
+        pres = cocycles_boundaries(*graded_piece(F, i))
+        inv = {n: quotient_invariants(Z, B) for n, (Z, B) in pres.items()}
+        table[i] = {n: PGroup.from_invariants(p, *iv).to_json() for n, iv in inv.items()}
+        cocycles[i], boundaries[i] = pres.get(i, ([], []))
+        slots[i] = inv.get(i, ([], 0))
     diff = {}
     for i in sorted(cocycles):
         if i + 1 not in cocycles or not cocycles[i] or not cocycles[i + 1]:
             continue
-        rows = []
-        for x in cocycles[i]:
-            img = row_mul(x, C.diff(i)) if C.rank(i + 1) else [0] * 0
-            if not any(img):
-                rows.append([0] * len(cocycles[i + 1]))
-                continue
-            sol = solve_left(cocycles[i + 1], img)
-            if sol is None:
-                raise CompositeNonzero("slot %d: the boundary image is not a graded cocycle" % i)
-            rows.append(sol)
+        rows = solve_left(cocycles[i + 1], mat_mul(cocycles[i], C.diff(i)))
+        if None in rows:
+            raise CompositeNonzero("slot %d: the boundary image is not a graded cocycle" % i)
         diff[i] = rows
     # d^2 = 0 in the presented sense: composite lands in boundaries
     for i in diff:
         if i + 1 in diff:
-            comp = mat_mul(diff[i], diff[i + 1])
-            for row in comp:
-                amb = row_mul(row, cocycles[i + 2])
-                if any(amb) and not lattice_contains(lattice_sum(boundaries[i + 2]), amb):
-                    raise CompositeNonzero("heart differential does not square to zero at %d" % i)
-    return ChainComplexObject(slots, diff, gens_out), table
+            amb = mat_mul(mat_mul(diff[i], diff[i + 1]), cocycles[i + 2])
+            if not lattice_contains(boundaries[i + 2], amb):
+                raise CompositeNonzero("heart differential does not square to zero at %d" % i)
+    return ChainComplexObject(slots, diff, cocycles), table
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,16 @@ product.  `cohomology_mod` reads the groups off.  A presented group
 span(gens)/span(rels) in an ambient Z^n may have unsaturated gens, so
 `presented_cohomology_mod` first writes rels and map images in Hermite
 coordinates of the gens (its one step over Z), then runs the same loop.
-`presented_complex_cohomology` answers over Z and is the test oracle.
+
+The side over Z mirrors it: `cocycles_boundaries` presents each degree of a
+complex of presented groups by cocycle rows Z and boundary rows B, and
+`quotient_invariants(Z, B)` reads the group off one Hermite form of Z,
+raising when a row of B leaves span(Z); that raise is the only check of B
+in Z over Z.  `presented_complex_cohomology` (the test oracle),
+`cohomology_invariants` (gens = I, no relations) and
+`complexes.beilinson_H0` all read from it.  Membership queries take a block
+of rows: `solve_left` and `lattice_contains` factor the lattice once per
+block, not once per row.
 """
 
 from dataclasses import dataclass
@@ -202,17 +211,19 @@ def _hnf_coordinates(H, y):
     return None if any(rem) else x
 
 
-def solve_left(M, y):
-    """One solution x of x*M = y over Z, or None."""
-    if not M:
-        return None if any(y) else []
+def solve_left(M, rows):
+    """Per row y of rows, one solution x of x*M = y over Z, or None.  M is
+    factored once for the whole block."""
+    if not M or not rows:
+        return [None if any(y) else [] for y in rows]
     H, U, _ = hermite_form(M, transform=True)
-    x = _hnf_coordinates(H, y)
-    return None if x is None else row_mul(x, U)
+    xs = (_hnf_coordinates(H, y) for y in rows)
+    return [None if x is None else row_mul(x, U) for x in xs]
 
 
-def lattice_contains(L, y):
-    return solve_left(L, y) is not None
+def lattice_contains(L, rows):
+    """Whether every row of rows lies in span(L)."""
+    return None not in solve_left(L, rows)
 
 
 def lattice_eq(L1, L2):
@@ -408,52 +419,28 @@ class PGroup:
 
 
 def quotient_invariants(L, M):
-    """Invariant factors and free rank of span(L)/span(M), M inside L."""
-    if not L:
-        if M and not mat_is_zero(M):
-            raise CompositeNonzero("relation rows must lie in the generator span")
-        return [], 0
-    coords = []
-    for row in M:
-        x = solve_left(L, row)
-        if x is None:
-            raise CompositeNonzero("relation rows must lie in the generator span")
-        coords.append(x)
-    if not coords:
-        return [], len(L)
-    invs, rank = smith_invariants(coords)
-    return invs, len(L) - rank
+    """Invariant factors and free rank of span(L)/span(M).
+
+    One Hermite form H of L; each row of M is written in its coordinates.
+    CompositeNonzero when a row of M leaves span(L)."""
+    H = hermite_form(L)
+    coords = [_hnf_coordinates(H, y) for y in M]
+    if None in coords:
+        raise CompositeNonzero("relation rows must lie in the generator span")
+    invs, rank = smith_invariants(coords) if coords else ([], 0)
+    return invs, len(H) - rank
 
 
 # ---------------------------------------------------------------------------
 # cochain complexes of free modules (row convention)
 
 
-def _diff_or_zero(ranks, diffs, j):
-    if j in diffs:
-        return diffs[j]
-    return zeros(ranks.get(j, 0), ranks.get(j + 1, 0))
-
-
 def cohomology_invariants(ranks, diffs):
-    """Per-degree (invariant factors, free rank) of a complex of free Z-modules."""
-    out = {}
-    for j in sorted(ranks):
-        r = ranks[j]
-        if r == 0:
-            out[j] = ([], 0)
-            continue
-        D = _diff_or_zero(ranks, diffs, j)
-        Dprev = _diff_or_zero(ranks, diffs, j - 1)
-        if Dprev and D and not mat_is_zero(mat_mul(Dprev, D)):
-            raise CompositeNonzero("degree %d" % j)
-        K = kernel_int(D) if (D and ranks.get(j + 1, 0)) else identity(r)
-        I = [row for row in Dprev if any(row)] if Dprev else []
-        for row in I:
-            if not lattice_contains(K, row):
-                raise CompositeNonzero("degree %d: image not inside kernel" % j)
-        out[j] = quotient_invariants(K, I)
-    return out
+    """Per-degree (invariant factors, free rank) of a complex of free
+    Z-modules: the presented complex with gens = I and no relations."""
+    terms = {j: (identity(r), []) for j, r in ranks.items()}
+    pres = cocycles_boundaries(terms, diffs)
+    return {j: quotient_invariants(Z, B) for j, (Z, B) in pres.items()}
 
 
 def complex_cohomology(ranks, diffs, p, modulus=None):
@@ -472,34 +459,33 @@ def complex_cohomology(ranks, diffs, p, modulus=None):
 
 
 def presented_complex_cohomology(terms, maps, p):
-    """Cohomology over Z of a complex of presented groups.
+    """Cohomology over Z of a complex of presented groups, as PGroups.
 
     terms[j] = (gens, rels) with span(rels) ⊆ span(gens) in a common ambient
-    Z^{n_j}; maps[j] is the ambient matrix from degree j to j+1.  Cocycles are
-    the elements of span(gens_j) mapping into span(rels_{j+1}); boundaries
-    are span(rels_j) plus the image of span(gens_{j-1}).
-    """
-    out = {}
+    Z^{n_j}; maps[j] is the ambient matrix from degree j to j+1.
+    CompositeNonzero when a boundary leaves the cocycles."""
+    pres = cocycles_boundaries(terms, maps)
+    return {j: PGroup.from_invariants(p, *quotient_invariants(Z, B)) for j, (Z, B) in pres.items()}
+
+
+def cocycles_boundaries(terms, maps):
+    """Cocycle rows Z_j and boundary rows B_j per degree, over Z.
+
+    terms and maps are as in presented_complex_cohomology.  Z_j is the
+    Hermite basis of the elements of span(gens_j) that map into
+    span(rels_{j+1}); B_j holds the nonzero rows of rels_j and of the image
+    of gens_{j-1}, all in the ambient Z^{n_j}.  Whether B_j lies in Z_j is
+    left to quotient_invariants(Z_j, B_j), which raises when it does not."""
+    pres = {}
     for j in sorted(terms):
         gens, rels = terms[j]
-        D = maps.get(j)
-        if gens and D is not None and j + 1 in terms:
-            GD = [row_mul(g, D) for g in gens]
-            K = preimage_lattice(GD, terms[j + 1][1]) if GD[0] else identity(len(gens))
-        else:
-            K = identity(len(gens))
-        ker_rows = hermite_form([r for r in (row_mul(x, gens) for x in K) if any(r)])
-        if not ker_rows:
-            out[j] = PGroup.zero(p)
-            continue
-        denom = [r[:] for r in rels]
-        Dprev = maps.get(j - 1)
-        if Dprev is not None and j - 1 in terms:
-            denom += [row_mul(g, Dprev) for g in terms[j - 1][0]]
-        denom = [r for r in denom if any(r) and lattice_contains(ker_rows, r)]
-        invs, free = quotient_invariants(ker_rows, denom)
-        out[j] = PGroup.from_invariants(p, invs, free)
-    return out
+        Z, B = gens, list(rels)
+        if j + 1 in terms and maps.get(j) is not None:
+            Z = mat_mul(preimage_lattice(mat_mul(gens, maps[j]), terms[j + 1][1]), gens)
+        if j - 1 in terms and maps.get(j - 1) is not None:
+            B += mat_mul(terms[j - 1][0], maps[j - 1])
+        pres[j] = (hermite_form(Z), [b for b in B if any(b)])
+    return pres
 
 
 def presented_cohomology_mod(terms, maps, p, r):

@@ -8,6 +8,7 @@ it must be performed over Z.
 
 from math import comb
 
+from .errors import UsageError
 from .linalg import det_sign, solve_left
 
 
@@ -25,7 +26,8 @@ class QBase:
     mu = q-1, xi = [p]_q, xi_tilde = [p]_{q^p} = phi(xi)."""
 
     def __init__(self, p, N):
-        assert N >= 2
+        if N < 2:
+            raise UsageError("B = Z[q]/((q-1)^N) needs N >= 2, got %d" % N)
         self.p = p
         self.N = N
         self.zero = (0,) * N
@@ -123,7 +125,7 @@ class QBase:
 
     def divide_exact(self, y, a):
         """The unique x with x*a = y, or raise if y is not a multiple."""
-        x = solve_left(self.mult_matrix(a), list(y))
+        x, = solve_left(self.mult_matrix(a), [list(y)])
         if x is None:
             raise ArithmeticError("element is not divisible")
         return tuple(x)

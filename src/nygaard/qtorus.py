@@ -14,7 +14,7 @@ linalg applies unchanged.
 from dataclasses import dataclass
 
 from .complexes import Complex, acyclic_mod, presented_cone
-from .errors import DivisionFailure
+from .errors import DivisionFailure, UsageError
 from .linalg import (
     hermite_form,
     solve_left,
@@ -133,7 +133,8 @@ class QTorusComplex:
 
 
 def build_qtorus(p, d, N):
-    assert d >= 1 and N >= 2
+    if d < 1 or N < 2:
+        raise UsageError("the q-torus needs d >= 1 and N >= 2, got d = %d, N = %d" % (d, N))
     return QTorusComplex(p, d, N)
 
 
@@ -179,22 +180,17 @@ def q_nygaard_stability_check(X, i, M=2):
         for j in range(X.d):
             L = X.nygaard_lattice_rows(i, j)
             Lnext = X.nygaard_lattice_rows(i, j + 1)
-            D = X.diff_matrix(m, j)
-            for row in L:
-                img = row_mul(row, D)
-                if any(img) and not lattice_contains(Lnext, img):
-                    return False
+            if not lattice_contains(Lnext, mat_mul(L, X.diff_matrix(m, j))):
+                return False
     for j in range(X.d + 1):
         L = X.nygaard_lattice_rows(i, j)
         L1 = X.nygaard_lattice_rows(i + 1, j)
-        for row in L1:
-            if not lattice_contains(L, row):
-                return False
+        if not lattice_contains(L, L1):
+            return False
         # xi * N^{>= i} inside N^{>= i+1}
-        xiL = [row_mul(row, X._block(j, j, {(I, I): B.mult_matrix(B.xi) for I in X.basis(j)})) for row in L]
-        for row in xiL:
-            if not lattice_contains(L1, row):
-                return False
+        xi = X._block(j, j, {(I, I): B.mult_matrix(B.xi) for I in X.basis(j)})
+        if not lattice_contains(L1, mat_mul(L, xi)):
+            return False
     return True
 
 
@@ -236,9 +232,8 @@ def q_divided_frobenius_exactness(X, i, m):
         incl = X.nygaard_lattice_rows(i, j)
         img = mat_mul(incl, X.frobenius_matrix(j))
         xit_i = X._block(j, j, {(I, I): B.mult_matrix(B.pow(B.xi_tilde, i)) for I in X.basis(j)})
-        for row in img:
-            if solve_left(xit_i, row) is None:
-                raise DivisionFailure("phi image not divisible by xi_tilde^%d" % i)
+        if None in solve_left(xit_i, img):
+            raise DivisionFailure("phi image not divisible by xi_tilde^%d" % i)
     return True
 
 
@@ -305,10 +300,8 @@ def lnu_identification_check(X, i_max, M=2, n_prec=3):
         for j in range(X.d + 1):
             if X.rank(j) == 0:
                 continue
-            img = X.frobenius_matrix(j)
-            for row in img:
-                if any(row) and not lattice_contains(eta_lat[j], row):
-                    ok_a = False
+            if not lattice_contains(eta_lat[j], X.frobenius_matrix(j)):
+                ok_a = False
         fils = eta_filtration(X, eta_lat, i_max + 1)
         ok_b = True
         for i in range(i_max + 1):
@@ -316,9 +309,8 @@ def lnu_identification_check(X, i_max, M=2, n_prec=3):
                 if X.rank(j) == 0:
                     continue
                 img = mat_mul(X.nygaard_lattice_rows(i, j), X.frobenius_matrix(j))
-                for row in img:
-                    if any(row) and not lattice_contains(fils[i][j], row):
-                        ok_b = False
+                if not lattice_contains(fils[i][j], img):
+                    ok_b = False
         # (c) graded quasi-isomorphism via cone acyclicity
         ok_c = True
         for i in range(i_max + 1):

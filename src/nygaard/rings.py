@@ -8,7 +8,7 @@ coefficient) pairs for perfect truncations.
 
 from fractions import Fraction
 
-from .errors import RingError
+from .errors import RingError, UsageError
 
 
 class ZRing:
@@ -62,7 +62,8 @@ class ZModRing:
     torsion_free = False
 
     def __init__(self, m):
-        assert m > 1
+        if m <= 1:
+            raise UsageError("Z/m needs m > 1, got %d" % m)
         self.m = m
         self.cover = ZRing()
         self.zero = 0
@@ -216,7 +217,8 @@ class PerfTruncZ:
         return ((0, c),) if c else ()
 
     def monomial(self, a, c=1):
-        assert 0 <= a
+        if a < 0:
+            raise UsageError("negative exponent %d" % a)
         if a >= self.bound or c == 0:
             return ()
         return ((a, c),)

@@ -432,6 +432,13 @@ def degree_bound_inverse_certificate(Xq, i, r, jmax=None):
     return out
 
 
+def _q_dlog_fixed(Phi, N):
+    """Whether Phi fixes every constant dlog vector: row k*N, the constant
+    coefficient of the k-th basis vector dlog T_I, is its own unit vector."""
+    I = identity(len(Phi))
+    return all(Phi[k] == I[k] for k in range(0, len(Phi), N))
+
+
 def _mu_rows(B, ranks):
     """Blockwise mu-multiplication rows per degree (for the q -> 1 fiber)."""
     return {t: B.block_mult_matrix(B.mu, rk) for t, rk in ranks.items()}
@@ -462,7 +469,7 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False):
     series = degree_bound_inverse_certificate(Xq, i, r)
     # phi_i fixes the dlog monomials: the normalized matrix at degree i is
     # the coefficient Frobenius, which fixes constants
-    dlog = _dlog_flags(model, i, r, pres0, lambda Phi: Phi[0][0] == 1)
+    dlog = _dlog_flags(model, i, r, pres0, lambda Phi: _q_dlog_fixed(Phi, N))
     return SyntomicResult(
         "q", p, i, r, M, V_used, total, dlog=dlog,
         certificates={

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .complexes import Complex, acyclic_mod, eta, presented_cone
-from .errors import DivisionFailure, PrecisionExhausted
+from .errors import DivisionFailure, PrecisionExhausted, UsageError
 from .linalg import (
     det_sign,
     identity,
@@ -119,7 +119,8 @@ class NygaardLattice:
 
 
 def build_torus(p, d, n, max_internal=64):
-    assert d >= 1 and n >= 1
+    if d < 1 or n < 1:
+        raise UsageError("the torus needs d >= 1 and n >= 1, got d = %d, n = %d" % (d, n))
     return TorusDeRham(p, d, n, max_internal)
 
 
@@ -329,7 +330,8 @@ def dlog_class(X, vectors):
     coordinate row in the degree-i dlog basis (minors of the vector matrix).
     """
     i = len(vectors)
-    assert i <= X.d
+    if i > X.d:
+        raise UsageError("%d dlog vectors on a %d-dimensional torus" % (i, X.d))
     coords = []
     for I in X.basis(i):
         sub = [[v[a] for a in I] for v in vectors]

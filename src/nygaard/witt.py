@@ -15,7 +15,7 @@ canonical map u -> xi*sigma, v -> sigma^{-1}.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import LengthMismatch
+from .errors import DivisionFailure, LengthMismatch, UsageError
 from .linalg import identity, lattice_contains, mat_scale
 from .qbase import QBase
 
@@ -105,7 +105,8 @@ def _from_ghost_cover(ring, p, g):
 def _check_compatible(w, w2):
     if len(w.coords) != len(w2.coords):
         raise LengthMismatch("%d vs %d" % (len(w.coords), len(w2.coords)))
-    assert w.p == w2.p and w.ring is w2.ring
+    if w.p != w2.p or w.ring is not w2.ring:
+        raise UsageError("Witt vectors over different primes or rings")
 
 
 def witt_add(w, w2):
@@ -195,7 +196,8 @@ def _poly_div_int(a, m):
     out = {}
     for e, c in a.items():
         q, r = divmod(c, m)
-        assert r == 0, "universal polynomial division not exact"
+        if r:
+            raise DivisionFailure("universal polynomial division not exact")
         out[e] = q
     return out
 
@@ -311,7 +313,7 @@ class QSquareModel:
         B = self.B
         lat = B.mult_matrix(ideal_gen) + mat_scale(self.p**self.n, identity(B.N))
         diff = [x - y for x, y in zip(a, b)]
-        return lattice_contains(lat, diff)
+        return lattice_contains(lat, [diff])
 
     def residue_eq_xi(self, a, b):
         return self._residue_eq(a, b, self.xi)

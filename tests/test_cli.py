@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -10,6 +11,15 @@ from nygaard import cli, complexes, errors, linalg, pdalg, qtorus, rings, syntom
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so every check must be a raise
+    found = ["%s:%d" % (path.relative_to(ROOT), node.lineno)
+             for path in sorted((ROOT / "src" / "nygaard").rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_fixture_regress_all_pass():

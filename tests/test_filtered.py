@@ -131,10 +131,14 @@ def test_complex_invariants_raise_typed_errors(flags):
 from nygaard.complexes import Complex, FilteredComplex
 from nygaard.errors import CompositeNonzero, UsageError
 from nygaard.linalg import PGroup, cohomology_mod, mat_mul
+from nygaard.qtorus import build_qtorus
+from nygaard.torus import build_torus
 for make, exc in (
     # a window whose d*d = 2 is nonzero mod 4
     (lambda: cohomology_mod({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[2]]}, 2, 2), CompositeNonzero),
     (lambda: mat_mul([[1, 2]], [[1]]), UsageError),
+    (lambda: build_qtorus(2, 1, 1), UsageError),
+    (lambda: build_torus(2, 0, 1), UsageError),
     (lambda: PGroup(2, (0,)), UsageError),
     (lambda: PGroup(2, (1, 2)), UsageError),
     (lambda: PGroup(2, (), -1), UsageError),
@@ -223,7 +227,7 @@ def test_eta_d_stability_invariant():
             for row in incl[n]:
                 img = row_mul(row, C.diff(n))
                 if any(img):
-                    assert lattice_contains(incl[n + 1], img)
+                    assert lattice_contains(incl[n + 1], [img])
 
 
 # ---------------------------------------------------------------------------

@@ -111,10 +111,10 @@ def test_solve_left_and_membership():
         L = rand_mat(rng, 3, 4)
         x = [rng.randint(-4, 4) for _ in range(3)]
         y = row_mul(x, L)
-        sol = solve_left(L, y)
+        sol, = solve_left(L, [y])
         assert sol is not None
         assert row_mul(sol, L) == y
-    assert solve_left([[2, 0], [0, 2]], [1, 0]) is None
+    assert solve_left([[2, 0], [0, 2]], [[1, 0]]) == [None]
 
 
 def test_preimage_and_intersection():
@@ -123,14 +123,20 @@ def test_preimage_and_intersection():
     P = preimage_lattice(D, [[3]])
     for row in P:
         assert row_mul(row, D)[0] % 3 == 0
-    assert lattice_contains(P, [3, 0])
-    assert lattice_contains(P, [1, 1])
+    assert lattice_contains(P, [[3, 0]])
+    assert lattice_contains(P, [[1, 1]])
     I = intersect_lattices([[2, 0], [0, 3]], [[3, 0], [0, 2]])
     assert lattice_eq(I, [[6, 0], [0, 6]])
 
 
 # ---------------------------------------------------------------------------
 # quotients and PGroup
+
+
+def test_quotient_invariants_free_rank_of_dependent_rows():
+    # the free rank is that of span(L), not the number of rows of L
+    assert quotient_invariants([[1], [1]], []) == ([], 1)
+    assert quotient_invariants([[2], [3]], [[6]]) == ([6], 0)
 
 
 def test_quotient_invariants_basic():

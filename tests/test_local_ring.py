@@ -141,7 +141,7 @@ def test_quotient_exponents_match_integer_path(data, draw):
     assert got == PGroup.from_invariants(p, invs).exponents
     for v in L:
         assert span_contains_mod(B + L, v, p, r)
-        assert span_contains_mod(B, v, p, r) == lattice_contains(Bz, v)
+        assert span_contains_mod(B, v, p, r) == lattice_contains(Bz, [v])
 
 
 @st.composite
@@ -271,7 +271,7 @@ def integer_window_groups(ranks, diffs, p, r, extra_rels=None):
             K = identity(rk)
         B = diffs.get(t - 1, []) if ranks.get(t - 1, 0) else []
         B = [row for row in B if any(row)] + mat_scale(q, identity(rk)) + rel
-        assert all(lattice_contains(K, b) for b in B)
+        assert all(lattice_contains(K, [b]) for b in B)
         invs, free = quotient_invariants(K, B)
         assert free == 0
         out[t] = PGroup.from_invariants(p, invs)
@@ -331,6 +331,8 @@ def test_relation_outside_next_relations_raises():
         bad = {0: ([[1]], [[1]]), 1: (I2, [[0, 1]])}, {0: [[1, 0]]}
         with pytest.raises(CompositeNonzero):
             presented_cohomology_mod(*bad, p, r)
+        with pytest.raises(CompositeNonzero):
+            presented_complex_cohomology(*bad, p)
         assert not acyclic_mod(*bad, p, r)
         good = {0: ([[1]], [[1]]), 1: (I2, [[0, 1]])}, {0: [[0, 1]]}
         assert presented_cohomology_mod(*good, p, r) == {0: PGroup.zero(p), 1: PGroup(p, (r,))}

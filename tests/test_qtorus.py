@@ -107,7 +107,7 @@ def test_eta_xitilde_contains_frobenius_image():
         lat = eta_lattices_B(X, pm, X.B.xi_tilde)
         img = X.frobenius_matrix(0)
         for row in img:
-            assert lattice_contains(lat[0], row)
+            assert lattice_contains(lat[0], [row])
 
 
 def test_lnu_identification_d1():

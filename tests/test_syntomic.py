@@ -15,6 +15,7 @@ from nygaard.syntomic import (
     _charp_model,
     _orbit_contribution,
     _primitive_orbit_reps,
+    _q_dlog_fixed,
     _q_model,
     syntomic_q,
 )
@@ -173,6 +174,16 @@ def test_q_dlog_and_degree_bound():
     assert res.certificates["degree_bound_series"] == {}
     res0 = syntomic_q(2, 1, 0, 1, N=3, M=1)
     assert res0.certificates["degree_bound_series"][1] >= 1  # terminated
+
+
+def test_q_dlog_flag_reads_every_dlog_row():
+    # d = 2, i = 1: the dlog vectors of T_1 and T_2 sit at rows 0 and N
+    N = 3
+    Phi = build_qtorus(2, 2, N).divided_frobenius_matrix(1, 1)
+    assert _q_dlog_fixed(Phi, N)
+    moved = [row[:] for row in Phi]
+    moved[N][N + 1] += 1
+    assert moved[0][0] == 1 and not _q_dlog_fixed(moved, N)
 
 
 def test_q_matches_charp_mod_mu():
