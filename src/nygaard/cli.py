@@ -31,7 +31,6 @@ from .qtorus import (
     build_qtorus,
     lnu_identification_check,
     q_divided_frobenius_checks,
-    q_frobenius_chain_map_check,
     q_nygaard_stability_check,
     specialization_check,
 )
@@ -221,7 +220,7 @@ def cmd_qderham(cfg):
     Xq = build_qtorus(cfg.p, cfg.d, cfg.N)
     payload = {
         "specialization": specialization_check(Xq, M=cfg.M),
-        "chain_map": q_frobenius_chain_map_check(Xq, M=cfg.M),
+        "chain_map": frobenius_chain_map_check(Xq, weights_box(cfg.d, cfg.M)),
         "nygaard_stable": all(
             q_nygaard_stability_check(Xq, i, M=cfg.M) for i in range(cfg.i + 1)
         ),

@@ -16,16 +16,15 @@ from .linalg import (
     complex_cohomology,
     hermite_form,
     identity,
-    intersect_lattices,
     kernel_mod,
     lattice_contains,
     mat_is_zero,
     mat_mul,
     mat_scale,
-    preimage_lattice,
     presented_cohomology_mod,
     presented_complex_cohomology,
     quotient_invariants,
+    restrict_lattice,
     solve_left,
     solve_mod_p,
     span_exponent_mod,
@@ -73,8 +72,14 @@ class Complex:
 # decalage
 
 
+def eta_lattices(C, fpow):
+    """Hermite rows of (eta_f C)^n = {x in f^n C^n : dx in f^{n+1} C^{n+1}}
+    per degree n of C, where fpow(n) gives rows spanning f^n C^n."""
+    return {n: restrict_lattice(fpow(n), C.diff(n), fpow(n + 1)) for n in C.degrees()}
+
+
 def eta(f, C):
-    """The subcomplex (eta_f C)^n = {x in f^n C^n : dx in f^{n+1} C^{n+1}}.
+    """The subcomplex eta_f C of eta_lattices, for f^n C^n = f^n * I.
 
     f is a nonzero integer (nonzerodivisor on free Z-modules iff f != 0).
     Returns (Complex, inclusions) where inclusions[n] expresses the chosen
@@ -83,18 +88,7 @@ def eta(f, C):
     if f == 0:
         raise NotNonzerodivisor("f = 0")
     degs = C.degrees()
-    incl = {}
-    for n in degs:
-        r = C.rank(n)
-        if r == 0:
-            incl[n] = []
-            continue
-        rn1 = C.rank(n + 1)
-        if rn1:
-            P = preimage_lattice(C.diff(n), mat_scale(f, identity(rn1)))
-        else:
-            P = identity(r)
-        incl[n] = [[f**n * a for a in row] for row in P] if P else []
+    incl = eta_lattices(C, lambda n: mat_scale(f**n, identity(C.rank(n))))
     ranks = {n: len(incl[n]) for n in degs}
     diffs = {}
     for n in degs:
@@ -223,36 +217,24 @@ def beilinson_truncate(F):
     for i in range(F.i0, F.i1 + 1):
         for n in degs:
             j = max(i, n)
-            G = F.fil(j, n)
-            if not G:
-                lat[(i, n)] = []
-                continue
             if n >= i and C.rank(n + 1):
                 # the d-condition dx in F(n+1) only bites in degrees n >= i;
                 # below it d(F(i)) lies in F(i) already
-                tgt = F.fil(j + 1, n + 1)
-                K = preimage_lattice(C.diff(n), tgt)
-                res = intersect_lattices(G, K) if K else []
+                lat[(i, n)] = restrict_lattice(F.fil(j, n), C.diff(n), F.fil(j + 1, n + 1))
             else:
-                res = hermite_form(G)
-            lat[(i, n)] = res
+                lat[(i, n)] = hermite_form(F.fil(j, n))
     return FilteredComplex(C, F.i0, F.i1, lat, above=F.above)
 
 
 def underlying_complex_lattices(F):
-    """Per-degree lattice of the i -> -infinity colimit of (tau_B F)."""
-    # for i <= min degree the pieces are constant in i
-    out = {}
+    """Per-degree lattice of the i -> -infinity colimit of (tau_B F): for
+    i <= n the degree-n piece is {x in F(n)^n : dx in F(n+1)^{n+1}}."""
     C = F.C
-    for n in C.degrees():
-        i = min(F.i0, n)
-        G = F.fil(max(i, n), n)
-        if C.rank(n + 1):
-            K = preimage_lattice(C.diff(n), F.fil(max(i, n) + 1, n + 1))
-            out[n] = intersect_lattices(G, K) if (G and K) else []
-        else:
-            out[n] = hermite_form(G) if G else []
-    return out
+    return {
+        n: restrict_lattice(F.fil(n, n), C.diff(n), F.fil(n + 1, n + 1))
+        if C.rank(n + 1) else hermite_form(F.fil(n, n))
+        for n in C.degrees()
+    }
 
 
 def graded_piece(F, i):

@@ -31,6 +31,15 @@ in Z over Z.  `presented_complex_cohomology` (the test oracle),
 `complexes.beilinson_H0` all read from it.  Membership queries take a block
 of rows: `solve_left` and `lattice_contains` factor the lattice once per
 block, not once per row.
+
+Every sublattice cut out by a condition is one restriction:
+`restrict_lattice(G, D, L)` = {x in span(G) : x*D in span(L)}, from one
+integer kernel (the preimage of span(L) under G*D, written back through G).
+With D = None it is span(G) ∩ span(L).  The cocycles of
+`cocycles_boundaries`, eta and the Beilinson truncation in `complexes`, and
+the decalage filtrations of `torus` and `qtorus` all come from it.
+`block_diag(blk, copies)` puts one square block on every summand of a free
+module, e.g. multiplication by an element of B = Z[q]/((q-1)^N) on B^k.
 """
 
 from dataclasses import dataclass
@@ -97,6 +106,16 @@ def mat_stack(*mats):
     out = []
     for M in mats:
         out.extend(mat_copy(M))
+    return out
+
+
+def block_diag(blk, copies):
+    """The block-diagonal matrix with copies of the square block blk."""
+    n = len(blk)
+    out = zeros(n * copies, n * copies)
+    for c in range(copies):
+        for a, row in enumerate(blk):
+            out[c * n + a][c * n:(c + 1) * n] = row
     return out
 
 
@@ -252,15 +271,11 @@ def preimage_lattice(D, L):
     return hermite_form(proj) if proj else []
 
 
-def intersect_lattices(L1, L2):
-    """Generators of span(L1) ∩ span(L2)."""
-    if not L1 or not L2:
-        return []
-    stacked = mat_stack(L1, [[-a for a in row] for row in L2])
-    ker = kernel_int(stacked)
-    gens = [row_mul(row[: len(L1)], L1) for row in ker]
-    gens = [g for g in gens if any(g)]
-    return hermite_form(gens) if gens else []
+def restrict_lattice(G, D, L):
+    """Hermite basis of {x in span(G) : x*D in span(L)}, with D = None the
+    identity (so span(G) ∩ span(L)): the preimage P of span(L) under G*D,
+    written back as P*G.  One integer kernel; [] when G or the set is 0."""
+    return hermite_form(mat_mul(preimage_lattice(G if D is None else mat_mul(G, D), L), G))
 
 
 # ---------------------------------------------------------------------------
@@ -479,12 +494,14 @@ def cocycles_boundaries(terms, maps):
     pres = {}
     for j in sorted(terms):
         gens, rels = terms[j]
-        Z, B = gens, list(rels)
+        B = list(rels)
         if j + 1 in terms and maps.get(j) is not None:
-            Z = mat_mul(preimage_lattice(mat_mul(gens, maps[j]), terms[j + 1][1]), gens)
+            Z = restrict_lattice(gens, maps[j], terms[j + 1][1])
+        else:
+            Z = hermite_form(gens)
         if j - 1 in terms and maps.get(j - 1) is not None:
             B += mat_mul(terms[j - 1][0], maps[j - 1])
-        pres[j] = (hermite_form(Z), [b for b in B if any(b)])
+        pres[j] = (Z, [b for b in B if any(b)])
     return pres
 
 

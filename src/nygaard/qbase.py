@@ -9,7 +9,7 @@ it must be performed over Z.
 from math import comb
 
 from .errors import UsageError
-from .linalg import det_sign, solve_left
+from .linalg import det_sign
 
 
 def _binom(k, j):
@@ -102,17 +102,6 @@ class QBase:
             rows.append(list(self.mul(mu_i, a)))
         return rows
 
-    def block_mult_matrix(self, a, width):
-        """Multiplication by a on Z^width = B^(width / N): block diagonal,
-        one copy of mult_matrix(a) per B summand."""
-        Ma = self.mult_matrix(a)
-        N = self.N
-        big = [[0] * width for _ in range(width)]
-        for b in range(width // N):
-            for i in range(N):
-                big[b * N + i][b * N:(b + 1) * N] = Ma[i]
-        return big
-
     def phi_matrix(self):
         rows = []
         for i in range(self.N):
@@ -122,13 +111,6 @@ class QBase:
 
     def is_nonzerodivisor(self, a):
         return det_sign(self.mult_matrix(a)) != 0
-
-    def divide_exact(self, y, a):
-        """The unique x with x*a = y, or raise if y is not a multiple."""
-        x, = solve_left(self.mult_matrix(a), [list(y)])
-        if x is None:
-            raise ArithmeticError("element is not divisible")
-        return tuple(x)
 
     def evaluate_at_q1(self, a):
         """Specialization q -> 1, i.e. the constant coefficient."""

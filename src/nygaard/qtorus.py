@@ -13,18 +13,17 @@ linalg applies unchanged.
 
 from dataclasses import dataclass
 
-from .complexes import Complex, acyclic_mod, presented_cone
+from .complexes import Complex, acyclic_mod, eta_lattices, presented_cone
 from .errors import DivisionFailure, UsageError
 from .linalg import (
-    hermite_form,
-    solve_left,
+    block_diag,
     identity,
-    intersect_lattices,
     lattice_contains,
     mat_mul,
     mat_scale,
-    preimage_lattice,
+    restrict_lattice,
     row_mul,
+    solve_left,
     zeros,
 )
 from .qbase import QBase
@@ -53,32 +52,24 @@ class QTorusComplex:
 
     # -- expanded block matrices ---------------------------------------
 
-    def _block(self, j, jn, entries):
-        """Assemble an expanded matrix from B-valued blocks.
-
-        entries: dict (row_subset, col_subset) -> N x N integer matrix."""
-        rows = self.basis(j)
-        cols = self.basis(jn)
-        M = zeros(self.N * len(rows), self.N * len(cols))
-        for (I, J), blk in entries.items():
-            r0 = rows.index(I) * self.N
-            c0 = cols.index(J) * self.N
-            for a in range(self.N):
-                for b in range(self.N):
-                    M[r0 + a][c0 + b] = blk[a][b]
-        return M
+    def diag(self, j, blk):
+        """The N x N block blk on every B summand of degree j."""
+        return block_diag(blk, self.rank(j))
 
     def diff_matrix(self, m, j):
-        """Koszul differential on the weight-m block, degree j -> j+1."""
-        B = self.B
-        entries = {}
-        for I in self.basis(j):
+        """Koszul differential on the weight-m block, degree j -> j+1: the
+        block +-[m_a]_{q^p} from dlog T_I to dlog T_{I+a}."""
+        N, B = self.N, self.B
+        cols = {J: c for c, J in enumerate(self.basis(j + 1))}
+        M = zeros(N * self.rank(j), N * self.rank(j + 1))
+        for r, I in enumerate(self.basis(j)):
             for a in range(self.d):
-                if a in I:
-                    continue
-                J = tuple(sorted(I + (a,)))
-                entries[(I, J)] = mat_scale(koszul_sign(I, a), B.mult_matrix(self._qp_integer(m[a])))
-        return self._block(j, j + 1, entries)
+                if a not in I:
+                    c = cols[tuple(sorted(I + (a,)))]
+                    blk = mat_scale(koszul_sign(I, a), B.mult_matrix(self._qp_integer(m[a])))
+                    for t in range(N):
+                        M[r * N + t][c * N:(c + 1) * N] = blk[t]
+        return M
 
     def _qp_integer(self, k):
         """[k]_{q^p} expanded in the mu-basis: phi([k]_q)."""
@@ -95,9 +86,7 @@ class QTorusComplex:
         """phi on degree j (weight m to p*m): coefficientwise phi followed by
         multiplication by xi_tilde^j, blockwise on the dlog basis."""
         B = self.B
-        blk = mat_mul(B.phi_matrix(), B.mult_matrix(B.pow(B.xi_tilde, j)))
-        entries = {(I, I): blk for I in self.basis(j)}
-        return self._block(j, j, entries)
+        return self.diag(j, mat_mul(B.phi_matrix(), B.mult_matrix(B.pow(B.xi_tilde, j))))
 
     def nygaard_scale_matrix(self, i, j):
         """Multiplication by xi^{max(i-j,0)} (N x N block)."""
@@ -105,9 +94,7 @@ class QTorusComplex:
 
     def nygaard_lattice_rows(self, i, j):
         """Rows spanning xi^{max(i-j,0)} B^{rank} inside the expanded block."""
-        blk = self.nygaard_scale_matrix(i, j)
-        entries = {(I, I): blk for I in self.basis(j)}
-        return self._block(j, j, entries)
+        return self.diag(j, self.nygaard_scale_matrix(i, j))
 
     def divided_frobenius_matrix(self, i, j):
         """phi_i from normalized Nygaard coordinates to the expanded block at
@@ -116,9 +103,7 @@ class QTorusComplex:
         B = self.B
         # exponent of xi_tilde after division: max(i-j,0) + j - i = max(j-i,0)
         e = max(j - i, 0)
-        blk = mat_mul(B.phi_matrix(), B.mult_matrix(B.pow(B.xi_tilde, e)))
-        entries = {(I, I): blk for I in self.basis(j)}
-        return self._block(j, j, entries)
+        return self.diag(j, mat_mul(B.phi_matrix(), B.mult_matrix(B.pow(B.xi_tilde, e))))
 
     def normalized_diff_matrix(self, i, m, j):
         """Nygaard-normalized differential: d(xi^a x) = xi^{a-a'} (x d)."""
@@ -127,9 +112,7 @@ class QTorusComplex:
         D = self.diff_matrix(m, j)
         if a == a1:
             return D
-        scale = self.B.mult_matrix(self.B.pow(self.B.xi, a - a1))
-        entries = {(I, I): scale for I in self.basis(j + 1)}
-        return mat_mul(D, self._block(j + 1, j + 1, entries))
+        return mat_mul(D, self.diag(j + 1, self.B.mult_matrix(self.B.pow(self.B.xi, a - a1))))
 
 
 def build_qtorus(p, d, N):
@@ -161,18 +144,6 @@ def specialization_check(X, M=2):
     return True
 
 
-def q_frobenius_chain_map_check(X, M=2):
-    """Frob_j . D_j(pm) = D_j(m) . Frob_{j+1} on expanded matrices."""
-    for m in weights_box(X.d, M):
-        pm = tuple(X.p * a for a in m)
-        for j in range(X.d):
-            lhs = mat_mul(X.frobenius_matrix(j), X.diff_matrix(pm, j))
-            rhs = mat_mul(X.diff_matrix(m, j), X.frobenius_matrix(j + 1))
-            if lhs != rhs:
-                return False
-    return True
-
-
 def q_nygaard_stability_check(X, i, M=2):
     """d-stability and nesting of the xi-power Nygaard lattices."""
     B = X.B
@@ -188,8 +159,7 @@ def q_nygaard_stability_check(X, i, M=2):
         if not lattice_contains(L, L1):
             return False
         # xi * N^{>= i} inside N^{>= i+1}
-        xi = X._block(j, j, {(I, I): B.mult_matrix(B.xi) for I in X.basis(j)})
-        if not lattice_contains(L1, mat_mul(L, xi)):
+        if not lattice_contains(L1, mat_mul(L, X.diag(j, B.mult_matrix(B.xi)))):
             return False
     return True
 
@@ -200,10 +170,8 @@ def q_divided_frobenius_checks(X, i):
     B = X.B
     for j in range(X.d + 1):
         # lhs: normalized coords -> ambient, then multiply by xi_tilde^i
-        lhs = mat_mul(
-            X.divided_frobenius_matrix(i, j),
-            X._block(j, j, {(I, I): B.mult_matrix(B.pow(B.xi_tilde, i)) for I in X.basis(j)}),
-        )
+        lhs = mat_mul(X.divided_frobenius_matrix(i, j),
+                      X.diag(j, B.mult_matrix(B.pow(B.xi_tilde, i))))
         # rhs: include normalized basis into ambient (xi-powers), apply phi
         incl = X.nygaard_lattice_rows(i, j)
         rhs = mat_mul(incl, X.frobenius_matrix(j))
@@ -213,26 +181,21 @@ def q_divided_frobenius_checks(X, i):
         a_i = max(i - j, 0)
         a_i1 = max(i + 1 - j, 0)
         ratio = B.pow(B.xi, a_i1 - a_i)
-        incl_norm = X._block(j, j, {(I, I): B.mult_matrix(ratio) for I in X.basis(j)})
-        lhs2 = mat_mul(incl_norm, X.divided_frobenius_matrix(i, j))
-        rhs2 = mat_mul(
-            X.divided_frobenius_matrix(i + 1, j),
-            X._block(j, j, {(I, I): B.mult_matrix(B.xi_tilde) for I in X.basis(j)}),
-        )
+        lhs2 = mat_mul(X.diag(j, B.mult_matrix(ratio)), X.divided_frobenius_matrix(i, j))
+        rhs2 = mat_mul(X.divided_frobenius_matrix(i + 1, j), X.diag(j, B.mult_matrix(B.xi_tilde)))
         if lhs2 != rhs2:
             return False
     return True
 
 
-def q_divided_frobenius_exactness(X, i, m):
+def q_divided_frobenius_exactness(X, i):
     """phi on each Nygaard generator must be exactly divisible by
     xi_tilde^i (solved in B; failure raises DivisionFailure)."""
     B = X.B
     for j in range(X.d + 1):
         incl = X.nygaard_lattice_rows(i, j)
         img = mat_mul(incl, X.frobenius_matrix(j))
-        xit_i = X._block(j, j, {(I, I): B.mult_matrix(B.pow(B.xi_tilde, i)) for I in X.basis(j)})
-        if None in solve_left(xit_i, img):
+        if None in solve_left(X.diag(j, B.mult_matrix(B.pow(B.xi_tilde, i))), img):
             raise DivisionFailure("phi image not divisible by xi_tilde^%d" % i)
     return True
 
@@ -242,27 +205,10 @@ def q_divided_frobenius_exactness(X, i, m):
 
 
 def eta_lattices_B(X, m, f_elt):
-    """Per-degree lattices of (eta_f block)^j = {x in f^j B^r : dx in f^{j+1}}.
-
-    f_elt is an element of B acting blockwise; returns dict j -> rows."""
+    """Per-degree lattices of (eta_f block)^j = {x in f^j B^r : dx in f^{j+1}}
+    for an element f_elt of B acting blockwise; returns dict j -> rows."""
     B = X.B
-    out = {}
-    for j in range(X.d + 1):
-        r = X.rank(j)
-        if r == 0:
-            out[j] = []
-            continue
-        fj = X._block(j, j, {(I, I): B.mult_matrix(B.pow(f_elt, j)) for I in X.basis(j)})
-        if j < X.d:
-            fj1 = X._block(
-                j + 1, j + 1,
-                {(I, I): B.mult_matrix(B.pow(f_elt, j + 1)) for I in X.basis(j + 1)},
-            )
-            K = preimage_lattice(X.diff_matrix(m, j), fj1)
-            out[j] = intersect_lattices(fj, K) if K else []
-        else:
-            out[j] = hermite_form(fj)
-    return out
+    return eta_lattices(X.weight_block(m), lambda j: X.diag(j, B.mult_matrix(B.pow(f_elt, j))))
 
 
 def eta_filtration(X, eta_lat, i_top):
@@ -273,10 +219,8 @@ def eta_filtration(X, eta_lat, i_top):
     for i in range(i_top + 1):
         fils[i] = {}
         for j in range(X.d + 1):
-            xit = X._block(
-                j, j, {(I, I): B.mult_matrix(B.pow(B.xi_tilde, i)) for I in X.basis(j)}
-            )
-            fils[i][j] = intersect_lattices(xit, eta_lat[j]) if eta_lat[j] else []
+            fils[i][j] = restrict_lattice(X.diag(j, B.mult_matrix(B.pow(B.xi_tilde, i))),
+                                          None, eta_lat[j])
     return fils
 
 
@@ -355,7 +299,7 @@ def _graded_cone(X, i, m, pm, fils):
             src_terms[j] = ([], [])
             continue
         if j <= i:
-            rels = X._block(j, j, {(I, I): B.mult_matrix(B.xi) for I in X.basis(j)})
+            rels = X.diag(j, B.mult_matrix(B.xi))
         else:
             rels = identity(r)
         src_terms[j] = (identity(r), rels)
@@ -377,6 +321,6 @@ def _graded_cone(X, i, m, pm, fils):
     # the cone ambient is a source block and a target block, both expanded
     # B-modules, so mu acts on it blockwise
     for j, (gens, rels) in terms.items():
-        mu = B.block_mult_matrix(B.mu, len(gens[0])) if gens else []
+        mu = block_diag(B.mult_matrix(B.mu), len(gens[0]) // X.N) if gens else []
         terms[j] = (gens, rels + [row_mul(g, mu) for g in gens])
     return terms, maps

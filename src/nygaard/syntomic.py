@@ -55,9 +55,11 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable
 
-from .errors import BoundViolated, CompositeNonzero, NotStabilized
+# CompositeNonzero is imported for tests that check the error classes are shared
+from .errors import BoundViolated, CompositeNonzero, NotStabilized  # noqa: F401
 from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
     PGroup,
+    block_diag,
     cocycles_boundaries_mod,
     cohomology_mod,
     hermite_form,
@@ -360,7 +362,7 @@ def syntomic_charp(p, d, i, r, M=4, V=None):
         groups = {t: PGroup.zero(p) for t in range(d + 2)}
         return SyntomicResult(
             "charp", p, i, r, M, 0, groups,
-            certificates={"negative_twist_series": _charp_zone_series_exponent(p, i, r, d)},
+            certificates={"negative_twist_series": _charp_zone_series_exponent(i, r, d)},
             dlog={})
     V = V if V is not None else r + 1
     model = _charp_model(X, i)
@@ -370,7 +372,7 @@ def syntomic_charp(p, d, i, r, M=4, V=None):
     )
     if not tail_ok:
         raise NotStabilized("orbit windows did not certify at V = %d" % V)
-    series_k = _charp_zone_series_exponent(p, i, r, d)
+    series_k = _charp_zone_series_exponent(i, r, d)
     dlog = _dlog_flags(model, i, r, pres0, lambda Phi: Phi == identity(len(Phi)))
     return SyntomicResult(
         "charp", p, i, r, M, V_used, total, dlog=dlog,
@@ -383,7 +385,7 @@ def syntomic_charp(p, d, i, r, M=4, V=None):
     )
 
 
-def _charp_zone_series_exponent(p, i, r, d):
+def _charp_zone_series_exponent(i, r, d):
     """Termination exponents for the inverse series of p^{j-i} phi - 1 in
     Koszul degrees j > i: the smallest k with p^{(j-i)k} = 0 mod p^r."""
     out = {}
@@ -441,7 +443,7 @@ def _q_dlog_fixed(Phi, N):
 
 def _mu_rows(B, ranks):
     """Blockwise mu-multiplication rows per degree (for the q -> 1 fiber)."""
-    return {t: B.block_mult_matrix(B.mu, rk) for t, rk in ranks.items()}
+    return {t: block_diag(B.mult_matrix(B.mu), rk // B.N) for t, rk in ranks.items()}
 
 
 def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False):
@@ -487,14 +489,12 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False):
 # contraction bound (q-model mod p)
 
 
-def contraction_bound_check(p, i, m, N=4, V=None):
+def contraction_bound_check(p, i, m, N=4):
     """For m >= (pi+1)/(p-1): phi_i maps the level-m Nygaard lattice mod p
     into level m+1, and phi_i - 1 is bijective there (geometric series).
 
     Runs on the d = 1 q-torus mod p.  Below the bound the containment is
     reported but not asserted."""
-    from math import ceil
-
     bound = -(-(p * i + 1) // (p - 1))  # ceil
     Xq = build_qtorus(p, 1, N)
     B = Xq.B

@@ -20,12 +20,12 @@ from .errors import DivisionFailure, PrecisionExhausted, UsageError
 from .linalg import (
     det_sign,
     identity,
-    intersect_lattices,
     lattice_eq,
     lattice_sum,
     mat_mul,
     mat_scale,
     preimage_lattice,
+    restrict_lattice,
     zeros,
 )
 
@@ -268,7 +268,7 @@ def frobenius_eta_check(X, i, M):
             if r == 0:
                 continue
             phi_img = mat_scale(N.scale(j) * p**j, identity(r))
-            fil = intersect_lattices(mat_scale(p**i, identity(r)), incl[j]) if incl[j] else []
+            fil = restrict_lattice(mat_scale(p**i, identity(r)), None, incl[j])
             if not lattice_eq(phi_img, fil):
                 ok = False
         report[m] = ok

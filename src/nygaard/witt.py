@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import DivisionFailure, LengthMismatch, UsageError
-from .linalg import identity, lattice_contains, mat_scale
+from .linalg import span_contains_mod
 from .qbase import QBase
 
 
@@ -71,14 +71,15 @@ def _ring_pow(ring, x, e):
 
 
 def ghost(w):
-    """Ghost components in the base ring: g_i = sum_{j<=i} p^j w_j^{p^{i-j}}."""
+    """Ghost components in the base ring: g_i = sum_{j<=i} p^j w_j^{p^{i-j}}.
+    pows[j] = w_j^{p^{i-j}} is raised to the p-th power from one i to the next."""
     ring, p = w.ring, w.p
-    out = []
-    for i in range(len(w.coords)):
+    out, pows = [], []
+    for c in w.coords:
+        pows = [_ring_pow(ring, x, p) for x in pows] + [c]
         acc = ring.zero
-        for j in range(i + 1):
-            pw = _ring_pow(ring, w.coords[j], p ** (i - j))
-            acc = ring.add(acc, _int_mul(ring, p**j, pw))
+        for j, x in enumerate(pows):
+            acc = ring.add(acc, _int_mul(ring, p**j, x))
         out.append(acc)
     return tuple(out)
 
@@ -90,15 +91,16 @@ def _ghost_cover(w):
 
 
 def _from_ghost_cover(ring, p, g):
-    """Invert the ghost map over the cover, then reduce to the ring."""
+    """Invert the ghost map over the cover, then reduce to the ring; the
+    powers coords_j^{p^{i-j}} are kept as in ghost."""
     cover = ring.cover
-    coords = []
-    for i in range(len(g)):
-        acc = g[i]
-        for j in range(i):
-            pw = _ring_pow(cover, coords[j], p ** (i - j))
-            acc = cover.add(acc, cover.neg(_int_mul(cover, p**j, pw)))
+    coords, pows = [], []
+    for i, acc in enumerate(g):
+        pows = [_ring_pow(cover, x, p) for x in pows]
+        for j, x in enumerate(pows):
+            acc = cover.add(acc, cover.neg(_int_mul(cover, p**j, x)))
         coords.append(cover.exact_div_int(acc, p**i))
+        pows.append(coords[-1])
     return witt(ring, p, [ring.reduce(c) for c in coords])
 
 
@@ -310,10 +312,9 @@ class QSquareModel:
         return self.B.eq(a, b, p_prec=self.n)
 
     def _residue_eq(self, a, b, ideal_gen):
-        B = self.B
-        lat = B.mult_matrix(ideal_gen) + mat_scale(self.p**self.n, identity(B.N))
+        """a = b modulo (ideal_gen, p^n), as span membership over Z/p^n."""
         diff = [x - y for x, y in zip(a, b)]
-        return lattice_contains(lat, [diff])
+        return span_contains_mod(self.B.mult_matrix(ideal_gen), diff, self.p, self.n)
 
     def residue_eq_xi(self, a, b):
         return self._residue_eq(a, b, self.xi)

@@ -3,6 +3,8 @@ from itertools import product
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
 
 from nygaard.linalg import (
@@ -14,7 +16,6 @@ from nygaard.linalg import (
     hermite_form,
     howell_form,
     identity,
-    intersect_lattices,
     kernel_int,
     kernel_mod,
     lattice_contains,
@@ -25,6 +26,7 @@ from nygaard.linalg import (
     module_invariants_mod,
     preimage_lattice,
     quotient_invariants,
+    restrict_lattice,
     smith_form,
     smith_invariants,
     solve_left,
@@ -125,8 +127,43 @@ def test_preimage_and_intersection():
         assert row_mul(row, D)[0] % 3 == 0
     assert lattice_contains(P, [[3, 0]])
     assert lattice_contains(P, [[1, 1]])
-    I = intersect_lattices([[2, 0], [0, 3]], [[3, 0], [0, 2]])
+    I = restrict_lattice([[2, 0], [0, 3]], None, [[3, 0], [0, 2]])
     assert lattice_eq(I, [[6, 0], [0, 6]])
+
+
+def two_step_intersection(L1, L2):
+    """span(L1) ∩ span(L2) from the kernel of [L1; -L2], as intersections
+    were taken before restrict_lattice."""
+    if not L1 or not L2:
+        return []
+    ker = kernel_int(L1 + [[-a for a in row] for row in L2])
+    return hermite_form([row_mul(row[: len(L1)], L1) for row in ker])
+
+
+@st.composite
+def restrictions(draw):
+    """(G, D, L) for restrict_lattice: G may be empty or have dependent
+    rows, D may be None or have zero columns, L may be empty."""
+    entry = st.integers(-4, 4)
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 3))
+    G = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+    if G and draw(st.booleans()):
+        c = draw(entry)
+        G.append([a + c * b for a, b in zip(G[0], G[-1])])
+    D = draw(st.none() | st.lists(st.lists(entry, min_size=k, max_size=k),
+                                  min_size=n, max_size=n))
+    w = n if D is None else k
+    L = draw(st.lists(st.lists(entry, min_size=w, max_size=w), max_size=3))
+    return G, D, L
+
+
+@settings(max_examples=200, deadline=None)
+@given(restrictions())
+def test_restrict_lattice_matches_intersection_of_preimage(data):
+    G, D, L = data
+    want = two_step_intersection(G, L if D is None else preimage_lattice(D, L))
+    assert restrict_lattice(G, D, L) == hermite_form(want)
 
 
 # ---------------------------------------------------------------------------

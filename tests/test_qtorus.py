@@ -17,11 +17,10 @@ from nygaard.qtorus import (
     lnu_identification_check,
     q_divided_frobenius_checks,
     q_divided_frobenius_exactness,
-    q_frobenius_chain_map_check,
     q_nygaard_stability_check,
     specialization_check,
 )
-from nygaard.torus import weights_box
+from nygaard.torus import frobenius_chain_map_check, weights_box
 
 
 def test_build_qtorus_rank1_block():
@@ -49,7 +48,7 @@ def test_d2_mixed_weight_dsquared():
 def test_q_frobenius_is_chain_map():
     for p, d in ((2, 1), (3, 1), (2, 2)):
         X = build_qtorus(p, d, 4)
-        assert q_frobenius_chain_map_check(X, M=2)
+        assert frobenius_chain_map_check(X, weights_box(d, 2))
 
 
 def test_phi_dlog_twist():
@@ -89,7 +88,7 @@ def test_q_divided_frobenius():
         X = build_qtorus(p, 1, 4)
         for i in (0, 1, 2):
             assert q_divided_frobenius_checks(X, i)
-            q_divided_frobenius_exactness(X, i, (1,))
+            q_divided_frobenius_exactness(X, i)
     # phi_i fixes the degree-i dlog block: normalized matrix at j = i is
     # the plain coefficient Frobenius (weight-zero constants fixed)
     X = build_qtorus(2, 1, 4)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nygaard.linalg import identity, lattice_contains, mat_scale
 from nygaard.qbase import QBase
 from nygaard.rings import (
     PerfTruncFp,
@@ -230,6 +231,28 @@ def test_q_square_relations():
         sq = build_perfectoid_square(model)
         checks = sq.check_all()
         assert all(checks.values()), checks
+
+
+def test_q_residues_match_the_integer_lattice():
+    # a = b mod (xi, p^n) iff a - b lies in span(M_xi) + p^n Z^N over Z;
+    # both outcomes occur among the draws
+    rng = random.Random(61)
+    seen = set()
+    for p, n, N in ((2, 2, 3), (3, 2, 4), (2, 3, 4)):
+        model = QSquareModel(p, n, N)
+        B = model.B
+        for gen, same in ((model.xi, model.residue_eq_xi),
+                          (model.xi_tilde, model.residue_eq_xi_tilde)):
+            lat = B.mult_matrix(gen) + mat_scale(p**n, identity(N))
+            for _ in range(30):
+                a = tuple(rng.randint(-9, 9) for _ in range(N))
+                b = B.add(a, B.mul(gen, tuple(rng.randint(-3, 3) for _ in range(N))))
+                if rng.random() < 0.5:
+                    b = B.add(b, tuple(rng.randint(0, 1) for _ in range(N)))
+                want = lattice_contains(lat, [[x - y for x, y in zip(a, b)]])
+                assert same(a, b) == want
+                seen.add(want)
+    assert seen == {True, False}
 
 
 def test_q_model_xi_identities():
