@@ -83,12 +83,18 @@ def eta(f, C):
 
     f is a nonzero integer (nonzerodivisor on free Z-modules iff f != 0).
     Returns (Complex, inclusions) where inclusions[n] expresses the chosen
-    basis of (eta_f C)^n in the coordinates of C^n.
+    basis of (eta_f C)^n in the coordinates of C^n.  In a degree n < 0 that
+    lattice contains C^n, so it has such coordinates only for f = +-1, where
+    f^n = f^{-n}; any other f raises UsageError.
     """
     if f == 0:
         raise NotNonzerodivisor("f = 0")
     degs = C.degrees()
-    incl = eta_lattices(C, lambda n: mat_scale(f**n, identity(C.rank(n))))
+    for n in degs:
+        if n < 0 and C.rank(n) and abs(f) != 1:
+            raise UsageError("eta_%d in degree %d: f^%d C^%d is not a sublattice of C^%d"
+                             % (f, n, n, n, n))
+    incl = eta_lattices(C, lambda n: mat_scale(f ** abs(n), identity(C.rank(n))))
     ranks = {n: len(incl[n]) for n in degs}
     diffs = {}
     for n in degs:

@@ -1,9 +1,12 @@
-"""The truncated q-deformation base B = Z[q]/((q-1)^N).
+"""The truncated q-deformation base B = Z[q]/((q-1)^N), N >= 1.
 
 Elements are integer coefficient tuples in the basis 1, mu, mu^2, ..., with
 mu = q - 1.  Coefficients stay exact integers: p-power truncation happens only
 at comparison time, since xi = [p]_q is a zerodivisor mod p^n and division by
 it must be performed over Z.
+
+At N = 1, B = Z[q]/(q-1) = Z with mu = 0 and xi = xi_tilde = p: the
+crystalline base (Z_p, (p)), the q = 1 fibre of the q-de Rham base.
 """
 
 from math import comb
@@ -26,14 +29,19 @@ class QBase:
     mu = q-1, xi = [p]_q, xi_tilde = [p]_{q^p} = phi(xi)."""
 
     def __init__(self, p, N):
-        if N < 2:
-            raise UsageError("B = Z[q]/((q-1)^N) needs N >= 2, got %d" % N)
+        if N < 1:
+            raise UsageError("B = Z[q]/((q-1)^N) needs N >= 1, got %d" % N)
         self.p = p
         self.N = N
         self.zero = (0,) * N
         self.one = tuple(1 if i == 0 else 0 for i in range(N))
         self.mu = tuple(1 if i == 1 else 0 for i in range(N))
         self.q = tuple(1 if i <= 1 else 0 for i in range(N))
+        # row k is phi(mu^k) = (q^p - 1)^k
+        qp_minus_1 = tuple(_binom(p, j) if j >= 1 else 0 for j in range(N))
+        self._phi_rows = [self.one]
+        for _ in range(N - 1):
+            self._phi_rows.append(self.mul(self._phi_rows[-1], qp_minus_1))
         self.xi = self.q_integer(p)
         self.xi_tilde = self.phi(self.xi)
 
@@ -81,15 +89,12 @@ class QBase:
 
     def phi(self, a):
         """The Frobenius q -> q^p (well defined: q^p - 1 lies in (q-1))."""
-        qp_minus_1 = tuple(_binom(self.p, j) if j >= 1 else 0 for j in range(self.N))
-        out = self.zero
-        power = self.one
-        for i, c in enumerate(a):
+        out = [0] * self.N
+        for c, row in zip(a, self._phi_rows):
             if c:
-                out = self.add(out, self.scale(c, power))
-            if i + 1 < self.N:
-                power = self.mul(power, qp_minus_1)
-        return out
+                for j, x in enumerate(row):
+                    out[j] += c * x
+        return tuple(out)
 
     def scale(self, c, a):
         return tuple(c * x for x in a)
@@ -103,11 +108,7 @@ class QBase:
         return rows
 
     def phi_matrix(self):
-        rows = []
-        for i in range(self.N):
-            mu_i = tuple(1 if j == i else 0 for j in range(self.N))
-            rows.append(list(self.phi(mu_i)))
-        return rows
+        return [list(row) for row in self._phi_rows]
 
     def is_nonzerodivisor(self, a):
         return det_sign(self.mult_matrix(a)) != 0

@@ -1,34 +1,39 @@
 """Syntomic complexes Z/p^r(i) as fibers of (divided Frobenius - can).
 
-One pipeline computes them for both torus models.  The models differ only in
-their per-degree data (`_Model`): in characteristic p (crystalline side,
-`TorusDeRham`) the Nygaard lattice in Koszul degree t is p^{max(i-t,0)} times
-the full term, so the Nygaard-side differential is the Koszul differential
-scaled by the ratio of consecutive scales and can is that scale; in the
-q-model (`QTorusComplex` over B) Nygaard coordinates are normalized by powers
-of xi, so the Nygaard-side differential is the normalized one and can embeds
-the xi-power lattice rows.  Each public function adds its model's tail test,
-certificates and dlog flags.
+One torus model computes them: the q-de Rham torus `QTorusComplex` over
+B = Z[q]/((q-1)^N).  Nygaard coordinates are normalized by powers of xi, so
+the Nygaard-side differential is the normalized Koszul differential and can
+embeds the xi-power lattice rows.
 
-The torus models decompose by Frobenius orbits of weights {m, pm, p^2 m, ...}
+Characteristic p is the same model at N = 1.  There B = B/mu = Z is the
+crystalline prism (Z_p, (p)), the q = 1 fibre of the q-de Rham prism
+(Z_p[[q-1]], [p]_q) (Bhatt-Scholze, Prisms and prismatic cohomology, §16):
+mu = 0, xi = xi_tilde = p, and every block is the scalar block of the
+integral torus model `TorusDeRham`.  The Nygaard lattice in Koszul degree t is
+p^{max(i-t,0)} times the full term, and can is that scale.  So the collapse
+of the q-model along mu is the N = 1 model, and `syntomic_charp` is
+`syntomic_q` at N = 1 under its own certificate names: Z/p^r(i) of the
+F_p-torus, which BMS2 §8 identifies with W_r Omega^i_log[-i].
+
+The torus model decomposes by Frobenius orbits of weights {m, pm, p^2 m, ...}
 (m primitive).  Each orbit is computed on a finite window: Nygaard-side steps
 s <= V, full-side steps s <= V + 1 (a subcomplex of the infinite orbit
-complex).  Window cohomology is computed over Z/p^r and never lifted to Z,
-by the one loop `linalg.cocycles_boundaries_mod`: each degree is presented
-by cocycle rows K (the kernel of the differential mod p^r, or the preimage
-of the mu relations for the q -> 1 collapse) and boundary rows B,
-submodules of (Z/p^r)^rank with entries in [0, p^r), and B lies in K
-because d*d = 0 mod p^r (checked as a matrix product; with mu relations,
-as a span containment).  The orbit group is the stable image of H(W_V) in
-H(W_{V+k}), i.e. span(K_V + B_{V+k}) / span(B_{V+k}); two equal consecutive
-images end the search.  Beyond the window every Koszul entry vanishes mod
-p^r (valuations are monotone along the orbit).  Degrees j > i are
-additionally covered by the geometric-series invertibility of the twisted
-Frobenius.
+complex).  Every block of an orbit is fetched once and read by both sides
+of every window.  Window cohomology is computed over Z/p^r and never
+lifted to Z, by the one loop `linalg.cocycles_boundaries_mod`: each degree is
+presented by cocycle rows K (the kernel of the differential mod p^r) and
+boundary rows B, submodules of (Z/p^r)^rank with entries in [0, p^r), and B
+lies in K because d*d = 0 mod p^r (checked as a matrix product).  The orbit
+group is the stable image of H(W_V) in H(W_{V+k}), i.e.
+span(K_V + B_{V+k}) / span(B_{V+k}); two equal consecutive images end the
+search.  Beyond the window every Koszul entry vanishes mod p^r (valuations
+are monotone along the orbit).  Degrees j > i are additionally covered by the
+geometric-series invertibility of the twisted Frobenius.
 
-The orbit sum runs over orbit classes (`_Model.orbit_class`): one window per
-class, its groups added once, times the class size.  In characteristic p
-every primitive m0 lies in the class of e_1 = (1, 0, ..., 0):
+The orbit sum runs over orbit classes (`_orbit_class`): one window per class,
+its groups added once, times the class size.  At N = 1 every primitive m0
+lies in the class of e_1 = (1, 0, ..., 0), because the blocks there are the
+scalars m_a:
 
 1. Let c = gcd(m0); c is a p-unit because m0 is primitive.  A coordinate
    change g in GL_d(Z) with g m0 = c e_1 acts on every weight block by
@@ -42,8 +47,8 @@ every primitive m0 lies in the class of e_1 = (1, 0, ..., 0):
    W_{V+k} of m0 to that of e_1 over Z/p^r, together with the window
    inclusions: the stable images agree and stabilise at the same depth.
 
-In the q-model the de Rham complex depends on the coordinates and no such
-proof is written, so every m0 is its own class.
+For N >= 2 the blocks [m_a]_{q^p} are not linear in m and no such proof is
+written, so every m0 is its own class.
 
 Global sections of the torus are Laurent polynomials, not their completion;
 kernels computed here are faithful, while cokernels in the Artin-Schreier
@@ -52,20 +57,16 @@ direction carry an explicit "global model" flag.
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 # CompositeNonzero is imported for tests that check the error classes are shared
-from .errors import BoundViolated, CompositeNonzero, NotStabilized  # noqa: F401
+from .errors import BoundViolated, CompositeNonzero, NotStabilized, UsageError  # noqa: F401
 from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
     PGroup,
-    block_diag,
     cocycles_boundaries_mod,
     cohomology_mod,
     hermite_form,
     identity,
     mat_mul,
-    mat_scale,
     quotient_exponents_mod,
     solve_mod_p,
     span_contains_mod,
@@ -82,7 +83,7 @@ from .pdalg import (
     span_identity_check,
 )
 from .qtorus import build_qtorus
-from .torus import build_torus, weights_box
+from .torus import weights_box
 
 
 @dataclass
@@ -116,91 +117,77 @@ class SyntomicResult:
 
 
 # ---------------------------------------------------------------------------
-# the shared pipeline: model data, windows, orbits
+# the torus pipeline: windows, orbits, the two entry points
 
 
-@dataclass(frozen=True)
-class _Model:
-    """A torus model of fib(phi_i - can), read per Koszul degree t.
-
-    rank(t) is the rank of the degree-t term; dN(w, t) and dX(w, t) are the
-    Nygaard-side and full-side differentials t -> t+1 on the weight-w block;
-    phi(t) is the divided Frobenius and can(t) the canonical map from the
-    Nygaard side to the full side.  orbit_class(m0) is the representative of
-    the primitive weights whose orbit windows are isomorphic to that of m0
-    (see the module docstring for the charp proof)."""
-
-    p: int
-    d: int
-    rank: Callable
-    dN: Callable
-    dX: Callable
-    phi: Callable
-    can: Callable
-    orbit_class: Callable
+def _orbit_class(X, m0):
+    """The representative of the primitive weights whose orbit windows are
+    isomorphic to that of m0: e_1 at N = 1 (module docstring), else m0."""
+    return (1,) + (0,) * (X.d - 1) if X.N == 1 else m0
 
 
-def _charp_model(X, i):
-    def dN(w, t):
-        ratio = X.nygaard_scale(i, t) // X.nygaard_scale(i, t + 1)
-        return mat_scale(ratio, X.diff_matrix(w, t))
+def _window_blocks(X, i, m0=None):
+    """The blocks of the windows of the orbit of m0, each fetched once and
+    read by every window of the orbit: blocks("phi", 0, t) and
+    blocks("can", 0, t) are phi_i and can in Koszul degree t,
+    blocks("X", s, t) is the Koszul differential t -> t+1 at the weight
+    p^s m0, and blocks("N", s, t) its Nygaard-normalized form."""
+    memo = {}
+    fetch = {
+        "phi": lambda s, t: X.divided_frobenius_matrix(i, t),
+        "can": lambda s, t: X.nygaard_lattice_rows(i, t),
+        "X": lambda s, t: X.diff_matrix(tuple(X.p**s * a for a in m0), t),
+        "N": lambda s, t: X.normalize_diff(i, t, blocks("X", s, t)),
+    }
 
-    return _Model(
-        X.p, X.d, X.rank, dN, X.diff_matrix,
-        phi=lambda t: X.divided_frobenius_matrix(i, t),
-        can=lambda t: mat_scale(X.nygaard_scale(i, t), identity(X.rank(t))),
-        orbit_class=lambda m0: (1,) + (0,) * (X.d - 1),
-    )
+    def blocks(kind, s, t):
+        key = (kind, s, t)
+        if key not in memo:
+            memo[key] = fetch[kind](s, t)
+        return memo[key]
+
+    return blocks
 
 
-def _q_model(Xq, i):
-    return _Model(
-        Xq.p, Xq.d, Xq.exp_rank,
-        dN=lambda w, t: Xq.normalized_diff_matrix(i, w, t),
-        dX=Xq.diff_matrix,
-        phi=lambda t: Xq.divided_frobenius_matrix(i, t),
-        can=lambda t: Xq.nygaard_lattice_rows(i, t),
-        orbit_class=lambda m0: m0,
-    )
-
-
-def _assemble_window(model, V, m0=None):
-    """Total complex of fib(phi - can) on the window W_V of the orbit of m0.
+def _assemble_window(X, i, V, m0=None, blocks=None):
+    """Total complex of fib(phi_i - can) on the window W_V of the orbit of m0.
 
     Degrees t = 0..d+1; term t = (+)_{s<=V} N^t_s (+) (+)_{s<=V+1} X^{t-1}_s,
     where step s carries the weight p^s m0 and phi maps step s to s+1.
     Without m0 it is the weight-0 block (call it with V = 0): no
-    differentials, and phi maps each step to itself.
+    differentials, and phi maps each step to itself.  blocks is the orbit's
+    `_window_blocks`, shared by its windows; it is made here when not given.
     Returns (ranks, diffs, basis_info) with basis_info[t] listing labels
     ("N", s, k) and ("X", s, k)."""
-    d, rank = model.d, model.rank
+    d = X.d
+    rk = {j: X.exp_rank(j) for j in range(-1, d + 2)}
     orbit = m0 is not None
+    blocks = blocks or _window_blocks(X, i, m0)
     steps = {"N": V + 1, "X": V + 2 if orbit else V + 1}
-    weights = [tuple(model.p**s * a for a in m0) for s in range(V + 2)] if orbit else []
     basis_info = {
         t: [(side, s, k) for side, j in (("N", t), ("X", t - 1))
-            for s in range(steps[side]) for k in range(rank(j))]
+            for s in range(steps[side]) for k in range(rk[j])]
         for t in range(d + 2)
     }
     ranks = {t: len(labels) for t, labels in basis_info.items()}
     diffs = {}
     for t in range(d + 1):
         # (first source row, target block, matrix, sign) for every block
-        blocks = []
-        phi, can = model.phi(t), model.can(t)
+        placed = []
+        phi, can = blocks("phi", 0, t), blocks("can", 0, t)
         for s in range(steps["N"]):
-            row0 = s * rank(t)
+            row0 = s * rk[t]
             if orbit and t < d:
-                blocks.append((row0, ("N", s), model.dN(weights[s], t), 1))
-            blocks.append((row0, ("X", s + 1 if orbit else s), phi, 1))
-            blocks.append((row0, ("X", s), can, -1))
+                placed.append((row0, ("N", s), blocks("N", s, t), 1))
+            placed.append((row0, ("X", s + 1 if orbit else s), phi, 1))
+            placed.append((row0, ("X", s), can, -1))
         if orbit and t >= 1:
             for s in range(steps["X"]):
-                row0 = steps["N"] * rank(t) + s * rank(t - 1)
-                blocks.append((row0, ("X", s), model.dX(weights[s], t - 1), -1))
+                row0 = steps["N"] * rk[t] + s * rk[t - 1]
+                placed.append((row0, ("X", s), blocks("X", s, t - 1), -1))
         pos = {lab: c for c, lab in enumerate(basis_info[t + 1])}
         D = zeros(ranks[t], ranks[t + 1])
-        for row0, (side, s), mat, sign in blocks:
+        for row0, (side, s), mat, sign in placed:
             col0 = pos.get((side, s, 0))
             if col0 is None:
                 continue  # the target block is outside the window or empty
@@ -239,21 +226,20 @@ def _embed_rows(rows, labs_small, labs_big):
     return out
 
 
-def _orbit_contribution(model, m0, i, r, V, extra_rels=None, cap=4):
+def _orbit_contribution(X, m0, i, r, V, cap=4):
     """Certified per-degree groups of the orbit of m0 in degrees <= i+1.
 
     The window inclusions W_V into W_{V+k} are chain maps; the orbit group in
     degree t is the stable image of H^t(W_V) in H^t(W_{V+k}) (the directed
     system of finite groups has non-increasing image orders, so two equal
     consecutive images certify the colimit; beyond the window the attaching
-    data is constant by the tail-vanishing certificate).  extra_rels, when
-    given, maps window ranks to the extra relations in each degree."""
-    p, dmax = model.p, model.d
+    data is constant by the tail-vanishing certificate)."""
+    p, dmax = X.p, X.d
+    blocks = _window_blocks(X, i, m0)
 
     def window(k):
-        ranks, diffs, basis = _assemble_window(model, V + k, m0)
-        extra = extra_rels(ranks) if extra_rels else None
-        return basis, cocycles_boundaries_mod(ranks, diffs, p, r, extra)
+        ranks, diffs, basis = _assemble_window(X, i, V + k, m0, blocks)
+        return basis, cocycles_boundaries_mod(ranks, diffs, p, r)
 
     basis0, pres0 = window(0)
     out = {}
@@ -286,51 +272,53 @@ def _orbit_contribution(model, m0, i, r, V, extra_rels=None, cap=4):
     return out, k_used
 
 
-def _orbit_sum(model, i, r, M, V, tail_vanishes, extra_rels=None):
+def _orbit_sum(X, i, r, M, V):
     """fib(phi_i - can) summed over the primitive orbits of the weight box of
     radius M, plus the weight-0 block.
 
-    One window per orbit class (model.orbit_class): its groups are added once,
+    One window per orbit class (`_orbit_class`): its groups are added once,
     times the class size.  Returns (total, pres0, tail_ok, V_used): the
     groups per degree, the weight-0 presentations (for the dlog flags),
-    whether tail_vanishes held for every class representative, and V + 1,
+    whether the tail test held for every class representative, and V + 1,
     or 0 when the box holds no primitive weight and no window is built."""
-    p, d = model.p, model.d
+    p, d = X.p, X.d
     tail_ok = True
-    classes = Counter(model.orbit_class(m0) for m0 in _primitive_orbit_reps(d, p, M))
+    classes = Counter(_orbit_class(X, m0) for m0 in _primitive_orbit_reps(d, p, M))
     # weight zero: phi_i and can act on the same block; exact, no window
-    ranks0, diffs0, _ = _assemble_window(model, 0)
-    extra0 = extra_rels(ranks0) if extra_rels else None
-    total, pres0 = cohomology_mod(ranks0, diffs0, p, r, extra0)
+    ranks0, diffs0, _ = _assemble_window(X, i, 0)
+    total, pres0 = cohomology_mod(ranks0, diffs0, p, r)
     for rep, count in classes.items():
         # degrees <= i+1 are certified by the stable window image; degrees
         # >= i+2 lie in the invertibility zone (Koszul degrees > i) where the
         # twisted Frobenius minus one is invertible by a terminating series,
         # so the orbit contributes nothing there
-        contrib, _ = _orbit_contribution(model, rep, i, r, V, extra_rels)
+        contrib, _ = _orbit_contribution(X, rep, i, r, V)
         for t, g in contrib.items():
             total[t] = total[t] + count * g
-        if not tail_vanishes(rep):
+        if not _q_tail_vanishes(X, r, rep, V):
             tail_ok = False
     return total, pres0, tail_ok, V + 1 if classes else 0
 
 
-def _dlog_flags(model, i, r, pres0, phi_fixed):
+def _dlog_flags(X, i, r, pres0):
     """The weight-zero dlog class in degree i: cocycle, nonzero in H, and
-    phi_fixed(phi(i)).  In the weight-0 window the N-side degree-i basis
-    starts at position 0, and dlog T_1 ^ ... ^ dlog T_i (its constant
-    coefficient, in the q-model) is the first basis vector."""
-    if i < 0 or i > model.d:
+    fixed by phi_i.  In the weight-0 window the N-side degree-i basis starts
+    at position 0, and the constant coefficient of dlog T_1 ^ ... ^ dlog T_i
+    is the first basis vector."""
+    if i < 0 or i > X.d:
         return {"degree": i, "present": False}
     K, B = pres0[i]
     if not K:
         return {"degree": i, "present": False}
     vec = [0] * len(K[0])
     vec[0] = 1
-    is_cocycle = span_contains_mod(K, vec, model.p, r)
-    nonzero = not span_contains_mod(B, vec, model.p, r)
+    is_cocycle = span_contains_mod(K, vec, X.p, r)
+    nonzero = not span_contains_mod(B, vec, X.p, r)
+    # phi_i fixes the dlog monomials: the normalized matrix at degree i is
+    # the coefficient Frobenius, which fixes constants
     return {"degree": i, "present": True, "cocycle": is_cocycle,
-            "nonzero_in_H": nonzero, "phi_fixed": phi_fixed(model.phi(i))}
+            "nonzero_in_H": nonzero,
+            "phi_fixed": _q_dlog_fixed(X.divided_frobenius_matrix(i, i), X.N)}
 
 
 def _primitive_orbit_reps(d, p, M):
@@ -344,91 +332,34 @@ def _primitive_orbit_reps(d, p, M):
     return reps
 
 
-# ---------------------------------------------------------------------------
-# characteristic p torus
-
-
-def syntomic_charp(p, d, i, r, M=4, V=None):
-    """Cohomology of fib(phi_i - can) on the d-torus over Z/p^r, by orbit
-    classes: one window for all primitive weights (module docstring).
-
-    For i < 0 every Koszul degree j >= 0 lies in the zone j > i, where
-    p^{j-i} phi - 1 is invertible by a terminating series, so all groups
-    vanish; the certificate reports the termination exponent per degree.
-    The tail test p^{V+1} m0 = 0 mod p^r is class-invariant: a primitive m0
-    has a p-unit coordinate, so it reads V + 1 >= r."""
-    X = build_torus(p, d, r)
-    if i < 0:
-        groups = {t: PGroup.zero(p) for t in range(d + 2)}
-        return SyntomicResult(
-            "charp", p, i, r, M, 0, groups,
-            certificates={"negative_twist_series": _charp_zone_series_exponent(i, r, d)},
-            dlog={})
-    V = V if V is not None else r + 1
-    model = _charp_model(X, i)
-    total, pres0, tail_ok, V_used = _orbit_sum(
-        model, i, r, M, V,
-        lambda m0: not any((p ** (V + 1) * a) % p**r for a in m0),
-    )
-    if not tail_ok:
-        raise NotStabilized("orbit windows did not certify at V = %d" % V)
-    series_k = _charp_zone_series_exponent(i, r, d)
-    dlog = _dlog_flags(model, i, r, pres0, lambda Phi: Phi == identity(len(Phi)))
-    return SyntomicResult(
-        "charp", p, i, r, M, V_used, total, dlog=dlog,
-        certificates={
-            "stabilized": True,
-            "tail_vanishing": tail_ok,
-            "transition_iso": True,
-            "zone_series_exponents": series_k,
-        },
-    )
-
-
-def _charp_zone_series_exponent(i, r, d):
-    """Termination exponents for the inverse series of p^{j-i} phi - 1 in
-    Koszul degrees j > i: the smallest k with p^{(j-i)k} = 0 mod p^r."""
-    out = {}
-    for j in range(max(i + 1, 0), d + 1):
-        step = j - i
-        k = 1
-        while step * k < r:
-            k += 1
-        out[j] = k
-    return out
-
-
-# ---------------------------------------------------------------------------
-# q-model
-
-
-def _q_tail_vanishes(Xq, r, m0, V):
+def _q_tail_vanishes(X, r, m0, V):
     """All Koszul block entries at step V+1 vanish mod p^r."""
-    p = Xq.p
+    p = X.p
     w = tuple(p ** (V + 1) * a for a in m0)
-    for t in range(Xq.d):
-        D = Xq.diff_matrix(w, t)
+    for t in range(X.d):
+        D = X.diff_matrix(w, t)
         if any(a % p**r for row in D for a in row):
             return False
     return True
 
 
-def degree_bound_inverse_certificate(Xq, i, r, jmax=None):
-    """In Koszul degrees j > i the operator xi_tilde^{j-i} phi - 1 is
-    invertible: the series -(1 + A + A^2 + ...) terminates because A^k = 0
-    mod (p^r, mu^N).  Returns the termination exponents."""
-    p = Xq.p
-    B = Xq.B
+def degree_bound_inverse_certificate(X, i, r, jmax=None):
+    """In Koszul degrees j > i (and j >= 0) the operator xi_tilde^{j-i} phi - 1
+    is invertible: the series -(1 + A + A^2 + ...) terminates because A^k = 0
+    mod (p^r, mu^N).  Returns the termination exponents; at N = 1 the least
+    k with p^{(j-i)k} = 0 mod p^r."""
+    p = X.p
+    B = X.B
     out = {}
-    jmax = jmax if jmax is not None else Xq.d
-    for j in range(i + 1, jmax + 1):
+    jmax = jmax if jmax is not None else X.d
+    for j in range(max(i + 1, 0), jmax + 1):
         A = mat_mul(B.phi_matrix(), B.mult_matrix(B.pow(B.xi_tilde, j - i)))
         Ak = [row[:] for row in A]
         k = 1
         while any(a % p**r for row in Ak for a in row):
             Ak = mat_mul(Ak, A)
             k += 1
-            if k > 8 * r * Xq.N:
+            if k > 8 * r * X.N:
                 raise BoundViolated("series for degree %d did not terminate" % j)
         out[j] = k
     return out
@@ -441,48 +372,60 @@ def _q_dlog_fixed(Phi, N):
     return all(Phi[k] == I[k] for k in range(0, len(Phi), N))
 
 
-def _mu_rows(B, ranks):
-    """Blockwise mu-multiplication rows per degree (for the q -> 1 fiber)."""
-    return {t: block_diag(B.mult_matrix(B.mu), rk // B.N) for t, rk in ranks.items()}
+def _torus_syntomic(model, X, i, r, M, V, series_key):
+    """The one body of `syntomic_charp` and `syntomic_q` on the torus X;
+    series_key names the degree-bound series certificate for i >= 0.
 
-
-def syntomic_q(p, d, i, r, N=4, M=4, V=None, collapse_mu=False):
-    """Syntomic cohomology in the q-model over B/p^r, with the degree-bound
-    invertibility certificate.
-
-    With collapse_mu the computation runs on the q -> 1 fiber of the model
-    (rels enriched by mu * gens); the full-B computation reports the module
-    structure of the truncated model, which for i >= 1 carries classes
-    supported near the mu-truncation cliff (flagged)."""
-    Xq = build_qtorus(p, d, N)
+    For i < 0 every Koszul degree j >= 0 lies in the zone j > i, where
+    xi_tilde^{j-i} phi - 1 is invertible by a terminating series, so all
+    groups vanish; the certificate reports the termination exponent per
+    degree."""
+    if r < 1:
+        raise UsageError("the syntomic complex needs r >= 1, got r = %d" % r)
+    p, d = X.p, X.d
     if i < 0:
         groups = {t: PGroup.zero(p) for t in range(d + 2)}
-        return SyntomicResult("q", p, i, r, M, 0, groups,
-                              certificates={"negative_twist_series": True})
+        return SyntomicResult(
+            model, p, i, r, M, 0, groups,
+            certificates={"negative_twist_series": degree_bound_inverse_certificate(X, i, r)})
     V = V if V is not None else r + 1
-    model = _q_model(Xq, i)
-    total, pres0, tail_ok, V_used = _orbit_sum(
-        model, i, r, M, V,
-        lambda m0: _q_tail_vanishes(Xq, r, m0, V),
-        extra_rels=partial(_mu_rows, Xq.B) if collapse_mu else None,
-    )
+    total, pres0, tail_ok, V_used = _orbit_sum(X, i, r, M, V)
     if not tail_ok:
-        raise NotStabilized("q-model orbit windows did not certify at V = %d" % V)
-    series = degree_bound_inverse_certificate(Xq, i, r)
-    # phi_i fixes the dlog monomials: the normalized matrix at degree i is
-    # the coefficient Frobenius, which fixes constants
-    dlog = _dlog_flags(model, i, r, pres0, lambda Phi: _q_dlog_fixed(Phi, N))
+        raise NotStabilized("orbit windows did not certify at V = %d" % V)
     return SyntomicResult(
-        "q", p, i, r, M, V_used, total, dlog=dlog,
+        model, p, i, r, M, V_used, total, dlog=_dlog_flags(X, i, r, pres0),
         certificates={
             "stabilized": True,
             "tail_vanishing": tail_ok,
             "transition_iso": True,
-            "degree_bound_series": series,
-            "mu_collapsed": collapse_mu,
-            "mu_cliff_classes_possible": (not collapse_mu) and i >= 1,
+            series_key: degree_bound_inverse_certificate(X, i, r),
         },
     )
+
+
+def syntomic_charp(p, d, i, r, M=4, V=None):
+    """Cohomology of fib(phi_i - can) on the d-torus over F_p, with
+    coefficients Z/p^r: the torus model at N = 1, by orbit classes, one
+    window for all primitive weights (module docstring).
+
+    The tail test p^{V+1} m0 = 0 mod p^r is class-invariant: a primitive m0
+    has a p-unit coordinate, so it reads V + 1 >= r."""
+    return _torus_syntomic("charp", build_qtorus(p, d, 1), i, r, M, V, "zone_series_exponents")
+
+
+def syntomic_q(p, d, i, r, N=4, M=4, V=None):
+    """Syntomic cohomology in the q-model over B/p^r, with the degree-bound
+    invertibility certificate.
+
+    N = 1 is the mu-collapsed model B/mu = Z and answers as `syntomic_charp`.
+    For N >= 2 the computation reports the module structure of the truncated
+    model, which for i >= 1 carries classes supported near the
+    mu-truncation cliff (flagged)."""
+    res = _torus_syntomic("q", build_qtorus(p, d, N), i, r, M, V, "degree_bound_series")
+    if i >= 0:
+        res.certificates["mu_collapsed"] = N == 1
+        res.certificates["mu_cliff_classes_possible"] = N > 1 and i >= 1
+    return res
 
 
 # ---------------------------------------------------------------------------

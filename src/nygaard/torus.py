@@ -13,7 +13,9 @@ enters at comparison time.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
+from math import comb
 
 from .complexes import Complex, acyclic_mod, eta, presented_cone
 from .errors import DivisionFailure, PrecisionExhausted, UsageError
@@ -38,6 +40,16 @@ def koszul_sign(I, a):
     return (-1) ** sum(1 for b in I if b < a)
 
 
+@lru_cache(maxsize=None)
+def koszul_pattern(d, j):
+    """The weight-free incidence of the Koszul differential from degree j to
+    j+1: a (row, column, a, sign) entry for each pair dlog T_I -> dlog T_{I+a}
+    with a not in I.  The weight-m differential puts sign * m_a there."""
+    cols = {J: c for c, J in enumerate(subsets(d, j + 1))}
+    return tuple((r, cols[tuple(sorted(I + (a,)))], a, koszul_sign(I, a))
+                 for r, I in enumerate(subsets(d, j)) for a in range(d) if a not in I)
+
+
 def weights_box(d, M):
     return [tuple(w) for w in product(range(-M, M + 1), repeat=d)]
 
@@ -50,27 +62,16 @@ class TorusDeRham:
     max_internal: int = 64  # cap on internal precision n + i
 
     def rank(self, j):
-        if j < 0 or j > self.d:
-            return 0
-        from math import comb
-
-        return comb(self.d, j)
+        return comb(self.d, j) if 0 <= j <= self.d else 0
 
     def basis(self, j):
         return subsets(self.d, j)
 
     def diff_matrix(self, m, j):
         """Koszul differential from degree j to j+1 in weight m."""
-        rows = self.basis(j)
-        cols = self.basis(j + 1)
-        col_index = {J: t for t, J in enumerate(cols)}
-        D = zeros(len(rows), len(cols))
-        for r, I in enumerate(rows):
-            for a in range(self.d):
-                if a in I:
-                    continue
-                J = tuple(sorted(I + (a,)))
-                D[r][col_index[J]] += m[a] * koszul_sign(I, a)
+        D = zeros(self.rank(j), self.rank(j + 1))
+        for r, c, a, sign in koszul_pattern(self.d, j):
+            D[r][c] = sign * m[a]
         return D
 
     def weight_block(self, m):
@@ -92,11 +93,12 @@ class TorusDeRham:
 
     def divided_frobenius_matrix(self, i, j):
         """phi_i on degree j from the normalized Nygaard basis to the dlog
-        basis: every entry is verified to come from an exact division."""
-        num = self.nygaard_scale(i, j) * self.p**j
-        if num % self.p**i:
+        basis: p^{max(i-j,0)} * p^j divided by p^i, the division verified on
+        the exponents, so it stays exact for i < 0 too."""
+        e = max(i - j, 0) + j - i
+        if e < 0:
             raise DivisionFailure("phi not divisible by p^%d in degree %d" % (i, j))
-        return mat_scale(num // self.p**i, identity(self.rank(j)))
+        return mat_scale(self.p**e, identity(self.rank(j)))
 
 
 @dataclass
@@ -126,11 +128,12 @@ def build_torus(p, d, n, max_internal=64):
 
 def frobenius_chain_map_check(X, m_box):
     """phi is a chain map: phi then d at weight pm equals d at m then phi."""
+    frob = {j: X.frobenius_matrix(j) for j in range(X.d + 1)}  # weight-free
     for m in m_box:
         pm = tuple(X.p * a for a in m)
         for j in range(X.d):
-            lhs = mat_mul(X.frobenius_matrix(j), X.diff_matrix(pm, j))
-            rhs = mat_mul(X.diff_matrix(m, j), X.frobenius_matrix(j + 1))
+            lhs = mat_mul(frob[j], X.diff_matrix(pm, j))
+            rhs = mat_mul(X.diff_matrix(m, j), frob[j + 1])
             if lhs != rhs:
                 return False
     return True

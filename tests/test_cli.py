@@ -199,6 +199,25 @@ def test_syntomic_charp_p2_d3_i1_r2_M3(capsys):
     }
 
 
+@pytest.mark.parametrize("p, d, i, r, M", [(2, 1, 1, 2, 2), (3, 2, 1, 1, 1), (2, 2, 0, 2, 2)])
+def test_syntomic_q_at_N_1_answers_as_charp(capsys, p, d, i, r, M):
+    # the q-model at N = 1 is the crystalline (charp) model
+    flags = ["-p", str(p), "-d", str(d), "-i", str(i), "-r", str(r), "-M", str(M)]
+    out = {}
+    for model in (["--model", "q", "-N", "1"], ["--model", "charp"]):
+        assert cli.main(["syntomic", *model, *flags]) == 0
+        out[model[1]] = json.loads(capsys.readouterr().out)["result"]
+    for key in ("groups", "dlog", "V_used"):
+        assert out["q"][key] == out["charp"][key], key
+    assert out["q"]["certificates"]["mu_collapsed"]
+
+
+@pytest.mark.parametrize("command", ["qderham", "witt"])
+def test_N_1_is_a_valid_model(capsys, command):
+    assert cli.main([command, "-p", "2", "-N", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["all_ok"]
+
+
 def test_acrys_runs_every_level_up_to_i(monkeypatch):
     # -i is honoured, not narrowed to 2
     levels = {"conjugate": [], "nygaard": []}

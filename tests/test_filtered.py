@@ -22,6 +22,7 @@ from nygaard.complexes import (
     trivial_filtration,
     underlying_complex_lattices,
 )
+from nygaard.errors import UsageError
 from nygaard.linalg import (
     PGroup,
     hermite_form,
@@ -124,6 +125,17 @@ def test_eta_zero_rejected():
         eta(0, mult_p_complex(3))
 
 
+def test_eta_in_negative_degrees_is_exact_or_rejected():
+    # f^{-1} C^{-1} contains C^{-1}: no integer coordinates unless f = +-1
+    C = Complex({-1: 1, 0: 1, 1: 1}, {-1: [[0]], 0: [[3]]})
+    with pytest.raises(UsageError, match="degree -1"):
+        eta(2, C)
+    for f in (1, -1):
+        E, incl = eta(f, C)
+        assert all(type(x) is int for rows in incl.values() for row in rows for x in row)
+        assert E.invariants() == C.invariants()
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_complex_invariants_raise_typed_errors(flags):
     # the checks are raises, not asserts, so python -O keeps them
@@ -137,7 +149,7 @@ for make, exc in (
     # a window whose d*d = 2 is nonzero mod 4
     (lambda: cohomology_mod({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[2]]}, 2, 2), CompositeNonzero),
     (lambda: mat_mul([[1, 2]], [[1]]), UsageError),
-    (lambda: build_qtorus(2, 1, 1), UsageError),
+    (lambda: build_qtorus(2, 1, 0), UsageError),
     (lambda: build_torus(2, 0, 1), UsageError),
     (lambda: PGroup(2, (0,)), UsageError),
     (lambda: PGroup(2, (1, 2)), UsageError),

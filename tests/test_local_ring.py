@@ -12,6 +12,7 @@ from nygaard.linalg import (
     CompositeNonzero,
     PGroup,
     _vp,
+    block_diag,
     cohomology_mod,
     eliminate_mod,
     howell_form,
@@ -38,13 +39,9 @@ from nygaard.linalg import (
 from nygaard.qtorus import build_qtorus
 from nygaard.syntomic import (
     _assemble_window,
-    _charp_model,
     _embed_rows,
-    _mu_rows,
     _primitive_orbit_reps,
-    _q_model,
 )
-from nygaard.torus import build_torus
 
 
 @st.composite
@@ -287,16 +284,16 @@ def integer_image(K0, B1, p, r, n):
     return PGroup.from_invariants(p, invs).exponents
 
 
-def check_windows(model, r, M, V, extra_rels=None):
-    p = model.p
-    ranks0, diffs0, _ = _assemble_window(model, 0)
+def check_windows(X, i, r, M, V, extra_rels=None):
+    p = X.p
+    ranks0, diffs0, _ = _assemble_window(X, i, 0)
     extra = extra_rels(ranks0) if extra_rels else None
     got, _ = cohomology_mod(ranks0, diffs0, p, r, extra)
     assert got == integer_window_groups(ranks0, diffs0, p, r, extra)
-    for m0 in _primitive_orbit_reps(model.d, p, M):
+    for m0 in _primitive_orbit_reps(X.d, p, M):
         wins = []
         for k in (0, 1):
-            ranks, diffs, basis = _assemble_window(model, V + k, m0)
+            ranks, diffs, basis = _assemble_window(X, i, V + k, m0)
             extra = extra_rels(ranks) if extra_rels else None
             got, pres = cohomology_mod(ranks, diffs, p, r, extra)
             assert got == integer_window_groups(ranks, diffs, p, r, extra), (m0, k)
@@ -313,15 +310,49 @@ def check_windows(model, r, M, V, extra_rels=None):
     (2, 2, 1, 1, 1), (3, 2, 0, 2, 1), (2, 2, 2, 2, 1),
 ])
 def test_charp_windows_match_integer_path(p, d, i, r, M):
-    check_windows(_charp_model(build_torus(p, d, r), i), r, M, r + 1)
+    check_windows(build_qtorus(p, d, 1), i, r, M, r + 1)
 
 
-@pytest.mark.parametrize("collapse_mu", [False, True])
+def mu_rels(X):
+    """mu * gens per window degree: the relations that kill mu."""
+    mu = X.B.mult_matrix(X.B.mu)
+    return lambda ranks: {t: block_diag(mu, rk // X.N) for t, rk in ranks.items()}
+
+
+@pytest.mark.parametrize("kill_mu", [False, True])
 @pytest.mark.parametrize("p, i, r, N", [(2, 0, 1, 3), (2, 1, 1, 3), (3, 1, 1, 2), (2, 1, 2, 2)])
-def test_q_windows_match_integer_path(p, i, r, N, collapse_mu):
+def test_q_windows_match_integer_path(p, i, r, N, kill_mu):
     Xq = build_qtorus(p, 1, N)
-    extra = (lambda ranks: _mu_rows(Xq.B, ranks)) if collapse_mu else None
-    check_windows(_q_model(Xq, i), r, 2, r + 1, extra)
+    check_windows(Xq, i, r, 2, r + 1, mu_rels(Xq) if kill_mu else None)
+
+
+@pytest.mark.parametrize("p, d, r, N", [
+    (2, 1, 1, 2), (2, 1, 2, 3), (3, 1, 2, 2), (5, 1, 1, 3), (2, 2, 1, 2), (3, 2, 1, 3),
+])
+def test_q_windows_mod_mu_are_the_n1_windows(p, d, r, N):
+    # B/mu = Z: with mu * gens added to the relations, every q window at N
+    # has the groups of the N = 1 window, and so has the image of W_V in
+    # W_{V+1}; the mu-collapse of the q-model is the N = 1 (charp) model
+    Xq, X1 = build_qtorus(p, d, N), build_qtorus(p, d, 1)
+    rels = mu_rels(Xq)
+
+    def groups(X, i, V, m0, extra):
+        ranks, diffs, basis = _assemble_window(X, i, V, m0)
+        got, pres = cohomology_mod(ranks, diffs, p, r, extra(ranks) if extra else None)
+        return got, pres, basis
+
+    for i in range(d + 2):
+        assert groups(Xq, i, 0, None, rels)[0] == groups(X1, i, 0, None, None)[0]
+        for m0 in _primitive_orbit_reps(d, p, 1):
+            wins = {}
+            for X, extra in ((Xq, rels), (X1, None)):
+                (g0, pres0, basis0), (g1, pres1, basis1) = (
+                    groups(X, i, r + k, m0, extra) for k in (0, 1))
+                images = {t: quotient_exponents_mod(
+                    _embed_rows(pres0[t][0], basis0[t], basis1[t]), pres1[t][1], p, r)
+                    for t in pres0}
+                wins[X.N] = (g0, g1, images)
+            assert wins[N] == wins[1], (i, m0)
 
 
 def test_relation_outside_next_relations_raises():

@@ -2,8 +2,10 @@ import pytest
 
 from nygaard.linalg import (
     PGroup,
+    identity,
     lattice_contains,
     mat_mul,
+    mat_scale,
     presented_cohomology_mod,
     presented_complex_cohomology,
     row_mul,
@@ -20,7 +22,32 @@ from nygaard.qtorus import (
     q_nygaard_stability_check,
     specialization_check,
 )
-from nygaard.torus import frobenius_chain_map_check, weights_box
+from nygaard.torus import build_torus, frobenius_chain_map_check, weights_box
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_n1_blocks_are_the_integral_torus_blocks(p, d):
+    # at N = 1, B = Z and every block of the q-model is the scalar block of
+    # the integral torus model, with exact integer entries
+    X, T = build_qtorus(p, d, 1), build_torus(p, d, 1)
+
+    def same(A, B):
+        assert A == B and all(type(x) is int for row in A for x in row)
+
+    weights = weights_box(d, 2 if d < 3 else 1)
+    for j in range(d + 1):
+        same(X.frobenius_matrix(j), T.frobenius_matrix(j))
+        if j < d:
+            for m in weights:
+                same(X.diff_matrix(m, j), T.diff_matrix(m, j))
+        for i in range(-1, d + 2):
+            same(X.divided_frobenius_matrix(i, j), T.divided_frobenius_matrix(i, j))
+            same(X.nygaard_lattice_rows(i, j), mat_scale(T.nygaard_scale(i, j), identity(T.rank(j))))
+            if j < d:
+                ratio = T.nygaard_scale(i, j) // T.nygaard_scale(i, j + 1)
+                for m in weights:
+                    same(X.normalized_diff_matrix(i, m, j), mat_scale(ratio, T.diff_matrix(m, j)))
 
 
 def test_build_qtorus_rank1_block():
@@ -165,7 +192,9 @@ def test_lnu_cone_over_z_is_finite_and_killed_by_p(p, d, N):
         pm = tuple(p * a for a in m)
         fils = eta_filtration(X, eta_lattices_B(X, pm, X.B.xi_tilde), 3)
         for i in range(3):
-            terms, maps = _graded_cone(X, i, m, pm, fils)
+            phi_N = {j: mat_mul(X.nygaard_lattice_rows(i, j), X.frobenius_matrix(j))
+                     for j in range(d + 1)}
+            terms, maps = _graded_cone(X, i, m, pm, fils, phi_N)
             over_z = presented_complex_cohomology(terms, maps, p)
             assert all(g.free_rank == 0 and set(g.exponents) <= {1} for g in over_z.values())
             for n in (1, 2):

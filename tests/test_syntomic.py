@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from nygaard.errors import UsageError
 from nygaard.linalg import PGroup, cohomology_mod
 from nygaard.syntomic import (
     BoundViolated,
@@ -12,15 +13,13 @@ from nygaard.syntomic import (
     syntomic_acrys,
     syntomic_charp,
     _assemble_window,
-    _charp_model,
+    _orbit_class,
     _orbit_contribution,
     _primitive_orbit_reps,
     _q_dlog_fixed,
-    _q_model,
     syntomic_q,
 )
 from nygaard.qtorus import build_qtorus
-from nygaard.torus import build_torus
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +88,9 @@ def test_charp_module_scaling_sanity():
     assert PGroup(2, (2,)).order() // 2 == 2
 
 
-def _weight0_groups(model, r):
-    ranks, diffs, _ = _assemble_window(model, 0)
-    return cohomology_mod(ranks, diffs, model.p, r)[0]
+def _weight0_groups(X, i, r):
+    ranks, diffs, _ = _assemble_window(X, i, 0)
+    return cohomology_mod(ranks, diffs, X.p, r)[0]
 
 
 # every p and r at d = 1 (gcd(m0) up to 3); one (p, r) per row at d = 2, 3
@@ -107,13 +106,13 @@ def test_charp_orbit_windows_agree_with_class_representative(p, d, r, M):
     # at the default V and at the smallest certifying override V = r - 1
     reps = _primitive_orbit_reps(d, p, M)
     for i in range(d + 1):
-        model = _charp_model(build_torus(p, d, r), i)
-        assert {model.orbit_class(m0) for m0 in reps} == {(1,) + (0,) * (d - 1)}
+        X = build_qtorus(p, d, 1)
+        assert {_orbit_class(X, m0) for m0 in reps} == {(1,) + (0,) * (d - 1)}
         for V in (r + 1, r - 1):
-            ref = _orbit_contribution(model, (1,) + (0,) * (d - 1), i, r, V)
-            total = _weight0_groups(model, r)
+            ref = _orbit_contribution(X, (1,) + (0,) * (d - 1), i, r, V)
+            total = _weight0_groups(X, i, r)
             for m0 in reps:
-                groups, k_used = _orbit_contribution(model, m0, i, r, V)
+                groups, k_used = _orbit_contribution(X, m0, i, r, V)
                 assert (groups, k_used) == ref, (m0, i, V)
                 for t, g in groups.items():
                     total[t] = total[t] + g
@@ -132,7 +131,7 @@ def test_charp_negative_twist_series_certificate():
 def test_charp_box_radius_0_is_weight0(p, d, i, r):
     # -M 0 has no primitive weights, so no orbit class: only weight 0 remains
     res = syntomic_charp(p, d, i, r, M=0)
-    assert res.groups == _weight0_groups(_charp_model(build_torus(p, d, r), i), r)
+    assert res.groups == _weight0_groups(build_qtorus(p, d, 1), i, r)
     assert res.certificates["tail_vanishing"]
     # no window is built, so V_used is 0, as for i < 0; M = 1 builds one
     assert res.V_used == 0
@@ -187,13 +186,16 @@ def test_q_dlog_flag_reads_every_dlog_row():
 
 
 def test_q_matches_charp_mod_mu():
-    # q -> 1 consistency: the collapsed q-model computation reproduces the
-    # char-p groups through the q-matrices
+    # q -> 1 consistency: the collapsed q-model is the N = 1 model (its
+    # windows are the mu-killed windows at N >= 2, tests/test_local_ring.py),
+    # and it answers as charp
     for p, i, r in ((2, 0, 1), (2, 1, 1), (3, 1, 1), (2, 1, 2)):
-        rq = syntomic_q(p, 1, i, r, N=3, M=2, collapse_mu=True)
+        rq = syntomic_q(p, 1, i, r, N=1, M=2)
         rc = syntomic_charp(p, 1, i, r, M=2)
         for t in rc.groups:
             assert rq.groups[t] == rc.groups[t], (p, i, r, t, str(rq.groups[t]), str(rc.groups[t]))
+        assert rq.certificates["mu_collapsed"]
+        assert not rq.certificates["mu_cliff_classes_possible"]
     # at i = 0 the full-B model already agrees (no twisted can, no cliff)
     rq = syntomic_q(2, 1, 0, 1, N=3, M=2)
     rc = syntomic_charp(2, 1, 0, 1, M=2)
@@ -204,7 +206,7 @@ def test_q_matches_charp_mod_mu():
 @pytest.mark.parametrize("i, r", [(0, 1), (1, 2)])
 def test_q_box_radius_0_is_weight0(i, r):
     res = syntomic_q(2, 1, i, r, N=3, M=0)
-    assert res.groups == _weight0_groups(_q_model(build_qtorus(2, 1, 3), i), r)
+    assert res.groups == _weight0_groups(build_qtorus(2, 1, 3), i, r)
     assert res.certificates["tail_vanishing"]
     assert res.V_used == 0
     assert syntomic_q(2, 1, i, r, N=3, M=1).V_used == r + 2
@@ -213,6 +215,23 @@ def test_q_box_radius_0_is_weight0(i, r):
 def test_q_negative_twist():
     res = syntomic_q(2, 1, -2, 1, N=3, M=2)
     assert all(g.is_zero() for g in res.groups.values())
+
+
+@pytest.mark.parametrize("p, d, i, r", [(2, 2, -1, 3), (3, 1, -2, 4), (5, 3, -1, 2)])
+def test_q_negative_twist_series_is_computed(p, d, i, r):
+    # the same series certificate as charp: at N = 1 the same exponents, and
+    # a computed exponent per Koszul degree at N = 4
+    charp = syntomic_charp(p, d, i, r, M=1).certificates["negative_twist_series"]
+    assert syntomic_q(p, d, i, r, N=1, M=1).certificates["negative_twist_series"] == charp
+    series = syntomic_q(p, d, i, r, N=4, M=1).certificates["negative_twist_series"]
+    assert isinstance(series, dict) and set(series) == set(range(d + 1))
+    assert all(k >= 1 for k in series.values())
+
+
+@pytest.mark.parametrize("entry", [syntomic_charp, syntomic_q])
+def test_r_below_1_is_rejected(entry):
+    with pytest.raises(UsageError):
+        entry(2, 1, 1, 0)
 
 
 def test_degree_bound_series_terminates():
