@@ -16,28 +16,51 @@ Weight chains.  Scaled by p^e, the weight of a monomial is the integer vector
 c + l * p^e, one entry per variable; distinct monomials have distinct
 weights, and Frobenius multiplies weights by p.  So phi maps each basis
 monomial to a multiple of the monomial of p times its weight, and the basis
-splits into maximal chains t -> phi(t) -> ..., along which every kernel
+splits into maximal chains t_0 -> t_1 -> ..., along which every kernel
 computation shards.  The chains depend only on (p, g, e, W), not on the
 precision n, so they are computed once per basis and shared by the copies of
-an algebra at n, n + i and n + i + 1.  Two facts about a chain save work:
+an algebra at n, n + i and n + i + 1.
 
+The phi-block of a chain is therefore a weighted shift: row k has at most one
+nonzero entry c_k, in column k + 1.  The one exception is the weight-0 chain,
+whose block is the 1x1 block [1].  `_phi_block_matrix` checks this shape when
+it builds a block (CompositeNonzero otherwise), and a check builds each block
+once and reads every kernel and image of the chain from it.  Four facts about
+a chain save work:
+
+- The Nygaard kernel is diagonal.  Over Z/p^n, {x : x M = 0 mod p^i} is
+  generated by p^{max(0, i - v_p(c_k))} e_k, one per row k (i capped at n,
+  v_p(0) taken as n, rows with exponent n dropped).  Proof: the rows of M
+  have their entries in distinct columns, so x M = 0 mod p^i iff
+  x_k c_k = 0 mod p^i for every k, i.e. v_p(x_k) >= i - v_p(c_k).  No
+  elimination is needed (`_shift_kernel`).
 - Whether phi(x) = 0 mod p^i depends only on x mod p^i, because phi is given
   by an integer matrix.  So the generators of {x : phi(x) = 0 mod p^i} at
   precision n + i + 1, reduced mod p^{n+i}, generate the same module at
   precision n + i, and one kernel per level serves both precisions.
-- When the phi-block of a chain vanishes at the working precision, every x
-  satisfies phi(x) = 0 mod p^i, so the Nygaard kernel of the chain is the
-  identity (which is what elimination returns), and ker(phi - p^i) =
-  ker(-p^i) mod p^{n+i} is p^n times the chain, which projects to 0 mod p^n.
-  Such chains skip elimination.
+- A chain whose phi-block vanishes at the working precision is known in
+  closed form, and skips elimination everywhere (`_phi_blocks` leaves it
+  out).  Its Nygaard kernel is the identity at every level and phi_i is zero
+  on it.  So in `nygaard_graded_image_check` it has no image and no graded
+  piece, and the image matches Fil^conj_i on it iff it holds no index of
+  the restricted filtration.  In `syntomic.syntomic_acrys`, phi_i - 1 = -1
+  on it: it adds nothing to H^1, and its image is the whole chain, so it
+  never breaks the surjectivity mechanism.  And ker(phi - p^i) = ker(-p^i)
+  mod p^{n+i} is p^n times the chain, which projects to 0 mod p^n.
+- Description (1) of the conjugate filtration is a closure of seed monomials
+  under multiplication.  The seeds of level n contain those of level n - 1,
+  and what a closure reaches is the union of what each seed reaches, so
+  `conjugate_filtration_equality_check` grows one reached set level by level,
+  searching only from the new seeds.
 
 Spans over Z/p^n come in two kinds.  The conjugate and divided-power
 filtrations are spanned by monomials, and so is every span built from them by
 multiplying monomials: these are sets of basis indices and are compared as
-sets.  The Nygaard filtration and the images of phi_i - 1 are general
-submodules; they are computed per weight chain by the local-ring routines of
-`linalg` (`preimage_mod`, `span_exponent_mod`, `quotient_exponents_mod`) and
-compared by order: span(A) = span(B) iff |A| = |B| = |A + B|.
+sets.  The Nygaard filtration is read off the weighted shifts.  The images
+of phi_i and of phi_i - 1 on the chains with a nonzero phi-block are general
+submodules; they are computed per chain by the local-ring routines of
+`linalg` (`span_exponent_mod`, `quotient_exponents_mod`) and compared by
+order: span(A) = span(B) iff |A| = |B| = |A + B|.
 """
 
 import weakref
@@ -53,13 +76,12 @@ from .errors import (
 )
 from .linalg import (
     PGroup,
+    _vp,
     howell_form,
     identity,
     kernel_mod,
     mat_is_zero,
-    mat_scale,
     module_invariants_mod,
-    preimage_mod,
     quotient_exponents_mod,
     row_mul,
     span_exponent_mod,
@@ -330,7 +352,7 @@ def conjugate_filtration_spans(A, nmax=None):
     return fil
 
 
-def conjugate_filtration_description1(A, nn):
+def conjugate_filtration_description1(A, nn, below=None):
     """Fil_n via description (1): the span of divided-power products
     a_1^{[l_1]} ... a_m^{[l_m]} with a_i ideal generators and sum l < (n+1)p,
     closed under multiplication by base monomials.
@@ -340,7 +362,12 @@ def conjugate_filtration_description1(A, nn):
     multiplier is a single monomial, so each product is a single monomial
     times a coefficient, and a unit factor mod p never decides whether a later
     product vanishes mod p.  Each monomial is therefore expanded once, with
-    coefficient 1, and kept when its coefficient is nonzero mod p."""
+    coefficient 1, and kept when its coefficient is nonzero mod p.
+
+    `below`, when given, is the set returned at level n - 1.  It holds the
+    seeds of that level, which are seeds here too, and is closed, so the
+    search starts from it and expands only the new seeds (module
+    docstring)."""
     p = A.p
     index = A.index()
 
@@ -351,9 +378,13 @@ def conjugate_filtration_description1(A, nn):
         for lj in range(budget + 1):
             yield from gen_products(j + 1, l_acc + [lj], budget - lj)
 
+    reached = set(below or ())
     frontier = []
     for l in gen_products(0, [], min((nn + 1) * p - 1, A.W)):
-        frontier.extend(A.monomial((0,) * A.g, l))
+        for m in A.monomial((0,) * A.g, l):
+            if index[m] not in reached:
+                reached.add(index[m])
+                frontier.append(m)
     # close under multiplication by the variables and Teichmuller monomials
     multipliers = []
     pe = p**A.e
@@ -367,7 +398,6 @@ def conjugate_filtration_description1(A, nn):
         l[j] = 1
         # x_j itself = 1! * x_j^{[1]}
         multipliers.append(A.monomial(c, l))
-    reached = {index[m] for m in frontier}
     while frontier:
         nxt = []
         for m in frontier:
@@ -384,10 +414,14 @@ def conjugate_filtration_description1(A, nn):
 def conjugate_filtration_equality_check(A, nmax=2):
     """Prop-8.11-style: descriptions (1) and (2) span the same submodule mod p
     at every level within the truncation.  Both spans are monomial, so they
-    are equal iff their index sets are."""
+    are equal iff their index sets are.  Description (1) grows level by level
+    from one closure (module docstring)."""
     fil2 = conjugate_filtration_spans(A, nmax)
-    details = {nn: conjugate_filtration_description1(A, nn) == fil2[nn]
-               for nn in range(0, nmax + 1)}
+    details = {}
+    reached = None
+    for nn in range(0, nmax + 1):
+        reached = conjugate_filtration_description1(A, nn, reached)
+        details[nn] = reached == fil2[nn]
     return {"ok": all(details.values()), "levels": details}
 
 
@@ -533,7 +567,8 @@ def orbit_blocks(A):
 
 
 def _phi_block_matrix(A, idxs):
-    """phi restricted to the span of the given basis indices (row conv.)."""
+    """phi restricted to the span of the given chain of basis indices (row
+    conv.): a weighted shift, checked (module docstring)."""
     basis = A.basis()
     pos = {t: k for k, t in enumerate(idxs)}
     M = [[0] * len(idxs) for _ in idxs]
@@ -544,8 +579,22 @@ def _phi_block_matrix(A, idxs):
             tt = index[m]
             if tt not in pos:
                 raise CompositeNonzero("phi leaked out of its weight chain")
+            if pos[tt] != (k + 1 if len(idxs) > 1 else 0):
+                raise CompositeNonzero("phi-block of a weight chain is not a weighted shift")
             M[k][pos[tt]] = c
     return M
+
+
+def _phi_blocks(A):
+    """(indices, phi-block) for each weight chain of A whose phi-block is
+    nonzero, in chain order; the other chains are known in closed form
+    (module docstring)."""
+    out = []
+    for idxs in orbit_blocks(A):
+        M = _phi_block_matrix(A, idxs)
+        if not mat_is_zero(M):
+            out.append((idxs, M))
+    return out
 
 
 def _divided_phi_rows(rows, Mphi, p, i):
@@ -561,20 +610,32 @@ def _divided_phi_rows(rows, Mphi, p, i):
     return out
 
 
-def _nygaard_kernel_blocks(A2, i):
-    """Per weight chain: (indices, block-local generators over Z/p^{A2.n} of
-    {x : phi(x) = 0 mod p^i}).  A chain whose phi-block is zero gets the
-    identity without elimination (module docstring)."""
-    p = A2.p
+def _shift_kernel(M, p, n, i):
+    """Generators over Z/p^n of {x : x M = 0 mod p^i} for a phi-block M with
+    at most one nonzero entry per row and per column: the diagonal rows
+    p^{max(0, i - v_p(M_k))} e_k (module docstring), without elimination."""
+    q = p**n
+    i = min(i, n)
     out = []
-    for idxs in orbit_blocks(A2):
-        K = identity(len(idxs))
-        if i:
-            M = _phi_block_matrix(A2, idxs)
-            if not mat_is_zero(M):
-                K = preimage_mod(M, mat_scale(p**i, K), p, A2.n)
-        out.append((idxs, K))
+    for k, row in enumerate(M):
+        c = next((a % q for a in row if a % q), 0)
+        a = max(0, i - _vp(c, p)) if c else 0
+        if a < n:
+            v = [0] * len(M)
+            v[k] = p**a
+            out.append(v)
     return out
+
+
+def _nygaard_kernel_blocks(A2, i, blocks=None):
+    """Per weight chain: (indices, block-local generators over Z/p^{A2.n} of
+    {x : phi(x) = 0 mod p^i}), read off the chain's phi-block.  `blocks`
+    are (indices, phi-block) pairs built by a caller that reads the blocks
+    too, so that each is built once; only those chains are returned.  By
+    default every chain of A2 is."""
+    if blocks is None:
+        blocks = [(idxs, _phi_block_matrix(A2, idxs)) for idxs in orbit_blocks(A2)]
+    return [(idxs, _shift_kernel(M, A2.p, A2.n, i)) for idxs, M in blocks]
 
 
 def _nygaard_kernel_at(A2, i):
@@ -637,7 +698,9 @@ def nygaard_graded_image_check(A, i):
     suffice: phi(x) = 0 mod p^i depends only on x mod p^i, so the level-i
     kernel at n + i + 1 reduced mod p^{n+i} is the level-i kernel at n + i,
     and the image phi(x)/p^i mod p, which depends only on x mod p^{i+1}, is
-    read off from it directly."""
+    read off from it directly.  Both kernels and the image come from one
+    phi-block per chain, and a chain whose block is zero needs no elimination
+    (module docstring)."""
     p = A.p
     Acmp = PDAlgebra(p, A.g, A.n + i + 1, A.e, A.W)
     fil = conjugate_filtration_spans(A, i + 1)
@@ -645,12 +708,15 @@ def nygaard_graded_image_check(A, i):
     fil_idx = {
         t for t in fil[i] if not any(cj % p for cj in basis[t].c)
     }
-    deeper = _nygaard_kernel_blocks(Acmp, i + 1)
-    same = True
+    blocks = _phi_blocks(Acmp)
+    # a chain whose phi-block is zero has no image and no graded piece, so
+    # the image matches the filtration there iff the chain holds none of it
+    same = fil_idx <= {t for idxs, _ in blocks for t in idxs}
     dim_src = 0
     dim_img = 0
-    for (idxs, Ki), (_, Ki1) in zip(_nygaard_kernel_blocks(Acmp, i), deeper):
-        imgs = _divided_phi_rows(Ki, _phi_block_matrix(Acmp, idxs), p, i)
+    for (idxs, Ki), (_, Ki1), (_, M) in zip(_nygaard_kernel_blocks(Acmp, i, blocks),
+                                             _nygaard_kernel_blocks(Acmp, i + 1, blocks), blocks):
+        imgs = _divided_phi_rows(Ki, M, p, i)
         width = len(idxs)
         fil_rows = []
         for k, t in enumerate(idxs):
@@ -698,10 +764,8 @@ def _fixed_points_at(A, i, W):
     invs = []
     gens = []
     nbasis = len(Aw.basis())
-    for idxs in orbit_blocks(Aw):
-        M = _phi_block_matrix(Aw, idxs)
-        if mat_is_zero(M):
-            continue  # ker(-p^i) mod p^{n+i} projects to 0 mod p^n
+    # a zero chain is left out: ker(-p^i) mod p^{n+i} projects to 0 mod p^n
+    for idxs, M in _phi_blocks(Aw):
         for t in range(len(M)):
             M[t][t] -= p**i
         K = kernel_mod(M, p, n_int)

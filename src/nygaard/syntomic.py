@@ -66,6 +66,7 @@ from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches
     cohomology_mod,
     hermite_form,
     identity,
+    mat_is_zero,
     mat_mul,
     quotient_exponents_mod,
     solve_mod_p,
@@ -77,7 +78,7 @@ from .pdalg import (
     PDAlgebra,
     _divided_phi_rows,
     _nygaard_kernel_blocks,
-    _phi_block_matrix,
+    _phi_blocks,
     conjugate_filtration_spans,
     frobenius_fixed_points,
     span_identity_check,
@@ -519,6 +520,23 @@ def contraction_bound_check(p, i, m, N=4):
 # acrys model
 
 
+def _acrys_negative_twist_series(A, i):
+    """For i < 0, phi_i - 1 = T - 1 with T = p^{-i} phi is invertible on
+    A/p^r: its inverse -(1 + T + T^2 + ...) terminates at the least k with
+    T^k = 0 mod p^r on every weight-chain block, which this returns.  The
+    weight-0 block [1] makes it ceil(r / -i)."""
+    p, q = A.p, A.q
+    k_all = 1
+    for _, M in _phi_blocks(A):  # a zero block has k = 1
+        T = [[p**-i * a % q for a in row] for row in M]
+        Tk, k = T, 1
+        while not mat_is_zero(Tk):
+            Tk = [[a % q for a in row] for row in mat_mul(Tk, T)]
+            k += 1
+        k_all = max(k_all, k)
+    return k_all
+
+
 def syntomic_acrys(p, i, r, e=2, W=None, g=1):
     """H^0 = fixed points, H^1 = cokernel at truncation (global-model flag),
     plus the span-identity mechanism behind local surjectivity for i > 0."""
@@ -527,20 +545,23 @@ def syntomic_acrys(p, i, r, e=2, W=None, g=1):
         return SyntomicResult(
             "acrys", p, i, r, 0, 0,
             {0: PGroup.zero(p), 1: PGroup.zero(p)},
-            certificates={"negative_twist_series": True},
+            certificates={"negative_twist_series": _acrys_negative_twist_series(A, i)},
         )
     fp = frobenius_fixed_points(A, i)
     h0 = fp["group"]
     # cokernel of phi_i - 1 on N^{>=i} tensor Z/p^r: generators are kept at
     # the internal precision r + i (reducing them mod p^r first would lose
     # the p * N^{>= i-1} classes, which are nonzero in the tensor product);
-    # the operator preserves weight chains, so the cokernel shards
+    # the operator preserves weight chains, so the cokernel shards, and a
+    # chain whose phi-block is zero, where phi_i - 1 = -1, adds nothing to it
+    # nor to the mechanism below (module docstring of `pdalg`)
     Aint = PDAlgebra(p, g, r + i, e, A.W)
+    blocks = _phi_blocks(Aint)
     q = p**r
     h1 = PGroup.zero(p)
     mech_rows = []  # block-local (indices, image rows mod p^r) for the mechanism
-    for idxs, gens in _nygaard_kernel_blocks(Aint, i):
-        imgs = _divided_phi_rows(gens, _phi_block_matrix(Aint, idxs), p, i)
+    for (idxs, gens), (_, M) in zip(_nygaard_kernel_blocks(Aint, i, blocks), blocks):
+        imgs = _divided_phi_rows(gens, M, p, i)
         rows = [[(a - b) % q for a, b in zip(img, grow)] for img, grow in zip(imgs, gens)]
         h1 = h1 + PGroup(p, quotient_exponents_mod(identity(len(idxs)), rows, p, r))
         mech_rows.append((idxs, rows))

@@ -1,9 +1,14 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nygaard import pdalg, syntomic
+from nygaard import cli, linalg, pdalg, syntomic
 from nygaard.errors import CompositeNonzero, UsageError
 from nygaard.linalg import (
     PGroup,
@@ -14,6 +19,8 @@ from nygaard.linalg import (
     mat_scale,
     module_invariants_mod,
     preimage_mod,
+    quotient_exponents_mod,
+    span_exponent_mod,
 )
 from nygaard.pdalg import (
     Monomial,
@@ -173,6 +180,17 @@ def test_description1_index_set_matches_dense_closure(p, g, e, n):
         reached = conjugate_filtration_description1(A, nn)
         want = [units[t] for t in sorted(reached)]
         assert howell_form(dense_description1(A, nn), p, 1) == want, nn
+
+
+@pytest.mark.parametrize("p,g,e", [(p, g, e) for p in (2, 3) for g in (1, 2) for e in (1, 2)])
+def test_description1_grown_level_by_level_matches_each_level(p, g, e):
+    # the closure at level n - 1, grown by the new seeds, is the closure at n
+    A = PDAlgebra(p, g=g, n=1, e=e, W=3 * p if g == 1 else p + 1)
+    reached = None
+    for nn in range(4):
+        reached = conjugate_filtration_description1(A, nn, reached)
+        assert reached == conjugate_filtration_description1(A, nn), nn
+    assert reached != conjugate_filtration_description1(A, 0)
 
 
 def test_conjugate_filtration_check_sees_a_missing_monomial(monkeypatch):
@@ -377,6 +395,182 @@ def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
         assert gens == want_gens
 
 
+def _algebra_holding_phi(p, g, n, e):
+    """The algebra at the least W >= p whose phi-blocks stay in the window."""
+    for W in itertools.count(p):
+        A = PDAlgebra(p, g=g, n=n, e=e, W=W)
+        try:
+            pdalg._phi_blocks(A)
+            return A
+        except TruncationTooTight:
+            pass
+
+
+@pytest.mark.parametrize("p,e,g", [
+    # (5, 2, 2) is left out: its least W already holds 28,125 monomials at n = 1
+    (p, e, g) for p in (2, 3, 5) for e in (0, 1, 2) for g in (1, 2) if (p, e, g) != (5, 2, 2)
+])
+def test_shift_kernel_matches_preimage(p, e, g):
+    # the diagonal Nygaard kernel of every chain spans what elimination gives
+    nonzero = 0
+    for n in (1, 2, 3):
+        A = _algebra_holding_phi(p, g, n, e)
+        if len(A.basis()) > 3000:
+            continue  # (3, 2, 2) and (5, 1, 2) at n = 3
+        for i in range(4):
+            for idxs, K in pdalg._nygaard_kernel_blocks(A, i):
+                M = pdalg._phi_block_matrix(A, idxs)
+                if mat_is_zero(M):
+                    assert K == identity(len(idxs))
+                    continue
+                nonzero += 1
+                want = preimage_mod(M, mat_scale(p**i, identity(len(M))), p, n)
+                assert howell_form(K, p, n) == howell_form(want, p, n), (n, i, M)
+    assert nonzero
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_phi_block_that_is_not_a_shift_raises(flags):
+    # the shape check is a raise, not an assert, so python -O keeps it
+    code = """
+from nygaard import pdalg
+from nygaard.errors import CompositeNonzero
+A = pdalg.PDAlgebra(2, 1, 3, 1, 8)
+chain = next(c for c in pdalg.orbit_blocks(A) if len(c) >= 3)
+if not pdalg._phi_block_matrix(A, chain)[0][1]:
+    raise SystemExit("row 0 of the chain is zero")
+basis = A.basis()
+phi = A.frobenius_monomial
+for bad in (
+    # a second entry in row 0, in column 2
+    lambda m: {**phi(m), basis[chain[2]]: 1} if m == basis[chain[0]] else phi(m),
+    # row 1 moved onto column 1, which row 0 already fills
+    lambda m: {basis[chain[1]]: 1} if m == basis[chain[1]] else phi(m),
+):
+    A.frobenius_monomial = bad
+    for build in (lambda: pdalg._phi_block_matrix(A, chain),
+                  lambda: pdalg._nygaard_kernel_blocks(A, 1)):
+        try:
+            build()
+        except CompositeNonzero:
+            continue
+        raise SystemExit("no CompositeNonzero")
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr + out.stdout
+
+
+def _graded_image_eliminating_every_chain(A, i):
+    """`nygaard_graded_image_check` with both Nygaard kernels eliminated on
+    every chain, zero phi-blocks included."""
+    p = A.p
+    Acmp = PDAlgebra(p, A.g, A.n + i + 1, A.e, A.W)
+    basis = A.basis()
+    fil_idx = {t for t in pdalg.conjugate_filtration_spans(A, i + 1)[i]
+               if not any(cj % p for cj in basis[t].c)}
+    same, dim_src, dim_img = True, 0, 0
+    for idxs in orbit_blocks(Acmp):
+        M = pdalg._phi_block_matrix(Acmp, idxs)
+        units = identity(len(idxs))
+        Ki, Ki1 = (preimage_mod(M, mat_scale(p**j, units), p, Acmp.n) for j in (i, i + 1))
+        imgs = pdalg._divided_phi_rows(Ki, M, p, i)
+        fil_rows = [units[k] for k, t in enumerate(idxs) if t in fil_idx]
+        e_img = span_exponent_mod(imgs, p, 1)
+        if not e_img == len(fil_rows) == span_exponent_mod(imgs + fil_rows, p, 1):
+            same = False
+        dim_img += e_img
+        dim_src += len(quotient_exponents_mod(Ki, Ki1, p, Acmp.n))
+    return {"image_matches_fil": same, "dim_graded": dim_src, "dim_image": dim_img,
+            "injective": dim_src == dim_img, "ok": same and dim_src == dim_img}
+
+
+def _syntomic_acrys_eliminating_every_chain(p, i, r, e):
+    """H^1 and the surjectivity mechanism of `syntomic_acrys`, with the
+    Nygaard kernel and the cokernel of phi_i - 1 eliminated on every chain."""
+    A = PDAlgebra(p, 1, r, e)
+    Aint = PDAlgebra(p, 1, r + i, e, A.W)
+    basis = A.basis()
+    q = p**r
+    conj_idx = {t for t in conjugate_filtration_spans(A, max(i, 1))[i - 1]
+                if not any(cj % p for cj in basis[t].c)}
+    pd_idx = {t for t, m in enumerate(basis) if m.total_pd_weight() >= i + 1}
+    h1 = PGroup.zero(p)
+    pd_ok = conj_ok = True
+    for idxs in orbit_blocks(Aint):
+        M = pdalg._phi_block_matrix(Aint, idxs)
+        units = identity(len(idxs))
+        gens = preimage_mod(M, mat_scale(p**i, units), p, Aint.n)
+        imgs = pdalg._divided_phi_rows(gens, M, p, i)
+        rows = [[(a - b) % q for a, b in zip(img, g)] for img, g in zip(imgs, gens)]
+        h1 = h1 + PGroup(p, quotient_exponents_mod(units, rows, p, r))
+        e_img = span_exponent_mod(rows, p, 1)
+        for part, idx in (("pd", pd_idx), ("conj", conj_idx)):
+            extra = [units[k] for k, t in enumerate(idxs) if t in idx]
+            if span_exponent_mod(rows + extra, p, 1) != e_img:
+                pd_ok, conj_ok = (False, conj_ok) if part == "pd" else (pd_ok, False)
+    return h1, ({"pd_part": pd_ok, "conj_part": conj_ok} if i >= 1 else None)
+
+
+@pytest.mark.parametrize("p,e,n", [(p, e, n) for p in (2, 3, 5) for e in (1, 2) for n in (1, 2)])
+def test_graded_image_check_matches_elimination_on_every_chain(p, e, n):
+    A = acrys(p, g=1, n=n, e=e)
+    for i in (0, 1, 2):
+        assert nygaard_graded_image_check(A, i) == _graded_image_eliminating_every_chain(A, i)
+
+
+def test_graded_image_check_reads_fil_on_zero_chains(monkeypatch):
+    # an index of the restricted Fil^conj_i on a zero chain has no preimage
+    p, i = 2, 1
+    A = small_algebra(p=p, n=1, e=2)
+    assert nygaard_graded_image_check(A, i)["image_matches_fil"]
+    Acmp = PDAlgebra(p, 1, A.n + i + 1, A.e, A.W)
+    basis = A.basis()
+    t = next(t for idxs in orbit_blocks(Acmp) if mat_is_zero(pdalg._phi_block_matrix(Acmp, idxs))
+             for t in idxs if not any(cj % p for cj in basis[t].c))
+    spans = conjugate_filtration_spans
+
+    def with_t(A, nmax=None):
+        fil = spans(A, nmax)
+        fil[i] = fil[i] | {t}
+        return fil
+
+    monkeypatch.setattr(pdalg, "conjugate_filtration_spans", with_t)
+    rep = nygaard_graded_image_check(A, i)
+    assert not rep["image_matches_fil"]
+    assert rep == _graded_image_eliminating_every_chain(A, i)
+
+
+@pytest.mark.parametrize("p,e,r", [(p, e, r) for p in (2, 3, 5) for e in (1, 2) for r in (1, 2)])
+def test_syntomic_acrys_matches_elimination_on_every_chain(p, e, r):
+    for i in (0, 1, 2):
+        res = syntomic.syntomic_acrys(p, i, r, e=e)
+        h1, mech = _syntomic_acrys_eliminating_every_chain(p, i, r, e)
+        assert res.groups[1] == h1
+        assert res.certificates["surjectivity_mechanism"] == mech
+
+
+@pytest.mark.parametrize("command,config,most", [
+    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 5000),
+    ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}, 1500),
+])
+def test_acrys_elimination_count(monkeypatch, command, config, most):
+    # zero-phi chains and the diagonal Nygaard kernels need no elimination
+    calls = []
+    eliminate = linalg.eliminate_mod
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return eliminate(*args, **kw)
+
+    monkeypatch.setattr(linalg, "eliminate_mod", counted)
+    cli.run_command(command, cli.RunConfig(**config))
+    assert 0 < len(calls) <= most
+
+
 def test_pd_algebra_rejects_bad_parameters():
     for kw in ({"n": 0}, {"e": -1}, {"g": 0}):
         with pytest.raises(UsageError):
@@ -435,8 +629,9 @@ def test_divided_frobenius_rejects_a_non_nygaard_generator():
         divided_frobenius_on_gens(A, 1, [A.to_vector(A.one())])
 
 
-def _whole_algebra_as_nygaard(A2, i):
-    return [(idxs, identity(len(idxs))) for idxs in orbit_blocks(A2)]
+def _whole_algebra_as_nygaard(A2, i, blocks=None):
+    chains = orbit_blocks(A2) if blocks is None else [idxs for idxs, _ in blocks]
+    return [(idxs, identity(len(idxs))) for idxs in chains]
 
 
 @pytest.mark.parametrize("check", [

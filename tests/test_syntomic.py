@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from nygaard import syntomic
 from nygaard.errors import UsageError
 from nygaard.linalg import PGroup, cohomology_mod
 from nygaard.syntomic import (
@@ -286,6 +287,24 @@ def test_acrys_i1_span_identity():
 def test_acrys_negative_twist():
     res = syntomic_acrys(2, -1, 2, e=2)
     assert all(g.is_zero() for g in res.groups.values())
+
+
+@pytest.mark.parametrize("p,e,i,r", [
+    (p, e, i, r) for p in (2, 3) for e in (1, 2) for i in (-1, -2, -3) for r in (1, 2, 3)
+])
+def test_acrys_negative_twist_series_is_computed(p, e, i, r):
+    # the least k with (p^{-i} phi)^k = 0 mod p^r on every chain block; the
+    # weight-0 block [1] needs ceil(r / -i), and the shifts need no more
+    k = syntomic_acrys(p, i, r, e=e).certificates["negative_twist_series"]
+    assert type(k) is int
+    assert k == -(-r // -i)
+
+
+def test_acrys_negative_twist_series_reads_the_blocks(monkeypatch):
+    # without the weight-0 block, a nilpotent 2x2 shift ends the series at
+    # k = 2 before p^{-i k} does (ceil(4 / 1) = 4)
+    monkeypatch.setattr(syntomic, "_phi_blocks", lambda A: [([0, 1], [[0, 1], [0, 0]])])
+    assert syntomic_acrys(2, -1, 4, e=1).certificates["negative_twist_series"] == 2
 
 
 def test_acrys_k_theory_readoff_emitted():
