@@ -38,8 +38,10 @@ a chain save work:
   by an integer matrix.  So the generators of {x : phi(x) = 0 mod p^i} at
   precision n + i + 1, reduced mod p^{n+i}, generate the same module at
   precision n + i, and one kernel per level serves both precisions.
-- A chain whose phi-block vanishes at the working precision is known in
-  closed form, and skips elimination everywhere (`_phi_blocks` leaves it
+- v_p of phi's coefficient on [x^c] x^{[l]} is exactly |l| = sum_j l_j
+  (`frobenius_monomial`), and l only grows along a chain.  So a chain's
+  phi-block vanishes mod p^n iff its root has |l| >= n, and such a chain is
+  known in closed form without building its block (`_phi_blocks` leaves it
   out).  Its Nygaard kernel is the identity at every level and phi_i is zero
   on it.  So in `nygaard_graded_image_check` it has no image and no graded
   piece, and the image matches Fil^conj_i on it iff it holds no index of
@@ -80,7 +82,6 @@ from .linalg import (
     howell_form,
     identity,
     kernel_mod,
-    mat_is_zero,
     module_invariants_mod,
     quotient_exponents_mod,
     row_mul,
@@ -199,46 +200,39 @@ class PDAlgebra:
         return out
 
     def _merge_var(self, c1, l1, c2, l2):
-        """Combine one variable: ([x^{c1/p^e}] x^{[l1]}) * ([x^{c2/p^e}] x^{[l2]}).
-
-        Returns (c, l, coeff) or None when truncated away."""
-        p, e = self.p, self.e
-        pe = p**e
-        c = c1 + c2
-        k, c = divmod(c, pe)  # integer overflow k goes into divided powers
-        coeff = comb(l1 + l2, l1)
+        """Combine one variable: ([x^{c1/p^e}] x^{[l1]}) * ([x^{c2/p^e}] x^{[l2]})
+        = coeff * [x^{c/p^e}] x^{[l]}.  Returns (c, l, coeff)."""
+        k, c = divmod(c1 + c2, self.p**self.e)  # integer overflow k goes into divided powers
         l = l1 + l2
-        if k:
-            # [x]^k * x^{[l]} = ((l+k)!/l!) x^{[l+k]}
-            num_v = vp_factorial(l + k, p) - vp_factorial(l, p)
-            if num_v >= self.n:
-                return None  # the coefficient vanishes mod p^n
-            coeff *= factorial(l + k) // factorial(l)
-            l += k
-        return c, l, coeff
+        # [x]^k * x^{[l]} = ((l+k)!/l!) x^{[l+k]}
+        return c, l + k, comb(l, l1) * (factorial(l + k) // factorial(l) if k else 1)
+
+    def mul_monomials(self, m1, m2):
+        """The binomial law on two monomials: (monomial, coefficient mod p^n),
+        or None when the product vanishes mod p^n.  The monomial may lie
+        beyond weight W; callers decide what that means."""
+        cs, ls, coeff = [], [], 1
+        for c1, l1, c2, l2 in zip(m1.c, m1.l, m2.c, m2.l):
+            c, l, a = self._merge_var(c1, l1, c2, l2)
+            cs.append(c)
+            ls.append(l)
+            coeff *= a
+        coeff %= self.q
+        return (Monomial(tuple(cs), tuple(ls)), coeff) if coeff else None
 
     def mul(self, a, b, strict=False):
-        """Bilinear extension of the binomial law; monomials beyond weight W
+        """Bilinear extension of `mul_monomials`; monomials beyond weight W
         are dropped (flagged when strict)."""
         out = {}
         truncated = False
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                coeff = c1 * c2
-                cs, ls = [], []
-                dead = False
-                for j in range(self.g):
-                    r = self._merge_var(m1.c[j], m1.l[j], m2.c[j], m2.l[j])
-                    if r is None:
-                        dead = True
-                        break
-                    cj, lj, extra = r
-                    coeff *= extra
-                    cs.append(cj)
-                    ls.append(lj)
-                if dead or coeff % self.q == 0:
+                r = self.mul_monomials(m1, m2)
+                if r is None:
                     continue
-                m = Monomial(tuple(cs), tuple(ls))
+                m, coeff = r[0], r[1] * c1 * c2 % self.q
+                if not coeff:
+                    continue
                 if m.total_pd_weight() > self.W:
                     truncated = True
                     continue
@@ -263,37 +257,29 @@ class PDAlgebra:
     # -- Frobenius --------------------------------------------------------
 
     def frobenius_monomial(self, m):
-        """phi([x^c] prod x^{[l]}) as an element; may raise TruncationTooTight
-        when a non-vanishing image leaves the weight window."""
-        p = self.p
+        """phi([x^c] x^{[l]}) = ((pl + k)!/l!) [x^{c'}] x^{[pl + k]} in each
+        variable, where pc = k p^e + c': phi(x^{[l]}) = ((pl)!/l!) x^{[pl]},
+        and the overflow [x]^k merges as in `mul`.  TruncationTooTight when
+        the image is nonzero mod p^n but leaves the window.
+
+        v_p of the coefficient is |l| = sum_j l_j: v_p((pl)!/l!) = l by
+        Legendre, and (pl + 1)...(pl + k) is a unit, since k < p.  So the
+        image vanishes mod p^n iff |l| >= n, which is tested first."""
+        if m.total_pd_weight() >= self.n:
+            return {}
+        p, pe = self.p, self.p**self.e
         out_c, out_l, coeff = [], [], 1
-        for j in range(self.g):
-            cj = m.c[j] * p
-            pe = p**self.e
-            k, cj = divmod(cj, pe)
-            lj = m.l[j]
-            # phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}
-            v = vp_factorial(p * lj, p) - vp_factorial(lj, p)  # = lj
-            newl = p * lj
-            if v >= self.n:
-                return {}
-            coeff *= factorial(p * lj) // factorial(lj)
-            if k:
-                num_v = vp_factorial(newl + k, p) - vp_factorial(newl, p)
-                if v + num_v >= self.n:
-                    return {}
-                coeff *= factorial(newl + k) // factorial(newl)
-                newl += k
+        for cj, lj in zip(m.c, m.l):
+            k, cj = divmod(cj * p, pe)
             out_c.append(cj)
-            out_l.append(newl)
+            out_l.append(p * lj + k)
+            coeff *= factorial(p * lj + k) // factorial(lj)
         mm = Monomial(tuple(out_c), tuple(out_l))
         if mm.total_pd_weight() > self.W:
-            if coeff % self.q:
-                raise TruncationTooTight(
-                    "phi image of weight %d leaves W = %d" % (m.total_pd_weight(), self.W)
-                )
-            return {}
-        return {mm: coeff % self.q} if coeff % self.q else {}
+            raise TruncationTooTight(
+                "phi image of weight %d leaves W = %d" % (m.total_pd_weight(), self.W)
+            )
+        return {mm: coeff % self.q}
 
     def frobenius(self, a):
         out = {}
@@ -364,10 +350,8 @@ def conjugate_filtration_description1(A, nn, below=None):
     product vanishes mod p.  Each monomial is therefore expanded once, with
     coefficient 1, and kept when its coefficient is nonzero mod p.
 
-    `below`, when given, is the set returned at level n - 1.  It holds the
-    seeds of that level, which are seeds here too, and is closed, so the
-    search starts from it and expands only the new seeds (module
-    docstring)."""
+    `below`, when given, is the closure of level n - 1: the search starts
+    from it and expands only the new seeds (module docstring)."""
     p = A.p
     index = A.index()
 
@@ -381,32 +365,28 @@ def conjugate_filtration_description1(A, nn, below=None):
     reached = set(below or ())
     frontier = []
     for l in gen_products(0, [], min((nn + 1) * p - 1, A.W)):
-        for m in A.monomial((0,) * A.g, l):
-            if index[m] not in reached:
-                reached.add(index[m])
-                frontier.append(m)
-    # close under multiplication by the variables and Teichmuller monomials
+        m = Monomial((0,) * A.g, l)
+        if index[m] not in reached:
+            reached.add(index[m])
+            frontier.append(m)
+    # close under multiplication by the variables and Teichmuller monomials;
+    # a product beyond the window has no index and is dropped
+    zero = (0,) * A.g
     multipliers = []
-    pe = p**A.e
     for j in range(A.g):
-        for a in range(1, pe):
-            c = [0] * A.g
-            c[j] = a
-            multipliers.append(A.monomial(c, (0,) * A.g))
-        c = [0] * A.g
-        l = [0] * A.g
-        l[j] = 1
+        for a in range(1, p**A.e):
+            multipliers.append(Monomial(zero[:j] + (a,) + zero[j + 1:], zero))
         # x_j itself = 1! * x_j^{[1]}
-        multipliers.append(A.monomial(c, l))
+        multipliers.append(Monomial(zero, zero[:j] + (1,) + zero[j + 1:]))
     while frontier:
         nxt = []
         for m in frontier:
             for v in multipliers:
-                for mm, c in A.mul({m: 1}, v).items():
-                    t = index[mm]
-                    if c % p and t not in reached:
-                        reached.add(t)
-                        nxt.append(mm)
+                r = A.mul_monomials(m, v)
+                t = index.get(r[0]) if r else None
+                if t is not None and r[1] % p and t not in reached:
+                    reached.add(t)
+                    nxt.append(r[0])
         frontier = nxt
     return reached
 
@@ -585,16 +565,18 @@ def _phi_block_matrix(A, idxs):
     return M
 
 
+def _phi_vanishes(A, idxs):
+    """phi is zero mod p^n on the chain: its root has |l| >= n (module
+    docstring)."""
+    return A.basis()[idxs[0]].total_pd_weight() >= A.n
+
+
 def _phi_blocks(A):
     """(indices, phi-block) for each weight chain of A whose phi-block is
-    nonzero, in chain order; the other chains are known in closed form
-    (module docstring)."""
-    out = []
-    for idxs in orbit_blocks(A):
-        M = _phi_block_matrix(A, idxs)
-        if not mat_is_zero(M):
-            out.append((idxs, M))
-    return out
+    nonzero, in chain order; the other chains are known in closed form, and
+    their blocks are never built (module docstring)."""
+    return [(idxs, _phi_block_matrix(A, idxs)) for idxs in orbit_blocks(A)
+            if not _phi_vanishes(A, idxs)]
 
 
 def _divided_phi_rows(rows, Mphi, p, i):
@@ -634,7 +616,10 @@ def _nygaard_kernel_blocks(A2, i, blocks=None):
     too, so that each is built once; only those chains are returned.  By
     default every chain of A2 is."""
     if blocks is None:
-        blocks = [(idxs, _phi_block_matrix(A2, idxs)) for idxs in orbit_blocks(A2)]
+        # the kernel of a zero phi-block is everything
+        return [(idxs, identity(len(idxs)) if _phi_vanishes(A2, idxs)
+                 else _shift_kernel(_phi_block_matrix(A2, idxs), A2.p, A2.n, i))
+                for idxs in orbit_blocks(A2)]
     return [(idxs, _shift_kernel(M, A2.p, A2.n, i)) for idxs, M in blocks]
 
 
@@ -670,12 +655,13 @@ def nygaard_acrys(A, i):
 
 def divided_frobenius_on_gens(A, i, gens):
     """phi(x)/p^i mod p^n on Nygaard generators, computed per weight chain at
-    precision n+i; chains the generators do not touch contribute zero."""
+    precision n+i; chains the generators do not touch, or where phi vanishes,
+    contribute zero."""
     Ahi = PDAlgebra(A.p, A.g, A.n + i, A.e, A.W)
     out = [[0] * len(row) for row in gens]
     for idxs in orbit_blocks(Ahi):
         sub = [[row[t] for t in idxs] for row in gens]
-        if not any(map(any, sub)):
+        if not any(map(any, sub)) or _phi_vanishes(Ahi, idxs):
             continue
         imgs = _divided_phi_rows(sub, _phi_block_matrix(Ahi, idxs), A.p, i)
         for full, img in zip(out, imgs):
@@ -757,13 +743,13 @@ def _fixed_points_at(A, i, W):
 
     The internal lift implements the restriction to Nygaard representatives:
     solutions mod p^{n+i} that die mod p^n are window artifacts and vanish
-    under the projection."""
+    under the projection.  Returns the invariants and the generators as
+    (chain indices, chain-local row) pairs."""
     p = A.p
     n_int = A.n + i
     Aw = PDAlgebra(p, A.g, n_int, A.e, W)
     invs = []
     gens = []
-    nbasis = len(Aw.basis())
     # a zero chain is left out: ker(-p^i) mod p^{n+i} projects to 0 mod p^n
     for idxs, M in _phi_blocks(Aw):
         for t in range(len(M)):
@@ -775,12 +761,8 @@ def _fixed_points_at(A, i, W):
         proj = [row for row in proj if any(row)]
         if proj:
             invs.extend(module_invariants_mod(proj, p, A.n))
-            for row in proj:
-                full = [0] * nbasis
-                for k, t in enumerate(idxs):
-                    full[t] = row[k]
-                gens.append(full)
-    return Aw, tuple(sorted(invs, reverse=True)), gens
+            gens.extend((idxs, row) for row in proj)
+    return tuple(sorted(invs, reverse=True)), gens
 
 
 def frobenius_fixed_points(A, i, stab_step=None):
@@ -793,11 +775,12 @@ def frobenius_fixed_points(A, i, stab_step=None):
     if i < 0:
         return {"group": PGroup.zero(p), "generators": [], "stable": True}
     step = stab_step if stab_step is not None else p
-    A1, inv1, K1 = _fixed_points_at(A, i, A.W)
-    _, inv2, _ = _fixed_points_at(A, i, A.W + step)
+    inv1, K1 = _fixed_points_at(A, i, A.W)
+    inv2, _ = _fixed_points_at(A, i, A.W + step)
     if inv1 != inv2:
         raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + step, inv2))
-    gens = [A1.from_vector(row) for row in K1]
+    basis = A.basis()
+    gens = [{basis[t]: a for t, a in zip(idxs, row) if a} for idxs, row in K1]
     return {"group": PGroup(p, inv1, 0), "generators": gens, "stable": True}
 
 

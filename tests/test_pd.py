@@ -1,9 +1,11 @@
+import inspect
 import itertools
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -97,6 +99,81 @@ def test_teichmuller_merge():
     A = small_algebra(p=2, e=1)
     half = A.monomial((1,), (0,))
     assert A.mul(half, half) == A.monomial((0,), (1,))
+
+
+def _mul_merging_each_variable(A, a, b, strict=False):
+    """Reference product: `PDAlgebra.mul` as written before `mul_monomials`,
+    merging variable by variable and testing the overflow's valuation first."""
+    out = {}
+    truncated = False
+    pe = A.p**A.e
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            coeff = c1 * c2
+            cs, ls = [], []
+            dead = False
+            for j in range(A.g):
+                k, c = divmod(m1.c[j] + m2.c[j], pe)
+                l = m1.l[j] + m2.l[j]
+                coeff *= comb(l, m1.l[j])
+                if k:
+                    if vp_factorial(l + k, A.p) - vp_factorial(l, A.p) >= A.n:
+                        dead = True
+                        break
+                    coeff *= factorial(l + k) // factorial(l)
+                    l += k
+                cs.append(c)
+                ls.append(l)
+            if dead or coeff % A.q == 0:
+                continue
+            m = Monomial(tuple(cs), tuple(ls))
+            if m.total_pd_weight() > A.W:
+                truncated = True
+                continue
+            v = (out.get(m, 0) + coeff) % A.q
+            if v:
+                out[m] = v
+            else:
+                out.pop(m, None)
+    if strict and truncated:
+        raise TruncationTooTight("product leaves the weight window")
+    return out
+
+
+def _outcome(f, *args, **kw):
+    """f's value, or TruncationTooTight when f raises it."""
+    try:
+        return f(*args, **kw)
+    except TruncationTooTight:
+        return TruncationTooTight
+
+
+@pytest.mark.parametrize("p,e,g,n", [
+    # (3, 2, 2) is left out: 486 monomials make 236,196 pairs per n
+    (p, e, g, n) for p in (2, 3) for e in (0, 1, 2) for g in (1, 2) for n in (1, 2, 3)
+    if (p, e, g) != (3, 2, 2)
+])
+def test_mul_and_mul_monomials_match_the_merged_law(p, e, g, n):
+    A = PDAlgebra(p, g=g, n=n, e=e, W=2 * p if g == 1 else 2)
+    basis = A.basis()
+    for m1 in basis:
+        for m2 in basis:
+            a, b = {m1: 1}, {m2: 1}
+            want = _mul_merging_each_variable(A, a, b)
+            assert A.mul(a, b) == want
+            r = A.mul_monomials(m1, m2)
+            inside = r is not None and r[0].total_pd_weight() <= A.W
+            assert want == ({r[0]: r[1]} if inside else {})
+            strict = _outcome(_mul_merging_each_variable, A, a, b, strict=True)
+            assert _outcome(A.mul, a, b, strict=True) == strict
+            assert (strict is TruncationTooTight) == (r is not None and not inside)
+    # sums with coefficients, where c1 * c2 can kill a product mod p^n
+    rng = random.Random(100 * p + 10 * e + g + n)
+    for _ in range(100):
+        a, b = ({rng.choice(basis): rng.randrange(1, A.q) for _ in range(3)} for _ in "ab")
+        for strict in (False, True):
+            assert (_outcome(A.mul, a, b, strict=strict)
+                    == _outcome(_mul_merging_each_variable, A, a, b, strict=strict))
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +371,41 @@ def test_truncation_too_tight():
         A.frobenius(A.monomial((0,), (2,)))
 
 
+def _vp_int(a, p):
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p,e,g", [(p, e, g) for p in (2, 3, 5) for e in (0, 1, 2) for g in (1, 2)])
+def test_frobenius_coefficient_has_valuation_pd_weight(p, e, g):
+    # v_p of phi's coefficient on [x^c] x^{[l]}, computed by factorials, is
+    # |l|; so phi vanishes mod p^n exactly when |l| >= n
+    A = PDAlgebra(p, g=g, n=1, e=e, W=2 * p if g == 1 else p)
+    for m in A.basis():
+        coeff, c, l = 1, [], []
+        for cj, lj in zip(m.c, m.l):
+            k, cj = divmod(p * cj, p**e)
+            # phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}, then [x]^k x^{[pl]}
+            coeff *= factorial(p * lj) // factorial(lj)
+            coeff *= factorial(p * lj + k) // factorial(p * lj)
+            c.append(cj)
+            l.append(p * lj + k)
+        w = m.total_pd_weight()
+        assert _vp_int(coeff, p) == w, m
+        if w:
+            assert PDAlgebra(p, g, w, e, A.W).frobenius_monomial(m) == {}
+        above = PDAlgebra(p, g, w + 1, e, A.W)
+        image = Monomial(tuple(c), tuple(l))
+        if image.total_pd_weight() > A.W:
+            with pytest.raises(TruncationTooTight):
+                above.frobenius_monomial(m)
+        else:
+            assert above.frobenius_monomial(m) == {image: coeff % above.q}
+
+
 # ---------------------------------------------------------------------------
 # Nygaard filtration
 
@@ -389,10 +501,30 @@ def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
             if i:
                 assert K == preimage_mod(M, mat_scale(p**i, identity(len(idxs))), p, A2.n)
         assert zero_chains
-        _, invs, gens = pdalg._fixed_points_at(A, i, A.W)
+        invs, gens = pdalg._fixed_points_at(A, i, A.W)
         want_invs, want_gens = _fixed_points_eliminating_every_chain(A, i)
         assert invs == want_invs
-        assert gens == want_gens
+        full = [[0] * len(A.basis()) for _ in gens]
+        for row, (idxs, local) in zip(full, gens):
+            for t, a in zip(idxs, local):
+                row[t] = a
+        assert full == want_gens
+
+
+@pytest.mark.parametrize("p,e,n", [(p, e, n) for p in (2, 3) for e in (1, 2) for n in (1, 2)])
+def test_fixed_point_generators_are_the_projected_kernel(p, e, n):
+    # each generator is built from its chain-local row: it is the element of
+    # the full-basis row, is fixed by phi / p^i mod p^n, and the generators
+    # span the reported group
+    A = small_algebra(p=p, n=n, e=e)
+    for i in (0, 1, 2):
+        rep = frobenius_fixed_points(A, i)
+        _, want = _fixed_points_eliminating_every_chain(A, i)
+        assert rep["generators"] == [A.from_vector(row) for row in want]
+        for x in rep["generators"]:
+            assert A.frobenius(x) == A.scale(p**i, x)
+        rows = [A.to_vector(x) for x in rep["generators"]]
+        assert module_invariants_mod(rows, p, n) == rep["group"].exponents
 
 
 def _algebra_holding_phi(p, g, n, e):
@@ -404,6 +536,67 @@ def _algebra_holding_phi(p, g, n, e):
             return A
         except TruncationTooTight:
             pass
+
+
+def _phi_blocks_building_every_block(A):
+    """Reference for `_phi_blocks`: build every chain's block and keep the
+    nonzero ones, as before the root rule."""
+    out = []
+    for idxs in pdalg.orbit_blocks(A):
+        M = pdalg._phi_block_matrix(A, idxs)
+        if not any(map(any, M)):
+            continue
+        out.append((idxs, M))
+    return out
+
+
+@pytest.mark.parametrize("p,e,g", [(p, e, g) for p in (2, 3, 5) for e in (0, 1, 2) for g in (1, 2)])
+def test_phi_blocks_skip_exactly_the_zero_chains(p, e, g):
+    # a chain is left out iff its root has |l| >= n, and then its block is
+    # zero; (5, 2, 2) runs at n = 1 only, since its least W at n = 3 holds
+    # 118,750 monomials
+    tight = 0
+    for n in (1,) if (p, e, g) == (5, 2, 2) else (1, 2, 3):
+        A = _algebra_holding_phi(p, g, n, e)
+        assert pdalg._phi_blocks(A) == _phi_blocks_building_every_block(A), n
+        if A.W > p:  # one less is too tight for phi: both raise
+            B = PDAlgebra(p, g=g, n=n, e=e, W=A.W - 1)
+            assert (_outcome(pdalg._phi_blocks, B) is TruncationTooTight
+                    is _outcome(_phi_blocks_building_every_block, B))
+            tight += 1
+    assert tight
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_phi_blocks_skip_exactly_the_zero_chains_under_O(flags):
+    # the window test is a raise, not an assert, so python -O keeps it
+    code = inspect.getsource(_phi_blocks_building_every_block) + """
+from nygaard import pdalg
+from nygaard.errors import TruncationTooTight
+
+def outcome(build, A):
+    try:
+        return build(A)
+    except TruncationTooTight:
+        return "TruncationTooTight"
+
+for p, e, g, n in ((2, 1, 1, 3), (3, 2, 1, 2), (2, 2, 2, 2), (5, 1, 1, 2)):
+    outcomes = []
+    for W in range(1, 5 * p):
+        A = pdalg.PDAlgebra(p, g, n, e, W)
+        got = outcome(pdalg._phi_blocks, A)
+        if got != outcome(_phi_blocks_building_every_block, A):
+            raise SystemExit("mismatch at %r" % ((p, e, g, n, W),))
+        outcomes.append(got == "TruncationTooTight")
+    if outcomes != sorted(outcomes, reverse=True) or not outcomes[0] or outcomes[-1]:
+        raise SystemExit("W never went from too tight to holding at %r" % ((p, e, g, n),))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr + out.stdout
 
 
 @pytest.mark.parametrize("p,e,g", [
@@ -569,6 +762,35 @@ def test_acrys_elimination_count(monkeypatch, command, config, most):
     monkeypatch.setattr(linalg, "eliminate_mod", counted)
     cli.run_command(command, cli.RunConfig(**config))
     assert 0 < len(calls) <= most
+
+
+@pytest.mark.parametrize("command,config,blocks,products", [
+    # 305 blocks and 2,150 products here (7,705 and 14,650 when every block
+    # was built and description (1) multiplied through `mul`)
+    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 400, 2500),
+    # 183 blocks (4,663 when every block was built); no product
+    ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}, 250, 0),
+])
+def test_acrys_block_and_product_count(monkeypatch, command, config, blocks, products):
+    # blocks are built only on chains whose root has |l| < n, and the
+    # description-(1) closure multiplies monomials without `mul`
+    built, muls = [], []
+    block, mul = pdalg._phi_block_matrix, PDAlgebra.mul
+
+    def counted_block(A, idxs):
+        assert A.basis()[idxs[0]].total_pd_weight() < A.n
+        built.append(1)
+        return block(A, idxs)
+
+    def counted_mul(A, *args, **kw):
+        muls.append(1)
+        return mul(A, *args, **kw)
+
+    monkeypatch.setattr(pdalg, "_phi_block_matrix", counted_block)
+    monkeypatch.setattr(PDAlgebra, "mul", counted_mul)
+    cli.run_command(command, cli.RunConfig(**config))
+    assert 0 < len(built) <= blocks
+    assert len(muls) <= products
 
 
 def test_pd_algebra_rejects_bad_parameters():
