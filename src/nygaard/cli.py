@@ -101,16 +101,22 @@ def _is_prime(p):
 
 
 def _resolve_f(cfg):
-    """--f accepts an integer or the tokens p, p^2, p^3, ..."""
+    """--f accepts an integer or the tokens p, p^k with k >= 0; UsageError
+    for anything else."""
     tok = cfg.f
     if isinstance(tok, int):
         return tok
     tok = tok.strip()
     if tok == "p":
         return cfg.p
-    if tok.startswith("p^"):
-        return cfg.p ** int(tok[2:])
-    return int(tok)
+    try:
+        if not tok.startswith("p^"):
+            return int(tok)
+        if int(tok[2:]) >= 0:
+            return cfg.p ** int(tok[2:])
+    except ValueError:
+        pass
+    raise UsageError("--f needs an integer, p or p^k with k >= 0, got %r" % cfg.f)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ ring Z/p^r with entries kept in [0, p^r), and kernels, preimages, orders and
 quotient invariants are read off its pivot valuations and row transform.
 Two such spans are compared by order: span(A) = span(B) iff |A| = |B| =
 |A + B|.  The Howell form is kept only where a canonical set of rows is the
-output (`kernel_mod` and `pdalg.nygaard_acrys`).
+output (`kernel_mod`).
 
 One loop computes cohomology mod p^r: `cocycles_boundaries_mod` presents
 each degree of a complex of free Z/p^r-modules, optionally modulo relation
@@ -117,36 +117,6 @@ def block_diag(blk, copies):
         for a, row in enumerate(blk):
             out[c * n + a][c * n:(c + 1) * n] = row
     return out
-
-
-def det_sign(M):
-    """Determinant of a small square integer matrix (fraction-free Gauss)."""
-    A = mat_copy(M)
-    n = len(A)
-    det = 1
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if A[r][c]:
-                piv = r
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        # Bareiss-style would avoid growth; plain elimination over Q via
-        # scaled rows is fine at the sizes used here.
-        for r in range(c + 1, n):
-            while A[r][c]:
-                q = A[r][c] // A[c][c]
-                if q:
-                    A[r] = [a - q * b for a, b in zip(A[r], A[c])]
-                if A[r][c]:
-                    A[r], A[c] = A[c], A[r]
-                    det = -det
-        det *= A[c][c]
-    return det
 
 
 # ---------------------------------------------------------------------------

@@ -69,18 +69,10 @@ import weakref
 from dataclasses import dataclass
 from math import comb, factorial
 
-from .errors import (
-    CompositeNonzero,
-    NotStabilized,
-    PrecisionExhausted,
-    TruncationTooTight,
-    UsageError,
-)
+from .errors import CompositeNonzero, NotStabilized, TruncationTooTight, UsageError
 from .linalg import (
     PGroup,
     _vp,
-    howell_form,
-    identity,
     kernel_mod,
     module_invariants_mod,
     quotient_exponents_mod,
@@ -124,7 +116,9 @@ _BASES = weakref.WeakValueDictionary()
 
 
 class PDAlgebra:
-    """The truncated model of the divided-power envelope, with Frobenius."""
+    """The truncated model of A_crys(S)/p^n, the divided-power envelope with
+    Frobenius, for S = the perfect truncation mod the regular sequence of
+    variables."""
 
     def __init__(self, p, g=1, n=1, e=1, W=None):
         if n < 1 or e < 0 or g < 1:
@@ -245,9 +239,6 @@ class PDAlgebra:
             raise TruncationTooTight("product leaves the weight window")
         return out
 
-    def eq(self, a, b):
-        return a == b
-
     def power(self, a, k):
         out = self.one()
         for _ in range(k):
@@ -308,12 +299,6 @@ class PDAlgebra:
         return {m: c % self.q for m, c in zip(basis, v) if c % self.q}
 
 
-def acrys(p, g=1, n=1, e=1, W=None):
-    """The truncated model of A_crys(S)/p^n for S = perfect truncation mod
-    the regular sequence of variables."""
-    return PDAlgebra(p, g, n, e, W)
-
-
 # ---------------------------------------------------------------------------
 # conjugate filtration
 
@@ -351,7 +336,19 @@ def conjugate_filtration_description1(A, nn, below=None):
     coefficient 1, and kept when its coefficient is nonzero mod p.
 
     `below`, when given, is the closure of level n - 1: the search starts
-    from it and expands only the new seeds (module docstring)."""
+    from it and expands only the new seeds (module docstring).
+
+    The base monomials [x_j^{1/p^e}] and x_j generate the rest, so they are
+    the only multipliers: the closure under all [x_j^{a/p^e}], 0 < a < p^e,
+    is the same set.  Proof: [x^{a/p^e}] is the a-th power of [x^{1/p^e}]
+    for a < p^e, so a steps by [x_j^{1/p^e}] from [x_j^{c/p^e}] x_j^{[l]}
+    end where one step by a does.  Since c + a < 2 p^e, those steps
+    overflow at most once, when c + 1 reaches p^e, with the factor l + 1 of
+    `_merge_var`, the factor of the single step; every other step has factor
+    1.  Every intermediate monomial has divided-power exponent l or l + 1,
+    no larger than the product's, so it lies in the window whenever the
+    product does.  Hence the single step keeps its product (a unit mod p,
+    inside the window) iff every unit step does."""
     p = A.p
     index = A.index()
 
@@ -369,15 +366,15 @@ def conjugate_filtration_description1(A, nn, below=None):
         if index[m] not in reached:
             reached.add(index[m])
             frontier.append(m)
-    # close under multiplication by the variables and Teichmuller monomials;
+    # close under multiplication by [x_j^{1/p^e}] and x_j = 1! * x_j^{[1]};
     # a product beyond the window has no index and is dropped
     zero = (0,) * A.g
     multipliers = []
     for j in range(A.g):
-        for a in range(1, p**A.e):
-            multipliers.append(Monomial(zero[:j] + (a,) + zero[j + 1:], zero))
-        # x_j itself = 1! * x_j^{[1]}
-        multipliers.append(Monomial(zero, zero[:j] + (1,) + zero[j + 1:]))
+        unit = zero[:j] + (1,) + zero[j + 1:]
+        if A.e:
+            multipliers.append(Monomial(unit, zero))
+        multipliers.append(Monomial(zero, unit))
     while frontier:
         nxt = []
         for m in frontier:
@@ -609,65 +606,13 @@ def _shift_kernel(M, p, n, i):
     return out
 
 
-def _nygaard_kernel_blocks(A2, i, blocks=None):
+def _nygaard_kernel_blocks(A2, i, blocks):
     """Per weight chain: (indices, block-local generators over Z/p^{A2.n} of
     {x : phi(x) = 0 mod p^i}), read off the chain's phi-block.  `blocks`
-    are (indices, phi-block) pairs built by a caller that reads the blocks
-    too, so that each is built once; only those chains are returned.  By
-    default every chain of A2 is."""
-    if blocks is None:
-        # the kernel of a zero phi-block is everything
-        return [(idxs, identity(len(idxs)) if _phi_vanishes(A2, idxs)
-                 else _shift_kernel(_phi_block_matrix(A2, idxs), A2.p, A2.n, i))
-                for idxs in orbit_blocks(A2)]
+    are the (indices, phi-block) pairs of `_phi_blocks(A2)`, built once by a
+    caller that reads the blocks too.  The chains left out there have a zero
+    phi-block, whose kernel is the whole chain."""
     return [(idxs, _shift_kernel(M, A2.p, A2.n, i)) for idxs, M in blocks]
-
-
-def _nygaard_kernel_at(A2, i):
-    """Rows spanning {x : phi(x) = 0 mod p^i} inside A2 at its own precision,
-    computed per weight chain."""
-    nbasis = len(A2.basis())
-    if i == 0:
-        return identity(nbasis)
-    rows = []
-    for idxs, K in _nygaard_kernel_blocks(A2, i):
-        for row in K:
-            full = [0] * nbasis
-            for k, t in enumerate(idxs):
-                full[t] = row[k]
-            rows.append(full)
-    return rows
-
-
-def nygaard_acrys(A, i):
-    """Generators (Howell form, mod p^n) of N^{>=i} = ker(A/p^{n+i} -phi->
-    A/p^{n+i} -> A/p^i), projected to precision n; computed per weight chain."""
-    p = A.p
-    if i == 0:
-        return howell_form(identity(len(A.basis())), p, A.n)
-    n_int = A.n + i
-    if n_int > 64:
-        raise PrecisionExhausted("internal precision %d" % n_int)
-    Ahi = PDAlgebra(p, A.g, n_int, A.e, A.W)
-    rows = _nygaard_kernel_at(Ahi, i)
-    return howell_form(rows, p, A.n) if rows else []
-
-
-def divided_frobenius_on_gens(A, i, gens):
-    """phi(x)/p^i mod p^n on Nygaard generators, computed per weight chain at
-    precision n+i; chains the generators do not touch, or where phi vanishes,
-    contribute zero."""
-    Ahi = PDAlgebra(A.p, A.g, A.n + i, A.e, A.W)
-    out = [[0] * len(row) for row in gens]
-    for idxs in orbit_blocks(Ahi):
-        sub = [[row[t] for t in idxs] for row in gens]
-        if not any(map(any, sub)) or _phi_vanishes(Ahi, idxs):
-            continue
-        imgs = _divided_phi_rows(sub, _phi_block_matrix(Ahi, idxs), A.p, i)
-        for full, img in zip(out, imgs):
-            for t, a in zip(idxs, img):
-                full[t] = a % A.q
-    return out
 
 
 def nygaard_graded_image_check(A, i):
@@ -727,13 +672,6 @@ def nygaard_graded_image_check(A, i):
     }
 
 
-def phi_divisibility_ladder_check(A, i):
-    """phi_i(N^{>= i+1}) lies in p*A (divided-Frobenius divisibility)."""
-    gens = nygaard_acrys(A, i + 1)
-    imgs = divided_frobenius_on_gens(A, i, gens)
-    return all(a % A.p == 0 for row in imgs for a in row)
-
-
 # ---------------------------------------------------------------------------
 # Frobenius fixed points
 
@@ -765,20 +703,19 @@ def _fixed_points_at(A, i, W):
     return tuple(sorted(invs, reverse=True)), gens
 
 
-def frobenius_fixed_points(A, i, stab_step=None):
+def frobenius_fixed_points(A, i):
     """ker(phi - p^i) on A/p^n within the weight window, with stabilization.
 
-    Computed at W and W + step; NotStabilized when the invariants differ.
+    Computed at W and W + p; NotStabilized when the invariants differ.
     For i < 0 the operator phi - p^i is injective by p-adic contraction and
     the group is zero."""
     p = A.p
     if i < 0:
         return {"group": PGroup.zero(p), "generators": [], "stable": True}
-    step = stab_step if stab_step is not None else p
     inv1, K1 = _fixed_points_at(A, i, A.W)
-    inv2, _ = _fixed_points_at(A, i, A.W + step)
+    inv2, _ = _fixed_points_at(A, i, A.W + p)
     if inv1 != inv2:
-        raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + step, inv2))
+        raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + p, inv2))
     basis = A.basis()
     gens = [{basis[t]: a for t, a in zip(idxs, row) if a} for idxs, row in K1]
     return {"group": PGroup(p, inv1, 0), "generators": gens, "stable": True}

@@ -12,7 +12,6 @@ crystalline base (Z_p, (p)), the q = 1 fibre of the q-de Rham base.
 from math import comb
 
 from .errors import UsageError
-from .linalg import det_sign
 
 
 def _binom(k, j):
@@ -109,17 +108,6 @@ class QBase:
 
     def phi_matrix(self):
         return [list(row) for row in self._phi_rows]
-
-    def is_nonzerodivisor(self, a):
-        return det_sign(self.mult_matrix(a)) != 0
-
-    def evaluate_at_q1(self, a):
-        """Specialization q -> 1, i.e. the constant coefficient."""
-        return a[0]
-
-    def reduce_mod_p(self, a, r=1):
-        q = self.p**r
-        return tuple(x % q for x in a)
 
     def __repr__(self):
         return "Z[q]/((q-1)^%d), p=%d" % (self.N, self.p)

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import Complex, acyclic_mod, eta_lattices, presented_cone
-from .errors import DivisionFailure, UsageError
+# DivisionFailure is re-exported: qtorus.DivisionFailure is a public import path
+from .errors import DivisionFailure, UsageError  # noqa: F401
 from .linalg import (
     block_diag,
     identity,
@@ -28,7 +29,6 @@ from .linalg import (
     mat_mul,
     restrict_lattice,
     row_mul,
-    solve_left,
     zeros,
 )
 from .qbase import QBase
@@ -186,18 +186,6 @@ def q_divided_frobenius_checks(X, i):
         rhs2 = mat_mul(X.divided_frobenius_matrix(i + 1, j), X.diag(j, B.mult_matrix(B.xi_tilde)))
         if lhs2 != rhs2:
             return False
-    return True
-
-
-def q_divided_frobenius_exactness(X, i):
-    """phi on each Nygaard generator must be exactly divisible by
-    xi_tilde^i (solved in B; failure raises DivisionFailure)."""
-    B = X.B
-    for j in range(X.d + 1):
-        incl = X.nygaard_lattice_rows(i, j)
-        img = mat_mul(incl, X.frobenius_matrix(j))
-        if None in solve_left(X.diag(j, B.mult_matrix(B.pow(B.xi_tilde, i))), img):
-            raise DivisionFailure("phi image not divisible by xi_tilde^%d" % i)
     return True
 
 

@@ -227,25 +227,33 @@ def _embed_rows(rows, labs_small, labs_big):
     return out
 
 
-def _orbit_contribution(X, m0, i, r, V, cap=4):
+def _orbit_contribution(X, m0, i, r, V):
     """Certified per-degree groups of the orbit of m0 in degrees <= i+1.
 
     The window inclusions W_V into W_{V+k} are chain maps; the orbit group in
     degree t is the stable image of H^t(W_V) in H^t(W_{V+k}) (the directed
     system of finite groups has non-increasing image orders, so two equal
     consecutive images certify the colimit; beyond the window the attaching
-    data is constant by the tail-vanishing certificate)."""
-    p, dmax = X.p, X.d
+    data is constant by the tail-vanishing certificate).  The search widens
+    the window at most four times, then raises NotStabilized.
+
+    Only degrees <= i+1 are read, so each window is presented up to degree
+    min(i+2, d+1): the cocycles of degree i+1 need d_{i+1} and the rank of
+    degree i+2, and nothing reads the differential out of the top degree."""
+    p = X.p
     blocks = _window_blocks(X, i, m0)
+    top = min(i + 2, X.d + 1)
 
     def window(k):
         ranks, diffs, basis = _assemble_window(X, i, V + k, m0, blocks)
+        ranks = {t: ranks[t] for t in range(top + 1)}
+        diffs = {t: diffs[t] for t in range(top)}
         return basis, cocycles_boundaries_mod(ranks, diffs, p, r)
 
     basis0, pres0 = window(0)
     out = {}
     k_used = {}
-    pending = [t for t in range(dmax + 2) if t <= i + 1]
+    pending = [t for t in range(top + 1) if t <= i + 1]
     prev = {}
     for t in list(pending):
         K0, _ = pres0[t]
@@ -254,7 +262,7 @@ def _orbit_contribution(X, m0, i, r, V, cap=4):
             k_used[t] = 0
             pending.remove(t)
     k = 1
-    while pending and k <= cap:
+    while pending and k <= 4:
         basis_k, pres_k = window(k)
         for t in list(pending):
             K0, _ = pres0[t]
@@ -344,7 +352,7 @@ def _q_tail_vanishes(X, r, m0, V):
     return True
 
 
-def degree_bound_inverse_certificate(X, i, r, jmax=None):
+def degree_bound_inverse_certificate(X, i, r):
     """In Koszul degrees j > i (and j >= 0) the operator xi_tilde^{j-i} phi - 1
     is invertible: the series -(1 + A + A^2 + ...) terminates because A^k = 0
     mod (p^r, mu^N).  Returns the termination exponents; at N = 1 the least
@@ -352,8 +360,7 @@ def degree_bound_inverse_certificate(X, i, r, jmax=None):
     p = X.p
     B = X.B
     out = {}
-    jmax = jmax if jmax is not None else X.d
-    for j in range(max(i + 1, 0), jmax + 1):
+    for j in range(max(i + 1, 0), X.d + 1):
         A = mat_mul(B.phi_matrix(), B.mult_matrix(B.pow(B.xi_tilde, j - i)))
         Ak = [row[:] for row in A]
         k = 1

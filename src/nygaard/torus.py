@@ -20,7 +20,6 @@ from math import comb
 from .complexes import Complex, acyclic_mod, eta, presented_cone
 from .errors import DivisionFailure, PrecisionExhausted, UsageError
 from .linalg import (
-    det_sign,
     identity,
     lattice_eq,
     lattice_sum,
@@ -109,16 +108,6 @@ class NygaardLattice:
     def scale(self, j):
         return self.X.nygaard_scale(self.i, j)
 
-    def lattice(self, j):
-        r = self.X.rank(j)
-        return mat_scale(self.scale(j), identity(r)) if r else []
-
-    def d_stable(self):
-        for j in range(self.X.d):
-            if self.scale(j) % self.scale(j + 1):
-                return False
-        return True
-
 
 def build_torus(p, d, n, max_internal=64):
     if d < 1 or n < 1:
@@ -140,7 +129,11 @@ def frobenius_chain_map_check(X, m_box):
 
 
 def divided_frobenius_identity_check(X, i):
-    """p^i * phi_i equals phi restricted to the Nygaard lattice, as matrices."""
+    """The two matrix identities of the divided Frobenius in each degree:
+    p^i * phi_i equals phi restricted to the Nygaard lattice, and phi_i
+    restricted to N^{>= i+1} equals p * phi_{i+1}.  In normalized bases the
+    inclusion N^{>=i+1} -> N^{>=i} is the scale ratio
+    scale(i+1,j)/scale(i,j)."""
     N = X.nygaard_lattice(i)
     for j in range(X.d + 1):
         lhs = mat_scale(X.p**i, X.divided_frobenius_matrix(i, j))
@@ -148,16 +141,7 @@ def divided_frobenius_identity_check(X, i):
         rhs = mat_scale(N.scale(j), X.frobenius_matrix(j))
         if lhs != rhs:
             return False
-    return True
-
-
-def phi_restriction_consistency_check(X, i):
-    """phi_i restricted to N^{>= i+1} equals p * phi_{i+1} (matrix identity).
-
-    In normalized bases: the inclusion N^{>=i+1} -> N^{>=i} changes basis by
-    scale(i+1,j)/scale(i,j)."""
-    for j in range(X.d + 1):
-        incl = X.nygaard_scale(i + 1, j) // X.nygaard_scale(i, j)
+        incl = X.nygaard_scale(i + 1, j) // N.scale(j)
         lhs = mat_scale(incl, X.divided_frobenius_matrix(i, j))
         rhs = mat_scale(X.p, X.divided_frobenius_matrix(i + 1, j))
         if lhs != rhs:
@@ -320,29 +304,3 @@ def hodge_quotient_check(X, i):
         if not (inj and mid and surj):
             ok = False
     return {"ok": ok, "details": details}
-
-
-# ---------------------------------------------------------------------------
-# dlog classes
-
-
-def dlog_class(X, vectors):
-    """The weight-zero cocycle dlog T^{v_1} /\\ ... /\\ dlog T^{v_i}.
-
-    vectors: list of integer exponent vectors of length d.  Returns the
-    coordinate row in the degree-i dlog basis (minors of the vector matrix).
-    """
-    i = len(vectors)
-    if i > X.d:
-        raise UsageError("%d dlog vectors on a %d-dimensional torus" % (i, X.d))
-    coords = []
-    for I in X.basis(i):
-        sub = [[v[a] for a in I] for v in vectors]
-        coords.append(det_sign(sub))
-    return coords
-
-
-def dlog_phi_fixed_check(X, i):
-    """phi_i fixes the degree-i dlog classes (weight zero)."""
-    Phi = X.divided_frobenius_matrix(i, i)
-    return Phi == identity(X.rank(i))

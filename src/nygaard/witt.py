@@ -275,10 +275,6 @@ class FpSquareModel:
     def base_eq(self, a, b):
         return (a - b) % self.p**self.n == 0
 
-    def residue_eq_xi(self, a, b):
-        # modulo (xi, p^n) = (p)
-        return (a - b) % self.p == 0
-
     def residue_eq_xi_tilde(self, a, b):
         return (a - b) % self.p == 0
 
@@ -311,16 +307,10 @@ class QSquareModel:
     def base_eq(self, a, b):
         return self.B.eq(a, b, p_prec=self.n)
 
-    def _residue_eq(self, a, b, ideal_gen):
-        """a = b modulo (ideal_gen, p^n), as span membership over Z/p^n."""
-        diff = [x - y for x, y in zip(a, b)]
-        return span_contains_mod(self.B.mult_matrix(ideal_gen), diff, self.p, self.n)
-
-    def residue_eq_xi(self, a, b):
-        return self._residue_eq(a, b, self.xi)
-
     def residue_eq_xi_tilde(self, a, b):
-        return self._residue_eq(a, b, self.xi_tilde)
+        """a = b modulo (xi_tilde, p^n), as span membership over Z/p^n."""
+        diff = [x - y for x, y in zip(a, b)]
+        return span_contains_mod(self.B.mult_matrix(self.xi_tilde), diff, self.p, self.n)
 
     def one(self):
         return self.B.one

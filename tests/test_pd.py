@@ -22,6 +22,7 @@ from nygaard.linalg import (
     module_invariants_mod,
     preimage_mod,
     quotient_exponents_mod,
+    span_contains_mod,
     span_exponent_mod,
 )
 from nygaard.pdalg import (
@@ -29,19 +30,15 @@ from nygaard.pdalg import (
     NotStabilized,
     PDAlgebra,
     TruncationTooTight,
-    acrys,
     conj_graded_map_check,
     conj_level,
     conjugate_filtration_description1,
     conjugate_filtration_equality_check,
     conjugate_filtration_spans,
-    divided_frobenius_on_gens,
     filtration_multiplicativity_check,
     frobenius_fixed_points,
-    nygaard_acrys,
     nygaard_graded_image_check,
     orbit_blocks,
-    phi_divisibility_ladder_check,
     phi_multiplicative_check,
     phi_pth_power_check,
     span_identity_check,
@@ -50,7 +47,24 @@ from nygaard.pdalg import (
 
 
 def small_algebra(p=2, n=2, e=2, W=None):
-    return acrys(p, g=1, n=n, e=e, W=W if W is not None else 2 * p * p)
+    return PDAlgebra(p, g=1, n=n, e=e, W=W if W is not None else 2 * p * p)
+
+
+def every_chain_kernel(A, i):
+    """`_nygaard_kernel_blocks` on every chain of A: a chain that
+    `_phi_blocks` leaves out has a zero phi-block, whose kernel is the whole
+    chain."""
+    kernels = {tuple(idxs): K
+               for idxs, K in pdalg._nygaard_kernel_blocks(A, i, pdalg._phi_blocks(A))}
+    return [(idxs, kernels.get(tuple(idxs), identity(len(idxs)))) for idxs in orbit_blocks(A)]
+
+
+def in_nygaard(A, i, vec):
+    """Whether the vector vec of A/p^n lies in N^{>=i}: per weight chain, in
+    the span mod p^n of the kernel of phi mod p^i at precision n + i."""
+    Ahi = PDAlgebra(A.p, A.g, A.n + i, A.e, A.W)
+    return all(span_contains_mod(K, [vec[t] for t in idxs], A.p, A.n)
+               for idxs, K in every_chain_kernel(Ahi, i))
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +284,45 @@ def test_description1_grown_level_by_level_matches_each_level(p, g, e):
     assert reached != conjugate_filtration_description1(A, 0)
 
 
+def description1_all_multipliers(A, nn):
+    """Reference for the description-(1) closure: every Teichmuller monomial
+    [x_j^{a/p^e}], 0 < a < p^e, and every x_j is a multiplier."""
+    index = A.index()
+    zero = (0,) * A.g
+    frontier = [m for m in A.basis() if m.c == zero and sum(m.l) < (nn + 1) * A.p]
+    reached = {index[m] for m in frontier}
+    multipliers = []
+    for j in range(A.g):
+        unit = zero[:j] + (1,) + zero[j + 1:]
+        multipliers += [Monomial(tuple(a * u for u in unit), zero) for a in range(1, A.p**A.e)]
+        multipliers.append(Monomial(zero, unit))
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for v in multipliers:
+                r = A.mul_monomials(m, v)
+                t = index.get(r[0]) if r else None
+                if t is not None and r[1] % A.p and t not in reached:
+                    reached.add(t)
+                    nxt.append(r[0])
+        frontier = nxt
+    return reached
+
+
+@pytest.mark.parametrize("p,e,g", [
+    (p, e, g) for p in (2, 3, 5) for e in (0, 1, 2) for g in (1, 2) if (p, e, g) != (5, 2, 2)
+])
+def test_description1_unit_steps_reach_what_every_multiplier_reaches(p, e, g):
+    # [x_j^{1/p^e}] and x_j generate every multiplier of the closure
+    A = PDAlgebra(p, g=g, n=1, e=e, W=3 * p)
+    reached = None
+    for nn in range(4):
+        want = description1_all_multipliers(A, nn)
+        assert conjugate_filtration_description1(A, nn) == want, nn
+        reached = conjugate_filtration_description1(A, nn, reached)
+        assert reached == want, nn
+
+
 def test_conjugate_filtration_check_sees_a_missing_monomial(monkeypatch):
     A = small_algebra(p=2, n=1, e=1, W=8)
     spans = conjugate_filtration_spans
@@ -457,8 +510,8 @@ def test_reduced_level_kernel_is_the_lower_precision_kernel(p, e, n, i):
     # {x : phi(x) = 0 mod p^i} at n+i+1, reduced mod p^{n+i}, spans the same
     # module as the kernel computed at n+i
     q = p ** (n + i)
-    hi = pdalg._nygaard_kernel_blocks(PDAlgebra(p, 1, n + i + 1, e), i)
-    lo = pdalg._nygaard_kernel_blocks(PDAlgebra(p, 1, n + i, e), i)
+    hi = every_chain_kernel(PDAlgebra(p, 1, n + i + 1, e), i)
+    lo = every_chain_kernel(PDAlgebra(p, 1, n + i, e), i)
     assert [idxs for idxs, _ in hi] == [idxs for idxs, _ in lo]
     for (_, Khi), (_, Klo) in zip(hi, lo):
         reduced = [[a % q for a in row] for row in Khi]
@@ -493,7 +546,7 @@ def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
     for i in (0, 1, 2):
         A2 = PDAlgebra(p, 1, n + i, e, A.W)
         zero_chains = 0
-        for idxs, K in pdalg._nygaard_kernel_blocks(A2, i):
+        for idxs, K in every_chain_kernel(A2, i):
             M = pdalg._phi_block_matrix(A2, idxs)
             if not mat_is_zero(M):
                 continue
@@ -611,7 +664,7 @@ def test_shift_kernel_matches_preimage(p, e, g):
         if len(A.basis()) > 3000:
             continue  # (3, 2, 2) and (5, 1, 2) at n = 3
         for i in range(4):
-            for idxs, K in pdalg._nygaard_kernel_blocks(A, i):
+            for idxs, K in every_chain_kernel(A, i):
                 M = pdalg._phi_block_matrix(A, idxs)
                 if mat_is_zero(M):
                     assert K == identity(len(idxs))
@@ -642,7 +695,7 @@ for bad in (
 ):
     A.frobenius_monomial = bad
     for build in (lambda: pdalg._phi_block_matrix(A, chain),
-                  lambda: pdalg._nygaard_kernel_blocks(A, 1)):
+                  lambda: pdalg._nygaard_kernel_blocks(A, 1, pdalg._phi_blocks(A))):
         try:
             build()
         except CompositeNonzero:
@@ -710,7 +763,7 @@ def _syntomic_acrys_eliminating_every_chain(p, i, r, e):
 
 @pytest.mark.parametrize("p,e,n", [(p, e, n) for p in (2, 3, 5) for e in (1, 2) for n in (1, 2)])
 def test_graded_image_check_matches_elimination_on_every_chain(p, e, n):
-    A = acrys(p, g=1, n=n, e=e)
+    A = PDAlgebra(p, g=1, n=n, e=e)
     for i in (0, 1, 2):
         assert nygaard_graded_image_check(A, i) == _graded_image_eliminating_every_chain(A, i)
 
@@ -803,31 +856,31 @@ def test_pd_algebra_rejects_bad_parameters():
 
 def test_nygaard_i0_everything():
     A = small_algebra(p=2)
-    gens = nygaard_acrys(A, 0)
-    assert len(gens) == len(A.basis())
+    blocks = pdalg._phi_blocks(A)
+    assert blocks
+    for idxs, K in pdalg._nygaard_kernel_blocks(A, 0, blocks):
+        assert K == identity(len(idxs))
 
 
 def test_p_in_nygaard_1():
-    # p * 1 belongs to N^{>=1} (phi(p) = p)
+    # p * 1 belongs to N^{>=1} (phi(p) = p), and 1 does not
     A = small_algebra(p=2, n=2)
-    gens = nygaard_acrys(A, 1)
-    v = A.to_vector(A.monomial((0,), (0,), 2))
-    H = howell_form(gens + [v], 2, 2)
-    assert H == howell_form(gens, 2, 2)
+    assert in_nygaard(A, 1, A.to_vector(A.monomial((0,), (0,), 2)))
+    assert not in_nygaard(A, 1, A.to_vector(A.one()))
 
 
 def test_x_pd_membership_via_legendre():
     # x^{[m]} lies in N^{>= v_p((pm)!/m!)} = N^{>= m} and no deeper at
     # the monomial level: cross-check with the valuation oracle
+    # (W = 9 holds phi of the weight-4 monomials at precision 5)
     p = 2
-    A = small_algebra(p=p, n=1, e=1, W=8)
+    A = small_algebra(p=p, n=1, e=1, W=9)
     for m_exp in (1, 2, 3):
         v = vp_factorial(p * m_exp, p) - vp_factorial(m_exp, p)
         assert v == m_exp  # Legendre: v_p((pm)!/m!) = m for these sizes
-        gens = nygaard_acrys(A, v)
         vec = A.to_vector(A.monomial((0,), (m_exp,)))
-        H = howell_form(gens + [vec], p, 1)
-        assert H == howell_form(gens, p, 1)
+        assert in_nygaard(A, v, vec)
+        assert not in_nygaard(A, v + 1, vec)
 
 
 def test_nygaard_graded_image():
@@ -839,21 +892,29 @@ def test_nygaard_graded_image():
 
 
 def test_phi_divisibility_ladder():
+    # phi_i(N^{>= i+1}) lies in p*A: phi_i restricted to N^{>= i+1} is p * phi_{i+1}
     A = small_algebra(p=2, n=1, e=1, W=8)
     for i in (0, 1):
-        assert phi_divisibility_ladder_check(A, i)
+        Acmp = PDAlgebra(2, 1, A.n + i + 1, 1, A.W)
+        blocks = pdalg._phi_blocks(Acmp)
+        for (_, K), (_, M) in zip(pdalg._nygaard_kernel_blocks(Acmp, i + 1, blocks), blocks):
+            imgs = pdalg._divided_phi_rows(K, M, 2, i)
+            assert imgs == [[2 * a for a in row] for row in pdalg._divided_phi_rows(K, M, 2, i + 1)]
+            assert all(a % 2 == 0 for row in imgs for a in row)
 
 
 def test_divided_frobenius_rejects_a_non_nygaard_generator():
     # phi(1) = 1 is not divisible by p, so 1 is no generator of N^{>=1}
-    A = small_algebra(p=2, n=1, e=1, W=6)
+    A = small_algebra(p=2, n=2, e=1, W=6)
+    one = A.index()[next(iter(A.one()))]
+    [M] = [M for idxs, M in pdalg._phi_blocks(A) if idxs == [one]]
+    assert M == [[1]]
     with pytest.raises(CompositeNonzero):
-        divided_frobenius_on_gens(A, 1, [A.to_vector(A.one())])
+        pdalg._divided_phi_rows([[1]], M, 2, 1)
 
 
-def _whole_algebra_as_nygaard(A2, i, blocks=None):
-    chains = orbit_blocks(A2) if blocks is None else [idxs for idxs, _ in blocks]
-    return [(idxs, identity(len(idxs))) for idxs in chains]
+def _whole_algebra_as_nygaard(A2, i, blocks):
+    return [(idxs, identity(len(idxs))) for idxs, _ in blocks]
 
 
 @pytest.mark.parametrize("check", [
@@ -872,7 +933,7 @@ def test_phi_leaving_its_weight_chain_raises(monkeypatch):
     A = small_algebra(p=2, n=2, e=1, W=6)
     monkeypatch.setattr(pdalg, "orbit_blocks", lambda A: [[t] for t in range(len(A.basis()))])
     with pytest.raises(CompositeNonzero):
-        nygaard_acrys(A, 1)
+        pdalg._phi_blocks(A)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +960,7 @@ def test_fixed_points_i1_cross_check():
 
     p, n, i = 2, 1, 1
     A = small_algebra(p=p, n=n, e=1, W=6)
-    rep = frobenius_fixed_points(A, i, stab_step=p)
+    rep = frobenius_fixed_points(A, i)
     Aint = PDAlgebra(p, 1, n + i, 1, A.W)
     basis = Aint.basis()
     index = Aint.index()
@@ -933,11 +994,15 @@ def test_p2_completion_mismatch_documentation():
         assert 2**n - vp_factorial(2**n, 2) == 1
 
 
-def test_stabilization_raises():
-    # A window too small to stabilize a fixed-point computation should raise
-    # (constructed case: none here stays unstable, so check the protocol by
-    # comparing two honest runs instead)
+def test_stabilization_raises(monkeypatch):
+    # the fixed points at W + p disagree with those at W: not stable
+    fixed_points_at = pdalg._fixed_points_at
+
+    def one_more_at_the_wider_window(A, i, W):
+        invs, gens = fixed_points_at(A, i, W)
+        return (invs + (1,) if W > A.W else invs), gens
+
+    monkeypatch.setattr(pdalg, "_fixed_points_at", one_more_at_the_wider_window)
     A = small_algebra(p=2, n=1, e=1, W=6)
-    rep1 = frobenius_fixed_points(A, 1)
-    rep2 = frobenius_fixed_points(A, 1, stab_step=4)
-    assert rep1["group"] == rep2["group"]
+    with pytest.raises(NotStabilized, match="W = 6 gives .*, W = 8 gives"):
+        frobenius_fixed_points(A, 1)

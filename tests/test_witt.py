@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nygaard.linalg import identity, lattice_contains, mat_scale
+from nygaard.linalg import hermite_form, identity, lattice_contains, mat_scale
 from nygaard.qbase import QBase
 from nygaard.rings import (
     PerfTruncFp,
@@ -234,24 +234,23 @@ def test_q_square_relations():
 
 
 def test_q_residues_match_the_integer_lattice():
-    # a = b mod (xi, p^n) iff a - b lies in span(M_xi) + p^n Z^N over Z;
-    # both outcomes occur among the draws
+    # a = b mod (xi_tilde, p^n) iff a - b lies in span(M_xi_tilde) + p^n Z^N
+    # over Z; both outcomes occur among the draws
     rng = random.Random(61)
     seen = set()
     for p, n, N in ((2, 2, 3), (3, 2, 4), (2, 3, 4)):
         model = QSquareModel(p, n, N)
         B = model.B
-        for gen, same in ((model.xi, model.residue_eq_xi),
-                          (model.xi_tilde, model.residue_eq_xi_tilde)):
-            lat = B.mult_matrix(gen) + mat_scale(p**n, identity(N))
-            for _ in range(30):
-                a = tuple(rng.randint(-9, 9) for _ in range(N))
-                b = B.add(a, B.mul(gen, tuple(rng.randint(-3, 3) for _ in range(N))))
-                if rng.random() < 0.5:
-                    b = B.add(b, tuple(rng.randint(0, 1) for _ in range(N)))
-                want = lattice_contains(lat, [[x - y for x, y in zip(a, b)]])
-                assert same(a, b) == want
-                seen.add(want)
+        gen = model.xi_tilde
+        lat = B.mult_matrix(gen) + mat_scale(p**n, identity(N))
+        for _ in range(60):
+            a = tuple(rng.randint(-9, 9) for _ in range(N))
+            b = B.add(a, B.mul(gen, tuple(rng.randint(-3, 3) for _ in range(N))))
+            if rng.random() < 0.5:
+                b = B.add(b, tuple(rng.randint(0, 1) for _ in range(N)))
+            want = lattice_contains(lat, [[x - y for x, y in zip(a, b)]])
+            assert model.residue_eq_xi_tilde(a, b) == want
+            seen.add(want)
     assert seen == {True, False}
 
 
@@ -266,19 +265,20 @@ def test_q_model_xi_identities():
     # xi = p mod mu: constant coefficient p
     assert B.xi[0] == B.p
     # xi, xi_tilde are nonzerodivisors (constant coefficient p, injective
-    # multiplication matrices over Z); mu is necessarily nilpotent in the
-    # truncation, so decalage over B is only ever formed for xi and xi_tilde
-    assert B.is_nonzerodivisor(B.xi)
-    assert B.is_nonzerodivisor(B.xi_tilde)
-    assert not B.is_nonzerodivisor(B.mu)
+    # multiplication matrices over Z: full Hermite rank); mu is necessarily
+    # nilpotent in the truncation, so decalage over B is only ever formed
+    # for xi and xi_tilde
+    assert len(hermite_form(B.mult_matrix(B.xi))) == B.N
+    assert len(hermite_form(B.mult_matrix(B.xi_tilde))) == B.N
+    assert len(hermite_form(B.mult_matrix(B.mu))) < B.N
 
 
 def test_q_integers():
     B = QBase(5, 4)
     assert B.q_integer(1) == B.one
     assert B.q_integer(0) == B.zero
-    # [p]_q at q=1 is p
-    assert B.evaluate_at_q1(B.xi) == 5
+    # [p]_q at q=1 (the constant coefficient) is p
+    assert B.xi[0] == 5
     # [-k]_q = -q^{-k} [k]_q
     for k in (1, 2, 7):
         lhs = B.q_integer(-k)
@@ -295,8 +295,8 @@ def test_q_binomial_mod_p():
     # [p]_q = (q-1)^{p-1} mod p
     for p in (2, 3, 5):
         B = QBase(p, 6)
-        lhs = B.reduce_mod_p(B.xi)
-        rhs = B.reduce_mod_p(B.pow(B.mu, p - 1))
+        lhs = [a % p for a in B.xi]
+        rhs = [a % p for a in B.pow(B.mu, p - 1)]
         assert lhs == rhs
 
 
