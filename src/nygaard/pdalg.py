@@ -58,15 +58,33 @@ a chain save work:
 Spans over Z/p^n come in two kinds.  The conjugate and divided-power
 filtrations are spanned by monomials, and so is every span built from them by
 multiplying monomials: these are sets of basis indices and are compared as
-sets.  The Nygaard filtration is read off the weighted shifts.  The images
-of phi_i and of phi_i - 1 on the chains with a nonzero phi-block are general
-submodules; they are computed per chain by the local-ring routines of
-`linalg` (`span_exponent_mod`, `quotient_exponents_mod`) and compared by
-order: span(A) = span(B) iff |A| = |B| = |A + B|.
+sets.  The Nygaard filtration and the image of phi_i are read off the
+weighted shifts, again without elimination.  A diagonal kernel row
+p^a e_k, and its divided image p^{a-i} c_k e_{k+1}, has at most one entry,
+and the entries of distinct rows lie in distinct columns.  A set of such
+one-entry rows spans the direct sum of p^{a_c} Z/p^n e_c over its columns c,
+with a_c the least v_p of an entry in column c (`_single_entries`, which
+raises CompositeNonzero on a row with two entries).  So in
+`nygaard_graded_image_check`:
+
+- the image of phi_i mod p is spanned by the unit vectors of the columns
+  whose entry is a unit mod p, and it equals the restricted Fil^conj_i on a
+  chain iff those columns are the chain's filtration indices;
+- N^{>=i+1} lies in N^{>=i} iff every column's exponent in the level-(i+1)
+  kernel is at least its exponent in the level-i kernel (n + i + 1 when the
+  column is absent);
+- N^i / N^{i+1} is the sum of the Z/p^{b_c - a_c} over the columns, so its
+  number of cyclic factors is the number of columns whose exponent grows.
+
+The image of phi_i - 1 on the chains with a nonzero phi-block is a general
+submodule: `syntomic.syntomic_acrys` computes it per chain by the
+local-ring routines of `linalg` and compares spans by order:
+span(A) = span(B) iff |A| = |B| = |A + B|.
 """
 
 import weakref
 from dataclasses import dataclass
+from itertools import product
 from math import comb, factorial
 
 from .errors import CompositeNonzero, NotStabilized, TruncationTooTight, UsageError
@@ -75,9 +93,7 @@ from .linalg import (
     _vp,
     kernel_mod,
     module_invariants_mod,
-    quotient_exponents_mod,
     row_mul,
-    span_exponent_mod,
 )
 
 
@@ -427,24 +443,23 @@ def filtration_multiplicativity_check(A, rng, trials=20, nmax=2):
 def conj_graded_map_check(A, nn):
     """Gamma^n_S(I/I^2) -> gr_n^conj(A/p) is bijective up to the truncation.
 
-    Gamma^n has basis [x^c] prod xbar_j^{[k_j]} with sum k = n; the map scales
-    by the units (pk)!/(p^k k!) and sends xbar^{[k]} to x^{[pk]}.  Within the
-    truncation both sides are monomial; bijectivity is checked stratum by
-    stratum together with the unit property of the scaling factors."""
-    p = A.p
-    basis = A.basis()
+    Gamma^n has basis x^{[r]} prod xbar_j^{[k_j]} with sum k = n over
+    Fil_0, whose basis is the [x^c] x^{[r]} with r_j < p.  The map scales by
+    the units (pk)!/(p^k k!) and sends x^{[r]} xbar^{[k]} to a unit times
+    x^{[r + pk]}, since (r + pk choose r) = 1 mod p by Lucas.  Within the
+    truncation both sides are monomial: the source is enumerated from this
+    definition, (c, r, k) with r_j < p, |k| = n and |r + pk| <= W, and the
+    target is the basis monomials of conjugate level n.  Bijectivity is
+    checked by rank, together with the unit property of the scaling
+    factors."""
+    p, g = A.p, A.g
     # target: monomials of conjugate level exactly nn, i.e. sum floor(l/p) = n,
     # presented as gr = Fil_n / Fil_{n-1}
-    tgt = [m for m in basis if conj_level(m, p) == nn]
-    # source: [x^c] prod xbar^{[k]} with sum k = nn and l-part < p free;
-    # a Gamma-basis element corresponds to (c, r, k) with l = r + p k, r_j < p
-    src = []
-    for m in basis:
-        if all(lj // p >= 0 for lj in m.l):
-            k = tuple(lj // p for lj in m.l)
-            r = tuple(lj % p for lj in m.l)
-            if sum(k) == nn:
-                src.append((m.c, r, k))
+    tgt = [m for m in A.basis() if conj_level(m, p) == nn]
+    src = [(c, r, k)
+           for k in product(range(nn + 1), repeat=g) if sum(k) == nn
+           for r in product(range(p), repeat=g) if sum(r) + p * nn <= A.W
+           for c in product(range(p**A.e), repeat=g)]
     if len(src) != len(tgt):
         return {"ok": False, "reason": "rank mismatch", "src": len(src), "tgt": len(tgt)}
     # unit scaling factors must be p-adic units
@@ -615,6 +630,21 @@ def _nygaard_kernel_blocks(A2, i, blocks):
     return [(idxs, _shift_kernel(M, A2.p, A2.n, i)) for idxs, M in blocks]
 
 
+def _single_entries(rows, q, p):
+    """{column: least v_p} over rows that each have at most one entry
+    nonzero mod q, i.e. their span over Z/q, read off without elimination;
+    CompositeNonzero when a row has two (module docstring)."""
+    out = {}
+    for row in rows:
+        hits = [(c, a % q) for c, a in enumerate(row) if a % q]
+        if len(hits) > 1:
+            raise CompositeNonzero("row with two entries where a weighted shift has one")
+        if hits:
+            c, v = hits[0][0], _vp(hits[0][1], p)
+            out[c] = min(out.get(c, v), v)
+    return out
+
+
 def nygaard_graded_image_check(A, i):
     """phi_i mod p on N^i is injective with image Fil^conj_i (within W).
 
@@ -623,15 +653,15 @@ def nygaard_graded_image_check(A, i):
     conjugate filtration with that sublattice; at e = infinity (genuine
     semiperfect base) the restriction is vacuous.  Everything shards by
     weight chain: phi preserves the chains and the filtration is monomial.
-    Per chain, the image and the filtration are compared by order mod p, and
-    the graded piece N^i / N^{i+1} is read off at the common precision
-    n + i + 1, where N^{i+1} must lie inside N^i.  Two kernels per level
-    suffice: phi(x) = 0 mod p^i depends only on x mod p^i, so the level-i
-    kernel at n + i + 1 reduced mod p^{n+i} is the level-i kernel at n + i,
-    and the image phi(x)/p^i mod p, which depends only on x mod p^{i+1}, is
-    read off from it directly.  Both kernels and the image come from one
-    phi-block per chain, and a chain whose block is zero needs no elimination
-    (module docstring)."""
+    Per chain, the image and the filtration are compared mod p, and the
+    graded piece N^i / N^{i+1} is read off at the common precision n + i + 1,
+    where N^{i+1} must lie inside N^i.  Two kernels per level suffice:
+    phi(x) = 0 mod p^i depends only on x mod p^i, so the level-i kernel at
+    n + i + 1 reduced mod p^{n+i} is the level-i kernel at n + i, and the
+    image phi(x)/p^i mod p, which depends only on x mod p^{i+1}, is read off
+    from it directly.  Both kernels and the image come from one phi-block per
+    chain, and every span is read off their one-entry rows, with no
+    elimination (module docstring)."""
     p = A.p
     Acmp = PDAlgebra(p, A.g, A.n + i + 1, A.e, A.W)
     fil = conjugate_filtration_spans(A, i + 1)
@@ -647,22 +677,17 @@ def nygaard_graded_image_check(A, i):
     dim_img = 0
     for (idxs, Ki), (_, Ki1), (_, M) in zip(_nygaard_kernel_blocks(Acmp, i, blocks),
                                              _nygaard_kernel_blocks(Acmp, i + 1, blocks), blocks):
-        imgs = _divided_phi_rows(Ki, M, p, i)
-        width = len(idxs)
-        fil_rows = []
-        for k, t in enumerate(idxs):
-            if t in fil_idx:
-                v = [0] * width
-                v[k] = 1
-                fil_rows.append(v)
-        e_img = span_exponent_mod(imgs, p, 1)
-        if not e_img == len(fil_rows) == span_exponent_mod(imgs + fil_rows, p, 1):
+        src, src1 = _single_entries(Ki, Acmp.q, p), _single_entries(Ki1, Acmp.q, p)
+        # the span mod p of the image: the columns holding a unit
+        img = set(_single_entries(_divided_phi_rows(Ki, M, p, i), p, p))
+        if img != {k for k, t in enumerate(idxs) if t in fil_idx}:
             same = False
-        dim_img += e_img
-        # graded dimension at the common precision n+i+1
-        if span_exponent_mod(Ki + Ki1, p, Acmp.n) != span_exponent_mod(Ki, p, Acmp.n):
+        dim_img += len(img)
+        # graded dimension at the common precision n+i+1: an absent column
+        # has exponent n+i+1
+        if any(v < src.get(c, Acmp.n) for c, v in src1.items()):
             raise CompositeNonzero("N^{>=%d} is not inside N^{>=%d}" % (i + 1, i))
-        dim_src += len(quotient_exponents_mod(Ki, Ki1, p, Acmp.n))
+        dim_src += sum(src1.get(c, Acmp.n) > v for c, v in src.items())
     return {
         "image_matches_fil": same,
         "dim_graded": dim_src,
@@ -704,18 +729,36 @@ def _fixed_points_at(A, i, W):
 
 
 def frobenius_fixed_points(A, i):
-    """ker(phi - p^i) on A/p^n within the weight window, with stabilization.
+    """ker(phi - p^i) on A/p^n within the weight window W, with stabilization.
 
-    Computed at W and W + p; NotStabilized when the invariants differ.
     For i < 0 the operator phi - p^i is injective by p-adic contraction and
-    the group is zero."""
+    the group is zero.  For i >= 0 the answer at W is also the answer at
+    W + p once W >= n + i, so it is computed once; below that it is compared
+    with W + p, and NotStabilized is raised when the invariants differ.
+    Proof, with n_int = n + i the internal precision of `_fixed_points_at`:
+
+    (a) 1 <= W < n_int.  The chain of x_1^{[W]} has a root with
+        |l| <= W < n_int, so its phi-block is built.  phi(x_1^{[W]}) has
+        valuation W < n_int and weight pW > W, so `_fixed_points_at` raises
+        TruncationTooTight at W, before W + p is tried.  Only W = 0 answers
+        below n_int.
+    (b) W >= n_int.  A chain root that W + p adds has |l| > W >= n_int, so
+        it is a zero chain, which projects to 0 (module docstring).  An old
+        chain gains only a tail of monomials with |l| > W >= n_int, on
+        which phi vanishes mod p^{n_int}.  The coupling from the last old
+        monomial into the tail is 0 mod p^{n_int} too: otherwise its phi
+        image would be nonzero and leave the window at W, which raised.  So
+        the block at W + p is the block at W plus a zero block on the tail,
+        and ker(phi - p^i) on the tail is p^n times the tail, which projects
+        to 0 mod p^n.  The invariants at W and at W + p are equal."""
     p = A.p
     if i < 0:
         return {"group": PGroup.zero(p), "generators": [], "stable": True}
     inv1, K1 = _fixed_points_at(A, i, A.W)
-    inv2, _ = _fixed_points_at(A, i, A.W + p)
-    if inv1 != inv2:
-        raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + p, inv2))
+    if A.W < A.n + i:
+        inv2, _ = _fixed_points_at(A, i, A.W + p)
+        if inv1 != inv2:
+            raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + p, inv2))
     basis = A.basis()
     gens = [{basis[t]: a for t, a in zip(idxs, row) if a} for idxs, row in K1]
     return {"group": PGroup(p, inv1, 0), "generators": gens, "stable": True}

@@ -150,10 +150,11 @@ def _window_blocks(X, i, m0=None):
     return blocks
 
 
-def _assemble_window(X, i, V, m0=None, blocks=None):
+def _assemble_window(X, i, V, m0=None, blocks=None, top=None):
     """Total complex of fib(phi_i - can) on the window W_V of the orbit of m0.
 
-    Degrees t = 0..d+1; term t = (+)_{s<=V} N^t_s (+) (+)_{s<=V+1} X^{t-1}_s,
+    Degrees t = 0..top, top = d+1 unless given, with the differentials out of
+    the degrees below top; term t = (+)_{s<=V} N^t_s (+) (+)_{s<=V+1} X^{t-1}_s,
     where step s carries the weight p^s m0 and phi maps step s to s+1.
     Without m0 it is the weight-0 block (call it with V = 0): no
     differentials, and phi maps each step to itself.  blocks is the orbit's
@@ -161,6 +162,7 @@ def _assemble_window(X, i, V, m0=None, blocks=None):
     Returns (ranks, diffs, basis_info) with basis_info[t] listing labels
     ("N", s, k) and ("X", s, k)."""
     d = X.d
+    top = d + 1 if top is None else top
     rk = {j: X.exp_rank(j) for j in range(-1, d + 2)}
     orbit = m0 is not None
     blocks = blocks or _window_blocks(X, i, m0)
@@ -168,11 +170,11 @@ def _assemble_window(X, i, V, m0=None, blocks=None):
     basis_info = {
         t: [(side, s, k) for side, j in (("N", t), ("X", t - 1))
             for s in range(steps[side]) for k in range(rk[j])]
-        for t in range(d + 2)
+        for t in range(top + 1)
     }
     ranks = {t: len(labels) for t, labels in basis_info.items()}
     diffs = {}
-    for t in range(d + 1):
+    for t in range(top):
         # (first source row, target block, matrix, sign) for every block
         placed = []
         phi, can = blocks("phi", 0, t), blocks("can", 0, t)
@@ -245,9 +247,7 @@ def _orbit_contribution(X, m0, i, r, V):
     top = min(i + 2, X.d + 1)
 
     def window(k):
-        ranks, diffs, basis = _assemble_window(X, i, V + k, m0, blocks)
-        ranks = {t: ranks[t] for t in range(top + 1)}
-        diffs = {t: diffs[t] for t in range(top)}
+        ranks, diffs, basis = _assemble_window(X, i, V + k, m0, blocks, top)
         return basis, cocycles_boundaries_mod(ranks, diffs, p, r)
 
     basis0, pres0 = window(0)

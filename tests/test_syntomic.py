@@ -89,6 +89,23 @@ def test_charp_module_scaling_sanity():
     assert PGroup(2, (2,)).order() // 2 == 2
 
 
+@pytest.mark.parametrize("p, d, N", [(2, 3, 1), (3, 3, 1), (2, 2, 3), (3, 2, 2)])
+def test_window_up_to_top_is_the_sliced_full_window(p, d, N):
+    # a window built up to degree top is the full window cut at top: the
+    # degrees 0..top, with the differentials out of the degrees below top
+    X = build_qtorus(p, d, N)
+    for i in range(-1, d + 1):
+        top = min(i + 2, d + 1)
+        for m0 in _primitive_orbit_reps(d, p, 1):
+            for V in (0, 2):
+                ranks, diffs, basis = _assemble_window(X, i, V, m0)
+                assert _assemble_window(X, i, V, m0, top=top) == (
+                    {t: ranks[t] for t in range(top + 1)},
+                    {t: diffs[t] for t in range(top)},
+                    {t: basis[t] for t in range(top + 1)},
+                ), (i, m0, V)
+
+
 def _weight0_groups(X, i, r):
     ranks, diffs, _ = _assemble_window(X, i, 0)
     return cohomology_mod(ranks, diffs, X.p, r)[0]
