@@ -450,8 +450,9 @@ def conj_graded_map_check(A, nn):
     truncation both sides are monomial: the source is enumerated from this
     definition, (c, r, k) with r_j < p, |k| = n and |r + pk| <= W, and the
     target is the basis monomials of conjugate level n.  Bijectivity is
-    checked by rank, together with the unit property of the scaling
-    factors."""
+    checked by rank.  The scaling factors need no check: the multiples of p
+    in [1, pk] multiply to p^k k!, so (pk)!/(p^k k!) is the product of the
+    integers in [1, pk] prime to p, a unit mod p."""
     p, g = A.p, A.g
     # target: monomials of conjugate level exactly nn, i.e. sum floor(l/p) = n,
     # presented as gr = Fil_n / Fil_{n-1}
@@ -462,12 +463,6 @@ def conj_graded_map_check(A, nn):
            for c in product(range(p**A.e), repeat=g)]
     if len(src) != len(tgt):
         return {"ok": False, "reason": "rank mismatch", "src": len(src), "tgt": len(tgt)}
-    # unit scaling factors must be p-adic units
-    for k in {kk for (_, _, kk) in src}:
-        for kj in k:
-            u = factorial(p * kj) // (p**kj * factorial(kj))
-            if u % p == 0:
-                return {"ok": False, "reason": "scaling factor not a unit"}
     return {"ok": True, "rank": len(src)}
 
 

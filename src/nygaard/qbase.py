@@ -78,10 +78,6 @@ class QBase:
         q = self.p**p_prec
         return all((x - y) % q == 0 for x, y in zip(a, b))
 
-    def q_pow(self, k):
-        """q^k = (1+mu)^k for any integer k (binomial series, exact)."""
-        return tuple(_binom(k, j) for j in range(self.N))
-
     def q_integer(self, k):
         """[k]_q = (q^k - 1)/(q - 1), exact in B for every integer k."""
         return tuple(_binom(k, j + 1) for j in range(self.N))

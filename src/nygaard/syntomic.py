@@ -30,32 +30,46 @@ search.  Beyond the window every Koszul entry vanishes mod p^r (valuations
 are monotone along the orbit).  Degrees j > i are additionally covered by the
 geometric-series invertibility of the twisted Frobenius.
 
-The orbit sum runs over orbit classes (`_orbit_class`): one window per class,
-its groups added once, times the class size.  At N = 1 every primitive m0
-lies in the class of e_1 = (1, 0, ..., 0), because the blocks there are the
-scalars m_a:
+Every primitive weight has the orbit window of e_1 = (1, 0, ..., 0), at
+every N.  So `_orbit_sum` builds one window, at e_1, and adds its groups once
+for each of the n = (2M+1)^d - (2 floor(M/p) + 1)^d primitive weights of the
+box (the box less its weights in pZ^d).  The proof, in the normalised
+coordinates of `qtorus`, for a primitive m0 with c = gcd(m0) > 0; c is prime
+to p because m0 is primitive:
 
-1. Let c = gcd(m0); c is a p-unit because m0 is primitive.  A coordinate
-   change g in GL_d(Z) with g m0 = c e_1 acts on every weight block by
-   Lambda^t(g), which carries the Koszul differential of m (wedge with m) to
-   that of g m.  It commutes with phi, can and the Nygaard scales, which are
-   scalars in each Koszul degree.
-2. Rescaling the basis vectors dlog T_I with 1 in I by c^{-1} mod p^r carries
-   K(c e_1) to K(e_1); it commutes with the same scalars.
-3. Both maps are linear and independent of the step, so they act on all
-   steps p^s m0 of a window at once.  They therefore carry every window
-   W_{V+k} of m0 to that of e_1 over Z/p^r, together with the window
-   inclusions: the stable images agree and stabilise at the same depth.
+1. Step s of the orbit of m0 carries the weight p^s m0, whose Koszul blocks
+   are [p^s m_a]_{q^p} = [p^s]_{q^p} [m_a]_x with x = q^{p^{s+1}}.
+2. The Euclid step [a]_x = [a-b]_x + x^{a-b} [b]_x, with
+   [-a]_x = -x^{-a} [a]_x, gives g(x) in GL_d(Z[x^{+-1}]) with
+   g ([m_1]_x, ..., [m_d]_x) = ([c]_x, 0, ..., 0).  q is a unit of B, so
+   Lambda^t(g(q^{p^{s+1}})) is an automorphism of step s in Koszul degree t.
+   It carries the Koszul differential of p^s m0 (wedge with the vector of
+   blocks) to that of p^s c e_1.
+3. It is B-linear, so it commutes with can, the Nygaard xi-scales and the
+   normalised differential, which are xi-powers, scalars in each Koszul
+   degree.  phi is q -> q^p on coefficients times the scalar xi_tilde^t; it
+   carries g at step s to g at step s+1, so it commutes with phi_i, which
+   maps step s to step s+1.
+4. [c]_x = c mod (x - 1), and x - 1 lies in (q - 1), which is nilpotent in
+   B.  So [c]_x is a unit of B/p^r.  Rescaling dlog T_I with 1 in I by its
+   inverse at step s carries the step s of c e_1 to that of e_1, and
+   commutes with the same maps for the same reasons: phi carries the scale
+   at step s to the scale at step s+1.
+5. Both maps act step by step, so they commute with the window inclusions
+   W_V -> W_{V+k}.  They carry every window of m0 to that of e_1 over
+   Z/p^r: the stable images agree and stabilise at the same depth.  The
+   tail test agrees too: a coordinate with p not dividing m_a makes [m_a]_x
+   a unit, so the blocks at step V+1 all vanish mod p^r exactly when
+   [p^{V+1}]_{q^p} does, which is the test at e_1.
 
-For N >= 2 the blocks [m_a]_{q^p} are not linear in m and no such proof is
-written, so every m0 is its own class.
+At N = 1 every [k]_x is the integer k: g lies in GL_d(Z), and the rescaling
+is by c^{-1} mod p^r.
 
 Global sections of the torus are Laurent polynomials, not their completion;
 kernels computed here are faithful, while cokernels in the Artin-Schreier
 direction carry an explicit "global model" flag.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 # CompositeNonzero is imported for tests that check the error classes are shared
@@ -84,7 +98,6 @@ from .pdalg import (
     span_identity_check,
 )
 from .qtorus import build_qtorus
-from .torus import weights_box
 
 
 @dataclass
@@ -119,12 +132,6 @@ class SyntomicResult:
 
 # ---------------------------------------------------------------------------
 # the torus pipeline: windows, orbits, the two entry points
-
-
-def _orbit_class(X, m0):
-    """The representative of the primitive weights whose orbit windows are
-    isomorphic to that of m0: e_1 at N = 1 (module docstring), else m0."""
-    return (1,) + (0,) * (X.d - 1) if X.N == 1 else m0
 
 
 def _window_blocks(X, i, m0=None):
@@ -285,28 +292,27 @@ def _orbit_sum(X, i, r, M, V):
     """fib(phi_i - can) summed over the primitive orbits of the weight box of
     radius M, plus the weight-0 block.
 
-    One window per orbit class (`_orbit_class`): its groups are added once,
-    times the class size.  Returns (total, pres0, tail_ok, V_used): the
-    groups per degree, the weight-0 presentations (for the dlog flags),
-    whether the tail test held for every class representative, and V + 1,
-    or 0 when the box holds no primitive weight and no window is built."""
+    One window, at e_1: its groups are added once for each of the n
+    primitive weights of the box (module docstring).  Returns (total, pres0,
+    tail_ok, V_used): the groups per degree, the weight-0 presentations (for
+    the dlog flags), whether the tail test held at e_1, and V + 1, or 0 when
+    the box holds no primitive weight and no window is built."""
     p, d = X.p, X.d
-    tail_ok = True
-    classes = Counter(_orbit_class(X, m0) for m0 in _primitive_orbit_reps(d, p, M))
+    n = (2 * M + 1) ** d - (2 * (M // p) + 1) ** d
     # weight zero: phi_i and can act on the same block; exact, no window
     ranks0, diffs0, _ = _assemble_window(X, i, 0)
     total, pres0 = cohomology_mod(ranks0, diffs0, p, r)
-    for rep, count in classes.items():
-        # degrees <= i+1 are certified by the stable window image; degrees
-        # >= i+2 lie in the invertibility zone (Koszul degrees > i) where the
-        # twisted Frobenius minus one is invertible by a terminating series,
-        # so the orbit contributes nothing there
-        contrib, _ = _orbit_contribution(X, rep, i, r, V)
-        for t, g in contrib.items():
-            total[t] = total[t] + count * g
-        if not _q_tail_vanishes(X, r, rep, V):
-            tail_ok = False
-    return total, pres0, tail_ok, V + 1 if classes else 0
+    if not n:
+        return total, pres0, True, 0
+    e1 = (1,) + (0,) * (d - 1)
+    # degrees <= i+1 are certified by the stable window image; degrees >= i+2
+    # lie in the invertibility zone (Koszul degrees > i) where the twisted
+    # Frobenius minus one is invertible by a terminating series, so the orbit
+    # contributes nothing there
+    contrib, _ = _orbit_contribution(X, e1, i, r, V)
+    for t, g in contrib.items():
+        total[t] = total[t] + n * g
+    return total, pres0, _q_tail_vanishes(X, r, e1, V), V + 1
 
 
 def _dlog_flags(X, i, r, pres0):
@@ -328,17 +334,6 @@ def _dlog_flags(X, i, r, pres0):
     return {"degree": i, "present": True, "cocycle": is_cocycle,
             "nonzero_in_H": nonzero,
             "phi_fixed": _q_dlog_fixed(X.divided_frobenius_matrix(i, i), X.N)}
-
-
-def _primitive_orbit_reps(d, p, M):
-    reps = []
-    for m in weights_box(d, M):
-        if all(a == 0 for a in m):
-            continue
-        if all(a % p == 0 for a in m):
-            continue
-        reps.append(m)
-    return reps
 
 
 def _q_tail_vanishes(X, r, m0, V):
@@ -390,6 +385,8 @@ def _torus_syntomic(model, X, i, r, M, V, series_key):
     degree."""
     if r < 1:
         raise UsageError("the syntomic complex needs r >= 1, got r = %d" % r)
+    if M < 0:
+        raise UsageError("the weight box needs M >= 0, got M = %d" % M)
     p, d = X.p, X.d
     if i < 0:
         groups = {t: PGroup.zero(p) for t in range(d + 2)}
@@ -413,11 +410,8 @@ def _torus_syntomic(model, X, i, r, M, V, series_key):
 
 def syntomic_charp(p, d, i, r, M=4, V=None):
     """Cohomology of fib(phi_i - can) on the d-torus over F_p, with
-    coefficients Z/p^r: the torus model at N = 1, by orbit classes, one
-    window for all primitive weights (module docstring).
-
-    The tail test p^{V+1} m0 = 0 mod p^r is class-invariant: a primitive m0
-    has a p-unit coordinate, so it reads V + 1 >= r."""
+    coefficients Z/p^r: the torus model at N = 1, one window for all
+    primitive weights (module docstring)."""
     return _torus_syntomic("charp", build_qtorus(p, d, 1), i, r, M, V, "zone_series_exponents")
 
 

@@ -18,7 +18,8 @@ from itertools import combinations, product
 from math import comb
 
 from .complexes import Complex, acyclic_mod, eta, presented_cone
-from .errors import DivisionFailure, PrecisionExhausted, UsageError
+# DivisionFailure is re-exported: torus.DivisionFailure is a public import path
+from .errors import DivisionFailure, PrecisionExhausted, UsageError  # noqa: F401
 from .linalg import (
     identity,
     lattice_eq,
@@ -92,11 +93,10 @@ class TorusDeRham:
 
     def divided_frobenius_matrix(self, i, j):
         """phi_i on degree j from the normalized Nygaard basis to the dlog
-        basis: p^{max(i-j,0)} * p^j divided by p^i, the division verified on
-        the exponents, so it stays exact for i < 0 too."""
-        e = max(i - j, 0) + j - i
-        if e < 0:
-            raise DivisionFailure("phi not divisible by p^%d in degree %d" % (i, j))
+        basis: p^{max(i-j,0)} * p^j divided by p^i.  The quotient exponent
+        max(i-j,0) + j - i = max(j-i,0) is never negative, so the division is
+        exact for every i, i < 0 included."""
+        e = max(j - i, 0)
         return mat_scale(self.p**e, identity(self.rank(j)))
 
 

@@ -1,0 +1,17 @@
+"""Oracles the tests check live code against, kept out of the package
+because no command uses them."""
+
+from nygaard.qbase import _binom
+from nygaard.torus import weights_box
+
+
+def q_pow(B, k):
+    """q^k = (1+mu)^k in the truncated base B, for any integer k (binomial
+    series, exact)."""
+    return tuple(_binom(k, j) for j in range(B.N))
+
+
+def primitive_weights(d, p, M):
+    """The weights of the box of radius M not in pZ^d (so not 0): the orbit
+    representatives that `syntomic._orbit_sum` counts in closed form."""
+    return [m for m in weights_box(d, M) if any(a % p for a in m)]

@@ -37,11 +37,9 @@ from nygaard.linalg import (
     zeros,
 )
 from nygaard.qtorus import build_qtorus
-from nygaard.syntomic import (
-    _assemble_window,
-    _embed_rows,
-    _primitive_orbit_reps,
-)
+from nygaard.syntomic import _assemble_window, _embed_rows
+
+from oracles import primitive_weights
 
 
 @st.composite
@@ -290,7 +288,7 @@ def check_windows(X, i, r, M, V, extra_rels=None):
     extra = extra_rels(ranks0) if extra_rels else None
     got, _ = cohomology_mod(ranks0, diffs0, p, r, extra)
     assert got == integer_window_groups(ranks0, diffs0, p, r, extra)
-    for m0 in _primitive_orbit_reps(X.d, p, M):
+    for m0 in primitive_weights(X.d, p, M):
         wins = []
         for k in (0, 1):
             ranks, diffs, basis = _assemble_window(X, i, V + k, m0)
@@ -343,7 +341,7 @@ def test_q_windows_mod_mu_are_the_n1_windows(p, d, r, N):
 
     for i in range(d + 2):
         assert groups(Xq, i, 0, None, rels)[0] == groups(X1, i, 0, None, None)[0]
-        for m0 in _primitive_orbit_reps(d, p, 1):
+        for m0 in primitive_weights(d, p, 1):
             wins = {}
             for X, extra in ((Xq, rels), (X1, None)):
                 (g0, pres0, basis0), (g1, pres1, basis1) = (

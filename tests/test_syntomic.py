@@ -14,13 +14,14 @@ from nygaard.syntomic import (
     syntomic_acrys,
     syntomic_charp,
     _assemble_window,
-    _orbit_class,
     _orbit_contribution,
-    _primitive_orbit_reps,
     _q_dlog_fixed,
+    _q_tail_vanishes,
     syntomic_q,
 )
 from nygaard.qtorus import build_qtorus
+
+from oracles import primitive_weights
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +97,7 @@ def test_window_up_to_top_is_the_sliced_full_window(p, d, N):
     X = build_qtorus(p, d, N)
     for i in range(-1, d + 1):
         top = min(i + 2, d + 1)
-        for m0 in _primitive_orbit_reps(d, p, 1):
+        for m0 in primitive_weights(d, p, 1):
             for V in (0, 2):
                 ranks, diffs, basis = _assemble_window(X, i, V, m0)
                 assert _assemble_window(X, i, V, m0, top=top) == (
@@ -111,6 +112,32 @@ def _weight0_groups(X, i, r):
     return cohomology_mod(ranks, diffs, X.p, r)[0]
 
 
+def _check_orbit_windows_agree_with_e1(p, d, r, N, M):
+    # the GL_d(Z[q^{+-1}]) symmetry of the module docstring, checked weight by
+    # weight: every primitive orbit has the groups, stabilisation depth and
+    # tail verdict of e_1, at the default V and at V = r - 1, and the answer
+    # is the weight-0 groups plus the sum over the primitive weights
+    X = build_qtorus(p, d, N)
+    e1 = (1,) + (0,) * (d - 1)
+    weights = primitive_weights(d, p, M)
+    for i in range(d + 1):
+        for V in (r + 1, r - 1):
+            ref = _orbit_contribution(X, e1, i, r, V), _q_tail_vanishes(X, r, e1, V)
+            total = _weight0_groups(X, i, r)
+            for m0 in weights:
+                got = _orbit_contribution(X, m0, i, r, V), _q_tail_vanishes(X, r, m0, V)
+                assert got == ref, (m0, i, V)
+                for t, g in got[0][0].items():
+                    total[t] = total[t] + g
+            if N == 1:
+                assert syntomic_charp(p, d, i, r, M=M, V=V).groups == total, (i, V)
+            elif ref[1]:
+                assert syntomic_q(p, d, i, r, N=N, M=M, V=V).groups == total, (i, V)
+            else:
+                with pytest.raises(NotStabilized):
+                    syntomic_q(p, d, i, r, N=N, M=M, V=V)
+
+
 # every p and r at d = 1 (gcd(m0) up to 3); one (p, r) per row at d = 2, 3
 # (the full product over d = 2, 3 takes about a minute)
 @pytest.mark.parametrize("p, d, r, M", [
@@ -119,22 +146,46 @@ def _weight0_groups(X, i, r):
     (3, 3, 2, 1),
 ])
 def test_charp_orbit_windows_agree_with_class_representative(p, d, r, M):
-    # the GL_d(Z) symmetry behind the orbit classes, checked by enumeration:
-    # every primitive orbit has the groups and stabilisation depth of e_1,
-    # at the default V and at the smallest certifying override V = r - 1
-    reps = _primitive_orbit_reps(d, p, M)
-    for i in range(d + 1):
-        X = build_qtorus(p, d, 1)
-        assert {_orbit_class(X, m0) for m0 in reps} == {(1,) + (0,) * (d - 1)}
-        for V in (r + 1, r - 1):
-            ref = _orbit_contribution(X, (1,) + (0,) * (d - 1), i, r, V)
-            total = _weight0_groups(X, i, r)
-            for m0 in reps:
-                groups, k_used = _orbit_contribution(X, m0, i, r, V)
-                assert (groups, k_used) == ref, (m0, i, V)
-                for t, g in groups.items():
-                    total[t] = total[t] + g
-            assert syntomic_charp(p, d, i, r, M=M, V=V).groups == total, (i, V)
+    _check_orbit_windows_agree_with_e1(p, d, r, 1, M)
+
+
+# d = 1 up to gcd(m0) = 3 (M = 3) and d = 2, at N = 2, 3; at p = 2, N = 3 and
+# V = r - 1 the tail test fails, for every primitive weight alike
+@pytest.mark.parametrize("p, d, r, N, M", [
+    *((p, 1, r, N, 3) for p in (2, 3, 5) for r in (1, 2) for N in (2, 3)),
+    (2, 2, 1, 2, 2), (3, 2, 2, 2, 1), (2, 2, 2, 3, 1), (5, 2, 1, 3, 1),
+])
+def test_q_orbit_windows_agree_with_e1(p, d, r, N, M):
+    _check_orbit_windows_agree_with_e1(p, d, r, N, M)
+
+
+@pytest.mark.parametrize("p, d, M", [
+    (p, d, M) for p in (2, 3, 5) for d in (1, 2, 3) for M in range(5)])
+def test_orbit_sum_adds_e1_once_per_primitive_weight(monkeypatch, p, d, M):
+    # the closed form n = (2M+1)^d - (2 floor(M/p) + 1)^d against the
+    # enumeration: with e_1 contributing one Z/p in degree 0, the orbit sum
+    # holds n more copies than the weight-0 block; M = 0 builds no window
+    monkeypatch.setattr(syntomic, "_orbit_contribution",
+                        lambda X, m0, i, r, V: ({0: PGroup(p, (1,))}, {0: 0}))
+    X = build_qtorus(p, d, 1)
+    n = len(primitive_weights(d, p, M))
+    total, _, tail_ok, V_used = syntomic._orbit_sum(X, 0, 1, M, 1)
+    assert total[0] == _weight0_groups(X, 0, 1)[0] + n * PGroup(p, (1,))
+    assert tail_ok and V_used == (2 if M else 0)
+
+
+def test_one_orbit_window_at_the_frontier(monkeypatch):
+    # -p2 -d2 -N4 -M2 has 16 primitive weights and builds one orbit window
+    calls = []
+    contribution = syntomic._orbit_contribution
+
+    def counted(X, m0, i, r, V):
+        calls.append(m0)
+        return contribution(X, m0, i, r, V)
+
+    monkeypatch.setattr(syntomic, "_orbit_contribution", counted)
+    syntomic_q(2, 2, 1, 2, N=4, M=2)
+    assert calls == [(1, 0)]
 
 
 def test_charp_negative_twist_series_certificate():
@@ -161,7 +212,7 @@ def test_charp_orbit_multiplicity_at_the_frontier():
     # with n = (2M+1)^d - (2 floor(M/p) + 1)^d primitive weights in the box
     p, d, i, r, M = 3, 3, 1, 2, 8
     n = (2 * M + 1) ** d - (2 * (M // p) + 1) ** d
-    assert n == len(_primitive_orbit_reps(d, p, M)) == 4788
+    assert n == len(primitive_weights(d, p, M)) == 4788
     res = syntomic_charp(p, d, i, r, M=M)
     assert res.groups[i + 1] == PGroup(p, (r,) * (comb(d, i) + comb(d - 1, i) * n))
     assert res.groups[i] == PGroup(p, (r,) * comb(d, i))
@@ -250,6 +301,13 @@ def test_q_negative_twist_series_is_computed(p, d, i, r):
 def test_r_below_1_is_rejected(entry):
     with pytest.raises(UsageError):
         entry(2, 1, 1, 0)
+
+
+@pytest.mark.parametrize("entry", [syntomic_charp, syntomic_q])
+def test_negative_box_radius_is_rejected(entry):
+    # the closed-form count of primitive weights holds for M >= 0 only
+    with pytest.raises(UsageError):
+        entry(2, 1, 1, 1, M=-2)
 
 
 def test_degree_bound_series_terminates():
