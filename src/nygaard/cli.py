@@ -42,7 +42,7 @@ from .torus import (
     frobenius_chain_map_check,
     frobenius_eta_check,
     hodge_quotient_check,
-    weights_box,
+    weight_classes,
 )
 from .witt import (
     FpSquareModel,
@@ -203,10 +203,18 @@ def cmd_eta(cfg):
     }
 
 
+def _require_nonnegative_twist(cfg):
+    """The Nygaard, divided-Frobenius and graded certificates of derham and
+    qderham run over the levels 0..i, so i < 0 would check nothing."""
+    if cfg.i < 0:
+        raise UsageError("the de Rham checks need i >= 0, got i = %d" % cfg.i)
+
+
 def cmd_derham(cfg):
+    _require_nonnegative_twist(cfg)
     X = build_torus(cfg.p, cfg.d, cfg.n)
     payload = {}
-    payload["chain_map"] = frobenius_chain_map_check(X, weights_box(cfg.d, cfg.M))
+    payload["chain_map"] = frobenius_chain_map_check(X, weight_classes(cfg.d, cfg.M))
     payload["divided_frobenius"] = all(
         divided_frobenius_identity_check(X, i) for i in range(cfg.i + 1)
     )
@@ -223,10 +231,11 @@ def cmd_derham(cfg):
 
 
 def cmd_qderham(cfg):
+    _require_nonnegative_twist(cfg)
     Xq = build_qtorus(cfg.p, cfg.d, cfg.N)
     payload = {
         "specialization": specialization_check(Xq, M=cfg.M),
-        "chain_map": frobenius_chain_map_check(Xq, weights_box(cfg.d, cfg.M)),
+        "chain_map": frobenius_chain_map_check(Xq, weight_classes(cfg.d, cfg.M)),
         "nygaard_stable": all(
             q_nygaard_stability_check(Xq, i, M=cfg.M) for i in range(cfg.i + 1)
         ),

@@ -32,7 +32,7 @@ from .linalg import (
     zeros,
 )
 from .qbase import QBase
-from .torus import build_torus, koszul_pattern, subsets, weights_box
+from .torus import build_torus, koszul_pattern, subsets, weight_classes
 
 
 @dataclass
@@ -128,9 +128,10 @@ def build_qtorus(p, d, N):
 
 def specialization_check(X, M=2):
     """q -> 1 collapse: constant coefficients of every block matrix equal the
-    integral torus matrices, basis by basis."""
+    integral torus matrices, basis by basis, per weight class of the box of
+    radius M (the lemma in the `torus` docstring)."""
     T = build_torus(X.p, X.d, 1)
-    for m in weights_box(X.d, M):
+    for m in weight_classes(X.d, M):
         for j in range(X.d):
             Dq = X.diff_matrix(m, j)
             Dt = T.diff_matrix(m, j)
@@ -146,9 +147,10 @@ def specialization_check(X, M=2):
 
 
 def q_nygaard_stability_check(X, i, M=2):
-    """d-stability and nesting of the xi-power Nygaard lattices."""
+    """d-stability of the xi-power Nygaard lattices per weight class of the
+    box of radius M, and their nesting."""
     B = X.B
-    for m in weights_box(X.d, M):
+    for m in weight_classes(X.d, M):
         for j in range(X.d):
             L = X.nygaard_lattice_rows(i, j)
             Lnext = X.nygaard_lattice_rows(i, j + 1)
@@ -220,8 +222,12 @@ def lnu_identification_check(X, i_max, M=2, n_prec=3):
     (a) phi(X_m) lies in eta_{xi_tilde}(X_{pm});
     (b) phi(N^{>=i}) lies in Fil^i = xi_tilde^i X  intersect  eta;
     (c) the graded maps N^i -> gr^i_Fil eta are quasi-isomorphisms at
-        precision (n_prec, N): per weight, the cone has zero cohomology
+        precision (n_prec, N): per class, the cone has zero cohomology
         mod p^n_prec after base change along q -> 1.
+
+    Each statement is checked per weight class of the box of radius M (the
+    lemma in the `torus` docstring); report["weights"] is keyed by the
+    class representatives.
     """
     B = X.B
     report = {"containment": True, "graded": True, "weights": {}}
@@ -230,7 +236,7 @@ def lnu_identification_check(X, i_max, M=2, n_prec=3):
     frob = {j: X.frobenius_matrix(j) for j in range(X.d + 1)}
     phi_N = {i: {j: mat_mul(X.nygaard_lattice_rows(i, j), frob[j]) for j in frob}
              for i in range(i_max + 1)}
-    for m in weights_box(X.d, M):
+    for m in weight_classes(X.d, M):
         pm = tuple(X.p * a for a in m)
         eta_lat = eta_lattices_B(X, pm, B.xi_tilde)
         # (a) phi of the full block

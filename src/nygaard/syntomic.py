@@ -37,14 +37,11 @@ box (the box less its weights in pZ^d).  The proof, in the normalised
 coordinates of `qtorus`, for a primitive m0 with c = gcd(m0) > 0; c is prime
 to p because m0 is primitive:
 
-1. Step s of the orbit of m0 carries the weight p^s m0, whose Koszul blocks
-   are [p^s m_a]_{q^p} = [p^s]_{q^p} [m_a]_x with x = q^{p^{s+1}}.
-2. The Euclid step [a]_x = [a-b]_x + x^{a-b} [b]_x, with
-   [-a]_x = -x^{-a} [a]_x, gives g(x) in GL_d(Z[x^{+-1}]) with
-   g ([m_1]_x, ..., [m_d]_x) = ([c]_x, 0, ..., 0).  q is a unit of B, so
-   Lambda^t(g(q^{p^{s+1}})) is an automorphism of step s in Koszul degree t.
-   It carries the Koszul differential of p^s m0 (wedge with the vector of
-   blocks) to that of p^s c e_1.
+1-2. Step s of the orbit of m0 carries the weight p^s m0.  By steps 1 and 2
+   of the weight-class lemma in the `torus` docstring, with
+   x = q^{p^{s+1}}, Lambda^t(g(x)) is an automorphism of step s in Koszul
+   degree t that carries the Koszul differential of p^s m0 to that of
+   p^s c e_1.
 3. It is B-linear, so it commutes with can, the Nygaard xi-scales and the
    normalised differential, which are xi-powers, scalars in each Koszul
    degree.  phi is q -> q^p on coefficients times the scalar xi_tilde^t; it

@@ -10,11 +10,50 @@ basis T^m dlog T_I in degree |I|, differential
 Frobenius phi(T^m dlog T_I) = p^{|I|} T^{pm} dlog T_I, and Nygaard lattices
 p^{max(i - deg, 0)}.  All coefficients are exact integers; p^n-precision
 enters at comparison time.
+
+Weight classes.  Every per-weight check of this module and of `qtorus`
+gives the same verdict at m as at gcd(m) e_1, with e_1 = (1, 0, ..., 0).
+So the checks run over `weight_classes(d, M)`, the representatives c e_1
+for c = 0..M.  Each of them lies in the box of radius M, and every weight of
+the box has gcd at most M, so the verdict over the representatives is the
+verdict over the box.  The proof is written for the q-de Rham model of
+`qtorus` over B = Z[q]/((q-1)^N), whose weight-m block is the Koszul complex
+on ([m_1]_{q^p}, ..., [m_d]_{q^p}); this model is its case N = 1.  Let
+c = gcd(m).
+
+1. The Euclid step [a]_x = [a-b]_x + x^{a-b} [b]_x, with
+   [-a]_x = -x^{-a} [a]_x, gives g(x) in GL_d(Z[x^{+-1}]) with
+   g ([m_1]_x, ..., [m_d]_x) = ([c]_x, 0, ..., 0).  Euclid on p^s m makes
+   the same steps as on m, so one g serves the Frobenius orbit of m; this
+   covers the pair (w, w/p) of `conjugate_check`.
+2. The weight p^s m has the blocks [p^s m_a]_{q^p} = [p^s]_{q^p} [m_a]_x
+   with x = q^{p^{s+1}}: at m use g(q^p), at pm use g(q^{p^2}).  q is a unit
+   of B, so Lambda^j(g(q^{p^{s+1}})) is a B-linear automorphism of the
+   weight-p^s m block in Koszul degree j.  It carries the Koszul
+   differential (the wedge with the vector of blocks) to that of
+   p^s c e_1.  No rescaling by [c]_x is needed, because the representative
+   is c e_1, not e_1.
+3. phi is q -> q^p on coefficients times the scalar xi_tilde^j, so it
+   carries g(q^p) to g(q^{p^2}): the maps at m and at pm commute with phi
+   and with phi_i.  Being B-linear, they preserve every B-submodule given by
+   a scalar of B in each Koszul degree, and every construction made from
+   such submodules and the differential: the xi-power Nygaard lattices,
+   eta_{xi_tilde}, Fil^i = xi_tilde^i X  intersect  eta, the normalised
+   differential and the mu-relations of `qtorus._graded_cone`.  Along
+   q -> 1 they reduce to the maps of this model, so the specialisation
+   check transfers too.
+4. At N = 1, and for `TorusDeRham`, every [k]_x is the integer k and g lies
+   in GL_d(Z).  The maps are then isomorphisms of complexes over Z that
+   commute with the scalar Frobenius p^j and with multiplication by p.  So
+   the identities of lattices over Z transfer (eta_p, p^i X  intersect
+   eta_p and the Nygaard-Frobenius image), and so do the mod-p cones of
+   `conjugate_check`; its case split agrees, since p | w exactly when
+   p | gcd(w).
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 
 from .complexes import Complex, acyclic_mod, eta, presented_cone
@@ -50,8 +89,14 @@ def koszul_pattern(d, j):
                  for r, I in enumerate(subsets(d, j)) for a in range(d) if a not in I)
 
 
-def weights_box(d, M):
-    return [tuple(w) for w in product(range(-M, M + 1), repeat=d)]
+def weight_classes(d, M):
+    """The representatives c e_1, c = 0..M, of the weights of the box of
+    radius M: by the lemma of the module docstring every per-weight check
+    gives the same verdict at m as at gcd(m) e_1."""
+    return [(c,) + (0,) * (d - 1) for c in range(M + 1)]
+
+
+MAX_INTERNAL = 64  # cap on internal precision n + i
 
 
 @dataclass
@@ -59,7 +104,6 @@ class TorusDeRham:
     p: int
     d: int
     n: int  # coefficient precision Z/p^n at report time
-    max_internal: int = 64  # cap on internal precision n + i
 
     def rank(self, j):
         return comb(self.d, j) if 0 <= j <= self.d else 0
@@ -86,10 +130,11 @@ class TorusDeRham:
     def nygaard_scale(self, i, j):
         return self.p ** max(i - j, 0)
 
-    def nygaard_lattice(self, i):
-        if self.n + i > self.max_internal:
+    def require_precision(self, i):
+        """PrecisionExhausted when the internal precision n + i of the
+        Nygaard lattices N^{>=i} exceeds MAX_INTERNAL."""
+        if self.n + i > MAX_INTERNAL:
             raise PrecisionExhausted("internal precision %d exceeds cap" % (self.n + i))
-        return NygaardLattice(self, i)
 
     def divided_frobenius_matrix(self, i, j):
         """phi_i on degree j from the normalized Nygaard basis to the dlog
@@ -100,25 +145,17 @@ class TorusDeRham:
         return mat_scale(self.p**e, identity(self.rank(j)))
 
 
-@dataclass
-class NygaardLattice:
-    X: TorusDeRham
-    i: int
-
-    def scale(self, j):
-        return self.X.nygaard_scale(self.i, j)
-
-
-def build_torus(p, d, n, max_internal=64):
+def build_torus(p, d, n):
     if d < 1 or n < 1:
         raise UsageError("the torus needs d >= 1 and n >= 1, got d = %d, n = %d" % (d, n))
-    return TorusDeRham(p, d, n, max_internal)
+    return TorusDeRham(p, d, n)
 
 
-def frobenius_chain_map_check(X, m_box):
-    """phi is a chain map: phi then d at weight pm equals d at m then phi."""
+def frobenius_chain_map_check(X, weights):
+    """phi is a chain map: phi then d at weight pm equals d at m then phi,
+    for each m in weights (the commands pass `weight_classes`)."""
     frob = {j: X.frobenius_matrix(j) for j in range(X.d + 1)}  # weight-free
-    for m in m_box:
+    for m in weights:
         pm = tuple(X.p * a for a in m)
         for j in range(X.d):
             lhs = mat_mul(frob[j], X.diff_matrix(pm, j))
@@ -134,14 +171,14 @@ def divided_frobenius_identity_check(X, i):
     restricted to N^{>= i+1} equals p * phi_{i+1}.  In normalized bases the
     inclusion N^{>=i+1} -> N^{>=i} is the scale ratio
     scale(i+1,j)/scale(i,j)."""
-    N = X.nygaard_lattice(i)
+    X.require_precision(i)
     for j in range(X.d + 1):
         lhs = mat_scale(X.p**i, X.divided_frobenius_matrix(i, j))
         # phi on the normalized basis p^{max(i-j,0)} e_I
-        rhs = mat_scale(N.scale(j), X.frobenius_matrix(j))
+        rhs = mat_scale(X.nygaard_scale(i, j), X.frobenius_matrix(j))
         if lhs != rhs:
             return False
-        incl = X.nygaard_scale(i + 1, j) // N.scale(j)
+        incl = X.nygaard_scale(i + 1, j) // X.nygaard_scale(i, j)
         lhs = mat_scale(incl, X.divided_frobenius_matrix(i, j))
         rhs = mat_scale(X.p, X.divided_frobenius_matrix(i + 1, j))
         if lhs != rhs:
@@ -204,13 +241,14 @@ def _mod_p_truncated_terms(X, i, w):
 
 def conjugate_check(X, i, M):
     """Lemma-style check: phi_i mod p: N^i -> tau^{<=i} Omega is a
-    quasi-isomorphism per weight in the box, certified by the acyclicity of
-    its cone mod p; weights outside the image of multiplication by p must
-    have acyclic truncation.  Every term on both sides is killed by p, so
-    the cohomology mod p is the cohomology itself."""
+    quasi-isomorphism per weight class of the box of radius M, certified by
+    the acyclicity of its cone mod p; weights outside the image of
+    multiplication by p must have acyclic truncation.  Every term on both
+    sides is killed by p, so the cohomology mod p is the cohomology itself.
+    The report is keyed by the class representatives."""
     p = X.p
     report = {}
-    for w in weights_box(X.d, M):
+    for w in weight_classes(X.d, M):
         tgt = _mod_p_truncated_terms(X, i, w)
         if not all(a % p == 0 for a in w):
             report[w] = {"case": "acyclic", "ok": acyclic_mod(*tgt, p, 1)}
@@ -237,15 +275,17 @@ def conjugate_check(X, i, M):
 
 
 def frobenius_eta_check(X, i, M):
-    """Exact per-weight lattice identity: the image of N^{>=i} in the weight
-    p*m block equals p^i X  intersect  eta_p X there, degree by degree.
+    """Exact lattice identity per weight class of the box of radius M: the
+    image of N^{>=i} in the weight p*m block equals p^i X  intersect  eta_p X
+    there, degree by degree.  The report is keyed by the class
+    representatives m.
 
     Verified over Z, which also gives the identity mod p^n: equal lattices
     have equal spans mod p^n."""
     p = X.p
-    N = X.nygaard_lattice(i)
+    X.require_precision(i)
     report = {}
-    for m in weights_box(X.d, M):
+    for m in weight_classes(X.d, M):
         w = tuple(p * a for a in m)
         block = X.weight_block(w)
         E, incl = eta(p, block)
@@ -254,7 +294,7 @@ def frobenius_eta_check(X, i, M):
             r = X.rank(j)
             if r == 0:
                 continue
-            phi_img = mat_scale(N.scale(j) * p**j, identity(r))
+            phi_img = mat_scale(X.nygaard_scale(i, j) * p**j, identity(r))
             fil = restrict_lattice(mat_scale(p**i, identity(r)), None, incl[j])
             if not lattice_eq(phi_img, fil):
                 ok = False

@@ -1,8 +1,15 @@
 """Oracles the tests check live code against, kept out of the package
 because no command uses them."""
 
+from itertools import product
+
 from nygaard.qbase import _binom
-from nygaard.torus import weights_box
+
+
+def weights_box(d, M):
+    """Every weight of Z^d with entries in [-M, M]: the box the de Rham and
+    q-de Rham checks cover through `torus.weight_classes`."""
+    return [tuple(w) for w in product(range(-M, M + 1), repeat=d)]
 
 
 def q_pow(B, k):

@@ -35,21 +35,21 @@ UNREACHED = {
         "witt.witt_zero", "witt.witt_one", "witt.witt_add", "witt.witt_neg", "witt.witt_sub"),
     "the PD element API the tests build elements with": (
         "pdalg.PDAlgebra.monomial", "pdalg.PDAlgebra.to_vector", "pdalg.PDAlgebra.from_vector"),
-    "the Beilinson truncation, which eta does not run yet (ROADMAP item 4)": (
+    "the Beilinson truncation, which eta does not run yet (ROADMAP item 6)": (
         "complexes.FilteredComplex", "complexes.f_adic_filtration",
         "complexes.trivial_filtration", "complexes.beilinson_truncate",
         "complexes.underlying_complex_lattices", "complexes.graded_piece",
         "complexes.truncated_graded_cohomology", "complexes.graded_law_check",
         "complexes.ChainComplexObject", "complexes.beilinson_H0", "errors.WindowTooSmall"),
-    "the Ext oracle, to move to tests/ (ROADMAP item 4)": (
+    "the Ext oracle, to move to tests/ (ROADMAP item 7)": (
         "complexes.ext_in_Ch_check", "complexes._resolution_multiplier",
         "complexes._total_resolution_term", "complexes._check_total_resolution",
         "complexes._hom_space_to_stalk"),
-    "future certificates (ROADMAP items 3, 4 and 6)": (
+    "future certificates (ROADMAP items 3 and 7)": (
         "syntomic.contraction_bound_check", "linalg.solve_mod_p",
         "syntomic._transition_iso_by_degree", "pdalg.phi_multiplicative_check",
         "pdalg.filtration_multiplicativity_check"),
-    "the test-only rings, to move to tests/ (ROADMAP item 4)": (
+    "the test-only rings, to move to tests/ (ROADMAP item 7)": (
         "rings.ZRing", "rings.ZModRing", "rings.PerfTruncZ", "rings.PerfTruncFp"),
 }
 
@@ -198,19 +198,38 @@ def test_moved_error_classes_keep_their_import_paths(monkeypatch, capsys, module
     ("qderham", ["-p", "2", "-d", "1", "-i", "1", "-N", "3", "-M", "3"], 5),
 ])
 def test_M_is_honoured(monkeypatch, capsys, command, argv, loops):
-    # every weight loop runs over the box of radius 3, which holds (3, ...)
+    # every weight loop runs over the classes of the box of radius 3: the
+    # Koszul differentials built are those of the classes 0..3, the largest
+    # (3, 0, ...) among them, and of their Frobenius images at p = 2
     radii = []
-    box = torus.weights_box
+    classes = torus.weight_classes
 
     def spy(d, M):
         radii.append(M)
-        return box(d, M)
+        return classes(d, M)
 
     for module in (cli, torus, qtorus):
-        monkeypatch.setattr(module, "weights_box", spy)
+        monkeypatch.setattr(module, "weight_classes", spy)
+    seen = set()
+    for model in (torus.TorusDeRham, qtorus.QTorusComplex):
+        def diff_matrix(X, m, j, orig=model.diff_matrix):
+            seen.add(m)
+            return orig(X, m, j)
+
+        monkeypatch.setattr(model, "diff_matrix", diff_matrix)
     assert cli.main([command, *argv]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["all_ok"]
     assert radii == [3] * loops
+    assert seen == {(c,) for c in range(4)} | {(2 * c,) for c in range(4)}
+
+
+@pytest.mark.parametrize("command", ["derham", "qderham"])
+def test_negative_twist_is_a_usage_error(capsys, command):
+    # the Nygaard, divided-Frobenius and graded certificates run over the
+    # levels 0..i, so i < 0 would check nothing and report all_ok
+    assert cli.main([command, "-i", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: the de Rham checks need i >= 0, got i = -1\n")
 
 
 def test_regress_fixtures_under_python_O():

@@ -21,7 +21,9 @@ from nygaard.qtorus import (
     q_nygaard_stability_check,
     specialization_check,
 )
-from nygaard.torus import build_torus, frobenius_chain_map_check, weights_box
+from nygaard.torus import build_torus, frobenius_chain_map_check
+
+from oracles import weights_box
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

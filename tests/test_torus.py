@@ -14,8 +14,10 @@ from nygaard.torus import (
     frobenius_chain_map_check,
     frobenius_eta_check,
     hodge_quotient_check,
-    weights_box,
+    weight_classes,
 )
+
+from oracles import weights_box
 
 
 def test_build_torus_weight_blocks_d1():
@@ -78,12 +80,11 @@ def test_frobenius_scales():
 def test_nygaard_lattices():
     X = build_torus(2, 2, 2)
     for i in range(5):
-        N = X.nygaard_lattice(i)
         for j in range(3):
             # d-stable: d maps p^{max(i-j,0)} into p^{max(i-j-1,0)}
-            assert j == 2 or N.scale(j) % N.scale(j + 1) == 0
+            assert j == 2 or X.nygaard_scale(i, j) % X.nygaard_scale(i, j + 1) == 0
             # p N^{>=i} inside N^{>=i+1} inside N^{>=i}
-            s, s1 = N.scale(j), X.nygaard_scale(i + 1, j)
+            s, s1 = X.nygaard_scale(i, j), X.nygaard_scale(i + 1, j)
             assert (2 * s) % s1 == 0
             assert s1 % s == 0
 
@@ -91,15 +92,19 @@ def test_nygaard_lattices():
 def test_nygaard_shape_example():
     # i=1, d=1: [p*A -> Omega^1]
     X = build_torus(3, 1, 2)
-    N = X.nygaard_lattice(1)
-    assert N.scale(0) == 3
-    assert N.scale(1) == 1
+    assert X.nygaard_scale(1, 0) == 3
+    assert X.nygaard_scale(1, 1) == 1
 
 
 def test_precision_exhausted():
-    X = build_torus(2, 1, 2, max_internal=5)
-    with pytest.raises(PrecisionExhausted):
-        X.nygaard_lattice(10)
+    # the internal precision n + i of N^{>=i} is capped at 64: i = 62 is the
+    # last level at n = 2
+    X = build_torus(2, 1, 2)
+    assert divided_frobenius_identity_check(X, 62)
+    for check in (divided_frobenius_identity_check,
+                  lambda X, i: frobenius_eta_check(X, i, M=1)):
+        with pytest.raises(PrecisionExhausted):
+            check(X, 63)
 
 
 def test_divided_frobenius_values():
@@ -197,8 +202,9 @@ def test_conjugate_check_rejects_a_corrupted_phi_i(p, d):
             rep = conjugate_check(X, i, M=2)
             failed = {w for w, v in rep.items() if w != "all_ok" and not v["ok"]}
             if jbad <= i:
-                # every weight where phi_i is compared fails, and no other
-                assert failed == {w for w in weights_box(d, 2) if all(a % p == 0 for a in w)}
+                # every class where phi_i is compared fails, and no other:
+                # the classes c e_1 with p | c
+                assert failed == {w for w in weight_classes(d, 2) if w[0] % p == 0}
                 assert not rep["all_ok"]
             else:
                 # above degree i the truncated target is zero
