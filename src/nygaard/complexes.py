@@ -16,7 +16,6 @@ from .linalg import (
     complex_cohomology,
     hermite_form,
     identity,
-    kernel_mod,
     lattice_contains,
     mat_is_zero,
     mat_mul,
@@ -26,8 +25,6 @@ from .linalg import (
     quotient_invariants,
     restrict_lattice,
     solve_left,
-    solve_mod_p,
-    span_exponent_mod,
     zeros,
 )
 
@@ -378,184 +375,3 @@ def beilinson_H0(F, p):
             if not lattice_contains(boundaries[i + 2], amb):
                 raise CompositeNonzero("heart differential does not square to zero at %d" % i)
     return ChainComplexObject(slots, diff, cocycles), table
-
-
-# ---------------------------------------------------------------------------
-# Ext groups in the abelian category of chain complexes
-#
-# M = N = Z/p as stalk complexes over the ambient ring R = Z/p^k.  The stalk
-# M<0> is resolved by the total complex of disks D_j(P_t) where P_* is a free
-# R-resolution of M and D_j(P) = (P -=- P) in degrees (j, j+1); boundaries are
-# the epsilon maps D_j -> D_{j-1} plus (-1)^j times the resolution maps.
-# Hom_{Ch}(F_t, N<c>) is computed as an honest chain-map space.
-
-
-def _resolution_multiplier(p, k, t):
-    """The map P_{t+1} -> P_t in the rank-1 free resolution of Z/p over
-    Z/p^k: multiplication by p and p^{k-1}, alternating."""
-    return p if t % 2 == 0 else p ** (k - 1)
-
-
-def _total_resolution_term(p, k, t):
-    """Basis and boundary data of F_t = (+)_{j<=t} D_j(P_{t-j}).
-
-    Degree n of F_t has basis labels ("lo", n) for 0 <= n <= t and
-    ("hi", n-1) for 1 <= n <= t+1.  Returns (basis_by_degree, boundary) where
-    boundary maps labels of F_t to {label of F_{t-1}: coefficient}.
-    """
-    basis = {}
-    for j in range(t + 1):
-        basis.setdefault(j, []).append(("lo", j))
-        basis.setdefault(j + 1, []).append(("hi", j))
-    boundary = {}
-    for j in range(t + 1):
-        # epsilon part: D_j(P_{t-j}) -> D_{j-1}(P_{t-j}); on the lo generator
-        # 1(x)m it gives eps(x)m, the hi generator of D_{j-1}
-        img = {}
-        if j >= 1:
-            img[("hi", j - 1)] = 1
-        # resolution part with sign (-1)^j: D_j(P_{t-j}) -> D_j(P_{t-j-1})
-        if t - j - 1 >= 0:
-            m = _resolution_multiplier(p, k, t - j - 1)
-            img[("lo", j)] = img.get(("lo", j), 0) + (-1) ** j * m
-        boundary[("lo", j)] = img
-        img_hi = {}
-        if t - j - 1 >= 0:
-            m = _resolution_multiplier(p, k, t - j - 1)
-            img_hi[("hi", j)] = (-1) ** j * m
-        boundary[("hi", j)] = img_hi
-    return basis, boundary
-
-
-def _check_total_resolution(p, k, steps):
-    """d_internal and the boundary must anticommute-compose to zero."""
-    q = p**k
-    for t in range(1, steps):
-        _, bt = _total_resolution_term(p, k, t)
-        _, bt1 = _total_resolution_term(p, k, t - 1)
-        if t >= 2:
-            _, bt2 = _total_resolution_term(p, k, t - 2)
-        # boundary^2 = 0 mod q
-        if t >= 2:
-            for lab, img in bt.items():
-                acc = {}
-                for lab2, c in img.items():
-                    for lab3, c2 in bt1.get(lab2, {}).items():
-                        acc[lab3] = (acc.get(lab3, 0) + c * c2) % q
-                if any(v % q for v in acc.values()):
-                    raise CompositeNonzero("resolution boundary^2 != 0 at step %d" % t)
-        # chain-map property: internal d is ("lo", j) -> ("hi", j)
-        for j in range(t + 1):
-            # d then boundary
-            route1 = dict(bt.get(("hi", j), {}))
-            # boundary then d: image of ("lo", j) has lo-parts mapping under d
-            route2 = {}
-            for lab2, c in bt.get(("lo", j), {}).items():
-                if lab2[0] == "lo":
-                    route2[("hi", lab2[1])] = route2.get(("hi", lab2[1]), 0) + c
-            keys = set(route1) | set(route2)
-            if any((route1.get(kk, 0) - route2.get(kk, 0)) % q for kk in keys):
-                raise CompositeNonzero("resolution boundary is not a chain map at step %d" % t)
-
-
-def _hom_space_to_stalk(p, k, t, c):
-    """Basis of Hom_{Ch}(F_t, N<c>) with N = Z/p placed in degree -c.
-
-    A chain map is an R-linear phi on the degree -c part with
-    phi(d(F_t^{-c-1})) = 0 and p*phi = 0; solved honestly over Z/p^k.
-    Returns (labels, basis_rows) where rows are phi-values on the labels.
-    """
-    q = p**k
-    basis, _ = _total_resolution_term(p, k, t)
-    src = basis.get(-c, [])
-    if not src:
-        return [], []
-    # conditions from the internal differential out of degree -c - 1
-    conds = []
-    below = basis.get(-c - 1, [])
-    for lab in below:
-        if lab[0] == "lo":
-            # d(lo, j) = (hi, j), which sits in degree j+1 = -c
-            row = [1 if lab2 == ("hi", lab[1]) else 0 for lab2 in src]
-            conds.append(row)
-    # phi takes values in N = Z/p; kernel_mod solves x*M = 0 for row vectors,
-    # and we need phi with conds * phi^T = 0, so transpose the conditions
-    if conds:
-        Kt = kernel_mod([list(r) for r in zip(*conds)], p, 1)
-    else:
-        Kt = identity(len(src))
-    # rows of Kt: phi-vectors over F_p
-    return src, [list(r) for r in Kt]
-
-
-def ext_in_Ch_check(p, c, k=2, steps=8):
-    """Ext^i_{Ch(Z/p^k)}(Z/p<0>, Z/p<c>) from the explicit graded resolution.
-
-    Asserts the vanishing for c > 0 and the shift law Ext^i = Ext^{i+c}_R for
-    c <= 0, with the right side computed from the R-module resolution.
-    """
-    q = p**k
-    _check_total_resolution(p, k, min(steps, 5))
-    hom_bases = []
-    for t in range(steps):
-        hom_bases.append(_hom_space_to_stalk(p, k, t, c))
-    # transition Hom(F_t) -> Hom(F_{t+1}): precompose with the boundary
-    dims = [len(b[1]) for b in hom_bases]
-    trans = []
-    for t in range(steps - 1):
-        src_labels, src_basis = hom_bases[t]
-        tgt_labels, tgt_basis = hom_bases[t + 1]
-        if not src_basis or not tgt_labels:
-            trans.append(None)
-            continue
-        _, bnd = _total_resolution_term(p, k, t + 1)
-        rows = []
-        for phi in src_basis:
-            vals = []
-            for lab in tgt_labels:
-                acc = 0
-                for lab2, coef in bnd.get(lab, {}).items():
-                    if lab2 in src_labels:
-                        acc += coef * phi[src_labels.index(lab2)]
-                vals.append(acc % p)
-            rows.append(vals)
-        # express in the tgt basis (kernel basis rows over F_p)
-        expressed = []
-        for row in rows:
-            sol = solve_mod_p(tgt_basis, row, p)
-            if sol is None:
-                raise CompositeNonzero("step %d: a transition image leaves the Hom basis" % t)
-            expressed.append(sol)
-        trans.append(expressed)
-    # cohomology of the cochain complex of F_p-spaces
-    ext_dims = {}
-    for i in range(steps - 1):
-        if dims[i] == 0:
-            ext_dims[i] = 0
-            continue
-        dout = trans[i] if i < len(trans) and trans[i] is not None else None
-        din = trans[i - 1] if i - 1 >= 0 and trans[i - 1] is not None else None
-        # over F_p the order exponent of a row span is its rank
-        rk_out = span_exponent_mod(dout, p, 1) if dout else 0
-        rk_in = span_exponent_mod(din, p, 1) if din else 0
-        ext_dims[i] = dims[i] - rk_out - rk_in
-    # right side: Ext_R from the module resolution
-    ext_R = {}
-    if k == 1:
-        for j in range(steps):
-            ext_R[j] = 1 if j == 0 else 0
-    else:
-        # Hom(P_j, Z/p) = Z/p with induced maps mult by resolution multiplier
-        for j in range(steps - 1):
-            dn = _resolution_multiplier(p, k, j) % p
-            dp_ = _resolution_multiplier(p, k, j - 1) % p if j >= 1 else None
-            kerd = 1 if dn == 0 else 0
-            imd = 1 if (dp_ is not None and dp_ != 0) else 0
-            ext_R[j] = kerd - imd
-    law_ok = True
-    for i in range(steps - 2):
-        want = 0 if c > 0 else (ext_R.get(i + c, 0) if i + c >= 0 else 0)
-        if ext_dims.get(i, 0) != want:
-            law_ok = False
-    return {"p": p, "c": c, "k": k, "ext_ch_dims": ext_dims, "ext_R_dims": ext_R, "law_ok": law_ok}
-

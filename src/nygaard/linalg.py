@@ -10,8 +10,9 @@ never lifted to Z: `eliminate_mod` reduces their generators over the local
 ring Z/p^r with entries kept in [0, p^r), and kernels, preimages, orders and
 quotient invariants are read off its pivot valuations and row transform.
 Two such spans are compared by order: span(A) = span(B) iff |A| = |B| =
-|A + B|.  The Howell form is kept only where a canonical set of rows is the
-output (`kernel_mod`).
+|A + B|.  `eliminate_mod` is the one elimination over Z/p^r: no canonical
+row set (Howell form) is computed, since every answer is read off orders
+and invariants, which depend on the span only.
 
 One loop computes cohomology mod p^r: `cocycles_boundaries_mod` presents
 each degree of a complex of free Z/p^r-modules, optionally modulo relation
@@ -378,11 +379,6 @@ class PGroup:
     def is_zero(self):
         return not self.exponents and self.free_rank == 0
 
-    def order(self):
-        if self.free_rank:
-            raise UsageError("a group with free rank %d has no finite order" % self.free_rank)
-        return self.p ** sum(self.exponents)
-
     def __add__(self, other):
         if self.p != other.p:
             raise UsageError("cannot add a %d-group to a %d-group" % (self.p, other.p))
@@ -540,7 +536,7 @@ def cocycles_boundaries_mod(ranks, diffs, p, r, rels=None):
 
 
 # ---------------------------------------------------------------------------
-# Howell form over Z/p^n
+# elimination over the local ring Z/p^r
 
 
 def _vp(x, p):
@@ -551,78 +547,11 @@ def _vp(x, p):
     return v
 
 
-def howell_form(M, p, n):
-    """Canonical Howell form of the row span of M over Z/p^n.
-
-    Two matrices over Z/p^n have the same row span iff their Howell forms are
-    identical.  Pivots are p^v; entries above a pivot are reduced mod p^v.
-    Pivoting picks the lowest p-valuation entry in the leftmost column.
-    """
-    q = p**n
-    cols = len(M[0]) if M else 0
-    pivots = {}
-    work = [[a % q for a in row] for row in M]
-    work = [row for row in work if any(row)]
-    while work:
-        r = work.pop()
-        while True:
-            c = next((j for j, a in enumerate(r) if a), None)
-            if c is None:
-                break
-            v = _vp(r[c], p)
-            if c in pivots:
-                piv = pivots[c]
-                vp_ = _vp(piv[c], p)
-                if v >= vp_:
-                    factor = r[c] // piv[c]  # exact: piv[c] = p^{vp}
-                    r = [(a - factor * b) % q for a, b in zip(r, piv)]
-                    continue
-                u = r[c] // p**v
-                uinv = pow(u, -1, q)
-                r = [(a * uinv) % q for a in r]
-                pivots[c] = r
-                work.append(piv)
-                ann = q // p**v
-                if ann > 1:
-                    work.append([(ann * a) % q for a in r])
-                break
-            u = r[c] // p**v
-            uinv = pow(u, -1, q)
-            r = [(a * uinv) % q for a in r]
-            pivots[c] = r
-            ann = q // p**v
-            if ann > 1:
-                work.append([(ann * a) % q for a in r])
-            break
-    # back-reduce entries above each pivot
-    order = sorted(pivots)
-    for c in order:
-        piv = pivots[c]
-        pv = piv[c]
-        for c2 in order:
-            if c2 >= c:
-                break
-            row = pivots[c2]
-            factor = row[c] // pv
-            if factor:
-                pivots[c2] = [(a - factor * b) % q for a, b in zip(row, piv)]
-    return [pivots[c] for c in sorted(pivots)]
-
-
-def kernel_mod(M, p, n):
-    """Howell-canonical generators of {x : x*M = 0 over Z/p^n}."""
-    return howell_form(preimage_mod(M, [], p, n), p, n)
-
-
 def module_invariants_mod(gens, p, n):
     """Invariant exponents (largest first) of the Z/p^n-module spanned by
     gens in (Z/p^n)^c: one Z/p^{n-v} per pivot of valuation v."""
     vals, _ = eliminate_mod(gens, p, n)
     return tuple(sorted((n - v for v in vals), reverse=True))
-
-
-# ---------------------------------------------------------------------------
-# elimination over the local ring Z/p^r
 
 
 def eliminate_mod(M, p, r, T=None):

@@ -91,8 +91,8 @@ from .errors import CompositeNonzero, NotStabilized, TruncationTooTight, UsageEr
 from .linalg import (
     PGroup,
     _vp,
-    kernel_mod,
     module_invariants_mod,
+    preimage_mod,
     row_mul,
 )
 
@@ -702,7 +702,8 @@ def _fixed_points_at(A, i, W):
     The internal lift implements the restriction to Nygaard representatives:
     solutions mod p^{n+i} that die mod p^n are window artifacts and vanish
     under the projection.  Returns the invariants and the generators as
-    (chain indices, chain-local row) pairs."""
+    (chain indices, chain-local row) pairs; the generators are the kernel
+    rows of `preimage_mod` reduced mod p^n, so only their span is fixed."""
     p = A.p
     n_int = A.n + i
     Aw = PDAlgebra(p, A.g, n_int, A.e, W)
@@ -712,7 +713,7 @@ def _fixed_points_at(A, i, W):
     for idxs, M in _phi_blocks(Aw):
         for t in range(len(M)):
             M[t][t] -= p**i
-        K = kernel_mod(M, p, n_int)
+        K = preimage_mod(M, [], p, n_int)
         if not K:
             continue
         proj = [[a % A.q for a in row] for row in K]
@@ -730,6 +731,9 @@ def frobenius_fixed_points(A, i):
     the group is zero.  For i >= 0 the answer at W is also the answer at
     W + p once W >= n + i, so it is computed once; below that it is compared
     with W + p, and NotStabilized is raised when the invariants differ.
+    `certified_by` names the case that certified the answer: "i < 0",
+    "W >= n + i" (part (b) below) or "W + p" (the comparison, which part (a)
+    leaves only at W = 0).
     Proof, with n_int = n + i the internal precision of `_fixed_points_at`:
 
     (a) 1 <= W < n_int.  The chain of x_1^{[W]} has a root with
@@ -748,15 +752,17 @@ def frobenius_fixed_points(A, i):
         to 0 mod p^n.  The invariants at W and at W + p are equal."""
     p = A.p
     if i < 0:
-        return {"group": PGroup.zero(p), "generators": [], "stable": True}
+        return {"group": PGroup.zero(p), "generators": [], "certified_by": "i < 0"}
     inv1, K1 = _fixed_points_at(A, i, A.W)
+    case = "W >= n + i"
     if A.W < A.n + i:
         inv2, _ = _fixed_points_at(A, i, A.W + p)
         if inv1 != inv2:
             raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + p, inv2))
+        case = "W + p"
     basis = A.basis()
     gens = [{basis[t]: a for t, a in zip(idxs, row) if a} for idxs, row in K1]
-    return {"group": PGroup(p, inv1, 0), "generators": gens, "stable": True}
+    return {"group": PGroup(p, inv1, 0), "generators": gens, "certified_by": case}
 
 
 # ---------------------------------------------------------------------------

@@ -588,7 +588,7 @@ def syntomic_acrys(p, i, r, e=2, W=None, g=1):
         mech = {"pd_part": pd_ok, "conj_part": conj_ok}
     res = SyntomicResult(
         "acrys", p, i, r, 0, A.W, {0: h0, 1: h1},
-        certificates={"stabilized": fp["stable"], "span_identity": span_ok,
+        certificates={"stabilized": fp["certified_by"], "span_identity": span_ok,
                       "surjectivity_mechanism": mech},
     )
     res.evidence["h1_order_at_truncation"] = str(h1)

@@ -66,6 +66,7 @@ from .linalg import (
     mat_mul,
     mat_scale,
     preimage_lattice,
+    preimage_mod,
     restrict_lattice,
     zeros,
 )
@@ -227,11 +228,9 @@ def _mod_p_truncated_terms(X, i, w):
         gens = identity(r)
         rels = mat_scale(p, identity(r))
         if j == i and j < X.d:
-            # canonical truncation: kernel of d mod p in degree i
-            D = X.diff_matrix(w, j)
-            K = preimage_lattice(D, mat_scale(p, identity(X.rank(j + 1))))
-            gens = K
-            rels = mat_scale(p, identity(r))
+            # canonical truncation: kernel of d mod p in degree i, lifted to
+            # Z^r together with the relations p*Z^r
+            gens = preimage_mod(X.diff_matrix(w, j), [], p, 1) + rels
         terms[j] = (gens, rels)
         if j < min(i, X.d):
             # no differential out of degree i in the truncation

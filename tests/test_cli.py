@@ -41,10 +41,6 @@ UNREACHED = {
         "complexes.underlying_complex_lattices", "complexes.graded_piece",
         "complexes.truncated_graded_cohomology", "complexes.graded_law_check",
         "complexes.ChainComplexObject", "complexes.beilinson_H0", "errors.WindowTooSmall"),
-    "the Ext oracle, to move to tests/ (ROADMAP item 7)": (
-        "complexes.ext_in_Ch_check", "complexes._resolution_multiplier",
-        "complexes._total_resolution_term", "complexes._check_total_resolution",
-        "complexes._hom_space_to_stalk"),
     "future certificates (ROADMAP items 3 and 7)": (
         "syntomic.contraction_bound_check", "linalg.solve_mod_p",
         "syntomic._transition_iso_by_degree", "pdalg.phi_multiplicative_check",
@@ -354,3 +350,53 @@ def test_acrys_runs_every_level_up_to_i(monkeypatch):
     payload = cli.cmd_acrys(cli.RunConfig(p=2, n=1, e=1, i=4))
     assert levels == {"conjugate": [5], "nygaard": [0, 1, 2, 3, 4]}
     assert payload["all_ok"]
+
+
+def test_acrys_runs_the_level_checks_at_level_0_for_a_negative_twist(monkeypatch):
+    # at i < 0 the fixed points are still computed, and the three level
+    # checks run at level 0 instead of over an empty range
+    cfg = cli.RunConfig(p=2, n=1, e=1, i=-2)
+    assert cli.cmd_acrys(cfg) == {
+        "conjugate_filtration_eq": True, "graded_map": True, "phi_pth_power": True,
+        "nygaard_image": True, "span_identity": True,
+        "fixed_points": {"free_rank": 0, "exponents": []}, "all_ok": True,
+    }
+    levels = {}
+
+    def recorded(name, level):
+        check = getattr(cli, name)
+
+        def run(*args, **kwargs):
+            out = check(*args, **kwargs)
+            levels.setdefault(name, []).extend(level(args, out))
+            return out
+        return run
+
+    for name, level in (
+            ("conjugate_filtration_equality_check", lambda args, out: sorted(out["levels"])),
+            ("conj_graded_map_check", lambda args, out: [args[1]]),
+            ("nygaard_graded_image_check", lambda args, out: [args[1]])):
+        monkeypatch.setattr(cli, name, recorded(name, level))
+    assert cli.cmd_acrys(cfg)["all_ok"]
+    assert levels == {"conjugate_filtration_equality_check": [0, 1],
+                      "conj_graded_map_check": [0], "nygaard_graded_image_check": [0]}
+
+
+def test_every_import_of_the_package_is_used():
+    # no linter is installed: a name a module imports must be used in it,
+    # unless its import statement carries a noqa saying why it stays
+    found = []
+    for path in sorted((ROOT / "src" / "nygaard").glob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, str(path))
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used and not any(
+                        "noqa" in lines[k - 1] for k in (node.lineno, alias.lineno)):
+                    found.append("%s:%d %s" % (path.name, alias.lineno, name))
+    assert found == []

@@ -15,7 +15,6 @@ from nygaard.complexes import (
     beilinson_truncate,
     eta,
     eta_cohomology_law_check,
-    ext_in_Ch_check,
     f_adic_filtration,
     graded_law_check,
     graded_piece,
@@ -154,7 +153,6 @@ for make, exc in (
     (lambda: PGroup(2, (0,)), UsageError),
     (lambda: PGroup(2, (1, 2)), UsageError),
     (lambda: PGroup(2, (), -1), UsageError),
-    (lambda: PGroup(2, (), 1).order(), UsageError),
     (lambda: PGroup(2, (1,)) + PGroup(3, (1,)), UsageError),
     (lambda: Complex({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[1]]}), CompositeNonzero),
     (lambda: Complex({0: 1, 1: 2}, {0: [[1]]}), UsageError),
@@ -335,40 +333,3 @@ def test_heart_bockstein_mult_p():
     assert obj.slots[1] == ([p], 0)
     nonzero = [i for i, D in obj.diff.items() if any(any(x % p for x in row) for row in D)]
     assert nonzero == [0], (obj.diff, obj.slots)
-
-
-# ---------------------------------------------------------------------------
-# Ext in Ch
-
-
-def test_ext_ch_vanishes_positive_shift():
-    for c in (1, 2):
-        rep = ext_in_Ch_check(3, c)
-        assert rep["law_ok"]
-        assert all(v == 0 for v in rep["ext_ch_dims"].values())
-
-
-def test_ext_ch_c0_matches_module_ext():
-    rep = ext_in_Ch_check(2, 0)
-    assert rep["law_ok"]
-    # over Z/p^2: Ext^i(Z/p, Z/p) = F_p for every i >= 0
-    for i in range(5):
-        assert rep["ext_ch_dims"][i] == 1
-
-
-def test_ext_ch_c_minus_one():
-    # F_p for i >= 1, zero for i = 0
-    for p in (2, 3):
-        rep = ext_in_Ch_check(p, -1)
-        assert rep["law_ok"]
-        assert rep["ext_ch_dims"][0] == 0
-        for i in range(1, 5):
-            assert rep["ext_ch_dims"][i] == 1
-
-
-def test_ext_ch_field_case_spike():
-    # over the field F_p the law gives a single spike at i = -c
-    rep = ext_in_Ch_check(2, -2, k=1)
-    assert rep["law_ok"]
-    assert rep["ext_ch_dims"][2] == 1
-    assert rep["ext_ch_dims"][0] == 0 and rep["ext_ch_dims"][1] == 0

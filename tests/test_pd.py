@@ -14,9 +14,7 @@ from nygaard import cli, linalg, pdalg, syntomic
 from nygaard.errors import CompositeNonzero, UsageError
 from nygaard.linalg import (
     PGroup,
-    howell_form,
     identity,
-    kernel_mod,
     mat_is_zero,
     mat_scale,
     module_invariants_mod,
@@ -44,6 +42,8 @@ from nygaard.pdalg import (
     span_identity_check,
     vp_factorial,
 )
+
+from oracles import howell_form
 
 
 def small_algebra(p=2, n=2, e=2, W=None):
@@ -550,7 +550,8 @@ def _fixed_points_eliminating_every_chain(A, i):
         op = pdalg._phi_block_matrix(Aw, idxs)
         for t in range(len(op)):
             op[t][t] -= A.p**i
-        proj = [[a % A.q for a in row] for row in kernel_mod(op, A.p, A.n + i)]
+        K = howell_form(preimage_mod(op, [], A.p, A.n + i), A.p, A.n + i)
+        proj = [[a % A.q for a in row] for row in K]
         proj = [row for row in proj if any(row)]
         if proj:
             invs.extend(module_invariants_mod(proj, A.p, A.n))
@@ -583,22 +584,22 @@ def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
         for row, (idxs, local) in zip(full, gens):
             for t, a in zip(idxs, local):
                 row[t] = a
-        assert full == want_gens
+        # each row lies in one chain, so equal spans mean equal chain spans
+        assert howell_form(full, p, n) == howell_form(want_gens, p, n)
 
 
 @pytest.mark.parametrize("p,e,n", [(p, e, n) for p in (2, 3) for e in (1, 2) for n in (1, 2)])
 def test_fixed_point_generators_are_the_projected_kernel(p, e, n):
-    # each generator is built from its chain-local row: it is the element of
-    # the full-basis row, is fixed by phi / p^i mod p^n, and the generators
-    # span the reported group
+    # the generators span the projected kernel of the dense oracle, each is
+    # fixed by phi / p^i mod p^n, and they span the reported group
     A = small_algebra(p=p, n=n, e=e)
     for i in (0, 1, 2):
         rep = frobenius_fixed_points(A, i)
         _, want = _fixed_points_eliminating_every_chain(A, i)
-        assert rep["generators"] == [A.from_vector(row) for row in want]
+        rows = [A.to_vector(x) for x in rep["generators"]]
+        assert howell_form(rows, p, n) == howell_form(want, p, n)
         for x in rep["generators"]:
             assert A.frobenius(x) == A.scale(p**i, x)
-        rows = [A.to_vector(x) for x in rep["generators"]]
         assert module_invariants_mod(rows, p, n) == rep["group"].exponents
 
 
@@ -1086,13 +1087,28 @@ def test_fixed_points_negative_twist():
     A = small_algebra(p=2)
     rep = frobenius_fixed_points(A, -1)
     assert rep["group"].is_zero()
+    assert rep["certified_by"] == "i < 0"
+
+
+def test_fixed_points_name_the_case_that_certified_them():
+    # both i >= 0 cases of the proof in `frobenius_fixed_points` are reached,
+    # and `syntomic_acrys` reports the case as its `stabilized` certificate:
+    # W >= n + i at the default window, the W + p comparison at W = 0
+    for p, e, n, i in ((2, 1, 1, 0), (3, 2, 2, 1), (5, 0, 1, 2)):
+        A = PDAlgebra(p, g=1, n=n, e=e)
+        assert A.W >= n + i
+        assert frobenius_fixed_points(A, i)["certified_by"] == "W >= n + i"
+        assert syntomic.syntomic_acrys(p, i, n, e=e).certificates["stabilized"] == "W >= n + i"
+    for i in (0, 1):
+        A = PDAlgebra(2, g=1, n=1, e=0, W=0)
+        assert frobenius_fixed_points(A, i)["certified_by"] == "W + p"
+        res = syntomic.syntomic_acrys(2, i, 1, e=0, W=0)
+        assert res.certificates["stabilized"] == "W + p"
 
 
 def test_fixed_points_i1_cross_check():
     # independent dense-matrix kernel oracle on the full basis, at the same
     # internal precision n + i with projection to n
-    from nygaard.linalg import kernel_mod, module_invariants_mod
-
     p, n, i = 2, 1, 1
     A = small_algebra(p=p, n=n, e=1, W=6)
     rep = frobenius_fixed_points(A, i)
@@ -1105,7 +1121,7 @@ def test_fixed_points_i1_cross_check():
             M[t][index[mm]] = cc
     for t in range(len(basis)):
         M[t][t] -= p**i
-    K = kernel_mod(M, p, n + i)
+    K = howell_form(preimage_mod(M, [], p, n + i), p, n + i)
     proj = [[a % p**n for a in row] for row in K]
     proj = [row for row in proj if any(row)]
     dense = module_invariants_mod(proj, p, n) if proj else ()
