@@ -10,6 +10,7 @@ malformed config keys), 2 when a computation cannot certify its answer
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -18,6 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from . import __version__
 from .complexes import Complex, eta_cohomology_law_check
 from .errors import NotCertified, UsageError
+from .linalg import kernel_int, mat_mul
 from .pdalg import (
     PDAlgebra,
     conj_graded_map_check,
@@ -47,6 +49,7 @@ from .torus import (
 from .witt import (
     FpSquareModel,
     QSquareModel,
+    _ring_pow,
     build_perfectoid_square,
     frobenius_W,
     teichmuller,
@@ -132,8 +135,6 @@ def cmd_witt(cfg):
         if frobenius_W(verschiebung(w)) != witt_scalar(cfg.p, w):
             laws["FV_is_p"] = False
         a = R.random(rng)
-        from .witt import _ring_pow
-
         if frobenius_W(teichmuller(R, cfg.p, a, cfg.n + 1)) != teichmuller(
             R, cfg.p, _ring_pow(R, a, cfg.p), cfg.n
         ):
@@ -161,8 +162,6 @@ def _fixture_complex(name, p):
     if name.startswith("random"):
         seed = int(name[6:] or 0)
         rng = random.Random(seed)
-        from .linalg import kernel_int, mat_mul
-
         degs = [0, 1, 2, 3]
         ranks = {j: rng.randint(1, 3) for j in degs}
         diffs = {}
@@ -329,9 +328,11 @@ def run_command(command, cfg):
 
 
 def fixture_regress(directory):
-    """Recompute every fixture and byte-compare canonical payloads."""
-    import os
+    """Recompute every fixture and byte-compare canonical payloads.
 
+    A fixture whose file, config or computation fails (bad JSON or keys, a
+    UsageError, a NotCertified) is recorded under errors, and the run goes
+    on to the next one."""
     report = {"passed": [], "failed": [], "errors": []}
     if not os.path.isdir(directory):
         raise UsageError("no such fixture directory: %s" % directory)
@@ -355,7 +356,7 @@ def fixture_regress(directory):
                 report["passed"].append(path)
             else:
                 report["failed"].append(path)
-        except (json.JSONDecodeError, KeyError, TypeError) as ex:
+        except (json.JSONDecodeError, KeyError, TypeError, UsageError, NotCertified) as ex:
             report["errors"].append({"file": path, "error": str(ex)})
     return report
 
@@ -446,8 +447,8 @@ def main(argv=None):
         cfg = build_config(args)
         envelope = run_command(args.command, cfg)
         blob = json.dumps(envelope, sort_keys=True, indent=1)
-        if args.out or cfg.out:
-            with open(args.out or cfg.out, "w") as fh:
+        if cfg.out:
+            with open(cfg.out, "w") as fh:
                 fh.write(blob + "\n")
         else:
             print(blob)

@@ -13,7 +13,6 @@ from .linalg import (
     PGroup,
     cocycles_boundaries,
     cohomology_invariants,
-    complex_cohomology,
     hermite_form,
     identity,
     lattice_contains,
@@ -57,9 +56,6 @@ class Complex:
         if D is None:
             return zeros(self.rank(n), self.rank(n + 1))
         return D
-
-    def cohomology(self, p, modulus=None):
-        return complex_cohomology(self.ranks, self.diffs, p, modulus=modulus)
 
     def invariants(self):
         return cohomology_invariants(self.ranks, self.diffs)

@@ -36,11 +36,6 @@ class TruncationTooTight(NotCertified):
     window of a truncated model."""
 
 
-class DivisionFailure(NotCertified):
-    """A divided Frobenius phi/p^i or phi/xi_tilde^i is not an exact
-    division on the computed data."""
-
-
 class NotNonzerodivisor(UsageError):
     """The element given to the decalage eta_f is not a nonzerodivisor."""
 

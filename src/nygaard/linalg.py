@@ -27,9 +27,9 @@ The side over Z mirrors it: `cocycles_boundaries` presents each degree of a
 complex of presented groups by cocycle rows Z and boundary rows B, and
 `quotient_invariants(Z, B)` reads the group off one Hermite form of Z,
 raising when a row of B leaves span(Z); that raise is the only check of B
-in Z over Z.  `presented_complex_cohomology` (the test oracle),
-`cohomology_invariants` (gens = I, no relations) and
-`complexes.beilinson_H0` all read from it.  Membership queries take a block
+in Z over Z.  `cohomology_invariants` (gens = I, no relations),
+`complexes.beilinson_H0` and `presented_complex_cohomology` all read from
+it; the last is reached only through the Beilinson code of `complexes`.  Membership queries take a block
 of rows: `solve_left` and `lattice_contains` factor the lattice once per
 block, not once per row.
 
@@ -424,17 +424,6 @@ def cohomology_invariants(ranks, diffs):
     return {j: quotient_invariants(Z, B) for j, (Z, B) in pres.items()}
 
 
-def complex_cohomology(ranks, diffs, p, modulus=None):
-    """Cohomology as PGroups at the prime p, degree by degree: over Z, or of
-    the complex tensored with Z/modulus for a modulus p^r (r >= 1)."""
-    if modulus is None:
-        inv = cohomology_invariants(ranks, diffs)
-        return {j: PGroup.from_invariants(p, invs, free) for j, (invs, free) in inv.items()}
-    if modulus < p or p ** _vp(modulus, p) != modulus:
-        raise UsageError("modulus %d is not a positive power of p = %d" % (modulus, p))
-    return cohomology_mod(ranks, diffs, p, _vp(modulus, p))[0]
-
-
 # ---------------------------------------------------------------------------
 # presented modules and presented complexes (subquotients of Z^n)
 
@@ -628,16 +617,6 @@ def preimage_mod(D, L, p, r):
     out = [[p ** (r - v) * a % q for a in row] for v, row in zip(vals, U) if v]
     out += U[len(vals):]
     return [row for row in out if any(row)]
-
-
-def solve_mod_p(A, y, p):
-    """One x with x*A = y over F_p, or None: a kernel vector of [A; -y]
-    whose last coordinate is a unit, scaled to make it 1."""
-    for row in preimage_mod(A + [[-a for a in y]], [], p, 1):
-        if row[-1]:
-            c = pow(row[-1], -1, p)
-            return [a * c % p for a in row[:-1]]
-    return None
 
 
 def span_exponent_mod(rows, p, r):

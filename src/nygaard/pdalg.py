@@ -97,16 +97,6 @@ from .linalg import (
 )
 
 
-def vp_factorial(m, p):
-    """Legendre: v_p(m!) = sum_k floor(m/p^k)."""
-    v = 0
-    q = p
-    while q <= m:
-        v += m // q
-        q *= p
-    return v
-
-
 @dataclass(frozen=True)
 class Monomial:
     """[x^c] * prod x_j^{[l_j]}; c entries are numerators over p^e."""
@@ -418,24 +408,6 @@ def conjugate_filtration_equality_check(A, nmax=2):
     return {"ok": all(details.values()), "levels": details}
 
 
-def filtration_multiplicativity_check(A, rng, trials=20, nmax=2):
-    """Fil_a * Fil_b lies in Fil_{a+b} on random pairs, mod p."""
-    fil = conjugate_filtration_spans(A, 2 * nmax + 1)
-    basis = A.basis()
-    for _ in range(trials):
-        a = rng.randint(0, nmax)
-        b = rng.randint(0, nmax)
-        ta = rng.choice(sorted(fil[a])) if fil[a] else None
-        tb = rng.choice(sorted(fil[b])) if fil[b] else None
-        if ta is None or tb is None:
-            continue
-        prod = A.mul({basis[ta]: 1}, {basis[tb]: 1})
-        for m in prod:
-            if conj_level(m, A.p) > a + b:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # graded comparison with the divided-power algebra of I/I^2
 
@@ -498,24 +470,6 @@ def phi_pth_power_check(A, rng, trials=30):
         rhs = A.power(a, A.p)
         diff = A.add(lhs, A.scale(-1, rhs))
         if any(c % A.p for c in diff.values()):
-            return False
-    return True
-
-
-def phi_multiplicative_check(A, rng, trials=50):
-    """phi(ab) = phi(a) phi(b) on random retained pairs."""
-    basis = [m for m in A.basis() if m.total_pd_weight() <= A.W // A.p // 2]
-    if not basis:
-        return True
-    for _ in range(trials):
-        a = {rng.choice(basis): rng.randrange(1, A.q)}
-        b = {rng.choice(basis): rng.randrange(1, A.q)}
-        try:
-            lhs = A.frobenius(A.mul(a, b, strict=True))
-            rhs = A.mul(A.frobenius(a), A.frobenius(b))
-        except TruncationTooTight:
-            continue
-        if lhs != rhs:
             return False
     return True
 

@@ -50,9 +50,6 @@ class QBase:
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
     def neg(self, a):
         return tuple(-x for x in a)
 

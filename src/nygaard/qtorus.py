@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .complexes import Complex, acyclic_mod, eta_lattices, presented_cone
-# DivisionFailure is re-exported: qtorus.DivisionFailure is a public import path
-from .errors import DivisionFailure, UsageError  # noqa: F401
+from .errors import UsageError
 from .linalg import (
     block_diag,
     identity,

@@ -69,8 +69,7 @@ direction carry an explicit "global model" flag.
 
 from dataclasses import dataclass, field
 
-# CompositeNonzero is imported for tests that check the error classes are shared
-from .errors import BoundViolated, CompositeNonzero, NotStabilized, UsageError  # noqa: F401
+from .errors import BoundViolated, NotStabilized, UsageError
 from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
     PGroup,
     cocycles_boundaries_mod,
@@ -80,7 +79,6 @@ from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches
     mat_is_zero,
     mat_mul,
     quotient_exponents_mod,
-    solve_mod_p,
     span_contains_mod,
     span_exponent_mod,
     zeros,
@@ -425,93 +423,6 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None):
         res.certificates["mu_collapsed"] = N == 1
         res.certificates["mu_cliff_classes_possible"] = N > 1 and i >= 1
     return res
-
-
-# ---------------------------------------------------------------------------
-# contraction bound (q-model mod p)
-
-
-def contraction_bound_check(p, i, m, N=4):
-    """For m >= (pi+1)/(p-1): phi_i maps the level-m Nygaard lattice mod p
-    into level m+1, and phi_i - 1 is bijective there (geometric series).
-
-    Runs on the d = 1 q-torus mod p.  Below the bound the containment is
-    reported but not asserted."""
-    bound = -(-(p * i + 1) // (p - 1))  # ceil
-    Xq = build_qtorus(p, 1, N)
-    B = Xq.B
-    in_contract = m >= bound
-    # containment: phi_i(N^{>= m}) inside N^{>= m+1}, in degrees 0 and 1, mod p
-    containment = True
-    for j in (0, 1):
-        # normalized source: basis xi^{max(m-j,0)}; image under phi then /xi_tilde^i
-        a = max(m - j, 0)
-        # phi(xi^a b) / xi_tilde^i = xi_tilde^{a + j - i} phi(b); mod p use
-        # span membership in xi^{max(m+1-j,0)} B over F_p
-        e = a + j - i
-        if e < 0:
-            containment = False
-            continue
-        img_rows = mat_mul(B.phi_matrix(), B.mult_matrix(B.pow(B.xi_tilde, e)))
-        tgt = B.mult_matrix(B.pow(B.xi, max(m + 1 - j, 0)))
-        if not all(span_contains_mod(tgt, row, p, 1) for row in img_rows):
-            containment = False
-    if in_contract and not containment:
-        raise BoundViolated("phi_i does not raise the Nygaard level at m = %d" % m)
-    # bijectivity of phi_i - 1 on N^{>= m}/p within the truncation: the
-    # composite operator T (normalized coords, weight orbit collapsed to the
-    # coefficient module) is nilpotent mod (p, mu^N)
-    bijective = None
-    if in_contract:
-        # T: x -> solve_{xi^a}(xi_tilde^{a+j-i} phi(x)) on the degree-0 module
-        a = m
-        e = a - i
-        Timg = mat_mul(B.phi_matrix(), B.mult_matrix(B.pow(B.xi_tilde, e)))
-        # solve rows in the basis of xi^m B mod p: over F_p, xi ~ mu^{p-1}
-        Mxa = B.mult_matrix(B.pow(B.xi, a))
-        T = []
-        ok = True
-        for row in Timg:
-            sol = solve_mod_p(Mxa, row, p)
-            if sol is None:
-                ok = False
-                break
-            T.append(sol)
-        if not ok:
-            bijective = False
-        else:
-            Ak = [row[:] for row in T]
-            k = 1
-            while any(a2 % p for row in Ak for a2 in row):
-                Ak = mat_mul(Ak, T)
-                k += 1
-                if k > 8 * N:
-                    bijective = False
-                    break
-            else:
-                bijective = True
-            if bijective:
-                # (T - 1) inverse = -(1 + T + ... + T^{k-1}): verify
-                inv = identity(N)
-                acc = identity(N)
-                for _ in range(k - 1):
-                    acc = mat_mul(acc, T)
-                    inv = [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(inv, acc)]
-                TmI = [[(x - (1 if a2 == b2 else 0)) for b2, x in enumerate(row)]
-                       for a2, row in enumerate(T)]
-                prod = mat_mul(TmI, [[-x for x in row] for row in inv])
-                if any((prod[a2][b2] - (1 if a2 == b2 else 0)) % p
-                       for a2 in range(N) for b2 in range(N)):
-                    bijective = False
-    return {
-        "p": p,
-        "i": i,
-        "m": m,
-        "bound": bound,
-        "in_contract": in_contract,
-        "containment": containment,
-        "bijective": bijective,
-    }
 
 
 # ---------------------------------------------------------------------------

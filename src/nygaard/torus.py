@@ -57,8 +57,7 @@ from itertools import combinations
 from math import comb
 
 from .complexes import Complex, acyclic_mod, eta, presented_cone
-# DivisionFailure is re-exported: torus.DivisionFailure is a public import path
-from .errors import DivisionFailure, PrecisionExhausted, UsageError  # noqa: F401
+from .errors import PrecisionExhausted, UsageError
 from .linalg import (
     identity,
     lattice_eq,

@@ -3,8 +3,8 @@
 Arithmetic goes through ghost components on a torsion-free cover: coordinates
 are lifted, the ghost vectors combined, and the result recovered by exact
 division (the divisions are exact by functoriality of Witt-vector arithmetic
-over the cover).  Universal sum/product polynomials are also available for
-small (p, n) and serve as an independent route.
+over the cover).  The universal sum and product polynomials, an independent
+route for small (p, n), are a test oracle.
 
 The module also builds the two graded-ring presentation squares over a
 perfectoid base: the homotopy-style square (phi-linear top map u -> sigma,
@@ -13,9 +13,8 @@ canonical map u -> xi*sigma, v -> sigma^{-1}.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .errors import DivisionFailure, LengthMismatch, UsageError
+from .errors import LengthMismatch, UsageError
 from .linalg import span_contains_mod
 from .qbase import QBase
 
@@ -153,101 +152,6 @@ def frobenius_W(w):
 def verschiebung(w):
     """V: W_n -> W_{n+1}, prepends a zero coordinate."""
     return witt(w.ring, w.p, (w.ring.zero,) + w.coords)
-
-
-# ---------------------------------------------------------------------------
-# universal polynomials (independent route, small p and n only)
-
-
-def _poly_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-        if not out[e]:
-            del out[e]
-    return out
-
-
-def _poly_scale(c0, a):
-    return {e: c0 * c for e, c in a.items()} if c0 else {}
-
-
-def _poly_mul(a, b):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c}
-
-
-def _poly_pow(a, k):
-    nv = len(next(iter(a))) if a else 0
-    out = {tuple([0] * nv): 1}
-    base = a
-    while k:
-        if k & 1:
-            out = _poly_mul(out, base)
-        k >>= 1
-        if k:
-            base = _poly_mul(base, base)
-    return out
-
-
-def _poly_div_int(a, m):
-    out = {}
-    for e, c in a.items():
-        q, r = divmod(c, m)
-        if r:
-            raise DivisionFailure("universal polynomial division not exact")
-        out[e] = q
-    return out
-
-
-@lru_cache(maxsize=None)
-def universal_witt_polynomials(p, n, op):
-    """Sum ('add') or product ('mul') polynomials S_0..S_{n-1} over Z.
-
-    Variables are x_0..x_{n-1}, y_0..y_{n-1}; exponent tuples have length 2n.
-    Computed once by lifting to Z[x, y] and dividing exactly; cached.
-    """
-    nv = 2 * n
-
-    def var(i):
-        e = [0] * nv
-        e[i] = 1
-        return {tuple(e): 1}
-
-    def ghost_poly(block, i):
-        acc = {}
-        for j in range(i + 1):
-            acc = _poly_add(acc, _poly_scale(p**j, _poly_pow(var(block * n + j), p ** (i - j))))
-        return acc
-
-    S = []
-    for i in range(n):
-        if op == "add":
-            g = _poly_add(ghost_poly(0, i), ghost_poly(1, i))
-        else:
-            g = _poly_mul(ghost_poly(0, i), ghost_poly(1, i))
-        acc = g
-        for j in range(i):
-            acc = _poly_add(acc, _poly_scale(-(p**j), _poly_pow(S[j], p ** (i - j))))
-        S.append(_poly_div_int(acc, p**i))
-    return tuple(S)
-
-
-def eval_universal(ring, poly, xs, ys):
-    """Evaluate a universal polynomial on ring elements."""
-    vals = list(xs) + list(ys)
-    acc = ring.zero
-    for e, c in poly.items():
-        term = ring.from_int(c)
-        for i, k in enumerate(e):
-            for _ in range(k):
-                term = ring.mul(term, vals[i])
-        acc = ring.add(acc, term)
-    return acc
 
 
 # ---------------------------------------------------------------------------

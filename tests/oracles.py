@@ -1,9 +1,16 @@
 """Oracles the tests check live code against, kept out of the package
-because no command uses them."""
+because no command uses them: enumerations that a proven symmetry replaces,
+a canonical form, further coefficient rings and the universal polynomials of
+Witt-vector arithmetic, cohomology of a complex of free Z-modules, and
+property checks of the divided-power algebra."""
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
-from nygaard.linalg import _vp
+from nygaard.errors import RingError, UsageError
+from nygaard.linalg import PGroup, _vp, cohomology_invariants, cohomology_mod
+from nygaard.pdalg import TruncationTooTight, conj_level, conjugate_filtration_spans
 from nygaard.qbase import _binom
 
 
@@ -81,3 +88,399 @@ def howell_form(M, p, n):
             if factor:
                 pivots[c2] = [(a - factor * b) % q for a, b in zip(row, piv)]
     return [pivots[c] for c in sorted(pivots)]
+
+
+# ---------------------------------------------------------------------------
+# coefficient rings the Witt tests run on besides the truncated polynomials
+
+
+class ZRing:
+    """The integers."""
+
+    def __init__(self):
+        self.cover = self
+
+    zero = 0
+    one = 0 + 1
+
+    def from_int(self, c):
+        return c
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def eq(self, a, b):
+        return a == b
+
+    def lift(self, a):
+        return a
+
+    def reduce(self, a):
+        return a
+
+    def exact_div_int(self, a, k):
+        q, r = divmod(a, k)
+        if r:
+            raise RingError("inexact division by %d" % k)
+        return q
+
+    def random(self, rng, size=20):
+        return rng.randint(-size, size)
+
+    def __repr__(self):
+        return "Z"
+
+
+class ZModRing:
+    """Z/m with lift to Z."""
+
+    def __init__(self, m):
+        if m <= 1:
+            raise UsageError("Z/m needs m > 1, got %d" % m)
+        self.m = m
+        self.cover = ZRing()
+        self.zero = 0
+        self.one = 1 % m
+
+    def from_int(self, c):
+        return c % self.m
+
+    def add(self, a, b):
+        return (a + b) % self.m
+
+    def neg(self, a):
+        return (-a) % self.m
+
+    def mul(self, a, b):
+        return (a * b) % self.m
+
+    def eq(self, a, b):
+        return a % self.m == b % self.m
+
+    def lift(self, a):
+        return a % self.m
+
+    def reduce(self, a):
+        return a % self.m
+
+    def random(self, rng, size=None):
+        return rng.randrange(self.m)
+
+    def __repr__(self):
+        return "Z/%d" % self.m
+
+
+class PerfTruncZ:
+    """Z[x^{1/p^e}]/(x^k); exponents are a/p^e stored by their numerator a.
+
+    Elements are sorted tuples of (a, coeff) with 0 <= a < k*p^e and
+    coeff != 0.
+    """
+
+    def __init__(self, p, e, k):
+        self.p = p
+        self.e = e
+        self.k = k
+        self.bound = k * p**e
+        self.cover = self
+        self.zero = ()
+        self.one = ((0, 1),)
+
+    def from_int(self, c):
+        return ((0, c),) if c else ()
+
+    def monomial(self, a, c=1):
+        if a < 0:
+            raise UsageError("negative exponent %d" % a)
+        if a >= self.bound or c == 0:
+            return ()
+        return ((a, c),)
+
+    def x(self):
+        return self.monomial(self.p**self.e)
+
+    def _norm(self, d):
+        return tuple(sorted((a, c) for a, c in d.items() if c))
+
+    def add(self, u, v):
+        d = dict(u)
+        for a, c in v:
+            d[a] = d.get(a, 0) + c
+        return self._norm(d)
+
+    def neg(self, u):
+        return tuple((a, -c) for a, c in u)
+
+    def mul(self, u, v):
+        d = {}
+        for a, c in u:
+            for b, c2 in v:
+                t = a + b
+                if t < self.bound:
+                    d[t] = d.get(t, 0) + c * c2
+        return self._norm(d)
+
+    def eq(self, u, v):
+        return u == v
+
+    def lift(self, u):
+        return u
+
+    def reduce(self, u):
+        return u
+
+    def exact_div_int(self, u, m):
+        out = []
+        for a, c in u:
+            q, r = divmod(c, m)
+            if r:
+                raise RingError("inexact division by %d" % m)
+            out.append((a, q))
+        return tuple(out)
+
+    def frobenius(self, u):
+        """x^{a/p^e} -> x^{pa/p^e}; exponents leaving the window truncate."""
+        d = {}
+        for a, c in u:
+            t = a * self.p
+            if t < self.bound:
+                d[t] = d.get(t, 0) + c
+        return self._norm(d)
+
+    def __repr__(self):
+        return "Z[x^{1/%d^%d}]/(x^%d)" % (self.p, self.e, self.k)
+
+
+class PerfTruncFp:
+    """F_p[x^{1/p^e}]/(x^k), lift to the integral perfect truncation."""
+
+    def __init__(self, p, e, k):
+        self.p = p
+        self.e = e
+        self.k = k
+        self.bound = k * p**e
+        self.cover = PerfTruncZ(p, e, k)
+        self.zero = ()
+        self.one = ((0, 1),)
+
+    def from_int(self, c):
+        c %= self.p
+        return ((0, c),) if c else ()
+
+    def monomial(self, a, c=1):
+        c %= self.p
+        if a >= self.bound or c == 0:
+            return ()
+        return ((a, c),)
+
+    def x(self):
+        return self.monomial(self.p**self.e)
+
+    def exponent(self, a):
+        """The exponent a/p^e as a Fraction."""
+        return Fraction(a, self.p**self.e)
+
+    def add(self, u, v):
+        return self.reduce(self.cover.add(u, v))
+
+    def neg(self, u):
+        return tuple((a, (-c) % self.p) for a, c in u)
+
+    def mul(self, u, v):
+        return self.reduce(self.cover.mul(u, v))
+
+    def eq(self, u, v):
+        return u == v
+
+    def lift(self, u):
+        return u
+
+    def reduce(self, u):
+        return tuple((a, c % self.p) for a, c in u if c % self.p)
+
+    def frobenius(self, u):
+        return self.reduce(self.cover.frobenius(u))
+
+    def inv_frobenius(self, u):
+        """x^{a/p^e} -> x^{a/p^{e+1}}: fails when leaving the lattice."""
+        out = []
+        for a, c in u:
+            if a % self.p:
+                raise RingError("exponent denominator would exceed p^%d" % self.e)
+            out.append((a // self.p, c))
+        return tuple(out)
+
+    def random(self, rng, terms=3):
+        el = self.zero
+        for _ in range(terms):
+            el = self.add(el, self.monomial(rng.randrange(self.bound), rng.randrange(self.p)))
+        return el
+
+    def __repr__(self):
+        return "F_%d[x^{1/%d^%d}]/(x^%d)" % (self.p, self.p, self.e, self.k)
+
+
+# ---------------------------------------------------------------------------
+# universal Witt polynomials: an independent route to the ghost arithmetic
+
+
+def _poly_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+        if not out[e]:
+            del out[e]
+    return out
+
+
+def _poly_scale(c0, a):
+    return {e: c0 * c for e, c in a.items()} if c0 else {}
+
+
+def _poly_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_pow(a, k):
+    nv = len(next(iter(a))) if a else 0
+    out = {tuple([0] * nv): 1}
+    base = a
+    while k:
+        if k & 1:
+            out = _poly_mul(out, base)
+        k >>= 1
+        if k:
+            base = _poly_mul(base, base)
+    return out
+
+
+def _poly_div_int(a, m):
+    out = {}
+    for e, c in a.items():
+        q, r = divmod(c, m)
+        if r:
+            raise ArithmeticError("universal polynomial division not exact")
+        out[e] = q
+    return out
+
+
+@lru_cache(maxsize=None)
+def universal_witt_polynomials(p, n, op):
+    """Sum ('add') or product ('mul') polynomials S_0..S_{n-1} over Z.
+
+    Variables are x_0..x_{n-1}, y_0..y_{n-1}; exponent tuples have length 2n.
+    Computed once by lifting to Z[x, y] and dividing exactly; cached.
+    """
+    nv = 2 * n
+
+    def var(i):
+        e = [0] * nv
+        e[i] = 1
+        return {tuple(e): 1}
+
+    def ghost_poly(block, i):
+        acc = {}
+        for j in range(i + 1):
+            acc = _poly_add(acc, _poly_scale(p**j, _poly_pow(var(block * n + j), p ** (i - j))))
+        return acc
+
+    S = []
+    for i in range(n):
+        if op == "add":
+            g = _poly_add(ghost_poly(0, i), ghost_poly(1, i))
+        else:
+            g = _poly_mul(ghost_poly(0, i), ghost_poly(1, i))
+        acc = g
+        for j in range(i):
+            acc = _poly_add(acc, _poly_scale(-(p**j), _poly_pow(S[j], p ** (i - j))))
+        S.append(_poly_div_int(acc, p**i))
+    return tuple(S)
+
+
+def eval_universal(ring, poly, xs, ys):
+    """Evaluate a universal polynomial on ring elements."""
+    vals = list(xs) + list(ys)
+    acc = ring.zero
+    for e, c in poly.items():
+        term = ring.from_int(c)
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = ring.mul(term, vals[i])
+        acc = ring.add(acc, term)
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# cohomology of a complex of free Z-modules, over Z or mod p^r
+
+
+def complex_cohomology(ranks, diffs, p, modulus=None):
+    """Cohomology as PGroups at the prime p, degree by degree: over Z, or of
+    the complex tensored with Z/modulus for a modulus p^r (r >= 1)."""
+    if modulus is None:
+        inv = cohomology_invariants(ranks, diffs)
+        return {j: PGroup.from_invariants(p, invs, free) for j, (invs, free) in inv.items()}
+    if modulus < p or p ** _vp(modulus, p) != modulus:
+        raise UsageError("modulus %d is not a positive power of p = %d" % (modulus, p))
+    return cohomology_mod(ranks, diffs, p, _vp(modulus, p))[0]
+
+
+# ---------------------------------------------------------------------------
+# property checks of the divided-power algebra
+
+
+def vp_factorial(m, p):
+    """Legendre: v_p(m!) = sum_k floor(m/p^k)."""
+    v = 0
+    q = p
+    while q <= m:
+        v += m // q
+        q *= p
+    return v
+
+
+def filtration_multiplicativity_check(A, rng, trials=20, nmax=2):
+    """Fil_a * Fil_b lies in Fil_{a+b} on random pairs, mod p."""
+    fil = conjugate_filtration_spans(A, 2 * nmax + 1)
+    basis = A.basis()
+    for _ in range(trials):
+        a = rng.randint(0, nmax)
+        b = rng.randint(0, nmax)
+        ta = rng.choice(sorted(fil[a])) if fil[a] else None
+        tb = rng.choice(sorted(fil[b])) if fil[b] else None
+        if ta is None or tb is None:
+            continue
+        prod = A.mul({basis[ta]: 1}, {basis[tb]: 1})
+        for m in prod:
+            if conj_level(m, A.p) > a + b:
+                return False
+    return True
+
+
+def phi_multiplicative_check(A, rng, trials=50):
+    """phi(ab) = phi(a) phi(b) on random retained pairs."""
+    basis = [m for m in A.basis() if m.total_pd_weight() <= A.W // A.p // 2]
+    if not basis:
+        return True
+    for _ in range(trials):
+        a = {rng.choice(basis): rng.randrange(1, A.q)}
+        b = {rng.choice(basis): rng.randrange(1, A.q)}
+        try:
+            lhs = A.frobenius(A.mul(a, b, strict=True))
+            rhs = A.mul(A.frobenius(a), A.frobenius(b))
+        except TruncationTooTight:
+            continue
+        if lhs != rhs:
+            return False
+    return True

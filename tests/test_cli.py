@@ -24,76 +24,70 @@ def test_no_assert_statements_in_the_package():
 
 # Definitions in src/nygaard that no command reaches, by the reason each is kept.
 UNREACHED = {
-    "oracles the tests check live code against": (
-        "linalg.presented_complex_cohomology", "linalg.complex_cohomology",
-        "complexes.Complex.cohomology", "witt.universal_witt_polynomials",
-        "witt.eval_universal", "witt._poly_add", "witt._poly_scale", "witt._poly_mul",
-        "witt._poly_pow", "witt._poly_div_int", "pdalg.vp_factorial"),
-    "the error the universal Witt polynomials raise, kept at its import paths": (
-        "errors.DivisionFailure",),
     "the Witt ring API": (
         "witt.witt_zero", "witt.witt_one", "witt.witt_add", "witt.witt_neg", "witt.witt_sub"),
     "the PD element API the tests build elements with": (
         "pdalg.PDAlgebra.monomial", "pdalg.PDAlgebra.to_vector", "pdalg.PDAlgebra.from_vector"),
-    "the Beilinson truncation, which eta does not run yet (ROADMAP item 6)": (
+    "the Beilinson truncation and the cohomology it reads, which eta does not run yet "
+    "(ROADMAP item 6)": (
         "complexes.FilteredComplex", "complexes.f_adic_filtration",
         "complexes.trivial_filtration", "complexes.beilinson_truncate",
         "complexes.underlying_complex_lattices", "complexes.graded_piece",
         "complexes.truncated_graded_cohomology", "complexes.graded_law_check",
-        "complexes.ChainComplexObject", "complexes.beilinson_H0", "errors.WindowTooSmall"),
-    "future certificates (ROADMAP items 3 and 7)": (
-        "syntomic.contraction_bound_check", "linalg.solve_mod_p",
-        "syntomic._transition_iso_by_degree", "pdalg.phi_multiplicative_check",
-        "pdalg.filtration_multiplicativity_check"),
-    "the test-only rings, to move to tests/ (ROADMAP item 7)": (
-        "rings.ZRing", "rings.ZModRing", "rings.PerfTruncZ", "rings.PerfTruncFp"),
+        "complexes.ChainComplexObject", "complexes.beilinson_H0", "errors.WindowTooSmall",
+        "linalg.presented_complex_cohomology"),
+    "the transition-iso certificate, to be computed per degree (ROADMAP item 3)": (
+        "syntomic._transition_iso_by_degree",),
 }
 
 
 def _definitions():
-    """key -> (name, key of the enclosing class or None, names it refers to)
-    for every top-level function and class of the package and every method.
-    A class refers to the names in its bases, decorators and class body
-    outside its methods."""
+    """key -> (name, key of the enclosing class or None, names it refers to,
+    the subset of those it names as attributes) for every top-level function
+    and class of the package and every method. A class refers to the names
+    in its bases, decorators and class body outside its methods."""
     def names(nodes):
-        return {n.id if isinstance(n, ast.Name) else n.attr
-                for node in nodes for n in ast.walk(node)
-                if isinstance(n, (ast.Name, ast.Attribute))}
+        nodes = [n for node in nodes for n in ast.walk(node)]
+        attrs = {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        return {n.id for n in nodes if isinstance(n, ast.Name)} | attrs, attrs
 
     out = {}
     for path in sorted((ROOT / "src" / "nygaard").glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
             key = "%s.%s" % (path.stem, node.name) if hasattr(node, "name") else None
             if isinstance(node, ast.FunctionDef):
-                out[key] = (node.name, None, names([node]))
+                out[key] = (node.name, None, *names([node]))
             elif isinstance(node, ast.ClassDef):
                 body = [n for n in node.body if not isinstance(n, ast.FunctionDef)]
-                out[key] = (node.name, None, names(body + node.bases + node.decorator_list))
+                out[key] = (node.name, None, *names(body + node.bases + node.decorator_list))
                 for m in node.body:
                     if isinstance(m, ast.FunctionDef):
-                        out["%s.%s" % (key, m.name)] = (m.name, key, names([m]))
+                        out["%s.%s" % (key, m.name)] = (m.name, key, *names([m]))
     return out
 
 
 def test_every_definition_is_reached_from_a_command_or_kept_for_a_reason():
     # reached by name from the commands and main: a function or class when a
     # reached definition names it, a method when its class is reached and a
-    # reached definition names it as an attribute (dunder methods always)
+    # reached definition names it as an attribute (dunder methods always); a
+    # local variable of the same name does not reach a method
     defs = _definitions()
     named = {fn.__name__ for fn in cli.COMMANDS.values()} | {"main"}
+    attributes = set()
     reached = set()
     grown = True
     while grown:
         grown = False
-        for key, (name, cls, refs) in defs.items():
+        for key, (name, cls, refs, attrs) in defs.items():
             dunder = name.startswith("__") and name.endswith("__")
             if key not in reached and (cls is None or cls in reached) and (
-                    name in named or (cls is not None and dunder)):
+                    name in named if cls is None else dunder or name in attributes):
                 reached.add(key)
                 named |= refs
+                attributes |= attrs
                 grown = True
     # a method of an unreached class is covered by its class
-    unreached = {key for key, (_, cls, _) in defs.items()
+    unreached = {key for key, (_, cls, _, _) in defs.items()
                  if key not in reached and (cls is None or cls in reached)}
     allowed = {key for keys in UNREACHED.values() for key in keys}
     # (unreached and not allowed, allowed but reached or gone)
@@ -104,6 +98,24 @@ def test_fixture_regress_all_pass():
     report = cli.fixture_regress(str(FIXTURES))
     assert len(report["passed"]) == 34
     assert report["failed"] == [] and report["errors"] == []
+
+
+def test_regress_records_a_failing_fixture_and_goes_on(tmp_path, capsys):
+    # a fixture whose config is bad (UsageError) or whose computation cannot
+    # certify (NotCertified) is an error of the report, not the end of the run
+    (tmp_path / "a_good.json").write_text((FIXTURES / "eta" / "zero_f_p.json").read_text())
+    bad = {"b_bad_p.json": {"command": "witt", "config": {"p": 4}},
+           "c_too_tight.json": {"command": "acrys",
+                                "config": {"p": 2, "n": 3, "e": 1, "i": 2, "W": 1}}}
+    for name, blob in bad.items():
+        (tmp_path / name).write_text(json.dumps(dict(blob, expected={})))
+    assert cli.main(["regress", str(tmp_path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] == [str(tmp_path / "a_good.json")]
+    assert report["failed"] == []
+    assert [e["file"] for e in report["errors"]] == [str(tmp_path / name) for name in bad]
+    assert report["errors"][0]["error"] == "p = 4 is not prime"
+    assert report["errors"][1]["error"].startswith("phi image")
 
 
 def test_main_witt_exit_0(capsys):
@@ -152,7 +164,7 @@ def test_error_classes_are_shared():
     assert syntomic.NotStabilized is pdalg.NotStabilized is errors.NotStabilized
     assert torus.PrecisionExhausted is errors.PrecisionExhausted
     assert syntomic.BoundViolated is errors.BoundViolated
-    assert linalg.CompositeNonzero is syntomic.CompositeNonzero is errors.CompositeNonzero
+    assert linalg.CompositeNonzero is errors.CompositeNonzero
     assert issubclass(errors.CompositeNonzero, errors.NotCertified)
 
 
@@ -167,8 +179,6 @@ def test_main_not_certified_exit_2(monkeypatch, exc):
 
 
 MOVED_ERRORS = [
-    (torus, "DivisionFailure", errors.NotCertified),
-    (qtorus, "DivisionFailure", errors.NotCertified),
     (complexes, "NotNonzerodivisor", errors.UsageError),
     (complexes, "WindowTooSmall", errors.UsageError),
     (witt, "LengthMismatch", errors.UsageError),
@@ -400,3 +410,21 @@ def test_every_import_of_the_package_is_used():
                         "noqa" in lines[k - 1] for k in (node.lineno, alias.lineno)):
                     found.append("%s:%d %s" % (path.name, alias.lineno, name))
     assert found == []
+
+
+def test_every_oracle_is_used_by_a_test():
+    # a definition of tests/oracles.py is used when a test module imports it,
+    # or when a used definition there names it (the helpers of an oracle)
+    tests = ROOT / "tests"
+    defs = {node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            for node in ast.parse((tests / "oracles.py").read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = {alias.name for path in sorted(tests.glob("test_*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+            for alias in node.names}
+    grown = used
+    while grown:
+        grown = {name for key in grown for name in defs.get(key, ())} & set(defs) - used
+        used |= grown
+    assert sorted(set(defs) - used) == []

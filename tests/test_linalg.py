@@ -11,7 +11,6 @@ from nygaard.linalg import (
     CompositeNonzero,
     PGroup,
     cohomology_invariants,
-    complex_cohomology,
     hermite_form,
     identity,
     kernel_int,
@@ -32,7 +31,7 @@ from nygaard.linalg import (
 )
 from nygaard.errors import UsageError
 
-from oracles import howell_form
+from oracles import complex_cohomology, howell_form
 
 
 def rand_mat(rng, m, n, lo=-9, hi=9):

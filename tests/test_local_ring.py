@@ -29,7 +29,6 @@ from nygaard.linalg import (
     quotient_exponents_mod,
     quotient_invariants,
     row_mul,
-    solve_mod_p,
     span_contains_mod,
     span_exponent_mod,
     zeros,
@@ -215,18 +214,6 @@ def test_presented_cohomology_mod_reads_unsaturated_gens():
             0: PGroup(p, (1,))}
     with pytest.raises(CompositeNonzero):
         presented_cohomology_mod({0: ([[2]], [[1]])}, {}, 2, 1)
-
-
-@settings(max_examples=100, deadline=None)
-@given(local_matrices(), st.data())
-def test_solve_mod_p_solves_exactly_when_the_span_contains(data, draw):
-    M, p, _, n = data
-    y = draw.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))
-    x = solve_mod_p(M, y, p)
-    if span_contains_mod(M, y, p, 1):
-        assert x is not None and all(a % p == b for a, b in zip(row_mul(x, M), y))
-    else:
-        assert x is None
 
 
 def test_empty_and_degenerate_shapes():

@@ -33,17 +33,19 @@ from nygaard.pdalg import (
     conjugate_filtration_description1,
     conjugate_filtration_equality_check,
     conjugate_filtration_spans,
-    filtration_multiplicativity_check,
     frobenius_fixed_points,
     nygaard_graded_image_check,
     orbit_blocks,
-    phi_multiplicative_check,
     phi_pth_power_check,
     span_identity_check,
-    vp_factorial,
 )
 
-from oracles import howell_form
+from oracles import (
+    filtration_multiplicativity_check,
+    howell_form,
+    phi_multiplicative_check,
+    vp_factorial,
+)
 
 
 def small_algebra(p=2, n=2, e=2, W=None):

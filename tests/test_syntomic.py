@@ -9,7 +9,6 @@ from nygaard.syntomic import (
     BoundViolated,
     NotStabilized,
     SyntomicResult,
-    contraction_bound_check,
     degree_bound_inverse_certificate,
     syntomic_acrys,
     syntomic_charp,
@@ -314,31 +313,6 @@ def test_degree_bound_series_terminates():
     Xq = build_qtorus(2, 1, 4)
     cert = degree_bound_inverse_certificate(Xq, 0, 1)
     assert 1 in cert and cert[1] >= 1
-
-
-# ---------------------------------------------------------------------------
-# contraction bound
-
-
-def test_contraction_bound_p2_i1():
-    # bound = ceil((2*1+1)/(2-1)) = 3
-    rep = contraction_bound_check(2, 1, 3, N=4)
-    assert rep["bound"] == 3
-    assert rep["in_contract"] and rep["containment"] and rep["bijective"]
-
-
-def test_contraction_bound_p3_i1():
-    # bound = ceil(4/2) = 2
-    rep = contraction_bound_check(3, 1, 2, N=4)
-    assert rep["bound"] == 2
-    assert rep["in_contract"] and rep["containment"] and rep["bijective"]
-
-
-def test_contraction_below_bound_reported_only():
-    rep = contraction_bound_check(2, 2, 2, N=4)
-    assert not rep["in_contract"]
-    # no assertion made; containment reported as-is
-    assert "containment" in rep
 
 
 # ---------------------------------------------------------------------------

@@ -4,25 +4,16 @@ import pytest
 
 from nygaard.linalg import hermite_form, identity, lattice_contains, mat_scale
 from nygaard.qbase import QBase
-from nygaard.rings import (
-    PerfTruncFp,
-    PolyTruncFp,
-    PolyTruncZ,
-    RingError,
-    ZModRing,
-    ZRing,
-)
+from nygaard.rings import PolyTruncFp, PolyTruncZ, RingError
 from nygaard.witt import (
     FpSquareModel,
     LengthMismatch,
     QSquareModel,
     WittVector,
     build_perfectoid_square,
-    eval_universal,
     frobenius_W,
     ghost,
     teichmuller,
-    universal_witt_polynomials,
     verschiebung,
     witt,
     witt_add,
@@ -33,7 +24,14 @@ from nygaard.witt import (
     witt_zero,
 )
 
-from oracles import q_pow
+from oracles import (
+    PerfTruncFp,
+    ZModRing,
+    ZRing,
+    eval_universal,
+    q_pow,
+    universal_witt_polynomials,
+)
 
 Z = ZRing()
 
