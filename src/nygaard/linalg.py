@@ -103,13 +103,6 @@ def row_mul(x, M):
     return out
 
 
-def mat_stack(*mats):
-    out = []
-    for M in mats:
-        out.extend(mat_copy(M))
-    return out
-
-
 def block_diag(blk, copies):
     """The block-diagonal matrix with copies of the square block blk."""
     n = len(blk)
@@ -218,10 +211,6 @@ def lattice_contains(L, rows):
 
 def lattice_eq(L1, L2):
     return hermite_form(L1) == hermite_form(L2)
-
-
-def lattice_sum(*Ls):
-    return hermite_form(mat_stack(*Ls))
 
 
 def preimage_lattice(D, L):

@@ -204,21 +204,6 @@ def _assemble_window(X, i, V, m0=None, blocks=None, top=None):
     return ranks, diffs, basis_info
 
 
-def _transition_iso_by_degree(presV, presV1, basisV, basisV1, p, r):
-    """Whether the window inclusion W_V -> W_{V+1} induces an isomorphism on
-    cohomology, degree by degree: the image of H(W_V) must have the order of
-    both H(W_V) and H(W_{V+1})."""
-    out = {}
-    for t in presV:
-        KV, BV = presV[t]
-        KV1, BV1 = presV1.get(t, ([], []))
-        image = quotient_exponents_mod(_embed_rows(KV, basisV[t], basisV1[t]), BV1, p, r)
-        orders = {sum(image), sum(quotient_exponents_mod(KV, BV, p, r)),
-                  sum(quotient_exponents_mod(KV1, BV1, p, r))}
-        out[t] = len(orders) == 1
-    return out
-
-
 def _embed_rows(rows, labs_small, labs_big):
     pos = {lab: c for c, lab in enumerate(labs_big)}
     out = []
@@ -238,8 +223,10 @@ def _orbit_contribution(X, m0, i, r, V):
     degree t is the stable image of H^t(W_V) in H^t(W_{V+k}) (the directed
     system of finite groups has non-increasing image orders, so two equal
     consecutive images certify the colimit; beyond the window the attaching
-    data is constant by the tail-vanishing certificate).  The search widens
-    the window at most four times, then raises NotStabilized.
+    data is constant by the tail test, `_q_tail_vanishes`).  The search
+    widens the window at most four times, then raises NotStabilized.  Returns
+    the groups and, per degree, the widening k whose image certified it (0
+    when H^t(W_V) has no cocycles).
 
     Only degrees <= i+1 are read, so each window is presented up to degree
     min(i+2, d+1): the cocycles of degree i+1 need d_{i+1} and the rank of
@@ -289,25 +276,29 @@ def _orbit_sum(X, i, r, M, V):
 
     One window, at e_1: its groups are added once for each of the n
     primitive weights of the box (module docstring).  Returns (total, pres0,
-    tail_ok, V_used): the groups per degree, the weight-0 presentations (for
-    the dlog flags), whether the tail test held at e_1, and V + 1, or 0 when
-    the box holds no primitive weight and no window is built."""
+    k_used, V_used): the groups per degree, the weight-0 presentations (for
+    the dlog flags), the widening k per degree at which the stable image of
+    the e_1 window certified, and V + 1.  When the box holds no primitive
+    weight no window is built: k_used is {} and V_used is 0.  Raises
+    NotStabilized when the tail test fails at e_1."""
     p, d = X.p, X.d
     n = (2 * M + 1) ** d - (2 * (M // p) + 1) ** d
     # weight zero: phi_i and can act on the same block; exact, no window
     ranks0, diffs0, _ = _assemble_window(X, i, 0)
     total, pres0 = cohomology_mod(ranks0, diffs0, p, r)
     if not n:
-        return total, pres0, True, 0
+        return total, pres0, {}, 0
     e1 = (1,) + (0,) * (d - 1)
     # degrees <= i+1 are certified by the stable window image; degrees >= i+2
     # lie in the invertibility zone (Koszul degrees > i) where the twisted
     # Frobenius minus one is invertible by a terminating series, so the orbit
     # contributes nothing there
-    contrib, _ = _orbit_contribution(X, e1, i, r, V)
+    contrib, k_used = _orbit_contribution(X, e1, i, r, V)
+    if not _q_tail_vanishes(X, r, e1, V):
+        raise NotStabilized("orbit windows did not certify at V = %d" % V)
     for t, g in contrib.items():
         total[t] = total[t] + n * g
-    return total, pres0, _q_tail_vanishes(X, r, e1, V), V + 1
+    return total, pres0, k_used, V + 1
 
 
 def _dlog_flags(X, i, r, pres0):
@@ -389,15 +380,11 @@ def _torus_syntomic(model, X, i, r, M, V, series_key):
             model, p, i, r, M, 0, groups,
             certificates={"negative_twist_series": degree_bound_inverse_certificate(X, i, r)})
     V = V if V is not None else r + 1
-    total, pres0, tail_ok, V_used = _orbit_sum(X, i, r, M, V)
-    if not tail_ok:
-        raise NotStabilized("orbit windows did not certify at V = %d" % V)
+    total, pres0, k_used, V_used = _orbit_sum(X, i, r, M, V)
     return SyntomicResult(
         model, p, i, r, M, V_used, total, dlog=_dlog_flags(X, i, r, pres0),
         certificates={
-            "stabilized": True,
-            "tail_vanishing": tail_ok,
-            "transition_iso": True,
+            "stabilized": k_used,
             series_key: degree_bound_inverse_certificate(X, i, r),
         },
     )

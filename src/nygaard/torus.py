@@ -61,10 +61,8 @@ from .errors import PrecisionExhausted, UsageError
 from .linalg import (
     identity,
     lattice_eq,
-    lattice_sum,
     mat_mul,
     mat_scale,
-    preimage_lattice,
     preimage_mod,
     restrict_lattice,
     zeros,
@@ -123,10 +121,6 @@ class TorusDeRham:
         diffs = {j: self.diff_matrix(m, j) for j in range(self.d)}
         return Complex(ranks, diffs)
 
-    def frobenius_matrix(self, j):
-        """phi on degree j in the dlog basis (weight m goes to p*m)."""
-        return mat_scale(self.p**j, identity(self.rank(j)))
-
     def nygaard_scale(self, i, j):
         return self.p ** max(i - j, 0)
 
@@ -152,8 +146,10 @@ def build_torus(p, d, n):
 
 
 def frobenius_chain_map_check(X, weights):
-    """phi is a chain map: phi then d at weight pm equals d at m then phi,
-    for each m in weights (the commands pass `weight_classes`)."""
+    """phi is a chain map on the q-torus X: phi then d at weight pm equals d
+    at m then phi, for each m in weights (qderham passes `weight_classes`).
+    At N = 1, where phi = p^j, both sides are p^{j+1} times the weight-m
+    differential, so derham does not run it."""
     frob = {j: X.frobenius_matrix(j) for j in range(X.d + 1)}  # weight-free
     for m in weights:
         pm = tuple(X.p * a for a in m)
@@ -162,27 +158,6 @@ def frobenius_chain_map_check(X, weights):
             rhs = mat_mul(X.diff_matrix(m, j), frob[j + 1])
             if lhs != rhs:
                 return False
-    return True
-
-
-def divided_frobenius_identity_check(X, i):
-    """The two matrix identities of the divided Frobenius in each degree:
-    p^i * phi_i equals phi restricted to the Nygaard lattice, and phi_i
-    restricted to N^{>= i+1} equals p * phi_{i+1}.  In normalized bases the
-    inclusion N^{>=i+1} -> N^{>=i} is the scale ratio
-    scale(i+1,j)/scale(i,j)."""
-    X.require_precision(i)
-    for j in range(X.d + 1):
-        lhs = mat_scale(X.p**i, X.divided_frobenius_matrix(i, j))
-        # phi on the normalized basis p^{max(i-j,0)} e_I
-        rhs = mat_scale(X.nygaard_scale(i, j), X.frobenius_matrix(j))
-        if lhs != rhs:
-            return False
-        incl = X.nygaard_scale(i + 1, j) // X.nygaard_scale(i, j)
-        lhs = mat_scale(incl, X.divided_frobenius_matrix(i, j))
-        rhs = mat_scale(X.p, X.divided_frobenius_matrix(i + 1, j))
-        if lhs != rhs:
-            return False
     return True
 
 
@@ -299,46 +274,3 @@ def frobenius_eta_check(X, i, M):
         report[m] = ok
     report["all_ok"] = all(v for k, v in report.items() if isinstance(k, tuple))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Hodge quotient exactness
-
-
-def hodge_quotient_check(X, i):
-    """Degreewise exactness of X/N^{>=i} -p-> X/N^{>=i+1} -> sigma^{<=i}(X/p).
-
-    The terms are scalar quotients Z^r/p^a (weight independent); both maps
-    are scalar and commute with every weight differential, so the check is a
-    per-degree finite-module computation: injectivity of p, image = kernel
-    of the reduction, surjectivity of the reduction."""
-    p = X.p
-    ok = True
-    details = {}
-    for j in range(X.d + 1):
-        r = X.rank(j)
-        if r == 0:
-            continue
-        a = max(i - j, 0)
-        a1 = max(i + 1 - j, 0)
-        Ir = identity(r)
-        if a1 == 0:
-            # j > i: all three terms vanish
-            details[j] = {"inj": a == 0, "mid": True, "surj": True}
-            if a != 0:
-                ok = False
-            continue
-        # ker(p: Z^r/p^a -> Z^r/p^{a1}) = p^{a1-1} Z^r / p^a Z^r
-        inj = a1 - 1 >= a
-        # image rows: p times the source generators (plus target relations)
-        im_m1 = lattice_sum(mat_scale(p, Ir), mat_scale(p**a1, Ir))
-        # kernel of the reduction, via the generic preimage machinery
-        ker_m2 = lattice_sum(
-            preimage_lattice(Ir, mat_scale(p, Ir)), mat_scale(p**a1, Ir)
-        )
-        mid = lattice_eq(im_m1, ker_m2)
-        surj = a1 >= 1
-        details[j] = {"inj": inj, "mid": mid, "surj": surj}
-        if not (inj and mid and surj):
-            ok = False
-    return {"ok": ok, "details": details}

@@ -126,16 +126,6 @@ def witt_mul(w, w2):
     return _from_ghost_cover(w.ring, w.p, tuple(cover.mul(a, b) for a, b in zip(g, h)))
 
 
-def witt_neg(w):
-    g = _ghost_cover(w)
-    cover = w.ring.cover
-    return _from_ghost_cover(w.ring, w.p, tuple(cover.neg(a) for a in g))
-
-
-def witt_sub(w, w2):
-    return witt_add(w, witt_neg(w2))
-
-
 def witt_scalar(c, w):
     """Multiplication by the integer c (image of c in W(ring))."""
     g = _ghost_cover(w)

@@ -25,7 +25,7 @@ def test_no_assert_statements_in_the_package():
 # Definitions in src/nygaard that no command reaches, by the reason each is kept.
 UNREACHED = {
     "the Witt ring API": (
-        "witt.witt_zero", "witt.witt_one", "witt.witt_add", "witt.witt_neg", "witt.witt_sub"),
+        "witt.witt_zero", "witt.witt_one", "witt.witt_add"),
     "the PD element API the tests build elements with": (
         "pdalg.PDAlgebra.monomial", "pdalg.PDAlgebra.to_vector", "pdalg.PDAlgebra.from_vector"),
     "the Beilinson truncation and the cohomology it reads, which eta does not run yet "
@@ -36,8 +36,6 @@ UNREACHED = {
         "complexes.truncated_graded_cohomology", "complexes.graded_law_check",
         "complexes.ChainComplexObject", "complexes.beilinson_H0", "errors.WindowTooSmall",
         "linalg.presented_complex_cohomology"),
-    "the transition-iso certificate, to be computed per degree (ROADMAP item 3)": (
-        "syntomic._transition_iso_by_degree",),
 }
 
 
@@ -200,7 +198,7 @@ def test_moved_error_classes_keep_their_import_paths(monkeypatch, capsys, module
 
 
 @pytest.mark.parametrize("command, argv, loops", [
-    ("derham", ["-p", "2", "-d", "1", "-i", "1", "-M", "3"], 3),
+    ("derham", ["-p", "2", "-d", "1", "-i", "1", "-M", "3"], 2),
     ("qderham", ["-p", "2", "-d", "1", "-i", "1", "-N", "3", "-M", "3"], 5),
 ])
 def test_M_is_honoured(monkeypatch, capsys, command, argv, loops):
@@ -231,8 +229,8 @@ def test_M_is_honoured(monkeypatch, capsys, command, argv, loops):
 
 @pytest.mark.parametrize("command", ["derham", "qderham"])
 def test_negative_twist_is_a_usage_error(capsys, command):
-    # the Nygaard, divided-Frobenius and graded certificates run over the
-    # levels 0..i, so i < 0 would check nothing and report all_ok
+    # for i < 0 the truncation tau^{<=i} is zero and p^i is not an integer,
+    # so the checks would certify nothing and report all_ok
     assert cli.main([command, "-i", "-1"]) == 1
     assert capsys.readouterr().err == (
         "usage error: the de Rham checks need i >= 0, got i = -1\n")
@@ -317,7 +315,7 @@ def test_syntomic_charp_p2_d3_i1_r2_M3(capsys):
                    "2": {"exponents": [2] * 635, "free_rank": 0}, "3": zero, "4": zero},
         "dlog": {"degree": 1, "present": True, "cocycle": True, "nonzero_in_H": True,
                  "phi_fixed": True},
-        "certificates": {"stabilized": True, "tail_vanishing": True, "transition_iso": True,
+        "certificates": {"stabilized": {"0": 0, "1": 2, "2": 2},
                          "zone_series_exponents": {"2": 2, "3": 1}},
         "global_model": True,
         "evidence": {},
@@ -393,10 +391,12 @@ def test_acrys_runs_the_level_checks_at_level_0_for_a_negative_twist(monkeypatch
 
 
 def test_every_import_of_the_package_is_used():
-    # no linter is installed: a name a module imports must be used in it,
-    # unless its import statement carries a noqa saying why it stays
+    # no linter is installed: a name a module of the package or of the tests
+    # imports must be used in it, unless its import statement carries a noqa
+    # saying why it stays
     found = []
-    for path in sorted((ROOT / "src" / "nygaard").glob("*.py")):
+    for path in sorted((ROOT / "src" / "nygaard").glob("*.py")) + sorted(
+            (ROOT / "tests").glob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
         tree = ast.parse(text, str(path))

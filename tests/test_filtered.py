@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from nygaard.complexes import (
-    ChainComplexObject,
     Complex,
     FilteredComplex,
     NotNonzerodivisor,
@@ -23,7 +22,6 @@ from nygaard.complexes import (
 )
 from nygaard.errors import UsageError
 from nygaard.linalg import (
-    PGroup,
     hermite_form,
     identity,
     kernel_int,

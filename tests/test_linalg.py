@@ -16,9 +16,7 @@ from nygaard.linalg import (
     kernel_int,
     lattice_contains,
     lattice_eq,
-    lattice_sum,
     mat_mul,
-    mat_scale,
     module_invariants_mod,
     preimage_lattice,
     preimage_mod,

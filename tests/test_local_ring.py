@@ -15,9 +15,9 @@ from nygaard.linalg import (
     block_diag,
     cohomology_mod,
     eliminate_mod,
+    hermite_form,
     identity,
     lattice_contains,
-    lattice_sum,
     mat_scale,
     kernel_int,
     mat_mul,
@@ -56,7 +56,7 @@ def local_matrices(draw):
 
 def integer_span(rows, q, n):
     """span(rows) + q*Z^n as an integer lattice."""
-    return lattice_sum(*(x for x in (rows, mat_scale(q, identity(n))) if x))
+    return hermite_form(rows + mat_scale(q, identity(n)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -245,7 +245,7 @@ def integer_window_groups(ranks, diffs, p, r, extra_rels=None):
         if D and ranks.get(t + 1, 0):
             tgt = mat_scale(q, identity(ranks[t + 1]))
             if extra_rels and extra_rels.get(t + 1):
-                tgt = lattice_sum(tgt, extra_rels[t + 1])
+                tgt = hermite_form(tgt + extra_rels[t + 1])
             K = preimage_lattice(D, tgt)
         else:
             K = identity(rk)
@@ -262,7 +262,7 @@ def integer_image(K0, B1, p, r, n):
     """Image of the small window's cocycles in the big window's group, over Z."""
     q = p**r
     Bz = integer_span(B1, q, n)
-    invs, free = quotient_invariants(lattice_sum(K0, Bz) if K0 else Bz, Bz)
+    invs, free = quotient_invariants(hermite_form(K0 + Bz), Bz)
     assert free == 0
     return PGroup.from_invariants(p, invs).exponents
 

@@ -1,14 +1,12 @@
 import pytest
 
 from nygaard.linalg import (
-    PGroup,
     identity,
     lattice_contains,
     mat_mul,
     mat_scale,
     presented_cohomology_mod,
     presented_complex_cohomology,
-    row_mul,
 )
 from nygaard.qbase import QBase
 from nygaard.qtorus import (
@@ -30,7 +28,7 @@ from oracles import weights_box
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_n1_blocks_are_the_integral_torus_blocks(p, d):
     # at N = 1, B = Z and every block of the q-model is the scalar block of
-    # the integral torus model, with exact integer entries
+    # the integral torus model, with exact integer entries; phi is p^j there
     X, T = build_qtorus(p, d, 1), build_torus(p, d, 1)
 
     def same(A, B):
@@ -38,7 +36,7 @@ def test_n1_blocks_are_the_integral_torus_blocks(p, d):
 
     weights = weights_box(d, 2 if d < 3 else 1)
     for j in range(d + 1):
-        same(X.frobenius_matrix(j), T.frobenius_matrix(j))
+        same(X.frobenius_matrix(j), mat_scale(p**j, identity(T.rank(j))))
         if j < d:
             for m in weights:
                 same(X.diff_matrix(m, j), T.diff_matrix(m, j))
@@ -77,6 +75,24 @@ def test_q_frobenius_is_chain_map():
     for p, d in ((2, 1), (3, 1), (2, 2)):
         X = build_qtorus(p, d, 4)
         assert frobenius_chain_map_check(X, weights_box(d, 2))
+
+
+@pytest.mark.parametrize("p, d, N", [(2, 1, 3), (3, 2, 2)])
+def test_q_chain_map_check_rejects_a_corrupted_phi(p, d, N):
+    # zero the constant-coefficient row of phi in degree 1: at every weight
+    # m != 0 the two sides of phi d = d phi then differ
+    X = build_qtorus(p, d, N)
+    orig = X.frobenius_matrix
+
+    def corrupted(j):
+        Phi = [row[:] for row in orig(j)]
+        if j == 1:
+            Phi[0] = [0] * len(Phi[0])
+        return Phi
+
+    X.frobenius_matrix = corrupted
+    for m in weights_box(d, 2):
+        assert frobenius_chain_map_check(X, [m]) == (not any(m)), m
 
 
 def test_phi_dlog_twist():

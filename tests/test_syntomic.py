@@ -6,9 +6,7 @@ from nygaard import syntomic
 from nygaard.errors import UsageError
 from nygaard.linalg import PGroup, cohomology_mod
 from nygaard.syntomic import (
-    BoundViolated,
     NotStabilized,
-    SyntomicResult,
     degree_bound_inverse_certificate,
     syntomic_acrys,
     syntomic_charp,
@@ -32,7 +30,8 @@ def test_charp_weight0_anchor():
     for p, r in ((2, 1), (3, 2)):
         res = syntomic_charp(p, 1, 0, r, M=4)
         assert res.groups[0] == PGroup(p, (r,))
-        assert res.certificates["stabilized"]
+        _, k_used = _orbit_contribution(build_qtorus(p, 1, 1), (1,), 0, r, r + 1)
+        assert res.certificates["stabilized"] == k_used
 
 
 def test_charp_i0_r1_artin_schreier_h1():
@@ -168,9 +167,9 @@ def test_orbit_sum_adds_e1_once_per_primitive_weight(monkeypatch, p, d, M):
                         lambda X, m0, i, r, V: ({0: PGroup(p, (1,))}, {0: 0}))
     X = build_qtorus(p, d, 1)
     n = len(primitive_weights(d, p, M))
-    total, _, tail_ok, V_used = syntomic._orbit_sum(X, 0, 1, M, 1)
+    total, _, k_used, V_used = syntomic._orbit_sum(X, 0, 1, M, 1)
     assert total[0] == _weight0_groups(X, 0, 1)[0] + n * PGroup(p, (1,))
-    assert tail_ok and V_used == (2 if M else 0)
+    assert (k_used, V_used) == (({0: 0}, 2) if M else ({}, 0))
 
 
 def test_one_orbit_window_at_the_frontier(monkeypatch):
@@ -200,7 +199,7 @@ def test_charp_box_radius_0_is_weight0(p, d, i, r):
     # -M 0 has no primitive weights, so no orbit class: only weight 0 remains
     res = syntomic_charp(p, d, i, r, M=0)
     assert res.groups == _weight0_groups(build_qtorus(p, d, 1), i, r)
-    assert res.certificates["tail_vanishing"]
+    assert res.certificates["stabilized"] == {}
     # no window is built, so V_used is 0, as for i < 0; M = 1 builds one
     assert res.V_used == 0
     assert syntomic_charp(p, d, i, r, M=1).V_used == r + 2
@@ -219,9 +218,22 @@ def test_charp_orbit_multiplicity_at_the_frontier():
 
 def test_charp_tail_test_is_class_invariant():
     # the tail test reads V + 1 >= r: V = r - 1 certifies, V = r - 2 does not
-    assert syntomic_charp(2, 2, 1, 3, M=1, V=2).certificates["tail_vanishing"]
+    assert syntomic_charp(2, 2, 1, 3, M=1, V=2).V_used == 3
     with pytest.raises(NotStabilized):
         syntomic_charp(2, 2, 1, 3, M=1, V=1)
+
+
+@pytest.mark.parametrize("model, N", [("charp", 1), ("q", 3)])
+@pytest.mark.parametrize("p, d, i, r", [(2, 2, 1, 1), (3, 1, 0, 2), (2, 2, 2, 2)])
+def test_stabilized_is_the_widening_of_the_e1_window(model, N, p, d, i, r):
+    # per degree <= i+1, the widening k at which the stable image of the e_1
+    # window certified
+    res = (syntomic_charp(p, d, i, r, M=2) if model == "charp"
+           else syntomic_q(p, d, i, r, N=N, M=2))
+    e1 = (1,) + (0,) * (d - 1)
+    _, k_used = _orbit_contribution(build_qtorus(p, d, N), e1, i, r, r + 1)
+    assert res.certificates["stabilized"] == k_used
+    assert sorted(k_used) == list(range(min(i + 1, d + 1) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +287,7 @@ def test_q_matches_charp_mod_mu():
 def test_q_box_radius_0_is_weight0(i, r):
     res = syntomic_q(2, 1, i, r, N=3, M=0)
     assert res.groups == _weight0_groups(build_qtorus(2, 1, 3), i, r)
-    assert res.certificates["tail_vanishing"]
+    assert res.certificates["stabilized"] == {}
     assert res.V_used == 0
     assert syntomic_q(2, 1, i, r, N=3, M=1).V_used == r + 2
 

@@ -2,17 +2,16 @@ import random
 
 import pytest
 
-from nygaard.linalg import PGroup, identity, mat_mul, mat_scale
+from nygaard import cli
+from nygaard.linalg import PGroup, identity, mat_scale
 from nygaard.qtorus import build_qtorus
 from nygaard.syntomic import _q_dlog_fixed
 from nygaard.torus import (
     PrecisionExhausted,
     build_torus,
     conjugate_check,
-    divided_frobenius_identity_check,
     frobenius_chain_map_check,
     frobenius_eta_check,
-    hodge_quotient_check,
     weight_classes,
 )
 
@@ -66,12 +65,13 @@ def test_dsquared_zero_random_weights():
 
 
 def test_frobenius_is_chain_map():
-    X = build_torus(2, 2, 3)
+    # qderham's chain-map check on the integral torus, its case N = 1
+    X = build_qtorus(2, 2, 1)
     assert frobenius_chain_map_check(X, weights_box(2, 3))
 
 
 def test_frobenius_scales():
-    X = build_torus(5, 2, 2)
+    X = build_qtorus(5, 2, 1)
     assert X.frobenius_matrix(0) == identity(1)  # phi(1) = 1
     assert X.frobenius_matrix(1) == mat_scale(5, identity(2))  # phi(dlog T) = 5 dlog T
 
@@ -99,11 +99,9 @@ def test_precision_exhausted():
     # the internal precision n + i of N^{>=i} is capped at 64: i = 62 is the
     # last level at n = 2
     X = build_torus(2, 1, 2)
-    assert divided_frobenius_identity_check(X, 62)
-    for check in (divided_frobenius_identity_check,
-                  lambda X, i: frobenius_eta_check(X, i, M=1)):
-        with pytest.raises(PrecisionExhausted):
-            check(X, 63)
+    assert frobenius_eta_check(X, 62, M=1)["all_ok"]
+    with pytest.raises(PrecisionExhausted):
+        frobenius_eta_check(X, 63, M=1)
 
 
 def test_divided_frobenius_values():
@@ -112,19 +110,10 @@ def test_divided_frobenius_values():
     assert X.divided_frobenius_matrix(1, 0) == identity(1)
     # phi_1(dlog T) = dlog T
     assert X.divided_frobenius_matrix(1, 1) == identity(1)
+    # p^i phi_i is phi = p^j on the Nygaard basis p^{max(i-j,0)} e_I
     for i in range(4):
-        assert divided_frobenius_identity_check(X, i)
-
-
-def test_divided_frobenius_check_sees_the_restriction_identity(monkeypatch):
-    # doubling phi_2 keeps p * phi_1 = phi on N^{>=1}, but breaks
-    # phi_1 on N^{>=2} = p * phi_2
-    X = build_torus(3, 2, 2)
-    matrix = X.divided_frobenius_matrix
-    monkeypatch.setattr(X, "divided_frobenius_matrix",
-                        lambda i, j: mat_scale(2 if i == 2 else 1, matrix(i, j)))
-    assert divided_frobenius_identity_check(X, 0)
-    assert not divided_frobenius_identity_check(X, 1)
+        assert X.divided_frobenius_matrix(i, 0) == identity(1)
+        assert X.divided_frobenius_matrix(i, 1) == [[2 ** max(1 - i, 0)]]
 
 
 def test_dlog_classes():
@@ -165,20 +154,6 @@ def test_frobenius_eta_identity_range():
                 assert rep["all_ok"], (p, d, i)
 
 
-def test_hodge_quotient_exactness():
-    for p, d in ((2, 1), (3, 2), (2, 2)):
-        X = build_torus(p, d, 2)
-        for i in range(0, 4):
-            rep = hodge_quotient_check(X, i)
-            assert rep["ok"], (p, d, i, rep)
-
-
-def test_hodge_quotient_i0_trivial_case():
-    X = build_torus(5, 1, 1)
-    rep = hodge_quotient_check(X, 0)
-    assert rep["ok"]
-
-
 def _zero_row_of_phi_i(X, jbad):
     """Corrupt phi_i: zero the first row of its matrix in degree jbad."""
     orig = X.divided_frobenius_matrix
@@ -208,3 +183,43 @@ def test_conjugate_check_rejects_a_corrupted_phi_i(p, d):
             else:
                 # above degree i the truncated target is zero
                 assert rep["all_ok"]
+
+
+def _shrink_nygaard_lattice(X, jbad):
+    """Corrupt N^{>=i}: multiply its scale in degree jbad by p."""
+    orig = X.nygaard_scale
+    X.nygaard_scale = lambda i, j: orig(i, j) * (X.p if j == jbad else 1)
+
+
+@pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_frobenius_eta_check_rejects_a_corrupted_nygaard_lattice(p, d):
+    for i in range(d + 1):
+        for jbad in range(d + 1):
+            X = build_torus(p, d, 1)
+            _shrink_nygaard_lattice(X, jbad)
+            rep = frobenius_eta_check(X, i, M=2)
+            # phi(N^{>=i}) is then p Fil^i eta_p in degree jbad, at every class
+            assert not any(rep[m] for m in weight_classes(d, 2))
+            assert not rep["all_ok"]
+
+
+DERHAM_CORRUPTIONS = {
+    "conjugate_all_ok": lambda X: _zero_row_of_phi_i(X, 0),
+    "frobenius_eta_all_ok": lambda X: _shrink_nygaard_lattice(X, 0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DERHAM_CORRUPTIONS))
+def test_each_derham_key_reads_false_on_a_corrupted_model(monkeypatch, key):
+    build = cli.build_torus
+
+    def corrupted(*args):
+        X = build(*args)
+        DERHAM_CORRUPTIONS[key](X)
+        return X
+
+    cfg = cli.RunConfig(p=2, d=2, i=1, M=2)
+    assert cli.cmd_derham(cfg)["all_ok"]
+    monkeypatch.setattr(cli, "build_torus", corrupted)
+    payload = cli.cmd_derham(cfg)
+    assert payload[key] is False and payload["all_ok"] is False

@@ -4,12 +4,11 @@ import pytest
 
 from nygaard.linalg import hermite_form, identity, lattice_contains, mat_scale
 from nygaard.qbase import QBase
-from nygaard.rings import PolyTruncFp, PolyTruncZ, RingError
+from nygaard.rings import PolyTruncFp, RingError
 from nygaard.witt import (
     FpSquareModel,
     LengthMismatch,
     QSquareModel,
-    WittVector,
     build_perfectoid_square,
     frobenius_W,
     ghost,
@@ -20,7 +19,6 @@ from nygaard.witt import (
     witt_mul,
     witt_one,
     witt_scalar,
-    witt_sub,
     witt_zero,
 )
 
