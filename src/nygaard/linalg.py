@@ -14,14 +14,17 @@ Two such spans are compared by order: span(A) = span(B) iff |A| = |B| =
 row set (Howell form) is computed, since every answer is read off orders
 and invariants, which depend on the span only.
 
-One loop computes cohomology mod p^r: `cocycles_boundaries_mod` presents
-each degree of a complex of free Z/p^r-modules, optionally modulo relation
-rows, by cocycle rows Z and boundary rows B, and checks B in Z as B*d in
-span(next relations): without relations that is d*d = 0 mod p^r, a matrix
-product.  `cohomology_mod` reads the groups off.  A presented group
-span(gens)/span(rels) in an ambient Z^n may have unsaturated gens, so
-`presented_cohomology_mod` first writes rels and map images in Hermite
-coordinates of the gens (its one step over Z), then runs the same loop.
+One loop computes cohomology mod p^r.  `boundaries_mod` gives each degree
+of a complex of free Z/p^r-modules, optionally modulo relation rows, its
+boundary rows B, and checks that B is made of cocycles as B*d in span(next
+relations): without relations that is d*d = 0 mod p^r, a matrix product.
+`cocycles_boundaries_mod` adds the cocycle rows Z, one `preimage_mod` per
+degree, and `cohomology_mod` reads the groups off.  A caller that reads only
+boundaries (the widening windows of `syntomic`) calls `boundaries_mod`.  A
+presented group span(gens)/span(rels) in an ambient Z^n may have unsaturated
+gens, so `presented_cohomology_mod` first writes rels and map images in
+Hermite coordinates of the gens (its one step over Z), then runs the same
+loop.
 
 The side over Z mirrors it: `cocycles_boundaries` presents each degree of a
 complex of presented groups by cocycle rows Z and boundary rows B, and
@@ -483,30 +486,45 @@ def cohomology_mod(ranks, diffs, p, r, rels=None):
     return {t: PGroup(p, quotient_exponents_mod(Z, B, p, r)) for t, (Z, B) in pres.items()}, pres
 
 
-def cocycles_boundaries_mod(ranks, diffs, p, r, rels=None):
-    """Cocycle rows Z_t and boundary rows B_t per degree, over Z/p^r.
+def boundaries_mod(ranks, diffs, p, r, rels=None):
+    """Boundary rows B_t per degree, over Z/p^r, checked to be cocycles.
 
     Degree t is (Z/p^r)^ranks[t] modulo span(rels[t]), and diffs[t] maps
-    degree t to t+1.  Z_t is preimage_mod(d_t, rels[t+1]), B_t the nonzero
-    rows of d_{t-1} and rels[t] in [0, p^r).  B_t lies in Z_t iff B_t*d_t
-    lies in span(rels[t+1]); without relations there that is B_t*d_t = 0
-    mod p^r, a matrix product, and otherwise the order of span(rels[t+1])
-    must not grow.  CompositeNonzero if it fails."""
+    degree t to t+1.  B_t holds the nonzero rows of d_{t-1} and rels[t] in
+    [0, p^r).  B_t is made of cocycles iff B_t*d_t lies in span(rels[t+1]);
+    without relations there that is B_t*d_t = 0 mod p^r, a matrix product,
+    and otherwise the order of span(rels[t+1]) must not grow.
+    CompositeNonzero if it fails."""
     q = p**r
     rels = rels or {}
-    pres = {}
+    out = {}
     for t in sorted(ranks):
         if not ranks[t]:
-            pres[t] = ([], [])
+            out[t] = []
             continue
         B = diffs.get(t - 1, []) if ranks.get(t - 1, 0) else []
         B = [row for row in ([a % q for a in b] for b in B + rels.get(t, [])) if any(row)]
         D, R = diffs.get(t), rels.get(t + 1, [])
-        if D and ranks.get(t + 1, 0):
-            Z = preimage_mod(D, R, p, r)
+        if B and D and ranks.get(t + 1, 0):
             BD = [row for row in ([a % q for a in b] for b in mat_mul(B, D)) if any(row)]
             if BD and (not R or span_exponent_mod(R + BD, p, r) != span_exponent_mod(R, p, r)):
                 raise CompositeNonzero("degree %d: boundaries are not cocycles mod %d" % (t, q))
+        out[t] = B
+    return out
+
+
+def cocycles_boundaries_mod(ranks, diffs, p, r, rels=None):
+    """Cocycle rows Z_t and boundary rows B_t per degree, over Z/p^r.
+
+    ranks, diffs and rels are as in boundaries_mod, which gives B_t and
+    checks it.  Z_t is preimage_mod(d_t, rels[t+1]), the identity when no
+    differential leaves degree t."""
+    rels = rels or {}
+    pres = {}
+    for t, B in boundaries_mod(ranks, diffs, p, r, rels).items():
+        D = diffs.get(t)
+        if ranks[t] and D and ranks.get(t + 1, 0):
+            Z = preimage_mod(D, rels.get(t + 1, []), p, r)
         else:
             Z = identity(ranks[t])
         pres[t] = (Z, B)
@@ -537,7 +555,8 @@ def eliminate_mod(M, p, r, T=None):
 
     Each step takes an entry of least p-valuation v among the rows not yet
     used as pivots (a unit times p^v), and clears its column in those rows
-    by row operations.  Clearing the rest of the pivot row is a column
+    by row operations.  A row's least valuation is read by one gcd with
+    p^r over its M-part.  Clearing the rest of the pivot row is a column
     operation that changes no other row, because the pivot column is then
     zero in every other row; it is left implicit.  Entries stay in [0, p^r).
 
@@ -551,14 +570,16 @@ def eliminate_mod(M, p, r, T=None):
     q = p**r
     n = len(M[0]) if M else 0
     qs = [q] * n
-    # low[k] = gcd(row k, p^r) = p^(least valuation of its M-part); p^r
-    # means the M-part is zero and the row leaves the elimination
+    # low[k] = gcd(p^r, M-part of row k) = p^(least valuation of the
+    # M-part), since every gcd(a, p^r) is a power of p; p^r means the M-part
+    # is zero and the row leaves the elimination.  The slice to the M-part
+    # keeps the tracked T columns from choosing a pivot
     active, low, null = [], [], []
     for k, row in enumerate(M):
         row = [a % q for a in row]
         if T is not None:
             row += [a % q for a in T[k]]
-        g = min(map(gcd, row, qs), default=q)
+        g = gcd(q, *row[:n])
         if g < q:
             active.append(row)
             low.append(g)
@@ -580,7 +601,7 @@ def eliminate_mod(M, p, r, T=None):
             row = active[k]
             f = (row[c] // best) * uinv % q
             active[k] = row = [(x - f * y) % q for x, y in zip(row, P)]
-            low[k] = min(map(gcd, row, qs))
+            low[k] = gcd(q, *row[:n])
         if q in low:
             null += [row for row, g in zip(active, low) if g == q]
             active = [row for row, g in zip(active, low) if g < q]

@@ -20,15 +20,18 @@ The torus model decomposes by Frobenius orbits of weights {m, pm, p^2 m, ...}
 s <= V, full-side steps s <= V + 1 (a subcomplex of the infinite orbit
 complex).  Every block of an orbit is fetched once and read by both sides
 of every window.  Window cohomology is computed over Z/p^r and never
-lifted to Z, by the one loop `linalg.cocycles_boundaries_mod`: each degree is
-presented by cocycle rows K (the kernel of the differential mod p^r) and
-boundary rows B, submodules of (Z/p^r)^rank with entries in [0, p^r), and B
-lies in K because d*d = 0 mod p^r (checked as a matrix product).  The orbit
-group is the stable image of H(W_V) in H(W_{V+k}), i.e.
-span(K_V + B_{V+k}) / span(B_{V+k}); two equal consecutive images end the
-search.  Beyond the window every Koszul entry vanishes mod p^r (valuations
-are monotone along the orbit).  Degrees j > i are additionally covered by the
-geometric-series invertibility of the twisted Frobenius.
+lifted to Z.  The orbit group is the stable image of H(W_V) in H(W_{V+k}),
+i.e. span(K_V + B_{V+k}) / span(B_{V+k}); two equal consecutive images end
+the search.  It reads cocycle rows K (the kernel of the differential mod
+p^r) only from W_V, and boundary rows B only from the widening windows
+W_{V+k}, k >= 1, all submodules of (Z/p^r)^rank with entries in [0, p^r).
+So only W_V is presented with cocycles, by `linalg.cocycles_boundaries_mod`;
+each W_{V+k} is presented by its boundaries alone, by
+`linalg.boundaries_mod`.  Both check that B is made of cocycles, since
+d*d = 0 mod p^r (a matrix product).  Beyond the window every Koszul entry
+vanishes mod p^r (valuations are monotone along the orbit).  Degrees j > i
+are additionally covered by the geometric-series invertibility of the
+twisted Frobenius.
 
 Every primitive weight has the orbit window of e_1 = (1, 0, ..., 0), at
 every N.  So `_orbit_sum` builds one window, at e_1, and adds its groups once
@@ -72,6 +75,7 @@ from dataclasses import dataclass, field
 from .errors import BoundViolated, NotStabilized, UsageError
 from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
     PGroup,
+    boundaries_mod,
     cocycles_boundaries_mod,
     cohomology_mod,
     hermite_form,
@@ -230,34 +234,34 @@ def _orbit_contribution(X, m0, i, r, V):
 
     Only degrees <= i+1 are read, so each window is presented up to degree
     min(i+2, d+1): the cocycles of degree i+1 need d_{i+1} and the rank of
-    degree i+2, and nothing reads the differential out of the top degree."""
+    degree i+2, and nothing reads the differential out of the top degree.
+    Only W_V is presented with cocycles; each widening window W_{V+k} is
+    presented by its boundaries alone, which is all the image reads."""
     p = X.p
     blocks = _window_blocks(X, i, m0)
     top = min(i + 2, X.d + 1)
 
     def window(k):
-        ranks, diffs, basis = _assemble_window(X, i, V + k, m0, blocks, top)
-        return basis, cocycles_boundaries_mod(ranks, diffs, p, r)
+        return _assemble_window(X, i, V + k, m0, blocks, top)
 
-    basis0, pres0 = window(0)
+    ranks, diffs, basis0 = window(0)
+    K0 = {t: Z for t, (Z, _) in cocycles_boundaries_mod(ranks, diffs, p, r).items()}
     out = {}
     k_used = {}
     pending = [t for t in range(top + 1) if t <= i + 1]
     prev = {}
     for t in list(pending):
-        K0, _ = pres0[t]
-        if not K0:
+        if not K0[t]:
             out[t] = PGroup.zero(p)
             k_used[t] = 0
             pending.remove(t)
     k = 1
     while pending and k <= 4:
-        basis_k, pres_k = window(k)
+        ranks, diffs, basis_k = window(k)
+        Bbig = boundaries_mod(ranks, diffs, p, r)
         for t in list(pending):
-            K0, _ = pres0[t]
-            _, Bbig = pres_k[t]
-            emb = _embed_rows(K0, basis0[t], basis_k[t])
-            cur = quotient_exponents_mod(emb, Bbig, p, r)
+            emb = _embed_rows(K0[t], basis0[t], basis_k[t])
+            cur = quotient_exponents_mod(emb, Bbig[t], p, r)
             if t in prev and cur == prev[t]:
                 out[t] = PGroup(p, cur)
                 k_used[t] = k

@@ -57,15 +57,20 @@ def _int_mul(ring, c, a):
 
 
 def _ring_pow(ring, x, e):
-    """x^e by square and multiply."""
-    out = ring.one
-    base = x
-    while e:
-        if e & 1:
-            out = ring.mul(out, base)
+    """x^e by square and multiply, starting from the lowest set bit of e, so
+    that ring.one is never multiplied in (x^2 is one product, not two)."""
+    if not e:
+        return ring.one
+    while not e & 1:
+        x = ring.mul(x, x)
         e >>= 1
-        if e:
-            base = ring.mul(base, base)
+    out = x
+    e >>= 1
+    while e:
+        x = ring.mul(x, x)
+        if e & 1:
+            out = ring.mul(out, x)
+        e >>= 1
     return out
 
 

@@ -13,6 +13,7 @@ from nygaard.linalg import (
     PGroup,
     _vp,
     block_diag,
+    boundaries_mod,
     cohomology_mod,
     eliminate_mod,
     hermite_form,
@@ -72,6 +73,40 @@ def test_kernel_annihilates_and_has_predicted_order(data):
         assert all(a % q == 0 for a in row_mul(row, M))
     # x*M = 0 leaves x_t in p^{r-v_t} Z/p^r at each pivot and x_t free past it
     assert span_exponent_mod(K, p, r) == sum(vals) + r * (len(M) - len(vals))
+
+
+def test_tracked_columns_never_choose_a_pivot():
+    # the T columns are carried along, but only the M-part picks pivots: a
+    # unit in T does not lower the pivot valuation, nor revive a zero M-part
+    for p in (2, 3):
+        assert eliminate_mod([[p]], p, 2, T=[[1]]) == ([1], [[1]])
+        assert eliminate_mod([[0]], p, 2, T=[[1]]) == ([], [[1]])
+        assert eliminate_mod([[p, 0], [0, p * p]], p, 3, T=[[1, 0], [0, 1]]) == (
+            [1, 2], [[1, 0], [0, 1]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrices(), st.data())
+def test_tracked_columns_of_lower_valuation_change_no_pivot(data, draw):
+    # M is scaled by p, and each tracked row is a unit followed by a row of
+    # the identity: the T-part has lower valuation than the M-part, yet the
+    # pivots are those of M alone, and T' is U*T for the U of the identity
+    # part, with U*M in pivot order of the pivot valuations, then zero rows
+    M, p, r, n = data
+    q = p**r
+    M = [[p * a % q for a in row] for row in M]
+    m = len(M)
+    units = draw.draw(st.lists(
+        st.integers(0, q - 1).filter(lambda a: a % p), min_size=m, max_size=m))
+    T = [[u] + e for u, e in zip(units, identity(m))]
+    vals, T2 = eliminate_mod(M, p, r, T)
+    assert vals == eliminate_mod(M, p, r)[0]
+    U = [row[1:] for row in T2]
+    assert [row[0] for row in T2] == [sum(a * u for a, u in zip(row, units)) % q for row in U]
+    UM = [[a % q for a in row] for row in mat_mul(U, M)]
+    for v, row in zip(vals, UM):
+        assert min(_vp(a, p) if a else r for a in row) == v
+    assert all(not any(row) for row in UM[len(vals):])
 
 
 @settings(max_examples=100, deadline=None)
@@ -280,6 +315,9 @@ def check_windows(X, i, r, M, V, extra_rels=None):
             extra = extra_rels(ranks) if extra_rels else None
             got, pres = cohomology_mod(ranks, diffs, p, r, extra)
             assert got == integer_window_groups(ranks, diffs, p, r, extra), (m0, k)
+            # a widening window is presented by its boundaries alone
+            assert boundaries_mod(ranks, diffs, p, r, extra) == {
+                t: B for t, (_, B) in pres.items()}
             wins.append((ranks, basis, pres))
         (_, basis0, pres0), (ranks1, basis1, pres1) = wins
         for t in pres0:

@@ -2,8 +2,8 @@ from math import comb
 
 import pytest
 
-from nygaard import syntomic
-from nygaard.errors import UsageError
+from nygaard import cli, linalg, syntomic
+from nygaard.errors import CompositeNonzero, UsageError
 from nygaard.linalg import PGroup, cohomology_mod
 from nygaard.syntomic import (
     NotStabilized,
@@ -184,6 +184,81 @@ def test_one_orbit_window_at_the_frontier(monkeypatch):
     monkeypatch.setattr(syntomic, "_orbit_contribution", counted)
     syntomic_q(2, 2, 1, 2, N=4, M=2)
     assert calls == [(1, 0)]
+
+
+def test_widening_window_checks_that_boundaries_are_cocycles(monkeypatch):
+    # window V + 1 gets a unit added to d_1 at the column of the least
+    # valuation entry b_c of a boundary row b of degree 1: b*d_1 = b_c e_0
+    # is nonzero mod p^r, and the window, presented by its boundaries alone,
+    # still raises; window V is left as it is
+    p, d, i, r = 2, 2, 1, 2
+    V = r + 1
+    assemble = syntomic._assemble_window
+    corrupted = []
+
+    def corrupt(X, i, Vk, m0=None, blocks=None, top=None):
+        ranks, diffs, basis = assemble(X, i, Vk, m0, blocks, top)
+        if m0 is not None and Vk == V + 1:
+            b = next(row for row in ([a % p**r for a in b] for b in diffs[0]) if any(row))
+            c = min((c for c, a in enumerate(b) if a), key=lambda c: linalg._vp(b[c], p))
+            diffs[1][c][0] += 1
+            corrupted.append(Vk)
+        return ranks, diffs, basis
+
+    monkeypatch.setattr(syntomic, "_assemble_window", corrupt)
+    with pytest.raises(CompositeNonzero):
+        syntomic_charp(p, d, i, r, M=1, V=V)
+    assert corrupted == [V + 1]
+
+
+def _count_window_work(monkeypatch):
+    """eliminate_mod calls, and the window V of every preimage_mod that
+    presents the cocycles of an orbit window"""
+    calls, cocycle_windows, window, inside = [], [], [None], [False]
+    eliminate, preimage = linalg.eliminate_mod, linalg.preimage_mod
+    assemble, cocycles = syntomic._assemble_window, syntomic.cocycles_boundaries_mod
+
+    def counted_eliminate(*args, **kw):
+        calls.append(1)
+        return eliminate(*args, **kw)
+
+    def counted_preimage(*args):
+        if inside[0]:
+            cocycle_windows.append(window[0])
+        return preimage(*args)
+
+    def recorded_assemble(X, i, V, *args):
+        window[0] = V
+        return assemble(X, i, V, *args)
+
+    def recorded_cocycles(*args):
+        inside[0] = True
+        try:
+            return cocycles(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "eliminate_mod", counted_eliminate)
+    monkeypatch.setattr(linalg, "preimage_mod", counted_preimage)
+    monkeypatch.setattr(syntomic, "cocycles_boundaries_mod", recorded_cocycles)
+    monkeypatch.setattr(syntomic, "_assemble_window", recorded_assemble)
+    return calls, cocycle_windows
+
+
+@pytest.mark.parametrize("config,most", [
+    # eliminate_mod calls here, and when every widening window was presented
+    # with cocycles too: 30 (38), 24 (30) and 32 (41)
+    ({"model": "q", "p": 2, "d": 1, "i": 1, "r": 2, "N": 3, "M": 1}, 30),
+    ({"model": "charp", "p": 3, "d": 2, "i": 1, "r": 2, "M": 3}, 24),
+    ({"model": "q", "p": 3, "d": 2, "i": 1, "r": 2, "N": 3, "M": 1}, 32),
+])
+def test_window_elimination_count(monkeypatch, config, most):
+    # of the orbit windows, only W_V (V = r + 1) is presented with cocycles;
+    # the widening windows V + k, k >= 1, are presented by their boundaries
+    calls, cocycle_windows = _count_window_work(monkeypatch)
+    cli.run_command("syntomic", cli.RunConfig(**config))
+    assert 0 < len(calls) <= most
+    assert set(cocycle_windows) == {config["r"] + 1}
 
 
 def test_charp_negative_twist_series_certificate():

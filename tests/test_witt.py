@@ -4,11 +4,12 @@ import pytest
 
 from nygaard.linalg import hermite_form, identity, lattice_contains, mat_scale
 from nygaard.qbase import QBase
-from nygaard.rings import PolyTruncFp, RingError
+from nygaard.rings import PolyTruncFp, PolyTruncZ, RingError
 from nygaard.witt import (
     FpSquareModel,
     LengthMismatch,
     QSquareModel,
+    _ring_pow,
     build_perfectoid_square,
     frobenius_W,
     ghost,
@@ -61,6 +62,29 @@ def test_ghost_additive_via_witt_add_over_Z():
 
 # ---------------------------------------------------------------------------
 # arithmetic over torsion rings
+
+
+class CountedPolyTruncZ(PolyTruncZ):
+    def __init__(self, k):
+        super().__init__(k)
+        self.products = 0
+
+    def mul(self, a, b):
+        self.products += 1
+        return super().mul(a, b)
+
+
+@pytest.mark.parametrize("e", range(10))
+def test_ring_pow_never_multiplies_by_one(e):
+    # square and multiply from the lowest set bit of e: bit_length(e) - 1
+    # squarings and popcount(e) - 1 products, so x^2 is one product
+    ring = CountedPolyTruncZ(4)
+    x = (2, -1, 3, 1)
+    want = ring.one
+    for _ in range(e):
+        want = PolyTruncZ.mul(ring, want, x)
+    assert _ring_pow(ring, x, e) == want
+    assert ring.products == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
 
 
 def test_w2_f2_one_plus_one():
