@@ -14,13 +14,13 @@ Two such spans are compared by order: span(A) = span(B) iff |A| = |B| =
 row set (Howell form) is computed, since every answer is read off orders
 and invariants, which depend on the span only.
 
-One loop computes cohomology mod p^r.  `boundaries_mod` gives each degree
-of a complex of free Z/p^r-modules, optionally modulo relation rows, its
-boundary rows B, and checks that B is made of cocycles as B*d in span(next
-relations): without relations that is d*d = 0 mod p^r, a matrix product.
-`cocycles_boundaries_mod` adds the cocycle rows Z, one `preimage_mod` per
-degree, and `cohomology_mod` reads the groups off.  A caller that reads only
-boundaries (the widening windows of `syntomic`) calls `boundaries_mod`.  A
+One loop computes cohomology mod p^r.  `cocycles_boundaries_mod` gives
+each degree of a complex of free Z/p^r-modules, optionally modulo relation
+rows, its boundary rows B, checked to be cocycles as B*d in span(next
+relations) (without relations, d*d = 0 mod p^r, a matrix product), and its
+cocycle rows Z, one `preimage_mod` per degree; `cohomology_mod` reads the
+groups off.  The widening windows of `syntomic` do not run it: they carry
+the pivot rows of `eliminate_mod` from one window to the next.  A
 presented group span(gens)/span(rels) in an ambient Z^n may have unsaturated
 gens, so `presented_cohomology_mod` first writes rels and map images in
 Hermite coordinates of the gens (its one step over Z), then runs the same
@@ -474,57 +474,38 @@ def presented_cohomology_mod(terms, maps, p, r):
         j: coords(j + 1, [row_mul(h, maps[j]) for h in H[j]])
         for j in maps if j in terms and j + 1 in terms
     }
-    return cohomology_mod({j: len(h) for j, h in H.items()}, D, p, r, rels)[0]
+    return cohomology_mod({j: len(h) for j, h in H.items()}, D, p, r, rels)
 
 
 def cohomology_mod(ranks, diffs, p, r, rels=None):
-    """Cohomology of a complex of free Z/p^r-modules modulo relations.
-
-    Returns (groups, pres): per degree the PGroup span(Z_t)/span(B_t) and
-    the presentation (Z_t, B_t) of cocycles_boundaries_mod."""
+    """Cohomology of a complex of free Z/p^r-modules modulo relations: per
+    degree the PGroup span(Z_t)/span(B_t) of cocycles_boundaries_mod."""
     pres = cocycles_boundaries_mod(ranks, diffs, p, r, rels)
-    return {t: PGroup(p, quotient_exponents_mod(Z, B, p, r)) for t, (Z, B) in pres.items()}, pres
+    return {t: PGroup(p, quotient_exponents_mod(Z, B, p, r)) for t, (Z, B) in pres.items()}
 
 
-def boundaries_mod(ranks, diffs, p, r, rels=None):
-    """Boundary rows B_t per degree, over Z/p^r, checked to be cocycles.
+def cocycles_boundaries_mod(ranks, diffs, p, r, rels=None):
+    """Cocycle rows Z_t and boundary rows B_t per degree, over Z/p^r.
 
     Degree t is (Z/p^r)^ranks[t] modulo span(rels[t]), and diffs[t] maps
     degree t to t+1.  B_t holds the nonzero rows of d_{t-1} and rels[t] in
     [0, p^r).  B_t is made of cocycles iff B_t*d_t lies in span(rels[t+1]);
     without relations there that is B_t*d_t = 0 mod p^r, a matrix product,
     and otherwise the order of span(rels[t+1]) must not grow.
-    CompositeNonzero if it fails."""
+    CompositeNonzero if it fails.  Z_t is preimage_mod(d_t, rels[t+1]), the
+    identity when no differential leaves degree t."""
     q = p**r
     rels = rels or {}
-    out = {}
+    pres = {}
     for t in sorted(ranks):
-        if not ranks[t]:
-            out[t] = []
-            continue
-        B = diffs.get(t - 1, []) if ranks.get(t - 1, 0) else []
+        B = diffs.get(t - 1, []) if ranks[t] and ranks.get(t - 1, 0) else []
         B = [row for row in ([a % q for a in b] for b in B + rels.get(t, [])) if any(row)]
         D, R = diffs.get(t), rels.get(t + 1, [])
-        if B and D and ranks.get(t + 1, 0):
+        if ranks[t] and D and ranks.get(t + 1, 0):
             BD = [row for row in ([a % q for a in b] for b in mat_mul(B, D)) if any(row)]
             if BD and (not R or span_exponent_mod(R + BD, p, r) != span_exponent_mod(R, p, r)):
                 raise CompositeNonzero("degree %d: boundaries are not cocycles mod %d" % (t, q))
-        out[t] = B
-    return out
-
-
-def cocycles_boundaries_mod(ranks, diffs, p, r, rels=None):
-    """Cocycle rows Z_t and boundary rows B_t per degree, over Z/p^r.
-
-    ranks, diffs and rels are as in boundaries_mod, which gives B_t and
-    checks it.  Z_t is preimage_mod(d_t, rels[t+1]), the identity when no
-    differential leaves degree t."""
-    rels = rels or {}
-    pres = {}
-    for t, B in boundaries_mod(ranks, diffs, p, r, rels).items():
-        D = diffs.get(t)
-        if ranks[t] and D and ranks.get(t + 1, 0):
-            Z = preimage_mod(D, rels.get(t + 1, []), p, r)
+            Z = preimage_mod(D, R, p, r)
         else:
             Z = identity(ranks[t])
         pres[t] = (Z, B)
@@ -565,7 +546,9 @@ def eliminate_mod(M, p, r, T=None):
     are applied to it, and T' holds its rows in pivot order followed by the
     rows whose M-part ended at zero.  With T = identity, T' = U is
     invertible and U*M*V is diagonal with entries unit*p^vals, then zero
-    rows, for some invertible V.
+    rows, for some invertible V.  When T is None, T' holds the len(vals)
+    pivot rows: the row operations are invertible and the other rows end at
+    zero, so they span span(M).
     """
     q = p**r
     n = len(M[0]) if M else 0
@@ -607,7 +590,7 @@ def eliminate_mod(M, p, r, T=None):
             active = [row for row, g in zip(active, low) if g < q]
             low = [g for g in low if g < q]
     if T is None:
-        return vals, None
+        return vals, pivots
     return vals, [row[n:] for row in pivots + null]
 
 

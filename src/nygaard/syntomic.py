@@ -15,23 +15,35 @@ of the q-model along mu is the N = 1 model, and `syntomic_charp` is
 `syntomic_q` at N = 1 under its own certificate names: Z/p^r(i) of the
 F_p-torus, which BMS2 §8 identifies with W_r Omega^i_log[-i].
 
-The torus model decomposes by Frobenius orbits of weights {m, pm, p^2 m, ...}
-(m primitive).  Each orbit is computed on a finite window: Nygaard-side steps
-s <= V, full-side steps s <= V + 1 (a subcomplex of the infinite orbit
-complex).  Every block of an orbit is fetched once and read by both sides
-of every window.  Window cohomology is computed over Z/p^r and never
-lifted to Z.  The orbit group is the stable image of H(W_V) in H(W_{V+k}),
-i.e. span(K_V + B_{V+k}) / span(B_{V+k}); two equal consecutive images end
-the search.  It reads cocycle rows K (the kernel of the differential mod
-p^r) only from W_V, and boundary rows B only from the widening windows
-W_{V+k}, k >= 1, all submodules of (Z/p^r)^rank with entries in [0, p^r).
-So only W_V is presented with cocycles, by `linalg.cocycles_boundaries_mod`;
-each W_{V+k} is presented by its boundaries alone, by
-`linalg.boundaries_mod`.  Both check that B is made of cocycles, since
-d*d = 0 mod p^r (a matrix product).  Beyond the window every Koszul entry
-vanishes mod p^r (valuations are monotone along the orbit).  Degrees j > i
-are additionally covered by the geometric-series invertibility of the
+The torus model decomposes by Frobenius orbits of weights {m, pm, ...} (m
+primitive).  Step s of an orbit has the weight p^s m, a Nygaard-side term
+N_s and a full-side term X_s; can maps N_s to X_s, phi_i maps N_s to
+X_{s+1}.  The window W_K holds N_s, s <= K, and X_s, s <= K+1, each degree's
+basis ordered by step: X_0, then (N_s, X_{s+1}) for s = 0..K.  So W_K is a
+prefix of W_{K+1} and a subcomplex (d maps N_s into N_s + X_s + X_{s+1} and
+X_s into X_s): d_t of W_K is the top-left block of that of W_{K+1}, zero in
+the new columns.  A widening appends one step group per degree; its new
+boundary rows are the rows of d_{t-1} at that group.  Every block is
+fetched once per orbit, and everything is computed over Z/p^r.
+
+The orbit group in degree t is the stable image I_k of H(W_V) in
+H(W_{V+k}), span(K_V + B_k)/span(B_k) for the cocycles K_V of W_V and the
+boundaries B_k of W_{V+k}.  I_{k+1} is the image of I_k, so equal orders
+|I_{k+1}| = |I_k| mean an isomorphism and end the search.  Lemma:
+|I_k| = |K_V| |pi B_k| / |B_k|, pi dropping the W_V coordinates.  Proof:
+|I_k| = |K_V| / |K_V ∩ B_k|; a boundary with pi b = 0 lies in the
+subcomplex W_V, where its differential is zero, so it lies in K_V, all of
+W_V's cocycles; so K_V ∩ B_k = ker(pi on B_k), of order |B_k| / |pi B_k|.
+Each widening eliminates the pivot rows of span(B_k) and span(pi B_k)
+carried from the last, zero-padded, with the new rows, and checks
+d*d = 0 mod p^r on the new rows only (the old ones were checked before);
+the group is read off once, where it certifies.  Beyond the window every
+Koszul entry vanishes mod p^r (valuations are monotone along the orbit).
+Degrees j > i are also covered by the geometric-series invertibility of the
 twisted Frobenius.
+
+The weight-0 block has no Koszul differential: d_t = A_t = phi_i - can from
+N^t to X^t, square, so H^t = ker(A_t) + coker(A_{t-1}).
 
 Every primitive weight has the orbit window of e_1 = (1, 0, ..., 0), at
 every N.  So `_orbit_sum` builds one window, at e_1, and adds its groups once
@@ -72,20 +84,17 @@ direction carry an explicit "global model" flag.
 
 from dataclasses import dataclass, field
 
-from .errors import BoundViolated, NotStabilized, UsageError
+from .errors import BoundViolated, CompositeNonzero, NotStabilized, UsageError
 from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
     PGroup,
-    boundaries_mod,
     cocycles_boundaries_mod,
-    cohomology_mod,
+    eliminate_mod,
     hermite_form,
     identity,
     mat_is_zero,
     mat_mul,
     quotient_exponents_mod,
-    span_contains_mod,
     span_exponent_mod,
-    zeros,
 )
 from .pdalg import (
     PDAlgebra,
@@ -133,7 +142,7 @@ class SyntomicResult:
 # the torus pipeline: windows, orbits, the two entry points
 
 
-def _window_blocks(X, i, m0=None):
+def _window_blocks(X, i, m0):
     """The blocks of the windows of the orbit of m0, each fetched once and
     read by every window of the orbit: blocks("phi", 0, t) and
     blocks("can", 0, t) are phi_i and can in Koszul degree t,
@@ -156,122 +165,127 @@ def _window_blocks(X, i, m0=None):
     return blocks
 
 
-def _assemble_window(X, i, V, m0=None, blocks=None, top=None):
+def _tail_rows(blocks, rk, t, s):
+    """The rows of d_t at step group s (N^t_s, X^{t-1}_{s+1}) on the columns
+    X^t_s, N^{t+1}_s, X^t_{s+1} they reach."""
+    Ns = blocks("N", s, t) if rk[t + 1] else [[]] * rk[t]
+    rows = [[-a for a in c] + n + f
+            for c, n, f in zip(blocks("can", 0, t), Ns, blocks("phi", 0, t))]
+    if t:
+        pad = [0] * (rk[t] + rk[t + 1])
+        rows += [pad + [-a for a in x] for x in blocks("X", s + 1, t - 1)]
+    return rows
+
+
+def _assemble_window(X, i, V, m0, blocks=None, top=None):
     """Total complex of fib(phi_i - can) on the window W_V of the orbit of m0.
 
     Degrees t = 0..top, top = d+1 unless given, with the differentials out of
-    the degrees below top; term t = (+)_{s<=V} N^t_s (+) (+)_{s<=V+1} X^{t-1}_s,
-    where step s carries the weight p^s m0 and phi maps step s to s+1.
-    Without m0 it is the weight-0 block (call it with V = 0): no
-    differentials, and phi maps each step to itself.  blocks is the orbit's
-    `_window_blocks`, shared by its windows; it is made here when not given.
+    the degrees below top, in the step order of the module docstring.
+    blocks is the orbit's `_window_blocks`, made here when not given.
     Returns (ranks, diffs, basis_info) with basis_info[t] listing labels
     ("N", s, k) and ("X", s, k)."""
-    d = X.d
-    top = d + 1 if top is None else top
-    rk = {j: X.exp_rank(j) for j in range(-1, d + 2)}
-    orbit = m0 is not None
+    top = X.d + 1 if top is None else top
+    rk = {j: X.exp_rank(j) for j in range(-1, X.d + 2)}
     blocks = blocks or _window_blocks(X, i, m0)
-    steps = {"N": V + 1, "X": V + 2 if orbit else V + 1}
     basis_info = {
-        t: [(side, s, k) for side, j in (("N", t), ("X", t - 1))
-            for s in range(steps[side]) for k in range(rk[j])]
+        t: [("X", 0, k) for k in range(rk[t - 1])]
+        + [(side, s + (side == "X"), k) for s in range(V + 1)
+           for side, j in (("N", t), ("X", t - 1)) for k in range(rk[j])]
         for t in range(top + 1)
     }
     ranks = {t: len(labels) for t, labels in basis_info.items()}
     diffs = {}
     for t in range(top):
-        # (first source row, target block, matrix, sign) for every block
-        placed = []
-        phi, can = blocks("phi", 0, t), blocks("can", 0, t)
-        for s in range(steps["N"]):
-            row0 = s * rk[t]
-            if orbit and t < d:
-                placed.append((row0, ("N", s), blocks("N", s, t), 1))
-            placed.append((row0, ("X", s + 1 if orbit else s), phi, 1))
-            placed.append((row0, ("X", s), can, -1))
-        if orbit and t >= 1:
-            for s in range(steps["X"]):
-                row0 = steps["N"] * rk[t] + s * rk[t - 1]
-                placed.append((row0, ("X", s), blocks("X", s, t - 1), -1))
-        pos = {lab: c for c, lab in enumerate(basis_info[t + 1])}
-        D = zeros(ranks[t], ranks[t + 1])
-        for row0, (side, s), mat, sign in placed:
-            col0 = pos.get((side, s, 0))
-            if col0 is None:
-                continue  # the target block is outside the window or empty
-            for k, row in enumerate(mat):
-                for c, a in enumerate(row):
-                    if a:
-                        D[row0 + k][col0 + c] += sign * a
+        g = rk[t + 1] + rk[t]
+        D = [[-a for a in x] + [0] * ((V + 1) * g) for x in blocks("X", 0, t - 1)] if t else []
+        for s in range(V + 1):
+            D += [[0] * (s * g) + row + [0] * ((V - s) * g) for row in _tail_rows(blocks, rk, t, s)]
         diffs[t] = D
     return ranks, diffs, basis_info
 
 
-def _embed_rows(rows, labs_small, labs_big):
-    pos = {lab: c for c, lab in enumerate(labs_big)}
-    out = []
-    for row in rows:
-        v = [0] * len(labs_big)
-        for c, a in enumerate(row):
-            if a:
-                v[pos[labs_small[c]]] = a
-        out.append(v)
-    return out
-
-
 def _orbit_contribution(X, m0, i, r, V):
-    """Certified per-degree groups of the orbit of m0 in degrees <= i+1.
+    """Certified per-degree groups of the orbit of m0 in degrees <= i+1: the
+    stable image of H(W_V), certified at the first k >= 2 with
+    |I_k| = |I_{k-1}| (module docstring), and per degree that k (0 when
+    H^t(W_V) has no cocycles).  Raises NotStabilized after four widenings.
 
-    The window inclusions W_V into W_{V+k} are chain maps; the orbit group in
-    degree t is the stable image of H^t(W_V) in H^t(W_{V+k}) (the directed
-    system of finite groups has non-increasing image orders, so two equal
-    consecutive images certify the colimit; beyond the window the attaching
-    data is constant by the tail test, `_q_tail_vanishes`).  The search
-    widens the window at most four times, then raises NotStabilized.  Returns
-    the groups and, per degree, the widening k whose image certified it (0
-    when H^t(W_V) has no cocycles).
-
-    Only degrees <= i+1 are read, so each window is presented up to degree
-    min(i+2, d+1): the cocycles of degree i+1 need d_{i+1} and the rank of
-    degree i+2, and nothing reads the differential out of the top degree.
-    Only W_V is presented with cocycles; each widening window W_{V+k} is
-    presented by its boundaries alone, which is all the image reads."""
-    p = X.p
+    W_V is presented up to degree min(i+2, d+1), which the cocycles of degree
+    i+1 need."""
+    p, q = X.p, X.p**r
     blocks = _window_blocks(X, i, m0)
     top = min(i + 2, X.d + 1)
-
-    def window(k):
-        return _assemble_window(X, i, V + k, m0, blocks, top)
-
-    ranks, diffs, basis0 = window(0)
-    K0 = {t: Z for t, (Z, _) in cocycles_boundaries_mod(ranks, diffs, p, r).items()}
-    out = {}
-    k_used = {}
-    pending = [t for t in range(top + 1) if t <= i + 1]
-    prev = {}
-    for t in list(pending):
-        if not K0[t]:
-            out[t] = PGroup.zero(p)
-            k_used[t] = 0
-            pending.remove(t)
+    rk = {j: X.exp_rank(j) for j in range(-1, X.d + 2)}
+    ranks, diffs, _ = _assemble_window(X, i, V, m0, blocks, top)
+    pres = cocycles_boundaries_mod(ranks, diffs, p, r)
+    out, k_used, prev, pending = {}, {}, {}, []
+    for t in range(min(top, i + 1) + 1):
+        if pres[t][0]:
+            pending.append(t)
+        else:
+            out[t], k_used[t] = PGroup.zero(p), 0
+    # per pending degree, rows spanning B_t and pi(B_t) in the latest window
+    span = {t: (pres[t][1], []) for t in pending}
     k = 1
     while pending and k <= 4:
-        ranks, diffs, basis_k = window(k)
-        Bbig = boundaries_mod(ranks, diffs, p, r)
+        s = V + k
         for t in list(pending):
-            emb = _embed_rows(K0[t], basis0[t], basis_k[t])
-            cur = quotient_exponents_mod(emb, Bbig[t], p, r)
-            if t in prev and cur == prev[t]:
-                out[t] = PGroup(p, cur)
-                k_used[t] = k
+            g = rk[t] + rk[t - 1]
+            width = ranks[t] + k * g
+            new = _tail_rows(blocks, rk, t - 1, s) if t else []
+            if new and t < top:
+                # the new boundary rows reach the rows X^{t-1}_s of d_t and
+                # the rows of d_t at step group s
+                D = [[-a for a in x] + [0] * (rk[t + 1] + rk[t]) for x in blocks("X", s, t - 1)]
+                if any(a % q for row in mat_mul(new, D + _tail_rows(blocks, rk, t, s)) for a in row):
+                    raise CompositeNonzero(
+                        "degree %d: boundaries are not cocycles mod %d" % (t, q))
+            new = [[0] * (width - len(row)) + row for row in new]
+            pad = [0] * g
+            B, piB = ([row + pad for row in rows] for rows in span[t])
+            vals, B = eliminate_mod(B + new, p, r)
+            pvals, piB = eliminate_mod(piB + [row[ranks[t]:] for row in new], p, r)
+            span[t] = B, piB
+            # log_p |pi B_k| - log_p |B_k| = log_p |I_k| - log_p |K_V|
+            order = r * (len(pvals) - len(vals)) - sum(pvals) + sum(vals)
+            if prev.get(t) == order:
+                K = [row + [0] * (width - ranks[t]) for row in pres[t][0]]
+                out[t], k_used[t] = PGroup(p, quotient_exponents_mod(K, B, p, r)), k
                 pending.remove(t)
             else:
-                prev[t] = cur
+                prev[t] = order
         k += 1
     if pending:
         raise NotStabilized("image chain did not stabilize in degrees %s" % pending)
     return out, k_used
+
+
+def _weight0(X, i, r):
+    """The groups of the weight-0 block and its dlog flags.
+
+    ker(A_j) and coker(A_j) are both a Z/p^v per pivot v > 0 of A_j and a
+    Z/p^r per missing rank.  The dlog class is e_0 in N^i, the constant
+    coefficient of dlog T_1 ^ ... ^ dlog T_i: present when the cocycles
+    ker(A_i) + X^{i-1} are nonzero, as for every i >= 1; a cocycle iff row 0
+    of A_i is 0 mod p^r.  It is nonzero in H^i whenever present, since the
+    boundaries, the image of A_{i-1}, lie in X^{i-1}: nonzero_in_H holds by
+    this proof, not by a computation."""
+    p, d = X.p, X.d
+    exps, A = {}, {}
+    for j in range(d + 1):
+        A[j] = [[f - c for f, c in zip(fr, cr)] for fr, cr in
+                zip(X.divided_frobenius_matrix(i, j), X.nygaard_lattice_rows(i, j))]
+        vals, _ = eliminate_mod(A[j], p, r)
+        exps[j] = [v for v in vals if v] + [r] * (len(A[j]) - len(vals))
+    groups = {t: PGroup(p, tuple(sorted(exps.get(t, []) + exps.get(t - 1, []), reverse=True)))
+              for t in range(d + 2)}
+    if not 0 <= i <= d or not (i or exps[0]):
+        return groups, {"degree": i, "present": False}
+    return groups, {"degree": i, "present": True,
+                    "cocycle": not any(a % p**r for a in A[i][0]),
+                    "nonzero_in_H": True,
+                    "phi_fixed": _q_dlog_fixed(X.divided_frobenius_matrix(i, i), X.N)}
 
 
 def _orbit_sum(X, i, r, M, V):
@@ -279,19 +293,17 @@ def _orbit_sum(X, i, r, M, V):
     radius M, plus the weight-0 block.
 
     One window, at e_1: its groups are added once for each of the n
-    primitive weights of the box (module docstring).  Returns (total, pres0,
-    k_used, V_used): the groups per degree, the weight-0 presentations (for
-    the dlog flags), the widening k per degree at which the stable image of
-    the e_1 window certified, and V + 1.  When the box holds no primitive
-    weight no window is built: k_used is {} and V_used is 0.  Raises
-    NotStabilized when the tail test fails at e_1."""
+    primitive weights of the box (module docstring).  Returns (total, dlog,
+    k_used, V_used): the groups per degree, the weight-0 dlog flags, the
+    widening k per degree at which the stable image of the e_1 window
+    certified, and V + 1.  When the box holds no primitive weight no window
+    is built: k_used is {} and V_used is 0.  Raises NotStabilized when the
+    tail test fails at e_1."""
     p, d = X.p, X.d
     n = (2 * M + 1) ** d - (2 * (M // p) + 1) ** d
-    # weight zero: phi_i and can act on the same block; exact, no window
-    ranks0, diffs0, _ = _assemble_window(X, i, 0)
-    total, pres0 = cohomology_mod(ranks0, diffs0, p, r)
+    total, dlog = _weight0(X, i, r)
     if not n:
-        return total, pres0, {}, 0
+        return total, dlog, {}, 0
     e1 = (1,) + (0,) * (d - 1)
     # degrees <= i+1 are certified by the stable window image; degrees >= i+2
     # lie in the invertibility zone (Koszul degrees > i) where the twisted
@@ -302,28 +314,7 @@ def _orbit_sum(X, i, r, M, V):
         raise NotStabilized("orbit windows did not certify at V = %d" % V)
     for t, g in contrib.items():
         total[t] = total[t] + n * g
-    return total, pres0, k_used, V + 1
-
-
-def _dlog_flags(X, i, r, pres0):
-    """The weight-zero dlog class in degree i: cocycle, nonzero in H, and
-    fixed by phi_i.  In the weight-0 window the N-side degree-i basis starts
-    at position 0, and the constant coefficient of dlog T_1 ^ ... ^ dlog T_i
-    is the first basis vector."""
-    if i < 0 or i > X.d:
-        return {"degree": i, "present": False}
-    K, B = pres0[i]
-    if not K:
-        return {"degree": i, "present": False}
-    vec = [0] * len(K[0])
-    vec[0] = 1
-    is_cocycle = span_contains_mod(K, vec, X.p, r)
-    nonzero = not span_contains_mod(B, vec, X.p, r)
-    # phi_i fixes the dlog monomials: the normalized matrix at degree i is
-    # the coefficient Frobenius, which fixes constants
-    return {"degree": i, "present": True, "cocycle": is_cocycle,
-            "nonzero_in_H": nonzero,
-            "phi_fixed": _q_dlog_fixed(X.divided_frobenius_matrix(i, i), X.N)}
+    return total, dlog, k_used, V + 1
 
 
 def _q_tail_vanishes(X, r, m0, V):
@@ -384,9 +375,9 @@ def _torus_syntomic(model, X, i, r, M, V, series_key):
             model, p, i, r, M, 0, groups,
             certificates={"negative_twist_series": degree_bound_inverse_certificate(X, i, r)})
     V = V if V is not None else r + 1
-    total, pres0, k_used, V_used = _orbit_sum(X, i, r, M, V)
+    total, dlog, k_used, V_used = _orbit_sum(X, i, r, M, V)
     return SyntomicResult(
-        model, p, i, r, M, V_used, total, dlog=_dlog_flags(X, i, r, pres0),
+        model, p, i, r, M, V_used, total, dlog=dlog,
         certificates={
             "stabilized": k_used,
             series_key: degree_bound_inverse_certificate(X, i, r),

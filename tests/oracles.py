@@ -1,15 +1,24 @@
 """Oracles the tests check live code against, kept out of the package
 because no command uses them: enumerations that a proven symmetry replaces,
 a canonical form, further coefficient rings and the universal polynomials of
-Witt-vector arithmetic, cohomology of a complex of free Z-modules, and
-property checks of the divided-power algebra."""
+Witt-vector arithmetic, cohomology of a complex of free Z-modules, the
+syntomic windows presented from scratch, and property checks of the
+divided-power algebra."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from nygaard.errors import RingError, UsageError
-from nygaard.linalg import PGroup, _vp, cohomology_invariants, cohomology_mod
+from nygaard.errors import NotStabilized, RingError, UsageError
+from nygaard.linalg import (
+    PGroup,
+    _vp,
+    cocycles_boundaries_mod,
+    cohomology_invariants,
+    cohomology_mod,
+    quotient_exponents_mod,
+    zeros,
+)
 from nygaard.pdalg import TruncationTooTight, conj_level, conjugate_filtration_spans
 from nygaard.qbase import _binom
 
@@ -433,7 +442,110 @@ def complex_cohomology(ranks, diffs, p, modulus=None):
         return {j: PGroup.from_invariants(p, invs, free) for j, (invs, free) in inv.items()}
     if modulus < p or p ** _vp(modulus, p) != modulus:
         raise UsageError("modulus %d is not a positive power of p = %d" % (modulus, p))
-    return cohomology_mod(ranks, diffs, p, _vp(modulus, p))[0]
+    return cohomology_mod(ranks, diffs, p, _vp(modulus, p))
+
+
+# ---------------------------------------------------------------------------
+# syntomic windows in the N-then-X basis order, each presented from scratch
+
+
+def window_n_then_x(X, i, V, m0=None, top=None):
+    """Total complex of fib(phi_i - can) on the window W_V of the orbit of
+    m0, in the basis order N^t_0..N^t_V, then X^{t-1}_0..X^{t-1}_{V+1}.
+
+    Degrees t = 0..top, top = d+1 unless given.  Without m0 it is the
+    weight-0 block (call it with V = 0): no differentials, and phi maps each
+    step to itself.  Every block is fetched from X.  Returns (ranks, diffs,
+    basis_info) with basis_info[t] listing labels ("N", s, k) and
+    ("X", s, k), as `syntomic._assemble_window` does."""
+    d, p = X.d, X.p
+    top = d + 1 if top is None else top
+    rk = {j: X.exp_rank(j) for j in range(-1, d + 2)}
+    orbit = m0 is not None
+    steps = {"N": V + 1, "X": V + 2 if orbit else V + 1}
+    basis_info = {
+        t: [(side, s, k) for side, j in (("N", t), ("X", t - 1))
+            for s in range(steps[side]) for k in range(rk[j])]
+        for t in range(top + 1)
+    }
+    ranks = {t: len(labels) for t, labels in basis_info.items()}
+    diffs = {}
+    for t in range(top):
+        # (first source row, target block, matrix, sign) for every block
+        placed = []
+        phi, can = X.divided_frobenius_matrix(i, t), X.nygaard_lattice_rows(i, t)
+        for s in range(steps["N"]):
+            row0 = s * rk[t]
+            if orbit and t < d:
+                m = tuple(p**s * a for a in m0)
+                placed.append((row0, ("N", s), X.normalized_diff_matrix(i, m, t), 1))
+            placed.append((row0, ("X", s + 1 if orbit else s), phi, 1))
+            placed.append((row0, ("X", s), can, -1))
+        if orbit and t >= 1:
+            for s in range(steps["X"]):
+                row0 = steps["N"] * rk[t] + s * rk[t - 1]
+                m = tuple(p**s * a for a in m0)
+                placed.append((row0, ("X", s), X.diff_matrix(m, t - 1), -1))
+        pos = {lab: c for c, lab in enumerate(basis_info[t + 1])}
+        D = zeros(ranks[t], ranks[t + 1])
+        for row0, (side, s), mat, sign in placed:
+            col0 = pos.get((side, s, 0))
+            if col0 is None:
+                continue  # the target block is outside the window or empty
+            for k, row in enumerate(mat):
+                for c, a in enumerate(row):
+                    if a:
+                        D[row0 + k][col0 + c] += sign * a
+        diffs[t] = D
+    return ranks, diffs, basis_info
+
+
+def embed_rows(rows, labs_small, labs_big):
+    """Rows over the basis labs_small written over labs_big, which holds
+    every label of labs_small."""
+    pos = {lab: c for c, lab in enumerate(labs_big)}
+    out = []
+    for row in rows:
+        v = [0] * len(labs_big)
+        for c, a in enumerate(row):
+            if a:
+                v[pos[labs_small[c]]] = a
+        out.append(v)
+    return out
+
+
+def orbit_contribution_from_scratch(X, m0, i, r, V):
+    """The per-degree groups and widenings of `syntomic._orbit_contribution`,
+    with every window W_{V+k} assembled and presented from scratch and the
+    exponents of consecutive images compared.  Raises NotStabilized with the
+    same message."""
+    p = X.p
+    top = min(i + 2, X.d + 1)
+    ranks, diffs, basis0 = window_n_then_x(X, i, V, m0, top)
+    K0 = {t: Z for t, (Z, _) in cocycles_boundaries_mod(ranks, diffs, p, r).items()}
+    out, k_used, prev = {}, {}, {}
+    pending = []
+    for t in range(min(top, i + 1) + 1):
+        if K0[t]:
+            pending.append(t)
+        else:
+            out[t], k_used[t] = PGroup.zero(p), 0
+    k = 1
+    while pending and k <= 4:
+        ranks, diffs, basis_k = window_n_then_x(X, i, V + k, m0, top)
+        pres = cocycles_boundaries_mod(ranks, diffs, p, r)
+        for t in list(pending):
+            emb = embed_rows(K0[t], basis0[t], basis_k[t])
+            cur = quotient_exponents_mod(emb, pres[t][1], p, r)
+            if prev.get(t) == cur:
+                out[t], k_used[t] = PGroup(p, cur), k
+                pending.remove(t)
+            else:
+                prev[t] = cur
+        k += 1
+    if pending:
+        raise NotStabilized("image chain did not stabilize in degrees %s" % pending)
+    return out, k_used
 
 
 # ---------------------------------------------------------------------------

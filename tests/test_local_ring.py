@@ -13,7 +13,7 @@ from nygaard.linalg import (
     PGroup,
     _vp,
     block_diag,
-    boundaries_mod,
+    cocycles_boundaries_mod,
     cohomology_mod,
     eliminate_mod,
     hermite_form,
@@ -35,9 +35,9 @@ from nygaard.linalg import (
     zeros,
 )
 from nygaard.qtorus import build_qtorus
-from nygaard.syntomic import _assemble_window, _embed_rows
+from nygaard.syntomic import _assemble_window
 
-from oracles import howell_form, primitive_weights
+from oracles import embed_rows, howell_form, primitive_weights, window_n_then_x
 
 
 @st.composite
@@ -107,6 +107,19 @@ def test_tracked_columns_of_lower_valuation_change_no_pivot(data, draw):
     for v, row in zip(vals, UM):
         assert min(_vp(a, p) if a else r for a in row) == v
     assert all(not any(row) for row in UM[len(vals):])
+
+
+@settings(max_examples=150, deadline=None)
+@given(local_matrices())
+def test_pivot_rows_span_the_input(data):
+    # without T, eliminate_mod returns one pivot row per pivot, and they span
+    # span(M): |P| = |M| = |P + M|, spans compared by order
+    M, p, r, n = data
+    vals, P = eliminate_mod(M, p, r)
+    assert len(P) == len(vals)
+    assert all(len(row) == n and all(0 <= a < p**r for a in row) for row in P)
+    e = span_exponent_mod(M, p, r)
+    assert span_exponent_mod(P, p, r) == e == span_exponent_mod(P + M, p, r)
 
 
 @settings(max_examples=100, deadline=None)
@@ -252,7 +265,7 @@ def test_presented_cohomology_mod_reads_unsaturated_gens():
 
 
 def test_empty_and_degenerate_shapes():
-    assert eliminate_mod([], 2, 2) == ([], None)
+    assert eliminate_mod([], 2, 2) == ([], [])
     assert preimage_mod([], [], 2, 2) == []
     assert preimage_mod([[], []], [], 3, 1) == identity(2)
     assert preimage_mod([[4, 0], [0, 0]], [], 2, 2) == identity(2)
@@ -304,24 +317,21 @@ def integer_image(K0, B1, p, r, n):
 
 def check_windows(X, i, r, M, V, extra_rels=None):
     p = X.p
-    ranks0, diffs0, _ = _assemble_window(X, i, 0)
+    ranks0, diffs0, _ = window_n_then_x(X, i, 0)
     extra = extra_rels(ranks0) if extra_rels else None
-    got, _ = cohomology_mod(ranks0, diffs0, p, r, extra)
+    got = cohomology_mod(ranks0, diffs0, p, r, extra)
     assert got == integer_window_groups(ranks0, diffs0, p, r, extra)
     for m0 in primitive_weights(X.d, p, M):
         wins = []
         for k in (0, 1):
             ranks, diffs, basis = _assemble_window(X, i, V + k, m0)
             extra = extra_rels(ranks) if extra_rels else None
-            got, pres = cohomology_mod(ranks, diffs, p, r, extra)
+            got = cohomology_mod(ranks, diffs, p, r, extra)
             assert got == integer_window_groups(ranks, diffs, p, r, extra), (m0, k)
-            # a widening window is presented by its boundaries alone
-            assert boundaries_mod(ranks, diffs, p, r, extra) == {
-                t: B for t, (_, B) in pres.items()}
-            wins.append((ranks, basis, pres))
+            wins.append((ranks, basis, cocycles_boundaries_mod(ranks, diffs, p, r, extra)))
         (_, basis0, pres0), (ranks1, basis1, pres1) = wins
         for t in pres0:
-            emb = _embed_rows(pres0[t][0], basis0[t], basis1[t])
+            emb = embed_rows(pres0[t][0], basis0[t], basis1[t])
             assert quotient_exponents_mod(emb, pres1[t][1], p, r) == \
                 integer_image(emb, pres1[t][1], p, r, ranks1[t]), (m0, t)
 
@@ -358,9 +368,10 @@ def test_q_windows_mod_mu_are_the_n1_windows(p, d, r, N):
     rels = mu_rels(Xq)
 
     def groups(X, i, V, m0, extra):
-        ranks, diffs, basis = _assemble_window(X, i, V, m0)
-        got, pres = cohomology_mod(ranks, diffs, p, r, extra(ranks) if extra else None)
-        return got, pres, basis
+        ranks, diffs, basis = (_assemble_window if m0 else window_n_then_x)(X, i, V, m0)
+        window_rels = extra(ranks) if extra else None
+        return (cohomology_mod(ranks, diffs, p, r, window_rels),
+                cocycles_boundaries_mod(ranks, diffs, p, r, window_rels), basis)
 
     for i in range(d + 2):
         assert groups(Xq, i, 0, None, rels)[0] == groups(X1, i, 0, None, None)[0]
@@ -370,7 +381,7 @@ def test_q_windows_mod_mu_are_the_n1_windows(p, d, r, N):
                 (g0, pres0, basis0), (g1, pres1, basis1) = (
                     groups(X, i, r + k, m0, extra) for k in (0, 1))
                 images = {t: quotient_exponents_mod(
-                    _embed_rows(pres0[t][0], basis0[t], basis1[t]), pres1[t][1], p, r)
+                    embed_rows(pres0[t][0], basis0[t], basis1[t]), pres1[t][1], p, r)
                     for t in pres0}
                 wins[X.N] = (g0, g1, images)
             assert wins[N] == wins[1], (i, m0)
@@ -395,7 +406,7 @@ def test_boundaries_checked_against_the_next_relations():
     # boundary of degree 0 is a cocycle; degree 0 itself has no relations
     ranks = {-1: 1, 0: 1, 1: 1}
     diffs = {-1: [[1]], 0: [[1]]}
-    groups, _ = cohomology_mod(ranks, diffs, 2, 2, {1: [[1]]})
+    groups = cohomology_mod(ranks, diffs, 2, 2, {1: [[1]]})
     assert all(g.is_zero() for g in groups.values())
     with pytest.raises(CompositeNonzero):
         cohomology_mod(ranks, diffs, 2, 2, {0: [[2]], 1: [[2]]})
@@ -405,6 +416,6 @@ def test_window_boundary_outside_cocycles_raises():
     # d*d = 2 is nonzero mod 4 but zero mod 2
     ranks = {0: 1, 1: 1, 2: 1}
     diffs = {0: [[1]], 1: [[2]]}
-    assert cohomology_mod(ranks, diffs, 2, 1)[0][1] == PGroup.zero(2)
+    assert cohomology_mod(ranks, diffs, 2, 1)[1] == PGroup.zero(2)
     with pytest.raises(CompositeNonzero):
         cohomology_mod(ranks, diffs, 2, 2)

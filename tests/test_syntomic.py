@@ -4,7 +4,7 @@ import pytest
 
 from nygaard import cli, linalg, syntomic
 from nygaard.errors import CompositeNonzero, UsageError
-from nygaard.linalg import PGroup, cohomology_mod
+from nygaard.linalg import PGroup, cocycles_boundaries_mod, cohomology_mod, span_contains_mod
 from nygaard.syntomic import (
     NotStabilized,
     degree_bound_inverse_certificate,
@@ -18,7 +18,7 @@ from nygaard.syntomic import (
 )
 from nygaard.qtorus import build_qtorus
 
-from oracles import primitive_weights
+from oracles import orbit_contribution_from_scratch, primitive_weights, window_n_then_x
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +106,8 @@ def test_window_up_to_top_is_the_sliced_full_window(p, d, N):
 
 
 def _weight0_groups(X, i, r):
-    ranks, diffs, _ = _assemble_window(X, i, 0)
-    return cohomology_mod(ranks, diffs, X.p, r)[0]
+    ranks, diffs, _ = window_n_then_x(X, i, 0)
+    return cohomology_mod(ranks, diffs, X.p, r)
 
 
 def _check_orbit_windows_agree_with_e1(p, d, r, N, M):
@@ -186,26 +186,131 @@ def test_one_orbit_window_at_the_frontier(monkeypatch):
     assert calls == [(1, 0)]
 
 
+# every p and N <= 3 at d <= 2, where p = 2, N = 3, r = 3 does not stabilise
+# in degree i + 1; d = 3 at N = 1, and at N = 2 for p = 2
+@pytest.mark.parametrize("p, d, N", [
+    *((p, d, N) for p in (2, 3, 5) for d in (1, 2) for N in (1, 2, 3)),
+    *((p, 3, 1) for p in (2, 3, 5)), (2, 3, 2),
+])
+def test_orbit_contribution_matches_the_window_oracle(p, d, N):
+    # the windows grown one step group at a time and certified by orders give
+    # the groups, widenings and NotStabilized degrees of the windows built
+    # from scratch in the N-then-X order and compared by exponents
+    X = build_qtorus(p, d, N)
+    e1 = (1,) + (0,) * (d - 1)
+    for i in range(d + 1):
+        for r in (1, 2, 3):
+            for V in (r - 1, r + 1):
+                answers = []
+                for contribution in (_orbit_contribution, orbit_contribution_from_scratch):
+                    try:
+                        answers.append(contribution(X, e1, i, r, V))
+                    except NotStabilized as ex:
+                        answers.append(str(ex))
+                assert answers[0] == answers[1], (i, r, V)
+
+
+@pytest.mark.parametrize("p, d, N", [(2, 1, 1), (3, 2, 2), (2, 3, 1), (5, 2, 3)])
+def test_window_is_the_top_left_block_of_the_next(p, d, N):
+    # in the step order W_K is a prefix of W_{K+1} and a subcomplex of it: the
+    # basis of W_K starts that of W_{K+1}, d_t of W_K is the top-left block
+    # of d_t of W_{K+1}, and its rows are zero in the new columns
+    X = build_qtorus(p, d, N)
+    e1 = (1,) + (0,) * (d - 1)
+    for i in range(-1, d + 2):
+        for K in range(3):
+            ranks, diffs, basis = _assemble_window(X, i, K, e1)
+            _, big_diffs, big_basis = _assemble_window(X, i, K + 1, e1)
+            for t in ranks:
+                assert big_basis[t][:ranks[t]] == basis[t], (i, K, t)
+            for t, D in diffs.items():
+                old_rows = big_diffs[t][:ranks[t]]
+                assert [row[:ranks[t + 1]] for row in old_rows] == D, (i, K, t)
+                assert not any(a for row in old_rows for a in row[ranks[t + 1]:]), (i, K, t)
+
+
+def _oracle_dlog(X, i, r):
+    # the dlog flags read off the presentation of the oracle's weight-0
+    # block, whose N-side degree-i basis starts at position 0
+    if not 0 <= i <= X.d:
+        return {"degree": i, "present": False}
+    ranks, diffs, _ = window_n_then_x(X, i, 0)
+    K, B = cocycles_boundaries_mod(ranks, diffs, X.p, r)[i]
+    if not K:
+        return {"degree": i, "present": False}
+    vec = [1] + [0] * (ranks[i] - 1)
+    return {"degree": i, "present": True, "cocycle": span_contains_mod(K, vec, X.p, r),
+            "nonzero_in_H": not span_contains_mod(B, vec, X.p, r),
+            "phi_fixed": _q_dlog_fixed(X.divided_frobenius_matrix(i, i), X.N)}
+
+
+@pytest.mark.parametrize("p, N", [(p, N) for p in (2, 3, 5) for N in (1, 2, 3)])
+def test_weight0_groups_and_dlog_match_the_oracle_block(p, N):
+    # H^t = ker(A_t) + coker(A_{t-1}) from one elimination per Koszul degree,
+    # against the cohomology of the oracle's weight-0 block, and the dlog
+    # flags against those read off its presentation
+    for d in (1, 2, 3):
+        X = build_qtorus(p, d, N)
+        for i in range(-1, d + 3):
+            for r in (1, 2, 3):
+                groups, dlog = syntomic._weight0(X, i, r)
+                assert groups == _weight0_groups(X, i, r), (d, i, r)
+                assert dlog == _oracle_dlog(X, i, r), (d, i, r)
+
+
+def _corrupt_method(monkeypatch, obj, name, corrupt):
+    method = getattr(obj, name)
+    monkeypatch.setattr(obj, name, lambda *args: corrupt(args, method(*args)))
+
+
+@pytest.mark.parametrize("p, d, i, r, N", [(2, 1, 1, 2, 1), (3, 2, 1, 1, 1), (2, 2, 2, 2, 3)])
+def test_dlog_flags_read_false_on_a_corrupted_model(monkeypatch, p, d, i, r, N):
+    # a unit added to row 0 of phi_i in degree i makes e_0 no cocycle; a unit
+    # added to row 0 of the coefficient Frobenius moves the constant dlog
+    # vectors, so phi_i no longer fixes them
+    assert syntomic._weight0(build_qtorus(p, d, N), i, r)[1]["cocycle"]
+
+    def bump_row0(mat):
+        mat = [row[:] for row in mat]
+        mat[0][-1] += 1
+        return mat
+
+    X = build_qtorus(p, d, N)
+    _corrupt_method(monkeypatch, X, "divided_frobenius_matrix",
+                    lambda args, mat: bump_row0(mat) if args[1] == i else mat)
+    dlog = syntomic._weight0(X, i, r)[1]
+    assert dlog["present"] and not dlog["cocycle"]
+    X = build_qtorus(p, d, N)
+    _corrupt_method(monkeypatch, X.B, "phi_matrix", lambda args, mat: bump_row0(mat))
+    dlog = syntomic._weight0(X, i, r)[1]
+    assert dlog["present"] and not dlog["phi_fixed"]
+
+
 def test_widening_window_checks_that_boundaries_are_cocycles(monkeypatch):
-    # window V + 1 gets a unit added to d_1 at the column of the least
-    # valuation entry b_c of a boundary row b of degree 1: b*d_1 = b_c e_0
-    # is nonzero mod p^r, and the window, presented by its boundaries alone,
-    # still raises; window V is left as it is
+    # the first widening appends step group s = V + 1; its rows of d_1 get a
+    # unit added at column 0, in the row that the least valuation entry b_c
+    # of a new boundary row b of degree 1 reaches: b*d_1 = b_c e_0 is
+    # nonzero mod p^r, and the check on the new rows raises; the steps of
+    # W_V are left as they are
     p, d, i, r = 2, 2, 1, 2
     V = r + 1
-    assemble = syntomic._assemble_window
+    tail_rows = syntomic._tail_rows
     corrupted = []
 
-    def corrupt(X, i, Vk, m0=None, blocks=None, top=None):
-        ranks, diffs, basis = assemble(X, i, Vk, m0, blocks, top)
-        if m0 is not None and Vk == V + 1:
-            b = next(row for row in ([a % p**r for a in b] for b in diffs[0]) if any(row))
-            c = min((c for c, a in enumerate(b) if a), key=lambda c: linalg._vp(b[c], p))
-            diffs[1][c][0] += 1
-            corrupted.append(Vk)
-        return ranks, diffs, basis
+    def corrupt(blocks, rk, t, s):
+        rows = tail_rows(blocks, rk, t, s)
+        if t == 1 and s == V + 1:
+            # b spans X^0_s, N^1_s, X^0_{s+1}; the rows of d_1 at step group
+            # s are the rows of b's columns past X^0_s
+            b = next(row for row in ([a % p**r for a in b] for b in tail_rows(blocks, rk, 0, s))
+                     if any(row[rk[0]:]))
+            c = min((c for c, a in enumerate(b) if a and c >= rk[0]),
+                    key=lambda c: linalg._vp(b[c], p))
+            rows[c - rk[0]][0] += 1
+            corrupted.append(s)
+        return rows
 
-    monkeypatch.setattr(syntomic, "_assemble_window", corrupt)
+    monkeypatch.setattr(syntomic, "_tail_rows", corrupt)
     with pytest.raises(CompositeNonzero):
         syntomic_charp(p, d, i, r, M=1, V=V)
     assert corrupted == [V + 1]
@@ -239,6 +344,7 @@ def _count_window_work(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(linalg, "eliminate_mod", counted_eliminate)
+    monkeypatch.setattr(syntomic, "eliminate_mod", counted_eliminate)
     monkeypatch.setattr(linalg, "preimage_mod", counted_preimage)
     monkeypatch.setattr(syntomic, "cocycles_boundaries_mod", recorded_cocycles)
     monkeypatch.setattr(syntomic, "_assemble_window", recorded_assemble)
@@ -246,15 +352,17 @@ def _count_window_work(monkeypatch):
 
 
 @pytest.mark.parametrize("config,most", [
-    # eliminate_mod calls here, and when every widening window was presented
-    # with cocycles too: 30 (38), 24 (30) and 32 (41)
-    ({"model": "q", "p": 2, "d": 1, "i": 1, "r": 2, "N": 3, "M": 1}, 30),
-    ({"model": "charp", "p": 3, "d": 2, "i": 1, "r": 2, "M": 3}, 24),
-    ({"model": "q", "p": 3, "d": 2, "i": 1, "r": 2, "N": 3, "M": 1}, 32),
+    # eliminate_mod calls here; when each widening window was presented by
+    # its boundaries from scratch, and its images compared by exponents: 30,
+    # 24 and 32; when every widening window was presented with cocycles too:
+    # 38, 30 and 41
+    ({"model": "q", "p": 2, "d": 1, "i": 1, "r": 2, "N": 3, "M": 1}, 26),
+    ({"model": "charp", "p": 3, "d": 2, "i": 1, "r": 2, "M": 3}, 18),
+    ({"model": "q", "p": 3, "d": 2, "i": 1, "r": 2, "N": 3, "M": 1}, 26),
 ])
 def test_window_elimination_count(monkeypatch, config, most):
     # of the orbit windows, only W_V (V = r + 1) is presented with cocycles;
-    # the widening windows V + k, k >= 1, are presented by their boundaries
+    # each widening eliminates carried pivot rows and the new step's rows
     calls, cocycle_windows = _count_window_work(monkeypatch)
     cli.run_command("syntomic", cli.RunConfig(**config))
     assert 0 < len(calls) <= most
