@@ -31,6 +31,7 @@ from .pdalg import (
 )
 from .qtorus import (
     build_qtorus,
+    frobenius_chain_map_check,
     lnu_identification_check,
     q_divided_frobenius_checks,
     q_nygaard_stability_check,
@@ -40,7 +41,6 @@ from .syntomic import syntomic_acrys, syntomic_charp, syntomic_q
 from .torus import (
     build_torus,
     conjugate_check,
-    frobenius_chain_map_check,
     frobenius_eta_check,
     weight_classes,
 )

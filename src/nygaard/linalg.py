@@ -3,16 +3,18 @@
 Matrices are lists of lists of Python ints (arbitrary precision), acting on
 row vectors: a matrix M with shape (m, n) sends x (length m) to x*M (length n).
 
-Two kinds of row spans are handled.  Lattices in Z^n, for answers that really
-live over Z (free ranks, eta, complexes of free abelian groups), are
-canonicalised by the row Hermite normal form.  Submodules of (Z/p^r)^n are
-never lifted to Z: `eliminate_mod` reduces their generators over the local
-ring Z/p^r with entries kept in [0, p^r), and kernels, preimages, orders and
-quotient invariants are read off its pivot valuations and row transform.
-Two such spans are compared by order: span(A) = span(B) iff |A| = |B| =
-|A + B|.  `eliminate_mod` is the one elimination over Z/p^r: no canonical
-row set (Howell form) is computed, since every answer is read off orders
-and invariants, which depend on the span only.
+Two kinds of row spans are handled, with one elimination routine each.
+Lattices in Z^n, for answers that really live over Z (free ranks, eta,
+complexes of free abelian groups), are reduced by `hermite_form`, the row
+Hermite normal form, which also canonicalises them; kernels, solutions,
+restrictions and invariant factors over Z are all read off it.  Submodules
+of (Z/p^r)^n are never lifted to Z: `eliminate_mod` reduces their
+generators over the local ring Z/p^r with entries kept in [0, p^r), and
+kernels, preimages, orders and quotient invariants are read off its pivot
+valuations and row transform.  Two such spans are compared by order:
+span(A) = span(B) iff |A| = |B| = |A + B|.  No canonical row set (Howell
+form) is computed over Z/p^r, since every answer is read off orders and
+invariants, which depend on the span only.
 
 One loop computes cohomology mod p^r.  `cocycles_boundaries_mod` gives
 each degree of a complex of free Z/p^r-modules, optionally modulo relation
@@ -30,16 +32,18 @@ The side over Z mirrors it: `cocycles_boundaries` presents each degree of a
 complex of presented groups by cocycle rows Z and boundary rows B, and
 `quotient_invariants(Z, B)` reads the group off one Hermite form of Z,
 raising when a row of B leaves span(Z); that raise is the only check of B
-in Z over Z.  `cohomology_invariants` (gens = I, no relations),
-`complexes.beilinson_H0` and `presented_complex_cohomology` all read from
-it; the last is reached only through the Beilinson code of `complexes`.  Membership queries take a block
-of rows: `solve_left` and `lattice_contains` factor the lattice once per
-block, not once per row.
+in Z over Z.  The invariant factors of the coordinates of B come from
+Hermite forms of their columns and rows in turn, with no transforms.
+`cohomology_invariants` (gens = I, no relations), `complexes.beilinson_H0`
+and `presented_complex_cohomology` all read from it; the last is reached
+only through the Beilinson code of `complexes`.  Membership queries take a
+block of rows: `solve_left` and `lattice_contains` factor the lattice once
+per block, not once per row.
 
 Every sublattice cut out by a condition is one restriction:
-`restrict_lattice(G, D, L)` = {x in span(G) : x*D in span(L)}, from one
-integer kernel (the preimage of span(L) under G*D, written back through G).
-With D = None it is span(G) ∩ span(L).  The cocycles of
+`restrict_lattice(G, D, L)` = {x in span(G) : x*D in span(L)} is one
+integer kernel, that of [G*D; -L], cut to its G coordinates and written back
+through G.  With D = None it is span(G) ∩ span(L).  The cocycles of
 `cocycles_boundaries`, eta and the Beilinson truncation in `complexes`, and
 the decalage filtrations of `torus` and `qtorus` all come from it.
 `block_diag(blk, copies)` puts one square block on every summand of a free
@@ -124,8 +128,9 @@ def hermite_form(M, transform=False):
     """Row Hermite normal form.
 
     Returns H (same shape, zero rows dropped) with positive pivots, entries
-    above each pivot reduced into [0, pivot). With transform=True also returns
-    U unimodular with U*M having the rows of H on top (zero rows below).
+    above each pivot reduced into [0, pivot). With transform=True returns
+    (H, U), U unimodular with U*M having the rows of H on top (zero rows
+    below), so the rows of U past len(H) span the kernel of M.
     """
     A = mat_copy(M)
     m = len(A)
@@ -165,20 +170,14 @@ def hermite_form(M, transform=False):
                 if transform:
                     U[i] = [a - q * b for a, b in zip(U[i], U[r])]
         r += 1
-    H = [row for row in A[:r]]
-    if transform:
-        return H, U, A
-    return H
+    H = A[:r]
+    return (H, U) if transform else H
 
 
 def kernel_int(M):
     """Basis (rows, HNF) of {x : x*M = 0} over Z."""
-    m = len(M)
-    if m == 0:
-        return []
-    H, U, full = hermite_form(M, transform=True)
-    rank = len(H)
-    ker = [U[i] for i in range(rank, m)]
+    H, U = hermite_form(M, transform=True)
+    ker = U[len(H):]
     return hermite_form(ker) if ker else []
 
 
@@ -202,7 +201,7 @@ def solve_left(M, rows):
     factored once for the whole block."""
     if not M or not rows:
         return [None if any(y) else [] for y in rows]
-    H, U, _ = hermite_form(M, transform=True)
+    H, U = hermite_form(M, transform=True)
     xs = (_hnf_coordinates(H, y) for y in rows)
     return [None if x is None else row_mul(x, U) for x in xs]
 
@@ -216,123 +215,17 @@ def lattice_eq(L1, L2):
     return hermite_form(L1) == hermite_form(L2)
 
 
-def preimage_lattice(D, L):
-    """Basis of {x : x*D in span(L)}.
-
-    D has shape (m, n), L spans a sublattice of Z^n.  The result is a full
-    set of generators (HNF rows) in Z^m.
-    """
-    m = len(D)
-    if m == 0:
-        return []
-    if L:
-        stacked = mat_copy(D) + [[-a for a in row] for row in L]
-    else:
-        stacked = mat_copy(D)
-    ker = kernel_int(stacked)
-    proj = [row[:m] for row in ker]
-    return hermite_form(proj) if proj else []
-
-
 def restrict_lattice(G, D, L):
     """Hermite basis of {x in span(G) : x*D in span(L)}, with D = None the
-    identity (so span(G) ∩ span(L)): the preimage P of span(L) under G*D,
-    written back as P*G.  One integer kernel; [] when G or the set is 0."""
-    return hermite_form(mat_mul(preimage_lattice(G if D is None else mat_mul(G, D), L), G))
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form
-
-
-def smith_form(M):
-    """Smith normal form with transforms: U*M*V = D.
-
-    U, V are unimodular; D is diagonal with d_i | d_{i+1}, entries >= 0.
-    """
-    A = mat_copy(M)
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = identity(m)
-    V = identity(n)
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        A[dst] = [a + q * b for a, b in zip(A[dst], A[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
-
-    def addmul_col(dst, src, q):
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    t = 0
-    while t < min(m, n):
-        # pick a nonzero pivot of minimal absolute value
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                a = A[i][j]
-                if a and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, m):
-                while A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    addmul_row(i, t, -q)
-                    if A[i][t]:
-                        swap_rows(i, t)
-            for j in range(t + 1, n):
-                while A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    addmul_col(j, t, -q)
-                    if A[t][j]:
-                        swap_cols(j, t)
-                        dirty = True
-            if not dirty and all(A[i][t] == 0 for i in range(t + 1, m)):
-                break
-        # divisibility: pivot must divide the rest of the block
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            addmul_row(t, bad, 1)
-            continue
-        if A[t][t] < 0:
-            A[t] = [-a for a in A[t]]
-            U[t] = [-a for a in U[t]]
-        t += 1
-    return U, A, V
-
-
-def smith_invariants(M):
-    """Nontrivial invariant factors (d > 1) and the rank of M."""
-    _, D, _ = smith_form(M)
-    diag = [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
-    rank = sum(1 for d in diag if d)
-    return [d for d in diag if d > 1], rank
+    identity (so span(G) ∩ span(L)).  One integer kernel: the rows of U past
+    the rank in U*[G*D; -L] = [H; 0] span the (y, z) with y*G*D = z*L; their
+    first len(G) coordinates y span the preimage P, and P*G is the answer.
+    Two Hermite forms; [] when G or the set is 0."""
+    GD = G if D is None else mat_mul(G, D)
+    if not GD:
+        return []
+    H, U = hermite_form(GD + [[-a for a in row] for row in L], transform=True)
+    return hermite_form(mat_mul([row[:len(G)] for row in U[len(H):]], G))
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +285,31 @@ class PGroup:
 
 
 def quotient_invariants(L, M):
-    """Invariant factors and free rank of span(L)/span(M).
+    """Invariant factors (those > 1, each dividing the next) and free rank of
+    span(L)/span(M).
 
-    One Hermite form H of L; each row of M is written in its coordinates.
-    CompositeNonzero when a row of M leaves span(L)."""
+    One Hermite form H of L; each row of M is written in its coordinates,
+    and CompositeNonzero is raised when a row of M leaves span(L).  Hermite
+    forms of the columns and of the rows of this coordinate matrix C, in
+    turn, leave only diagonal entries (Cohen, A Course in Computational
+    Algebraic Number Theory, §2.4).  This ends: from the second pass on,
+    each pass makes the first pivot the gcd of the line it heads, which
+    holds the last pivot; either that is a proper divisor, or the pass
+    clears the pivot's row and column for good and the same argument runs
+    on the rest.  A gcd/lcm sweep of the nonzero diagonal gives the
+    invariant factors of C, and its length is the rank of C."""
     H = hermite_form(L)
-    coords = [_hnf_coordinates(H, y) for y in M]
-    if None in coords:
+    A = [_hnf_coordinates(H, y) for y in M]
+    if None in A:
         raise CompositeNonzero("relation rows must lie in the generator span")
-    invs, rank = smith_invariants(coords) if coords else ([], 0)
-    return invs, len(H) - rank
+    while any(a for i, row in enumerate(A) for j, a in enumerate(row) if i != j):
+        A = hermite_form([list(col) for col in zip(*A)])
+    d = [abs(a) for row in A for a in row if a]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return [a for a in d if a > 1], len(H) - len(d)
 
 
 # ---------------------------------------------------------------------------

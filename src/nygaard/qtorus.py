@@ -145,6 +145,22 @@ def specialization_check(X, M=2):
     return True
 
 
+def frobenius_chain_map_check(X, weights):
+    """phi is a chain map: phi then d at weight pm equals d at m then phi,
+    for each m in weights (qderham passes `weight_classes`).  It can read
+    false only at N >= 2: at N = 1, phi = p^j and d at pm is p times d at m,
+    so both sides are p^{j+1} times the weight-m differential."""
+    frob = {j: X.frobenius_matrix(j) for j in range(X.d + 1)}  # weight-free
+    for m in weights:
+        pm = tuple(X.p * a for a in m)
+        for j in range(X.d):
+            lhs = mat_mul(frob[j], X.diff_matrix(pm, j))
+            rhs = mat_mul(X.diff_matrix(m, j), frob[j + 1])
+            if lhs != rhs:
+                return False
+    return True
+
+
 def q_nygaard_stability_check(X, i, M=2):
     """d-stability of the xi-power Nygaard lattices per weight class of the
     box of radius M, and their nesting."""

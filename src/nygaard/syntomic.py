@@ -93,6 +93,7 @@ from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches
     identity,
     mat_is_zero,
     mat_mul,
+    mat_scale,
     quotient_exponents_mod,
     span_exponent_mod,
 )
@@ -103,7 +104,6 @@ from .pdalg import (
     _phi_blocks,
     conjugate_filtration_spans,
     frobenius_fixed_points,
-    span_identity_check,
 )
 from .qtorus import build_qtorus
 
@@ -205,16 +205,17 @@ def _assemble_window(X, i, V, m0, blocks=None, top=None):
     return ranks, diffs, basis_info
 
 
-def _orbit_contribution(X, m0, i, r, V):
+def _orbit_contribution(X, m0, i, r, V, blocks=None):
     """Certified per-degree groups of the orbit of m0 in degrees <= i+1: the
     stable image of H(W_V), certified at the first k >= 2 with
     |I_k| = |I_{k-1}| (module docstring), and per degree that k (0 when
     H^t(W_V) has no cocycles).  Raises NotStabilized after four widenings.
 
     W_V is presented up to degree min(i+2, d+1), which the cocycles of degree
-    i+1 need."""
+    i+1 need.  blocks is the orbit's `_window_blocks`, made here when not
+    given."""
     p, q = X.p, X.p**r
-    blocks = _window_blocks(X, i, m0)
+    blocks = blocks or _window_blocks(X, i, m0)
     top = min(i + 2, X.d + 1)
     rk = {j: X.exp_rank(j) for j in range(-1, X.d + 2)}
     ranks, diffs, _ = _assemble_window(X, i, V, m0, blocks, top)
@@ -305,27 +306,40 @@ def _orbit_sum(X, i, r, M, V):
     if not n:
         return total, dlog, {}, 0
     e1 = (1,) + (0,) * (d - 1)
+    blocks = _window_blocks(X, i, e1)
     # degrees <= i+1 are certified by the stable window image; degrees >= i+2
     # lie in the invertibility zone (Koszul degrees > i) where the twisted
     # Frobenius minus one is invertible by a terminating series, so the orbit
     # contributes nothing there
-    contrib, k_used = _orbit_contribution(X, e1, i, r, V)
-    if not _q_tail_vanishes(X, r, e1, V):
+    contrib, k_used = _orbit_contribution(X, e1, i, r, V, blocks=blocks)
+    if not _q_tail_vanishes(X, r, V, blocks):
         raise NotStabilized("orbit windows did not certify at V = %d" % V)
     for t, g in contrib.items():
         total[t] = total[t] + n * g
     return total, dlog, k_used, V + 1
 
 
-def _q_tail_vanishes(X, r, m0, V):
-    """All Koszul block entries at step V+1 vanish mod p^r."""
-    p = X.p
-    w = tuple(p ** (V + 1) * a for a in m0)
-    for t in range(X.d):
-        D = X.diff_matrix(w, t)
-        if any(a % p**r for row in D for a in row):
-            return False
-    return True
+def _q_tail_vanishes(X, r, V, blocks):
+    """All Koszul block entries at step V+1 vanish mod p^r; blocks is the
+    orbit's `_window_blocks`, whose widenings fetched most of them."""
+    q = X.p**r
+    return not any(a % q for t in range(X.d) for row in blocks("X", V + 1, t) for a in row)
+
+
+def _nilpotency_index(T, p, r):
+    """The least k >= 1 with T^k = 0 mod p^r, the powers reduced mod p^r at
+    each step: where the series -(1 + T + T^2 + ...) inverting T - 1 ends.
+    BoundViolated past k = r * len(T): if T is nilpotent mod p^r, it is
+    mod p, so T^len(T) = 0 mod p and T^(r len(T)) = 0 mod p^r."""
+    q = p**r
+    T = [[a % q for a in row] for row in T]
+    Tk, k = T, 1
+    while not mat_is_zero(Tk):
+        if k >= r * len(T):
+            raise BoundViolated("T^%d != 0 mod %d: the series does not terminate" % (k, q))
+        Tk = [[a % q for a in row] for row in mat_mul(Tk, T)]
+        k += 1
+    return k
 
 
 def degree_bound_inverse_certificate(X, i, r):
@@ -333,20 +347,10 @@ def degree_bound_inverse_certificate(X, i, r):
     is invertible: the series -(1 + A + A^2 + ...) terminates because A^k = 0
     mod (p^r, mu^N).  Returns the termination exponents; at N = 1 the least
     k with p^{(j-i)k} = 0 mod p^r."""
-    p = X.p
     B = X.B
-    out = {}
-    for j in range(max(i + 1, 0), X.d + 1):
-        A = mat_mul(B.phi_matrix(), B.mult_matrix(B.pow(B.xi_tilde, j - i)))
-        Ak = [row[:] for row in A]
-        k = 1
-        while any(a % p**r for row in Ak for a in row):
-            Ak = mat_mul(Ak, A)
-            k += 1
-            if k > 8 * r * X.N:
-                raise BoundViolated("series for degree %d did not terminate" % j)
-        out[j] = k
-    return out
+    phi = B.phi_matrix()
+    return {j: _nilpotency_index(mat_mul(phi, B.mult_matrix(B.pow(B.xi_tilde, j - i))), X.p, r)
+            for j in range(max(i + 1, 0), X.d + 1)}
 
 
 def _q_dlog_fixed(Phi, N):
@@ -416,21 +420,15 @@ def _acrys_negative_twist_series(A, i):
     A/p^r: its inverse -(1 + T + T^2 + ...) terminates at the least k with
     T^k = 0 mod p^r on every weight-chain block, which this returns.  The
     weight-0 block [1] makes it ceil(r / -i)."""
-    p, q = A.p, A.q
-    k_all = 1
-    for _, M in _phi_blocks(A):  # a zero block has k = 1
-        T = [[p**-i * a % q for a in row] for row in M]
-        Tk, k = T, 1
-        while not mat_is_zero(Tk):
-            Tk = [[a % q for a in row] for row in mat_mul(Tk, T)]
-            k += 1
-        k_all = max(k_all, k)
-    return k_all
+    # with no blocks, or only zero ones, k = 1
+    return max([1] + [_nilpotency_index(mat_scale(A.p**-i, M), A.p, A.n)
+                      for _, M in _phi_blocks(A)])
 
 
 def syntomic_acrys(p, i, r, e=2, W=None, g=1):
     """H^0 = fixed points, H^1 = cokernel at truncation (global-model flag),
-    plus the span-identity mechanism behind local surjectivity for i > 0."""
+    plus the mechanism behind local surjectivity for i > 0: the image of
+    phi_i - 1 mod p contains Fil^{i+1}_pd and Fil^conj_{i-1}."""
     A = PDAlgebra(p, g, r, e, W)
     if i < 0:
         return SyntomicResult(
@@ -456,7 +454,6 @@ def syntomic_acrys(p, i, r, e=2, W=None, g=1):
         rows = [[(a - b) % q for a, b in zip(img, grow)] for img, grow in zip(imgs, gens)]
         h1 = h1 + PGroup(p, quotient_exponents_mod(identity(len(idxs)), rows, p, r))
         mech_rows.append((idxs, rows))
-    span_ok = span_identity_check(A, i) if i >= 1 else None
     # the image of phi_i - 1 mod p contains Fil^{i+1}_pd and Fil^conj_{i-1}:
     # per block, adding a filtration's unit rows must keep the order mod p
     mech = None
@@ -481,8 +478,7 @@ def syntomic_acrys(p, i, r, e=2, W=None, g=1):
         mech = {"pd_part": pd_ok, "conj_part": conj_ok}
     res = SyntomicResult(
         "acrys", p, i, r, 0, A.W, {0: h0, 1: h1},
-        certificates={"stabilized": fp["certified_by"], "span_identity": span_ok,
-                      "surjectivity_mechanism": mech},
+        certificates={"stabilized": fp["certified_by"], "surjectivity_mechanism": mech},
     )
     res.evidence["h1_order_at_truncation"] = str(h1)
     res.evidence["k_theory_readoff"] = {"K_%d" % (2 * i): h0.to_json()}

@@ -56,12 +56,11 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .complexes import Complex, acyclic_mod, eta, presented_cone
+from .complexes import Complex, acyclic_mod, eta_lattices, presented_cone
 from .errors import PrecisionExhausted, UsageError
 from .linalg import (
     identity,
     lattice_eq,
-    mat_mul,
     mat_scale,
     preimage_mod,
     restrict_lattice,
@@ -143,22 +142,6 @@ def build_torus(p, d, n):
     if d < 1 or n < 1:
         raise UsageError("the torus needs d >= 1 and n >= 1, got d = %d, n = %d" % (d, n))
     return TorusDeRham(p, d, n)
-
-
-def frobenius_chain_map_check(X, weights):
-    """phi is a chain map on the q-torus X: phi then d at weight pm equals d
-    at m then phi, for each m in weights (qderham passes `weight_classes`).
-    At N = 1, where phi = p^j, both sides are p^{j+1} times the weight-m
-    differential, so derham does not run it."""
-    frob = {j: X.frobenius_matrix(j) for j in range(X.d + 1)}  # weight-free
-    for m in weights:
-        pm = tuple(X.p * a for a in m)
-        for j in range(X.d):
-            lhs = mat_mul(frob[j], X.diff_matrix(pm, j))
-            rhs = mat_mul(X.diff_matrix(m, j), frob[j + 1])
-            if lhs != rhs:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +242,8 @@ def frobenius_eta_check(X, i, M):
     X.require_precision(i)
     report = {}
     for m in weight_classes(X.d, M):
-        w = tuple(p * a for a in m)
-        block = X.weight_block(w)
-        E, incl = eta(p, block)
+        block = X.weight_block(tuple(p * a for a in m))
+        incl = eta_lattices(block, lambda j: mat_scale(p**j, identity(block.rank(j))))
         ok = True
         for j in range(X.d + 1):
             r = X.rank(j)

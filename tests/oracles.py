@@ -1,9 +1,9 @@
 """Oracles the tests check live code against, kept out of the package
 because no command uses them: enumerations that a proven symmetry replaces,
 a canonical form, further coefficient rings and the universal polynomials of
-Witt-vector arithmetic, cohomology of a complex of free Z-modules, the
-syntomic windows presented from scratch, and property checks of the
-divided-power algebra."""
+Witt-vector arithmetic, the preimage of a lattice computed on its own,
+cohomology of a complex of free Z-modules, the syntomic windows presented
+from scratch, and property checks of the divided-power algebra."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -16,6 +16,9 @@ from nygaard.linalg import (
     cocycles_boundaries_mod,
     cohomology_invariants,
     cohomology_mod,
+    hermite_form,
+    kernel_int,
+    mat_copy,
     quotient_exponents_mod,
     zeros,
 )
@@ -428,6 +431,28 @@ def eval_universal(ring, poly, xs, ys):
                 term = ring.mul(term, vals[i])
         acc = ring.add(acc, term)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# integer lattices
+
+
+def preimage_lattice(D, L):
+    """Basis of {x : x*D in span(L)}.
+
+    D has shape (m, n), L spans a sublattice of Z^n.  The result is a full
+    set of generators (HNF rows) in Z^m.
+    """
+    m = len(D)
+    if m == 0:
+        return []
+    if L:
+        stacked = mat_copy(D) + [[-a for a in row] for row in L]
+    else:
+        stacked = mat_copy(D)
+    ker = kernel_int(stacked)
+    proj = [row[:m] for row in ker]
+    return hermite_form(proj) if proj else []
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form as sympy_hnf
+from sympy.matrices.normalforms import invariant_factors
 
+from nygaard import linalg
 from nygaard.linalg import (
     CompositeNonzero,
     PGroup,
@@ -18,64 +20,19 @@ from nygaard.linalg import (
     lattice_eq,
     mat_mul,
     module_invariants_mod,
-    preimage_lattice,
     preimage_mod,
     quotient_invariants,
     restrict_lattice,
-    smith_form,
-    smith_invariants,
     solve_left,
     row_mul,
 )
 from nygaard.errors import UsageError
 
-from oracles import complex_cohomology, howell_form
+from oracles import complex_cohomology, howell_form, preimage_lattice
 
 
 def rand_mat(rng, m, n, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
-
-
-# ---------------------------------------------------------------------------
-# Smith form
-
-
-def test_smith_1x1():
-    U, D, V = smith_form([[2]])
-    assert D == [[2]]
-    assert mat_mul(mat_mul(U, [[2]]), V) == D
-
-
-def test_smith_idempotent_case():
-    M = [[1, 0], [0, 0]]
-    U, D, V = smith_form(M)
-    assert D == [[1, 0], [0, 0]]
-    assert mat_mul(mat_mul(U, M), V) == D
-
-
-def test_smith_random_remultiplication_oracle():
-    rng = random.Random(7)
-    for _ in range(60):
-        M = rand_mat(rng, 4, 4)
-        U, D, V = smith_form(M)
-        assert mat_mul(mat_mul(U, M), V) == D
-        diag = [D[i][i] for i in range(4)]
-        for a, b in zip(diag, diag[1:]):
-            if b:
-                assert a != 0 and b % a == 0
-        assert abs(sympy.Matrix(U).det()) == 1
-        assert abs(sympy.Matrix(V).det()) == 1
-
-
-def test_smith_invariants_against_sympy():
-    rng = random.Random(11)
-    for _ in range(25):
-        M = rand_mat(rng, 3, 4)
-        invs, rank = smith_invariants(M)
-        sm = sympy.Matrix(M)
-        assert rank == sm.rank()
-        sinvs = [int(d) for d in sympy.matrices.normalforms.invariant_factors(sm) if d != 0]
-        assert [d for d in sinvs if d > 1] == invs
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +120,25 @@ def test_restrict_lattice_matches_intersection_of_preimage(data):
     assert restrict_lattice(G, D, L) == hermite_form(want)
 
 
+@pytest.mark.parametrize("G, D, L", [
+    ([[2, 0], [0, 3]], None, [[3, 0], [0, 2]]),
+    ([[1, 2], [3, 4], [2, 2]], [[1], [2]], [[5]]),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[2, 0], [1, 1], [0, 3]], []),
+])
+def test_restrict_lattice_runs_two_hermite_forms(monkeypatch, G, D, L):
+    # one kernel of [G*D; -L] and one Hermite form of the answer
+    calls = []
+    hermite = linalg.hermite_form
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("transform", False))
+        return hermite(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermite_form", counted)
+    assert restrict_lattice(G, D, L)
+    assert calls == [True, False]
+
+
 # ---------------------------------------------------------------------------
 # quotients and PGroup
 
@@ -171,6 +147,37 @@ def test_quotient_invariants_free_rank_of_dependent_rows():
     # the free rank is that of span(L), not the number of rows of L
     assert quotient_invariants([[1], [1]], []) == ([], 1)
     assert quotient_invariants([[2], [3]], [[6]]) == ([6], 0)
+
+
+@st.composite
+def relation_matrices(draw):
+    """(M, n): relation rows in Z^n with zero rows and columns, dependent
+    rows and torsion prime to p (6, 10) all drawn often."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.sampled_from((1, -2, 3, 4, 6, 10, -15)),
+                      st.integers(-12, 12))
+    zero_col = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+    M = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    if M and draw(st.booleans()):
+        c = draw(st.integers(-3, 3))
+        M.append([c * a - b for a, b in zip(M[0], M[-1])])
+    if draw(st.booleans()):
+        M.insert(draw(st.integers(0, len(M))), [0] * n)
+    if zero_col is not None:
+        M = [[0 if j == zero_col else a for j, a in enumerate(row)] for row in M]
+    return M, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_matrices())
+def test_quotient_invariants_against_sympy(data):
+    # Z^n / span(M): the invariant factors of M above 1 and n - rank(M) free
+    M, n = data
+    invs, free = quotient_invariants(identity(n), M)
+    factors = [abs(int(d)) for d in invariant_factors(sympy.Matrix(M))] if M else []
+    assert invs == [d for d in factors if d > 1]
+    assert free == n - sum(1 for d in factors if d)
+    assert all(b % a == 0 for a, b in zip(invs, invs[1:]))
 
 
 def test_quotient_invariants_basic():

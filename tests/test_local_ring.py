@@ -23,7 +23,6 @@ from nygaard.linalg import (
     kernel_int,
     mat_mul,
     module_invariants_mod,
-    preimage_lattice,
     preimage_mod,
     presented_cohomology_mod,
     presented_complex_cohomology,
@@ -37,7 +36,7 @@ from nygaard.linalg import (
 from nygaard.qtorus import build_qtorus
 from nygaard.syntomic import _assemble_window
 
-from oracles import embed_rows, howell_form, primitive_weights, window_n_then_x
+from oracles import embed_rows, howell_form, preimage_lattice, primitive_weights, window_n_then_x
 
 
 @st.composite

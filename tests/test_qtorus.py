@@ -14,12 +14,13 @@ from nygaard.qtorus import (
     build_qtorus,
     eta_filtration,
     eta_lattices_B,
+    frobenius_chain_map_check,
     lnu_identification_check,
     q_divided_frobenius_checks,
     q_nygaard_stability_check,
     specialization_check,
 )
-from nygaard.torus import build_torus, frobenius_chain_map_check
+from nygaard.torus import build_torus
 
 from oracles import weights_box
 

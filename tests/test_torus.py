@@ -4,13 +4,12 @@ import pytest
 
 from nygaard import cli
 from nygaard.linalg import PGroup, identity, mat_scale
-from nygaard.qtorus import build_qtorus
+from nygaard.qtorus import build_qtorus, frobenius_chain_map_check
 from nygaard.syntomic import _q_dlog_fixed
 from nygaard.torus import (
     PrecisionExhausted,
     build_torus,
     conjugate_check,
-    frobenius_chain_map_check,
     frobenius_eta_check,
     weight_classes,
 )

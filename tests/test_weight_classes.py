@@ -12,6 +12,7 @@ from nygaard.linalg import identity, mat_scale, quotient_invariants, restrict_la
 from nygaard.qtorus import (
     build_qtorus,
     eta_filtration,
+    frobenius_chain_map_check,
     eta_lattices_B,
     lnu_identification_check,
     q_nygaard_stability_check,
@@ -20,7 +21,6 @@ from nygaard.qtorus import (
 from nygaard.torus import (
     build_torus,
     conjugate_check,
-    frobenius_chain_map_check,
     frobenius_eta_check,
     weight_classes,
 )
