@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, fields
 from . import __version__
 from .complexes import Complex, eta_cohomology_law_check
 from .errors import NotCertified, UsageError
-from .linalg import kernel_int, mat_mul
+from .linalg import identity, mat_mul, restrict_lattice
 from .pdalg import (
     PDAlgebra,
     conj_graded_map_check,
@@ -37,7 +37,7 @@ from .qtorus import (
     q_nygaard_stability_check,
     specialization_check,
 )
-from .syntomic import syntomic_acrys, syntomic_charp, syntomic_q
+from .syntomic import syntomic_acrys, syntomic_q
 from .torus import (
     build_torus,
     conjugate_check,
@@ -47,7 +47,6 @@ from .torus import (
 from .witt import (
     FpSquareModel,
     QSquareModel,
-    _ring_pow,
     build_perfectoid_square,
     frobenius_W,
     teichmuller,
@@ -56,7 +55,7 @@ from .witt import (
     witt_mul,
     witt_scalar,
 )
-from .rings import PolyTruncFp
+from .rings import PolyTrunc
 
 
 @dataclass
@@ -126,7 +125,7 @@ def _resolve_f(cfg):
 
 def cmd_witt(cfg):
     rng = random.Random(0)
-    R = PolyTruncFp(cfg.p, 3)
+    R = PolyTrunc(3, modulus=cfg.p)
     laws = {"FV_is_p": True, "teichmuller_F": True, "projection_formula": True}
     for _ in range(25):
         w = witt(R, cfg.p, tuple(R.random(rng) for _ in range(cfg.n + 1)))
@@ -134,7 +133,7 @@ def cmd_witt(cfg):
             laws["FV_is_p"] = False
         a = R.random(rng)
         if frobenius_W(teichmuller(R, cfg.p, a, cfg.n + 1)) != teichmuller(
-            R, cfg.p, _ring_pow(R, a, cfg.p), cfg.n
+            R, cfg.p, R.pow(a, cfg.p), cfg.n
         ):
             laws["teichmuller_F"] = False
         y = witt(R, cfg.p, tuple(R.random(rng) for _ in range(cfg.n + 2)))
@@ -168,7 +167,7 @@ def _fixture_complex(name, p):
             if nxt is None:
                 D = [[rng.randint(-3, 3) for _ in range(ranks[j + 1])] for _ in range(ranks[j])]
             else:
-                K = kernel_int(nxt)
+                K = restrict_lattice(identity(len(nxt)), nxt, [])
                 if not K:
                     D = [[0] * ranks[j + 1] for _ in range(ranks[j])]
                 else:
@@ -276,10 +275,9 @@ def cmd_acrys(cfg):
 
 def cmd_syntomic(cfg):
     V = cfg.V if cfg.V else None
-    if cfg.model == "charp":
-        res = syntomic_charp(cfg.p, cfg.d, cfg.i, cfg.r, M=cfg.M, V=V)
-    elif cfg.model == "q":
-        res = syntomic_q(cfg.p, cfg.d, cfg.i, cfg.r, N=cfg.N, M=cfg.M, V=V)
+    if cfg.model in ("charp", "q"):
+        N = 1 if cfg.model == "charp" else cfg.N
+        res = syntomic_q(cfg.p, cfg.d, cfg.i, cfg.r, N=N, M=cfg.M, V=V)
     elif cfg.model == "acrys":
         W = cfg.W if cfg.W else None
         res = syntomic_acrys(cfg.p, cfg.i, cfg.r, e=cfg.e, W=W)

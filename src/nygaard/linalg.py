@@ -43,9 +43,10 @@ per block, not once per row.
 Every sublattice cut out by a condition is one restriction:
 `restrict_lattice(G, D, L)` = {x in span(G) : x*D in span(L)} is one
 integer kernel, that of [G*D; -L], cut to its G coordinates and written back
-through G.  With D = None it is span(G) ∩ span(L).  The cocycles of
-`cocycles_boundaries`, eta and the Beilinson truncation in `complexes`, and
-the decalage filtrations of `torus` and `qtorus` all come from it.
+through G.  With D = None it is span(G) ∩ span(L); with G = I and L = []
+it is the kernel of D.  The cocycles of `cocycles_boundaries`, eta and the
+Beilinson truncation in `complexes`, the decalage filtrations of `torus` and
+`qtorus` and the random fixture complexes of `cli` all come from it.
 `block_diag(blk, copies)` puts one square block on every summand of a free
 module, e.g. multiplication by an element of B = Z[q]/((q-1)^N) on B^k.
 """
@@ -172,13 +173,6 @@ def hermite_form(M, transform=False):
         r += 1
     H = A[:r]
     return (H, U) if transform else H
-
-
-def kernel_int(M):
-    """Basis (rows, HNF) of {x : x*M = 0} over Z."""
-    H, U = hermite_form(M, transform=True)
-    ker = U[len(H):]
-    return hermite_form(ker) if ker else []
 
 
 def _hnf_coordinates(H, y):

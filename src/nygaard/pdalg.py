@@ -220,11 +220,10 @@ class PDAlgebra:
         coeff %= self.q
         return (Monomial(tuple(cs), tuple(ls)), coeff) if coeff else None
 
-    def mul(self, a, b, strict=False):
+    def mul(self, a, b):
         """Bilinear extension of `mul_monomials`; monomials beyond weight W
-        are dropped (flagged when strict)."""
+        are dropped."""
         out = {}
-        truncated = False
         for m1, c1 in a.items():
             for m2, c2 in b.items():
                 r = self.mul_monomials(m1, m2)
@@ -234,15 +233,12 @@ class PDAlgebra:
                 if not coeff:
                     continue
                 if m.total_pd_weight() > self.W:
-                    truncated = True
                     continue
                 v = (out.get(m, 0) + coeff) % self.q
                 if v:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        if strict and truncated:
-            raise TruncationTooTight("product leaves the weight window")
         return out
 
     def power(self, a, k):

@@ -6,14 +6,16 @@ phi(dlog T_a) = xi_tilde * dlog T_a is an exact chain map, the Nygaard
 filtration is by xi-powers, and the divided Frobenius xi_tilde^{-i} phi is
 integral; specializing q -> 1 recovers the integral torus model).
 
-B-modules are expanded over Z: the weight block in degree j is Z^{N * C(d,j)}
-with B acting through multiplication matrices, so all lattice machinery from
-linalg applies unchanged.
+B is `qbase.QBase`, the truncated polynomial ring `rings.PolyTrunc(N)` in
+mu = q - 1.  B-modules are expanded over Z: the weight block in degree j is
+Z^{N * C(d,j)} with B acting through multiplication matrices, so all lattice
+machinery from linalg applies unchanged.
 
 N >= 1.  At N = 1, B = Z, mu = 0 and xi = xi_tilde = p, every block is a
 scalar, and the model is the integral torus model of `torus.TorusDeRham`
 matrix by matrix: the crystalline prism (Z_p, (p)) is the q-de Rham prism
-(Z_p[[q-1]], [p]_q) at q = 1.
+(Z_p[[q-1]], [p]_q) at q = 1.  So `syntomic.syntomic_q` runs this one model
+for characteristic p (N = 1) and for the q-model (N >= 2).
 """
 
 from dataclasses import dataclass

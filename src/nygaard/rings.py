@@ -1,32 +1,35 @@
-"""Truncated polynomial rings, the coefficient rings of Witt-vector
-arithmetic.
+"""The truncated polynomial ring, the coefficient ring of Witt-vector
+arithmetic and of the q-de Rham base.
 
-Each ring knows how to lift its elements to a torsion-free cover (where ghost
-components can be inverted by exact division) and reduce back.  Elements are
-coefficient tuples, plain immutable data.  The `witt` command runs on
-F_p[x]/(x^k), whose cover is Z[x]/(x^k).
+`PolyTrunc(k)` is Z[x]/(x^k) and `PolyTrunc(k, modulus=p)` is F_p[x]/(x^k).
+Each knows how to lift its elements to a torsion-free cover, Z[x]/(x^k)
+(where ghost components can be inverted by exact division), and reduce back.
+Elements are coefficient tuples, plain immutable data.  The `witt` command
+runs on F_p[x]/(x^3); `qbase.QBase` is Z[mu]/(mu^N).
 """
 
 from .errors import RingError
 
 
-class PolyTruncZ:
-    """Z[x]/(x^k); elements are coefficient tuples of length k."""
+class PolyTrunc:
+    """Z[x]/(x^k), or F_p[x]/(x^k) when modulus = p; elements are
+    coefficient tuples of length k."""
 
-    def __init__(self, k):
+    def __init__(self, k, modulus=None):
         self.k = k
-        self.cover = self
+        self.modulus = modulus
+        self.cover = self if modulus is None else PolyTrunc(k)
         self.zero = (0,) * k
         self.one = tuple(1 if i == 0 else 0 for i in range(k))
 
     def from_int(self, c):
-        return tuple(c if i == 0 else 0 for i in range(self.k))
+        return self.reduce((c,) + self.zero[1:])
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return self.reduce(tuple(x + y for x, y in zip(a, b)))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        return self.reduce(tuple(-x for x in a))
 
     def mul(self, a, b):
         k = self.k
@@ -36,7 +39,26 @@ class PolyTruncZ:
                 for j, y in enumerate(b):
                     if y and i + j < k:
                         out[i + j] += x * y
-        return tuple(out)
+        if self.modulus is None:
+            return tuple(out)
+        return tuple(c % self.modulus for c in out)
+
+    def pow(self, a, e):
+        """a^e by square and multiply, starting from the lowest set bit of e,
+        so that one is never multiplied in (a^2 is one product, not two)."""
+        if not e:
+            return self.one
+        while not e & 1:
+            a = self.mul(a, a)
+            e >>= 1
+        out = a
+        e >>= 1
+        while e:
+            a = self.mul(a, a)
+            if e & 1:
+                out = self.mul(out, a)
+            e >>= 1
+        return out
 
     def eq(self, a, b):
         return a == b
@@ -45,7 +67,9 @@ class PolyTruncZ:
         return a
 
     def reduce(self, a):
-        return a
+        if self.modulus is None:
+            return a
+        return tuple(x % self.modulus for x in a)
 
     def exact_div_int(self, a, m):
         out = []
@@ -56,43 +80,10 @@ class PolyTruncZ:
             out.append(q)
         return tuple(out)
 
-    def __repr__(self):
-        return "Z[x]/(x^%d)" % self.k
-
-
-class PolyTruncFp:
-    """F_p[x]/(x^k) with lift to Z[x]/(x^k)."""
-
-    def __init__(self, p, k):
-        self.p = p
-        self.k = k
-        self.cover = PolyTruncZ(k)
-        self.zero = (0,) * k
-        self.one = tuple(1 if i == 0 else 0 for i in range(k))
-
-    def from_int(self, c):
-        return tuple(c % self.p if i == 0 else 0 for i in range(self.k))
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def mul(self, a, b):
-        return tuple(c % self.p for c in self.cover.mul(a, b))
-
-    def eq(self, a, b):
-        return a == b
-
-    def lift(self, a):
-        return a
-
-    def reduce(self, a):
-        return tuple(x % self.p for x in a)
-
-    def random(self, rng, size=None):
-        return tuple(rng.randrange(self.p) for _ in range(self.k))
+    def random(self, rng):
+        return tuple(rng.randrange(self.modulus) for _ in range(self.k))
 
     def __repr__(self):
-        return "F_%d[x]/(x^%d)" % (self.p, self.k)
+        if self.modulus is None:
+            return "Z[x]/(x^%d)" % self.k
+        return "F_%d[x]/(x^%d)" % (self.modulus, self.k)

@@ -1,19 +1,21 @@
 """Syntomic complexes Z/p^r(i) as fibers of (divided Frobenius - can).
 
-One torus model computes them: the q-de Rham torus `QTorusComplex` over
-B = Z[q]/((q-1)^N).  Nygaard coordinates are normalized by powers of xi, so
-the Nygaard-side differential is the normalized Koszul differential and can
-embeds the xi-power lattice rows.
+One torus model computes them, through one entry point, `syntomic_q`: the
+q-de Rham torus `QTorusComplex` over B = Z[q]/((q-1)^N).  Nygaard
+coordinates are normalized by powers of xi, so the Nygaard-side differential
+is the normalized Koszul differential and can embeds the xi-power lattice
+rows.
 
-Characteristic p is the same model at N = 1.  There B = B/mu = Z is the
-crystalline prism (Z_p, (p)), the q = 1 fibre of the q-de Rham prism
-(Z_p[[q-1]], [p]_q) (Bhatt-Scholze, Prisms and prismatic cohomology, §16):
-mu = 0, xi = xi_tilde = p, and every block is the scalar block of the
-integral torus model `TorusDeRham`.  The Nygaard lattice in Koszul degree t is
-p^{max(i-t,0)} times the full term, and can is that scale.  So the collapse
-of the q-model along mu is the N = 1 model, and `syntomic_charp` is
-`syntomic_q` at N = 1 under its own certificate names: Z/p^r(i) of the
-F_p-torus, which BMS2 §8 identifies with W_r Omega^i_log[-i].
+Characteristic p is the same model at N = 1, reported as model "charp".
+There B = B/mu = Z is the crystalline prism (Z_p, (p)), the q = 1 fibre of
+the q-de Rham prism (Z_p[[q-1]], [p]_q) (Bhatt-Scholze, Prisms and
+prismatic cohomology, §16): mu = 0, xi = xi_tilde = p, and every block is
+the scalar block of the integral torus model `TorusDeRham`.  The Nygaard
+lattice in Koszul degree t is p^{max(i-t,0)} times the full term, and can is
+that scale.  So the collapse of the q-model along mu is the N = 1 model:
+Z/p^r(i) of the F_p-torus, which BMS2 §8 identifies with
+W_r Omega^i_log[-i].  For N >= 2 (model "q") the answer is relative to the
+truncated q-de Rham base.
 
 The torus model decomposes by Frobenius orbits of weights {m, pm, ...} (m
 primitive).  Step s of an orbit has the weight p^s m, a Nygaard-side term
@@ -139,7 +141,7 @@ class SyntomicResult:
 
 
 # ---------------------------------------------------------------------------
-# the torus pipeline: windows, orbits, the two entry points
+# the torus pipeline: windows, orbits, the entry point
 
 
 def _window_blocks(X, i, m0):
@@ -360,19 +362,23 @@ def _q_dlog_fixed(Phi, N):
     return all(Phi[k] == I[k] for k in range(0, len(Phi), N))
 
 
-def _torus_syntomic(model, X, i, r, M, V, series_key):
-    """The one body of `syntomic_charp` and `syntomic_q` on the torus X;
-    series_key names the degree-bound series certificate for i >= 0.
+def syntomic_q(p, d, i, r, N=4, M=4, V=None):
+    """Cohomology of fib(phi_i - can) on the d-torus in the q-model over
+    B/p^r, B = Z[q]/((q-1)^N), one window for all primitive weights (module
+    docstring), with the degree-bound invertibility certificate.
 
-    For i < 0 every Koszul degree j >= 0 lies in the zone j > i, where
-    xi_tilde^{j-i} phi - 1 is invertible by a terminating series, so all
-    groups vanish; the certificate reports the termination exponent per
+    N = 1 is characteristic p (model "charp"): B = Z, the crystalline prism.
+    For N >= 2 (model "q") it reports the module structure of the truncated
+    model.  For i < 0 every Koszul degree j >= 0 lies in the zone j > i,
+    where xi_tilde^{j-i} phi - 1 is invertible by a terminating series, so
+    all groups vanish; the certificate reports the termination exponent per
     degree."""
+    X = build_qtorus(p, d, N)
     if r < 1:
         raise UsageError("the syntomic complex needs r >= 1, got r = %d" % r)
     if M < 0:
         raise UsageError("the weight box needs M >= 0, got M = %d" % M)
-    p, d = X.p, X.d
+    model = "charp" if N == 1 else "q"
     if i < 0:
         groups = {t: PGroup.zero(p) for t in range(d + 2)}
         return SyntomicResult(
@@ -384,31 +390,9 @@ def _torus_syntomic(model, X, i, r, M, V, series_key):
         model, p, i, r, M, V_used, total, dlog=dlog,
         certificates={
             "stabilized": k_used,
-            series_key: degree_bound_inverse_certificate(X, i, r),
+            "degree_bound_series": degree_bound_inverse_certificate(X, i, r),
         },
     )
-
-
-def syntomic_charp(p, d, i, r, M=4, V=None):
-    """Cohomology of fib(phi_i - can) on the d-torus over F_p, with
-    coefficients Z/p^r: the torus model at N = 1, one window for all
-    primitive weights (module docstring)."""
-    return _torus_syntomic("charp", build_qtorus(p, d, 1), i, r, M, V, "zone_series_exponents")
-
-
-def syntomic_q(p, d, i, r, N=4, M=4, V=None):
-    """Syntomic cohomology in the q-model over B/p^r, with the degree-bound
-    invertibility certificate.
-
-    N = 1 is the mu-collapsed model B/mu = Z and answers as `syntomic_charp`.
-    For N >= 2 the computation reports the module structure of the truncated
-    model, which for i >= 1 carries classes supported near the
-    mu-truncation cliff (flagged)."""
-    res = _torus_syntomic("q", build_qtorus(p, d, N), i, r, M, V, "degree_bound_series")
-    if i >= 0:
-        res.certificates["mu_collapsed"] = N == 1
-        res.certificates["mu_cliff_classes_possible"] = N > 1 and i >= 1
-    return res
 
 
 # ---------------------------------------------------------------------------

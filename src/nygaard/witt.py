@@ -56,31 +56,13 @@ def _int_mul(ring, c, a):
     return ring.mul(ring.from_int(c), a)
 
 
-def _ring_pow(ring, x, e):
-    """x^e by square and multiply, starting from the lowest set bit of e, so
-    that ring.one is never multiplied in (x^2 is one product, not two)."""
-    if not e:
-        return ring.one
-    while not e & 1:
-        x = ring.mul(x, x)
-        e >>= 1
-    out = x
-    e >>= 1
-    while e:
-        x = ring.mul(x, x)
-        if e & 1:
-            out = ring.mul(out, x)
-        e >>= 1
-    return out
-
-
 def ghost(w):
     """Ghost components in the base ring: g_i = sum_{j<=i} p^j w_j^{p^{i-j}}.
     pows[j] = w_j^{p^{i-j}} is raised to the p-th power from one i to the next."""
     ring, p = w.ring, w.p
     out, pows = [], []
     for c in w.coords:
-        pows = [_ring_pow(ring, x, p) for x in pows] + [c]
+        pows = [ring.pow(x, p) for x in pows] + [c]
         acc = ring.zero
         for j, x in enumerate(pows):
             acc = ring.add(acc, _int_mul(ring, p**j, x))
@@ -100,7 +82,7 @@ def _from_ghost_cover(ring, p, g):
     cover = ring.cover
     coords, pows = [], []
     for i, acc in enumerate(g):
-        pows = [_ring_pow(cover, x, p) for x in pows]
+        pows = [cover.pow(x, p) for x in pows]
         for j, x in enumerate(pows):
             acc = cover.add(acc, cover.neg(_int_mul(cover, p**j, x)))
         coords.append(cover.exact_div_int(acc, p**i))

@@ -24,7 +24,6 @@ from nygaard.errors import UsageError
 from nygaard.linalg import (
     hermite_form,
     identity,
-    kernel_int,
     lattice_contains,
     lattice_eq,
     mat_mul,
@@ -33,7 +32,7 @@ from nygaard.linalg import (
     row_mul,
 )
 
-from oracles import complex_cohomology
+from oracles import complex_cohomology, kernel_int
 
 
 def mult_p_complex(p):

@@ -15,7 +15,6 @@ from nygaard.linalg import (
     cohomology_invariants,
     hermite_form,
     identity,
-    kernel_int,
     lattice_contains,
     lattice_eq,
     mat_mul,
@@ -28,7 +27,7 @@ from nygaard.linalg import (
 )
 from nygaard.errors import UsageError
 
-from oracles import complex_cohomology, howell_form, preimage_lattice
+from oracles import complex_cohomology, howell_form, kernel_int, preimage_lattice
 
 
 def rand_mat(rng, m, n, lo=-9, hi=9):

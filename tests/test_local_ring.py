@@ -20,7 +20,6 @@ from nygaard.linalg import (
     identity,
     lattice_contains,
     mat_scale,
-    kernel_int,
     mat_mul,
     module_invariants_mod,
     preimage_mod,
@@ -36,7 +35,14 @@ from nygaard.linalg import (
 from nygaard.qtorus import build_qtorus
 from nygaard.syntomic import _assemble_window
 
-from oracles import embed_rows, howell_form, preimage_lattice, primitive_weights, window_n_then_x
+from oracles import (
+    embed_rows,
+    howell_form,
+    kernel_int,
+    preimage_lattice,
+    primitive_weights,
+    window_n_then_x,
+)
 
 
 @st.composite

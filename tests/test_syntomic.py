@@ -9,7 +9,6 @@ from nygaard.syntomic import (
     NotStabilized,
     degree_bound_inverse_certificate,
     syntomic_acrys,
-    syntomic_charp,
     _assemble_window,
     _orbit_contribution,
     _q_dlog_fixed,
@@ -29,7 +28,7 @@ from oracles import orbit_contribution_from_scratch, primitive_weights, window_n
 def test_charp_weight0_anchor():
     # H^0(Z/p^r(0)) = Z/p^r (constants); orbit parts contribute nothing to H^0
     for p, r in ((2, 1), (3, 2)):
-        res = syntomic_charp(p, 1, 0, r, M=4)
+        res = syntomic_q(p, 1, 0, r, N=1, M=4)
         assert res.groups[0] == PGroup(p, (r,))
         _, k_used = _orbit_contribution(build_qtorus(p, 1, 1), (1,), 0, r, r + 1)
         assert res.certificates["stabilized"] == k_used
@@ -40,7 +39,7 @@ def test_charp_i0_r1_artin_schreier_h1():
     # orbit plus the weight-zero echo
     p = 2
     M = 4
-    res = syntomic_charp(p, 1, 0, 1, M=M)
+    res = syntomic_q(p, 1, 0, 1, N=1, M=M)
     orbits = [m for m in range(-M, M + 1) if m != 0 and m % p]
     expected_h1_rank = len(orbits) + 1
     assert res.groups[1] == PGroup(p, (1,) * expected_h1_rank)
@@ -49,7 +48,7 @@ def test_charp_i0_r1_artin_schreier_h1():
 
 def test_charp_dlog_class_weight1():
     for r in (1, 2, 3):
-        res = syntomic_charp(2, 1, 1, r, M=4)
+        res = syntomic_q(2, 1, 1, r, N=1, M=4)
         assert res.dlog["present"]
         assert res.dlog["cocycle"]
         assert res.dlog["nonzero_in_H"]
@@ -59,12 +58,12 @@ def test_charp_dlog_class_weight1():
 
 
 def test_charp_negative_twist_zero():
-    res = syntomic_charp(3, 1, -1, 2, M=3)
+    res = syntomic_q(3, 1, -1, 2, N=1, M=3)
     assert all(g.is_zero() for g in res.groups.values())
 
 
 def test_charp_degrees_outside_window_zero():
-    res = syntomic_charp(2, 1, 1, 1, M=3)
+    res = syntomic_q(2, 1, 1, 1, N=1, M=3)
     for t, g in res.groups.items():
         if t > 2:  # degrees outside [0, i+1] for the d=1 torus
             assert g.is_zero()
@@ -74,15 +73,15 @@ def test_charp_reduction_compatibility():
     # H^0 of the r+1 result surjects onto the r result (orders here: both are
     # cyclic of the expected orders)
     for r in (1, 2):
-        a = syntomic_charp(2, 1, 0, r, M=2)
-        b = syntomic_charp(2, 1, 0, r + 1, M=2)
+        a = syntomic_q(2, 1, 0, r, N=1, M=2)
+        b = syntomic_q(2, 1, 0, r + 1, N=1, M=2)
         assert a.groups[0] == PGroup(2, (r,))
         assert b.groups[0] == PGroup(2, (r + 1,))
 
 
 def test_charp_module_scaling_sanity():
     # multiplying the H^0(Z/p^r(0)) generator by a scalar stays in the group
-    res = syntomic_charp(2, 1, 0, 2, M=2)
+    res = syntomic_q(2, 1, 0, 2, N=1, M=2)
     g = res.groups[0]
     assert g.p ** sum(g.exponents) == 4
     # scalar action: c * class has order order/gcd(c, order)
@@ -134,9 +133,7 @@ def _check_orbit_windows_agree_with_e1(p, d, r, N, M):
                 assert got == ref, (m0, i, V)
                 for t, g in got[0][0].items():
                     total[t] = total[t] + g
-            if N == 1:
-                assert syntomic_charp(p, d, i, r, M=M, V=V).groups == total, (i, V)
-            elif ref[1]:
+            if ref[1]:
                 assert syntomic_q(p, d, i, r, N=N, M=M, V=V).groups == total, (i, V)
             else:
                 with pytest.raises(NotStabilized):
@@ -319,7 +316,7 @@ def test_widening_window_checks_that_boundaries_are_cocycles(monkeypatch):
 
     monkeypatch.setattr(syntomic, "_tail_rows", corrupt)
     with pytest.raises(CompositeNonzero):
-        syntomic_charp(p, d, i, r, M=1, V=V)
+        syntomic_q(p, d, i, r, N=1, M=1, V=V)
     assert corrupted == [V + 1]
 
 
@@ -379,20 +376,20 @@ def test_window_elimination_count(monkeypatch, config, most):
 def test_charp_negative_twist_series_certificate():
     # every Koszul degree j >= 0 lies in the zone j > i: the termination
     # exponent of p^{j-i} phi - 1 is the least k with (j - i) k >= r
-    res = syntomic_charp(2, 2, -1, 3, M=1)
+    res = syntomic_q(2, 2, -1, 3, N=1, M=1)
     assert res.certificates["negative_twist_series"] == {0: 3, 1: 2, 2: 1}
-    assert syntomic_charp(3, 1, -2, 4).certificates["negative_twist_series"] == {0: 2, 1: 2}
+    assert syntomic_q(3, 1, -2, 4, N=1).certificates["negative_twist_series"] == {0: 2, 1: 2}
 
 
 @pytest.mark.parametrize("p, d, i, r", [(2, 1, 1, 2), (3, 2, 0, 1), (2, 2, 2, 3)])
 def test_charp_box_radius_0_is_weight0(p, d, i, r):
     # -M 0 has no primitive weights, so no orbit class: only weight 0 remains
-    res = syntomic_charp(p, d, i, r, M=0)
+    res = syntomic_q(p, d, i, r, N=1, M=0)
     assert res.groups == _weight0_groups(build_qtorus(p, d, 1), i, r)
     assert res.certificates["stabilized"] == {}
     # no window is built, so V_used is 0, as for i < 0; M = 1 builds one
     assert res.V_used == 0
-    assert syntomic_charp(p, d, i, r, M=1).V_used == r + 2
+    assert syntomic_q(p, d, i, r, N=1, M=1).V_used == r + 2
 
 
 def test_charp_orbit_multiplicity_at_the_frontier():
@@ -401,16 +398,16 @@ def test_charp_orbit_multiplicity_at_the_frontier():
     p, d, i, r, M = 3, 3, 1, 2, 8
     n = (2 * M + 1) ** d - (2 * (M // p) + 1) ** d
     assert n == len(primitive_weights(d, p, M)) == 4788
-    res = syntomic_charp(p, d, i, r, M=M)
+    res = syntomic_q(p, d, i, r, N=1, M=M)
     assert res.groups[i + 1] == PGroup(p, (r,) * (comb(d, i) + comb(d - 1, i) * n))
     assert res.groups[i] == PGroup(p, (r,) * comb(d, i))
 
 
 def test_charp_tail_test_is_class_invariant():
     # the tail test reads V + 1 >= r: V = r - 1 certifies, V = r - 2 does not
-    assert syntomic_charp(2, 2, 1, 3, M=1, V=2).V_used == 3
+    assert syntomic_q(2, 2, 1, 3, N=1, M=1, V=2).V_used == 3
     with pytest.raises(NotStabilized):
-        syntomic_charp(2, 2, 1, 3, M=1, V=1)
+        syntomic_q(2, 2, 1, 3, N=1, M=1, V=1)
 
 
 @pytest.mark.parametrize("model, N", [("charp", 1), ("q", 3)])
@@ -418,8 +415,8 @@ def test_charp_tail_test_is_class_invariant():
 def test_stabilized_is_the_widening_of_the_e1_window(model, N, p, d, i, r):
     # per degree <= i+1, the widening k at which the stable image of the e_1
     # window certified
-    res = (syntomic_charp(p, d, i, r, M=2) if model == "charp"
-           else syntomic_q(p, d, i, r, N=N, M=2))
+    res = syntomic_q(p, d, i, r, N=N, M=2)
+    assert res.model == model
     e1 = (1,) + (0,) * (d - 1)
     _, k_used = _orbit_contribution(build_qtorus(p, d, N), e1, i, r, r + 1)
     assert res.certificates["stabilized"] == k_used
@@ -456,21 +453,13 @@ def test_q_dlog_flag_reads_every_dlog_row():
 
 
 def test_q_matches_charp_mod_mu():
-    # q -> 1 consistency: the collapsed q-model is the N = 1 model (its
-    # windows are the mu-killed windows at N >= 2, tests/test_local_ring.py),
-    # and it answers as charp
-    for p, i, r in ((2, 0, 1), (2, 1, 1), (3, 1, 1), (2, 1, 2)):
-        rq = syntomic_q(p, 1, i, r, N=1, M=2)
-        rc = syntomic_charp(p, 1, i, r, M=2)
-        for t in rc.groups:
-            assert rq.groups[t] == rc.groups[t], (p, i, r, t, str(rq.groups[t]), str(rc.groups[t]))
-        assert rq.certificates["mu_collapsed"]
-        assert not rq.certificates["mu_cliff_classes_possible"]
-    # at i = 0 the full-B model already agrees (no twisted can, no cliff)
+    # at i = 0 the full-B model already agrees with its collapse along mu, the
+    # charp model N = 1 (no twisted can); the collapsed windows are the
+    # mu-killed windows at N >= 2 (tests/test_local_ring.py)
     rq = syntomic_q(2, 1, 0, 1, N=3, M=2)
-    rc = syntomic_charp(2, 1, 0, 1, M=2)
+    rc = syntomic_q(2, 1, 0, 1, N=1, M=2)
+    assert (rq.model, rc.model) == ("q", "charp")
     assert all(rq.groups[t] == rc.groups[t] for t in rc.groups)
-    assert not rq.certificates["mu_cliff_classes_possible"]
 
 
 @pytest.mark.parametrize("i, r", [(0, 1), (1, 2)])
@@ -489,26 +478,26 @@ def test_q_negative_twist():
 
 @pytest.mark.parametrize("p, d, i, r", [(2, 2, -1, 3), (3, 1, -2, 4), (5, 3, -1, 2)])
 def test_q_negative_twist_series_is_computed(p, d, i, r):
-    # the same series certificate as charp: at N = 1 the same exponents, and
-    # a computed exponent per Koszul degree at N = 4
-    charp = syntomic_charp(p, d, i, r, M=1).certificates["negative_twist_series"]
-    assert syntomic_q(p, d, i, r, N=1, M=1).certificates["negative_twist_series"] == charp
+    # at N = 1 the least k with p^{(j-i)k} = 0 mod p^r, and a computed
+    # exponent per Koszul degree at N = 4
+    charp = syntomic_q(p, d, i, r, N=1, M=1).certificates["negative_twist_series"]
+    assert charp == {j: -(-r // (j - i)) for j in range(d + 1)}
     series = syntomic_q(p, d, i, r, N=4, M=1).certificates["negative_twist_series"]
     assert isinstance(series, dict) and set(series) == set(range(d + 1))
     assert all(k >= 1 for k in series.values())
 
 
-@pytest.mark.parametrize("entry", [syntomic_charp, syntomic_q])
-def test_r_below_1_is_rejected(entry):
+@pytest.mark.parametrize("N", [1, 4])
+def test_r_below_1_is_rejected(N):
     with pytest.raises(UsageError):
-        entry(2, 1, 1, 0)
+        syntomic_q(2, 1, 1, 0, N=N)
 
 
-@pytest.mark.parametrize("entry", [syntomic_charp, syntomic_q])
-def test_negative_box_radius_is_rejected(entry):
+@pytest.mark.parametrize("N", [1, 4])
+def test_negative_box_radius_is_rejected(N):
     # the closed-form count of primitive weights holds for M >= 0 only
     with pytest.raises(UsageError):
-        entry(2, 1, 1, 1, M=-2)
+        syntomic_q(2, 1, 1, 1, N=N, M=-2)
 
 
 def test_degree_bound_series_terminates():
@@ -596,6 +585,6 @@ def test_acrys_k_theory_readoff_emitted():
 def test_result_serialization_roundtrip():
     import json
 
-    res = syntomic_charp(2, 1, 1, 1, M=2)
+    res = syntomic_q(2, 1, 1, 1, N=1, M=2)
     blob = json.dumps(res.to_json(), sort_keys=True)
     assert json.loads(blob)["groups"]["1"]["exponents"]

@@ -4,7 +4,7 @@ import pytest
 
 from nygaard import cli
 from nygaard.linalg import PGroup, identity, mat_scale
-from nygaard.qtorus import build_qtorus, frobenius_chain_map_check
+from nygaard.qtorus import build_qtorus
 from nygaard.syntomic import _q_dlog_fixed
 from nygaard.torus import (
     PrecisionExhausted,
@@ -14,7 +14,7 @@ from nygaard.torus import (
     weight_classes,
 )
 
-from oracles import complex_cohomology, weights_box
+from oracles import complex_cohomology
 
 
 def test_build_torus_weight_blocks_d1():
@@ -61,12 +61,6 @@ def test_dsquared_zero_random_weights():
         for _ in range(10):
             m = tuple(rng.randint(-6, 6) for _ in range(d))
             X.weight_block(m)  # Complex __post_init__ checks d*d = 0
-
-
-def test_frobenius_is_chain_map():
-    # qderham's chain-map check on the integral torus, its case N = 1
-    X = build_qtorus(2, 2, 1)
-    assert frobenius_chain_map_check(X, weights_box(2, 3))
 
 
 def test_frobenius_scales():
