@@ -19,12 +19,12 @@ from dataclasses import asdict, dataclass, fields
 from . import __version__
 from .complexes import Complex, eta_cohomology_law_check
 from .errors import NotCertified, UsageError
-from .linalg import identity, mat_mul, restrict_lattice
+from .linalg import PGroup, identity, mat_mul, restrict_lattice
 from .pdalg import (
     PDAlgebra,
     conj_graded_map_check,
     conjugate_filtration_equality_check,
-    frobenius_fixed_points,
+    fiber_group,
     nygaard_graded_image_check,
     phi_pth_power_check,
     span_identity_check,
@@ -263,8 +263,9 @@ def cmd_acrys(cfg):
         ),
         "span_identity": span_identity_check(A, max(cfg.i, 1)),
     }
-    fp = frobenius_fixed_points(A, cfg.i)
-    payload["fixed_points"] = fp["group"].to_json()
+    # at i < 0, phi_i - can is invertible (the series of `syntomic_acrys`)
+    fixed = fiber_group(A, cfg.i) if cfg.i >= 0 else PGroup.zero(cfg.p)
+    payload["fixed_points"] = fixed.to_json()
     payload["all_ok"] = all(
         payload[k]
         for k in ("conjugate_filtration_eq", "graded_map", "phi_pth_power",
@@ -387,6 +388,11 @@ def build_config(args):
         v = getattr(args, k, None)
         if v is not None:
             values[k] = v
+    # syntomic charp is the q-model at N = 1 whatever N says, so an explicit
+    # other N would be echoed in the config without being used
+    if (args.command == "syntomic" and values.get("model", RunConfig.model) == "charp"
+            and values.get("N", 1) != 1):
+        raise UsageError("syntomic --model charp runs at N = 1, got N = %d" % values["N"])
     return RunConfig(**values)
 
 

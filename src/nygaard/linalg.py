@@ -426,13 +426,6 @@ def _vp(x, p):
     return v
 
 
-def module_invariants_mod(gens, p, n):
-    """Invariant exponents (largest first) of the Z/p^n-module spanned by
-    gens in (Z/p^n)^c: one Z/p^{n-v} per pivot of valuation v."""
-    vals, _ = eliminate_mod(gens, p, n)
-    return tuple(sorted((n - v for v in vals), reverse=True))
-
-
 def eliminate_mod(M, p, r, T=None):
     """Smith-style elimination of the rows of M over Z/p^r.
 

@@ -45,10 +45,7 @@ a chain save work:
   out).  Its Nygaard kernel is the identity at every level and phi_i is zero
   on it.  So in `nygaard_graded_image_check` it has no image and no graded
   piece, and the image matches Fil^conj_i on it iff it holds no index of
-  the restricted filtration.  In `syntomic.syntomic_acrys`, phi_i - 1 = -1
-  on it: it adds nothing to H^1, and its image is the whole chain, so it
-  never breaks the surjectivity mechanism.  And ker(phi - p^i) = ker(-p^i)
-  mod p^{n+i} is p^n times the chain, which projects to 0 mod p^n.
+  the restricted filtration.
 - Description (1) of the conjugate filtration is a closure of seed monomials
   under multiplication.  The seeds of level n contain those of level n - 1,
   and what a closure reaches is the union of what each seed reaches, so
@@ -76,10 +73,46 @@ raises CompositeNonzero on a row with two entries).  So in
 - N^i / N^{i+1} is the sum of the Z/p^{b_c - a_c} over the columns, so its
   number of cyclic factors is the number of columns whose exponent grows.
 
-The image of phi_i - 1 on the chains with a nonzero phi-block is a general
-submodule: `syntomic.syntomic_acrys` computes it per chain by the
-local-ring routines of `linalg` and compares spans by order:
-span(A) = span(B) iff |A| = |B| = |A + B|.
+The syntomic fibre.  Z/p^n(i) on this model is the fibre of
+phi_i - can: N^{>=i} -> A over Z/p^n, so H^0 and H^1 are the kernel and the
+cokernel of phi_i - can.  Both maps preserve the chains, so the fibre shards
+by chain, and `fiber_group` reads it off each chain's Nygaard exponents:
+
+- Setup.  On a chain, phi(e_k) = c_k e_{k+1}, with v_p(c_k) = lambda_k =
+  |l_k| non-decreasing (the facts above).
+- The block is square.  N^{>=i} tensor Z/p^n is free on g_k = p^{a_k} e_k,
+  with a_k = max(0, i - lambda_k) <= i (the diagonal Nygaard kernel).  So
+  the block of phi_i - can is square, and row k is
+  -p^{a_k} e_k + unit * p^{max(0, lambda_k - i)} e_{k+1}.
+- Kernel and cokernel agree.  A square matrix over Z/p^n has a Smith form
+  diag(p^{v_k}), and both its kernel and its cokernel are the sum of the
+  Z/p^{v_k}.  So H^0 = H^1.
+- The cokernel.  When nothing raises, the last monomial has
+  |l| >= n + i, so phi_i of it vanishes mod p^n and the last row is
+  -e_{m-1}.  The e_k with lambda_k >= i form a tail of the chain; row k
+  there says e_k = unit * p^{lambda_k - i} e_{k+1}, so each of them is 0.
+  Below that, row k says e_{k+1} = unit * p^{i - lambda_k} e_k.  The
+  cokernel is therefore cyclic on e_0, of order p^{min(n, w)} with
+  w = sum_k max(0, i - lambda_k).  The weight-0 chain [1] is the exception:
+  its block is [1 - p^i], which is 0 at i = 0 (giving Z/p^n) and a unit at
+  i >= 1 (giving nothing).
+- The image mod p.  Mod p, row k is a unit times e_{k+1} when
+  lambda_k < i, -e_k + unit * e_{k+1} when lambda_k = i, and -e_k when
+  lambda_k > i.  So on a chain other than [1] the image mod p misses
+  exactly the root, and only when the root has |l| < i.  It therefore
+  contains Fil^{i+1}_pd, whose monomials have |l| > i.  It contains
+  Fil^conj_{i-1} restricted to the numerators divisible by p unless a root
+  with |l| < i has every c_j divisible by p.  For e >= 1 no root but [1]
+  does: such a weight is p times a weight of the basis.  For e = 0 the root
+  x_1^{[1]} does, at every i >= 2.
+- Independence of W.  Only monomials with |l| < i contribute to w, and all
+  of them lie in the window once W >= n + i.  A wider window adds only
+  monomials with |l| > W: tails of old chains, and new chains whose roots
+  have |l| > W.  Neither changes any w, and the old tails end at |l| > W
+  too, so every wider window gives the same group.  For W >= 1 a chain end
+  with |l| < n + i raises already, since x_1^{[W]} ends its chain.  So the
+  test W >= n + i adds only W = 0 at e = 0, where the basis is [1] alone and
+  x_1^{[1]} would be missed.
 """
 
 import weakref
@@ -87,14 +120,8 @@ from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
 
-from .errors import CompositeNonzero, NotStabilized, TruncationTooTight, UsageError
-from .linalg import (
-    PGroup,
-    _vp,
-    module_invariants_mod,
-    preimage_mod,
-    row_mul,
-)
+from .errors import CompositeNonzero, TruncationTooTight, UsageError
+from .linalg import PGroup, _vp, row_mul
 
 
 @dataclass(frozen=True)
@@ -643,76 +670,45 @@ def nygaard_graded_image_check(A, i):
 
 
 # ---------------------------------------------------------------------------
-# Frobenius fixed points
+# the syntomic fibre
 
 
-def _fixed_points_at(A, i, W):
-    """Solve phi(x) = p^i x at internal precision n + i, project to n.
+def fiber_group(A, i):
+    """H^0 = H^1 of fib(phi_i - can: N^{>=i} -> A) over Z/p^n, for i >= 0:
+    the sum over the weight chains of Z/p^{min(n, w)}, with
+    w = sum_k max(0, i - |l_k|) over the chain's monomials, where the
+    weight-0 chain [1] gives Z/p^n at i = 0 and nothing at i >= 1 (module
+    docstring).  No phi-block is built and nothing is eliminated.
 
-    The internal lift implements the restriction to Nygaard representatives:
-    solutions mod p^{n+i} that die mod p^n are window artifacts and vanish
-    under the projection.  Returns the invariants and the generators as
-    (chain indices, chain-local row) pairs; the generators are the kernel
-    rows of `preimage_mod` reduced mod p^n, so only their span is fixed."""
-    p = A.p
-    n_int = A.n + i
-    Aw = PDAlgebra(p, A.g, n_int, A.e, W)
-    invs = []
-    gens = []
-    # a zero chain is left out: ker(-p^i) mod p^{n+i} projects to 0 mod p^n
-    for idxs, M in _phi_blocks(Aw):
-        for t in range(len(M)):
-            M[t][t] -= p**i
-        K = preimage_mod(M, [], p, n_int)
-        if not K:
-            continue
-        proj = [[a % A.q for a in row] for row in K]
-        proj = [row for row in proj if any(row)]
-        if proj:
-            invs.extend(module_invariants_mod(proj, p, A.n))
-            gens.extend((idxs, row) for row in proj)
-    return tuple(sorted(invs, reverse=True)), gens
-
-
-def frobenius_fixed_points(A, i):
-    """ker(phi - p^i) on A/p^n within the weight window W, with stabilization.
-
-    For i < 0 the operator phi - p^i is injective by p-adic contraction and
-    the group is zero.  For i >= 0 the answer at W is also the answer at
-    W + p once W >= n + i, so it is computed once; below that it is compared
-    with W + p, and NotStabilized is raised when the invariants differ.
-    `certified_by` names the case that certified the answer: "i < 0",
-    "W >= n + i" (part (b) below) or "W + p" (the comparison, which part (a)
-    leaves only at W = 0).
-    Proof, with n_int = n + i the internal precision of `_fixed_points_at`:
-
-    (a) 1 <= W < n_int.  The chain of x_1^{[W]} has a root with
-        |l| <= W < n_int, so its phi-block is built.  phi(x_1^{[W]}) has
-        valuation W < n_int and weight pW > W, so `_fixed_points_at` raises
-        TruncationTooTight at W, before W + p is tried.  Only W = 0 answers
-        below n_int.
-    (b) W >= n_int.  A chain root that W + p adds has |l| > W >= n_int, so
-        it is a zero chain, which projects to 0 (module docstring).  An old
-        chain gains only a tail of monomials with |l| > W >= n_int, on
-        which phi vanishes mod p^{n_int}.  The coupling from the last old
-        monomial into the tail is 0 mod p^{n_int} too: otherwise its phi
-        image would be nonzero and leave the window at W, which raised.  So
-        the block at W + p is the block at W plus a zero block on the tail,
-        and ker(phi - p^i) on the tail is p^n times the tail, which projects
-        to 0 mod p^n.  The invariants at W and at W + p are equal."""
-    p = A.p
+    TruncationTooTight when W < n + i, or when a chain other than [1] ends
+    at a monomial with |l| < n + i: phi of that monomial is nonzero mod
+    p^{n+i} and leaves the window."""
     if i < 0:
-        return {"group": PGroup.zero(p), "generators": [], "certified_by": "i < 0"}
-    inv1, K1 = _fixed_points_at(A, i, A.W)
-    case = "W >= n + i"
-    if A.W < A.n + i:
-        inv2, _ = _fixed_points_at(A, i, A.W + p)
-        if inv1 != inv2:
-            raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + p, inv2))
-        case = "W + p"
+        raise UsageError("the fibre group needs i >= 0, got i = %d" % i)
+    n, W = A.n, A.W
+    if W < n + i:
+        raise TruncationTooTight("phi images need W >= n + i = %d, got W = %d" % (n + i, W))
     basis = A.basis()
-    gens = [{basis[t]: a for t, a in zip(idxs, row) if a} for idxs, row in K1]
-    return {"group": PGroup(p, inv1, 0), "generators": gens, "certified_by": case}
+    exps = []
+    for idxs in orbit_blocks(A):
+        root = basis[idxs[0]]
+        if not any(root.c) and not any(root.l):
+            if i == 0:
+                exps.append(n)
+            continue
+        end = basis[idxs[-1]].total_pd_weight()
+        if end < n + i:
+            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (end, W))
+        # |l| does not decrease along the chain
+        w = 0
+        for t in idxs:
+            lam = basis[t].total_pd_weight()
+            if lam >= i:
+                break
+            w += i - lam
+        if w:
+            exps.append(min(n, w))
+    return PGroup(A.p, tuple(sorted(exps, reverse=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ because no command uses them: enumerations that a proven symmetry replaces,
 a canonical form, further coefficient rings and the universal polynomials of
 Witt-vector arithmetic, the kernel and the preimage of a lattice computed on
 their own, cohomology of a complex of free Z-modules, the syntomic windows
-presented from scratch, and property checks of the divided-power algebra."""
+presented from scratch, property checks of the divided-power algebra and
+its Frobenius fixed points solved by elimination."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -16,12 +17,20 @@ from nygaard.linalg import (
     cocycles_boundaries_mod,
     cohomology_invariants,
     cohomology_mod,
+    eliminate_mod,
     hermite_form,
     mat_copy,
+    preimage_mod,
     quotient_exponents_mod,
     zeros,
 )
-from nygaard.pdalg import TruncationTooTight, conj_level, conjugate_filtration_spans
+from nygaard.pdalg import (
+    PDAlgebra,
+    TruncationTooTight,
+    _phi_blocks,
+    conj_level,
+    conjugate_filtration_spans,
+)
 from nygaard.qbase import _binom
 from nygaard.rings import PolyTrunc
 
@@ -642,3 +651,66 @@ def phi_multiplicative_check(A, rng, trials=50):
         if lhs != rhs:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius fixed points of the divided-power algebra, solved
+
+
+def module_invariants_mod(gens, p, n):
+    """Invariant exponents (largest first) of the Z/p^n-module spanned by
+    gens in (Z/p^n)^c: one Z/p^{n-v} per pivot of valuation v."""
+    vals, _ = eliminate_mod(gens, p, n)
+    return tuple(sorted((n - v for v in vals), reverse=True))
+
+
+def fixed_points_at(A, i, W):
+    """Solve phi(x) = p^i x at internal precision n + i, project to n.
+
+    The internal lift implements the restriction to Nygaard representatives:
+    solutions mod p^{n+i} that die mod p^n are window artifacts and vanish
+    under the projection.  Returns the invariants and the generators as
+    (chain indices, chain-local row) pairs; the generators are the kernel
+    rows of `preimage_mod` reduced mod p^n, so only their span is fixed."""
+    p = A.p
+    n_int = A.n + i
+    Aw = PDAlgebra(p, A.g, n_int, A.e, W)
+    invs = []
+    gens = []
+    # a zero chain is left out: ker(-p^i) mod p^{n+i} projects to 0 mod p^n
+    for idxs, M in _phi_blocks(Aw):
+        for t in range(len(M)):
+            M[t][t] -= p**i
+        K = preimage_mod(M, [], p, n_int)
+        proj = [[a % A.q for a in row] for row in K]
+        proj = [row for row in proj if any(row)]
+        if proj:
+            invs.extend(module_invariants_mod(proj, p, A.n))
+            gens.extend((idxs, row) for row in proj)
+    return tuple(sorted(invs, reverse=True)), gens
+
+
+def frobenius_fixed_points(A, i):
+    """ker(phi - p^i) on A/p^n within the weight window W, solved chain by
+    chain: the reference `pdalg.fiber_group` replaced.
+
+    For i < 0 the group is zero.  For i >= 0 the answer at W is also the
+    answer at W + p once W >= n + i, so it is solved once; below that it is
+    compared with W + p, and NotStabilized is raised when the invariants
+    differ.  At 1 <= W < n + i the solve at W raises TruncationTooTight
+    (phi of x_1^{[W]} leaves the window), so only W = 0 reaches the
+    comparison.  `certified_by` names the case: "i < 0", "W >= n + i" or
+    "W + p"."""
+    p = A.p
+    if i < 0:
+        return {"group": PGroup.zero(p), "generators": [], "certified_by": "i < 0"}
+    inv1, K1 = fixed_points_at(A, i, A.W)
+    case = "W >= n + i"
+    if A.W < A.n + i:
+        inv2, _ = fixed_points_at(A, i, A.W + p)
+        if inv1 != inv2:
+            raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + p, inv2))
+        case = "W + p"
+    basis = A.basis()
+    gens = [{basis[t]: a for t, a in zip(idxs, row) if a} for idxs, row in K1]
+    return {"group": PGroup(p, inv1, 0), "generators": gens, "certified_by": case}

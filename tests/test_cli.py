@@ -159,7 +159,8 @@ def test_main_bad_config_file_exit_1(tmp_path, capsys, line, key):
 
 
 def test_error_classes_are_shared():
-    assert syntomic.NotStabilized is pdalg.NotStabilized is errors.NotStabilized
+    assert syntomic.NotStabilized is errors.NotStabilized
+    assert pdalg.TruncationTooTight is errors.TruncationTooTight
     assert torus.PrecisionExhausted is errors.PrecisionExhausted
     assert syntomic.BoundViolated is errors.BoundViolated
     assert linalg.CompositeNonzero is errors.CompositeNonzero
@@ -284,10 +285,50 @@ def _cli_result(argv, *flags):
     ["syntomic", "--model", "q", "-p", "2", "-d", "1", "-i", "1", "-r", "2", "-N", "3", "-M", "1"],
     ["syntomic", "--model", "charp", "-p", "3", "-d", "2", "-i", "1", "-r", "2", "-M", "1"],
     ["syntomic", "--model", "acrys", "-p", "3", "-e", "1", "-i", "1", "-r", "1"],
+    ["syntomic", "--model", "acrys", "-p", "5", "-e", "1", "-i", "3", "-r", "3"],
 ])
 def test_syntomic_result_same_under_python_O(argv):
     # every check is a typed raise, so stripping asserts changes nothing
     assert _cli_result(argv, "-O") == _cli_result(argv)
+
+
+@pytest.mark.parametrize("argv, err", [
+    # W < n + i
+    (["syntomic", "--model", "acrys", "-p", "2", "-e", "1", "-i", "1", "-r", "2", "-W", "2"],
+     "phi images need W >= n + i = 3, got W = 2"),
+    # the chain of [x^{1/2}] ends at x^{[2]}, and 2 < n + i = 3
+    (["syntomic", "--model", "acrys", "-p", "2", "-e", "1", "-i", "1", "-r", "2", "-W", "3"],
+     "phi image of weight 2 leaves W = 3"),
+])
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_fibre_group_raises_under_python_O(argv, err, flags):
+    # the window tests of the fibre group are typed raises, not asserts
+    out = subprocess.run([sys.executable, *flags, "-m", "nygaard", *argv],
+                         env=_cli_env(), capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (2, "not certified: %s\n" % err)
+
+
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_syntomic_charp_rejects_an_explicit_N(tmp_path, capsys, how):
+    # charp runs at N = 1, so an explicit other N would be echoed unused
+    argv = ["syntomic", "--model", "charp", "-p", "2", "-d", "1", "-i", "1", "-r", "1", "-M", "1"]
+    if how == "flag":
+        argv += ["-N", "3"]
+    else:
+        (tmp_path / "run.cfg").write_text("N=3\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "usage error: syntomic --model charp runs at N = 1, got N = 3\n")
+    # the default model is charp too
+    assert cli.main(["syntomic", "-N", "3"]) == 1
+    assert "N = 3" in capsys.readouterr().err
+
+
+def test_syntomic_charp_N_1_is_the_run_without_N():
+    argv = ["syntomic", "--model", "charp", "-p", "3", "-d", "2", "-i", "1", "-r", "2", "-M", "1"]
+    assert cli.canonical_payload(_cli_result(argv + ["-N", "1"])) == \
+        cli.canonical_payload(_cli_result(argv))
 
 
 def test_syntomic_q_p2_i1_r2_N4_M2(capsys):

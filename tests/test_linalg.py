@@ -18,7 +18,6 @@ from nygaard.linalg import (
     lattice_contains,
     lattice_eq,
     mat_mul,
-    module_invariants_mod,
     preimage_mod,
     quotient_invariants,
     restrict_lattice,
@@ -27,7 +26,13 @@ from nygaard.linalg import (
 )
 from nygaard.errors import UsageError
 
-from oracles import complex_cohomology, howell_form, kernel_int, preimage_lattice
+from oracles import (
+    complex_cohomology,
+    howell_form,
+    kernel_int,
+    module_invariants_mod,
+    preimage_lattice,
+)
 
 
 def rand_mat(rng, m, n, lo=-9, hi=9):

@@ -21,7 +21,6 @@ from nygaard.linalg import (
     lattice_contains,
     mat_scale,
     mat_mul,
-    module_invariants_mod,
     preimage_mod,
     presented_cohomology_mod,
     presented_complex_cohomology,
@@ -39,6 +38,7 @@ from oracles import (
     embed_rows,
     howell_form,
     kernel_int,
+    module_invariants_mod,
     preimage_lattice,
     primitive_weights,
     window_n_then_x,

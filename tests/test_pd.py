@@ -11,13 +11,12 @@ from pathlib import Path
 import pytest
 
 from nygaard import cli, linalg, pdalg, syntomic
-from nygaard.errors import CompositeNonzero, UsageError
+from nygaard.errors import CompositeNonzero, NotStabilized, UsageError
 from nygaard.linalg import (
     PGroup,
     identity,
     mat_is_zero,
     mat_scale,
-    module_invariants_mod,
     preimage_mod,
     quotient_exponents_mod,
     span_contains_mod,
@@ -25,7 +24,6 @@ from nygaard.linalg import (
 )
 from nygaard.pdalg import (
     Monomial,
-    NotStabilized,
     PDAlgebra,
     TruncationTooTight,
     conj_graded_map_check,
@@ -33,16 +31,19 @@ from nygaard.pdalg import (
     conjugate_filtration_description1,
     conjugate_filtration_equality_check,
     conjugate_filtration_spans,
-    frobenius_fixed_points,
+    fiber_group,
     nygaard_graded_image_check,
     orbit_blocks,
     phi_pth_power_check,
     span_identity_check,
 )
 
+import oracles
 from oracles import (
     filtration_multiplicativity_check,
+    frobenius_fixed_points,
     howell_form,
+    module_invariants_mod,
     phi_multiplicative_check,
     vp_factorial,
 )
@@ -572,9 +573,11 @@ def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
             if i:
                 assert K == preimage_mod(M, mat_scale(p**i, identity(len(idxs))), p, A2.n)
         assert zero_chains
-        invs, gens = pdalg._fixed_points_at(A, i, A.W)
+        # the fibre group, and the solver that skips the zero chains, agree
+        # with the solve on every chain
+        invs, gens = oracles.fixed_points_at(A, i, A.W)
         want_invs, want_gens = _fixed_points_eliminating_every_chain(A, i)
-        assert invs == want_invs
+        assert fiber_group(A, i).exponents == invs == want_invs
         full = [[0] * len(A.basis()) for _ in gens]
         for row, (idxs, local) in zip(full, gens):
             for t, a in zip(idxs, local):
@@ -585,8 +588,8 @@ def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
 
 @pytest.mark.parametrize("p,e,n", [(p, e, n) for p in (2, 3) for e in (1, 2) for n in (1, 2)])
 def test_fixed_point_generators_are_the_projected_kernel(p, e, n):
-    # the generators span the projected kernel of the dense oracle, each is
-    # fixed by phi / p^i mod p^n, and they span the reported group
+    # the solver's generators span the projected kernel of the dense oracle,
+    # each is fixed by phi / p^i mod p^n, and they span the fibre group
     A = small_algebra(p=p, n=n, e=e)
     for i in (0, 1, 2):
         rep = frobenius_fixed_points(A, i)
@@ -595,7 +598,7 @@ def test_fixed_point_generators_are_the_projected_kernel(p, e, n):
         assert howell_form(rows, p, n) == howell_form(want, p, n)
         for x in rep["generators"]:
             assert A.frobenius(x) == A.scale(p**i, x)
-        assert module_invariants_mod(rows, p, n) == rep["group"].exponents
+        assert module_invariants_mod(rows, p, n) == fiber_group(A, i).exponents
 
 
 def _algebra_holding_phi(p, g, n, e):
@@ -818,18 +821,16 @@ def _graded_image_eliminating_every_chain(A, i):
             "injective": dim_src == dim_img, "ok": same and dim_src == dim_img}
 
 
-def _syntomic_acrys_eliminating_every_chain(p, i, r, e):
-    """H^1 and the surjectivity mechanism of `syntomic_acrys`, with the
-    Nygaard kernel and the cokernel of phi_i - 1 eliminated on every chain."""
-    A = PDAlgebra(p, 1, r, e)
-    Aint = PDAlgebra(p, 1, r + i, e, A.W)
-    basis = A.basis()
+def _syntomic_acrys_eliminating_every_chain(A, i):
+    """H^1 of fib(phi_i - can) on A/p^r, r = A.n, with the Nygaard kernel
+    and the cokernel of phi_i - can eliminated on every chain, and per chain
+    (indices, rows of phi_i - can mod p^r).  The generators are kept at the
+    internal precision r + i: reducing them mod p^r first would lose the
+    p * N^{>=i-1} classes, which are nonzero in the tensor product."""
+    p, r = A.p, A.n
+    Aint = PDAlgebra(p, A.g, r + i, A.e, A.W)
     q = p**r
-    conj_idx = {t for t in conjugate_filtration_spans(A, max(i, 1))[i - 1]
-                if not any(cj % p for cj in basis[t].c)}
-    pd_idx = {t for t, m in enumerate(basis) if m.total_pd_weight() >= i + 1}
-    h1 = PGroup.zero(p)
-    pd_ok = conj_ok = True
+    h1, chains = PGroup.zero(p), []
     for idxs in orbit_blocks(Aint):
         M = pdalg._phi_block_matrix(Aint, idxs)
         units = identity(len(idxs))
@@ -837,12 +838,30 @@ def _syntomic_acrys_eliminating_every_chain(p, i, r, e):
         imgs = pdalg._divided_phi_rows(gens, M, p, i)
         rows = [[(a - b) % q for a, b in zip(img, g)] for img, g in zip(imgs, gens)]
         h1 = h1 + PGroup(p, quotient_exponents_mod(units, rows, p, r))
+        chains.append((idxs, rows))
+    return h1, chains
+
+
+def _surjectivity_mechanism(A, i, chains):
+    """Whether the image of phi_i - can mod p contains Fil^{i+1}_pd and
+    Fil^conj_{i-1} restricted to the numerators divisible by p, per chain by
+    span orders, for the chains of `_syntomic_acrys_eliminating_every_chain`
+    and i >= 1."""
+    p, basis = A.p, A.basis()
+    parts = {
+        "pd_part": {t for t, m in enumerate(basis) if m.total_pd_weight() >= i + 1},
+        "conj_part": {t for t in conjugate_filtration_spans(A, i)[i - 1]
+                      if not any(cj % p for cj in basis[t].c)},
+    }
+    out = dict.fromkeys(parts, True)
+    for idxs, rows in chains:
         e_img = span_exponent_mod(rows, p, 1)
-        for part, idx in (("pd", pd_idx), ("conj", conj_idx)):
+        units = identity(len(idxs))
+        for part, idx in parts.items():
             extra = [units[k] for k, t in enumerate(idxs) if t in idx]
             if span_exponent_mod(rows + extra, p, 1) != e_img:
-                pd_ok, conj_ok = (False, conj_ok) if part == "pd" else (pd_ok, False)
-    return h1, ({"pd_part": pd_ok, "conj_part": conj_ok} if i >= 1 else None)
+                out[part] = False
+    return out
 
 
 def _outcome_or_error(f, *args):
@@ -889,11 +908,51 @@ def test_graded_image_check_reads_fil_on_zero_chains(monkeypatch):
 
 @pytest.mark.parametrize("p,e,r", [(p, e, r) for p in (2, 3, 5) for e in (1, 2) for r in (1, 2)])
 def test_syntomic_acrys_matches_elimination_on_every_chain(p, e, r):
+    # H^0 = H^1 is the cokernel eliminated on every chain, and the payload
+    # carries no certificate and no evidence
     for i in (0, 1, 2):
         res = syntomic.syntomic_acrys(p, i, r, e=e)
-        h1, mech = _syntomic_acrys_eliminating_every_chain(p, i, r, e)
-        assert res.groups[1] == h1
-        assert res.certificates["surjectivity_mechanism"] == mech
+        h1, _ = _syntomic_acrys_eliminating_every_chain(PDAlgebra(p, 1, r, e), i)
+        assert res.groups == {0: h1, 1: h1}
+        assert res.certificates == {} and res.evidence == {}
+
+
+@pytest.mark.parametrize("p,e,g", [(p, e, 1) for p in (2, 3, 5) for e in (0, 1, 2)]
+                         + [(2, e, 2) for e in (0, 1)])
+def test_fiber_group_is_the_solved_h0_and_the_eliminated_h1(p, e, g):
+    # over n <= 3 and i <= 3 at the default window, the fibre group is what
+    # the solver gives as H^0 and what elimination gives as H^1
+    for n in (1, 2, 3):
+        for i in (0, 1, 2, 3):
+            A = PDAlgebra(p, g, n, e)
+            got = fiber_group(A, i)
+            assert got == frobenius_fixed_points(A, i)["group"], (n, i)
+            assert got == _syntomic_acrys_eliminating_every_chain(A, i)[0], (n, i)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5) for e in (0, 1, 2)])
+def test_image_mod_p_misses_exactly_the_short_roots(p, e):
+    # the image lemma of the `pdalg` docstring, against elimination: mod p,
+    # the image of phi_i - can holds every unit vector of a chain but the
+    # root, and the root too unless it has |l| < i; the block [1 - p^i] of
+    # the weight-0 chain misses it at i = 0 only.  So the image holds
+    # Fil^{i+1}_pd, and the restricted Fil^conj_{i-1} except at e = 0 and
+    # i >= 2, where the root x^{[1]} lies in it
+    for r in (1, 2):
+        A = PDAlgebra(p, 1, r, e)
+        basis = A.basis()
+        for i in (0, 1, 2, 3):
+            _, chains = _syntomic_acrys_eliminating_every_chain(A, i)
+            for idxs, rows in chains:
+                root = basis[idxs[0]]
+                weight0 = not (any(root.c) or any(root.l))
+                short = i == 0 if weight0 else root.total_pd_weight() < i
+                missed = [k for k, unit in enumerate(identity(len(idxs)))
+                          if not span_contains_mod(rows, unit, p, 1)]
+                assert missed == ([0] if short else []), (r, i, idxs)
+            if i:
+                assert _surjectivity_mechanism(A, i, chains) == {
+                    "pd_part": True, "conj_part": not (e == 0 and i >= 2)}, (r, i)
 
 
 def _count_eliminations(monkeypatch):
@@ -908,17 +967,16 @@ def _count_eliminations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("command,config,most", [
-    # 101 calls here and 386 below (1,300 and 467 when the graded-image
-    # check eliminated per chain and the fixed points were solved at W + p)
-    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 150),
-    ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}, 450),
+@pytest.mark.parametrize("command,config", [
+    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}),
+    ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}),
 ])
-def test_acrys_elimination_count(monkeypatch, command, config, most):
-    # zero-phi chains and the diagonal Nygaard kernels need no elimination
+def test_acrys_elimination_count(monkeypatch, command, config):
+    # the Nygaard kernels are diagonal, and the fibre group is read off the
+    # chains' Nygaard exponents: nothing is eliminated
     calls = _count_eliminations(monkeypatch)
     cli.run_command(command, cli.RunConfig(**config))
-    assert 0 < len(calls) <= most
+    assert calls == []
 
 
 def test_graded_image_check_eliminates_nothing(monkeypatch):
@@ -932,19 +990,20 @@ def test_graded_image_check_eliminates_nothing(monkeypatch):
 
 
 def test_fixed_points_solve_once_at_the_default_window(monkeypatch):
-    # the default W = 3p^2 is at least n + i here, so W + p is never solved
+    # the default W = 3p^2 is at least n + i here, so the solver never
+    # solves at W + p, and the fibre group needs no window but W
     windows = []
-    fixed_points_at = pdalg._fixed_points_at
+    fixed_points_at = oracles.fixed_points_at
 
     def counted(A, i, W):
         windows.append(W)
         return fixed_points_at(A, i, W)
 
-    monkeypatch.setattr(pdalg, "_fixed_points_at", counted)
+    monkeypatch.setattr(oracles, "fixed_points_at", counted)
     configs = [(p, e, n, i) for p in (2, 3, 5) for e in (1, 2) for n in (1, 2) for i in (0, 1, 2)]
     for p, e, n, i in configs:
         A = PDAlgebra(p, g=1, n=n, e=e)
-        frobenius_fixed_points(A, i)
+        assert frobenius_fixed_points(A, i)["group"] == fiber_group(A, i)
     assert windows == [3 * p * p for p, _, _, _ in configs]
 
 
@@ -952,8 +1011,8 @@ def test_fixed_points_solve_once_at_the_default_window(monkeypatch):
     # 305 blocks and 2,150 products here (7,705 and 14,650 when every block
     # was built and description (1) multiplied through `mul`)
     ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 400, 2500),
-    # 183 blocks (4,663 when every block was built); no product
-    ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}, 250, 0),
+    # no block and no product: the fibre group reads the chains alone
+    ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}, 0, 0),
 ])
 def test_acrys_block_and_product_count(monkeypatch, command, config, blocks, products):
     # blocks are built only on chains whose root has |l| < n, and the
@@ -973,7 +1032,8 @@ def test_acrys_block_and_product_count(monkeypatch, command, config, blocks, pro
     monkeypatch.setattr(pdalg, "_phi_block_matrix", counted_block)
     monkeypatch.setattr(PDAlgebra, "mul", counted_mul)
     cli.run_command(command, cli.RunConfig(**config))
-    assert 0 < len(built) <= blocks
+    assert len(built) <= blocks
+    assert bool(built) == bool(blocks)
     assert len(muls) <= products
 
 
@@ -1050,12 +1110,12 @@ def _whole_algebra_as_nygaard(A2, i, blocks):
 
 @pytest.mark.parametrize("check", [
     lambda: nygaard_graded_image_check(small_algebra(p=2, n=1, e=1, W=6), 1),
-    lambda: syntomic.syntomic_acrys(2, 1, 1, e=1, W=6),
+    lambda: nygaard_graded_image_check(small_algebra(p=3, n=2, e=2), 2),
 ])
 def test_phi_divisibility_checks_raise(monkeypatch, check):
-    # hand the whole algebra in as N^{>=1}: the divided Frobenius of 1 fails
+    # hand the whole algebra in as N^{>=i}: the divided Frobenius of 1
+    # fails, at level 1 and at level 2
     monkeypatch.setattr(pdalg, "_nygaard_kernel_blocks", _whole_algebra_as_nygaard)
-    monkeypatch.setattr(syntomic, "_nygaard_kernel_blocks", _whole_algebra_as_nygaard)
     with pytest.raises(CompositeNonzero):
         check()
 
@@ -1074,31 +1134,37 @@ def test_phi_leaving_its_weight_chain_raises(monkeypatch):
 def test_fixed_points_i0():
     for p in (2, 3):
         A = small_algebra(p=p, n=2)
-        rep = frobenius_fixed_points(A, 0)
-        assert rep["group"] == PGroup(p, (2,))  # Z/p^2
+        assert fiber_group(A, 0) == PGroup(p, (2,))  # Z/p^2
 
 
 def test_fixed_points_negative_twist():
+    # the fibre group is defined for i >= 0; at i < 0 phi_i - can is
+    # invertible, and the solver and the acrys command give the zero group
     A = small_algebra(p=2)
+    with pytest.raises(UsageError):
+        fiber_group(A, -1)
     rep = frobenius_fixed_points(A, -1)
-    assert rep["group"].is_zero()
-    assert rep["certified_by"] == "i < 0"
+    assert rep["group"].is_zero() and rep["certified_by"] == "i < 0"
+    assert cli.cmd_acrys(cli.RunConfig(p=2, n=2, e=2, i=-1))["fixed_points"] == {
+        "exponents": [], "free_rank": 0}
 
 
 def test_fixed_points_name_the_case_that_certified_them():
-    # both i >= 0 cases of the proof in `frobenius_fixed_points` are reached,
-    # and `syntomic_acrys` reports the case as its `stabilized` certificate:
-    # W >= n + i at the default window, the W + p comparison at W = 0
+    # the solver certified W >= n + i at the default window, where the fibre
+    # group gives its answer, and the W + p comparison at W = 0, where the
+    # fibre group raises; the syntomic payload carries neither name
     for p, e, n, i in ((2, 1, 1, 0), (3, 2, 2, 1), (5, 0, 1, 2)):
         A = PDAlgebra(p, g=1, n=n, e=e)
         assert A.W >= n + i
-        assert frobenius_fixed_points(A, i)["certified_by"] == "W >= n + i"
-        assert syntomic.syntomic_acrys(p, i, n, e=e).certificates["stabilized"] == "W >= n + i"
+        rep = frobenius_fixed_points(A, i)
+        assert rep["certified_by"] == "W >= n + i"
+        assert rep["group"] == fiber_group(A, i)
+        assert syntomic.syntomic_acrys(p, i, n, e=e).certificates == {}
     for i in (0, 1):
         A = PDAlgebra(2, g=1, n=1, e=0, W=0)
         assert frobenius_fixed_points(A, i)["certified_by"] == "W + p"
-        res = syntomic.syntomic_acrys(2, i, 1, e=0, W=0)
-        assert res.certificates["stabilized"] == "W + p"
+        with pytest.raises(TruncationTooTight, match=r"W >= n \+ i = %d, got W = 0" % (1 + i)):
+            fiber_group(A, i)
 
 
 def test_fixed_points_i1_cross_check():
@@ -1106,7 +1172,6 @@ def test_fixed_points_i1_cross_check():
     # internal precision n + i with projection to n
     p, n, i = 2, 1, 1
     A = small_algebra(p=p, n=n, e=1, W=6)
-    rep = frobenius_fixed_points(A, i)
     Aint = PDAlgebra(p, 1, n + i, 1, A.W)
     basis = Aint.basis()
     index = Aint.index()
@@ -1120,7 +1185,99 @@ def test_fixed_points_i1_cross_check():
     proj = [[a % p**n for a in row] for row in K]
     proj = [row for row in proj if any(row)]
     dense = module_invariants_mod(proj, p, n) if proj else ()
-    assert tuple(sorted(dense, reverse=True)) == rep["group"].exponents
+    assert dense and tuple(sorted(dense, reverse=True)) == fiber_group(A, i).exponents
+
+
+def test_stabilization_raises(monkeypatch):
+    # the solver's fixed points at W + p disagree with those at W: not
+    # stable; only W = 0 is compared with W + p, since 1 <= W < n + i raises
+    # at W and W >= n + i provably gives the same answer at W + p
+    fixed_points_at = oracles.fixed_points_at
+
+    def one_more_at_the_wider_window(A, i, W):
+        invs, gens = fixed_points_at(A, i, W)
+        return (invs + (1,) if W > A.W else invs), gens
+
+    monkeypatch.setattr(oracles, "fixed_points_at", one_more_at_the_wider_window)
+    A = small_algebra(p=2, n=1, e=0, W=0)
+    with pytest.raises(NotStabilized, match="W = 0 gives .*, W = 2 gives"):
+        frobenius_fixed_points(A, 1)
+
+
+def _fixed_points_at_w_and_w_plus_p(A, i):
+    """Reference for the fibre group at i >= 0: solve at W and at W + p and
+    compare, whatever W is."""
+    inv1, _ = oracles.fixed_points_at(A, i, A.W)
+    inv2, _ = oracles.fixed_points_at(A, i, A.W + A.p)
+    if inv1 != inv2:
+        raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + A.p, inv2))
+    return inv1
+
+
+STABILITY_GRID = [(p, e, n, i) for p in (2, 3, 5) for e in (0, 1, 2)
+                  for n in (1, 2, 3) for i in (0, 1, 2, 3)]
+
+
+def test_window_below_n_plus_i_raises_at_w():
+    # 1 <= W < n + i cannot hold phi(x_1^{[W]}): the solver raises at W,
+    # before W + p, and so does the fibre group
+    for p, e, n, i in STABILITY_GRID:
+        for W in range(1, n + i):
+            A = PDAlgebra(p, g=1, n=n, e=e, W=W)
+            with pytest.raises(TruncationTooTight):
+                oracles.fixed_points_at(A, i, W)
+            with pytest.raises(TruncationTooTight):
+                fiber_group(A, i)
+
+
+def test_window_from_n_plus_i_on_answers_as_at_w_plus_p():
+    # for W >= n + i the fibre group gives what the solves at W and W + p
+    # gave, errors included (the independence of W, `pdalg` docstring)
+    answered = 0
+    for p, e, n, i in STABILITY_GRID:
+        for W in range(n + i, n + i + 2 * p + 1):
+            A = PDAlgebra(p, g=1, n=n, e=e, W=W)
+            want = _outcome(_fixed_points_at_w_and_w_plus_p, A, i)
+            got = _outcome(lambda: fiber_group(A, i).exponents)
+            assert got == want, (p, e, n, i, W)
+            answered += want is not TruncationTooTight
+    assert answered
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_fiber_group_raises_exactly_where_the_solver_raised(p):
+    # over every W in 0..3p^2 the fibre group raises TruncationTooTight
+    # exactly when the solver did, and otherwise gives its group; at W = 0,
+    # e = 0, where the solver answered by the W + p comparison, it raises
+    solved_at_0 = 0
+    for e, n, i in itertools.product((0, 1, 2), (1, 2), (0, 1, 2)):
+        for W in range(3 * p * p + 1):
+            A = PDAlgebra(p, g=1, n=n, e=e, W=W)
+            old = _outcome(lambda: frobenius_fixed_points(A, i)["group"])
+            new = _outcome(fiber_group, A, i)
+            if W == 0 and old is not TruncationTooTight:
+                assert e == 0 and new is TruncationTooTight
+                solved_at_0 += 1
+            else:
+                assert new == old, (e, n, i, W)
+    assert solved_at_0
+
+
+def test_fiber_group_raises_at_a_chain_that_ends_short(monkeypatch):
+    # a chain cut before its last monomial ends at |l| < n + i: its phi image
+    # is nonzero mod p^{n+i} and leaves the window
+    A = PDAlgebra(2, g=1, n=2, e=1)
+    i = 3
+    assert fiber_group(A, i)
+    basis = A.basis()
+    chains = orbit_blocks(A)
+    k = next(k for k, idxs in enumerate(chains)
+             if len(idxs) > 1 and basis[idxs[-2]].total_pd_weight() < A.n + i)
+    cut = chains[:k] + [chains[k][:-1]] + chains[k + 1:]
+    monkeypatch.setattr(pdalg, "orbit_blocks", lambda A: cut)
+    with pytest.raises(TruncationTooTight, match="phi image of weight %d leaves W = 12"
+                       % basis[chains[k][-2]].total_pd_weight()):
+        fiber_group(A, i)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,59 +1295,3 @@ def test_p2_completion_mismatch_documentation():
     # v_2(2^{2^n} / (2^n)!) = 2^n - (2^n - 1) = 1 for all n >= 1
     for n in (1, 2, 3, 4):
         assert 2**n - vp_factorial(2**n, 2) == 1
-
-
-def test_stabilization_raises(monkeypatch):
-    # the fixed points at W + p disagree with those at W: not stable; only
-    # W = 0 is compared with W + p, since 1 <= W < n + i raises at W and
-    # W >= n + i provably gives the same answer at W + p
-    fixed_points_at = pdalg._fixed_points_at
-
-    def one_more_at_the_wider_window(A, i, W):
-        invs, gens = fixed_points_at(A, i, W)
-        return (invs + (1,) if W > A.W else invs), gens
-
-    monkeypatch.setattr(pdalg, "_fixed_points_at", one_more_at_the_wider_window)
-    A = small_algebra(p=2, n=1, e=0, W=0)
-    with pytest.raises(NotStabilized, match="W = 0 gives .*, W = 2 gives"):
-        frobenius_fixed_points(A, 1)
-
-
-def _fixed_points_at_w_and_w_plus_p(A, i):
-    """Reference for `frobenius_fixed_points` at i >= 0: solve at W and at
-    W + p and compare, whatever W is."""
-    inv1, _ = pdalg._fixed_points_at(A, i, A.W)
-    inv2, _ = pdalg._fixed_points_at(A, i, A.W + A.p)
-    if inv1 != inv2:
-        raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + A.p, inv2))
-    return inv1
-
-
-STABILITY_GRID = [(p, e, n, i) for p in (2, 3, 5) for e in (0, 1, 2)
-                  for n in (1, 2, 3) for i in (0, 1, 2, 3)]
-
-
-def test_window_below_n_plus_i_raises_at_w():
-    # part (a) of the proof in `frobenius_fixed_points`: 1 <= W < n + i
-    # cannot hold phi(x_1^{[W]}), so W + p is never reached
-    for p, e, n, i in STABILITY_GRID:
-        for W in range(1, n + i):
-            A = PDAlgebra(p, g=1, n=n, e=e, W=W)
-            with pytest.raises(TruncationTooTight):
-                pdalg._fixed_points_at(A, i, W)
-            with pytest.raises(TruncationTooTight):
-                frobenius_fixed_points(A, i)
-
-
-def test_window_from_n_plus_i_on_answers_as_at_w_plus_p():
-    # part (b): for W >= n + i the one solve gives what the solves at W and
-    # W + p gave, errors included
-    answered = 0
-    for p, e, n, i in STABILITY_GRID:
-        for W in range(n + i, n + i + 2 * p + 1):
-            A = PDAlgebra(p, g=1, n=n, e=e, W=W)
-            want = _outcome(_fixed_points_at_w_and_w_plus_p, A, i)
-            got = _outcome(lambda: frobenius_fixed_points(A, i)["group"].exponents)
-            assert got == want, (p, e, n, i, W)
-            answered += want is not TruncationTooTight
-    assert answered
