@@ -244,23 +244,17 @@ def cmd_qderham(cfg):
 def cmd_acrys(cfg):
     W = cfg.W if cfg.W else None
     A = PDAlgebra(cfg.p, 1, cfg.n, cfg.e, W)
+    # the checks mod p, on the same basis as A
+    A1 = PDAlgebra(cfg.p, 1, 1, cfg.e, W)
     rng = random.Random(0)
     # the fixed points mean something at i < 0 too; the level checks run
     # over 0..max(i, 0), since an empty range of levels would certify nothing
     top = max(cfg.i, 0)
     payload = {
-        "conjugate_filtration_eq": conjugate_filtration_equality_check(
-            PDAlgebra(cfg.p, 1, 1, cfg.e, W), nmax=top + 1
-        )["ok"],
-        "graded_map": all(
-            conj_graded_map_check(PDAlgebra(cfg.p, 1, 1, cfg.e, W), nn)["ok"]
-            for nn in range(top + 1)
-        ),
+        "conjugate_filtration_eq": conjugate_filtration_equality_check(A1, nmax=top + 1)["ok"],
+        "graded_map": all(conj_graded_map_check(A1, nn)["ok"] for nn in range(top + 1)),
         "phi_pth_power": phi_pth_power_check(A, rng),
-        "nygaard_image": all(
-            nygaard_graded_image_check(PDAlgebra(cfg.p, 1, 1, cfg.e, W), j)["ok"]
-            for j in range(top + 1)
-        ),
+        "nygaard_image": all(nygaard_graded_image_check(A1, j)["ok"] for j in range(top + 1)),
         "span_identity": span_identity_check(A, max(cfg.i, 1)),
     }
     # at i < 0, phi_i - can is invertible (the series of `syntomic_acrys`)

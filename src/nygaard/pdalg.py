@@ -52,6 +52,11 @@ a chain save work:
   `conjugate_filtration_equality_check` grows one reached set level by level,
   searching only from the new seeds.
 
+Per-basis tables.  The |l| and the conjugate level (`conj_level`) of a basis
+monomial depend only on the monomial, so `_Basis` holds them in the lists
+`pd` and `conj`, indexed like the basis and filled once where it is built.
+The checks below read these lists and recompute neither.
+
 Spans over Z/p^n come in two kinds.  The conjugate and divided-power
 filtrations are spanned by monomials, and so is every span built from them by
 multiplying monomials: these are sets of basis indices and are compared as
@@ -116,16 +121,15 @@ by chain, and `fiber_group` reads it off each chain's Nygaard exponents:
 """
 
 import weakref
-from dataclasses import dataclass
 from itertools import product
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import CompositeNonzero, TruncationTooTight, UsageError
 from .linalg import PGroup, _vp, row_mul
 
 
-@dataclass(frozen=True)
-class Monomial:
+class Monomial(NamedTuple):
     """[x^c] * prod x_j^{[l_j]}; c entries are numerators over p^e."""
 
     c: tuple  # length g, integers 0 <= c_j < p^e
@@ -135,16 +139,24 @@ class Monomial:
         return sum(self.l)
 
 
-@dataclass(eq=False)
 class _Basis:
-    monomials: list
-    index: dict  # monomial -> its position in monomials
-    chains: list  # maximal phi-chains of basis indices, see `orbit_blocks`
+    """The monomials of one (p, g, e, W) and what is read off them once."""
+
+    def __init__(self, monomials, p, e):
+        self.monomials = monomials
+        self.index = {m: t for t, m in enumerate(monomials)}  # monomial -> position
+        self.chains = _weight_chains(monomials, p, e)  # see `orbit_blocks`
+        self.pd = [m.total_pd_weight() for m in monomials]  # |l| per index
+        self.conj = [conj_level(m, p) for m in monomials]  # conjugate level per index
 
 
-# (p, g, e, W) -> _Basis, held only while an algebra uses it.  The basis does
-# not depend on the precision n, so the copies of an algebra at n + i and
-# n + i + 1 share it.
+# (p, g, e, W) -> _Basis.  The basis does not depend on the precision n, so
+# the copies of an algebra at n + i and n + i + 1 share it.  An entry lives
+# as long as some algebra holds its basis, and that is longer than the
+# algebra is used: the recursive closure of `PDAlgebra.monomials` holds the
+# algebra that built the basis in a reference cycle, which only the cyclic
+# garbage collector frees.  So whether a later algebra of the same key finds
+# the basis here depends on when the collector last ran.
 _BASES = weakref.WeakValueDictionary()
 
 
@@ -166,10 +178,7 @@ class PDAlgebra:
         key = (p, g, e, self.W)
         self._basis = _BASES.get(key)
         if self._basis is None:
-            basis = self.monomials()
-            self._basis = _BASES[key] = _Basis(
-                basis, {m: t for t, m in enumerate(basis)}, _weight_chains(basis, p, e)
-            )
+            self._basis = _BASES[key] = _Basis(self.monomials(), p, e)
 
     # -- monomial basis --------------------------------------------------
 
@@ -193,9 +202,6 @@ class PDAlgebra:
 
     def index(self):
         return self._basis.index
-
-    def zero(self):
-        return {}
 
     def one(self):
         return {Monomial((0,) * self.g, (0,) * self.g): 1}
@@ -269,9 +275,22 @@ class PDAlgebra:
         return out
 
     def power(self, a, k):
-        out = self.one()
-        for _ in range(k):
-            out = self.mul(out, a)
+        """a^k by square and multiply, as `rings.PolyTrunc.pow`.  Regrouping
+        is sound though `mul` drops the monomials with |l| > W: |l| never
+        drops under the binomial law (`_merge_var`), so they span an ideal,
+        and the truncated product, modulo that ideal, is associative."""
+        if not k:
+            return self.one()
+        while not k & 1:
+            a = self.mul(a, a)
+            k >>= 1
+        out = a
+        k >>= 1
+        while k:
+            a = self.mul(a, a)
+            if k & 1:
+                out = self.mul(out, a)
+            k >>= 1
         return out
 
     # -- Frobenius --------------------------------------------------------
@@ -315,17 +334,14 @@ class PDAlgebra:
 
     # -- vectors -----------------------------------------------------------
 
-    def to_vector(self, a, basis=None, index=None):
-        basis = basis or self.basis()
-        index = index or self.index()
-        v = [0] * len(basis)
+    def to_vector(self, a):
+        v = [0] * len(self.basis())
         for m, c in a.items():
-            v[index[m]] = c % self.q
+            v[self.index()[m]] = c % self.q
         return v
 
-    def from_vector(self, v, basis=None):
-        basis = basis or self.basis()
-        return {m: c % self.q for m, c in zip(basis, v) if c % self.q}
+    def from_vector(self, v):
+        return {m: c % self.q for m, c in zip(self.basis(), v) if c % self.q}
 
 
 # ---------------------------------------------------------------------------
@@ -337,18 +353,16 @@ def conj_level(m, p):
     return sum(lj // p for lj in m.l)
 
 
-def conjugate_filtration_spans(A, nmax=None):
-    """Fil_n as monomial index sets, via description (2): A-multiples of
-    prod x^{[p k_j]} with sum k <= n."""
-    nmax = nmax if nmax is not None else A.W // A.p + 1
-    fil = {}
-    for nn in range(-1, nmax + 1):
-        fil[nn] = set()
-    for t, m in enumerate(A.basis()):
-        lv = conj_level(m, A.p)
-        for nn in range(lv, nmax + 1):
-            fil[nn].add(t)
-    fil[-1] = set()
+def conjugate_filtration_spans(A, nmax):
+    """Fil_n for n <= nmax as monomial index sets, via description (2):
+    A-multiples of prod x^{[p k_j]} with sum k <= n."""
+    levels = [[] for _ in range(nmax + 1)]
+    for t, lv in enumerate(A._basis.conj):
+        if lv <= nmax:
+            levels[lv].append(t)
+    fil = {-1: set()}
+    for nn in range(nmax + 1):
+        fil[nn] = fil[nn - 1].union(levels[nn])
     return fil
 
 
@@ -451,13 +465,13 @@ def conj_graded_map_check(A, nn):
     p, g = A.p, A.g
     # target: monomials of conjugate level exactly nn, i.e. sum floor(l/p) = n,
     # presented as gr = Fil_n / Fil_{n-1}
-    tgt = [m for m in A.basis() if conj_level(m, p) == nn]
+    tgt = A._basis.conj.count(nn)
     src = [(c, r, k)
            for k in product(range(nn + 1), repeat=g) if sum(k) == nn
            for r in product(range(p), repeat=g) if sum(r) + p * nn <= A.W
            for c in product(range(p**A.e), repeat=g)]
-    if len(src) != len(tgt):
-        return {"ok": False, "reason": "rank mismatch", "src": len(src), "tgt": len(tgt)}
+    if len(src) != tgt:
+        return {"ok": False, "reason": "rank mismatch", "src": len(src), "tgt": tgt}
     return {"ok": True, "rank": len(src)}
 
 
@@ -467,31 +481,20 @@ def conj_graded_map_check(A, nn):
 
 def phi_pth_power_check(A, rng, trials=30):
     """phi(a) = a^p mod p for monomial generators and random elements."""
-    basis = A.basis()
-    for m in basis:
-        if m.total_pd_weight() > A.W // A.p:
-            continue
-        a = {m: 1}
-        try:
-            lhs = A.frobenius(a)
-        except TruncationTooTight:
-            continue
-        rhs = A.power(a, A.p)
-        diff = A.add(lhs, A.scale(-1, rhs))
-        if any(c % A.p for c in diff.values()):
-            return False
+    basis, pd, top = A.basis(), A._basis.pd, A.W // A.p
+    elements = [{m: 1} for m, lam in zip(basis, pd) if lam <= top]
     for _ in range(trials):
         a = {}
         for _ in range(3):
-            m = rng.choice(basis)
-            if m.total_pd_weight() <= A.W // A.p:
-                a = A.add(a, {m: rng.randrange(A.q)})
+            t = rng.randrange(len(basis))  # draws as rng.choice(basis) does
+            if pd[t] <= top:
+                a = A.add(a, {basis[t]: rng.randrange(A.q)})
+        elements.append(a)
+    for a in elements:
         try:
-            lhs = A.frobenius(a)
+            diff = A.add(A.frobenius(a), A.scale(-1, A.power(a, A.p)))
         except TruncationTooTight:
             continue
-        rhs = A.power(a, A.p)
-        diff = A.add(lhs, A.scale(-1, rhs))
         if any(c % A.p for c in diff.values()):
             return False
     return True
@@ -552,7 +555,7 @@ def _phi_block_matrix(A, idxs):
 def _phi_vanishes(A, idxs):
     """phi is zero mod p^n on the chain: its root has |l| >= n (module
     docstring)."""
-    return A.basis()[idxs[0]].total_pd_weight() >= A.n
+    return A._basis.pd[idxs[0]] >= A.n
 
 
 def _phi_blocks(A):
@@ -636,10 +639,9 @@ def nygaard_graded_image_check(A, i):
     elimination (module docstring)."""
     p = A.p
     Acmp = PDAlgebra(p, A.g, A.n + i + 1, A.e, A.W)
-    fil = conjugate_filtration_spans(A, i + 1)
-    basis = A.basis()
     fil_idx = {
-        t for t in fil[i] if not any(cj % p for cj in basis[t].c)
+        t for t, (m, lv) in enumerate(zip(A.basis(), A._basis.conj))
+        if lv <= i and not any(cj % p for cj in m.c)
     }
     blocks = _phi_blocks(Acmp)
     # a chain whose phi-block is zero has no image and no graded piece, so
@@ -688,7 +690,7 @@ def fiber_group(A, i):
     n, W = A.n, A.W
     if W < n + i:
         raise TruncationTooTight("phi images need W >= n + i = %d, got W = %d" % (n + i, W))
-    basis = A.basis()
+    basis, pd = A.basis(), A._basis.pd
     exps = []
     for idxs in orbit_blocks(A):
         root = basis[idxs[0]]
@@ -696,13 +698,13 @@ def fiber_group(A, i):
             if i == 0:
                 exps.append(n)
             continue
-        end = basis[idxs[-1]].total_pd_weight()
+        end = pd[idxs[-1]]
         if end < n + i:
             raise TruncationTooTight("phi image of weight %d leaves W = %d" % (end, W))
         # |l| does not decrease along the chain
         w = 0
         for t in idxs:
-            lam = basis[t].total_pd_weight()
+            lam = pd[t]
             if lam >= i:
                 break
             w += i - lam
@@ -722,9 +724,4 @@ def span_identity_check(A, j):
     when sum floor(l/p) >= j, which forces sum l >= pj."""
     if j < 1:
         raise UsageError("span identity needs j >= 1, got %d" % j)
-    for m in A.basis():
-        in_conj = conj_level(m, A.p) <= j - 1
-        in_pd = m.total_pd_weight() >= A.p * j
-        if not (in_conj or in_pd):
-            return False
-    return True
+    return all(lv <= j - 1 or lam >= A.p * j for lv, lam in zip(A._basis.conj, A._basis.pd))

@@ -3,8 +3,9 @@ because no command uses them: enumerations that a proven symmetry replaces,
 a canonical form, further coefficient rings and the universal polynomials of
 Witt-vector arithmetic, the kernel and the preimage of a lattice computed on
 their own, cohomology of a complex of free Z-modules, the syntomic windows
-presented from scratch, property checks of the divided-power algebra and
-its Frobenius fixed points solved by elimination."""
+presented from scratch, property checks of the divided-power algebra, its
+powers by repeated multiplication and its Frobenius fixed points solved by
+elimination."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -628,6 +629,15 @@ def filtration_multiplicativity_check(A, rng, trials=20, nmax=2):
             if conj_level(m, A.p) > a + b:
                 return False
     return True
+
+
+def power_by_repeated_multiplication(A, a, k):
+    """a^k as k products from one: the reference `PDAlgebra.power`, which
+    squares and multiplies, replaced."""
+    out = A.one()
+    for _ in range(k):
+        out = A.mul(out, a)
+    return out
 
 
 def phi_multiplicative_check(A, rng, trials=50):

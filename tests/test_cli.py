@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -399,6 +400,29 @@ def test_acrys_runs_every_level_up_to_i(monkeypatch):
     payload = cli.cmd_acrys(cli.RunConfig(p=2, n=1, e=1, i=4))
     assert levels == {"conjugate": [5], "nygaard": [0, 1, 2, 3, 4]}
     assert payload["all_ok"]
+
+
+def test_acrys_builds_one_basis_and_one_algebra_mod_p(monkeypatch):
+    # the algebras of one run share one basis, and the checks mod p share
+    # one algebra at n = 1; the collector runs first, so that no basis of
+    # an earlier test is left in the cache (`pdalg._BASES`)
+    gc.collect()
+    built, inits = [], []
+    monomials, init = pdalg.PDAlgebra.monomials, pdalg.PDAlgebra.__init__
+
+    def counted_monomials(self):
+        built.append(self.n)
+        return monomials(self)
+
+    def counted_init(self, p, g=1, n=1, e=1, W=None):
+        inits.append(n)
+        init(self, p, g, n, e, W)
+
+    monkeypatch.setattr(pdalg.PDAlgebra, "monomials", counted_monomials)
+    monkeypatch.setattr(pdalg.PDAlgebra, "__init__", counted_init)
+    assert cli.cmd_acrys(cli.RunConfig(p=3, n=2, e=1, i=2, W=13))["all_ok"]
+    assert len(built) == 1
+    assert inits.count(1) == 1
 
 
 def test_acrys_runs_the_level_checks_at_level_0_for_a_negative_twist(monkeypatch):

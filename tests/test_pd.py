@@ -45,6 +45,7 @@ from oracles import (
     howell_form,
     module_invariants_mod,
     phi_multiplicative_check,
+    power_by_repeated_multiplication,
     vp_factorial,
 )
 
@@ -99,6 +100,28 @@ def test_pd_pth_power_vanishes_mod_p():
         A = small_algebra(p=p, n=1)
         x1 = A.monomial((0,), (1,))
         assert A.power(x1, p) == {}
+
+
+@pytest.mark.parametrize("p,e,g,n", [
+    (p, e, g, n) for p in (2, 3, 5) for e in (0, 1) for g in (1, 2) for n in (1, 3)
+])
+def test_power_by_squaring_is_repeated_multiplication(p, e, g, n):
+    # on every monomial and on random 3-term elements, for exponents whose
+    # squarings regroup the product; some powers reach the window edge |l| = W
+    A = PDAlgebra(p, g=g, n=n, e=e, W=2 * p if g == 1 else p)
+    basis = A.basis()
+    rng = random.Random(100 * p + 10 * e + g + n)
+    elements = [{m: 1} for m in basis]
+    elements += [A.add(A.add({rng.choice(basis): rng.randrange(1, A.q)},
+                             {rng.choice(basis): rng.randrange(1, A.q)}),
+                       {rng.choice(basis): rng.randrange(1, A.q)}) for _ in range(20)]
+    edge = 0
+    for a in elements:
+        for k in (0, 1, 2, p, 2 * p + 1):
+            want = power_by_repeated_multiplication(A, a, k)
+            assert A.power(a, k) == want, (a, k)
+            edge += any(m.total_pd_weight() == A.W for m in want) and k > 1
+    assert edge
 
 
 def test_pd_mul_associative_commutative():
@@ -393,12 +416,13 @@ def test_conj_graded_map_is_bijective_at_every_window():
 
 def test_conj_graded_map_rank_mismatch_on_a_missing_monomial(monkeypatch):
     # Gamma^2 is enumerated from its definition, not from the basis, so a
-    # basis missing one monomial of conjugate level 2 has a smaller target
+    # conjugate-level table missing one monomial of level 2 has a smaller
+    # target
     A = small_algebra(p=2, n=1, e=1, W=10)
     rank = conj_graded_map_check(A, 2)["rank"]
-    basis = A.basis()
-    gone = next(m for m in basis if conj_level(m, 2) == 2)
-    monkeypatch.setattr(A, "basis", lambda: [m for m in basis if m != gone])
+    conj = A._basis.conj
+    gone = conj.index(2)
+    monkeypatch.setattr(A._basis, "conj", conj[:gone] + conj[gone + 1:])
     assert conj_graded_map_check(A, 2) == {"ok": False, "reason": "rank mismatch",
                                            "src": rank, "tgt": rank - 1}
 
@@ -506,6 +530,20 @@ def fraction_weight_chains(A):
             chain.append(weight[w])
         chains.append(tuple(chain))
     return chains
+
+
+@pytest.mark.parametrize("p,e,g", [
+    (p, e, g) for p in (2, 3, 5) for e in (0, 1, 2) for g in (1, 2)
+])
+def test_basis_tables_are_each_monomials_pd_weight_and_conjugate_level(p, e, g):
+    # the tables filled once per basis against a recomputation per monomial,
+    # and the chains beside them against the fraction oracle
+    for W in (0, 1, p, 2 * p + 1) if g == 1 else (0, 1, p):
+        A = PDAlgebra(p, g=g, n=1, e=e, W=W)
+        basis = A.basis()
+        assert A._basis.pd == [sum(m.l) for m in basis]
+        assert A._basis.conj == [sum(lj // p for lj in m.l) for m in basis]
+        assert sorted(map(tuple, orbit_blocks(A))) == sorted(fraction_weight_chains(A))
 
 
 @pytest.mark.parametrize("p,e,g", [
@@ -893,14 +931,10 @@ def test_graded_image_check_reads_fil_on_zero_chains(monkeypatch):
     basis = A.basis()
     t = next(t for idxs in orbit_blocks(Acmp) if mat_is_zero(pdalg._phi_block_matrix(Acmp, idxs))
              for t in idxs if not any(cj % p for cj in basis[t].c))
-    spans = conjugate_filtration_spans
-
-    def with_t(A, nmax=None):
-        fil = spans(A, nmax)
-        fil[i] = fil[i] | {t}
-        return fil
-
-    monkeypatch.setattr(pdalg, "conjugate_filtration_spans", with_t)
+    conj = list(A._basis.conj)
+    assert conj[t] > i
+    conj[t] = i
+    monkeypatch.setattr(A._basis, "conj", conj)
     rep = nygaard_graded_image_check(A, i)
     assert not rep["image_matches_fil"]
     assert rep == _graded_image_eliminating_every_chain(A, i)
@@ -1008,9 +1042,10 @@ def test_fixed_points_solve_once_at_the_default_window(monkeypatch):
 
 
 @pytest.mark.parametrize("command,config,blocks,products", [
-    # 305 blocks and 2,150 products here (7,705 and 14,650 when every block
-    # was built and description (1) multiplied through `mul`)
-    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 400, 2500),
+    # 183 blocks and 1,290 products here (2,150 products when `power`
+    # multiplied p times from one; 7,705 blocks and 14,650 products when
+    # every block was built and description (1) multiplied through `mul`)
+    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 400, 1500),
     # no block and no product: the fibre group reads the chains alone
     ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}, 0, 0),
 ])
@@ -1280,6 +1315,19 @@ def test_fiber_group_raises_at_a_chain_that_ends_short(monkeypatch):
         fiber_group(A, i)
 
 
+def test_fiber_group_reads_the_pd_weight_table(monkeypatch):
+    # a chain root whose |l| the table gives as i - 1 instead of at least i
+    # adds w = 1 to its chain, so one more factor Z/p
+    A = PDAlgebra(2, g=1, n=2, e=1)
+    i = 3
+    G = fiber_group(A, i)
+    pd = list(A._basis.pd)
+    root = next(idxs[0] for idxs in orbit_blocks(A) if pd[idxs[0]] >= i)
+    pd[root] = i - 1
+    monkeypatch.setattr(A._basis, "pd", pd)
+    assert fiber_group(A, i) == PGroup(2, tuple(sorted(G.exponents + (1,), reverse=True)))
+
+
 # ---------------------------------------------------------------------------
 # span identity and the completion warning example
 
@@ -1289,6 +1337,18 @@ def test_span_identity():
         A = small_algebra(p=p, n=1, e=2)
         for j in (1, 2):
             assert span_identity_check(A, j)
+
+
+def test_span_identity_reads_the_tables(monkeypatch):
+    # a monomial of conjugate level j whose |l| the table gives as 0 lies in
+    # neither Fil^conj_{j-1} nor Fil^{pj}_pd
+    p, j = 2, 1
+    A = small_algebra(p=p, n=1, e=2)
+    assert span_identity_check(A, j)
+    pd = list(A._basis.pd)
+    pd[A._basis.conj.index(j)] = 0
+    monkeypatch.setattr(A._basis, "pd", pd)
+    assert not span_identity_check(A, j)
 
 
 def test_p2_completion_mismatch_documentation():
