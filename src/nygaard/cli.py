@@ -222,30 +222,27 @@ def cmd_derham(cfg):
 def cmd_qderham(cfg):
     _require_nonnegative_twist(cfg)
     Xq = build_qtorus(cfg.p, cfg.d, cfg.N)
-    payload = {
-        "specialization": specialization_check(Xq, M=cfg.M),
-        "chain_map": frobenius_chain_map_check(Xq, weight_classes(cfg.d, cfg.M)),
-        "nygaard_stable": all(
-            q_nygaard_stability_check(Xq, i, M=cfg.M) for i in range(cfg.i + 1)
-        ),
-        "divided_frobenius": all(q_divided_frobenius_checks(Xq, i) for i in range(cfg.i + 1)),
-    }
+    payload = {"specialization": specialization_check(Xq, M=cfg.M)}
+    # at N = 1 both sides of the chain-map check are p^{j+1} times the
+    # weight-m differential, so it could not read false there
+    if cfg.N >= 2:
+        payload["chain_map"] = frobenius_chain_map_check(Xq, weight_classes(cfg.d, cfg.M))
+    payload["nygaard_stable"] = all(
+        q_nygaard_stability_check(Xq, i, M=cfg.M) for i in range(cfg.i + 1))
+    payload["divided_frobenius"] = all(
+        q_divided_frobenius_checks(Xq, i) for i in range(cfg.i + 1))
     lnu = lnu_identification_check(Xq, i_max=cfg.i, M=cfg.M, n_prec=cfg.n)
     payload["lnu_containment"] = lnu["containment"]
     payload["lnu_graded"] = lnu["graded"]
-    payload["all_ok"] = all(
-        payload[k]
-        for k in ("specialization", "chain_map", "nygaard_stable", "divided_frobenius",
-                  "lnu_containment", "lnu_graded")
-    )
+    payload["all_ok"] = all(payload.values())
     return payload
 
 
 def cmd_acrys(cfg):
     W = cfg.W if cfg.W else None
-    A = PDAlgebra(cfg.p, 1, cfg.n, cfg.e, W)
+    A = PDAlgebra(cfg.p, cfg.n, cfg.e, W)
     # the checks mod p, on the same basis as A
-    A1 = PDAlgebra(cfg.p, 1, 1, cfg.e, W)
+    A1 = PDAlgebra(cfg.p, 1, cfg.e, W)
     rng = random.Random(0)
     # the fixed points mean something at i < 0 too; the level checks run
     # over 0..max(i, 0), since an empty range of levels would certify nothing

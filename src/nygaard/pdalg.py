@@ -1,25 +1,39 @@
 """Truncated divided-power algebras and the crystalline period ring model.
 
-For a quasiregular semiperfect presentation S = F_p[x_1^{1/p^e},...,x_g^{1/p^e}]
-/ (x_1,...,x_g), the model of the (p-completed) divided-power envelope is the
-free Z/p^n-module on monomials
+For the quasiregular semiperfect ring S = F_p[x^{1/p^e}] / (x), the model of
+the (p-completed) divided-power envelope is the free Z/p^n-module on the
+monomials
 
-    [x^c] * prod_j x_j^{[l_j]},
+    [x^{c/p^e}] * x^{[l]},    0 <= c < p^e,  0 <= l <= W:
 
-where c has fractional entries a/p^e in [0,1) (Teichmuller part of the perfect
-base) and l_j >= 0 are the divided-power exponents, truncated at total weight
-sum(l) <= W.  Multiplication merges integer overflow of Teichmuller exponents
-into divided powers via the exact binomial bookkeeping; Frobenius acts by
-p-th powers on the base and by phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}.
+a Teichmuller part of the perfect base times a divided power of x, truncated
+at l <= W.  Multiplication merges the integer overflow of the Teichmuller
+exponents into the divided power by the exact binomial bookkeeping;
+Frobenius acts by p-th powers on the base and by
+phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}.
 
-Weight chains.  Scaled by p^e, the weight of a monomial is the integer vector
-c + l * p^e, one entry per variable; distinct monomials have distinct
-weights, and Frobenius multiplies weights by p.  So phi maps each basis
-monomial to a multiple of the monomial of p times its weight, and the basis
-splits into maximal chains t_0 -> t_1 -> ..., along which every kernel
-computation shards.  The chains depend only on (p, g, e, W), not on the
-precision n, so they are computed once per basis and shared by the copies of
-an algebra at n, n + i and n + i + 1.
+Weight chains.  Scaled by p^e, the weight of [x^{c/p^e}] x^{[l]} is the
+integer l p^e + c.  The basis is ordered by l, then by c, so the monomial of
+weight w sits at index w, and the weights of the basis are exactly
+0, 1, ..., T - 1 with T = (W + 1) p^e.  Frobenius multiplies weights by p
+(`frobenius_monomial`).  So phi maps each basis monomial to a multiple of
+the monomial of p times its weight, and the basis splits into maximal chains
+t_0 -> t_1 -> ..., along which every kernel computation shards.  In closed
+form (`_weight_chains`) the chains are [0] and, for each r in 1..T-1 prime
+to p, the chain r, rp, rp^2, ... of the r p^k < T.  Proof:
+
+- phi(1) = 1, so weight 0 is a chain of its own.
+- A nonzero weight w starts a chain iff it is not p times a weight of the
+  basis.  When p divides w, w/p < w < T is a weight of the basis.  So the
+  roots are exactly the weights prime to p.
+- From a root r the chain runs through the r p^k < T, since every weight
+  below T is in the basis, and stops at the first r p^k >= T.
+- Every nonzero weight is r p^k for exactly one r prime to p and one k, so
+  the chains partition the basis.
+
+The chains depend only on (p, e, W), not on the precision n, so they are
+computed once per basis and shared by the copies of an algebra at n, n + i
+and n + i + 1.
 
 The phi-block of a chain is therefore a weighted shift: row k has at most one
 nonzero entry c_k, in column k + 1.  The one exception is the weight-0 chain,
@@ -38,9 +52,9 @@ a chain save work:
   by an integer matrix.  So the generators of {x : phi(x) = 0 mod p^i} at
   precision n + i + 1, reduced mod p^{n+i}, generate the same module at
   precision n + i, and one kernel per level serves both precisions.
-- v_p of phi's coefficient on [x^c] x^{[l]} is exactly |l| = sum_j l_j
+- v_p of phi's coefficient on [x^{c/p^e}] x^{[l]} is exactly l
   (`frobenius_monomial`), and l only grows along a chain.  So a chain's
-  phi-block vanishes mod p^n iff its root has |l| >= n, and such a chain is
+  phi-block vanishes mod p^n iff its root has l >= n, and such a chain is
   known in closed form without building its block (`_phi_blocks` leaves it
   out).  Its Nygaard kernel is the identity at every level and phi_i is zero
   on it.  So in `nygaard_graded_image_check` it has no image and no graded
@@ -52,10 +66,11 @@ a chain save work:
   `conjugate_filtration_equality_check` grows one reached set level by level,
   searching only from the new seeds.
 
-Per-basis tables.  The |l| and the conjugate level (`conj_level`) of a basis
-monomial depend only on the monomial, so `_Basis` holds them in the lists
-`pd` and `conj`, indexed like the basis and filled once where it is built.
-The checks below read these lists and recompute neither.
+Per-basis tables.  The divided-power exponent l and the conjugate level
+floor(l / p) of a basis monomial depend only on the monomial, so `_Basis`
+holds them in the lists `pd` and `conj`, indexed like the basis and filled
+once where it is built.  The checks below read these lists and recompute
+neither.
 
 Spans over Z/p^n come in two kinds.  The conjugate and divided-power
 filtrations are spanned by monomials, and so is every span built from them by
@@ -83,8 +98,8 @@ phi_i - can: N^{>=i} -> A over Z/p^n, so H^0 and H^1 are the kernel and the
 cokernel of phi_i - can.  Both maps preserve the chains, so the fibre shards
 by chain, and `fiber_group` reads it off each chain's Nygaard exponents:
 
-- Setup.  On a chain, phi(e_k) = c_k e_{k+1}, with v_p(c_k) = lambda_k =
-  |l_k| non-decreasing (the facts above).
+- Setup.  On a chain, phi(e_k) = c_k e_{k+1}, with v_p(c_k) = lambda_k = l_k
+  non-decreasing (the facts above).
 - The block is square.  N^{>=i} tensor Z/p^n is free on g_k = p^{a_k} e_k,
   with a_k = max(0, i - lambda_k) <= i (the diagonal Nygaard kernel).  So
   the block of phi_i - can is square, and row k is
@@ -93,7 +108,7 @@ by chain, and `fiber_group` reads it off each chain's Nygaard exponents:
   diag(p^{v_k}), and both its kernel and its cokernel are the sum of the
   Z/p^{v_k}.  So H^0 = H^1.
 - The cokernel.  When nothing raises, the last monomial has
-  |l| >= n + i, so phi_i of it vanishes mod p^n and the last row is
+  l >= n + i, so phi_i of it vanishes mod p^n and the last row is
   -e_{m-1}.  The e_k with lambda_k >= i form a tail of the chain; row k
   there says e_k = unit * p^{lambda_k - i} e_{k+1}, so each of them is 0.
   Below that, row k says e_{k+1} = unit * p^{i - lambda_k} e_k.  The
@@ -104,24 +119,23 @@ by chain, and `fiber_group` reads it off each chain's Nygaard exponents:
 - The image mod p.  Mod p, row k is a unit times e_{k+1} when
   lambda_k < i, -e_k + unit * e_{k+1} when lambda_k = i, and -e_k when
   lambda_k > i.  So on a chain other than [1] the image mod p misses
-  exactly the root, and only when the root has |l| < i.  It therefore
-  contains Fil^{i+1}_pd, whose monomials have |l| > i.  It contains
+  exactly the root, and only when the root has l < i.  It therefore
+  contains Fil^{i+1}_pd, whose monomials have l > i.  It contains
   Fil^conj_{i-1} restricted to the numerators divisible by p unless a root
-  with |l| < i has every c_j divisible by p.  For e >= 1 no root but [1]
-  does: such a weight is p times a weight of the basis.  For e = 0 the root
-  x_1^{[1]} does, at every i >= 2.
-- Independence of W.  Only monomials with |l| < i contribute to w, and all
+  with l < i has c divisible by p.  For e >= 1 no root but [1] does: a root
+  has weight r prime to p, and c = r mod p^e.  For e = 0 the root x^{[1]}
+  does, at every i >= 2.
+- Independence of W.  Only monomials with l < i contribute to w, and all
   of them lie in the window once W >= n + i.  A wider window adds only
-  monomials with |l| > W: tails of old chains, and new chains whose roots
-  have |l| > W.  Neither changes any w, and the old tails end at |l| > W
+  monomials with l > W: tails of old chains, and new chains whose roots
+  have l > W.  Neither changes any w, and the old tails end at l > W
   too, so every wider window gives the same group.  For W >= 1 a chain end
-  with |l| < n + i raises already, since x_1^{[W]} ends its chain.  So the
+  with l < n + i raises already, since x^{[W]} ends its chain.  So the
   test W >= n + i adds only W = 0 at e = 0, where the basis is [1] alone and
-  x_1^{[1]} would be missed.
+  x^{[1]} would be missed.
 """
 
 import weakref
-from itertools import product
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -130,87 +144,84 @@ from .linalg import PGroup, _vp, row_mul
 
 
 class Monomial(NamedTuple):
-    """[x^c] * prod x_j^{[l_j]}; c entries are numerators over p^e."""
+    """[x^{c/p^e}] * x^{[l]}."""
 
-    c: tuple  # length g, integers 0 <= c_j < p^e
-    l: tuple  # length g, integers >= 0
+    c: int  # the Teichmuller numerator, 0 <= c < p^e
+    l: int  # the divided-power exponent, >= 0
 
-    def total_pd_weight(self):
-        return sum(self.l)
+
+def _weight_chains(p, top):
+    """Maximal phi-chains of the weights 0..top-1, which are the basis
+    indices: [0], and r, rp, rp^2, ... below top for each r prime to p
+    (module docstring)."""
+    chains = [[0]]
+    for r in range(1, top):
+        if r % p:
+            chain = []
+            while r < top:
+                chain.append(r)
+                r *= p
+            chains.append(chain)
+    return chains
 
 
 class _Basis:
-    """The monomials of one (p, g, e, W) and what is read off them once."""
+    """The monomials of one (p, e, W) and what is read off them once."""
 
-    def __init__(self, monomials, p, e):
+    def __init__(self, monomials, p):
         self.monomials = monomials
-        self.index = {m: t for t, m in enumerate(monomials)}  # monomial -> position
-        self.chains = _weight_chains(monomials, p, e)  # see `orbit_blocks`
-        self.pd = [m.total_pd_weight() for m in monomials]  # |l| per index
-        self.conj = [conj_level(m, p) for m in monomials]  # conjugate level per index
+        self.chains = _weight_chains(p, len(monomials))  # see `orbit_blocks`
+        self.pd = [m.l for m in monomials]  # divided-power exponent per index
+        self.conj = [m.l // p for m in monomials]  # conjugate level per index
 
 
-# (p, g, e, W) -> _Basis.  The basis does not depend on the precision n, so
-# the copies of an algebra at n + i and n + i + 1 share it.  An entry lives
-# as long as some algebra holds its basis, and that is longer than the
-# algebra is used: the recursive closure of `PDAlgebra.monomials` holds the
-# algebra that built the basis in a reference cycle, which only the cyclic
-# garbage collector frees.  So whether a later algebra of the same key finds
-# the basis here depends on when the collector last ran.
+# (p, e, W) -> _Basis.  The basis does not depend on the precision n, so the
+# copies of an algebra at n, n + i and n + i + 1 share it.  An entry lives
+# exactly as long as some algebra holds its basis.
 _BASES = weakref.WeakValueDictionary()
 
 
 class PDAlgebra:
     """The truncated model of A_crys(S)/p^n, the divided-power envelope with
-    Frobenius, for S = the perfect truncation mod the regular sequence of
-    variables."""
+    Frobenius, for S = F_p[x^{1/p^e}] / (x)."""
 
-    def __init__(self, p, g=1, n=1, e=1, W=None):
-        if n < 1 or e < 0 or g < 1:
-            raise UsageError("PD algebra needs n >= 1, e >= 0, g >= 1; got n=%d e=%d g=%d"
-                             % (n, e, g))
+    def __init__(self, p, n=1, e=1, W=None):
+        W = W if W is not None else 3 * p * p
+        if n < 1 or e < 0 or W < 0:
+            raise UsageError("PD algebra needs n >= 1, e >= 0, W >= 0; got n=%d e=%d W=%d"
+                             % (n, e, W))
         self.p = p
-        self.g = g
         self.n = n
         self.e = e
-        self.W = W if W is not None else 3 * p * p
+        self.W = W
+        self.pe = p**e
         self.q = p**n
-        key = (p, g, e, self.W)
+        key = (p, e, W)
         self._basis = _BASES.get(key)
         if self._basis is None:
-            self._basis = _BASES[key] = _Basis(self.monomials(), p, e)
+            self._basis = _BASES[key] = _Basis(self.monomials(), p)
 
     # -- monomial basis --------------------------------------------------
 
     def monomials(self):
-        out = []
-        pe = self.p**self.e
-
-        def rec(j, c, l, wleft):
-            if j == self.g:
-                out.append(Monomial(tuple(c), tuple(l)))
-                return
-            for lj in range(wleft + 1):
-                for cj in range(pe):
-                    rec(j + 1, c + [cj], l + [lj], wleft - lj)
-
-        rec(0, [], [], self.W)
-        return out
+        """The basis, ordered by l and then by c: index = weight."""
+        return [Monomial(c, l) for l in range(self.W + 1) for c in range(self.pe)]
 
     def basis(self):
         return self._basis.monomials
 
-    def index(self):
-        return self._basis.index
+    def index(self, m):
+        """The basis index of m, which is its weight l p^e + c; None when m
+        lies beyond the window."""
+        return m.l * self.pe + m.c if m.l <= self.W else None
 
     def one(self):
-        return {Monomial((0,) * self.g, (0,) * self.g): 1}
+        return {Monomial(0, 0): 1}
 
     def monomial(self, c, l, coeff=1):
-        m = Monomial(tuple(c), tuple(l))
-        if m.total_pd_weight() > self.W:
+        if l > self.W:
             return {}
-        return {m: coeff % self.q} if coeff % self.q else {}
+        return {Monomial(c, l): coeff % self.q} if coeff % self.q else {}
 
     # -- ring operations --------------------------------------------------
 
@@ -232,26 +243,17 @@ class PDAlgebra:
                 out[m] = v
         return out
 
-    def _merge_var(self, c1, l1, c2, l2):
-        """Combine one variable: ([x^{c1/p^e}] x^{[l1]}) * ([x^{c2/p^e}] x^{[l2]})
-        = coeff * [x^{c/p^e}] x^{[l]}.  Returns (c, l, coeff)."""
-        k, c = divmod(c1 + c2, self.p**self.e)  # integer overflow k goes into divided powers
-        l = l1 + l2
-        # [x]^k * x^{[l]} = ((l+k)!/l!) x^{[l+k]}
-        return c, l + k, comb(l, l1) * (factorial(l + k) // factorial(l) if k else 1)
-
     def mul_monomials(self, m1, m2):
-        """The binomial law on two monomials: (monomial, coefficient mod p^n),
-        or None when the product vanishes mod p^n.  The monomial may lie
-        beyond weight W; callers decide what that means."""
-        cs, ls, coeff = [], [], 1
-        for c1, l1, c2, l2 in zip(m1.c, m1.l, m2.c, m2.l):
-            c, l, a = self._merge_var(c1, l1, c2, l2)
-            cs.append(c)
-            ls.append(l)
-            coeff *= a
-        coeff %= self.q
-        return (Monomial(tuple(cs), tuple(ls)), coeff) if coeff else None
+        """The binomial law: ([x^{c1/p^e}] x^{[l1]}) * ([x^{c2/p^e}] x^{[l2]})
+        = (l1 + l2 choose l1) [x]^k [x^{c/p^e}] x^{[l1 + l2]}, with
+        c1 + c2 = k p^e + c, and [x]^k x^{[l]} = ((l + k)!/l!) x^{[l + k]},
+        where k <= 1.  Returns (monomial, coefficient mod p^n), or None when
+        the product vanishes mod p^n.  The monomial may lie beyond weight W;
+        callers decide what that means."""
+        k, c = divmod(m1.c + m2.c, self.pe)
+        l = m1.l + m2.l
+        coeff = comb(l, m1.l) * (l + 1 if k else 1) % self.q
+        return (Monomial(c, l + k), coeff) if coeff else None
 
     def mul(self, a, b):
         """Bilinear extension of `mul_monomials`; monomials beyond weight W
@@ -265,7 +267,7 @@ class PDAlgebra:
                 m, coeff = r[0], r[1] * c1 * c2 % self.q
                 if not coeff:
                     continue
-                if m.total_pd_weight() > self.W:
+                if m.l > self.W:
                     continue
                 v = (out.get(m, 0) + coeff) % self.q
                 if v:
@@ -276,9 +278,9 @@ class PDAlgebra:
 
     def power(self, a, k):
         """a^k by square and multiply, as `rings.PolyTrunc.pow`.  Regrouping
-        is sound though `mul` drops the monomials with |l| > W: |l| never
-        drops under the binomial law (`_merge_var`), so they span an ideal,
-        and the truncated product, modulo that ideal, is associative."""
+        is sound though `mul` drops the monomials with l > W: l never drops
+        under the binomial law (`mul_monomials`), so they span an ideal, and
+        the truncated product, modulo that ideal, is associative."""
         if not k:
             return self.one()
         while not k & 1:
@@ -296,29 +298,22 @@ class PDAlgebra:
     # -- Frobenius --------------------------------------------------------
 
     def frobenius_monomial(self, m):
-        """phi([x^c] x^{[l]}) = ((pl + k)!/l!) [x^{c'}] x^{[pl + k]} in each
-        variable, where pc = k p^e + c': phi(x^{[l]}) = ((pl)!/l!) x^{[pl]},
-        and the overflow [x]^k merges as in `mul`.  TruncationTooTight when
-        the image is nonzero mod p^n but leaves the window.
+        """phi([x^{c/p^e}] x^{[l]}) = ((pl + k)!/l!) [x^{c'/p^e}] x^{[pl + k]},
+        where pc = k p^e + c': phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}, and the
+        overflow [x]^k merges as in `mul_monomials`.  The image has p times
+        the weight.  TruncationTooTight when the image is nonzero mod p^n but
+        leaves the window.
 
-        v_p of the coefficient is |l| = sum_j l_j: v_p((pl)!/l!) = l by
-        Legendre, and (pl + 1)...(pl + k) is a unit, since k < p.  So the
-        image vanishes mod p^n iff |l| >= n, which is tested first."""
-        if m.total_pd_weight() >= self.n:
+        v_p of the coefficient is l: v_p((pl)!/l!) = l by Legendre, and
+        (pl + 1)...(pl + k) is a unit, since k < p.  So the image vanishes
+        mod p^n iff l >= n, which is tested first."""
+        if m.l >= self.n:
             return {}
-        p, pe = self.p, self.p**self.e
-        out_c, out_l, coeff = [], [], 1
-        for cj, lj in zip(m.c, m.l):
-            k, cj = divmod(cj * p, pe)
-            out_c.append(cj)
-            out_l.append(p * lj + k)
-            coeff *= factorial(p * lj + k) // factorial(lj)
-        mm = Monomial(tuple(out_c), tuple(out_l))
-        if mm.total_pd_weight() > self.W:
-            raise TruncationTooTight(
-                "phi image of weight %d leaves W = %d" % (m.total_pd_weight(), self.W)
-            )
-        return {mm: coeff % self.q}
+        k, c = divmod(self.p * m.c, self.pe)
+        l = self.p * m.l + k
+        if l > self.W:
+            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (m.l, self.W))
+        return {Monomial(c, l): factorial(l) // factorial(m.l) % self.q}
 
     def frobenius(self, a):
         out = {}
@@ -337,7 +332,7 @@ class PDAlgebra:
     def to_vector(self, a):
         v = [0] * len(self.basis())
         for m, c in a.items():
-            v[self.index()[m]] = c % self.q
+            v[self.index(m)] = c % self.q
         return v
 
     def from_vector(self, v):
@@ -348,14 +343,9 @@ class PDAlgebra:
 # conjugate filtration
 
 
-def conj_level(m, p):
-    """The conjugate level of a monomial: sum_j floor(l_j / p)."""
-    return sum(lj // p for lj in m.l)
-
-
 def conjugate_filtration_spans(A, nmax):
     """Fil_n for n <= nmax as monomial index sets, via description (2):
-    A-multiples of prod x^{[p k_j]} with sum k <= n."""
+    A-multiples of x^{[pk]} with k <= n."""
     levels = [[] for _ in range(nmax + 1)]
     for t, lv in enumerate(A._basis.conj):
         if lv <= nmax:
@@ -367,9 +357,9 @@ def conjugate_filtration_spans(A, nmax):
 
 
 def conjugate_filtration_description1(A, nn, below=None):
-    """Fil_n via description (1): the span of divided-power products
-    a_1^{[l_1]} ... a_m^{[l_m]} with a_i ideal generators and sum l < (n+1)p,
-    closed under multiplication by base monomials.
+    """Fil_n via description (1): the span of the divided powers x^{[l]} of
+    the ideal generator with l < (n+1)p, closed under multiplication by base
+    monomials.
 
     Returns the set of basis indices the closure reaches; Fil_n mod p is
     spanned by their unit vectors.  This is exact: every seed and every
@@ -381,49 +371,35 @@ def conjugate_filtration_description1(A, nn, below=None):
     `below`, when given, is the closure of level n - 1: the search starts
     from it and expands only the new seeds (module docstring).
 
-    The base monomials [x_j^{1/p^e}] and x_j generate the rest, so they are
-    the only multipliers: the closure under all [x_j^{a/p^e}], 0 < a < p^e,
-    is the same set.  Proof: [x^{a/p^e}] is the a-th power of [x^{1/p^e}]
-    for a < p^e, so a steps by [x_j^{1/p^e}] from [x_j^{c/p^e}] x_j^{[l]}
-    end where one step by a does.  Since c + a < 2 p^e, those steps
-    overflow at most once, when c + 1 reaches p^e, with the factor l + 1 of
-    `_merge_var`, the factor of the single step; every other step has factor
-    1.  Every intermediate monomial has divided-power exponent l or l + 1,
-    no larger than the product's, so it lies in the window whenever the
-    product does.  Hence the single step keeps its product (a unit mod p,
-    inside the window) iff every unit step does."""
+    The base monomials [x^{1/p^e}] and x generate the rest, so they are the
+    only multipliers: the closure under all [x^{a/p^e}], 0 < a < p^e, is the
+    same set.  Proof: [x^{a/p^e}] is the a-th power of [x^{1/p^e}] for
+    a < p^e, so a steps by [x^{1/p^e}] from [x^{c/p^e}] x^{[l]} end where one
+    step by a does.  Since c + a < 2 p^e, those steps overflow at most once,
+    when c + 1 reaches p^e, with the factor l + 1 of `mul_monomials`, the
+    factor of the single step; every other step has factor 1.  Every
+    intermediate monomial has divided-power exponent l or l + 1, no larger
+    than the product's, so it lies in the window whenever the product does.
+    Hence the single step keeps its product (a unit mod p, inside the window)
+    iff every unit step does."""
     p = A.p
-    index = A.index()
-
-    def gen_products(j, l_acc, budget):
-        if j == A.g:
-            yield tuple(l_acc)
-            return
-        for lj in range(budget + 1):
-            yield from gen_products(j + 1, l_acc + [lj], budget - lj)
-
     reached = set(below or ())
     frontier = []
-    for l in gen_products(0, [], min((nn + 1) * p - 1, A.W)):
-        m = Monomial((0,) * A.g, l)
-        if index[m] not in reached:
-            reached.add(index[m])
-            frontier.append(m)
-    # close under multiplication by [x_j^{1/p^e}] and x_j = 1! * x_j^{[1]};
-    # a product beyond the window has no index and is dropped
-    zero = (0,) * A.g
-    multipliers = []
-    for j in range(A.g):
-        unit = zero[:j] + (1,) + zero[j + 1:]
-        if A.e:
-            multipliers.append(Monomial(unit, zero))
-        multipliers.append(Monomial(zero, unit))
+    for l in range(min((nn + 1) * p - 1, A.W) + 1):
+        t = l * A.pe  # the index of x^{[l]}
+        if t not in reached:
+            reached.add(t)
+            frontier.append(Monomial(0, l))
+    # close under multiplication by [x^{1/p^e}] and x = 1! * x^{[1]}; a
+    # product beyond the window has no index and is dropped
+    multipliers = [Monomial(1, 0)] if A.e else []
+    multipliers.append(Monomial(0, 1))
     while frontier:
         nxt = []
         for m in frontier:
             for v in multipliers:
                 r = A.mul_monomials(m, v)
-                t = index.get(r[0]) if r else None
+                t = A.index(r[0]) if r else None
                 if t is not None and r[1] % p and t not in reached:
                     reached.add(t)
                     nxt.append(r[0])
@@ -452,24 +428,21 @@ def conjugate_filtration_equality_check(A, nmax=2):
 def conj_graded_map_check(A, nn):
     """Gamma^n_S(I/I^2) -> gr_n^conj(A/p) is bijective up to the truncation.
 
-    Gamma^n has basis x^{[r]} prod xbar_j^{[k_j]} with sum k = n over
-    Fil_0, whose basis is the [x^c] x^{[r]} with r_j < p.  The map scales by
-    the units (pk)!/(p^k k!) and sends x^{[r]} xbar^{[k]} to a unit times
-    x^{[r + pk]}, since (r + pk choose r) = 1 mod p by Lucas.  Within the
+    Gamma^n has basis x^{[r]} xbar^{[n]} over Fil_0, whose basis is the
+    [x^{c/p^e}] x^{[r]} with r < p.  The map scales by the unit
+    (pn)!/(p^n n!) and sends x^{[r]} xbar^{[n]} to a unit times
+    x^{[r + pn]}, since (r + pn choose r) = 1 mod p by Lucas.  Within the
     truncation both sides are monomial: the source is enumerated from this
-    definition, (c, r, k) with r_j < p, |k| = n and |r + pk| <= W, and the
-    target is the basis monomials of conjugate level n.  Bijectivity is
-    checked by rank.  The scaling factors need no check: the multiples of p
-    in [1, pk] multiply to p^k k!, so (pk)!/(p^k k!) is the product of the
-    integers in [1, pk] prime to p, a unit mod p."""
-    p, g = A.p, A.g
-    # target: monomials of conjugate level exactly nn, i.e. sum floor(l/p) = n,
+    definition, (c, r) with r < p and r + pn <= W, and the target is the
+    basis monomials of conjugate level n.  Bijectivity is checked by rank.
+    The scaling factor needs no check: the multiples of p in [1, pn]
+    multiply to p^n n!, so (pn)!/(p^n n!) is the product of the integers in
+    [1, pn] prime to p, a unit mod p."""
+    p = A.p
+    # target: monomials of conjugate level exactly nn, i.e. floor(l/p) = n,
     # presented as gr = Fil_n / Fil_{n-1}
     tgt = A._basis.conj.count(nn)
-    src = [(c, r, k)
-           for k in product(range(nn + 1), repeat=g) if sum(k) == nn
-           for r in product(range(p), repeat=g) if sum(r) + p * nn <= A.W
-           for c in product(range(p**A.e), repeat=g)]
+    src = [(c, r) for r in range(p) if r + p * nn <= A.W for c in range(A.pe)]
     if len(src) != tgt:
         return {"ok": False, "reason": "rank mismatch", "src": len(src), "tgt": tgt}
     return {"ok": True, "rank": len(src)}
@@ -504,29 +477,6 @@ def phi_pth_power_check(A, rng, trials=30):
 # weight chains (module docstring)
 
 
-def _weight_chains(monomials, p, e):
-    """Maximal phi-chains of basis indices, by the integer weight c + l * p^e.
-
-    A chain starts at each weight that is not p times another weight of the
-    basis; weight 0 is fixed by phi and is a chain of its own."""
-    pe = p**e
-    index_of = {
-        tuple(cj + lj * pe for cj, lj in zip(m.c, m.l)): t for t, m in enumerate(monomials)
-    }
-    chains = []
-    for w, t in index_of.items():
-        if any(w) and not any(wj % p for wj in w) and tuple(wj // p for wj in w) in index_of:
-            continue  # not a chain root
-        chain = [t]
-        while any(w):
-            w = tuple(p * wj for wj in w)
-            if w not in index_of:
-                break
-            chain.append(index_of[w])
-        chains.append(chain)
-    return chains
-
-
 def orbit_blocks(A):
     """Lists of basis indices, one per maximal phi-chain of weights; computed
     once per basis and shared, so callers must not modify them."""
@@ -539,11 +489,10 @@ def _phi_block_matrix(A, idxs):
     basis = A.basis()
     pos = {t: k for k, t in enumerate(idxs)}
     M = [[0] * len(idxs) for _ in idxs]
-    index = A.index()
     for k, t in enumerate(idxs):
         img = A.frobenius_monomial(basis[t])
         for m, c in img.items():
-            tt = index[m]
+            tt = A.index(m)
             if tt not in pos:
                 raise CompositeNonzero("phi leaked out of its weight chain")
             if pos[tt] != (k + 1 if len(idxs) > 1 else 0):
@@ -553,7 +502,7 @@ def _phi_block_matrix(A, idxs):
 
 
 def _phi_vanishes(A, idxs):
-    """phi is zero mod p^n on the chain: its root has |l| >= n (module
+    """phi is zero mod p^n on the chain: its root has l >= n (module
     docstring)."""
     return A._basis.pd[idxs[0]] >= A.n
 
@@ -638,10 +587,10 @@ def nygaard_graded_image_check(A, i):
     chain, and every span is read off their one-entry rows, with no
     elimination (module docstring)."""
     p = A.p
-    Acmp = PDAlgebra(p, A.g, A.n + i + 1, A.e, A.W)
+    Acmp = PDAlgebra(p, A.n + i + 1, A.e, A.W)
     fil_idx = {
         t for t, (m, lv) in enumerate(zip(A.basis(), A._basis.conj))
-        if lv <= i and not any(cj % p for cj in m.c)
+        if lv <= i and m.c % p == 0
     }
     blocks = _phi_blocks(Acmp)
     # a chain whose phi-block is zero has no image and no graded piece, so
@@ -678,30 +627,29 @@ def nygaard_graded_image_check(A, i):
 def fiber_group(A, i):
     """H^0 = H^1 of fib(phi_i - can: N^{>=i} -> A) over Z/p^n, for i >= 0:
     the sum over the weight chains of Z/p^{min(n, w)}, with
-    w = sum_k max(0, i - |l_k|) over the chain's monomials, where the
+    w = sum_k max(0, i - l_k) over the chain's monomials, where the
     weight-0 chain [1] gives Z/p^n at i = 0 and nothing at i >= 1 (module
     docstring).  No phi-block is built and nothing is eliminated.
 
     TruncationTooTight when W < n + i, or when a chain other than [1] ends
-    at a monomial with |l| < n + i: phi of that monomial is nonzero mod
+    at a monomial with l < n + i: phi of that monomial is nonzero mod
     p^{n+i} and leaves the window."""
     if i < 0:
         raise UsageError("the fibre group needs i >= 0, got i = %d" % i)
     n, W = A.n, A.W
     if W < n + i:
         raise TruncationTooTight("phi images need W >= n + i = %d, got W = %d" % (n + i, W))
-    basis, pd = A.basis(), A._basis.pd
+    pd = A._basis.pd
     exps = []
     for idxs in orbit_blocks(A):
-        root = basis[idxs[0]]
-        if not any(root.c) and not any(root.l):
+        if not idxs[0]:  # the weight-0 chain [1]
             if i == 0:
                 exps.append(n)
             continue
         end = pd[idxs[-1]]
         if end < n + i:
             raise TruncationTooTight("phi image of weight %d leaves W = %d" % (end, W))
-        # |l| does not decrease along the chain
+        # l does not decrease along the chain
         w = 0
         for t in idxs:
             lam = pd[t]
@@ -721,7 +669,7 @@ def span_identity_check(A, j):
     """Fil^conj_{j-1} + Fil^{pj}_pd covers the whole algebra mod p.
 
     Both sides are monomial spans: a monomial escapes Fil^conj_{j-1} exactly
-    when sum floor(l/p) >= j, which forces sum l >= pj."""
+    when floor(l/p) >= j, which forces l >= pj."""
     if j < 1:
         raise UsageError("span identity needs j >= 1, got %d" % j)
     return all(lv <= j - 1 or lam >= A.p * j for lv, lam in zip(A._basis.conj, A._basis.pd))

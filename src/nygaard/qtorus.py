@@ -149,9 +149,9 @@ def specialization_check(X, M=2):
 
 def frobenius_chain_map_check(X, weights):
     """phi is a chain map: phi then d at weight pm equals d at m then phi,
-    for each m in weights (qderham passes `weight_classes`).  It can read
-    false only at N >= 2: at N = 1, phi = p^j and d at pm is p times d at m,
-    so both sides are p^{j+1} times the weight-m differential."""
+    for each m in weights (qderham passes `weight_classes`, at N >= 2 only).
+    It can read false only at N >= 2: at N = 1, phi = p^j and d at pm is p
+    times d at m, so both sides are p^{j+1} times the weight-m differential."""
     frob = {j: X.frobenius_matrix(j) for j in range(X.d + 1)}  # weight-free
     for m in weights:
         pm = tuple(X.p * a for a in m)

@@ -81,15 +81,15 @@ is by c^{-1} mod p^r.
 
 The A_crys model, `syntomic_acrys`, is fib(phi_i - can: N^{>=i} -> A) on
 the divided-power algebra A of `pdalg` over Z/p^r.  It shards by weight
-chain, and on a chain phi(e_k) = c_k e_{k+1} with v_p(c_k) = |l_k|
-non-decreasing.  N^{>=i} is free on p^{a_k} e_k, a_k = max(0, i - |l_k|),
+chain, and on a chain phi(e_k) = c_k e_{k+1} with v_p(c_k) = l_k
+non-decreasing.  N^{>=i} is free on p^{a_k} e_k, a_k = max(0, i - l_k),
 so each chain's block of phi_i - can is square, and a square matrix over
 Z/p^r has kernel isomorphic to cokernel (Smith form): H^0 = H^1.  The last
-row is -e_{m-1}, because the last monomial has |l| >= r + i (or the window
+row is -e_{m-1}, because the last monomial has l >= r + i (or the window
 raises).  So the cokernel is cyclic on the root, of order p^{min(r, w)} with
-w = sum_k max(0, i - |l_k|); the weight-0 chain [1] gives Z/p^r at i = 0
+w = sum_k max(0, i - l_k); the weight-0 chain [1] gives Z/p^r at i = 0
 and nothing at i >= 1.  The image mod p misses exactly the roots other
-than [1] with |l| < i.  The answer is the same in every window W >= r + i.
+than [1] with l < i.  The answer is the same in every window W >= r + i.
 The full proof is in the `pdalg` docstring (`pdalg.fiber_group`).  For
 i < 0, phi_i - can = p^{-i} phi - 1 is invertible by a terminating series,
 and both groups vanish.
@@ -421,7 +421,7 @@ def syntomic_acrys(p, i, r, e=2, W=None):
     `pdalg.fiber_group`, read off the weight chains' Nygaard exponents
     (module docstring).  For i < 0 both vanish, by the terminating series of
     `_acrys_negative_twist_series`."""
-    A = PDAlgebra(p, 1, r, e, W)
+    A = PDAlgebra(p, r, e, W)
     if i < 0:
         return SyntomicResult(
             "acrys", p, i, r, 0, 0,

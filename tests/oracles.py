@@ -4,8 +4,8 @@ a canonical form, further coefficient rings and the universal polynomials of
 Witt-vector arithmetic, the kernel and the preimage of a lattice computed on
 their own, cohomology of a complex of free Z-modules, the syntomic windows
 presented from scratch, property checks of the divided-power algebra, its
-powers by repeated multiplication and its Frobenius fixed points solved by
-elimination."""
+powers by repeated multiplication, its weight chains found by search and its
+Frobenius fixed points solved by elimination."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -29,7 +29,6 @@ from nygaard.pdalg import (
     PDAlgebra,
     TruncationTooTight,
     _phi_blocks,
-    conj_level,
     conjugate_filtration_spans,
 )
 from nygaard.qbase import _binom
@@ -626,7 +625,7 @@ def filtration_multiplicativity_check(A, rng, trials=20, nmax=2):
             continue
         prod = A.mul({basis[ta]: 1}, {basis[tb]: 1})
         for m in prod:
-            if conj_level(m, A.p) > a + b:
+            if m.l // A.p > a + b:
                 return False
     return True
 
@@ -643,7 +642,7 @@ def power_by_repeated_multiplication(A, a, k):
 def phi_multiplicative_check(A, rng, trials=50):
     """phi(ab) = phi(a) phi(b) on random retained pairs: pairs whose product
     leaves the weight window, read off `mul_monomials`, are skipped."""
-    basis = [m for m in A.basis() if m.total_pd_weight() <= A.W // A.p // 2]
+    basis = [m for m in A.basis() if m.l <= A.W // A.p // 2]
     if not basis:
         return True
     for _ in range(trials):
@@ -651,7 +650,7 @@ def phi_multiplicative_check(A, rng, trials=50):
         mb, cb = rng.choice(basis), rng.randrange(1, A.q)
         a, b = {ma: ca}, {mb: cb}
         r = A.mul_monomials(ma, mb)
-        if r and r[0].total_pd_weight() > A.W and r[1] * ca * cb % A.q:
+        if r and r[0].l > A.W and r[1] * ca * cb % A.q:
             continue
         try:
             lhs = A.frobenius(A.mul(a, b))
@@ -661,6 +660,28 @@ def phi_multiplicative_check(A, rng, trials=50):
         if lhs != rhs:
             return False
     return True
+
+
+def weight_chains_by_search(A):
+    """Maximal phi-chains of basis indices, found by searching a dictionary
+    of the integer weights l p^e + c: the reference `pdalg._weight_chains`,
+    which writes them in closed form, replaced.  A chain starts at each
+    weight that is not p times another weight of the basis; weight 0 is
+    fixed by phi and is a chain of its own."""
+    p, pe = A.p, A.p**A.e
+    index_of = {m.l * pe + m.c: t for t, m in enumerate(A.basis())}
+    chains = []
+    for w, t in index_of.items():
+        if w and not w % p and w // p in index_of:
+            continue  # not a chain root
+        chain = [t]
+        while w:
+            w *= p
+            if w not in index_of:
+                break
+            chain.append(index_of[w])
+        chains.append(chain)
+    return chains
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +705,7 @@ def fixed_points_at(A, i, W):
     rows of `preimage_mod` reduced mod p^n, so only their span is fixed."""
     p = A.p
     n_int = A.n + i
-    Aw = PDAlgebra(p, A.g, n_int, A.e, W)
+    Aw = PDAlgebra(p, n_int, A.e, W)
     invs = []
     gens = []
     # a zero chain is left out: ker(-p^i) mod p^{n+i} projects to 0 mod p^n

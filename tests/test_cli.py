@@ -383,6 +383,29 @@ def test_N_1_is_a_valid_model(capsys, command):
     assert json.loads(capsys.readouterr().out)["result"]["all_ok"]
 
 
+def test_qderham_reports_the_chain_map_from_N_2_on(monkeypatch, capsys):
+    # at N = 1 both sides of the chain-map check are p^{j+1} times the
+    # weight-m differential: the check is neither run nor reported there; at
+    # N = 2 it is, and a false one makes all_ok false
+    ran = []
+    check = cli.frobenius_chain_map_check
+
+    def spy(X, weights):
+        ran.append(X.N)
+        return check(X, weights)
+
+    monkeypatch.setattr(cli, "frobenius_chain_map_check", spy)
+    for N, keyed in ((1, False), (2, True)):
+        assert cli.main(["qderham", "-p", "2", "-N", str(N)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert ("chain_map" in result) == keyed and result["all_ok"]
+    assert ran == [2]
+    monkeypatch.setattr(cli, "frobenius_chain_map_check", lambda X, weights: False)
+    assert cli.main(["qderham", "-p", "2", "-N", "2"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["chain_map"] is False and result["all_ok"] is False
+
+
 def test_acrys_runs_every_level_up_to_i(monkeypatch):
     # -i is honoured, not narrowed to 2
     levels = {"conjugate": [], "nygaard": []}
@@ -414,15 +437,44 @@ def test_acrys_builds_one_basis_and_one_algebra_mod_p(monkeypatch):
         built.append(self.n)
         return monomials(self)
 
-    def counted_init(self, p, g=1, n=1, e=1, W=None):
+    def counted_init(self, p, n=1, e=1, W=None):
         inits.append(n)
-        init(self, p, g, n, e, W)
+        init(self, p, n, e, W)
 
     monkeypatch.setattr(pdalg.PDAlgebra, "monomials", counted_monomials)
     monkeypatch.setattr(pdalg.PDAlgebra, "__init__", counted_init)
     assert cli.cmd_acrys(cli.RunConfig(p=3, n=2, e=1, i=2, W=13))["all_ok"]
     assert len(built) == 1
     assert inits.count(1) == 1
+
+
+def test_acrys_basis_builds_do_not_depend_on_the_collector(monkeypatch):
+    # a basis lives as long as the algebras of one run: two runs of one
+    # config build it twice whether the cyclic collector runs between them
+    # or not at all
+    monomials = pdalg.PDAlgebra.monomials
+    built = []
+
+    def counted_monomials(self):
+        built.append(1)
+        return monomials(self)
+
+    monkeypatch.setattr(pdalg.PDAlgebra, "monomials", counted_monomials)
+    cfg = cli.RunConfig(p=3, n=2, e=1, i=2, W=13)
+    counts = []
+    for collect in (False, True):
+        gc.collect()
+        gc.disable()
+        try:
+            del built[:]
+            for _ in range(2):
+                cli.run_command("acrys", cfg)
+                if collect:
+                    gc.collect()
+        finally:
+            gc.enable()
+        counts.append(len(built))
+    assert counts == [2, 2]
 
 
 def test_acrys_runs_the_level_checks_at_level_0_for_a_negative_twist(monkeypatch):
