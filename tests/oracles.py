@@ -4,12 +4,15 @@ a canonical form, further coefficient rings and the universal polynomials of
 Witt-vector arithmetic, the kernel and the preimage of a lattice computed on
 their own, cohomology of a complex of free Z-modules, the syntomic windows
 presented from scratch, property checks of the divided-power algebra, its
-powers by repeated multiplication, its weight chains found by search and its
+powers by repeated multiplication, its weight chains found by search, its
+two-variable model as the tensor square of the one-variable one and its
 Frobenius fixed points solved by elimination."""
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from nygaard.errors import NotStabilized, RingError, UsageError
 from nygaard.linalg import (
@@ -26,6 +29,7 @@ from nygaard.linalg import (
     zeros,
 )
 from nygaard.pdalg import (
+    Monomial,
     PDAlgebra,
     TruncationTooTight,
     _phi_blocks,
@@ -682,6 +686,78 @@ def weight_chains_by_search(A):
             chain.append(index_of[w])
         chains.append(chain)
     return chains
+
+
+class PairMonomial(NamedTuple):
+    """[x^{c/p^e}] x^{[l]} [y^{c'/p^e}] y^{[l']}: a monomial of each
+    variable."""
+
+    x: Monomial
+    y: Monomial
+
+    @property
+    def l(self):
+        """The total divided-power exponent, which the window bounds."""
+        return self.x.l + self.y.l
+
+
+class TwoVariablePD(PDAlgebra):
+    """A_crys(S)/p^n for S = F_p[x^{1/p^e}, y^{1/p^e}] / (x, y), truncated
+    at total divided-power exponent W: the tensor square of the one-variable
+    model, whose product and Frobenius it applies variable by variable.  It
+    inherits the bilinear `mul`, `power` and `frobenius` of `PDAlgebra`,
+    which read only `PairMonomial.l`."""
+
+    def __init__(self, p, n=1, e=1, W=None):
+        W = W if W is not None else 3 * p * p
+        self.p, self.n, self.e, self.W = p, n, e, W
+        self.pe, self.q = p**e, p**n
+        # each variable's phi image weighs below p (W + 1), so the window of
+        # the one-variable factor never cuts it; the total is checked here
+        self.factor = PDAlgebra(p, n, e, p * (W + 1))
+        basis = self.monomials()
+        self._index = {m: t for t, m in enumerate(basis)}
+        self._basis = SimpleNamespace(
+            monomials=basis,
+            pd=[m.l for m in basis],
+            conj=[m.x.l // p + m.y.l // p for m in basis],
+        )
+
+    def monomials(self):
+        one = [Monomial(c, l) for l in range(self.W + 1) for c in range(self.pe)]
+        return [PairMonomial(mx, my) for mx in one for my in one if mx.l + my.l <= self.W]
+
+    def index(self, m):
+        return self._index.get(m)
+
+    def one(self):
+        return {PairMonomial(Monomial(0, 0), Monomial(0, 0)): 1}
+
+    def monomial(self, c, l, coeff=1):
+        m = PairMonomial(Monomial(c[0], l[0]), Monomial(c[1], l[1]))
+        if m.l > self.W:
+            return {}
+        return {m: coeff % self.q} if coeff % self.q else {}
+
+    def mul_monomials(self, m1, m2):
+        rx = self.factor.mul_monomials(m1.x, m2.x)
+        ry = self.factor.mul_monomials(m1.y, m2.y)
+        if rx is None or ry is None:
+            return None
+        coeff = rx[1] * ry[1] % self.q
+        return (PairMonomial(rx[0], ry[0]), coeff) if coeff else None
+
+    def frobenius_monomial(self, m):
+        # v_p of the coefficient is the total exponent m.l, so each
+        # variable's image is nonzero mod p^n below it
+        if m.l >= self.n:
+            return {}
+        [(mx, cx)] = self.factor.frobenius_monomial(m.x).items()
+        [(my, cy)] = self.factor.frobenius_monomial(m.y).items()
+        image = PairMonomial(mx, my)
+        if image.l > self.W:
+            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (m.l, self.W))
+        return {image: cx * cy % self.q}
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,7 @@ from oracles import (
     vp_factorial,
     weight_chains_by_search,
 )
+from oracles import PairMonomial, TwoVariablePD
 
 
 def small_algebra(p=2, n=2, e=2, W=None):
@@ -60,6 +61,22 @@ def one_variable(names, cases, at):
     the cases had while the model also ran two variables."""
     ids = ["-".join(map(str, case[:at] + (1,) + case[at:])) for case in cases]
     return pytest.mark.parametrize(names, cases, ids=ids)
+
+
+def pd_model(p, g, n, e, W):
+    """The model in g variables: `PDAlgebra`, or at g = 2 its tensor square
+    `oracles.TwoVariablePD`."""
+    return (PDAlgebra if g == 1 else TwoVariablePD)(p, n, e, W)
+
+
+def variables(m):
+    """The one-variable monomials a monomial of either model is made of."""
+    return tuple(m) if isinstance(m, PairMonomial) else (m,)
+
+
+def from_variables(ms):
+    """The monomial of the model in len(ms) variables made of ms."""
+    return PairMonomial(*ms) if len(ms) == 2 else ms[0]
 
 
 def every_chain_kernel(A, i):
@@ -110,13 +127,17 @@ def test_pd_pth_power_vanishes_mod_p():
         assert A.power(x1, p) == {}
 
 
-@one_variable("p,e,n", [(p, e, n) for p in (2, 3, 5) for e in (0, 1) for n in (1, 3)], 2)
-def test_power_by_squaring_is_repeated_multiplication(p, e, n):
+@pytest.mark.parametrize("p,e,g,n", [
+    (p, e, g, n) for p in (2, 3, 5) for e in (0, 1) for g in (1, 2) for n in (1, 3)
+])
+def test_power_by_squaring_is_repeated_multiplication(p, e, g, n):
     # on every monomial and on random 3-term elements, for exponents whose
-    # squarings regroup the product; some powers reach the window edge l = W
-    A = PDAlgebra(p, n=n, e=e, W=2 * p)
+    # squarings regroup the product; some powers reach the window edge l = W.
+    # At g = 2 the inherited square and multiply runs on the tensor square,
+    # where l is the total divided-power exponent
+    A = pd_model(p, g, n, e, 2 * p if g == 1 else p)
     basis = A.basis()
-    rng = random.Random(100 * p + 10 * e + 1 + n)
+    rng = random.Random(100 * p + 10 * e + g + n)
     elements = [{m: 1} for m in basis]
     elements += [A.add(A.add({rng.choice(basis): rng.randrange(1, A.q)},
                              {rng.choice(basis): rng.randrange(1, A.q)}),
@@ -151,23 +172,26 @@ def test_teichmuller_merge():
 
 def _mul_by_factorials(A, a, b):
     """Reference product: `PDAlgebra.mul` as written before `mul_monomials`,
-    with the overflow factor (l + k)!/l! taken from factorials after testing
-    its valuation."""
+    merging variable by variable, with the overflow factor (l + k)!/l! taken
+    from factorials after testing its valuation."""
     out = {}
     pe = A.p**A.e
     for m1, c1 in a.items():
         for m2, c2 in b.items():
-            k, c = divmod(m1.c + m2.c, pe)
-            l = m1.l + m2.l
-            coeff = c1 * c2 * comb(l, m1.l)
-            if k:
-                if vp_factorial(l + k, A.p) - vp_factorial(l, A.p) >= A.n:
-                    continue
-                coeff *= factorial(l + k) // factorial(l)
-                l += k
-            if coeff % A.q == 0:
-                continue
-            m = Monomial(c, l)
+            coeff, merged = c1 * c2, []
+            for v1, v2 in zip(variables(m1), variables(m2)):
+                k, c = divmod(v1.c + v2.c, pe)
+                l = v1.l + v2.l
+                coeff *= comb(l, v1.l)
+                if k:
+                    if vp_factorial(l + k, A.p) - vp_factorial(l, A.p) >= A.n:
+                        break
+                    coeff *= factorial(l + k) // factorial(l)
+                    l += k
+                merged.append(Monomial(c, l))
+            if len(merged) < len(variables(m1)) or coeff % A.q == 0:
+                continue  # an overflow factor vanishes mod p^n, or the product does
+            m = from_variables(merged)
             if m.l > A.W:
                 continue
             v = (out.get(m, 0) + coeff) % A.q
@@ -186,9 +210,15 @@ def _outcome(f, *args, **kw):
         return TruncationTooTight
 
 
-@one_variable("p,e,n", [(p, e, n) for p in (2, 3) for e in (0, 1, 2) for n in (1, 2, 3)], 2)
-def test_mul_and_mul_monomials_match_the_merged_law(p, e, n):
-    A = PDAlgebra(p, n=n, e=e, W=2 * p)
+@pytest.mark.parametrize("p,e,g,n", [
+    # (3, 2, 2) is left out: 486 monomials make 236,196 pairs per n
+    (p, e, g, n) for p in (2, 3) for e in (0, 1, 2) for g in (1, 2) for n in (1, 2, 3)
+    if (p, e, g) != (3, 2, 2)
+])
+def test_mul_and_mul_monomials_match_the_merged_law(p, e, g, n):
+    # at g = 2 the inherited bilinear `mul` runs on the tensor square, whose
+    # `mul_monomials` is the one-variable law in each variable
+    A = pd_model(p, g, n, e, 2 * p if g == 1 else 2)
     basis = A.basis()
     for m1 in basis:
         for m2 in basis:
@@ -199,7 +229,7 @@ def test_mul_and_mul_monomials_match_the_merged_law(p, e, n):
             inside = r is not None and r[0].l <= A.W
             assert want == ({r[0]: r[1]} if inside else {})
     # sums with coefficients, where c1 * c2 can kill a product mod p^n
-    rng = random.Random(100 * p + 10 * e + 1 + n)
+    rng = random.Random(100 * p + 10 * e + g + n)
     for _ in range(100):
         a, b = ({rng.choice(basis): rng.randrange(1, A.q) for _ in range(3)} for _ in "ab")
         assert A.mul(a, b) == _mul_by_factorials(A, a, b)
@@ -223,6 +253,15 @@ def test_conjugate_filtration_two_descriptions():
         A = small_algebra(p=p, n=1, e=1, W=2 * p * p)
         rep = conjugate_filtration_equality_check(A, nmax=2)
         assert rep["ok"], rep
+
+
+def test_conjugate_filtration_equality_g2():
+    # descriptions (1) and (2) agree in two variables too, where products
+    # take the one-variable law in each variable
+    A = TwoVariablePD(2, n=1, e=1, W=5)
+    fil2 = conjugate_filtration_spans(A, 1)
+    for nn in (0, 1):
+        assert description1_all_multipliers(A, nn) == fil2[nn], nn
 
 
 def dense_description1(A, nn):
@@ -270,10 +309,15 @@ def test_description1_grown_level_by_level_matches_each_level(p, e):
 
 def description1_all_multipliers(A, nn):
     """Reference for the description-(1) closure: every Teichmuller monomial
-    [x^{a/p^e}], 0 < a < p^e, and x are multipliers."""
-    frontier = [m for m in A.basis() if m.c == 0 and m.l < (nn + 1) * A.p]
+    [x^{a/p^e}], 0 < a < p^e, and x are multipliers, and in two variables
+    the same monomials of y."""
+    frontier = [m for m in A.basis()
+                if not any(v.c for v in variables(m)) and m.l < (nn + 1) * A.p]
     reached = {A.index(m) for m in frontier}
-    multipliers = [Monomial(a, 0) for a in range(1, A.p**A.e)] + [Monomial(0, 1)]
+    steps = [Monomial(a, 0) for a in range(1, A.p**A.e)] + [Monomial(0, 1)]
+    g, one = len(variables(A.basis()[0])), Monomial(0, 0)
+    multipliers = [from_variables([v if k == j else one for k in range(g)])
+                   for j in range(g) for v in steps]
     while frontier:
         nxt = []
         for m in frontier:
@@ -430,22 +474,28 @@ def _vp_int(a, p):
     return v
 
 
-@one_variable("p,e", [(p, e) for p in (2, 3, 5) for e in (0, 1, 2)], 2)
-def test_frobenius_coefficient_has_valuation_pd_weight(p, e):
+@pytest.mark.parametrize("p,e,g", [(p, e, g) for p in (2, 3, 5) for e in (0, 1, 2) for g in (1, 2)])
+def test_frobenius_coefficient_has_valuation_pd_weight(p, e, g):
     # v_p of phi's coefficient on [x^c] x^{[l]}, computed by factorials, is
-    # l; so phi vanishes mod p^n exactly when l >= n
-    A = PDAlgebra(p, n=1, e=e, W=2 * p)
+    # l; so phi vanishes mod p^n exactly when l >= n.  At g = 2, on the
+    # tensor square, the valuations of the two variables add up to the
+    # total exponent
+    A = pd_model(p, g, 1, e, 2 * p if g == 1 else p)
+    at = {n: pd_model(p, g, n, e, A.W) for n in range(1, A.W + 2)}  # by precision
     for m in A.basis():
-        k, c = divmod(p * m.c, p**e)
-        # phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}, then [x]^k x^{[pl]}
-        coeff = factorial(p * m.l) // factorial(m.l)
-        coeff *= factorial(p * m.l + k) // factorial(p * m.l)
+        coeff, image = 1, []
+        for v in variables(m):
+            k, c = divmod(p * v.c, p**e)
+            # phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}, then [x]^k x^{[pl]}
+            coeff *= factorial(p * v.l) // factorial(v.l)
+            coeff *= factorial(p * v.l + k) // factorial(p * v.l)
+            image.append(Monomial(c, p * v.l + k))
+        image = from_variables(image)
         w = m.l
         assert _vp_int(coeff, p) == w, m
         if w:
-            assert PDAlgebra(p, w, e, A.W).frobenius_monomial(m) == {}
-        above = PDAlgebra(p, w + 1, e, A.W)
-        image = Monomial(c, p * m.l + k)
+            assert at[w].frobenius_monomial(m) == {}
+        above = at[w + 1]
         if image.l > A.W:
             with pytest.raises(TruncationTooTight):
                 above.frobenius_monomial(m)
