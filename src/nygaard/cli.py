@@ -379,11 +379,11 @@ def build_config(args):
         v = getattr(args, k, None)
         if v is not None:
             values[k] = v
-    # syntomic charp is the q-model at N = 1 whatever N says, so an explicit
-    # other N would be echoed in the config without being used
-    if (args.command == "syntomic" and values.get("model", RunConfig.model) == "charp"
-            and values.get("N", 1) != 1):
-        raise UsageError("syntomic --model charp runs at N = 1, got N = %d" % values["N"])
+    # syntomic charp is the q-model at N = 1: N defaults to 1 there, and an
+    # explicit other N would be echoed in the config without being used
+    if args.command == "syntomic" and values.get("model", RunConfig.model) == "charp":
+        if values.setdefault("N", 1) != 1:
+            raise UsageError("syntomic --model charp runs at N = 1, got N = %d" % values["N"])
     return RunConfig(**values)
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from .errors import CompositeNonzero, NotNonzerodivisor, UsageError, WindowTooSmall
 from .linalg import (
     PGroup,
+    _hnf_coordinates,
     cocycles_boundaries,
     cohomology_invariants,
     hermite_form,
@@ -19,11 +20,12 @@ from .linalg import (
     mat_is_zero,
     mat_mul,
     mat_scale,
-    presented_cohomology_mod,
     presented_complex_cohomology,
     quotient_invariants,
     restrict_lattice,
+    row_mul,
     solve_left,
+    span_exponent_mod,
     zeros,
 )
 
@@ -315,15 +317,44 @@ def presented_cone(src, tgt, fmaps):
 
 
 def acyclic_mod(terms, maps, p, r):
-    """Whether a presented complex has zero cohomology mod p^r.
+    """Whether a complex of presented groups has zero cohomology mod p^r;
+    terms and maps are as in presented_complex_cohomology.  False as well
+    when it is not one: a row leaves its generator span, or a relation or a
+    boundary does not map into the next relations.
 
-    False as well when it is not a complex of presented groups: a map leaves
-    the generator span, or two maps do not compose to zero."""
-    try:
-        coh = presented_cohomology_mod(terms, maps, p, r)
-    except CompositeNonzero:
-        return False
-    return all(g.is_zero() for g in coh.values())
+    The rels of degree t and the images of the Hermite rows of degree t-1
+    are written in the Hermite coordinates of the gens of degree t (the one
+    step over Z; gens may be unsaturated), so C^t = (Z/p^r)^{n_t}/span(R_t)
+    with map rows D_t.  With |span(X)| = p^e(X), e = span_exponent_mod:
+    log_p |C^t| = r n_t - e(R_t) and log_p |im d_t| = e(R_{t+1} + D_t) -
+    e(R_{t+1}), 0 when no map leaves degree t.  The rows of D_{t-1} and R_t
+    times D_t must not grow e(R_{t+1}): d∘d = 0 and relations mapping into
+    relations at once.  Then H = 0 iff |C^t| = |im d_{t-1}| |im d_t| in
+    every degree t.  Proof: C^t/ker d_t ≅ im d_t, so |ker d_t| =
+    |C^t|/|im d_t|, and the subgroup im d_{t-1} of ker d_t is all of it iff
+    their orders agree.  At most three eliminations per degree, none with a
+    transform."""
+    q = p**r
+    H = {t: hermite_form(g) if g else [] for t, (g, _) in terms.items()}
+    R, D = {}, {}
+    for t, (_, rels) in terms.items():
+        rels = [row for row in rels if any(row)]
+        into = t - 1 in maps and t - 1 in terms
+        img = [row_mul(h, maps[t - 1]) for h in H[t - 1]] if into else []
+        xs = _hnf_coordinates(H[t], rels + img)
+        if None in xs:
+            return False
+        xs = [[a % q for a in x] for x in xs]
+        R[t] = xs[:len(rels)]
+        if into:
+            D[t - 1] = xs[len(rels):]
+    e = {t: span_exponent_mod(R[t], p, r) for t in R}
+    im = {t: span_exponent_mod(R[t + 1] + D[t], p, r) - e[t + 1] for t in D}
+    for t in D:
+        BD = [row for row in mat_mul(D.get(t - 1, []) + R[t], D[t]) if any(a % q for a in row)]
+        if BD and (not R[t + 1] or span_exponent_mod(R[t + 1] + BD, p, r) != e[t + 1]):
+            return False
+    return all(r * len(H[t]) - e[t] == im.get(t - 1, 0) + im.get(t, 0) for t in H)
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,12 @@ span(A) = span(B) iff |A| = |B| = |A + B|.  No canonical row set (Howell
 form) is computed over Z/p^r, since every answer is read off orders and
 invariants, which depend on the span only.
 
-One loop computes cohomology mod p^r.  `cocycles_boundaries_mod` gives
-each degree of a complex of free Z/p^r-modules, optionally modulo relation
-rows, its boundary rows B, checked to be cocycles as B*d in span(next
-relations) (without relations, d*d = 0 mod p^r, a matrix product), and its
-cocycle rows Z, one `preimage_mod` per degree; `cohomology_mod` reads the
-groups off.  The widening windows of `syntomic` do not run it: they carry
-the pivot rows of `eliminate_mod` from one window to the next.  A
-presented group span(gens)/span(rels) in an ambient Z^n may have unsaturated
-gens, so `presented_cohomology_mod` first writes rels and map images in
-Hermite coordinates of the gens (its one step over Z), then runs the same
-loop.
+Cohomology mod p^r has one presentation: `cocycles_boundaries_mod` gives
+each degree of a complex of free Z/p^r-modules its boundary rows B, checked
+by the matrix product B*d = 0 mod p^r, and its cocycle rows Z, one
+`preimage_mod` per degree.  The orbit windows of `syntomic` start from it.
+`complexes.acyclic_mod` decides whether a complex of presented groups is
+acyclic mod p^r from span orders alone, with no cocycles and no quotient.
 
 The side over Z mirrors it: `cocycles_boundaries` presents each degree of a
 complex of presented groups by cocycle rows Z and boundary rows B, and
@@ -37,8 +32,8 @@ Hermite forms of their columns and rows in turn, with no transforms.
 `cohomology_invariants` (gens = I, no relations), `complexes.beilinson_H0`
 and `presented_complex_cohomology` all read from it; the last is reached
 only through the Beilinson code of `complexes`.  Membership queries take a
-block of rows: `solve_left` and `lattice_contains` factor the lattice once
-per block, not once per row.
+block of rows; `_hnf_coordinates` finds the pivots of a Hermite form once
+per block, and `lattice_contains` builds no transform, unlike `solve_left`.
 
 Every sublattice cut out by a condition is one restriction:
 `restrict_lattice(G, D, L)` = {x in span(G) : x*D in span(L)} is one
@@ -175,19 +170,24 @@ def hermite_form(M, transform=False):
     return (H, U) if transform else H
 
 
-def _hnf_coordinates(H, y):
-    """The x with x*H = y for H in Hermite form (independent rows), or None."""
-    x = []
-    rem = list(y)
-    for row in H:
-        c = next(j for j, a in enumerate(row) if a)
-        if rem[c] % row[c]:
-            return None
-        q = rem[c] // row[c]
-        if q:
-            rem = [a - q * b for a, b in zip(rem, row)]
-        x.append(q)
-    return None if any(rem) else x
+def _hnf_coordinates(H, rows):
+    """Per row y of rows, the x with x*H = y for H in Hermite form
+    (independent rows), or None.  The pivot columns of H are found once for
+    the whole block."""
+    cols = [next(j for j, a in enumerate(h) if a) for h in H]
+
+    def coordinates(y):
+        x, rem = [], list(y)
+        for c, h in zip(cols, H):
+            if rem[c] % h[c]:
+                return None
+            q = rem[c] // h[c]
+            if q:
+                rem = [a - q * b for a, b in zip(rem, h)]
+            x.append(q)
+        return None if any(rem) else x
+
+    return [coordinates(y) for y in rows]
 
 
 def solve_left(M, rows):
@@ -196,13 +196,13 @@ def solve_left(M, rows):
     if not M or not rows:
         return [None if any(y) else [] for y in rows]
     H, U = hermite_form(M, transform=True)
-    xs = (_hnf_coordinates(H, y) for y in rows)
-    return [None if x is None else row_mul(x, U) for x in xs]
+    return [None if x is None else row_mul(x, U) for x in _hnf_coordinates(H, rows)]
 
 
 def lattice_contains(L, rows):
-    """Whether every row of rows lies in span(L)."""
-    return None not in solve_left(L, rows)
+    """Whether every row of rows lies in span(L), read off one Hermite form
+    of L; no transform is built."""
+    return None not in _hnf_coordinates(hermite_form(L), rows)
 
 
 def lattice_eq(L1, L2):
@@ -255,9 +255,6 @@ class PGroup:
     def zero(cls, p):
         return cls(p, (), 0)
 
-    def is_zero(self):
-        return not self.exponents and self.free_rank == 0
-
     def __add__(self, other):
         if self.p != other.p:
             raise UsageError("cannot add a %d-group to a %d-group" % (self.p, other.p))
@@ -293,7 +290,7 @@ def quotient_invariants(L, M):
     on the rest.  A gcd/lcm sweep of the nonzero diagonal gives the
     invariant factors of C, and its length is the rank of C."""
     H = hermite_form(L)
-    A = [_hnf_coordinates(H, y) for y in M]
+    A = _hnf_coordinates(H, M)
     if None in A:
         raise CompositeNonzero("relation rows must lie in the generator span")
     while any(a for i, row in enumerate(A) for j, a in enumerate(row) if i != j):
@@ -354,60 +351,24 @@ def cocycles_boundaries(terms, maps):
     return pres
 
 
-def presented_cohomology_mod(terms, maps, p, r):
-    """Cohomology of a presented complex tensored with Z/p^r.
+def cocycles_boundaries_mod(ranks, diffs, p, r):
+    """Cocycle rows Z_t and boundary rows B_t per degree of a complex of free
+    Z/p^r-modules, where diffs[t] maps degree t to t+1.
 
-    terms and maps are as in presented_complex_cohomology; degree j is
-    span(gens_j)/(span(rels_j) + p^r span(gens_j)).  Over Z, only the rels
-    and the images of the Hermite rows H_j of gens_j are written in Hermite
-    coordinates (see the module docstring); cohomology_mod does the rest.
-    CompositeNonzero when a row leaves its generator span, or a boundary
-    leaves the cocycles."""
-    H = {j: hermite_form(g) if g else [] for j, (g, _) in terms.items()}
-
-    def coords(j, rows):
-        xs = [_hnf_coordinates(H[j], y) for y in rows]
-        if None in xs:
-            raise CompositeNonzero("degree %d: a row leaves the generator span" % j)
-        return xs
-
-    rels = {j: coords(j, [row for row in R if any(row)]) for j, (_, R) in terms.items()}
-    D = {
-        j: coords(j + 1, [row_mul(h, maps[j]) for h in H[j]])
-        for j in maps if j in terms and j + 1 in terms
-    }
-    return cohomology_mod({j: len(h) for j, h in H.items()}, D, p, r, rels)
-
-
-def cohomology_mod(ranks, diffs, p, r, rels=None):
-    """Cohomology of a complex of free Z/p^r-modules modulo relations: per
-    degree the PGroup span(Z_t)/span(B_t) of cocycles_boundaries_mod."""
-    pres = cocycles_boundaries_mod(ranks, diffs, p, r, rels)
-    return {t: PGroup(p, quotient_exponents_mod(Z, B, p, r)) for t, (Z, B) in pres.items()}
-
-
-def cocycles_boundaries_mod(ranks, diffs, p, r, rels=None):
-    """Cocycle rows Z_t and boundary rows B_t per degree, over Z/p^r.
-
-    Degree t is (Z/p^r)^ranks[t] modulo span(rels[t]), and diffs[t] maps
-    degree t to t+1.  B_t holds the nonzero rows of d_{t-1} and rels[t] in
-    [0, p^r).  B_t is made of cocycles iff B_t*d_t lies in span(rels[t+1]);
-    without relations there that is B_t*d_t = 0 mod p^r, a matrix product,
-    and otherwise the order of span(rels[t+1]) must not grow.
-    CompositeNonzero if it fails.  Z_t is preimage_mod(d_t, rels[t+1]), the
-    identity when no differential leaves degree t."""
+    B_t holds the nonzero rows of d_{t-1} in [0, p^r); CompositeNonzero
+    unless B_t*d_t = 0 mod p^r, a matrix product.  Z_t is the kernel
+    preimage_mod(d_t, []), the identity when no differential leaves degree
+    t."""
     q = p**r
-    rels = rels or {}
     pres = {}
     for t in sorted(ranks):
         B = diffs.get(t - 1, []) if ranks[t] and ranks.get(t - 1, 0) else []
-        B = [row for row in ([a % q for a in b] for b in B + rels.get(t, [])) if any(row)]
-        D, R = diffs.get(t), rels.get(t + 1, [])
+        B = [row for row in ([a % q for a in b] for b in B) if any(row)]
+        D = diffs.get(t)
         if ranks[t] and D and ranks.get(t + 1, 0):
-            BD = [row for row in ([a % q for a in b] for b in mat_mul(B, D)) if any(row)]
-            if BD and (not R or span_exponent_mod(R + BD, p, r) != span_exponent_mod(R, p, r)):
+            if any(a % q for row in mat_mul(B, D) for a in row):
                 raise CompositeNonzero("degree %d: boundaries are not cocycles mod %d" % (t, q))
-            Z = preimage_mod(D, R, p, r)
+            Z = preimage_mod(D, [], p, r)
         else:
             Z = identity(ranks[t])
         pres[t] = (Z, B)

@@ -2,11 +2,12 @@
 because no command uses them: enumerations that a proven symmetry replaces,
 a canonical form, further coefficient rings and the universal polynomials of
 Witt-vector arithmetic, the kernel and the preimage of a lattice computed on
-their own, cohomology of a complex of free Z-modules, the syntomic windows
-presented from scratch, property checks of the divided-power algebra, its
-powers by repeated multiplication, its weight chains found by search, its
-two-variable model as the tensor square of the one-variable one and its
-Frobenius fixed points solved by elimination."""
+their own, cohomology of a complex of free Z-modules and, as groups, of a
+complex of presented groups mod p^r, the syntomic windows presented from
+scratch, property checks of the divided-power algebra, its powers by
+repeated multiplication, its weight chains found by search, its two-variable
+model as the tensor square of the one-variable one and its Frobenius fixed
+points solved by elimination."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -14,18 +15,22 @@ from itertools import product
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from nygaard.errors import NotStabilized, RingError, UsageError
+from nygaard.errors import CompositeNonzero, NotStabilized, RingError, UsageError
 from nygaard.linalg import (
     PGroup,
+    _hnf_coordinates,
     _vp,
     cocycles_boundaries_mod,
     cohomology_invariants,
-    cohomology_mod,
     eliminate_mod,
     hermite_form,
+    identity,
     mat_copy,
+    mat_mul,
     preimage_mod,
     quotient_exponents_mod,
+    row_mul,
+    span_exponent_mod,
     zeros,
 )
 from nygaard.pdalg import (
@@ -497,6 +502,65 @@ def complex_cohomology(ranks, diffs, p, modulus=None):
     if modulus < p or p ** _vp(modulus, p) != modulus:
         raise UsageError("modulus %d is not a positive power of p = %d" % (modulus, p))
     return cohomology_mod(ranks, diffs, p, _vp(modulus, p))
+
+
+def cocycles_boundaries_rels_mod(ranks, diffs, p, r, rels=None):
+    """Cocycle rows Z_t and boundary rows B_t per degree, over Z/p^r, of a
+    complex of free Z/p^r-modules modulo relation rows.
+
+    Degree t is (Z/p^r)^ranks[t] modulo span(rels[t]), and diffs[t] maps
+    degree t to t+1.  B_t holds the nonzero rows of d_{t-1} and rels[t] in
+    [0, p^r).  B_t is made of cocycles iff B_t*d_t lies in span(rels[t+1]):
+    without relations there that is B_t*d_t = 0 mod p^r, and otherwise the
+    order of span(rels[t+1]) must not grow.  CompositeNonzero if it fails.
+    Z_t is preimage_mod(d_t, rels[t+1]), the identity when no differential
+    leaves degree t."""
+    q = p**r
+    rels = rels or {}
+    pres = {}
+    for t in sorted(ranks):
+        B = diffs.get(t - 1, []) if ranks[t] and ranks.get(t - 1, 0) else []
+        B = [row for row in ([a % q for a in b] for b in B + rels.get(t, [])) if any(row)]
+        D, R = diffs.get(t), rels.get(t + 1, [])
+        if ranks[t] and D and ranks.get(t + 1, 0):
+            BD = [row for row in ([a % q for a in b] for b in mat_mul(B, D)) if any(row)]
+            if BD and (not R or span_exponent_mod(R + BD, p, r) != span_exponent_mod(R, p, r)):
+                raise CompositeNonzero("degree %d: boundaries are not cocycles mod %d" % (t, q))
+            Z = preimage_mod(D, R, p, r)
+        else:
+            Z = identity(ranks[t])
+        pres[t] = (Z, B)
+    return pres
+
+
+def cohomology_mod(ranks, diffs, p, r, rels=None):
+    """Cohomology of a complex of free Z/p^r-modules modulo relations: per
+    degree the PGroup span(Z_t)/span(B_t) of cocycles_boundaries_rels_mod."""
+    pres = cocycles_boundaries_rels_mod(ranks, diffs, p, r, rels)
+    return {t: PGroup(p, quotient_exponents_mod(Z, B, p, r)) for t, (Z, B) in pres.items()}
+
+
+def presented_cohomology_mod(terms, maps, p, r):
+    """Cohomology of a complex of presented groups tensored with Z/p^r, as
+    groups: the rels and the images of the Hermite rows of the gens are
+    written in the Hermite coordinates of the gens, and cohomology_mod does
+    the rest.  terms and maps are as in linalg.presented_complex_cohomology.
+    CompositeNonzero when a row leaves its generator span, or a boundary
+    leaves the cocycles."""
+    H = {j: hermite_form(g) if g else [] for j, (g, _) in terms.items()}
+
+    def coords(j, rows):
+        xs = _hnf_coordinates(H[j], rows)
+        if None in xs:
+            raise CompositeNonzero("degree %d: a row leaves the generator span" % j)
+        return xs
+
+    rels = {j: coords(j, [row for row in R if any(row)]) for j, (_, R) in terms.items()}
+    D = {
+        j: coords(j + 1, [row_mul(h, maps[j]) for h in H[j]])
+        for j in maps if j in terms and j + 1 in terms
+    }
+    return cohomology_mod({j: len(h) for j, h in H.items()}, D, p, r, rels)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ UNREACHED = {
     "the PD element API the tests build elements with": (
         "pdalg.PDAlgebra.monomial", "pdalg.PDAlgebra.to_vector", "pdalg.PDAlgebra.from_vector"),
     "the Beilinson truncation and the cohomology it reads, which eta does not run yet "
-    "(ROADMAP item 6)": (
+    "(ROADMAP item 7)": (
         "complexes.FilteredComplex", "complexes.f_adic_filtration",
         "complexes.trivial_filtration", "complexes.beilinson_truncate",
         "complexes.underlying_complex_lattices", "complexes.graded_piece",
@@ -324,6 +324,16 @@ def test_syntomic_charp_rejects_an_explicit_N(tmp_path, capsys, how):
     # the default model is charp too
     assert cli.main(["syntomic", "-N", "3"]) == 1
     assert "N = 3" in capsys.readouterr().err
+
+
+def test_syntomic_charp_envelope_echoes_the_N_it_runs_at(capsys):
+    # charp runs at N = 1, and its envelope config says so with or without
+    # -N, under the default model too; the q model keeps the default N = 4
+    argv = ["syntomic", "-p", "2", "-d", "1", "-i", "1", "-r", "1", "-M", "1"]
+    for extra, N in ((["--model", "charp"], 1), (["--model", "charp", "-N", "1"], 1),
+                     ([], 1), (["--model", "q"], 4)):
+        assert cli.main(argv + extra) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["N"] == N
 
 
 def test_syntomic_charp_N_1_is_the_run_without_N():

@@ -77,6 +77,23 @@ def test_solve_left_and_membership():
     assert solve_left([[2, 0], [0, 2]], [[1, 0]]) == [None]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattice_contains_agrees_with_solve_left(data):
+    # membership without a transform against the solutions, on random
+    # lattices (L = [] and zero rows included); rows in span(L) are drawn
+    # beside arbitrary ones, so that both verdicts occur
+    n = data.draw(st.integers(1, 4))
+    entry = st.integers(-6, 6)
+    L = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    xs = data.draw(st.lists(st.lists(entry, min_size=len(L), max_size=len(L)), max_size=2))
+    rows = [row_mul(x, L) if L else [0] * n for x in xs]
+    rows += data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=2))
+    assert lattice_contains(L, rows) == (None not in solve_left(L, rows))
+    for y in rows:
+        assert lattice_contains(L, [y]) == (solve_left(L, [y]) != [None])
+
+
 def test_preimage_and_intersection():
     # preimage of 3Z^1 under x -> x*(1,2)^T-ish map
     D = [[1], [2]]
@@ -216,7 +233,7 @@ def test_mult_by_p_complex():
     ranks = {0: 1, 1: 1}
     diffs = {0: [[5]]}
     H = complex_cohomology(ranks, diffs, 5)
-    assert H[0].is_zero()
+    assert H[0] == PGroup.zero(5)
     assert H[1] == PGroup(5, (1,))
 
 
@@ -270,7 +287,7 @@ def test_koszul_pp_cohomology_oracle():
         assert oracle[1] == ([p], 0)
         assert oracle[2] == ([p], 0)
         H = complex_cohomology(ranks, diffs, p)
-        assert H[0].is_zero()
+        assert H[0] == PGroup.zero(p)
         assert H[1] == PGroup(p, (1,))
         assert H[2] == PGroup(p, (1,))
 

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors
 
-from nygaard.complexes import acyclic_mod
+from nygaard.complexes import acyclic_mod, presented_cone
 from nygaard.linalg import (
     CompositeNonzero,
     PGroup,
     _vp,
     block_diag,
     cocycles_boundaries_mod,
-    cohomology_mod,
     eliminate_mod,
     hermite_form,
     identity,
@@ -22,7 +21,6 @@ from nygaard.linalg import (
     mat_scale,
     mat_mul,
     preimage_mod,
-    presented_cohomology_mod,
     presented_complex_cohomology,
     quotient_exponents_mod,
     quotient_invariants,
@@ -35,11 +33,14 @@ from nygaard.qtorus import build_qtorus
 from nygaard.syntomic import _assemble_window
 
 from oracles import (
+    cocycles_boundaries_rels_mod,
+    cohomology_mod,
     embed_rows,
     howell_form,
     kernel_int,
     module_invariants_mod,
     preimage_lattice,
+    presented_cohomology_mod,
     primitive_weights,
     window_n_then_x,
 )
@@ -259,6 +260,42 @@ def test_presented_cohomology_mod_matches_integer_path(data):
         scaled, maps, p)
 
 
+def oracle_acyclic(terms, maps, p, r):
+    try:
+        groups = presented_cohomology_mod(terms, maps, p, r)
+    except CompositeNonzero:
+        return False
+    return all(g == PGroup.zero(p) for g in groups.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(presented_complexes())
+def test_acyclic_mod_matches_the_groups(data):
+    # the span-order verdict against the groups, on the complex and on the
+    # cones of the identity (always acyclic) and of p times it (acyclic iff
+    # the complex is), so that both verdicts occur
+    terms, maps, p, r = data
+    assert acyclic_mod(terms, maps, p, r) == oracle_acyclic(terms, maps, p, r)
+    width = {j: len(g[0]) if g else 0 for j, (g, _) in terms.items()}
+    for c in (1, p):
+        cone = presented_cone((terms, maps), (terms, maps),
+                              {j: mat_scale(c, identity(n)) for j, n in width.items()})
+        assert acyclic_mod(*cone, p, r) == oracle_acyclic(*cone, p, r)
+        if c == 1:
+            assert acyclic_mod(*cone, p, r)
+
+
+def test_acyclic_mod_refuses_balanced_orders_when_d_squared_is_not_zero():
+    # |C^t| = |im d_{t-1}| * |im d_t| in every degree, but d_0 d_1 = 1
+    I2 = identity(2)
+    terms = {0: ([[1]], []), 1: (I2, []), 2: ([[1]], [])}
+    maps = {0: [[1, 0]], 1: [[1], [0]]}
+    for p, r in ((2, 1), (3, 2)):
+        assert not acyclic_mod(terms, maps, p, r)
+    # the same orders with d_1 moved to the other summand: a complex, acyclic
+    assert acyclic_mod(terms, {0: [[1, 0]], 1: [[0], [1]]}, 2, 1)
+
+
 def test_presented_cohomology_mod_reads_unsaturated_gens():
     # gens = p*Z presents Z/p mod p although its ambient row is 0 mod p
     for p in (2, 3):
@@ -333,7 +370,7 @@ def check_windows(X, i, r, M, V, extra_rels=None):
             extra = extra_rels(ranks) if extra_rels else None
             got = cohomology_mod(ranks, diffs, p, r, extra)
             assert got == integer_window_groups(ranks, diffs, p, r, extra), (m0, k)
-            wins.append((ranks, basis, cocycles_boundaries_mod(ranks, diffs, p, r, extra)))
+            wins.append((ranks, basis, cocycles_boundaries_rels_mod(ranks, diffs, p, r, extra)))
         (_, basis0, pres0), (ranks1, basis1, pres1) = wins
         for t in pres0:
             emb = embed_rows(pres0[t][0], basis0[t], basis1[t])
@@ -376,7 +413,7 @@ def test_q_windows_mod_mu_are_the_n1_windows(p, d, r, N):
         ranks, diffs, basis = (_assemble_window if m0 else window_n_then_x)(X, i, V, m0)
         window_rels = extra(ranks) if extra else None
         return (cohomology_mod(ranks, diffs, p, r, window_rels),
-                cocycles_boundaries_mod(ranks, diffs, p, r, window_rels), basis)
+                cocycles_boundaries_rels_mod(ranks, diffs, p, r, window_rels), basis)
 
     for i in range(d + 2):
         assert groups(Xq, i, 0, None, rels)[0] == groups(X1, i, 0, None, None)[0]
@@ -412,7 +449,7 @@ def test_boundaries_checked_against_the_next_relations():
     ranks = {-1: 1, 0: 1, 1: 1}
     diffs = {-1: [[1]], 0: [[1]]}
     groups = cohomology_mod(ranks, diffs, 2, 2, {1: [[1]]})
-    assert all(g.is_zero() for g in groups.values())
+    assert all(g == PGroup.zero(2) for g in groups.values())
     with pytest.raises(CompositeNonzero):
         cohomology_mod(ranks, diffs, 2, 2, {0: [[2]], 1: [[2]]})
 
@@ -422,5 +459,8 @@ def test_window_boundary_outside_cocycles_raises():
     ranks = {0: 1, 1: 1, 2: 1}
     diffs = {0: [[1]], 1: [[2]]}
     assert cohomology_mod(ranks, diffs, 2, 1)[1] == PGroup.zero(2)
+    cocycles_boundaries_mod(ranks, diffs, 2, 1)
     with pytest.raises(CompositeNonzero):
         cohomology_mod(ranks, diffs, 2, 2)
+    with pytest.raises(CompositeNonzero):
+        cocycles_boundaries_mod(ranks, diffs, 2, 2)

@@ -5,7 +5,6 @@ from nygaard.linalg import (
     lattice_contains,
     mat_mul,
     mat_scale,
-    presented_cohomology_mod,
     presented_complex_cohomology,
 )
 from nygaard.qbase import QBase
@@ -22,7 +21,7 @@ from nygaard.qtorus import (
 )
 from nygaard.torus import build_torus
 
-from oracles import weights_box
+from oracles import presented_cohomology_mod, weights_box
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
