@@ -24,7 +24,6 @@ from .linalg import (
     quotient_invariants,
     restrict_lattice,
     row_mul,
-    solve_left,
     span_exponent_mod,
     zeros,
 )
@@ -95,7 +94,8 @@ def eta(f, C):
     for n in degs:
         if n + 1 not in ranks or not incl[n]:
             continue
-        D = solve_left(incl[n + 1], mat_mul(incl[n], C.diff(n)))
+        # incl[n + 1] is a Hermite basis, so coordinates are read off its pivots
+        D = _hnf_coordinates(incl[n + 1], mat_mul(incl[n], C.diff(n)))
         if None in D:
             raise CompositeNonzero("degree %d: the eta image leaves the eta lattice" % n)
         if ranks.get(n + 1, 0):
@@ -391,7 +391,8 @@ def beilinson_H0(F, p):
     for i in sorted(cocycles):
         if i + 1 not in cocycles or not cocycles[i] or not cocycles[i + 1]:
             continue
-        rows = solve_left(cocycles[i + 1], mat_mul(cocycles[i], C.diff(i)))
+        # the cocycle rows are a Hermite basis (`cocycles_boundaries`)
+        rows = _hnf_coordinates(cocycles[i + 1], mat_mul(cocycles[i], C.diff(i)))
         if None in rows:
             raise CompositeNonzero("slot %d: the boundary image is not a graded cocycle" % i)
         diff[i] = rows

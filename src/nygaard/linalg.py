@@ -33,7 +33,8 @@ Hermite forms of their columns and rows in turn, with no transforms.
 and `presented_complex_cohomology` all read from it; the last is reached
 only through the Beilinson code of `complexes`.  Membership queries take a
 block of rows; `_hnf_coordinates` finds the pivots of a Hermite form once
-per block, and `lattice_contains` builds no transform, unlike `solve_left`.
+per block and builds no transform.  `lattice_contains` reads from it, and so
+do the solves of `complexes`, whose lattices are Hermite bases already.
 
 Every sublattice cut out by a condition is one restriction:
 `restrict_lattice(G, D, L)` = {x in span(G) : x*D in span(L)} is one
@@ -188,15 +189,6 @@ def _hnf_coordinates(H, rows):
         return None if any(rem) else x
 
     return [coordinates(y) for y in rows]
-
-
-def solve_left(M, rows):
-    """Per row y of rows, one solution x of x*M = y over Z, or None.  M is
-    factored once for the whole block."""
-    if not M or not rows:
-        return [None if any(y) else [] for y in rows]
-    H, U = hermite_form(M, transform=True)
-    return [None if x is None else row_mul(x, U) for x in _hnf_coordinates(H, rows)]
 
 
 def lattice_contains(L, rows):

@@ -35,31 +35,34 @@ The chains depend only on (p, e, W), not on the precision n, so they are
 computed once per basis and shared by the copies of an algebra at n, n + i
 and n + i + 1.
 
-The phi-block of a chain is therefore a weighted shift: row k has at most one
-nonzero entry c_k, in column k + 1.  The one exception is the weight-0 chain,
-whose block is the 1x1 block [1].  `_phi_block_matrix` checks this shape when
-it builds a block (CompositeNonzero otherwise), and a check builds each block
-once and reads every kernel and image of the chain from it.  Four facts about
-a chain save work:
+On a chain, phi is therefore a weighted shift, stored as its coefficient
+list c = (c_0, ..., c_{m-1}): phi(e_k) = c_k e_{k+1}, and c_{m-1} = 0 at
+the end of the chain.  The one exception is the weight-0 chain [1], where
+phi(e_0) = c_0 e_0 with c_0 = 1.  `_phi_shift` checks this shape when it
+builds a list (CompositeNonzero otherwise), and a check builds each list
+once and reads every kernel and image of the chain from it.  Four facts
+about a chain save work:
 
-- The Nygaard kernel is diagonal.  Over Z/p^n, {x : x M = 0 mod p^i} is
-  generated by p^{max(0, i - v_p(c_k))} e_k, one per row k (i capped at n,
-  v_p(0) taken as n, rows with exponent n dropped).  Proof: the rows of M
-  have their entries in distinct columns, so x M = 0 mod p^i iff
-  x_k c_k = 0 mod p^i for every k, i.e. v_p(x_k) >= i - v_p(c_k).  No
-  elimination is needed (`_shift_kernel`).
-- Whether phi(x) = 0 mod p^i depends only on x mod p^i, because phi is given
-  by an integer matrix.  So the generators of {x : phi(x) = 0 mod p^i} at
-  precision n + i + 1, reduced mod p^{n+i}, generate the same module at
-  precision n + i, and one kernel per level serves both precisions.
+- The Nygaard kernel is diagonal.  Over Z/p^n, {x : phi(x) = 0 mod p^i} is
+  the sum of the p^{a_k} Z/p^n e_k with a_k = max(0, i - v_p(c_k)) (i capped
+  at n, v_p(0) taken as n).  Proof: the terms x_k c_k of phi(x) sit on
+  distinct basis vectors, so phi(x) = 0 mod p^i iff x_k c_k = 0 mod p^i for
+  every k, i.e. v_p(x_k) >= i - v_p(c_k).  No elimination is needed:
+  `_nygaard_exponents` returns the exponent map {k: a_k}, leaving out the k
+  with a_k = n, whose summand is zero.  a_k does not drop as i grows, since
+  i - v_p(c_k), the max with 0 and the cap at n are all monotone in i.
+- Whether phi(x) = 0 mod p^i depends only on x mod p^i, because phi has
+  integer coefficients.  So {x : phi(x) = 0 mod p^i} at precision n + i + 1,
+  reduced mod p^{n+i}, is the same module at precision n + i, and one
+  exponent map per level serves both precisions.
 - v_p of phi's coefficient on [x^{c/p^e}] x^{[l]} is exactly l
-  (`frobenius_monomial`), and l only grows along a chain.  So a chain's
-  phi-block vanishes mod p^n iff its root has l >= n, and such a chain is
-  known in closed form without building its block (`_phi_blocks` leaves it
-  out).  Its Nygaard kernel is the identity at every level and phi_i is zero
-  on it.  So in `nygaard_graded_image_check` it has no image and no graded
-  piece, and the image matches Fil^conj_i on it iff it holds no index of
-  the restricted filtration.
+  (`frobenius_monomial`), and l only grows along a chain.  So phi vanishes
+  mod p^n on a chain iff its root has l >= n, and such a chain is known in
+  closed form without building its list (`_phi_shifts` leaves it out).  Its
+  Nygaard kernel is the whole chain at every level and phi_i is zero on it.
+  So in `nygaard_graded_image_check` it has no image and no graded piece,
+  and the image matches Fil^conj_i on it iff it holds no index of the
+  restricted filtration.
 - Description (1) of the conjugate filtration is a closure of seed monomials
   under multiplication.  The seeds of level n contain those of level n - 1,
   and what a closure reaches is the union of what each seed reaches, so
@@ -76,22 +79,22 @@ Spans over Z/p^n come in two kinds.  The conjugate and divided-power
 filtrations are spanned by monomials, and so is every span built from them by
 multiplying monomials: these are sets of basis indices and are compared as
 sets.  The Nygaard filtration and the image of phi_i are read off the
-weighted shifts, again without elimination.  A diagonal kernel row
-p^a e_k, and its divided image p^{a-i} c_k e_{k+1}, has at most one entry,
-and the entries of distinct rows lie in distinct columns.  A set of such
-one-entry rows spans the direct sum of p^{a_c} Z/p^n e_c over its columns c,
-with a_c the least v_p of an entry in column c (`_single_entries`, which
-raises CompositeNonzero on a row with two entries).  So in
-`nygaard_graded_image_check`:
+coefficient lists and exponent maps, again without elimination.  N^{>=i} on
+a chain is the sum of the p^{a_k} Z/p^n e_k, and phi_i = phi / p^i sends
+the summand of k onto that of p^{a_k - i} c_k e_{k+1} (e_0 on [1]), a
+multiple of a single basis vector, with distinct k going to distinct
+targets.  So in `nygaard_graded_image_check`:
 
-- the image of phi_i mod p is spanned by the unit vectors of the columns
-  whose entry is a unit mod p, and it equals the restricted Fil^conj_i on a
-  chain iff those columns are the chain's filtration indices;
-- N^{>=i+1} lies in N^{>=i} iff every column's exponent in the level-(i+1)
-  kernel is at least its exponent in the level-i kernel (n + i + 1 when the
-  column is absent);
-- N^i / N^{i+1} is the sum of the Z/p^{b_c - a_c} over the columns, so its
-  number of cyclic factors is the number of columns whose exponent grows.
+- phi is divisible by p^i on N^{>=i} iff p^i divides every p^{a_k} c_k
+  (CompositeNonzero otherwise);
+- the image of phi_i mod p is spanned by the targets of the k with
+  p^{a_k - i} c_k a unit mod p, and it equals the restricted Fil^conj_i on a
+  chain iff those targets are the chain's filtration indices;
+- N^{>=i+1} lies in N^{>=i} iff b_k >= a_k for every k, with b the
+  level-(i+1) exponent map and an absent k at exponent n + i + 1, the
+  precision;
+- N^i / N^{i+1} is the sum of the Z/p^{b_k - a_k}, so its number of cyclic
+  factors is the number of k whose exponent grows.
 
 The syntomic fibre.  Z/p^n(i) on this model is the fibre of
 phi_i - can: N^{>=i} -> A over Z/p^n, so H^0 and H^1 are the kernel and the
@@ -140,7 +143,7 @@ from math import comb, factorial
 from typing import NamedTuple
 
 from .errors import CompositeNonzero, TruncationTooTight, UsageError
-from .linalg import PGroup, _vp, row_mul
+from .linalg import PGroup, _vp
 
 
 class Monomial(NamedTuple):
@@ -483,89 +486,44 @@ def orbit_blocks(A):
     return A._basis.chains
 
 
-def _phi_block_matrix(A, idxs):
-    """phi restricted to the span of the given chain of basis indices (row
-    conv.): a weighted shift, checked (module docstring)."""
+def _phi_shift(A, idxs):
+    """phi on the chain of basis indices idxs as its coefficient list c:
+    phi(e_k) = c_k e_{k+1}, or c_0 e_0 on a chain of one index.
+    CompositeNonzero when phi leaves the chain or is no such shift (module
+    docstring)."""
     basis = A.basis()
     pos = {t: k for k, t in enumerate(idxs)}
-    M = [[0] * len(idxs) for _ in idxs]
+    c = [0] * len(idxs)
     for k, t in enumerate(idxs):
-        img = A.frobenius_monomial(basis[t])
-        for m, c in img.items():
+        for m, a in A.frobenius_monomial(basis[t]).items():
             tt = A.index(m)
             if tt not in pos:
                 raise CompositeNonzero("phi leaked out of its weight chain")
             if pos[tt] != (k + 1 if len(idxs) > 1 else 0):
                 raise CompositeNonzero("phi-block of a weight chain is not a weighted shift")
-            M[k][pos[tt]] = c
-    return M
+            c[k] = a
+    return c
 
 
-def _phi_vanishes(A, idxs):
-    """phi is zero mod p^n on the chain: its root has l >= n (module
-    docstring)."""
-    return A._basis.pd[idxs[0]] >= A.n
+def _phi_shifts(A):
+    """(indices, coefficient list) for each weight chain of A on which phi is
+    nonzero mod p^n, in chain order: those whose root has l < n.  phi is zero
+    on the others, and their lists are never built (module docstring)."""
+    pd, n = A._basis.pd, A.n
+    return [(idxs, _phi_shift(A, idxs)) for idxs in orbit_blocks(A) if pd[idxs[0]] < n]
 
 
-def _phi_blocks(A):
-    """(indices, phi-block) for each weight chain of A whose phi-block is
-    nonzero, in chain order; the other chains are known in closed form, and
-    their blocks are never built (module docstring)."""
-    return [(idxs, _phi_block_matrix(A, idxs)) for idxs in orbit_blocks(A)
-            if not _phi_vanishes(A, idxs)]
-
-
-def _divided_phi_rows(rows, Mphi, p, i):
-    """phi(x)/p^i for each row x, with phi given by its block matrix Mphi;
-    CompositeNonzero when some phi(x) is not divisible by p^i."""
-    pi = p**i
-    out = []
-    for row in rows:
-        img = row_mul(row, Mphi)
-        if any(a % pi for a in img):
-            raise CompositeNonzero("Nygaard generator not phi-divisible")
-        out.append([a // pi for a in img])
-    return out
-
-
-def _shift_kernel(M, p, n, i):
-    """Generators over Z/p^n of {x : x M = 0 mod p^i} for a phi-block M with
-    at most one nonzero entry per row and per column: the diagonal rows
-    p^{max(0, i - v_p(M_k))} e_k (module docstring), without elimination."""
-    q = p**n
+def _nygaard_exponents(c, p, n, i):
+    """{k: a_k}: over Z/p^n, {x : phi(x) = 0 mod p^i} on the chain with
+    coefficient list c, reduced mod p^n, is the sum of the p^{a_k} Z/p^n e_k,
+    with a_k = max(0, i - v_p(c_k)), i capped at n and v_p(0) taken as n; a
+    k with a_k = n, whose summand is zero, is left out (module docstring)."""
     i = min(i, n)
-    out = []
-    for k, row in enumerate(M):
-        c = next((a % q for a in row if a % q), 0)
-        a = max(0, i - _vp(c, p)) if c else 0
-        if a < n:
-            v = [0] * len(M)
-            v[k] = p**a
-            out.append(v)
-    return out
-
-
-def _nygaard_kernel_blocks(A2, i, blocks):
-    """Per weight chain: (indices, block-local generators over Z/p^{A2.n} of
-    {x : phi(x) = 0 mod p^i}), read off the chain's phi-block.  `blocks`
-    are the (indices, phi-block) pairs of `_phi_blocks(A2)`, built once by a
-    caller that reads the blocks too.  The chains left out there have a zero
-    phi-block, whose kernel is the whole chain."""
-    return [(idxs, _shift_kernel(M, A2.p, A2.n, i)) for idxs, M in blocks]
-
-
-def _single_entries(rows, q, p):
-    """{column: least v_p} over rows that each have at most one entry
-    nonzero mod q, i.e. their span over Z/q, read off without elimination;
-    CompositeNonzero when a row has two (module docstring)."""
     out = {}
-    for row in rows:
-        hits = [(c, a % q) for c, a in enumerate(row) if a % q]
-        if len(hits) > 1:
-            raise CompositeNonzero("row with two entries where a weighted shift has one")
-        if hits:
-            c, v = hits[0][0], _vp(hits[0][1], p)
-            out[c] = min(out.get(c, v), v)
+    for k, ck in enumerate(c):
+        a = max(0, i - _vp(ck, p)) if ck else 0
+        if a < n:
+            out[k] = a
     return out
 
 
@@ -579,38 +537,38 @@ def nygaard_graded_image_check(A, i):
     weight chain: phi preserves the chains and the filtration is monomial.
     Per chain, the image and the filtration are compared mod p, and the
     graded piece N^i / N^{i+1} is read off at the common precision n + i + 1,
-    where N^{i+1} must lie inside N^i.  Two kernels per level suffice:
+    where N^{i+1} must lie inside N^i.  Two exponent maps per chain suffice:
     phi(x) = 0 mod p^i depends only on x mod p^i, so the level-i kernel at
     n + i + 1 reduced mod p^{n+i} is the level-i kernel at n + i, and the
     image phi(x)/p^i mod p, which depends only on x mod p^{i+1}, is read off
-    from it directly.  Both kernels and the image come from one phi-block per
-    chain, and every span is read off their one-entry rows, with no
-    elimination (module docstring)."""
+    from it directly.  Both maps and the image come from one coefficient
+    list per chain, with no elimination (module docstring)."""
     p = A.p
     Acmp = PDAlgebra(p, A.n + i + 1, A.e, A.W)
+    n, pi = Acmp.n, p**i
     fil_idx = {
         t for t, (m, lv) in enumerate(zip(A.basis(), A._basis.conj))
         if lv <= i and m.c % p == 0
     }
-    blocks = _phi_blocks(Acmp)
-    # a chain whose phi-block is zero has no image and no graded piece, so
-    # the image matches the filtration there iff the chain holds none of it
-    same = fil_idx <= {t for idxs, _ in blocks for t in idxs}
+    shifts = _phi_shifts(Acmp)
+    # a chain on which phi is zero has no image and no graded piece, so the
+    # image matches the filtration there iff the chain holds none of it
+    same = fil_idx <= {t for idxs, _ in shifts for t in idxs}
     dim_src = 0
     dim_img = 0
-    for (idxs, Ki), (_, Ki1), (_, M) in zip(_nygaard_kernel_blocks(Acmp, i, blocks),
-                                             _nygaard_kernel_blocks(Acmp, i + 1, blocks), blocks):
-        src, src1 = _single_entries(Ki, Acmp.q, p), _single_entries(Ki1, Acmp.q, p)
-        # the span mod p of the image: the columns holding a unit
-        img = set(_single_entries(_divided_phi_rows(Ki, M, p, i), p, p))
+    for idxs, c in shifts:
+        src, src1 = _nygaard_exponents(c, p, n, i), _nygaard_exponents(c, p, n, i + 1)
+        if any(p**a * c[k] % pi for k, a in src.items()):
+            raise CompositeNonzero("Nygaard generator not phi-divisible")
+        # the span mod p of the image: the targets of the unit coefficients
+        img = {k + 1 if len(c) > 1 else 0 for k, a in src.items() if p**a * c[k] // pi % p}
         if img != {k for k, t in enumerate(idxs) if t in fil_idx}:
             same = False
         dim_img += len(img)
-        # graded dimension at the common precision n+i+1: an absent column
-        # has exponent n+i+1
-        if any(v < src.get(c, Acmp.n) for c, v in src1.items()):
+        # an absent k has exponent n, the common precision
+        if any(b < src.get(k, n) for k, b in src1.items()):
             raise CompositeNonzero("N^{>=%d} is not inside N^{>=%d}" % (i + 1, i))
-        dim_src += sum(src1.get(c, Acmp.n) > v for c, v in src.items())
+        dim_src += sum(src1.get(k, n) > a for k, a in src.items())
     return {
         "image_matches_fil": same,
         "dim_graded": dim_src,
@@ -629,7 +587,7 @@ def fiber_group(A, i):
     the sum over the weight chains of Z/p^{min(n, w)}, with
     w = sum_k max(0, i - l_k) over the chain's monomials, where the
     weight-0 chain [1] gives Z/p^n at i = 0 and nothing at i >= 1 (module
-    docstring).  No phi-block is built and nothing is eliminated.
+    docstring).  No coefficient list is built and nothing is eliminated.
 
     TruncationTooTight when W < n + i, or when a chain other than [1] ends
     at a monomial with l < n + i: phi of that monomial is nonzero mod

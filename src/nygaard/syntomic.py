@@ -91,8 +91,11 @@ w = sum_k max(0, i - l_k); the weight-0 chain [1] gives Z/p^r at i = 0
 and nothing at i >= 1.  The image mod p misses exactly the roots other
 than [1] with l < i.  The answer is the same in every window W >= r + i.
 The full proof is in the `pdalg` docstring (`pdalg.fiber_group`).  For
-i < 0, phi_i - can = p^{-i} phi - 1 is invertible by a terminating series,
-and both groups vanish.
+i < 0, phi_i - can = T - 1 with T = p^{-i} phi is invertible by a
+terminating series, and both groups vanish.  The series ends at the least k
+with T^k = 0 mod p^r; chain by chain, T is p^{-i} times the weighted shift
+of the chain's coefficient list (`pdalg._phi_shifts`), and the powers are
+those of the one nilpotency routine, `_nilpotency_index`.
 
 Global sections of the torus are Laurent polynomials, not their completion;
 kernels computed here are faithful, while cokernels in the Artin-Schreier
@@ -110,10 +113,9 @@ from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches
     identity,
     mat_is_zero,
     mat_mul,
-    mat_scale,
     quotient_exponents_mod,
 )
-from .pdalg import PDAlgebra, _phi_blocks, fiber_group
+from .pdalg import PDAlgebra, _phi_shifts, fiber_group
 from .qtorus import build_qtorus
 
 
@@ -409,11 +411,20 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None):
 def _acrys_negative_twist_series(A, i):
     """For i < 0, phi_i - 1 = T - 1 with T = p^{-i} phi is invertible on
     A/p^r: its inverse -(1 + T + T^2 + ...) terminates at the least k with
-    T^k = 0 mod p^r on every weight-chain block, which this returns.  The
-    weight-0 block [1] makes it ceil(r / -i)."""
-    # with no blocks, or only zero ones, k = 1
-    return max([1] + [_nilpotency_index(mat_scale(A.p**-i, M), A.p, A.n)
-                      for _, M in _phi_blocks(A)])
+    T^k = 0 mod p^r on every weight chain, which this returns.  On a chain,
+    T is p^{-i} times the weighted shift of its coefficient list c: row k
+    holds p^{-i} c_k in column k + 1.  The weight-0 chain [1] makes it
+    ceil(r / -i)."""
+    s = A.p**-i
+    ks = [1]  # with no chains, or only zero ones, k = 1
+    for _, c in _phi_shifts(A):
+        m = len(c)
+        T = [[0] * m for _ in c]
+        for k, a in enumerate(c):
+            if a:
+                T[k][k + 1 if m > 1 else 0] = s * a
+        ks.append(_nilpotency_index(T, A.p, A.n))
+    return max(ks)
 
 
 def syntomic_acrys(p, i, r, e=2, W=None):

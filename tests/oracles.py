@@ -1,17 +1,21 @@
 """Oracles the tests check live code against, kept out of the package
 because no command uses them: enumerations that a proven symmetry replaces,
 a canonical form, further coefficient rings and the universal polynomials of
-Witt-vector arithmetic, the kernel and the preimage of a lattice computed on
-their own, cohomology of a complex of free Z-modules and, as groups, of a
-complex of presented groups mod p^r, the syntomic windows presented from
-scratch, property checks of the divided-power algebra, its powers by
-repeated multiplication, its weight chains found by search, its two-variable
-model as the tensor square of the one-variable one and its Frobenius fixed
-points solved by elimination."""
+Witt-vector arithmetic, the kernel and the preimage of a lattice and the
+solutions of x*M = y computed on their own, cohomology of a complex of free
+Z-modules and, as groups, of a complex of presented groups mod p^r, the
+syntomic windows presented from scratch, property checks of the
+divided-power algebra, its powers by repeated multiplication, its weight
+chains found by search, its two-variable model as the tensor square of the
+one-variable one, its Frobenius on a weight chain as a dense block and its
+Frobenius fixed points solved by elimination.  `src_env` is the environment
+of a python subprocess that imports the package from this source tree."""
 
+import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -37,11 +41,19 @@ from nygaard.pdalg import (
     Monomial,
     PDAlgebra,
     TruncationTooTight,
-    _phi_blocks,
+    _phi_shifts,
     conjugate_filtration_spans,
 )
 from nygaard.qbase import _binom
 from nygaard.rings import PolyTrunc
+
+
+def src_env():
+    """os.environ with the package's source directory first on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
+    return env
 
 
 def weights_box(d, M):
@@ -489,6 +501,17 @@ def preimage_lattice(D, L):
     return hermite_form(proj) if proj else []
 
 
+def solve_left(M, rows):
+    """Per row y of rows, one solution x of x*M = y over Z, or None, through
+    the Hermite transform of M: the reference `linalg.lattice_contains`,
+    which builds no transform, and the solves of `complexes`, which read
+    coordinates off a Hermite basis, replaced."""
+    if not M or not rows:
+        return [None if any(y) else [] for y in rows]
+    H, U = hermite_form(M, transform=True)
+    return [None if x is None else row_mul(x, U) for x in _hnf_coordinates(H, rows)]
+
+
 # ---------------------------------------------------------------------------
 # cohomology of a complex of free Z-modules, over Z or mod p^r
 
@@ -828,6 +851,18 @@ class TwoVariablePD(PDAlgebra):
 # the Frobenius fixed points of the divided-power algebra, solved
 
 
+def phi_block(c):
+    """The dense phi-block (row convention) of a weight chain with
+    coefficient list c (`pdalg._phi_shift`): row k holds c_k in column
+    k + 1, or in column 0 on a chain of one index."""
+    m = len(c)
+    M = zeros(m, m)
+    for k, a in enumerate(c):
+        if a:
+            M[k][k + 1 if m > 1 else 0] = a
+    return M
+
+
 def module_invariants_mod(gens, p, n):
     """Invariant exponents (largest first) of the Z/p^n-module spanned by
     gens in (Z/p^n)^c: one Z/p^{n-v} per pivot of valuation v."""
@@ -849,7 +884,8 @@ def fixed_points_at(A, i, W):
     invs = []
     gens = []
     # a zero chain is left out: ker(-p^i) mod p^{n+i} projects to 0 mod p^n
-    for idxs, M in _phi_blocks(Aw):
+    for idxs, c in _phi_shifts(Aw):
+        M = phi_block(c)
         for t in range(len(M)):
             M[t][t] -= p**i
         K = preimage_mod(M, [], p, n_int)

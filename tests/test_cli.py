@@ -1,7 +1,6 @@
 import ast
 import gc
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from nygaard import cli, complexes, errors, linalg, pdalg, qtorus, rings, syntomic, torus, witt
+
+from oracles import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -241,18 +242,11 @@ def test_negative_twist_is_a_usage_error(capsys, command):
 def test_regress_fixtures_under_python_O():
     # every certificate is a typed check, so stripping asserts changes nothing
     out = subprocess.run([sys.executable, "-O", "-m", "nygaard.cli", "regress", str(FIXTURES)],
-                         env=_cli_env(), capture_output=True, text=True)
+                         env=src_env(), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout)
     assert len(report["passed"]) == 34
     assert report["failed"] == [] and report["errors"] == []
-
-
-def _cli_env():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        x for x in (str(ROOT / "src"), env.get("PYTHONPATH")) if x)
-    return env
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,7 +264,7 @@ def test_truncation_too_tight_exit_2(capsys, argv):
 def test_python_O_m_nygaard_exit_2():
     argv = ["acrys", "-p", "2", "-n", "3", "-e", "1", "-i", "2", "-W", "1"]
     out = subprocess.run([sys.executable, "-O", "-m", "nygaard", *argv],
-                         env=_cli_env(), capture_output=True, text=True)
+                         env=src_env(), capture_output=True, text=True)
     assert out.returncode == 2
     assert out.stderr.startswith("not certified:")
     assert "Traceback" not in out.stderr
@@ -278,7 +272,7 @@ def test_python_O_m_nygaard_exit_2():
 
 def _cli_result(argv, *flags):
     out = subprocess.run([sys.executable, *flags, "-m", "nygaard.cli", *argv],
-                         env=_cli_env(), capture_output=True, text=True, check=True)
+                         env=src_env(), capture_output=True, text=True, check=True)
     return json.loads(out.stdout)["result"]
 
 
@@ -305,7 +299,7 @@ def test_syntomic_result_same_under_python_O(argv):
 def test_fibre_group_raises_under_python_O(argv, err, flags):
     # the window tests of the fibre group are typed raises, not asserts
     out = subprocess.run([sys.executable, *flags, "-m", "nygaard", *argv],
-                         env=_cli_env(), capture_output=True, text=True)
+                         env=src_env(), capture_output=True, text=True)
     assert (out.returncode, out.stderr) == (2, "not certified: %s\n" % err)
 
 

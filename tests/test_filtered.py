@@ -1,8 +1,6 @@
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -33,7 +31,7 @@ from nygaard.linalg import (
     row_mul,
 )
 
-from oracles import complex_cohomology, kernel_int
+from oracles import complex_cohomology, kernel_int, src_env
 
 
 def mult_p_complex(p):
@@ -166,10 +164,7 @@ for make, exc in (
         continue
     raise SystemExit("no %s" % exc.__name__)
 """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
-    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=src_env(),
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr + out.stdout
 

@@ -21,7 +21,6 @@ from nygaard.linalg import (
     preimage_mod,
     quotient_invariants,
     restrict_lattice,
-    solve_left,
     row_mul,
 )
 from nygaard.errors import UsageError
@@ -32,6 +31,7 @@ from oracles import (
     kernel_int,
     module_invariants_mod,
     preimage_lattice,
+    solve_left,
 )
 
 

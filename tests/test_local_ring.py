@@ -142,8 +142,9 @@ def test_kernel_mod_matches_integer_preimage(data):
 @settings(max_examples=100, deadline=None)
 @given(local_matrices(), st.integers(0, 3))
 def test_preimage_of_scaled_identity_matches_integer_preimage(data, i):
-    # the Nygaard kernel per weight chain: {x : x*M = 0 mod p^i} at precision
-    # r >= i, as `pdalg._nygaard_kernel_blocks` computes it
+    # {x : x*M = 0 mod p^i} at precision r >= i: for the dense phi-block M
+    # of a weight chain, the Nygaard kernel that `pdalg._nygaard_exponents`
+    # reads off the chain's coefficient list
     M, p, r, n = data
     if not M or not n:
         return

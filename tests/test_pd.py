@@ -1,12 +1,10 @@
 import inspect
 import itertools
-import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
 from math import comb, factorial
-from pathlib import Path
 
 import pytest
 
@@ -43,8 +41,10 @@ from oracles import (
     frobenius_fixed_points,
     howell_form,
     module_invariants_mod,
+    phi_block,
     phi_multiplicative_check,
     power_by_repeated_multiplication,
+    src_env,
     vp_factorial,
     weight_chains_by_search,
 )
@@ -80,11 +80,14 @@ def from_variables(ms):
 
 
 def every_chain_kernel(A, i):
-    """`_nygaard_kernel_blocks` on every chain of A: a chain that
-    `_phi_blocks` leaves out has a zero phi-block, whose kernel is the whole
-    chain."""
-    kernels = {tuple(idxs): K
-               for idxs, K in pdalg._nygaard_kernel_blocks(A, i, pdalg._phi_blocks(A))}
+    """The Nygaard kernel of every chain of A as the diagonal rows
+    p^{a_k} e_k of `_nygaard_exponents`: phi is zero on a chain that
+    `_phi_shifts` leaves out, whose kernel is the whole chain."""
+    kernels = {}
+    for idxs, c in pdalg._phi_shifts(A):
+        exps = pdalg._nygaard_exponents(c, A.p, A.n, i)
+        kernels[tuple(idxs)] = [[A.p**a if j == k else 0 for j in range(len(c))]
+                                for k, a in exps.items()]
     return [(idxs, kernels.get(tuple(idxs), identity(len(idxs)))) for idxs in orbit_blocks(A)]
 
 
@@ -584,7 +587,7 @@ def _fixed_points_eliminating_every_chain(A, i):
     invs = []
     gens = []
     for idxs in orbit_blocks(Aw):
-        op = pdalg._phi_block_matrix(Aw, idxs)
+        op = phi_block(pdalg._phi_shift(Aw, idxs))
         for t in range(len(op)):
             op[t][t] -= A.p**i
         K = howell_form(preimage_mod(op, [], A.p, A.n + i), A.p, A.n + i)
@@ -607,7 +610,7 @@ def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
         A2 = PDAlgebra(p, n + i, e, A.W)
         zero_chains = 0
         for idxs, K in every_chain_kernel(A2, i):
-            M = pdalg._phi_block_matrix(A2, idxs)
+            M = phi_block(pdalg._phi_shift(A2, idxs))
             if not mat_is_zero(M):
                 continue
             zero_chains += 1
@@ -643,39 +646,38 @@ def test_fixed_point_generators_are_the_projected_kernel(p, e, n):
 
 
 def _algebra_holding_phi(p, n, e):
-    """The algebra at the least W >= p whose phi-blocks stay in the window."""
+    """The algebra at the least W >= p whose phi images stay in the window."""
     for W in itertools.count(p):
         A = PDAlgebra(p, n=n, e=e, W=W)
         try:
-            pdalg._phi_blocks(A)
+            pdalg._phi_shifts(A)
             return A
         except TruncationTooTight:
             pass
 
 
-def _phi_blocks_building_every_block(A):
-    """Reference for `_phi_blocks`: build every chain's block and keep the
-    nonzero ones, as before the root rule."""
+def _phi_shifts_building_every_list(A):
+    """Reference for `_phi_shifts`: build every chain's coefficient list and
+    keep the nonzero ones, as before the root rule."""
     out = []
     for idxs in pdalg.orbit_blocks(A):
-        M = pdalg._phi_block_matrix(A, idxs)
-        if not any(map(any, M)):
-            continue
-        out.append((idxs, M))
+        c = pdalg._phi_shift(A, idxs)
+        if any(c):
+            out.append((idxs, c))
     return out
 
 
 @one_variable("p,e", [(p, e) for p in (2, 3, 5) for e in (0, 1, 2)], 2)
 def test_phi_blocks_skip_exactly_the_zero_chains(p, e):
-    # a chain is left out iff its root has l >= n, and then its block is zero
+    # a chain is left out iff its root has l >= n, and then its list is zero
     tight = 0
     for n in (1, 2, 3):
         A = _algebra_holding_phi(p, n, e)
-        assert pdalg._phi_blocks(A) == _phi_blocks_building_every_block(A), n
+        assert pdalg._phi_shifts(A) == _phi_shifts_building_every_list(A), n
         if A.W > p:  # one less is too tight for phi: both raise
             B = PDAlgebra(p, n=n, e=e, W=A.W - 1)
-            assert (_outcome(pdalg._phi_blocks, B) is TruncationTooTight
-                    is _outcome(_phi_blocks_building_every_block, B))
+            assert (_outcome(pdalg._phi_shifts, B) is TruncationTooTight
+                    is _outcome(_phi_shifts_building_every_list, B))
             tight += 1
     assert tight
 
@@ -683,7 +685,7 @@ def test_phi_blocks_skip_exactly_the_zero_chains(p, e):
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_phi_blocks_skip_exactly_the_zero_chains_under_O(flags):
     # the window test is a raise, not an assert, so python -O keeps it
-    code = inspect.getsource(_phi_blocks_building_every_block) + """
+    code = inspect.getsource(_phi_shifts_building_every_list) + """
 from nygaard import pdalg
 from nygaard.errors import TruncationTooTight
 
@@ -697,17 +699,14 @@ for p, e, n in ((2, 1, 3), (3, 2, 2), (2, 2, 2), (5, 1, 2)):
     outcomes = []
     for W in range(1, 5 * p):
         A = pdalg.PDAlgebra(p, n, e, W)
-        got = outcome(pdalg._phi_blocks, A)
-        if got != outcome(_phi_blocks_building_every_block, A):
+        got = outcome(pdalg._phi_shifts, A)
+        if got != outcome(_phi_shifts_building_every_list, A):
             raise SystemExit("mismatch at %r" % ((p, e, n, W),))
         outcomes.append(got == "TruncationTooTight")
     if outcomes != sorted(outcomes, reverse=True) or not outcomes[0] or outcomes[-1]:
         raise SystemExit("W never went from too tight to holding at %r" % ((p, e, n),))
 """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
-    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=src_env(),
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr + out.stdout
 
@@ -720,7 +719,7 @@ def test_shift_kernel_matches_preimage(p, e):
         A = _algebra_holding_phi(p, n, e)
         for i in range(4):
             for idxs, K in every_chain_kernel(A, i):
-                M = pdalg._phi_block_matrix(A, idxs)
+                M = phi_block(pdalg._phi_shift(A, idxs))
                 if mat_is_zero(M):
                     assert K == identity(len(idxs))
                     continue
@@ -738,8 +737,8 @@ from nygaard import pdalg
 from nygaard.errors import CompositeNonzero
 A = pdalg.PDAlgebra(2, 3, 1, 8)
 chain = next(c for c in pdalg.orbit_blocks(A) if len(c) >= 3)
-if not pdalg._phi_block_matrix(A, chain)[0][1]:
-    raise SystemExit("row 0 of the chain is zero")
+if not pdalg._phi_shift(A, chain)[0]:
+    raise SystemExit("phi is zero on the root of the chain")
 basis = A.basis()
 phi = A.frobenius_monomial
 for bad in (
@@ -749,86 +748,40 @@ for bad in (
     lambda m: {basis[chain[1]]: 1} if m == basis[chain[1]] else phi(m),
 ):
     A.frobenius_monomial = bad
-    for build in (lambda: pdalg._phi_block_matrix(A, chain),
-                  lambda: pdalg._nygaard_kernel_blocks(A, 1, pdalg._phi_blocks(A))):
+    for build in (lambda: pdalg._phi_shift(A, chain), lambda: pdalg._phi_shifts(A)):
         try:
             build()
         except CompositeNonzero:
             continue
         raise SystemExit("no CompositeNonzero")
 """
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
-    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=src_env(),
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr + out.stdout
-
-
-def test_graded_image_check_reads_spans_not_rows(monkeypatch):
-    # p times each generator of N^{>=1}, added to its rows, spans nothing
-    # new: the report is unchanged, since a column is read at its least
-    # exponent
-    A = small_algebra(p=2, n=2, e=1, W=8)
-    want = nygaard_graded_image_check(A, 1)
-    assert want["dim_graded"]
-    kernel_blocks = pdalg._nygaard_kernel_blocks
-
-    def with_p_multiples(A2, i, blocks):
-        return [(idxs, K + [[2 * a for a in row] for row in K] if i == 1 else K)
-                for idxs, K in kernel_blocks(A2, i, blocks)]
-
-    monkeypatch.setattr(pdalg, "_nygaard_kernel_blocks", with_p_multiples)
-    assert nygaard_graded_image_check(A, 1) == want
 
 
 def test_graded_image_check_raises_when_n_i1_is_not_inside_n_i(monkeypatch):
     # the whole chain handed in as N^{>=i+1} is not inside N^{>=i}
-    kernel_blocks = pdalg._nygaard_kernel_blocks
+    exponents = pdalg._nygaard_exponents
 
-    def whole_algebra_at_i1(A2, i, blocks):
-        return (_whole_algebra_as_nygaard(A2, i, blocks) if i == 2
-                else kernel_blocks(A2, i, blocks))
+    def whole_algebra_at_i1(c, p, n, i):
+        return _whole_algebra_as_nygaard(c, p, n, i) if i == 2 else exponents(c, p, n, i)
 
-    monkeypatch.setattr(pdalg, "_nygaard_kernel_blocks", whole_algebra_at_i1)
+    monkeypatch.setattr(pdalg, "_nygaard_exponents", whole_algebra_at_i1)
     with pytest.raises(CompositeNonzero, match=r"N\^\{>=2\} is not inside N\^\{>=1\}"):
         nygaard_graded_image_check(small_algebra(p=2, n=1, e=1, W=8), 1)
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_graded_image_row_with_two_entries_raises(flags):
-    # two Nygaard generators of one chain merged into one row: it is still
-    # phi-divisible, but its span cannot be read off; the shape check is a
-    # raise, not an assert, so python -O keeps it
-    code = """
-from nygaard import pdalg
-from nygaard.errors import CompositeNonzero
-A = pdalg.PDAlgebra(2, 1, 1, 8)
-if not pdalg.nygaard_graded_image_check(A, 1)["ok"]:
-    raise SystemExit("the unmerged check fails")
-kernel_blocks = pdalg._nygaard_kernel_blocks
-
-def merged(A2, i, blocks):
-    out = kernel_blocks(A2, i, blocks)
-    K = next(K for _, K in out if len(K) >= 2)
-    K[:2] = [[a + b for a, b in zip(K[0], K[1])]]
+def _divided_phi_rows(rows, M, p, i):
+    """phi(x)/p^i for each row x, with phi given by its dense block M;
+    CompositeNonzero when some phi(x) is not divisible by p^i."""
+    out = []
+    for row in rows:
+        img = linalg.row_mul(row, M)
+        if any(a % p**i for a in img):
+            raise CompositeNonzero("Nygaard generator not phi-divisible")
+        out.append([a // p**i for a in img])
     return out
-
-pdalg._nygaard_kernel_blocks = merged
-try:
-    pdalg.nygaard_graded_image_check(A, 1)
-except CompositeNonzero as ex:
-    if "two entries" not in str(ex):
-        raise SystemExit("another CompositeNonzero: %s" % ex)
-else:
-    raise SystemExit("no CompositeNonzero")
-"""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(x for x in (src, env.get("PYTHONPATH")) if x)
-    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr + out.stdout
 
 
 def _graded_image_eliminating_every_chain(A, i):
@@ -841,10 +794,10 @@ def _graded_image_eliminating_every_chain(A, i):
                if basis[t].c % p == 0}
     same, dim_src, dim_img = True, 0, 0
     for idxs in orbit_blocks(Acmp):
-        M = pdalg._phi_block_matrix(Acmp, idxs)
+        M = phi_block(pdalg._phi_shift(Acmp, idxs))
         units = identity(len(idxs))
         Ki, Ki1 = (preimage_mod(M, mat_scale(p**j, units), p, Acmp.n) for j in (i, i + 1))
-        imgs = pdalg._divided_phi_rows(Ki, M, p, i)
+        imgs = _divided_phi_rows(Ki, M, p, i)
         fil_rows = [units[k] for k, t in enumerate(idxs) if t in fil_idx]
         e_img = span_exponent_mod(imgs, p, 1)
         if not e_img == len(fil_rows) == span_exponent_mod(imgs + fil_rows, p, 1):
@@ -866,10 +819,10 @@ def _syntomic_acrys_eliminating_every_chain(A, i):
     q = p**r
     h1, chains = PGroup.zero(p), []
     for idxs in orbit_blocks(Aint):
-        M = pdalg._phi_block_matrix(Aint, idxs)
+        M = phi_block(pdalg._phi_shift(Aint, idxs))
         units = identity(len(idxs))
         gens = preimage_mod(M, mat_scale(p**i, units), p, Aint.n)
-        imgs = pdalg._divided_phi_rows(gens, M, p, i)
+        imgs = _divided_phi_rows(gens, M, p, i)
         rows = [[(a - b) % q for a, b in zip(img, g)] for img, g in zip(imgs, gens)]
         h1 = h1 + PGroup(p, quotient_exponents_mod(units, rows, p, r))
         chains.append((idxs, rows))
@@ -925,7 +878,7 @@ def test_graded_image_check_reads_fil_on_zero_chains(monkeypatch):
     assert nygaard_graded_image_check(A, i)["image_matches_fil"]
     Acmp = PDAlgebra(p, A.n + i + 1, A.e, A.W)
     basis = A.basis()
-    t = next(t for idxs in orbit_blocks(Acmp) if mat_is_zero(pdalg._phi_block_matrix(Acmp, idxs))
+    t = next(t for idxs in orbit_blocks(Acmp) if not any(pdalg._phi_shift(Acmp, idxs))
              for t in idxs if basis[t].c % p == 0)
     conj = list(A._basis.conj)
     assert conj[t] > i
@@ -1009,7 +962,7 @@ def test_acrys_elimination_count(monkeypatch, command, config):
 
 
 def test_graded_image_check_eliminates_nothing(monkeypatch):
-    # every span of the check is read off one-entry rows
+    # every span of the check is read off the coefficient lists
     calls = _count_eliminations(monkeypatch)
     for p, e, n in ((2, 1, 2), (3, 2, 1), (5, 2, 1), (2, 0, 3)):
         A = PDAlgebra(p, n=n, e=e)
@@ -1037,29 +990,29 @@ def test_fixed_points_solve_once_at_the_default_window(monkeypatch):
 
 
 @pytest.mark.parametrize("command,config,blocks,products", [
-    # 183 blocks and 1,290 products here (2,150 products when `power`
-    # multiplied p times from one; 7,705 blocks and 14,650 products when
-    # every block was built and description (1) multiplied through `mul`)
+    # 183 lists and 1,290 products here (2,150 products when `power`
+    # multiplied p times from one; 7,705 lists and 14,650 products when
+    # every list was built and description (1) multiplied through `mul`)
     ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 400, 1500),
-    # no block and no product: the fibre group reads the chains alone
+    # no list and no product: the fibre group reads the chains alone
     ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}, 0, 0),
 ])
 def test_acrys_block_and_product_count(monkeypatch, command, config, blocks, products):
-    # blocks are built only on chains whose root has |l| < n, and the
+    # lists are built only on chains whose root has |l| < n, and the
     # description-(1) closure multiplies monomials without `mul`
     built, muls = [], []
-    block, mul = pdalg._phi_block_matrix, PDAlgebra.mul
+    shift, mul = pdalg._phi_shift, PDAlgebra.mul
 
-    def counted_block(A, idxs):
+    def counted_shift(A, idxs):
         assert A.basis()[idxs[0]].l < A.n
         built.append(1)
-        return block(A, idxs)
+        return shift(A, idxs)
 
     def counted_mul(A, *args, **kw):
         muls.append(1)
         return mul(A, *args, **kw)
 
-    monkeypatch.setattr(pdalg, "_phi_block_matrix", counted_block)
+    monkeypatch.setattr(pdalg, "_phi_shift", counted_shift)
     monkeypatch.setattr(PDAlgebra, "mul", counted_mul)
     cli.run_command(command, cli.RunConfig(**config))
     assert len(built) <= blocks
@@ -1077,10 +1030,10 @@ def test_pd_algebra_rejects_bad_parameters():
 
 def test_nygaard_i0_everything():
     A = small_algebra(p=2)
-    blocks = pdalg._phi_blocks(A)
-    assert blocks
-    for idxs, K in pdalg._nygaard_kernel_blocks(A, 0, blocks):
-        assert K == identity(len(idxs))
+    shifts = pdalg._phi_shifts(A)
+    assert shifts
+    for idxs, c in shifts:
+        assert pdalg._nygaard_exponents(c, 2, A.n, 0) == dict.fromkeys(range(len(idxs)), 0)
 
 
 def test_p_in_nygaard_1():
@@ -1117,25 +1070,18 @@ def test_phi_divisibility_ladder():
     A = small_algebra(p=2, n=1, e=1, W=8)
     for i in (0, 1):
         Acmp = PDAlgebra(2, A.n + i + 1, 1, A.W)
-        blocks = pdalg._phi_blocks(Acmp)
-        for (_, K), (_, M) in zip(pdalg._nygaard_kernel_blocks(Acmp, i + 1, blocks), blocks):
-            imgs = pdalg._divided_phi_rows(K, M, 2, i)
-            assert imgs == [[2 * a for a in row] for row in pdalg._divided_phi_rows(K, M, 2, i + 1)]
-            assert all(a % 2 == 0 for row in imgs for a in row)
+        images = 0
+        for _, c in pdalg._phi_shifts(Acmp):
+            for k, a in pdalg._nygaard_exponents(c, 2, Acmp.n, i + 1).items():
+                img = 2**a * c[k]  # phi of the generator 2^{a_k} e_k of N^{>= i+1}
+                assert img % 2**(i + 1) == 0
+                assert img // 2**i == 2 * (img // 2**(i + 1))
+                images += bool(img)
+        assert images
 
 
-def test_divided_frobenius_rejects_a_non_nygaard_generator():
-    # phi(1) = 1 is not divisible by p, so 1 is no generator of N^{>=1}
-    A = small_algebra(p=2, n=2, e=1, W=6)
-    one = A.index(next(iter(A.one())))
-    [M] = [M for idxs, M in pdalg._phi_blocks(A) if idxs == [one]]
-    assert M == [[1]]
-    with pytest.raises(CompositeNonzero):
-        pdalg._divided_phi_rows([[1]], M, 2, 1)
-
-
-def _whole_algebra_as_nygaard(A2, i, blocks):
-    return [(idxs, identity(len(idxs))) for idxs, _ in blocks]
+def _whole_algebra_as_nygaard(c, p, n, i):
+    return dict.fromkeys(range(len(c)), 0)
 
 
 @pytest.mark.parametrize("check", [
@@ -1145,7 +1091,7 @@ def _whole_algebra_as_nygaard(A2, i, blocks):
 def test_phi_divisibility_checks_raise(monkeypatch, check):
     # hand the whole algebra in as N^{>=i}: the divided Frobenius of 1
     # fails, at level 1 and at level 2
-    monkeypatch.setattr(pdalg, "_nygaard_kernel_blocks", _whole_algebra_as_nygaard)
+    monkeypatch.setattr(pdalg, "_nygaard_exponents", _whole_algebra_as_nygaard)
     with pytest.raises(CompositeNonzero):
         check()
 
@@ -1154,7 +1100,7 @@ def test_phi_leaving_its_weight_chain_raises(monkeypatch):
     A = small_algebra(p=2, n=2, e=1, W=6)
     monkeypatch.setattr(pdalg, "orbit_blocks", lambda A: [[t] for t in range(len(A.basis()))])
     with pytest.raises(CompositeNonzero):
-        pdalg._phi_blocks(A)
+        pdalg._phi_shifts(A)
 
 
 # ---------------------------------------------------------------------------

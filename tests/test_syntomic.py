@@ -2,7 +2,7 @@ from math import comb
 
 import pytest
 
-from nygaard import cli, linalg, syntomic
+from nygaard import cli, linalg, pdalg, syntomic
 from nygaard.errors import CompositeNonzero, UsageError
 from nygaard.linalg import PGroup, cocycles_boundaries_mod, span_contains_mod
 from nygaard.syntomic import (
@@ -21,6 +21,7 @@ from nygaard.qtorus import QTorusComplex, build_qtorus
 from oracles import (
     cohomology_mod,
     orbit_contribution_from_scratch,
+    phi_block,
     primitive_weights,
     window_n_then_x,
 )
@@ -576,10 +577,26 @@ def test_acrys_negative_twist_series_is_computed(p, e, i, r):
 
 
 def test_acrys_negative_twist_series_reads_the_blocks(monkeypatch):
-    # without the weight-0 block, a nilpotent 2x2 shift ends the series at
-    # k = 2 before p^{-i k} does (ceil(4 / 1) = 4)
-    monkeypatch.setattr(syntomic, "_phi_blocks", lambda A: [([0, 1], [[0, 1], [0, 0]])])
+    # without the weight-0 chain, the shift phi(e_0) = e_1 of a chain of two
+    # ends the series at k = 2 before p^{-i k} does (ceil(4 / 1) = 4)
+    monkeypatch.setattr(syntomic, "_phi_shifts", lambda A: [([0, 1], [1, 0])])
     assert syntomic_acrys(2, -1, 4, e=1).certificates["negative_twist_series"] == 2
+
+
+@pytest.mark.parametrize("p,e,i,r", [
+    (p, e, i, r) for p in (2, 3, 5) for e in (1, 2) for i in (-1, -2, -3) for r in (1, 2, 3)
+])
+def test_acrys_negative_twist_series_matches_the_dense_blocks(monkeypatch, p, e, i, r):
+    # chain by chain, and over all chains, the series ends where the powers
+    # of p^{-i} times the oracle's dense phi-block vanish mod p^r
+    A = pdalg.PDAlgebra(p, r, e)
+    shifts = pdalg._phi_shifts(A)
+    want = [syntomic._nilpotency_index(linalg.mat_scale(p**-i, phi_block(c)), p, r)
+            for _, c in shifts]
+    assert syntomic._acrys_negative_twist_series(A, i) == max([1] + want)
+    for chain, k in zip(shifts, want):
+        monkeypatch.setattr(syntomic, "_phi_shifts", lambda A, chain=chain: [chain])
+        assert syntomic._acrys_negative_twist_series(A, i) == k
 
 
 def test_acrys_names_no_k_group():
