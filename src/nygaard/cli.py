@@ -255,7 +255,7 @@ def cmd_acrys(cfg):
         "span_identity": span_identity_check(A, max(cfg.i, 1)),
     }
     # at i < 0, phi_i - can is invertible (the series of `syntomic_acrys`)
-    fixed = fiber_group(A, cfg.i) if cfg.i >= 0 else PGroup.zero(cfg.p)
+    fixed = fiber_group(cfg.p, cfg.n, cfg.e, A.W, cfg.i) if cfg.i >= 0 else PGroup.zero(cfg.p)
     payload["fixed_points"] = fixed.to_json()
     payload["all_ok"] = all(
         payload[k]

@@ -99,43 +99,51 @@ targets.  So in `nygaard_graded_image_check`:
 The syntomic fibre.  Z/p^n(i) on this model is the fibre of
 phi_i - can: N^{>=i} -> A over Z/p^n, so H^0 and H^1 are the kernel and the
 cokernel of phi_i - can.  Both maps preserve the chains, so the fibre shards
-by chain, and `fiber_group` reads it off each chain's Nygaard exponents:
+by chain, and `fiber_group` reads it off the levels of the chains:
 
-- Setup.  On a chain, phi(e_k) = c_k e_{k+1}, with v_p(c_k) = lambda_k = l_k
-  non-decreasing (the facts above).
-- The block is square.  N^{>=i} tensor Z/p^n is free on g_k = p^{a_k} e_k,
-  with a_k = max(0, i - lambda_k) <= i (the diagonal Nygaard kernel).  So
-  the block of phi_i - can is square, and row k is
-  -p^{a_k} e_k + unit * p^{max(0, lambda_k - i)} e_{k+1}.
-- Kernel and cokernel agree.  A square matrix over Z/p^n has a Smith form
-  diag(p^{v_k}), and both its kernel and its cokernel are the sum of the
-  Z/p^{v_k}.  So H^0 = H^1.
-- The cokernel.  When nothing raises, the last monomial has
-  l >= n + i, so phi_i of it vanishes mod p^n and the last row is
-  -e_{m-1}.  The e_k with lambda_k >= i form a tail of the chain; row k
-  there says e_k = unit * p^{lambda_k - i} e_{k+1}, so each of them is 0.
-  Below that, row k says e_{k+1} = unit * p^{i - lambda_k} e_k.  The
-  cokernel is therefore cyclic on e_0, of order p^{min(n, w)} with
-  w = sum_k max(0, i - lambda_k).  The weight-0 chain [1] is the exception:
-  its block is [1 - p^i], which is 0 at i = 0 (giving Z/p^n) and a unit at
-  i >= 1 (giving nothing).
-- The image mod p.  Mod p, row k is a unit times e_{k+1} when
-  lambda_k < i, -e_k + unit * e_{k+1} when lambda_k = i, and -e_k when
-  lambda_k > i.  So on a chain other than [1] the image mod p misses
-  exactly the root, and only when the root has l < i.  It therefore
-  contains Fil^{i+1}_pd, whose monomials have l > i.  It contains
-  Fil^conj_{i-1} restricted to the numerators divisible by p unless a root
-  with l < i has c divisible by p.  For e >= 1 no root but [1] does: a root
-  has weight r prime to p, and c = r mod p^e.  For e = 0 the root x^{[1]}
-  does, at every i >= 2.
-- Independence of W.  Only monomials with l < i contribute to w, and all
-  of them lie in the window once W >= n + i.  A wider window adds only
-  monomials with l > W: tails of old chains, and new chains whose roots
-  have l > W.  Neither changes any w, and the old tails end at l > W
-  too, so every wider window gives the same group.  For W >= 1 a chain end
-  with l < n + i raises already, since x^{[W]} ends its chain.  So the
-  test W >= n + i adds only W = 0 at e = 0, where the basis is [1] alone and
-  x^{[1]} would be missed.
+- The block is square.  On a chain, phi(e_k) = c_k e_{k+1} with
+  v_p(c_k) = l_k non-decreasing (the facts above), and N^{>=i} tensor
+  Z/p^n is free on p^{a_k} e_k, a_k = max(0, i - l_k) <= i.  So the block
+  of phi_i - can is square, with row k equal to
+  -p^{a_k} e_k + unit * p^{max(0, l_k - i)} e_{k+1}.  Over Z/p^n a square
+  matrix has a Smith form diag(p^{v_k}), and both its kernel and its
+  cokernel are the sum of the Z/p^{v_k}.  So H^0 = H^1.
+- The cokernel.  When nothing raises, the last monomial has l >= n + i, so
+  phi_i of it vanishes mod p^n and the last row is -e_{m-1}.  The e_k with
+  l_k >= i form a tail of the chain; row k there says
+  e_k = unit * p^{l_k - i} e_{k+1}, so each of them is 0.  Below that, row
+  k says e_{k+1} = unit * p^{i - l_k} e_k.  The cokernel is therefore
+  cyclic on e_0, of order p^{min(n, w)} with w = sum_k max(0, i - l_k).
+  The weight-0 chain [1] is the exception: its block is [1 - p^i], 0 at
+  i = 0 (giving Z/p^n) and a unit at i >= 1 (giving nothing).
+- The image mod p.  Mod p, row k is a unit times e_{k+1} when l_k < i,
+  -e_k + unit * e_{k+1} when l_k = i, and -e_k when l_k > i.  So on a
+  chain other than [1] the image mod p misses exactly the root, and only
+  when the root has l < i.  It therefore contains Fil^{i+1}_pd, whose
+  monomials have l > i.  It contains Fil^conj_{i-1} restricted to the
+  numerators divisible by p unless a root with l < i has c divisible by p.
+  For e >= 1 no root but [1] does: a root has weight r prime to p, and
+  c = r mod p^e.  For e = 0 the root x^{[1]} does, at every i >= 2.
+- Independence of W; the roots read.  The chain of a root r has the levels
+  l_k = floor(r p^k / p^e).  Only monomials with l < i contribute to w, and
+  a root r >= (n + i) p^e has every l_k >= n + i: w = 0, and its end
+  cannot raise.  So `fiber_group` reads only the roots below (n + i) p^e,
+  all in the window once W >= n + i, and builds no basis.  A wider window
+  adds only monomials with l > W: tails of old chains, and chains whose
+  roots have l > W, which change no w and end at l > W.  For W >= 1 a
+  chain end with l < n + i raises already, since x^{[W]} ends its chain,
+  so the test W >= n + i adds only W = 0 at e = 0, where the basis is [1]
+  alone and x^{[1]} would be missed.
+- The series at i < 0.  There phi_i - can = T - 1, T = p^{-i} phi, with
+  inverse -(1 + T + T^2 + ...), which ends at the least k with T^k = 0 mod
+  p^n.  On a chain T e_j = p^{-i} c_j e_{j+1}, so the only entries of T^k
+  are (j, j + k), j + k < m: p^{-ik} c_j ... c_{j+k-1}, of valuation
+  -ik + l_j + ... + l_{j+k-1}.  That is least at j = 0, since l does not
+  decrease, so the series ends at the least k with k >= m or
+  -ik + l_0 + ... + l_{k-1} >= n (`negative_twist_series`).  On [1],
+  T = p^{-i} and k = ceil(n / -i).  A root with l >= n has T = 0 mod p^n
+  on its chain and is not read.  A chain end with l < n raises: phi of it
+  is nonzero mod p^n and leaves the window (`frobenius_monomial`).
 """
 
 import weakref
@@ -153,12 +161,12 @@ class Monomial(NamedTuple):
     l: int  # the divided-power exponent, >= 0
 
 
-def _weight_chains(p, top):
+def _weight_chains(p, top, roots=None):
     """Maximal phi-chains of the weights 0..top-1, which are the basis
     indices: [0], and r, rp, rp^2, ... below top for each r prime to p
-    (module docstring)."""
+    (module docstring), only for the r below roots when that is given."""
     chains = [[0]]
-    for r in range(1, top):
+    for r in range(1, top if roots is None else min(top, roots)):
         if r % p:
             chain = []
             while r < top:
@@ -184,21 +192,25 @@ class _Basis:
 _BASES = weakref.WeakValueDictionary()
 
 
+def window(p, n, e, W=None):
+    """The window W of the model at (p, n, e), 3p^2 when W is None.  The
+    one check of the parameters, for `PDAlgebra` and the read-offs of the
+    syntomic fibre: UsageError unless n >= 1, e >= 0 and W >= 0."""
+    W = W if W is not None else 3 * p * p
+    if n < 1 or e < 0 or W < 0:
+        raise UsageError("PD algebra needs n >= 1, e >= 0, W >= 0; got n=%d e=%d W=%d"
+                         % (n, e, W))
+    return W
+
+
 class PDAlgebra:
     """The truncated model of A_crys(S)/p^n, the divided-power envelope with
     Frobenius, for S = F_p[x^{1/p^e}] / (x)."""
 
     def __init__(self, p, n=1, e=1, W=None):
-        W = W if W is not None else 3 * p * p
-        if n < 1 or e < 0 or W < 0:
-            raise UsageError("PD algebra needs n >= 1, e >= 0, W >= 0; got n=%d e=%d W=%d"
-                             % (n, e, W))
-        self.p = p
-        self.n = n
-        self.e = e
-        self.W = W
-        self.pe = p**e
-        self.q = p**n
+        self.p, self.n, self.e = p, n, e
+        self.W = W = window(p, n, e, W)
+        self.pe, self.q = p**e, p**n
         key = (p, e, W)
         self._basis = _BASES.get(key)
         if self._basis is None:
@@ -582,41 +594,69 @@ def nygaard_graded_image_check(A, i):
 # the syntomic fibre
 
 
-def fiber_group(A, i):
-    """H^0 = H^1 of fib(phi_i - can: N^{>=i} -> A) over Z/p^n, for i >= 0:
-    the sum over the weight chains of Z/p^{min(n, w)}, with
-    w = sum_k max(0, i - l_k) over the chain's monomials, where the
-    weight-0 chain [1] gives Z/p^n at i = 0 and nothing at i >= 1 (module
-    docstring).  No coefficient list is built and nothing is eliminated.
+def _root_levels(p, e, W, roots):
+    """The levels l_k = floor(w_k / p^e) of each weight chain other than [1]
+    of the model at (p, e, W) whose root lies below roots, in root order."""
+    pe = p**e
+    for chain in _weight_chains(p, (W + 1) * pe, roots)[1:]:
+        yield [w // pe for w in chain]
 
+
+def _chain_end(levels, bound, W):
+    """TruncationTooTight when the chain ends at l < bound: phi of its last
+    monomial is nonzero mod p^bound and leaves the window W."""
+    if levels[-1] < bound:
+        raise TruncationTooTight("phi image of weight %d leaves W = %d" % (levels[-1], W))
+
+
+def _fiber_exponent(levels, n, i, W):
+    """min(n, w), w = sum_k max(0, i - l_k), on a chain other than [1] with
+    levels l_k; TruncationTooTight when it ends at l < n + i."""
+    _chain_end(levels, n + i, W)
+    return min(n, sum(max(0, i - l) for l in levels))
+
+
+def _series_length(levels, i, r, W):
+    """For i < 0, the least k >= 1 with k >= m or -ik + l_0 + ... + l_{k-1}
+    >= r on a chain other than [1] with levels l_0..l_{m-1}: where T^k = 0
+    mod p^r, T = p^{-i} phi; TruncationTooTight when it ends at l < r."""
+    _chain_end(levels, r, W)
+    k, v = 1, levels[0] - i
+    while k < len(levels) and v < r:
+        v += levels[k] - i
+        k += 1
+    return k
+
+
+def fiber_group(p, n, e, W, i):
+    """H^0 = H^1 of fib(phi_i - can: N^{>=i} -> A) over Z/p^n on the model
+    at (p, n, e, W), for i >= 0: a Z/p^{min(n, w)} per chain, and Z/p^n for
+    [1] at i = 0, read off the roots below (n + i) p^e (module docstring).
     TruncationTooTight when W < n + i, or when a chain other than [1] ends
-    at a monomial with l < n + i: phi of that monomial is nonzero mod
-    p^{n+i} and leaves the window."""
+    at l < n + i: phi of that monomial leaves the window."""
+    W = window(p, n, e, W)
     if i < 0:
         raise UsageError("the fibre group needs i >= 0, got i = %d" % i)
-    n, W = A.n, A.W
     if W < n + i:
         raise TruncationTooTight("phi images need W >= n + i = %d, got W = %d" % (n + i, W))
-    pd = A._basis.pd
-    exps = []
-    for idxs in orbit_blocks(A):
-        if not idxs[0]:  # the weight-0 chain [1]
-            if i == 0:
-                exps.append(n)
-            continue
-        end = pd[idxs[-1]]
-        if end < n + i:
-            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (end, W))
-        # l does not decrease along the chain
-        w = 0
-        for t in idxs:
-            lam = pd[t]
-            if lam >= i:
-                break
-            w += i - lam
-        if w:
-            exps.append(min(n, w))
-    return PGroup(A.p, tuple(sorted(exps, reverse=True)))
+    exps = [n] if i == 0 else []
+    for levels in _root_levels(p, e, W, (n + i) * p**e):
+        a = _fiber_exponent(levels, n, i, W)
+        if a:
+            exps.append(a)
+    return PGroup(p, tuple(sorted(exps, reverse=True)))
+
+
+def negative_twist_series(p, r, e, W, i):
+    """For i < 0, the least k with T^k = 0 mod p^r, T = p^{-i} phi, on the
+    model over Z/p^r: where the series inverting phi_i - can = T - 1 ends.
+    ceil(r / -i) on [1], read off the roots below r p^e on the other chains
+    (module docstring); TruncationTooTight when one ends at l < r."""
+    W = window(p, r, e, W)
+    if i >= 0:
+        raise UsageError("the series needs i < 0, got i = %d" % i)
+    return max([-(r // i)] + [_series_length(levels, i, r, W)
+                              for levels in _root_levels(p, e, W, r * p**e)])
 
 
 # ---------------------------------------------------------------------------

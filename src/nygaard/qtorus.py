@@ -24,6 +24,7 @@ from math import comb
 from .complexes import Complex, acyclic_mod, eta_lattices, presented_cone
 from .errors import UsageError
 from .linalg import (
+    _hnf_coordinates,
     block_diag,
     identity,
     lattice_contains,
@@ -256,12 +257,13 @@ def lnu_identification_check(X, i_max, M=2, n_prec=3):
     for m in weight_classes(X.d, M):
         pm = tuple(X.p * a for a in m)
         eta_lat = eta_lattices_B(X, pm, B.xi_tilde)
-        # (a) phi of the full block
+        # (a) phi of the full block; eta_lat and fils are Hermite bases
+        # (`restrict_lattice`), so membership is read off their pivots
         ok_a = True
         for j in range(X.d + 1):
             if X.rank(j) == 0:
                 continue
-            if not lattice_contains(eta_lat[j], frob[j]):
+            if None in _hnf_coordinates(eta_lat[j], frob[j]):
                 ok_a = False
         fils = eta_filtration(X, eta_lat, i_max + 1)
         ok_b = True
@@ -269,7 +271,7 @@ def lnu_identification_check(X, i_max, M=2, n_prec=3):
             for j in range(X.d + 1):
                 if X.rank(j) == 0:
                     continue
-                if not lattice_contains(fils[i][j], phi_N[i][j]):
+                if None in _hnf_coordinates(fils[i][j], phi_N[i][j]):
                     ok_b = False
         # (c) graded quasi-isomorphism via cone acyclicity
         ok_c = True

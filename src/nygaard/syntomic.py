@@ -80,22 +80,10 @@ At N = 1 every [k]_x is the integer k: g lies in GL_d(Z), and the rescaling
 is by c^{-1} mod p^r.
 
 The A_crys model, `syntomic_acrys`, is fib(phi_i - can: N^{>=i} -> A) on
-the divided-power algebra A of `pdalg` over Z/p^r.  It shards by weight
-chain, and on a chain phi(e_k) = c_k e_{k+1} with v_p(c_k) = l_k
-non-decreasing.  N^{>=i} is free on p^{a_k} e_k, a_k = max(0, i - l_k),
-so each chain's block of phi_i - can is square, and a square matrix over
-Z/p^r has kernel isomorphic to cokernel (Smith form): H^0 = H^1.  The last
-row is -e_{m-1}, because the last monomial has l >= r + i (or the window
-raises).  So the cokernel is cyclic on the root, of order p^{min(r, w)} with
-w = sum_k max(0, i - l_k); the weight-0 chain [1] gives Z/p^r at i = 0
-and nothing at i >= 1.  The image mod p misses exactly the roots other
-than [1] with l < i.  The answer is the same in every window W >= r + i.
-The full proof is in the `pdalg` docstring (`pdalg.fiber_group`).  For
-i < 0, phi_i - can = T - 1 with T = p^{-i} phi is invertible by a
-terminating series, and both groups vanish.  The series ends at the least k
-with T^k = 0 mod p^r; chain by chain, T is p^{-i} times the weighted shift
-of the chain's coefficient list (`pdalg._phi_shifts`), and the powers are
-those of the one nilpotency routine, `_nilpotency_index`.
+the divided-power algebra A of `pdalg` over Z/p^r.  H^0 = H^1 is read off
+the roots of the weight chains (`pdalg.fiber_group`); for i < 0 both vanish,
+by a series whose length is read off the same way
+(`pdalg.negative_twist_series`).  The proofs are in the `pdalg` docstring.
 
 Global sections of the torus are Laurent polynomials, not their completion;
 kernels computed here are faithful, while cokernels in the Artin-Schreier
@@ -115,7 +103,7 @@ from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches
     mat_mul,
     quotient_exponents_mod,
 )
-from .pdalg import PDAlgebra, _phi_shifts, fiber_group
+from .pdalg import fiber_group, negative_twist_series, window
 from .qtorus import build_qtorus
 
 
@@ -408,36 +396,16 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None):
 # acrys model
 
 
-def _acrys_negative_twist_series(A, i):
-    """For i < 0, phi_i - 1 = T - 1 with T = p^{-i} phi is invertible on
-    A/p^r: its inverse -(1 + T + T^2 + ...) terminates at the least k with
-    T^k = 0 mod p^r on every weight chain, which this returns.  On a chain,
-    T is p^{-i} times the weighted shift of its coefficient list c: row k
-    holds p^{-i} c_k in column k + 1.  The weight-0 chain [1] makes it
-    ceil(r / -i)."""
-    s = A.p**-i
-    ks = [1]  # with no chains, or only zero ones, k = 1
-    for _, c in _phi_shifts(A):
-        m = len(c)
-        T = [[0] * m for _ in c]
-        for k, a in enumerate(c):
-            if a:
-                T[k][k + 1 if m > 1 else 0] = s * a
-        ks.append(_nilpotency_index(T, A.p, A.n))
-    return max(ks)
-
-
 def syntomic_acrys(p, i, r, e=2, W=None):
     """Z/p^r(i) = fib(phi_i - can) on the A_crys model: H^0 = H^1 is
-    `pdalg.fiber_group`, read off the weight chains' Nygaard exponents
-    (module docstring).  For i < 0 both vanish, by the terminating series of
-    `_acrys_negative_twist_series`."""
-    A = PDAlgebra(p, r, e, W)
+    `pdalg.fiber_group`; for i < 0 both vanish, and the certificate is where
+    the series of `pdalg.negative_twist_series` ends (module docstring)."""
+    W = window(p, r, e, W)
     if i < 0:
         return SyntomicResult(
             "acrys", p, i, r, 0, 0,
             {0: PGroup.zero(p), 1: PGroup.zero(p)},
-            certificates={"negative_twist_series": _acrys_negative_twist_series(A, i)},
+            certificates={"negative_twist_series": negative_twist_series(p, r, e, W, i)},
         )
-    G = fiber_group(A, i)
-    return SyntomicResult("acrys", p, i, r, 0, A.W, {0: G, 1: G})
+    G = fiber_group(p, r, e, W, i)
+    return SyntomicResult("acrys", p, i, r, 0, W, {0: G, 1: G})

@@ -7,8 +7,9 @@ Z-modules and, as groups, of a complex of presented groups mod p^r, the
 syntomic windows presented from scratch, property checks of the
 divided-power algebra, its powers by repeated multiplication, its weight
 chains found by search, its two-variable model as the tensor square of the
-one-variable one, its Frobenius on a weight chain as a dense block and its
-Frobenius fixed points solved by elimination.  `src_env` is the environment
+one-variable one, its Frobenius on a weight chain as a dense block, its
+Frobenius fixed points solved by elimination and its syntomic fibre and
+negative-twist series read off the whole basis.  `src_env` is the environment
 of a python subprocess that imports the package from this source tree."""
 
 import os
@@ -43,9 +44,11 @@ from nygaard.pdalg import (
     TruncationTooTight,
     _phi_shifts,
     conjugate_filtration_spans,
+    orbit_blocks,
 )
 from nygaard.qbase import _binom
 from nygaard.rings import PolyTrunc
+from nygaard.syntomic import _nilpotency_index
 
 
 def src_env():
@@ -921,3 +924,42 @@ def frobenius_fixed_points(A, i):
     basis = A.basis()
     gens = [{basis[t]: a for t, a in zip(idxs, row) if a} for idxs, row in K1]
     return {"group": PGroup(p, inv1, 0), "generators": gens, "certified_by": case}
+
+
+# ---------------------------------------------------------------------------
+# the syntomic fibre and the negative-twist series, read off the whole basis
+
+
+def fiber_group_on_the_basis(A, i):
+    """`pdalg.fiber_group` at (A.p, A.n, A.e, A.W), read off every weight
+    chain of A's basis and its table of divided-power exponents: the
+    reference the read-off from the roots replaced."""
+    if i < 0:
+        raise UsageError("the fibre group needs i >= 0, got i = %d" % i)
+    n, W = A.n, A.W
+    if W < n + i:
+        raise TruncationTooTight("phi images need W >= n + i = %d, got W = %d" % (n + i, W))
+    pd = A._basis.pd
+    exps = []
+    for idxs in orbit_blocks(A):
+        if not idxs[0]:  # the weight-0 chain [1]
+            if i == 0:
+                exps.append(n)
+            continue
+        end = pd[idxs[-1]]
+        if end < n + i:
+            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (end, W))
+        w = sum(max(0, i - pd[t]) for t in idxs)
+        if w:
+            exps.append(min(n, w))
+    return PGroup(A.p, tuple(sorted(exps, reverse=True)))
+
+
+def negative_twist_series_by_blocks(A, i):
+    """`pdalg.negative_twist_series` at (A.p, A.n, A.e, A.W), for i < 0:
+    the least k with T^k = 0 mod p^n, T = p^{-i} phi, over the dense
+    phi-blocks of the chains `pdalg._phi_shifts` builds, whose raises it
+    keeps: the reference the valuation rule replaced."""
+    return max([1] + [_nilpotency_index([[A.p**-i * a for a in row] for row in phi_block(c)],
+                                        A.p, A.n)
+                      for _, c in _phi_shifts(A)])

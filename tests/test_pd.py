@@ -37,10 +37,12 @@ from nygaard.pdalg import (
 
 import oracles
 from oracles import (
+    fiber_group_on_the_basis,
     filtration_multiplicativity_check,
     frobenius_fixed_points,
     howell_form,
     module_invariants_mod,
+    negative_twist_series_by_blocks,
     phi_block,
     phi_multiplicative_check,
     power_by_repeated_multiplication,
@@ -49,6 +51,11 @@ from oracles import (
     weight_chains_by_search,
 )
 from oracles import PairMonomial, TwoVariablePD
+
+
+def fibre(A, i):
+    """`pdalg.fiber_group` at the parameters of A."""
+    return fiber_group(A.p, A.n, A.e, A.W, i)
 
 
 def small_algebra(p=2, n=2, e=2, W=None):
@@ -621,7 +628,7 @@ def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
         # with the solve on every chain
         invs, gens = oracles.fixed_points_at(A, i, A.W)
         want_invs, want_gens = _fixed_points_eliminating_every_chain(A, i)
-        assert fiber_group(A, i).exponents == invs == want_invs
+        assert fibre(A, i).exponents == invs == want_invs
         full = [[0] * len(A.basis()) for _ in gens]
         for row, (idxs, local) in zip(full, gens):
             for t, a in zip(idxs, local):
@@ -642,7 +649,7 @@ def test_fixed_point_generators_are_the_projected_kernel(p, e, n):
         assert howell_form(rows, p, n) == howell_form(want, p, n)
         for x in rep["generators"]:
             assert A.frobenius(x) == A.scale(p**i, x)
-        assert module_invariants_mod(rows, p, n) == fiber_group(A, i).exponents
+        assert module_invariants_mod(rows, p, n) == fibre(A, i).exponents
 
 
 def _algebra_holding_phi(p, n, e):
@@ -907,7 +914,7 @@ def test_fiber_group_is_the_solved_h0_and_the_eliminated_h1(p, e):
     for n in (1, 2, 3):
         for i in (0, 1, 2, 3):
             A = PDAlgebra(p, n, e)
-            got = fiber_group(A, i)
+            got = fibre(A, i)
             assert got == frobenius_fixed_points(A, i)["group"], (n, i)
             assert got == _syntomic_acrys_eliminating_every_chain(A, i)[0], (n, i)
 
@@ -985,7 +992,7 @@ def test_fixed_points_solve_once_at_the_default_window(monkeypatch):
     configs = [(p, e, n, i) for p in (2, 3, 5) for e in (1, 2) for n in (1, 2) for i in (0, 1, 2)]
     for p, e, n, i in configs:
         A = PDAlgebra(p, n=n, e=e)
-        assert frobenius_fixed_points(A, i)["group"] == fiber_group(A, i)
+        assert frobenius_fixed_points(A, i)["group"] == fibre(A, i)
     assert windows == [3 * p * p for p, _, _, _ in configs]
 
 
@@ -1110,7 +1117,7 @@ def test_phi_leaving_its_weight_chain_raises(monkeypatch):
 def test_fixed_points_i0():
     for p in (2, 3):
         A = small_algebra(p=p, n=2)
-        assert fiber_group(A, 0) == PGroup(p, (2,))  # Z/p^2
+        assert fibre(A, 0) == PGroup(p, (2,))  # Z/p^2
 
 
 def test_fixed_points_negative_twist():
@@ -1118,7 +1125,7 @@ def test_fixed_points_negative_twist():
     # invertible, and the solver and the acrys command give the zero group
     A = small_algebra(p=2)
     with pytest.raises(UsageError):
-        fiber_group(A, -1)
+        fibre(A, -1)
     rep = frobenius_fixed_points(A, -1)
     assert rep["group"] == PGroup.zero(2) and rep["certified_by"] == "i < 0"
     assert cli.cmd_acrys(cli.RunConfig(p=2, n=2, e=2, i=-1))["fixed_points"] == {
@@ -1134,13 +1141,13 @@ def test_fixed_points_name_the_case_that_certified_them():
         assert A.W >= n + i
         rep = frobenius_fixed_points(A, i)
         assert rep["certified_by"] == "W >= n + i"
-        assert rep["group"] == fiber_group(A, i)
+        assert rep["group"] == fibre(A, i)
         assert syntomic.syntomic_acrys(p, i, n, e=e).certificates == {}
     for i in (0, 1):
         A = PDAlgebra(2, n=1, e=0, W=0)
         assert frobenius_fixed_points(A, i)["certified_by"] == "W + p"
         with pytest.raises(TruncationTooTight, match=r"W >= n \+ i = %d, got W = 0" % (1 + i)):
-            fiber_group(A, i)
+            fibre(A, i)
 
 
 def test_fixed_points_i1_cross_check():
@@ -1160,7 +1167,7 @@ def test_fixed_points_i1_cross_check():
     proj = [[a % p**n for a in row] for row in K]
     proj = [row for row in proj if any(row)]
     dense = module_invariants_mod(proj, p, n) if proj else ()
-    assert dense and tuple(sorted(dense, reverse=True)) == fiber_group(A, i).exponents
+    assert dense and tuple(sorted(dense, reverse=True)) == fibre(A, i).exponents
 
 
 def test_stabilization_raises(monkeypatch):
@@ -1202,7 +1209,7 @@ def test_window_below_n_plus_i_raises_at_w():
             with pytest.raises(TruncationTooTight):
                 oracles.fixed_points_at(A, i, W)
             with pytest.raises(TruncationTooTight):
-                fiber_group(A, i)
+                fibre(A, i)
 
 
 def test_window_from_n_plus_i_on_answers_as_at_w_plus_p():
@@ -1213,7 +1220,7 @@ def test_window_from_n_plus_i_on_answers_as_at_w_plus_p():
         for W in range(n + i, n + i + 2 * p + 1):
             A = PDAlgebra(p, n=n, e=e, W=W)
             want = _outcome(_fixed_points_at_w_and_w_plus_p, A, i)
-            got = _outcome(lambda: fiber_group(A, i).exponents)
+            got = _outcome(lambda: fibre(A, i).exponents)
             assert got == want, (p, e, n, i, W)
             answered += want is not TruncationTooTight
     assert answered
@@ -1229,7 +1236,7 @@ def test_fiber_group_raises_exactly_where_the_solver_raised(p):
         for W in range(3 * p * p + 1):
             A = PDAlgebra(p, n=n, e=e, W=W)
             old = _outcome(lambda: frobenius_fixed_points(A, i)["group"])
-            new = _outcome(fiber_group, A, i)
+            new = _outcome(fibre, A, i)
             if W == 0 and old is not TruncationTooTight:
                 assert e == 0 and new is TruncationTooTight
                 solved_at_0 += 1
@@ -1238,34 +1245,87 @@ def test_fiber_group_raises_exactly_where_the_solver_raised(p):
     assert solved_at_0
 
 
-def test_fiber_group_raises_at_a_chain_that_ends_short(monkeypatch):
-    # a chain cut before its last monomial ends at |l| < n + i: its phi image
-    # is nonzero mod p^{n+i} and leaves the window
-    A = PDAlgebra(2, n=2, e=1)
-    i = 3
-    assert fiber_group(A, i)
-    basis = A.basis()
-    chains = orbit_blocks(A)
-    k = next(k for k, idxs in enumerate(chains)
-             if len(idxs) > 1 and basis[idxs[-2]].l < A.n + i)
-    cut = chains[:k] + [chains[k][:-1]] + chains[k + 1:]
-    monkeypatch.setattr(pdalg, "orbit_blocks", lambda A: cut)
-    with pytest.raises(TruncationTooTight, match="phi image of weight %d leaves W = 12"
-                       % basis[chains[k][-2]].l):
-        fiber_group(A, i)
+def test_fiber_group_raises_at_a_chain_that_ends_short():
+    # a chain whose last monomial has l < n + i: its phi image is nonzero
+    # mod p^{n+i} and leaves the window; at l = n + i it stays
+    n, i, W = 2, 3, 12
+    with pytest.raises(TruncationTooTight, match="phi image of weight 4 leaves W = 12"):
+        pdalg._fiber_exponent([0, 1, 4], n, i, W)
+    assert pdalg._fiber_exponent([0, 1, 5], n, i, W) == n
+    with pytest.raises(TruncationTooTight, match="phi image of weight 4 leaves W = 12"):
+        pdalg._fiber_exponent([4], n, i, W)
 
 
 def test_fiber_group_reads_the_pd_weight_table(monkeypatch):
-    # a chain root whose |l| the table gives as i - 1 instead of at least i
-    # adds w = 1 to its chain, so one more factor Z/p
-    A = PDAlgebra(2, n=2, e=1)
-    i = 3
-    G = fiber_group(A, i)
-    pd = list(A._basis.pd)
-    root = next(idxs[0] for idxs in orbit_blocks(A) if pd[idxs[0]] >= i)
-    pd[root] = i - 1
-    monkeypatch.setattr(A._basis, "pd", pd)
-    assert fiber_group(A, i) == PGroup(2, tuple(sorted(G.exponents + (1,), reverse=True)))
+    # each level l < i adds i - l to its chain's w, capped at n, and a chain
+    # with every level at least i adds no factor; the group has one factor
+    # per chain with w >= 1, and Z/p^n for the chain [1] at i = 0 only
+    n, i, W = 2, 3, 12
+    assert pdalg._fiber_exponent([3, 6, 12], n, i, W) == 0
+    assert pdalg._fiber_exponent([2, 6, 12], n, i, W) == 1  # a level i - 1 adds Z/p
+    assert pdalg._fiber_exponent([1, 2, 8], 4, i, W) == 3
+    assert pdalg._fiber_exponent([0, 1, 2, 8], 4, i, W) == 4  # w = 6, capped at n
+    chains = [[3, 6], [2, 6], [0, 1, 6]]
+    monkeypatch.setattr(pdalg, "_root_levels", lambda p, e, W, roots: iter(chains))
+    assert fiber_group(2, n, 1, W, i) == PGroup(2, (2, 1))
+    assert fiber_group(2, n, 1, W, 0) == PGroup(2, (n,))
+
+
+def _outcome_and_message(f, *args):
+    """f's value, or the type and the message of the typed error it raises."""
+    try:
+        return f(*args)
+    except (UsageError, TruncationTooTight) as ex:
+        return type(ex), str(ex)
+
+
+def _read_off_against_the_basis(p, n, e, W, i):
+    """The read-off from the roots and the basis oracle at (p, n, e, W, i):
+    the fibre group for i >= 0, the negative-twist series for i < 0."""
+    if i >= 0:
+        new, old = fiber_group, fiber_group_on_the_basis
+    else:
+        new, old = pdalg.negative_twist_series, negative_twist_series_by_blocks
+    return (_outcome_and_message(new, p, n, e, W, i),
+            _outcome_and_message(lambda: old(PDAlgebra(p, n, e, W), i)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_read_offs_match_the_basis_oracles(p):
+    # values, raise types and messages agree over e <= 3, n <= 3,
+    # -3 <= i <= 4 and windows around n + i, with T = (W + 1) p^e <= 60,000
+    kinds = set()
+    for e, n, i in itertools.product(range(4), (1, 2, 3), range(-3, 5)):
+        for W in sorted({3 * p * p, 0, 1, 2, max(n + i, 0), n + i + 1, 7}):
+            if (W + 1) * p**e > 60000:
+                continue
+            new, old = _read_off_against_the_basis(p, n, e, W, i)
+            assert new == old, (e, n, i, W)
+            kinds.add((i < 0, type(new) is tuple))
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_read_offs_resolve_the_parameters_as_the_algebra_does():
+    # the default window is the algebra's, V_used echoes it, and bad
+    # parameters raise the algebra's UsageError on every path
+    for p, e, r in ((2, 1, 1), (3, 2, 2), (5, 0, 3)):
+        W = PDAlgebra(p, r, e).W
+        assert pdalg.window(p, r, e) == W == 3 * p * p
+        assert syntomic.syntomic_acrys(p, 1, r, e=e).V_used == W
+        assert syntomic.syntomic_acrys(p, 1, r, e=e, W=W + 1).V_used == W + 1
+    for n, e, W in ((0, 1, None), (1, -1, None), (1, 1, -1)):
+        with pytest.raises(UsageError) as want:
+            PDAlgebra(2, n, e, W)
+        for i in (-1, 0, 2):
+            for call in (lambda: syntomic.syntomic_acrys(2, i, n, e=e, W=W),
+                         lambda: (fiber_group if i >= 0 else pdalg.negative_twist_series)(
+                             2, n, e, W, i)):
+                with pytest.raises(UsageError) as got:
+                    call()
+                assert str(got.value) == str(want.value)
+    for f, i in ((fiber_group, -1), (pdalg.negative_twist_series, 0)):
+        with pytest.raises(UsageError, match="got i = %d" % i):
+            f(2, 1, 1, None, i)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import pytest
 
 from nygaard.linalg import (
+    hermite_form,
     identity,
     lattice_contains,
     mat_mul,
@@ -197,6 +198,27 @@ def test_lnu_graded_check_rejects_a_corrupted_phi(p):
         rep = lnu_identification_check(X, i_max=i, M=1, n_prec=2)
         assert not rep["graded"] and not rep["all_ok"]
         assert not rep["weights"][(0,)]["c"]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_lnu_containments_read_hermite_bases(p):
+    # (a) and (b) read coordinates off the pivots of the eta lattices and of
+    # Fil^i, which are their own Hermite forms; a phi of degree 1 that is not
+    # divisible by xi_tilde leaves both, as a refactored lattice says too
+    X = build_qtorus(p, 2, 3)
+    for m in weights_box(2, 1):
+        lat = eta_lattices_B(X, tuple(p * a for a in m), X.B.xi_tilde)
+        fils = eta_filtration(X, lat, 2)
+        assert all(hermite_form(L) == L for L in lat.values())
+        assert all(hermite_form(L) == L for fil in fils.values() for L in fil.values())
+    X = build_qtorus(p, 1, 3)
+    orig = X.frobenius_matrix
+    X.frobenius_matrix = lambda j: identity(len(orig(j))) if j == 1 else orig(j)
+    rep = lnu_identification_check(X, i_max=1, M=1, n_prec=2)
+    assert not rep["containment"]
+    lat = eta_lattices_B(X, (p,), X.B.xi_tilde)
+    assert not lattice_contains(lat[1], X.frobenius_matrix(1))
+    assert rep["weights"][(1,)]["a"] is rep["weights"][(1,)]["b"] is False
 
 
 @pytest.mark.parametrize("p, d, N", [(2, 1, 3), (3, 1, 3), (2, 1, 4), (2, 2, 3)])

@@ -20,6 +20,7 @@ from nygaard.qtorus import QTorusComplex, build_qtorus
 
 from oracles import (
     cohomology_mod,
+    negative_twist_series_by_blocks,
     orbit_contribution_from_scratch,
     phi_block,
     primitive_weights,
@@ -576,27 +577,34 @@ def test_acrys_negative_twist_series_is_computed(p, e, i, r):
     assert k == -(-r // -i)
 
 
-def test_acrys_negative_twist_series_reads_the_blocks(monkeypatch):
-    # without the weight-0 chain, the shift phi(e_0) = e_1 of a chain of two
-    # ends the series at k = 2 before p^{-i k} does (ceil(4 / 1) = 4)
-    monkeypatch.setattr(syntomic, "_phi_shifts", lambda A: [([0, 1], [1, 0])])
-    assert syntomic_acrys(2, -1, 4, e=1).certificates["negative_twist_series"] == 2
+def test_acrys_negative_twist_series_reads_the_blocks():
+    # per chain, the series ends at the least k where -ik + l_0 + ... +
+    # l_{k-1} reaches r, or at k = m: a two-step shift ends it at k = 2
+    # before p^{-ik} alone does (ceil(4 / 1) = 4), a chain of m = 2 at
+    # k = 2, a chain with l_0 - i >= r at k = 1; a chain end with l < r
+    # raises, as phi of it leaves the window
+    i, r, W = -1, 4, 9
+    assert pdalg._series_length([1, 1, 1, 5], i, r, W) == 2
+    assert pdalg._series_length([0, 4], i, r, W) == 2
+    assert pdalg._series_length([3, 4, 9], i, r, W) == 1
+    assert pdalg._series_length([0, 0, 0, 4], i, r, W) == 4
+    with pytest.raises(pdalg.TruncationTooTight, match="phi image of weight 3 leaves W = 9"):
+        pdalg._series_length([0, 3], i, r, W)
 
 
 @pytest.mark.parametrize("p,e,i,r", [
     (p, e, i, r) for p in (2, 3, 5) for e in (1, 2) for i in (-1, -2, -3) for r in (1, 2, 3)
 ])
-def test_acrys_negative_twist_series_matches_the_dense_blocks(monkeypatch, p, e, i, r):
+def test_acrys_negative_twist_series_matches_the_dense_blocks(p, e, i, r):
     # chain by chain, and over all chains, the series ends where the powers
     # of p^{-i} times the oracle's dense phi-block vanish mod p^r
     A = pdalg.PDAlgebra(p, r, e)
-    shifts = pdalg._phi_shifts(A)
-    want = [syntomic._nilpotency_index(linalg.mat_scale(p**-i, phi_block(c)), p, r)
-            for _, c in shifts]
-    assert syntomic._acrys_negative_twist_series(A, i) == max([1] + want)
-    for chain, k in zip(shifts, want):
-        monkeypatch.setattr(syntomic, "_phi_shifts", lambda A, chain=chain: [chain])
-        assert syntomic._acrys_negative_twist_series(A, i) == k
+    pe = p**e
+    for idxs, c in pdalg._phi_shifts(A)[1:]:
+        want = syntomic._nilpotency_index(linalg.mat_scale(p**-i, phi_block(c)), p, r)
+        assert pdalg._series_length([t // pe for t in idxs], i, r, A.W) == want, idxs
+    assert (pdalg.negative_twist_series(p, r, e, None, i)
+            == negative_twist_series_by_blocks(A, i))
 
 
 def test_acrys_names_no_k_group():
