@@ -129,7 +129,8 @@ def cmd_witt(cfg):
     laws = {"FV_is_p": True, "teichmuller_F": True, "projection_formula": True}
     for _ in range(25):
         w = witt(R, cfg.p, tuple(R.random(rng) for _ in range(cfg.n + 1)))
-        if frobenius_W(verschiebung(w)) != witt_scalar(cfg.p, w):
+        vw = verschiebung(w)
+        if frobenius_W(vw) != witt_scalar(cfg.p, w):
             laws["FV_is_p"] = False
         a = R.random(rng)
         if frobenius_W(teichmuller(R, cfg.p, a, cfg.n + 1)) != teichmuller(
@@ -137,7 +138,7 @@ def cmd_witt(cfg):
         ):
             laws["teichmuller_F"] = False
         y = witt(R, cfg.p, tuple(R.random(rng) for _ in range(cfg.n + 2)))
-        if witt_mul(verschiebung(w), y) != verschiebung(witt_mul(w, frobenius_W(y))):
+        if witt_mul(vw, y) != verschiebung(witt_mul(w, frobenius_W(y))):
             laws["projection_formula"] = False
     sq_fp = build_perfectoid_square(FpSquareModel(cfg.p, cfg.n)).check_all()
     sq_q = build_perfectoid_square(QSquareModel(cfg.p, cfg.n, cfg.N)).check_all()

@@ -138,12 +138,13 @@ by chain, and `fiber_group` reads it off the levels of the chains:
   inverse -(1 + T + T^2 + ...), which ends at the least k with T^k = 0 mod
   p^n.  On a chain T e_j = p^{-i} c_j e_{j+1}, so the only entries of T^k
   are (j, j + k), j + k < m: p^{-ik} c_j ... c_{j+k-1}, of valuation
-  -ik + l_j + ... + l_{j+k-1}.  That is least at j = 0, since l does not
-  decrease, so the series ends at the least k with k >= m or
-  -ik + l_0 + ... + l_{k-1} >= n (`negative_twist_series`).  On [1],
-  T = p^{-i} and k = ceil(n / -i).  A root with l >= n has T = 0 mod p^n
-  on its chain and is not read.  A chain end with l < n raises: phi of it
-  is nonzero mod p^n and leaves the window (`frobenius_monomial`).
+  -ik + l_j + ... + l_{j+k-1}.  On [1], T = p^{-i}, whose series ends at
+  exactly ceil(n / -i).  No chain needs more, since levels are >= 0: at
+  k = ceil(n / -i) every entry of T^k has valuation >= -ik >= n.  So the
+  series ends at ceil(n / -i) (`negative_twist_series`).  A root with
+  l >= n has T = 0 mod p^n on its chain and is not read.  A chain end with
+  l < n raises: phi of it is nonzero mod p^n and leaves the window
+  (`frobenius_monomial`).
 """
 
 import weakref
@@ -616,18 +617,6 @@ def _fiber_exponent(levels, n, i, W):
     return min(n, sum(max(0, i - l) for l in levels))
 
 
-def _series_length(levels, i, r, W):
-    """For i < 0, the least k >= 1 with k >= m or -ik + l_0 + ... + l_{k-1}
-    >= r on a chain other than [1] with levels l_0..l_{m-1}: where T^k = 0
-    mod p^r, T = p^{-i} phi; TruncationTooTight when it ends at l < r."""
-    _chain_end(levels, r, W)
-    k, v = 1, levels[0] - i
-    while k < len(levels) and v < r:
-        v += levels[k] - i
-        k += 1
-    return k
-
-
 def fiber_group(p, n, e, W, i):
     """H^0 = H^1 of fib(phi_i - can: N^{>=i} -> A) over Z/p^n on the model
     at (p, n, e, W), for i >= 0: a Z/p^{min(n, w)} per chain, and Z/p^n for
@@ -650,13 +639,15 @@ def fiber_group(p, n, e, W, i):
 def negative_twist_series(p, r, e, W, i):
     """For i < 0, the least k with T^k = 0 mod p^r, T = p^{-i} phi, on the
     model over Z/p^r: where the series inverting phi_i - can = T - 1 ends.
-    ceil(r / -i) on [1], read off the roots below r p^e on the other chains
-    (module docstring); TruncationTooTight when one ends at l < r."""
+    That is ceil(r / -i), the length on [1], which no other chain exceeds
+    (module docstring); TruncationTooTight when a chain with root below
+    r p^e ends at l < r."""
     W = window(p, r, e, W)
     if i >= 0:
         raise UsageError("the series needs i < 0, got i = %d" % i)
-    return max([-(r // i)] + [_series_length(levels, i, r, W)
-                              for levels in _root_levels(p, e, W, r * p**e)])
+    for levels in _root_levels(p, e, W, r * p**e):
+        _chain_end(levels, r, W)
+    return -(r // i)
 
 
 # ---------------------------------------------------------------------------

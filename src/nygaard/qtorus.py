@@ -26,6 +26,7 @@ from .errors import UsageError
 from .linalg import (
     _hnf_coordinates,
     block_diag,
+    hermite_form,
     identity,
     lattice_contains,
     mat_mul,
@@ -168,11 +169,13 @@ def q_nygaard_stability_check(X, i, M=2):
     """d-stability of the xi-power Nygaard lattices per weight class of the
     box of radius M, and their nesting."""
     B = X.B
+    # N^{>=i} in degree j and the Hermite basis of N^{>=i} in degree j + 1
+    # do not depend on the weight: build them once per degree
+    rows = [X.nygaard_lattice_rows(i, j) for j in range(X.d)]
+    nexts = [hermite_form(X.nygaard_lattice_rows(i, j + 1)) for j in range(X.d)]
     for m in weight_classes(X.d, M):
         for j in range(X.d):
-            L = X.nygaard_lattice_rows(i, j)
-            Lnext = X.nygaard_lattice_rows(i, j + 1)
-            if not lattice_contains(Lnext, mat_mul(L, X.diff_matrix(m, j))):
+            if None in _hnf_coordinates(nexts[j], mat_mul(rows[j], X.diff_matrix(m, j))):
                 return False
     for j in range(X.d + 1):
         L = X.nygaard_lattice_rows(i, j)

@@ -1,47 +1,54 @@
 """The truncated polynomial ring, the coefficient ring of Witt-vector
 arithmetic and of the q-de Rham base.
 
-`PolyTrunc(k)` is Z[x]/(x^k) and `PolyTrunc(k, modulus=p)` is F_p[x]/(x^k).
-Each knows how to lift its elements to a torsion-free cover, Z[x]/(x^k)
-(where ghost components can be inverted by exact division), and reduce back.
-Elements are coefficient tuples, plain immutable data.  The `witt` command
-runs on F_p[x]/(x^3); `qbase.QBase` is Z[mu]/(mu^N).
+`PolyTrunc(k)` is Z[x]/(x^k) and `PolyTrunc(k, modulus=m)` is Z/m[x]/(x^k),
+F_p[x]/(x^k) at m = p.  Elements are coefficient tuples, plain immutable
+data.  `cover(L)` is the ring of the ghost components of length-L Witt
+vectors: the ring itself over Z, and Z/m^L[x]/(x^k) over Z/m, built once
+per L; the `witt` docstring proves it enough when m is a power of the Witt
+prime.  The `witt` command runs on F_p[x]/(x^3); `qbase.QBase` is
+Z[mu]/(mu^N).
 """
+
+import operator
 
 from .errors import RingError
 
 
 class PolyTrunc:
-    """Z[x]/(x^k), or F_p[x]/(x^k) when modulus = p; elements are
+    """Z[x]/(x^k), or Z/m[x]/(x^k) when modulus = m; elements are
     coefficient tuples of length k."""
 
     def __init__(self, k, modulus=None):
         self.k = k
         self.modulus = modulus
-        self.cover = self if modulus is None else PolyTrunc(k)
         self.zero = (0,) * k
         self.one = tuple(1 if i == 0 else 0 for i in range(k))
+        self._covers = {}
 
-    def from_int(self, c):
-        return self.reduce((c,) + self.zero[1:])
+    def cover(self, L):
+        """The ring of the ghost components of length-L Witt vectors."""
+        if self.modulus is None:
+            return self
+        if L not in self._covers:
+            self._covers[L] = PolyTrunc(self.k, modulus=self.modulus**L)
+        return self._covers[L]
 
     def add(self, a, b):
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
+        return self.reduce([x + y for x, y in zip(a, b)])
 
-    def neg(self, a):
-        return self.reduce(tuple(-x for x in a))
+    def combine(self, coeffs, elems):
+        """sum_t coeffs[t] * elems[t] for integers coeffs, in one pass."""
+        return self.reduce([sum(map(operator.mul, coeffs, col)) for col in zip(*elems)])
 
     def mul(self, a, b):
         k = self.k
         out = [0] * k
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    if y and i + j < k:
-                        out[i + j] += x * y
-        if self.modulus is None:
-            return tuple(out)
-        return tuple(c % self.modulus for c in out)
+                for j in range(i, k):
+                    out[j] += x * b[j - i]
+        return self.reduce(out)
 
     def pow(self, a, e):
         """a^e by square and multiply, starting from the lowest set bit of e,
@@ -68,17 +75,14 @@ class PolyTrunc:
 
     def reduce(self, a):
         if self.modulus is None:
-            return a
-        return tuple(x % self.modulus for x in a)
+            return tuple(a)
+        m = self.modulus
+        return tuple([x % m for x in a])
 
     def exact_div_int(self, a, m):
-        out = []
-        for x in a:
-            q, r = divmod(x, m)
-            if r:
-                raise RingError("inexact division by %d" % m)
-            out.append(q)
-        return tuple(out)
+        if any(x % m for x in a):
+            raise RingError("inexact division by %d" % m)
+        return tuple([x // m for x in a])
 
     def random(self, rng):
         return tuple(rng.randrange(self.modulus) for _ in range(self.k))
@@ -86,4 +90,4 @@ class PolyTrunc:
     def __repr__(self):
         if self.modulus is None:
             return "Z[x]/(x^%d)" % self.k
-        return "F_%d[x]/(x^%d)" % (self.modulus, self.k)
+        return "Z/%d[x]/(x^%d)" % (self.modulus, self.k)

@@ -82,7 +82,7 @@ is by c^{-1} mod p^r.
 The A_crys model, `syntomic_acrys`, is fib(phi_i - can: N^{>=i} -> A) on
 the divided-power algebra A of `pdalg` over Z/p^r.  H^0 = H^1 is read off
 the roots of the weight chains (`pdalg.fiber_group`); for i < 0 both vanish,
-by a series whose length is read off the same way
+by a series of length ceil(r / -i), whose raises are read off the same way
 (`pdalg.negative_twist_series`).  The proofs are in the `pdalg` docstring.
 
 Global sections of the torus are Laurent polynomials, not their completion;

@@ -1,10 +1,26 @@
 """p-typical Witt vectors over effective base rings.
 
-Arithmetic goes through ghost components on a torsion-free cover: coordinates
-are lifted, the ghost vectors combined, and the result recovered by exact
-division (the divisions are exact by functoriality of Witt-vector arithmetic
-over the cover).  The universal sum and product polynomials, an independent
-route for small (p, n), are a test oracle.
+Arithmetic goes through ghost components on `ring.cover(L)`, for vectors
+of length L: the coordinates are lifted, the ghost vectors combined, and the
+result recovered by dividing out powers of p.  Z[x]/(x^k) is its own cover,
+where the divisions are exact by functoriality.  For an F_p-algebra such as
+F_p[x]/(x^k) the cover is Z/p^L[x]/(x^k), so no coefficient reaches p^L:
+
+- If a = b mod p^s with s >= 1, then a^p = b^p mod p^{s+1}.  So
+  p^j c^{p^{i-j}} mod p^{i+1} depends only on c mod p.
+- So the ghost components mod p^L fix every coordinate mod p: the i-th is
+  (g_i - sum_{j<i} p^j c_j^{p^{i-j}}) / p^i mod p, whose numerator is
+  known mod p^{i+1}, i < L.  (Over Z/p^s, from a = b mod p^s, the same
+  needs p^{s+L-1}, which divides the cover's p^{sL}.)
+- p^i divides a residue mod p^L exactly when it divides the integer, so
+  `exact_div_int` makes the same check as over Z and still raises RingError.
+
+Each ghost component, and each step of its inverse, is one linear
+combination with integer coefficients (`combine`).  A WittVector, a frozen
+value, computes its ghost once from its coordinates, never from the ghosts
+of the vectors it came from, so FV = p and the projection formula stay
+checks.  The universal sum and product polynomials, an independent route
+for small (p, n), are a test oracle.
 
 The module also builds the two graded-ring presentation squares over a
 perfectoid base: the homotopy-style square (phi-linear top map u -> sigma,
@@ -13,6 +29,7 @@ canonical map u -> xi*sigma, v -> sigma^{-1}.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import LengthMismatch, UsageError
 from .linalg import span_contains_mod
@@ -35,6 +52,19 @@ class WittVector:
             and all(self.ring.eq(a, b) for a, b in zip(self.coords, other.coords))
         )
 
+    @cached_property
+    def ghost(self):
+        """g_i = sum_{j<=i} p^j w_j^{p^{i-j}} over ring.cover(len(self));
+        pows[j] = w_j^{p^{i-j}} is raised to the p-th power as i grows."""
+        ring, p = self.ring, self.p
+        cover = ring.cover(len(self.coords))
+        weights = [p**j for j in range(len(self.coords))]
+        out, pows = [], []
+        for c in self.coords:
+            pows = [cover.pow(x, p) for x in pows] + [ring.lift(c)]
+            out.append(cover.combine(weights, pows))
+        return tuple(out)
+
 
 def witt(ring, p, coords):
     return WittVector(ring, p, tuple(coords))
@@ -52,40 +82,15 @@ def teichmuller(ring, p, a, n):
     return witt(ring, p, [a] + [ring.zero] * (n - 1))
 
 
-def _int_mul(ring, c, a):
-    return ring.mul(ring.from_int(c), a)
-
-
-def ghost(w):
-    """Ghost components in the base ring: g_i = sum_{j<=i} p^j w_j^{p^{i-j}}.
-    pows[j] = w_j^{p^{i-j}} is raised to the p-th power from one i to the next."""
-    ring, p = w.ring, w.p
-    out, pows = [], []
-    for c in w.coords:
-        pows = [ring.pow(x, p) for x in pows] + [c]
-        acc = ring.zero
-        for j, x in enumerate(pows):
-            acc = ring.add(acc, _int_mul(ring, p**j, x))
-        out.append(acc)
-    return tuple(out)
-
-
-def _ghost_cover(w):
-    cover = w.ring.cover
-    lifted = witt(cover, w.p, [w.ring.lift(c) for c in w.coords])
-    return ghost(lifted)
-
-
 def _from_ghost_cover(ring, p, g):
-    """Invert the ghost map over the cover, then reduce to the ring; the
-    powers coords_j^{p^{i-j}} are kept as in ghost."""
-    cover = ring.cover
+    """Invert the ghost map over ring.cover(len(g)), then reduce to the ring;
+    the powers coords_j^{p^{i-j}} are kept as in the ghost."""
+    cover = ring.cover(len(g))
+    weights = [1] + [-(p**j) for j in range(len(g))]
     coords, pows = [], []
     for i, acc in enumerate(g):
         pows = [cover.pow(x, p) for x in pows]
-        for j, x in enumerate(pows):
-            acc = cover.add(acc, cover.neg(_int_mul(cover, p**j, x)))
-        coords.append(cover.exact_div_int(acc, p**i))
+        coords.append(cover.exact_div_int(cover.combine(weights, [acc] + pows), p**i))
         pows.append(coords[-1])
     return witt(ring, p, [ring.reduce(c) for c in coords])
 
@@ -99,31 +104,27 @@ def _check_compatible(w, w2):
 
 def witt_add(w, w2):
     _check_compatible(w, w2)
-    g = _ghost_cover(w)
-    h = _ghost_cover(w2)
-    cover = w.ring.cover
-    return _from_ghost_cover(w.ring, w.p, tuple(cover.add(a, b) for a, b in zip(g, h)))
+    cover = w.ring.cover(len(w))
+    return _from_ghost_cover(w.ring, w.p, tuple(cover.combine((1, 1), ab)
+                                                for ab in zip(w.ghost, w2.ghost)))
 
 
 def witt_mul(w, w2):
     _check_compatible(w, w2)
-    g = _ghost_cover(w)
-    h = _ghost_cover(w2)
-    cover = w.ring.cover
-    return _from_ghost_cover(w.ring, w.p, tuple(cover.mul(a, b) for a, b in zip(g, h)))
+    cover = w.ring.cover(len(w))
+    return _from_ghost_cover(w.ring, w.p, tuple(cover.mul(a, b)
+                                                for a, b in zip(w.ghost, w2.ghost)))
 
 
 def witt_scalar(c, w):
     """Multiplication by the integer c (image of c in W(ring))."""
-    g = _ghost_cover(w)
-    cover = w.ring.cover
-    return _from_ghost_cover(w.ring, w.p, tuple(_int_mul(cover, c, a) for a in g))
+    cover = w.ring.cover(len(w))
+    return _from_ghost_cover(w.ring, w.p, tuple(cover.combine((c,), (a,)) for a in w.ghost))
 
 
 def frobenius_W(w):
     """F: W_n -> W_{n-1}, ghost(Fw)_i = ghost(w)_{i+1}."""
-    g = _ghost_cover(w)
-    return _from_ghost_cover(w.ring, w.p, g[1:])
+    return _from_ghost_cover(w.ring, w.p, w.ghost[1:])
 
 
 def verschiebung(w):

@@ -141,24 +141,21 @@ def howell_form(M, p, n):
 
 
 class ZRing:
-    """The integers."""
-
-    def __init__(self):
-        self.cover = self
+    """The integers, their own exact cover."""
 
     zero = 0
     one = 0 + 1
 
     pow = PolyTrunc.pow
 
-    def from_int(self, c):
-        return c
+    def cover(self, L):
+        return self
 
     def add(self, a, b):
         return a + b
 
-    def neg(self, a):
-        return -a
+    def combine(self, coeffs, elems):
+        return sum(c * x for c, x in zip(coeffs, elems))
 
     def mul(self, a, b):
         return a * b
@@ -186,26 +183,22 @@ class ZRing:
 
 
 class ZModRing:
-    """Z/m with lift to Z."""
+    """Z/m with lift to Z, its exact cover."""
 
     def __init__(self, m):
         if m <= 1:
             raise UsageError("Z/m needs m > 1, got %d" % m)
         self.m = m
-        self.cover = ZRing()
         self.zero = 0
         self.one = 1 % m
 
     pow = PolyTrunc.pow
 
-    def from_int(self, c):
-        return c % self.m
+    def cover(self, L):
+        return ZRing()
 
     def add(self, a, b):
         return (a + b) % self.m
-
-    def neg(self, a):
-        return (-a) % self.m
 
     def mul(self, a, b):
         return (a * b) % self.m
@@ -238,14 +231,13 @@ class PerfTruncZ:
         self.e = e
         self.k = k
         self.bound = k * p**e
-        self.cover = self
         self.zero = ()
         self.one = ((0, 1),)
 
     pow = PolyTrunc.pow
 
-    def from_int(self, c):
-        return ((0, c),) if c else ()
+    def cover(self, L):
+        return self
 
     def monomial(self, a, c=1):
         if a < 0:
@@ -266,8 +258,12 @@ class PerfTruncZ:
             d[a] = d.get(a, 0) + c
         return self._norm(d)
 
-    def neg(self, u):
-        return tuple((a, -c) for a, c in u)
+    def combine(self, coeffs, elems):
+        d = {}
+        for c0, u in zip(coeffs, elems):
+            for a, c in u:
+                d[a] = d.get(a, 0) + c0 * c
+        return self._norm(d)
 
     def mul(self, u, v):
         d = {}
@@ -310,22 +306,22 @@ class PerfTruncZ:
 
 
 class PerfTruncFp:
-    """F_p[x^{1/p^e}]/(x^k), lift to the integral perfect truncation."""
+    """F_p[x^{1/p^e}]/(x^k), lift to the integral perfect truncation, its
+    exact cover."""
 
     def __init__(self, p, e, k):
         self.p = p
         self.e = e
         self.k = k
         self.bound = k * p**e
-        self.cover = PerfTruncZ(p, e, k)
+        self._z = PerfTruncZ(p, e, k)
         self.zero = ()
         self.one = ((0, 1),)
 
     pow = PolyTrunc.pow
 
-    def from_int(self, c):
-        c %= self.p
-        return ((0, c),) if c else ()
+    def cover(self, L):
+        return self._z
 
     def monomial(self, a, c=1):
         c %= self.p
@@ -341,13 +337,10 @@ class PerfTruncFp:
         return Fraction(a, self.p**self.e)
 
     def add(self, u, v):
-        return self.reduce(self.cover.add(u, v))
-
-    def neg(self, u):
-        return tuple((a, (-c) % self.p) for a, c in u)
+        return self.reduce(self._z.add(u, v))
 
     def mul(self, u, v):
-        return self.reduce(self.cover.mul(u, v))
+        return self.reduce(self._z.mul(u, v))
 
     def eq(self, u, v):
         return u == v
@@ -359,7 +352,7 @@ class PerfTruncFp:
         return tuple((a, c % self.p) for a, c in u if c % self.p)
 
     def frobenius(self, u):
-        return self.reduce(self.cover.frobenius(u))
+        return self.reduce(self._z.frobenius(u))
 
     def inv_frobenius(self, u):
         """x^{a/p^e} -> x^{a/p^{e+1}}: fails when leaving the lattice."""
@@ -463,16 +456,20 @@ def universal_witt_polynomials(p, n, op):
 
 
 def eval_universal(ring, poly, xs, ys):
-    """Evaluate a universal polynomial on ring elements."""
+    """Evaluate a universal polynomial on ring elements, as one linear
+    combination of its monomials; each power of a variable is taken once."""
     vals = list(xs) + list(ys)
-    acc = ring.zero
-    for e, c in poly.items():
-        term = ring.from_int(c)
+    powers = {}
+    terms = []
+    for e in poly:
+        term = ring.one
         for i, k in enumerate(e):
-            for _ in range(k):
-                term = ring.mul(term, vals[i])
-        acc = ring.add(acc, term)
-    return acc
+            if k:
+                if (i, k) not in powers:
+                    powers[i, k] = ring.pow(vals[i], k)
+                term = ring.mul(term, powers[i, k])
+        terms.append(term)
+    return ring.combine(list(poly.values()), terms)
 
 
 # ---------------------------------------------------------------------------

@@ -578,33 +578,34 @@ def test_acrys_negative_twist_series_is_computed(p, e, i, r):
 
 
 def test_acrys_negative_twist_series_reads_the_blocks():
-    # per chain, the series ends at the least k where -ik + l_0 + ... +
-    # l_{k-1} reaches r, or at k = m: a two-step shift ends it at k = 2
-    # before p^{-ik} alone does (ceil(4 / 1) = 4), a chain of m = 2 at
-    # k = 2, a chain with l_0 - i >= r at k = 1; a chain end with l < r
-    # raises, as phi of it leaves the window
-    i, r, W = -1, 4, 9
-    assert pdalg._series_length([1, 1, 1, 5], i, r, W) == 2
-    assert pdalg._series_length([0, 4], i, r, W) == 2
-    assert pdalg._series_length([3, 4, 9], i, r, W) == 1
-    assert pdalg._series_length([0, 0, 0, 4], i, r, W) == 4
+    # a chain with levels l_k, phi(e_k) = p^{l_k} e_{k+1}, needs at most the
+    # ceil(r / -i) terms of [1], since levels are >= 0: a two-step shift
+    # ends before ceil(4 / 1) = 4, a chain of m = 2 at k = 2, a chain with
+    # l_0 - i >= r at k = 1, and a chain of levels 0 at the bound; a chain
+    # end with l < r raises, as phi of it leaves the window
+    p, i, r, W = 2, -1, 4, 9
+    for levels, want in (([1, 1, 1, 5], 2), ([0, 4], 2), ([3, 4, 9], 1), ([0, 0, 0, 4], 4)):
+        T = linalg.mat_scale(p**-i, phi_block([p**l for l in levels[:-1]] + [0]))
+        assert syntomic._nilpotency_index(T, p, r) == want <= -(-r // -i)
+        pdalg._chain_end(levels, r, W)
     with pytest.raises(pdalg.TruncationTooTight, match="phi image of weight 3 leaves W = 9"):
-        pdalg._series_length([0, 3], i, r, W)
+        pdalg._chain_end([0, 3], r, W)
 
 
 @pytest.mark.parametrize("p,e,i,r", [
     (p, e, i, r) for p in (2, 3, 5) for e in (1, 2) for i in (-1, -2, -3) for r in (1, 2, 3)
 ])
 def test_acrys_negative_twist_series_matches_the_dense_blocks(p, e, i, r):
-    # chain by chain, and over all chains, the series ends where the powers
-    # of p^{-i} times the oracle's dense phi-block vanish mod p^r
+    # chain by chain, the powers of p^{-i} times the oracle's dense phi-block
+    # vanish mod p^r by k = ceil(r / -i), and over all chains the series
+    # ends there
     A = pdalg.PDAlgebra(p, r, e)
-    pe = p**e
+    bound = -(-r // -i)
     for idxs, c in pdalg._phi_shifts(A)[1:]:
-        want = syntomic._nilpotency_index(linalg.mat_scale(p**-i, phi_block(c)), p, r)
-        assert pdalg._series_length([t // pe for t in idxs], i, r, A.W) == want, idxs
+        T = linalg.mat_scale(p**-i, phi_block(c))
+        assert syntomic._nilpotency_index(T, p, r) <= bound, idxs
     assert (pdalg.negative_twist_series(p, r, e, None, i)
-            == negative_twist_series_by_blocks(A, i))
+            == negative_twist_series_by_blocks(A, i) == bound)
 
 
 def test_acrys_names_no_k_group():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,8 +11,8 @@ from nygaard.witt import (
     LengthMismatch,
     QSquareModel,
     build_perfectoid_square,
+    _from_ghost_cover,
     frobenius_W,
-    ghost,
     teichmuller,
     verschiebung,
     witt,
@@ -40,12 +41,12 @@ Z = ZRing()
 
 def test_ghost_of_teichmuller():
     w = teichmuller(Z, 3, 2, 4)
-    assert ghost(w) == (2, 2**3, 2**9, 2**27)
+    assert w.ghost == (2, 2**3, 2**9, 2**27)
 
 
 def test_ghost_direct_evaluation():
     w = witt(Z, 3, (0, 1))
-    assert ghost(w) == (0, 3)
+    assert w.ghost == (0, 3)
 
 
 def test_ghost_additive_via_witt_add_over_Z():
@@ -54,9 +55,9 @@ def test_ghost_additive_via_witt_add_over_Z():
         w = witt(Z, 2, tuple(rng.randint(-5, 5) for _ in range(3)))
         w2 = witt(Z, 2, tuple(rng.randint(-5, 5) for _ in range(3)))
         s = witt_add(w, w2)
-        assert ghost(s) == tuple(a + b for a, b in zip(ghost(w), ghost(w2)))
+        assert s.ghost == tuple(a + b for a, b in zip(w.ghost, w2.ghost))
         m = witt_mul(w, w2)
-        assert ghost(m) == tuple(a * b for a, b in zip(ghost(w), ghost(w2)))
+        assert m.ghost == tuple(a * b for a, b in zip(w.ghost, w2.ghost))
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +196,46 @@ def test_over_zmod_and_perfect_truncation():
 # universal polynomials as an independent oracle
 
 
+# the universal polynomials too large to build and evaluate here (the sum at
+# (p, n) = (5, 4) has 37,902 terms and takes seconds to build): those cells
+# are checked against the exact route, the arithmetic lifted to Z[x]/(x^k)
+UNIVERSAL_TOO_LARGE = {(5, 4, "add"), (7, 4, "add"), (7, 4, "mul")}
+
+
+class ExactCoverPolyTrunc(PolyTrunc):
+    """F_p[x]/(x^k) whose Witt arithmetic runs on the exact cover Z[x]/(x^k)."""
+
+    def cover(self, L):
+        return PolyTrunc(self.k)
+
+
+def _oracle(R, p, op, xs, ys):
+    if (p, len(xs), op) in UNIVERSAL_TOO_LARGE:
+        E = ExactCoverPolyTrunc(R.k, modulus=p)
+        law = witt_add if op == "add" else witt_mul
+        return law(witt(E, p, xs), witt(E, p, ys)).coords
+    return tuple(eval_universal(R, S, xs, ys) for S in universal_witt_polynomials(p, len(xs), op))
+
+
 def test_universal_polynomials_against_ghost_route():
+    # sum and product against the universal polynomials; F against the
+    # coordinatewise p-th power of characteristic p; VF = FV = p, with p the
+    # p-fold sum by the universal sum polynomials
     rng = random.Random(11)
-    for p, n in ((2, 3), (3, 2)):
-        sums = universal_witt_polynomials(p, n, "add")
-        prods = universal_witt_polynomials(p, n, "mul")
-        R = PolyTrunc(2, modulus=p)
-        for _ in range(10):
-            xs = tuple(R.random(rng) for _ in range(n))
-            ys = tuple(R.random(rng) for _ in range(n))
-            w, w2 = witt(R, p, xs), witt(R, p, ys)
-            s_fast = witt_add(w, w2)
-            m_fast = witt_mul(w, w2)
-            s_poly = tuple(eval_universal(R, S, xs, ys) for S in sums)
-            m_poly = tuple(eval_universal(R, S, xs, ys) for S in prods)
-            assert s_fast.coords == s_poly
-            assert m_fast.coords == m_poly
+    for p, L, k in itertools.product((2, 3, 5, 7), range(1, 5), (2, 3)):
+        R = PolyTrunc(k, modulus=p)
+        for _ in range(3):
+            xs = tuple(R.random(rng) for _ in range(L))
+            ys = tuple(R.random(rng) for _ in range(L))
+            w, y = witt(R, p, xs), witt(R, p, ys)
+            assert witt_add(w, y).coords == _oracle(R, p, "add", xs, ys)
+            assert witt_mul(w, y).coords == _oracle(R, p, "mul", xs, ys)
+            assert frobenius_W(w).coords == tuple(R.pow(c, p) for c in xs[:-1])
+            p_w = xs
+            for _ in range(p - 1):
+                p_w = _oracle(R, p, "add", p_w, xs)
+            assert verschiebung(frobenius_W(w)).coords == p_w
+            assert frobenius_W(verschiebung(w)).coords == p_w
 
 
 def test_universal_polynomials_first_terms():
@@ -218,6 +243,52 @@ def test_universal_polynomials_first_terms():
     # S_0 = x_0 + y_0; S_1 = x_1 + y_1 - x_0*y_0
     assert sums[0] == {(1, 0, 0, 0): 1, (0, 0, 1, 0): 1}
     assert sums[1] == {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1, (1, 0, 1, 0): -1}
+
+
+def test_a_corrupted_ghost_component_raises_in_the_bounded_cover():
+    # g_i + p^{i-1} is no ghost vector: the division by p^i is inexact mod
+    # p^L, as over Z; (g_0, ..., g_i + p^i) is the ghost vector with c_i + 1
+    p, L = 3, 4
+    R = PolyTrunc(3, modulus=p)
+    cover = R.cover(L)
+    assert cover.modulus == p**L and R.cover(L) is cover
+    rng = random.Random(12)
+    w = witt(R, p, tuple(R.random(rng) for _ in range(L)))
+    assert _from_ghost_cover(R, p, w.ghost) == w
+    for i in range(1, L):
+        def bumped(d):
+            g = list(w.ghost)
+            g[i] = cover.add(g[i], (d, 0, 0))
+            return g
+
+        with pytest.raises(RingError, match="inexact division by %d$" % p**i):
+            _from_ghost_cover(R, p, bumped(p ** (i - 1)))
+        coords = _from_ghost_cover(R, p, bumped(p**i)[:i + 1]).coords
+        assert coords[:i] == w.coords[:i] and coords[i] == R.add(w.coords[i], R.one)
+
+
+def test_cover_coefficients_stay_below_p_to_the_L():
+    # every element the cover of length L returns, products and powers
+    # included, has its coefficients in [0, p^L)
+    rng = random.Random(13)
+    for p, L in ((2, 6), (3, 5), (5, 4), (7, 6)):
+        R = PolyTrunc(3, modulus=p)
+        cover = R.cover(L)
+        seen = []
+        for name in ("mul", "combine", "exact_div_int"):
+            def record(*args, f=getattr(cover, name)):
+                seen.append(f(*args))
+                return seen[-1]
+
+            setattr(cover, name, record)
+        w = witt(R, p, tuple(R.random(rng) for _ in range(L)))
+        y = witt(R, p, tuple(R.random(rng) for _ in range(L)))
+        witt_add(w, y)
+        witt_mul(w, y)
+        witt_scalar(-p, w)
+        frobenius_W(witt(R, p, tuple(R.random(rng) for _ in range(L + 1))))
+        assert len(seen) > 4 * L
+        assert all(0 <= c < p**L for el in seen for c in el)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +371,9 @@ def test_q_integers():
     assert B.q_integer(0) == B.zero
     # [p]_q at q=1 (the constant coefficient) is p
     assert B.xi[0] == 5
-    # [-k]_q = -q^{-k} [k]_q
+    # [-k]_q + q^{-k} [k]_q = 0
     for k in (1, 2, 7):
-        lhs = B.q_integer(-k)
-        rhs = B.neg(B.mul(q_pow(B, -k), B.q_integer(k)))
-        assert lhs == rhs
+        assert B.add(B.q_integer(-k), B.mul(q_pow(B, -k), B.q_integer(k))) == B.zero
     # [a+b]_q = [a]_q + q^a [b]_q
     for a, b in ((2, 3), (4, 1), (-2, 5)):
         lhs = B.q_integer(a + b)
