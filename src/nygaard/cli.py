@@ -14,7 +14,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
 
 from . import __version__
 from .complexes import Complex, eta_cohomology_law_check
@@ -58,24 +57,27 @@ from .witt import (
 from .rings import PolyTrunc
 
 
-@dataclass
-class RunConfig:
-    p: int = 2
-    n: int = 2
-    r: int = 1
-    N: int = 4
-    e: int = 2
-    W: int = 0  # 0 means the model default
-    M: int = 4
-    V: int = 0  # 0 means automatic
-    d: int = 1
-    i: int = 1
-    model: str = "charp"
-    f: str = "p"
-    fixture: str = "koszul_p"
-    out: str = ""
+# every config key with its default; a key's type is the type of its default
+_DEFAULTS = {
+    "p": 2, "n": 2, "r": 1, "N": 4, "e": 2,
+    "W": 0,  # 0 means the model default
+    "M": 4,
+    "V": 0,  # 0 means automatic
+    "d": 1, "i": 1,
+    "model": "charp", "f": "p", "fixture": "koszul_p", "out": "",
+}
+_FIELD_TYPES = {k: type(v) for k, v in _DEFAULTS.items()}
 
-    def __post_init__(self):
+
+class RunConfig:
+    """A run's config, built from keywords; a key not given keeps its
+    default, which is also a class attribute (RunConfig.model)."""
+
+    def __init__(self, **values):
+        for k in values:
+            if k not in _DEFAULTS:
+                raise UsageError("unknown config key %r" % k)
+        vars(self).update(values)
         for name in ("n", "r", "N", "e", "d"):
             if getattr(self, name) < 1:
                 raise UsageError("%s must be >= 1" % name)
@@ -86,7 +88,11 @@ class RunConfig:
             raise UsageError("p = %d is not prime" % self.p)
 
     def to_json(self):
-        return asdict(self)
+        return {k: getattr(self, k) for k in _DEFAULTS}
+
+
+for _k, _v in _DEFAULTS.items():
+    setattr(RunConfig, _k, _v)
 
 
 def _is_prime(p):
@@ -158,8 +164,10 @@ def _fixture_complex(name, p):
     if name == "zero":
         return Complex({0: 1, 1: 1}, {0: [[0]]})
     if name.startswith("random"):
-        seed = int(name[6:] or 0)
-        rng = random.Random(seed)
+        try:
+            rng = random.Random(int(name[6:] or 0))
+        except ValueError:
+            raise UsageError("unknown fixture complex %r" % name) from None
         degs = [0, 1, 2, 3]
         ranks = {j: rng.randint(1, 3) for j in degs}
         diffs = {}
@@ -361,16 +369,11 @@ def _load_config_file(path):
     return out
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
 def build_config(args):
     values = {}
     if args.config:
         for k, v in _load_config_file(args.config).items():
-            if k not in _FIELD_TYPES:
-                raise UsageError("unknown config key %r" % k)
-            if _FIELD_TYPES[k] is int:
+            if _FIELD_TYPES.get(k) is int:
                 try:
                     v = int(v)
                 except ValueError:

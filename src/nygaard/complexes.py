@@ -6,8 +6,6 @@ declared extension pattern; operations refuse inputs whose result would
 depend on indices outside the declared pattern.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import CompositeNonzero, NotNonzerodivisor, UsageError, WindowTooSmall
 from .linalg import (
     PGroup,
@@ -29,20 +27,17 @@ from .linalg import (
 )
 
 
-@dataclass
 class Complex:
     """ranks: degree -> rank; diffs[n]: matrix (ranks[n] x ranks[n+1])."""
 
-    ranks: dict
-    diffs: dict
-
-    def __post_init__(self):
-        for n, D in self.diffs.items():
-            if len(D) != self.ranks.get(n, 0) or (D and len(D[0]) != self.ranks.get(n + 1, 0)):
+    def __init__(self, ranks, diffs):
+        self.ranks, self.diffs = ranks, diffs
+        for n, D in diffs.items():
+            if len(D) != ranks.get(n, 0) or (D and len(D[0]) != ranks.get(n + 1, 0)):
                 raise UsageError("differential %d does not match the ranks" % n)
-        for n in self.diffs:
-            if n + 1 in self.diffs:
-                D1, D2 = self.diffs[n], self.diffs[n + 1]
+        for n in diffs:
+            if n + 1 in diffs:
+                D1, D2 = diffs[n], diffs[n + 1]
                 if D1 and D2 and D1[0] and D2[0] and not mat_is_zero(mat_mul(D1, D2)):
                     raise CompositeNonzero("d*d != 0 at degree %d" % n)
 
@@ -139,7 +134,6 @@ def eta_cohomology_law_check(f, C, p):
 # filtered complexes
 
 
-@dataclass
 class FilteredComplex:
     """Descending filtration by sub-lattices over a finite index window.
 
@@ -148,11 +142,8 @@ class FilteredComplex:
     or ("f-adic", f) meaning Fil^{i1+k} = f^k * Fil^{i1}.
     """
 
-    C: Complex
-    i0: int
-    i1: int
-    lat: dict
-    above: tuple = ("zero",)
+    def __init__(self, C, i0, i1, lat, above=("zero",)):
+        self.C, self.i0, self.i1, self.lat, self.above = C, i0, i1, lat, above
 
     def fil(self, i, n):
         if i <= self.i0:
@@ -361,13 +352,15 @@ def acyclic_mod(terms, maps, p, r):
 # the heart: chain complexes from filtered complexes
 
 
-@dataclass
 class ChainComplexObject:
-    """Heart object: slot i carries H^i(gr^i F) with the boundary map."""
+    """Heart object: slot i carries H^i(gr^i F) with the boundary map.
 
-    slots: dict  # i -> (invariants, free rank)
-    diff: dict  # i -> matrix from slot i generators to slot i+1 generators
-    gens: dict = field(default_factory=dict)  # i -> generator rows (ambient)
+    slots: i -> (invariants, free rank); diff: i -> matrix from the slot i
+    generators to the slot i+1 generators; gens: i -> generator rows
+    (ambient)."""
+
+    def __init__(self, slots, diff, gens):
+        self.slots, self.diff, self.gens = slots, diff, gens
 
 
 def beilinson_H0(F, p):

@@ -47,7 +47,6 @@ Beilinson truncation in `complexes`, the decalage filtrations of `torus` and
 module, e.g. multiplication by an element of B = Z[q]/((q-1)^N) on B^k.
 """
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import CompositeNonzero, UsageError
@@ -218,18 +217,30 @@ def restrict_lattice(G, D, L):
 # finitely generated abelian groups
 
 
-@dataclass(frozen=True)
 class PGroup:
-    """Finite abelian p-group plus free rank: (+) Z/p^{e_i} (+) Z^free_rank."""
+    """Finite abelian p-group plus free rank: (+) Z/p^{e_i} (+) Z^free_rank.
 
-    p: int
-    exponents: tuple
-    free_rank: int = 0
+    A value: equal and hashed by (p, exponents, free_rank)."""
 
-    def __post_init__(self):
-        exps = list(self.exponents)
-        if self.free_rank < 0 or exps != sorted(exps, reverse=True) or exps and exps[-1] <= 0:
-            raise UsageError("not a PGroup: exponents %s, free rank %d" % (exps, self.free_rank))
+    __slots__ = ("p", "exponents", "free_rank")
+
+    def __init__(self, p, exponents, free_rank=0):
+        exps = list(exponents)
+        if free_rank < 0 or exps != sorted(exps, reverse=True) or exps and exps[-1] <= 0:
+            raise UsageError("not a PGroup: exponents %s, free rank %d" % (exps, free_rank))
+        self.p, self.exponents, self.free_rank = p, exponents, free_rank
+
+    def __eq__(self, other):
+        if type(other) is not PGroup:
+            return NotImplemented
+        return (self.p == other.p and self.exponents == other.exponents
+                and self.free_rank == other.free_rank)
+
+    def __hash__(self):
+        return hash((self.p, self.exponents, self.free_rank))
+
+    def __repr__(self):
+        return "PGroup(%r, %r, %r)" % (self.p, self.exponents, self.free_rank)
 
     @classmethod
     def from_invariants(cls, p, invariants, free_rank=0):

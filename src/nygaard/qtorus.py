@@ -18,7 +18,6 @@ matrix by matrix: the crystalline prism (Z_p, (p)) is the q-de Rham prism
 for characteristic p (N = 1) and for the q-model (N >= 2).
 """
 
-from dataclasses import dataclass
 from math import comb
 
 from .complexes import Complex, acyclic_mod, eta_lattices, presented_cone
@@ -38,14 +37,10 @@ from .qbase import QBase
 from .torus import build_torus, koszul_pattern, subsets, weight_classes
 
 
-@dataclass
 class QTorusComplex:
-    p: int
-    d: int
-    N: int
-
-    def __post_init__(self):
-        self.B = QBase(self.p, self.N)
+    def __init__(self, p, d, N):
+        self.p, self.d, self.N = p, d, N
+        self.B = QBase(p, N)
 
     def rank(self, j):
         return comb(self.d, j) if 0 <= j <= self.d else 0

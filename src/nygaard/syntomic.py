@@ -90,8 +90,6 @@ kernels computed here are faithful, while cokernels in the Artin-Schreier
 direction carry an explicit "global model" flag.
 """
 
-from dataclasses import dataclass, field
-
 from .errors import BoundViolated, CompositeNonzero, NotStabilized, UsageError
 from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
     PGroup,
@@ -107,19 +105,14 @@ from .pdalg import fiber_group, negative_twist_series, window
 from .qtorus import build_qtorus
 
 
-@dataclass
 class SyntomicResult:
-    model: str
-    p: int
-    i: int
-    r: int
-    M: int
-    V_used: int
-    groups: dict  # degree -> PGroup
-    dlog: dict = field(default_factory=dict)
-    certificates: dict = field(default_factory=dict)
-    global_model: bool = True
-    evidence: dict = field(default_factory=dict)
+    def __init__(self, model, p, i, r, M, V_used, groups, dlog=None, certificates=None):
+        self.model, self.p, self.i, self.r, self.M, self.V_used = model, p, i, r, M, V_used
+        self.groups = groups  # degree -> PGroup
+        self.dlog = {} if dlog is None else dlog
+        self.certificates = {} if certificates is None else certificates
+        self.global_model = True
+        self.evidence = {}
 
     def to_json(self):
         return {

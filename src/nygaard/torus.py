@@ -51,7 +51,6 @@ c = gcd(m).
    p | gcd(w).
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -96,11 +95,10 @@ def weight_classes(d, M):
 MAX_INTERNAL = 64  # cap on internal precision n + i
 
 
-@dataclass
 class TorusDeRham:
-    p: int
-    d: int
-    n: int  # coefficient precision Z/p^n at report time
+    def __init__(self, p, d, n):
+        self.p, self.d = p, d
+        self.n = n  # coefficient precision Z/p^n at report time
 
     def rank(self, j):
         return comb(self.d, j) if 0 <= j <= self.d else 0

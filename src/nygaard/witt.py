@@ -16,8 +16,8 @@ F_p[x]/(x^k) the cover is Z/p^L[x]/(x^k), so no coefficient reaches p^L:
   `exact_div_int` makes the same check as over Z and still raises RingError.
 
 Each ghost component, and each step of its inverse, is one linear
-combination with integer coefficients (`combine`).  A WittVector, a frozen
-value, computes its ghost once from its coordinates, never from the ghosts
+combination with integer coefficients (`combine`).  A WittVector, never
+changed once built, computes its ghost once from its coordinates, never from the ghosts
 of the vectors it came from, so FV = p and the projection formula stay
 checks.  The universal sum and product polynomials, an independent route
 for small (p, n), are a test oracle.
@@ -28,7 +28,6 @@ v -> xi_tilde * sigma^{-1}, theta-linear left map u -> u, v -> 0) and the
 canonical map u -> xi*sigma, v -> sigma^{-1}.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import LengthMismatch, UsageError
@@ -36,11 +35,9 @@ from .linalg import span_contains_mod
 from .qbase import QBase
 
 
-@dataclass(frozen=True)
 class WittVector:
-    ring: object
-    p: int
-    coords: tuple
+    def __init__(self, ring, p, coords):
+        self.ring, self.p, self.coords = ring, p, coords
 
     def __len__(self):
         return len(self.coords)
@@ -201,7 +198,6 @@ class QSquareModel:
         return self.B.pow(self.xi, k)
 
 
-@dataclass
 class PerfectoidPresentation:
     """The square of graded rings and its four maps, as verifiable data.
 
@@ -210,7 +206,8 @@ class PerfectoidPresentation:
     coefficient * v^{-k} (resp. sigma^k).
     """
 
-    model: object
+    def __init__(self, model):
+        self.model = model
 
     def mul_uv(self, x, y):
         (k1, c1), (k2, c2) = x, y

@@ -106,7 +106,8 @@ def test_regress_records_a_failing_fixture_and_goes_on(tmp_path, capsys):
     (tmp_path / "a_good.json").write_text((FIXTURES / "eta" / "zero_f_p.json").read_text())
     bad = {"b_bad_p.json": {"command": "witt", "config": {"p": 4}},
            "c_too_tight.json": {"command": "acrys",
-                                "config": {"p": 2, "n": 3, "e": 1, "i": 2, "W": 1}}}
+                                "config": {"p": 2, "n": 3, "e": 1, "i": 2, "W": 1}},
+           "d_bad_key.json": {"command": "witt", "config": {"threads": 2}}}
     for name, blob in bad.items():
         (tmp_path / name).write_text(json.dumps(dict(blob, expected={})))
     assert cli.main(["regress", str(tmp_path)]) == 1
@@ -116,6 +117,28 @@ def test_regress_records_a_failing_fixture_and_goes_on(tmp_path, capsys):
     assert [e["file"] for e in report["errors"]] == [str(tmp_path / name) for name in bad]
     assert report["errors"][0]["error"] == "p = 4 is not prime"
     assert report["errors"][1]["error"].startswith("phi image")
+    assert report["errors"][2]["error"] == "unknown config key 'threads'"
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # a cold CLI run pays for every module the import loads
+    code = """
+import sys
+before = set(sys.modules)
+import nygaard.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                         capture_output=True, text=True, check=True)
+    added = set(out.stdout.split())
+    assert "nygaard.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def test_equal_pgroups_hash_equal():
+    G, H = linalg.PGroup(3, (2, 1), 1), linalg.PGroup(3, (2, 1), 1)
+    assert G is not H and G == H and len({G, H}) == 1
+    assert G != linalg.PGroup(3, (2, 1)) and G != linalg.PGroup(5, (2, 1), 1)
 
 
 def test_main_witt_exit_0(capsys):
@@ -129,6 +152,7 @@ def test_main_witt_exit_0(capsys):
     ["acrys", "-W", "-1"],
     ["syntomic", "--threads", "2"],
     ["syntomic", "--model", "fp"],
+    ["eta", "--fixture", "randomx"],
 ])
 def test_main_usage_exit_1(argv):
     assert cli.main(argv) == 1

@@ -137,6 +137,7 @@ def test_eta_in_negative_degrees_is_exact_or_rejected():
 def test_complex_invariants_raise_typed_errors(flags):
     # the checks are raises, not asserts, so python -O keeps them
     code = """
+from nygaard.cli import RunConfig
 from nygaard.complexes import Complex, FilteredComplex
 from nygaard.errors import CompositeNonzero, UsageError
 from nygaard.linalg import PGroup, cocycles_boundaries_mod, mat_mul
@@ -157,6 +158,9 @@ for make, exc in (
     (lambda: Complex({0: 1, 1: 2}, {0: [[1]]}), UsageError),
     (lambda: FilteredComplex(Complex({0: 1}, {}), 0, 1,
                              {(0, 0): [[2]], (1, 0): [[1]]}).validate(), CompositeNonzero),
+    (lambda: RunConfig(n=0), UsageError),
+    (lambda: RunConfig(p=4), UsageError),
+    (lambda: RunConfig(threads=2), UsageError),
 ):
     try:
         make()
