@@ -5,7 +5,10 @@ Output is canonical JSON (sorted keys); identical configs produce
 byte-identical payloads (the fixture regression in the tests compares them).
 Exit codes: 0 success, 1 on usage errors (UsageError, including unknown or
 malformed config keys), 2 when a computation cannot certify its answer
-(any NotCertified).
+(any NotCertified), and 141 when the reader of standard output closes it
+before the envelope or the `regress` report is written, as in
+`nygaard eta --fixture random3 | head -c 10`: the run ends quietly, with
+the status a shell gives a writer killed by SIGPIPE (128 + 13).
 """
 
 import argparse
@@ -24,6 +27,7 @@ from .pdalg import (
     conj_graded_map_check,
     conjugate_filtration_equality_check,
     fiber_group,
+    frobenius_table,
     nygaard_graded_image_check,
     phi_pth_power_check,
     span_identity_check,
@@ -256,11 +260,15 @@ def cmd_acrys(cfg):
     # the fixed points mean something at i < 0 too; the level checks run
     # over 0..max(i, 0), since an empty range of levels would certify nothing
     top = max(cfg.i, 0)
+    # one exact Frobenius list per chain, read by the Nygaard check of every
+    # level j at its precision j + 2
+    table = frobenius_table(A1, top + 2)
     payload = {
         "conjugate_filtration_eq": conjugate_filtration_equality_check(A1, nmax=top + 1)["ok"],
         "graded_map": all(conj_graded_map_check(A1, nn)["ok"] for nn in range(top + 1)),
         "phi_pth_power": phi_pth_power_check(A, rng),
-        "nygaard_image": all(nygaard_graded_image_check(A1, j)["ok"] for j in range(top + 1)),
+        "nygaard_image": all(nygaard_graded_image_check(A1, j, table)["ok"]
+                             for j in range(top + 1)),
         "span_identity": span_identity_check(A, max(cfg.i, 1)),
     }
     # at i < 0, phi_i - can is invertible (the series of `syntomic_acrys`)
@@ -422,6 +430,21 @@ def make_parser():
     return ap
 
 
+EXIT_PIPE_CLOSED = 141
+
+
+def _emit(text):
+    """Print text to standard output; False when the reader has closed the
+    pipe.  Standard output then points at os.devnull, so that the flush at
+    exit cannot raise BrokenPipeError again."""
+    try:
+        print(text, flush=True)
+        return True
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return False
+
+
 def main(argv=None):
     ap = make_parser()
     try:
@@ -432,16 +455,18 @@ def main(argv=None):
     try:
         if args.command == "regress":
             report = fixture_regress(args.directory)
-            print(json.dumps(report, sort_keys=True, indent=1))
+            if not _emit(json.dumps(report, sort_keys=True, indent=1)):
+                return EXIT_PIPE_CLOSED
             return 0 if not report["failed"] and not report["errors"] else 1
         cfg = build_config(args)
         envelope = run_command(args.command, cfg)
         blob = json.dumps(envelope, sort_keys=True, indent=1)
+        written = True
         if cfg.out:
             with open(cfg.out, "w") as fh:
                 fh.write(blob + "\n")
         else:
-            print(blob)
+            written = _emit(blob)
         if args.write_fixture:
             with open(args.write_fixture, "w") as fh:
                 json.dump(
@@ -450,7 +475,7 @@ def main(argv=None):
                     fh, sort_keys=True, indent=1,
                 )
                 fh.write("\n")
-        return 0
+        return 0 if written else EXIT_PIPE_CLOSED
     except UsageError as ex:
         print("usage error: %s" % ex, file=sys.stderr)
         return 1

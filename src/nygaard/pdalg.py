@@ -12,15 +12,36 @@ exponents into the divided power by the exact binomial bookkeeping;
 Frobenius acts by p-th powers on the base and by
 phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}.
 
-Weight chains.  Scaled by p^e, the weight of [x^{c/p^e}] x^{[l]} is the
-integer l p^e + c.  The basis is ordered by l, then by c, so the monomial of
-weight w sits at index w, and the weights of the basis are exactly
-0, 1, ..., T - 1 with T = (W + 1) p^e.  Frobenius multiplies weights by p
-(`frobenius_monomial`).  So phi maps each basis monomial to a multiple of
-the monomial of p times its weight, and the basis splits into maximal chains
-t_0 -> t_1 -> ..., along which every kernel computation shards.  In closed
-form (`_weight_chains`) the chains are [0] and, for each r in 1..T-1 prime
-to p, the chain r, rp, rp^2, ... of the r p^k < T.  Proof:
+Weights.  Scaled by p^e, the weight of [x^{c/p^e}] x^{[l]} is the integer
+w = l p^e + c, and a monomial is stored as its weight: l = w // p^e and
+c = w mod p^e.  An element is a dict {weight: coefficient}, and the basis is
+range(T), T = (W + 1) p^e, the weights with l <= W.  A product of two
+monomials has weight w1 + w2 (`mul_monomials`), and phi of a monomial has
+weight p w (`frobenius_monomial`); either may be T or more, beyond the
+window.
+
+The monomials as powers of t.  Put t = [x^{1/p^e}] and E = p^e.  The
+monomial of weight w is t^w / floor(w/E)!, and phi maps it to
+floor(pw/E)! / floor(w/E)! times the monomial of weight pw, a coefficient of
+valuation exactly floor(w/E).  Proof:
+
+- With w = lE + c, 0 <= c < E, the monomial is t^c x^{[l]} =
+  t^c (t^E)^l / l! = t^w / l!, and l = floor(w/E).
+- phi(t) = t^p, so phi(t^w / l!) = t^{pw} / l! = (L!/l!) t^{pw} / L!, with
+  L = floor(pw/E), and t^{pw} / L! is the monomial of weight pw.
+- Write pc = kE + c' with 0 <= c' < E.  Then k < p, since c < E, and
+  L = pl + k.  By Legendre v_p(m!) is the sum over j >= 1 of
+  floor(m / p^j), and floor((pl + k) / p^j) = floor(l / p^{j-1}) for
+  j >= 1, since k / p < 1.  So v_p(L!) = l + v_p(l!), and v_p(L!/l!) = l.
+
+So phi of a monomial vanishes mod p^n iff its l is at least n.
+
+Weight chains.  Frobenius multiplies weights by p.  So phi maps each basis
+monomial to a multiple of the monomial of p times its weight, and the basis
+splits into maximal chains t_0 -> t_1 -> ..., along which every kernel
+computation shards.  In closed form (`_weight_chains`) the chains are [0]
+and, for each r in 1..T-1 prime to p, the chain r, rp, rp^2, ... of the
+r p^k < T.  Proof:
 
 - phi(1) = 1, so weight 0 is a chain of its own.
 - A nonzero weight w starts a chain iff it is not p times a weight of the
@@ -32,15 +53,28 @@ to p, the chain r, rp, rp^2, ... of the r p^k < T.  Proof:
   the chains partition the basis.
 
 The chains depend only on (p, e, W), not on the precision n, so they are
-computed once per basis and shared by the copies of an algebra at n, n + i
-and n + i + 1.
+computed once per basis and shared by the algebras at every precision.
 
 On a chain, phi is therefore a weighted shift, stored as its coefficient
-list c = (c_0, ..., c_{m-1}): phi(e_k) = c_k e_{k+1}, and c_{m-1} = 0 at
-the end of the chain.  The one exception is the weight-0 chain [1], where
-phi(e_0) = c_0 e_0 with c_0 = 1.  `_phi_shift` checks this shape when it
-builds a list (CompositeNonzero otherwise), and a check builds each list
-once and reads every kernel and image of the chain from it.  Four facts
+list c = (c_0, ..., c_{m-1}): phi(e_k) = c_k e_{k+1}.  The one exception is
+the weight-0 chain [1], where phi(e_0) = c_0 e_0 with c_0 = 1.  `_phi_shift`
+builds a list from `frobenius_monomial` and checks this shape
+(CompositeNonzero otherwise).  The list is exact, not reduced mod p^n, so one
+list serves every precision:
+
+- phi of the last monomial of a chain other than [1] leaves the window, and
+  the list holds c_{m-1} = 0 there.  At precision N that is right when the
+  monomial has l >= N, since phi of it vanishes mod p^N.  When l < N, phi of
+  it is nonzero mod p^N and TruncationTooTight is raised.
+- So `_phi_shifts` at precision N reduces the lists mod p^N and raises at
+  the first chain that ends at l < N: the chain and the message that
+  `frobenius_monomial` at precision N would raise on.  A higher precision
+  can raise where a lower one does not, so each precision decides its own
+  raise from the chain levels.
+- `frobenius_table` builds the lists once for every precision up to a
+  bound, and the Nygaard check of each level reads them (`cli.cmd_acrys`).
+
+A check reads every kernel and image of a chain from its list.  Four facts
 about a chain save work:
 
 - The Nygaard kernel is diagonal.  Over Z/p^n, {x : phi(x) = 0 mod p^i} is
@@ -55,8 +89,8 @@ about a chain save work:
   integer coefficients.  So {x : phi(x) = 0 mod p^i} at precision n + i + 1,
   reduced mod p^{n+i}, is the same module at precision n + i, and one
   exponent map per level serves both precisions.
-- v_p of phi's coefficient on [x^{c/p^e}] x^{[l]} is exactly l
-  (`frobenius_monomial`), and l only grows along a chain.  So phi vanishes
+- v_p of phi's coefficient on [x^{c/p^e}] x^{[l]} is exactly l (the
+  powers of t above), and l only grows along a chain.  So phi vanishes
   mod p^n on a chain iff its root has l >= n, and such a chain is known in
   closed form without building its list (`_phi_shifts` leaves it out).  Its
   Nygaard kernel is the whole chain at every level and phi_i is zero on it.
@@ -69,17 +103,17 @@ about a chain save work:
   `conjugate_filtration_equality_check` grows one reached set level by level,
   searching only from the new seeds.
 
-Per-basis tables.  The divided-power exponent l and the conjugate level
-floor(l / p) of a basis monomial depend only on the monomial, so `_Basis`
-holds them in the lists `pd` and `conj`, indexed like the basis and filled
-once where it is built.  The checks below read these lists and recompute
-neither.
+Per-basis tables.  The divided-power exponent l = w // p^e and the
+conjugate level floor(l / p) = w // p^{e+1} of a basis monomial depend only
+on its weight w, so `_Basis` holds them in the lists `pd` and `conj`, indexed
+by weight and filled once where the basis is built.  The checks below read
+these lists and recompute neither.
 
 Spans over Z/p^n come in two kinds.  The conjugate and divided-power
 filtrations are spanned by monomials, and so is every span built from them by
-multiplying monomials: these are sets of basis indices and are compared as
-sets.  The Nygaard filtration and the image of phi_i are read off the
-coefficient lists and exponent maps, again without elimination.  N^{>=i} on
+multiplying monomials: these are sets of weights and are compared as sets.
+The Nygaard filtration and the image of phi_i are read off the coefficient
+lists and exponent maps, again without elimination.  N^{>=i} on
 a chain is the sum of the p^{a_k} Z/p^n e_k, and phi_i = phi / p^i sends
 the summand of k onto that of p^{a_k - i} c_k e_{k+1} (e_0 on [1]), a
 multiple of a single basis vector, with distinct k going to distinct
@@ -149,17 +183,9 @@ by chain, and `fiber_group` reads it off the levels of the chains:
 
 import weakref
 from math import comb, factorial
-from typing import NamedTuple
 
 from .errors import CompositeNonzero, TruncationTooTight, UsageError
 from .linalg import PGroup, _vp
-
-
-class Monomial(NamedTuple):
-    """[x^{c/p^e}] * x^{[l]}."""
-
-    c: int  # the Teichmuller numerator, 0 <= c < p^e
-    l: int  # the divided-power exponent, >= 0
 
 
 def _weight_chains(p, top, roots=None):
@@ -178,17 +204,18 @@ def _weight_chains(p, top, roots=None):
 
 
 class _Basis:
-    """The monomials of one (p, e, W) and what is read off them once."""
+    """The monomials of one (p, e, W), as weights, and what is read off them
+    once."""
 
-    def __init__(self, monomials, p):
+    def __init__(self, monomials, p, pe):
         self.monomials = monomials
         self.chains = _weight_chains(p, len(monomials))  # see `orbit_blocks`
-        self.pd = [m.l for m in monomials]  # divided-power exponent per index
-        self.conj = [m.l // p for m in monomials]  # conjugate level per index
+        self.pd = [w // pe for w in monomials]  # divided-power exponent per weight
+        self.conj = [w // (pe * p) for w in monomials]  # conjugate level per weight
 
 
 # (p, e, W) -> _Basis.  The basis does not depend on the precision n, so the
-# copies of an algebra at n, n + i and n + i + 1 share it.  An entry lives
+# algebras of one run at n and at 1 share it.  An entry lives
 # exactly as long as some algebra holds its basis.
 _BASES = weakref.WeakValueDictionary()
 
@@ -211,33 +238,29 @@ class PDAlgebra:
     def __init__(self, p, n=1, e=1, W=None):
         self.p, self.n, self.e = p, n, e
         self.W = W = window(p, n, e, W)
-        self.pe, self.q = p**e, p**n
+        self.pe, self.q, self.T = p**e, p**n, (W + 1) * p**e
         key = (p, e, W)
         self._basis = _BASES.get(key)
         if self._basis is None:
-            self._basis = _BASES[key] = _Basis(self.monomials(), p)
+            self._basis = _BASES[key] = _Basis(self.monomials(), p, self.pe)
 
     # -- monomial basis --------------------------------------------------
 
     def monomials(self):
-        """The basis, ordered by l and then by c: index = weight."""
-        return [Monomial(c, l) for l in range(self.W + 1) for c in range(self.pe)]
+        """The basis: the weights 0, 1, ..., T - 1."""
+        return range(self.T)
 
     def basis(self):
         return self._basis.monomials
 
-    def index(self, m):
-        """The basis index of m, which is its weight l p^e + c; None when m
-        lies beyond the window."""
-        return m.l * self.pe + m.c if m.l <= self.W else None
-
     def one(self):
-        return {Monomial(0, 0): 1}
+        return {0: 1}
 
     def monomial(self, c, l, coeff=1):
+        """coeff [x^{c/p^e}] x^{[l]}, at its weight l p^e + c."""
         if l > self.W:
             return {}
-        return {Monomial(c, l): coeff % self.q} if coeff % self.q else {}
+        return {l * self.pe + c: coeff % self.q} if coeff % self.q else {}
 
     # -- ring operations --------------------------------------------------
 
@@ -259,37 +282,36 @@ class PDAlgebra:
                 out[m] = v
         return out
 
-    def mul_monomials(self, m1, m2):
+    def mul_monomials(self, w1, w2):
         """The binomial law: ([x^{c1/p^e}] x^{[l1]}) * ([x^{c2/p^e}] x^{[l2]})
         = (l1 + l2 choose l1) [x]^k [x^{c/p^e}] x^{[l1 + l2]}, with
         c1 + c2 = k p^e + c, and [x]^k x^{[l]} = ((l + k)!/l!) x^{[l + k]},
-        where k <= 1.  Returns (monomial, coefficient mod p^n), or None when
-        the product vanishes mod p^n.  The monomial may lie beyond weight W;
-        callers decide what that means."""
-        k, c = divmod(m1.c + m2.c, self.pe)
-        l = m1.l + m2.l
-        coeff = comb(l, m1.l) * (l + 1 if k else 1) % self.q
-        return (Monomial(c, l + k), coeff) if coeff else None
+        where k <= 1.  The product has weight w1 + w2, and its divided-power
+        exponent l = l1 + l2 + k tells k.  Returns (w1 + w2, coefficient mod
+        p^n), or None when the product vanishes mod p^n.  The weight may be
+        T or more, beyond the window; callers decide what that means."""
+        pe = self.pe
+        l1, l2, l = w1 // pe, w2 // pe, (w1 + w2) // pe
+        coeff = comb(l1 + l2, l1) * (l if l > l1 + l2 else 1) % self.q
+        return (w1 + w2, coeff) if coeff else None
 
     def mul(self, a, b):
-        """Bilinear extension of `mul_monomials`; monomials beyond weight W
-        are dropped."""
+        """Bilinear extension of `mul_monomials`; monomials beyond the
+        window are dropped."""
         out = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                r = self.mul_monomials(m1, m2)
+        for w1, c1 in a.items():
+            for w2, c2 in b.items():
+                r = self.mul_monomials(w1, w2)
                 if r is None:
                     continue
-                m, coeff = r[0], r[1] * c1 * c2 % self.q
-                if not coeff:
+                w, coeff = r[0], r[1] * c1 * c2 % self.q
+                if not coeff or w >= self.T:
                     continue
-                if m.l > self.W:
-                    continue
-                v = (out.get(m, 0) + coeff) % self.q
+                v = (out.get(w, 0) + coeff) % self.q
                 if v:
-                    out[m] = v
+                    out[w] = v
                 else:
-                    out.pop(m, None)
+                    out.pop(w, None)
         return out
 
     def power(self, a, k):
@@ -313,46 +335,43 @@ class PDAlgebra:
 
     # -- Frobenius --------------------------------------------------------
 
-    def frobenius_monomial(self, m):
+    def frobenius_monomial(self, w):
         """phi([x^{c/p^e}] x^{[l]}) = ((pl + k)!/l!) [x^{c'/p^e}] x^{[pl + k]},
         where pc = k p^e + c': phi(x^{[l]}) = ((pl)!/l!) x^{[pl]}, and the
-        overflow [x]^k merges as in `mul_monomials`.  The image has p times
-        the weight.  TruncationTooTight when the image is nonzero mod p^n but
-        leaves the window.
-
-        v_p of the coefficient is l: v_p((pl)!/l!) = l by Legendre, and
-        (pl + 1)...(pl + k) is a unit, since k < p.  So the image vanishes
-        mod p^n iff l >= n, which is tested first."""
-        if m.l >= self.n:
-            return {}
-        k, c = divmod(self.p * m.c, self.pe)
-        l = self.p * m.l + k
-        if l > self.W:
-            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (m.l, self.W))
-        return {Monomial(c, l): factorial(l) // factorial(m.l) % self.q}
+        overflow [x]^k merges as in `mul_monomials`.  Returns
+        (p w, (pl + k)!/l!): the image has p times the weight, pl + k is
+        floor(p w / p^e), and the coefficient is exact, not reduced mod p^n.
+        Its v_p is l (module docstring), so the image vanishes mod p^n iff
+        l >= n.  TruncationTooTight when it does not vanish and leaves the
+        window."""
+        l = w // self.pe
+        if self.p * w >= self.T and l < self.n:
+            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (l, self.W))
+        return self.p * w, factorial(self.p * w // self.pe) // factorial(l)
 
     def frobenius(self, a):
+        """Linear extension of `frobenius_monomial`.  An image beyond the
+        window that does not raise vanishes mod p^n, so it adds nothing."""
         out = {}
-        for m, c in a.items():
-            img = self.frobenius_monomial(m)
-            for mm, cc in img.items():
-                v = (out.get(mm, 0) + c * cc) % self.q
-                if v:
-                    out[mm] = v
-                else:
-                    out.pop(mm, None)
+        for w, c in a.items():
+            ww, cc = self.frobenius_monomial(w)
+            v = (out.get(ww, 0) + c * cc) % self.q
+            if v:
+                out[ww] = v
+            else:
+                out.pop(ww, None)
         return out
 
     # -- vectors -----------------------------------------------------------
 
     def to_vector(self, a):
-        v = [0] * len(self.basis())
-        for m, c in a.items():
-            v[self.index(m)] = c % self.q
+        v = [0] * self.T
+        for w, c in a.items():
+            v[w] = c % self.q
         return v
 
     def from_vector(self, v):
-        return {m: c % self.q for m, c in zip(self.basis(), v) if c % self.q}
+        return {w: c % self.q for w, c in enumerate(v) if c % self.q}
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +396,7 @@ def conjugate_filtration_description1(A, nn, below=None):
     the ideal generator with l < (n+1)p, closed under multiplication by base
     monomials.
 
-    Returns the set of basis indices the closure reaches; Fil_n mod p is
+    Returns the set of weights the closure reaches; Fil_n mod p is
     spanned by their unit vectors.  This is exact: every seed and every
     multiplier is a single monomial, so each product is a single monomial
     times a coefficient, and a unit factor mod p never decides whether a later
@@ -402,22 +421,20 @@ def conjugate_filtration_description1(A, nn, below=None):
     reached = set(below or ())
     frontier = []
     for l in range(min((nn + 1) * p - 1, A.W) + 1):
-        t = l * A.pe  # the index of x^{[l]}
-        if t not in reached:
-            reached.add(t)
-            frontier.append(Monomial(0, l))
-    # close under multiplication by [x^{1/p^e}] and x = 1! * x^{[1]}; a
-    # product beyond the window has no index and is dropped
-    multipliers = [Monomial(1, 0)] if A.e else []
-    multipliers.append(Monomial(0, 1))
+        w = l * A.pe  # the weight of x^{[l]}
+        if w not in reached:
+            reached.add(w)
+            frontier.append(w)
+    # close under multiplication by [x^{1/p^e}] and x = 1! * x^{[1]}, of
+    # weights 1 and p^e; a product of weight T or more leaves the window
+    multipliers = [1, A.pe] if A.e else [1]
     while frontier:
         nxt = []
-        for m in frontier:
+        for w in frontier:
             for v in multipliers:
-                r = A.mul_monomials(m, v)
-                t = A.index(r[0]) if r else None
-                if t is not None and r[1] % p and t not in reached:
-                    reached.add(t)
+                r = A.mul_monomials(w, v)
+                if r and r[0] < A.T and r[1] % p and r[0] not in reached:
+                    reached.add(r[0])
                     nxt.append(r[0])
         frontier = nxt
     return reached
@@ -500,30 +517,49 @@ def orbit_blocks(A):
 
 
 def _phi_shift(A, idxs):
-    """phi on the chain of basis indices idxs as its coefficient list c:
-    phi(e_k) = c_k e_{k+1}, or c_0 e_0 on a chain of one index.
-    CompositeNonzero when phi leaves the chain or is no such shift (module
-    docstring)."""
-    basis = A.basis()
+    """phi on the chain of basis indices idxs as its exact coefficient list
+    c, from `frobenius_monomial`: phi(e_k) = c_k e_{k+1}, or c_0 e_0 on a
+    chain of one index.  c_k stays 0 where phi(e_k), of weight p t, leaves
+    the window; the precision decides whether that is zero or a raise
+    (`_phi_shifts`).  CompositeNonzero when phi leaves the chain or is no
+    such shift (module docstring)."""
     pos = {t: k for k, t in enumerate(idxs)}
     c = [0] * len(idxs)
     for k, t in enumerate(idxs):
-        for m, a in A.frobenius_monomial(basis[t]).items():
-            tt = A.index(m)
+        if A.p * t < A.T:
+            tt, c[k] = A.frobenius_monomial(t)
             if tt not in pos:
                 raise CompositeNonzero("phi leaked out of its weight chain")
             if pos[tt] != (k + 1 if len(idxs) > 1 else 0):
                 raise CompositeNonzero("phi-block of a weight chain is not a weighted shift")
-            c[k] = a
     return c
 
 
-def _phi_shifts(A):
-    """(indices, coefficient list) for each weight chain of A on which phi is
-    nonzero mod p^n, in chain order: those whose root has l < n.  phi is zero
-    on the others, and their lists are never built (module docstring)."""
-    pd, n = A._basis.pd, A.n
-    return [(idxs, _phi_shift(A, idxs)) for idxs in orbit_blocks(A) if pd[idxs[0]] < n]
+def frobenius_table(A, top):
+    """(indices, exact coefficient list) for each weight chain of A whose
+    root has l < top, in chain order: every list that `_phi_shifts` reads
+    at a precision up to top, built once (module docstring)."""
+    pd = A._basis.pd
+    return [(idxs, _phi_shift(A, idxs)) for idxs in orbit_blocks(A) if pd[idxs[0]] < top]
+
+
+def _phi_shifts(A, n=None, table=None):
+    """(indices, coefficient list mod p^n) for each weight chain of A on
+    which phi is nonzero mod p^n, n = A.n unless given, in chain order: those
+    whose root has l < n.  phi is zero on the others, and their lists are
+    never read.  The lists come from `table`, a `frobenius_table` of A at
+    some top >= n, built here when None.  TruncationTooTight at the first
+    of these chains that ends at l < n: phi of its last monomial is nonzero
+    mod p^n and leaves the window (module docstring)."""
+    n = A.n if n is None else n
+    pd, q = A._basis.pd, A.p**n
+    out = []
+    for idxs, c in frobenius_table(A, n) if table is None else table:
+        if pd[idxs[0]] < n:
+            if idxs[0]:
+                _chain_end((pd[idxs[-1]],), n, A.W)
+            out.append((idxs, [a % q for a in c]))
+    return out
 
 
 def _nygaard_exponents(c, p, n, i):
@@ -540,7 +576,7 @@ def _nygaard_exponents(c, p, n, i):
     return out
 
 
-def nygaard_graded_image_check(A, i):
+def nygaard_graded_image_check(A, i, table=None):
     """phi_i mod p on N^i is injective with image Fil^conj_i (within W).
 
     At finite perfection depth e the Frobenius image only reaches Teichmuller
@@ -555,15 +591,13 @@ def nygaard_graded_image_check(A, i):
     n + i + 1 reduced mod p^{n+i} is the level-i kernel at n + i, and the
     image phi(x)/p^i mod p, which depends only on x mod p^{i+1}, is read off
     from it directly.  Both maps and the image come from one coefficient
-    list per chain, with no elimination (module docstring)."""
+    list per chain, reduced mod p^{n+i+1}, with no elimination.  `table` is
+    a `frobenius_table` of A at some top >= n + i + 1, shared by the levels
+    of one run; it is built here when None (module docstring)."""
     p = A.p
-    Acmp = PDAlgebra(p, A.n + i + 1, A.e, A.W)
-    n, pi = Acmp.n, p**i
-    fil_idx = {
-        t for t, (m, lv) in enumerate(zip(A.basis(), A._basis.conj))
-        if lv <= i and m.c % p == 0
-    }
-    shifts = _phi_shifts(Acmp)
+    n, pi = A.n + i + 1, p**i
+    fil_idx = {w for w, lv in enumerate(A._basis.conj) if lv <= i and w % A.pe % p == 0}
+    shifts = _phi_shifts(A, n, table)
     # a chain on which phi is zero has no image and no graded piece, so the
     # image matches the filtration there iff the chain holds none of it
     same = fil_idx <= {t for idxs, _ in shifts for t in idxs}
@@ -604,8 +638,9 @@ def _root_levels(p, e, W, roots):
 
 
 def _chain_end(levels, bound, W):
-    """TruncationTooTight when the chain ends at l < bound: phi of its last
-    monomial is nonzero mod p^bound and leaves the window W."""
+    """TruncationTooTight when the chain with levels l_k ends at l < bound:
+    phi of its last monomial is nonzero mod p^bound and leaves the window W.
+    Only the last level is read."""
     if levels[-1] < bound:
         raise TruncationTooTight("phi image of weight %d leaves W = %d" % (levels[-1], W))
 

@@ -7,8 +7,9 @@ Z-modules and, as groups, of a complex of presented groups mod p^r, the
 syntomic windows presented from scratch, property checks of the
 divided-power algebra, its powers by repeated multiplication, its weight
 chains found by search, its two-variable model as the tensor square of the
-one-variable one, its Frobenius on a weight chain as a dense block, its
-Frobenius fixed points solved by elimination and its syntomic fibre and
+one-variable one, its Frobenius on a weight chain built monomial by monomial
+and as a dense block, its Nygaard check at a precision of its own per level,
+its Frobenius fixed points solved by elimination and its syntomic fibre and
 negative-twist series read off the whole basis.  `src_env` is the environment
 of a python subprocess that imports the package from this source tree."""
 
@@ -18,7 +19,6 @@ from functools import lru_cache
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from nygaard.errors import CompositeNonzero, NotStabilized, RingError, UsageError
 from nygaard.linalg import (
@@ -39,9 +39,9 @@ from nygaard.linalg import (
     zeros,
 )
 from nygaard.pdalg import (
-    Monomial,
     PDAlgebra,
     TruncationTooTight,
+    _nygaard_exponents,
     _phi_shifts,
     conjugate_filtration_spans,
     orbit_blocks,
@@ -704,9 +704,9 @@ def vp_factorial(m, p):
 
 
 def filtration_multiplicativity_check(A, rng, trials=20, nmax=2):
-    """Fil_a * Fil_b lies in Fil_{a+b} on random pairs, mod p."""
+    """Fil_a * Fil_b lies in Fil_{a+b} on random pairs, mod p; the
+    conjugate level of a weight w is w // p^{e+1}."""
     fil = conjugate_filtration_spans(A, 2 * nmax + 1)
-    basis = A.basis()
     for _ in range(trials):
         a = rng.randint(0, nmax)
         b = rng.randint(0, nmax)
@@ -714,9 +714,9 @@ def filtration_multiplicativity_check(A, rng, trials=20, nmax=2):
         tb = rng.choice(sorted(fil[b])) if fil[b] else None
         if ta is None or tb is None:
             continue
-        prod = A.mul({basis[ta]: 1}, {basis[tb]: 1})
-        for m in prod:
-            if m.l // A.p > a + b:
+        prod = A.mul({ta: 1}, {tb: 1})
+        for w in prod:
+            if w // (A.pe * A.p) > a + b:
                 return False
     return True
 
@@ -733,7 +733,7 @@ def power_by_repeated_multiplication(A, a, k):
 def phi_multiplicative_check(A, rng, trials=50):
     """phi(ab) = phi(a) phi(b) on random retained pairs: pairs whose product
     leaves the weight window, read off `mul_monomials`, are skipped."""
-    basis = [m for m in A.basis() if m.l <= A.W // A.p // 2]
+    basis = [w for w in A.basis() if w // A.pe <= A.W // A.p // 2]
     if not basis:
         return True
     for _ in range(trials):
@@ -741,7 +741,7 @@ def phi_multiplicative_check(A, rng, trials=50):
         mb, cb = rng.choice(basis), rng.randrange(1, A.q)
         a, b = {ma: ca}, {mb: cb}
         r = A.mul_monomials(ma, mb)
-        if r and r[0].l > A.W and r[1] * ca * cb % A.q:
+        if r and r[0] >= A.T and r[1] * ca * cb % A.q:
             continue
         try:
             lhs = A.frobenius(A.mul(a, b))
@@ -754,97 +754,138 @@ def phi_multiplicative_check(A, rng, trials=50):
 
 
 def weight_chains_by_search(A):
-    """Maximal phi-chains of basis indices, found by searching a dictionary
-    of the integer weights l p^e + c: the reference `pdalg._weight_chains`,
-    which writes them in closed form, replaced.  A chain starts at each
-    weight that is not p times another weight of the basis; weight 0 is
-    fixed by phi and is a chain of its own."""
+    """Maximal phi-chains of basis indices, found by searching the set of
+    the integer weights l p^e + c of the basis: the reference
+    `pdalg._weight_chains`, which writes them in closed form, replaced.  A
+    chain starts at each weight that is not p times another weight of the
+    basis; weight 0 is fixed by phi and is a chain of its own."""
     p, pe = A.p, A.p**A.e
-    index_of = {m.l * pe + m.c: t for t, m in enumerate(A.basis())}
+    weights = {l * pe + c for l in range(A.W + 1) for c in range(pe)}
     chains = []
-    for w, t in index_of.items():
-        if w and not w % p and w // p in index_of:
+    for w in sorted(weights):
+        if w and not w % p and w // p in weights:
             continue  # not a chain root
-        chain = [t]
+        chain = [w]
         while w:
             w *= p
-            if w not in index_of:
+            if w not in weights:
                 break
-            chain.append(index_of[w])
+            chain.append(w)
         chains.append(chain)
     return chains
-
-
-class PairMonomial(NamedTuple):
-    """[x^{c/p^e}] x^{[l]} [y^{c'/p^e}] y^{[l']}: a monomial of each
-    variable."""
-
-    x: Monomial
-    y: Monomial
-
-    @property
-    def l(self):
-        """The total divided-power exponent, which the window bounds."""
-        return self.x.l + self.y.l
 
 
 class TwoVariablePD(PDAlgebra):
     """A_crys(S)/p^n for S = F_p[x^{1/p^e}, y^{1/p^e}] / (x, y), truncated
     at total divided-power exponent W: the tensor square of the one-variable
-    model, whose product and Frobenius it applies variable by variable.  It
-    inherits the bilinear `mul`, `power` and `frobenius` of `PDAlgebra`,
-    which read only `PairMonomial.l`."""
+    model, whose product and Frobenius it applies variable by variable.
+
+    A monomial [x^{c/p^e}] x^{[l]} [y^{c'/p^e}] y^{[l']} is the pair (u, v)
+    of its weights in each variable, and it is stored as its index t in
+    `pairs`, the pairs with l + l' <= W.  T is the number of pairs, and
+    the index T stands for every pair beyond the window.  So the bilinear
+    `mul`, `power`, `frobenius` and the vectors of `PDAlgebra`, which
+    compare indices with T, are inherited."""
 
     def __init__(self, p, n=1, e=1, W=None):
         W = W if W is not None else 3 * p * p
         self.p, self.n, self.e, self.W = p, n, e, W
         self.pe, self.q = p**e, p**n
-        # each variable's phi image weighs below p (W + 1), so the window of
-        # the one-variable factor never cuts it; the total is checked here
+        # each variable's phi image weighs below p (W + 1) p^e, so the
+        # window of the one-variable factor never cuts it; the total is
+        # checked here
         self.factor = PDAlgebra(p, n, e, p * (W + 1))
-        basis = self.monomials()
-        self._index = {m: t for t, m in enumerate(basis)}
+        pd = self.factor._basis.pd
+        one = range((W + 1) * self.pe)
+        self.pairs = [(u, v) for u in one for v in one if pd[u] + pd[v] <= W]
+        self.T = len(self.pairs)
+        self._index = {m: t for t, m in enumerate(self.pairs)}
         self._basis = SimpleNamespace(
-            monomials=basis,
-            pd=[m.l for m in basis],
-            conj=[m.x.l // p + m.y.l // p for m in basis],
+            monomials=range(self.T),
+            pd=[pd[u] + pd[v] for u, v in self.pairs],
+            conj=[pd[u] // p + pd[v] // p for u, v in self.pairs],
         )
 
-    def monomials(self):
-        one = [Monomial(c, l) for l in range(self.W + 1) for c in range(self.pe)]
-        return [PairMonomial(mx, my) for mx in one for my in one if mx.l + my.l <= self.W]
-
-    def index(self, m):
-        return self._index.get(m)
-
-    def one(self):
-        return {PairMonomial(Monomial(0, 0), Monomial(0, 0)): 1}
+    def index(self, u, v):
+        """The index of the pair of weights (u, v), T beyond the window."""
+        return self._index.get((u, v), self.T)
 
     def monomial(self, c, l, coeff=1):
-        m = PairMonomial(Monomial(c[0], l[0]), Monomial(c[1], l[1]))
-        if m.l > self.W:
-            return {}
-        return {m: coeff % self.q} if coeff % self.q else {}
+        t = self.index(l[0] * self.pe + c[0], l[1] * self.pe + c[1])
+        return {t: coeff % self.q} if t < self.T and coeff % self.q else {}
 
-    def mul_monomials(self, m1, m2):
-        rx = self.factor.mul_monomials(m1.x, m2.x)
-        ry = self.factor.mul_monomials(m1.y, m2.y)
-        if rx is None or ry is None:
+    def mul_monomials(self, t1, t2):
+        (u1, v1), (u2, v2) = self.pairs[t1], self.pairs[t2]
+        ru = self.factor.mul_monomials(u1, u2)
+        rv = self.factor.mul_monomials(v1, v2)
+        if ru is None or rv is None:
             return None
-        coeff = rx[1] * ry[1] % self.q
-        return (PairMonomial(rx[0], ry[0]), coeff) if coeff else None
+        coeff = ru[1] * rv[1] % self.q
+        return (self.index(ru[0], rv[0]), coeff) if coeff else None
 
-    def frobenius_monomial(self, m):
-        # v_p of the coefficient is the total exponent m.l, so each
-        # variable's image is nonzero mod p^n below it
-        if m.l >= self.n:
-            return {}
-        [(mx, cx)] = self.factor.frobenius_monomial(m.x).items()
-        [(my, cy)] = self.factor.frobenius_monomial(m.y).items()
-        image = PairMonomial(mx, my)
-        if image.l > self.W:
-            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (m.l, self.W))
-        return {image: cx * cy % self.q}
+    def frobenius_monomial(self, t):
+        # v_p of the coefficient is the total exponent, so the image
+        # vanishes mod p^n iff that is at least n
+        (u, cu), (v, cv) = map(self.factor.frobenius_monomial, self.pairs[t])
+        image, l = self.index(u, v), self._basis.pd[t]
+        if image == self.T and l < self.n:
+            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (l, self.W))
+        return image, cu * cv
+
+
+def phi_shift_by_monomials(A, idxs):
+    """`pdalg._phi_shift` reduced mod p^n, as it was built before the
+    exact lists: `frobenius_monomial` at the precision of A on every index
+    of the chain, the last one included, so that TruncationTooTight comes
+    from it.  An image beyond the window that does not raise vanishes mod
+    p^n.  CompositeNonzero when phi is no weighted shift of the chain."""
+    pos = {t: k for k, t in enumerate(idxs)}
+    c = []
+    for k, t in enumerate(idxs):
+        tt, a = A.frobenius_monomial(t)
+        if tt < A.T and pos.get(tt) != (k + 1 if len(idxs) > 1 else 0):
+            raise CompositeNonzero("phi-block of a weight chain is not a weighted shift")
+        c.append(a % A.q)
+    return c
+
+
+def nygaard_graded_image_check_per_level(A, i):
+    """`pdalg.nygaard_graded_image_check` as it ran before the shared
+    Frobenius table: an algebra at the level's precision n + i + 1, whose
+    coefficient lists are built anew by `phi_shift_by_monomials` on the
+    chains whose root has l < n + i + 1, so that each raise is the one
+    `frobenius_monomial` makes at that precision."""
+    p = A.p
+    Acmp = PDAlgebra(p, A.n + i + 1, A.e, A.W)
+    n, pi = Acmp.n, p**i
+    fil_idx = {w for w, lv in enumerate(A._basis.conj) if lv <= i and w % A.pe % p == 0}
+    shifts = [(idxs, phi_shift_by_monomials(Acmp, idxs)) for idxs in orbit_blocks(Acmp)
+              if Acmp._basis.pd[idxs[0]] < n]
+    # a chain on which phi is zero has no image and no graded piece, so the
+    # image matches the filtration there iff the chain holds none of it
+    same = fil_idx <= {t for idxs, _ in shifts for t in idxs}
+    dim_src = 0
+    dim_img = 0
+    for idxs, c in shifts:
+        src, src1 = _nygaard_exponents(c, p, n, i), _nygaard_exponents(c, p, n, i + 1)
+        if any(p**a * c[k] % pi for k, a in src.items()):
+            raise CompositeNonzero("Nygaard generator not phi-divisible")
+        # the span mod p of the image: the targets of the unit coefficients
+        img = {k + 1 if len(c) > 1 else 0 for k, a in src.items() if p**a * c[k] // pi % p}
+        if img != {k for k, t in enumerate(idxs) if t in fil_idx}:
+            same = False
+        dim_img += len(img)
+        # an absent k has exponent n, the common precision
+        if any(b < src.get(k, n) for k, b in src1.items()):
+            raise CompositeNonzero("N^{>=%d} is not inside N^{>=%d}" % (i + 1, i))
+        dim_src += sum(src1.get(k, n) > a for k, a in src.items())
+    return {
+        "image_matches_fil": same,
+        "dim_graded": dim_src,
+        "dim_image": dim_img,
+        "injective": dim_src == dim_img,
+        "ok": same and dim_src == dim_img,
+    }
 
 
 # ---------------------------------------------------------------------------

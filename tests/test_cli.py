@@ -141,6 +141,19 @@ def test_equal_pgroups_hash_equal():
     assert G != linalg.PGroup(3, (2, 1)) and G != linalg.PGroup(5, (2, 1), 1)
 
 
+@pytest.mark.parametrize("argv", [["eta", "--fixture", "random3", "-p3"], ["regress", "fixtures"]])
+def test_a_reader_that_closes_the_pipe_early_ends_the_run_quietly(argv):
+    # the reader closes its end before anything is written, as `| head -c 10`
+    # may: no BrokenPipeError traceback, and the exit code of the docstring
+    proc = subprocess.Popen([sys.executable, "-m", "nygaard", *argv], cwd=ROOT, env=src_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == cli.EXIT_PIPE_CLOSED == 141
+    assert err == b""
+
+
 def test_main_witt_exit_0(capsys):
     assert cli.main(["witt", "-p", "2", "-n", "2"]) == 0
     assert '"all_ok": true' in capsys.readouterr().out
@@ -442,7 +455,7 @@ def test_acrys_runs_every_level_up_to_i(monkeypatch):
         levels["conjugate"].append(nmax)
         return {"ok": True}
 
-    def nygaard(A, j):
+    def nygaard(A, j, table):
         levels["nygaard"].append(j)
         return {"ok": True}
 
@@ -473,7 +486,40 @@ def test_acrys_builds_one_basis_and_one_algebra_mod_p(monkeypatch):
     monkeypatch.setattr(pdalg.PDAlgebra, "__init__", counted_init)
     assert cli.cmd_acrys(cli.RunConfig(p=3, n=2, e=1, i=2, W=13))["all_ok"]
     assert len(built) == 1
-    assert inits.count(1) == 1
+    # no algebra per Nygaard level: the levels share one Frobenius table
+    assert inits == [2, 1]
+
+
+def test_the_benchmark_tracer_installs_and_counts_the_acrys_algebras():
+    # `bench/tracer.py` wraps each method its METHODS names (install() fails
+    # with a KeyError when one is gone), and reads pdalg.algebras and
+    # pdalg.basis_builds off `PDAlgebra.__init__` and `monomials`; one acrys
+    # run builds two algebras on one basis.  A fresh interpreter holds no
+    # cached basis, and keeps the wrapping away from the other tests
+    code = """
+import json
+import sys
+sys.path.insert(0, %r)
+from tracer import METHODS, Tracer
+from nygaard import cli, pdalg
+before = dict(vars(pdalg.PDAlgebra))
+tracer = Tracer().install()
+try:
+    cli.run_command("acrys", cli.RunConfig(p=3, n=2, e=1, i=2, W=13))
+finally:
+    tracer.uninstall()
+for name in METHODS[("pdalg", "PDAlgebra")]:
+    if vars(pdalg.PDAlgebra)[name] is not before[name]:
+        raise SystemExit("uninstall() left PDAlgebra.%%s wrapped" %% name)
+print(json.dumps(tracer.layer_metrics()))
+""" % str(ROOT / "bench")
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    metrics = json.loads(out.stdout.splitlines()[-1])
+    assert metrics["pdalg.algebras"] == 2
+    assert metrics["pdalg.basis_builds"] == 1
+    assert metrics["pdalg.mul.calls"] and metrics["pdalg.frobenius.calls"]
 
 
 def test_acrys_basis_builds_do_not_depend_on_the_collector(monkeypatch):
