@@ -1,19 +1,29 @@
 """Command-line surface: subcommands, config handling, JSON envelopes,
 and the fixture regression runner.
 
+Each command owns its parameters: `READS` maps each command, and each
+`syntomic` model, to the fields it reads.  A command takes those flags
+only; `run_command` refuses any other field set on its config, and the
+envelope's `config` holds exactly the fields read, W and V at the values
+the run used.  A flag overrides a `--config` file's key, and the file may
+give a key only once.
+
 Output is canonical JSON (sorted keys); identical configs produce
 byte-identical payloads (the fixture regression in the tests compares them).
-Exit codes: 0 success, 1 on usage errors (UsageError, including unknown or
-malformed config keys), 2 when a computation cannot certify its answer
-(any NotCertified), and 141 when the reader of standard output closes it
-before the envelope or the `regress` report is written, as in
-`nygaard eta --fixture random3 | head -c 10`: the run ends quietly, with
-the status a shell gives a writer killed by SIGPIPE (128 + 13).
+Exit codes: 0 success; 1 on usage errors (UsageError: among them unknown,
+foreign, repeated or malformed config keys, a `--config` that cannot be
+read and an `--out` or `--write-fixture` that cannot be written); 2 when a
+computation cannot certify its answer (any NotCertified); and 141 when the
+reader of standard output closes it before the envelope or the `regress`
+report is written, as in `nygaard eta --fixture random3 | head -c 10`: the
+run ends quietly, with the status a shell gives a writer killed by SIGPIPE
+(128 + 13).
 """
 
 import argparse
 import json
 import os
+from math import isqrt
 import random
 import sys
 import time
@@ -31,6 +41,7 @@ from .pdalg import (
     nygaard_graded_image_check,
     phi_pth_power_check,
     span_identity_check,
+    window,
 )
 from .qtorus import (
     build_qtorus,
@@ -40,13 +51,8 @@ from .qtorus import (
     q_nygaard_stability_check,
     specialization_check,
 )
-from .syntomic import syntomic_acrys, syntomic_q
-from .torus import (
-    build_torus,
-    conjugate_check,
-    frobenius_eta_check,
-    weight_classes,
-)
+from .syntomic import orbit_window, syntomic_acrys, syntomic_q
+from .torus import build_torus, conjugate_check, frobenius_eta_check, weight_classes
 from .witt import (
     FpSquareModel,
     QSquareModel,
@@ -61,16 +67,45 @@ from .witt import (
 from .rings import PolyTrunc
 
 
-# every config key with its default; a key's type is the type of its default
-_DEFAULTS = {
-    "p": 2, "n": 2, "r": 1, "N": 4, "e": 2,
-    "W": 0,  # 0 means the model default
-    "M": 4,
-    "V": 0,  # 0 means automatic
-    "d": 1, "i": 1,
-    "model": "charp", "f": "p", "fixture": "koszul_p", "out": "",
+# every field: its default, which gives its type, its least value (None for
+# none) and its flag help; its flag is -x for an integer field, --x otherwise
+_FIELDS = {
+    "p": (2, None, "prime"),
+    "n": (2, 1, "coefficient precision"),
+    "r": (1, 1, "syntomic precision"),
+    "N": (4, 1, "(q-1)-adic truncation"),
+    "e": (2, 1, "perfection depth"),
+    "W": (0, 0, "divided-power weight cap (0: the model default 3p^2)"),
+    "M": (4, 0, "weight box radius"),
+    "V": (0, 0, "orbit window (0: r + 1)"),
+    "d": (1, 1, "torus dimension"),
+    "i": (1, None, "twist / filtration level"),
+    "model": ("charp", None, "syntomic model"),
+    "f": ("p", None, "decalage element (integer or p, p^2, ...)"),
+    "fixture": ("koszul_p", None, "named fixture complex"),
 }
-_FIELD_TYPES = {k: type(v) for k, v in _DEFAULTS.items()}
+
+# the fields each command reads, and for syntomic each model
+READS = {
+    "witt": ("p", "n", "N"),
+    "eta": ("p", "f", "fixture"),
+    "derham": ("p", "d", "i", "M"),
+    "qderham": ("p", "d", "N", "M", "i", "n"),
+    "acrys": ("p", "n", "e", "W", "i"),
+    "syntomic": {
+        "charp": ("model", "p", "d", "i", "r", "M", "V"),
+        "q": ("model", "p", "d", "i", "r", "M", "V", "N"),
+        "acrys": ("model", "p", "i", "r", "e", "W"),
+    },
+}
+
+
+def reads(command, model):
+    """The fields `command` reads; for syntomic, those of `model`."""
+    fields = READS[command]
+    if isinstance(fields, dict) and model not in fields:
+        raise UsageError("unknown model %r" % model)
+    return fields[model] if isinstance(fields, dict) else fields
 
 
 class RunConfig:
@@ -79,44 +114,28 @@ class RunConfig:
 
     def __init__(self, **values):
         for k in values:
-            if k not in _DEFAULTS:
+            if k not in _FIELDS:
                 raise UsageError("unknown config key %r" % k)
         vars(self).update(values)
-        for name in ("n", "r", "N", "e", "d"):
-            if getattr(self, name) < 1:
-                raise UsageError("%s must be >= 1" % name)
-        for name in ("W", "M", "V"):  # 0 selects the default for W and V
-            if getattr(self, name) < 0:
-                raise UsageError("%s must be >= 0" % name)
+        for k, (_, least, _) in _FIELDS.items():
+            if least is not None and getattr(self, k) < least:
+                raise UsageError("%s must be >= %d" % (k, least))
         if not _is_prime(self.p):
             raise UsageError("p = %d is not prime" % self.p)
 
-    def to_json(self):
-        return {k: getattr(self, k) for k in _DEFAULTS}
 
-
-for _k, _v in _DEFAULTS.items():
+for _k, (_v, _, _) in _FIELDS.items():
     setattr(RunConfig, _k, _v)
 
 
 def _is_prime(p):
-    if p < 2:
-        return False
-    t = 2
-    while t * t <= p:
-        if p % t == 0:
-            return False
-        t += 1
-    return True
+    return p >= 2 and all(p % t for t in range(2, isqrt(p) + 1))
 
 
 def _resolve_f(cfg):
     """--f accepts an integer or the tokens p, p^k with k >= 0; UsageError
     for anything else."""
-    tok = cfg.f
-    if isinstance(tok, int):
-        return tok
-    tok = tok.strip()
+    tok = str(cfg.f).strip()
     if tok == "p":
         return cfg.p
     try:
@@ -223,7 +242,7 @@ def _require_nonnegative_twist(cfg):
 
 def cmd_derham(cfg):
     _require_nonnegative_twist(cfg)
-    X = build_torus(cfg.p, cfg.d, cfg.n)
+    X = build_torus(cfg.p, cfg.d)
     payload = {
         "conjugate_all_ok": conjugate_check(X, cfg.i, cfg.M)["all_ok"],
         "frobenius_eta_all_ok": frobenius_eta_check(X, cfg.i, cfg.M)["all_ok"],
@@ -252,10 +271,9 @@ def cmd_qderham(cfg):
 
 
 def cmd_acrys(cfg):
-    W = cfg.W if cfg.W else None
-    A = PDAlgebra(cfg.p, cfg.n, cfg.e, W)
+    A = PDAlgebra(cfg.p, cfg.n, cfg.e, cfg.W or None)
     # the checks mod p, on the same basis as A
-    A1 = PDAlgebra(cfg.p, 1, cfg.e, W)
+    A1 = PDAlgebra(cfg.p, 1, cfg.e, A.W)
     rng = random.Random(0)
     # the fixed points mean something at i < 0 too; the level checks run
     # over 0..max(i, 0), since an empty range of levels would certify nothing
@@ -283,15 +301,11 @@ def cmd_acrys(cfg):
 
 
 def cmd_syntomic(cfg):
-    V = cfg.V if cfg.V else None
-    if cfg.model in ("charp", "q"):
-        N = 1 if cfg.model == "charp" else cfg.N
-        res = syntomic_q(cfg.p, cfg.d, cfg.i, cfg.r, N=N, M=cfg.M, V=V)
-    elif cfg.model == "acrys":
-        W = cfg.W if cfg.W else None
-        res = syntomic_acrys(cfg.p, cfg.i, cfg.r, e=cfg.e, W=W)
+    if cfg.model == "acrys":
+        res = syntomic_acrys(cfg.p, cfg.i, cfg.r, e=cfg.e, W=cfg.W or None)
     else:
-        raise UsageError("unknown model %r" % cfg.model)
+        N = 1 if cfg.model == "charp" else cfg.N
+        res = syntomic_q(cfg.p, cfg.d, cfg.i, cfg.r, N=N, M=cfg.M, V=cfg.V or None)
     return res.to_json()
 
 
@@ -314,12 +328,24 @@ def canonical_payload(payload):
 
 
 def run_command(command, cfg):
+    """The envelope of `command` run on cfg.  UsageError when cfg sets a
+    field that the command, or its syntomic model, does not read."""
+    fields = reads(command, cfg.model)
+    foreign = [k for k in vars(cfg) if k not in fields]
+    if foreign:
+        name = command if command != "syntomic" else "syntomic --model %s" % cfg.model
+        raise UsageError("%s does not read %s" % (name, ", ".join(foreign)))
     t0 = time.time()
     payload = COMMANDS[command](cfg)
+    config = {k: getattr(cfg, k) for k in fields}
+    if "W" in config:
+        config["W"] = window(cfg.p, cfg.n if command == "acrys" else cfg.r, cfg.e, cfg.W or None)
+    if "V" in config:
+        config["V"] = orbit_window(cfg.r, cfg.V or None)
     return {
         "tool": "nygaard %s" % __version__,
         "command": command,
-        "config": cfg.to_json(),
+        "config": config,
         "result": payload,
         "timing_s": round(time.time() - t0, 6),
     }
@@ -334,12 +360,8 @@ def fixture_regress(directory):
     report = {"passed": [], "failed": [], "errors": []}
     if not os.path.isdir(directory):
         raise UsageError("no such fixture directory: %s" % directory)
-    files = []
-    for root, _, names in os.walk(directory):
-        for name in sorted(names):
-            if name.endswith(".json"):
-                files.append(os.path.join(root, name))
-    files.sort()
+    files = sorted(os.path.join(root, name) for root, _, names in os.walk(directory)
+                   for name in names if name.endswith(".json"))
     if not files:
         report["warning"] = "no fixtures found (vacuous pass)"
         return report
@@ -347,9 +369,7 @@ def fixture_regress(directory):
         try:
             with open(path) as fh:
                 blob = json.load(fh)
-            command = blob["command"]
-            cfg = RunConfig(**blob["config"])
-            payload = COMMANDS[command](cfg)
+            payload = run_command(blob["command"], RunConfig(**blob["config"]))["result"]
             if canonical_payload(payload) == canonical_payload(blob["expected"]):
                 report["passed"].append(path)
             else:
@@ -363,70 +383,54 @@ def fixture_regress(directory):
 # argument parsing
 
 
-def _load_config_file(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError("bad config line: %r" % line)
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
-    return out
+def _open(path, mode="r"):
+    """open(path, mode), with a UsageError when that fails."""
+    try:
+        return open(path, mode)
+    except OSError as ex:
+        raise UsageError(str(ex)) from None
 
 
 def build_config(args):
+    """The --config file's keys, each overridden by its flag when given."""
     values = {}
     if args.config:
-        for k, v in _load_config_file(args.config).items():
-            if _FIELD_TYPES.get(k) is int:
+        with _open(args.config) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise UsageError("bad config line: %r" % line)
+                k, v = (t.strip() for t in line.split("=", 1))
+                if k in values:
+                    raise UsageError("config key %r is given twice" % k)
                 try:
-                    v = int(v)
+                    values[k] = type(_FIELDS[k][0])(v) if k in _FIELDS else v
                 except ValueError:
                     raise UsageError("config key %r needs an integer, got %r" % (k, v)) from None
-            values[k] = v
-    for k in _FIELD_TYPES:
-        v = getattr(args, k, None)
-        if v is not None:
-            values[k] = v
-    # syntomic charp is the q-model at N = 1: N defaults to 1 there, and an
-    # explicit other N would be echoed in the config without being used
-    if args.command == "syntomic" and values.get("model", RunConfig.model) == "charp":
-        if values.setdefault("N", 1) != 1:
-            raise UsageError("syntomic --model charp runs at N = 1, got N = %d" % values["N"])
+    values.update((k, v) for k, v in vars(args).items() if k in _FIELDS and v is not None)
     return RunConfig(**values)
 
 
 def make_parser():
-    ap = argparse.ArgumentParser(
-        prog="nygaard",
-        description="Exact workbench for Witt vectors, decalage, Nygaard "
-        "filtrations and syntomic complexes of tori.",
-    )
+    ap = argparse.ArgumentParser(prog="nygaard", description="Exact workbench for Witt vectors, "
+                                 "decalage, Nygaard filtrations and syntomic complexes of tori.")
     sub = ap.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-p", type=int, default=None, help="prime")
-    common.add_argument("-n", type=int, default=None, help="coefficient precision")
-    common.add_argument("-r", type=int, default=None, help="syntomic precision")
-    common.add_argument("-N", type=int, default=None, help="(q-1)-adic truncation")
-    common.add_argument("-e", type=int, default=None, help="perfection depth")
-    common.add_argument("-W", type=int, default=None, help="divided-power weight cap")
-    common.add_argument("-M", type=int, default=None, help="weight box radius")
-    common.add_argument("-V", type=int, default=None, help="orbit window override")
-    common.add_argument("-d", type=int, default=None, help="torus dimension")
-    common.add_argument("-i", type=int, default=None, help="twist / filtration level")
-    common.add_argument("--model", default=None, choices=["charp", "q", "acrys"])
-    common.add_argument("--f", default=None, help="decalage element (integer or p, p^2, ...)")
-    common.add_argument("--fixture", default=None, help="named fixture complex")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--config", default=None, help="flat key=value config file")
-    common.add_argument("--write-fixture", default=None, help=argparse.SUPPRESS)
     for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
-    reg = sub.add_parser("regress")
-    reg.add_argument("directory")
+        cmd = sub.add_parser(name)
+        fields = READS[name]
+        if isinstance(fields, dict):  # syntomic: the fields of every model
+            fields = dict.fromkeys(k for model in fields.values() for k in model)
+        for k in fields:
+            default, _, text = _FIELDS[k]
+            flag = ("-" if isinstance(default, int) else "--") + k
+            cmd.add_argument(flag, type=type(default), default=None, help=text,
+                             choices=list(READS["syntomic"]) if k == "model" else None)
+        cmd.add_argument("--out", default=None, help="output path (default stdout)")
+        cmd.add_argument("--config", default=None, help="flat key=value config file")
+        cmd.add_argument("--write-fixture", default=None, help=argparse.SUPPRESS)
+    sub.add_parser("regress").add_argument("directory")
     return ap
 
 
@@ -462,19 +466,16 @@ def main(argv=None):
         envelope = run_command(args.command, cfg)
         blob = json.dumps(envelope, sort_keys=True, indent=1)
         written = True
-        if cfg.out:
-            with open(cfg.out, "w") as fh:
+        if args.out:
+            with _open(args.out, "w") as fh:
                 fh.write(blob + "\n")
         else:
             written = _emit(blob)
         if args.write_fixture:
-            with open(args.write_fixture, "w") as fh:
-                json.dump(
-                    {"command": args.command, "config": cfg.to_json(),
-                     "expected": envelope["result"]},
-                    fh, sort_keys=True, indent=1,
-                )
-                fh.write("\n")
+            fixture = {"command": args.command, "config": envelope["config"],
+                       "expected": envelope["result"]}
+            with _open(args.write_fixture, "w") as fh:
+                fh.write(json.dumps(fixture, sort_keys=True, indent=1) + "\n")
         return 0 if written else EXIT_PIPE_CLOSED
     except UsageError as ex:
         print("usage error: %s" % ex, file=sys.stderr)

@@ -128,7 +128,7 @@ def specialization_check(X, M=2):
     """q -> 1 collapse: constant coefficients of every block matrix equal the
     integral torus matrices, basis by basis, per weight class of the box of
     radius M (the lemma in the `torus` docstring)."""
-    T = build_torus(X.p, X.d, 1)
+    T = build_torus(X.p, X.d)
     for m in weight_classes(X.d, M):
         for j in range(X.d):
             Dq = X.diff_matrix(m, j)

@@ -352,6 +352,11 @@ def _q_dlog_fixed(Phi, N):
     return all(Phi[k] == I[k] for k in range(0, len(Phi), N))
 
 
+def orbit_window(r, V=None):
+    """The orbit window of `syntomic_q` at precision r: V, or r + 1 if None."""
+    return V if V is not None else r + 1
+
+
 def syntomic_q(p, d, i, r, N=4, M=4, V=None):
     """Cohomology of fib(phi_i - can) on the d-torus in the q-model over
     B/p^r, B = Z[q]/((q-1)^N), one window for all primitive weights (module
@@ -374,7 +379,7 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None):
         return SyntomicResult(
             model, p, i, r, M, 0, groups,
             certificates={"negative_twist_series": degree_bound_inverse_certificate(X, i, r)})
-    V = V if V is not None else r + 1
+    V = orbit_window(r, V)
     total, dlog, k_used, V_used = _orbit_sum(X, i, r, M, V)
     return SyntomicResult(
         model, p, i, r, M, V_used, total, dlog=dlog,

@@ -8,8 +8,8 @@ basis T^m dlog T_I in degree |I|, differential
                       T^m dlog T_{I + a},
 
 Frobenius phi(T^m dlog T_I) = p^{|I|} T^{pm} dlog T_I, and Nygaard lattices
-p^{max(i - deg, 0)}.  All coefficients are exact integers; p^n-precision
-enters at comparison time.
+p^{max(i - deg, 0)}.  All coefficients are exact integers, and every check
+is made over Z, which gives it mod p^n for every n.
 
 Weight classes.  Every per-weight check of this module and of `qtorus`
 gives the same verdict at m as at gcd(m) e_1, with e_1 = (1, 0, ..., 0).
@@ -92,13 +92,12 @@ def weight_classes(d, M):
     return [(c,) + (0,) * (d - 1) for c in range(M + 1)]
 
 
-MAX_INTERNAL = 64  # cap on internal precision n + i
+MAX_LEVEL = 62  # cap on the Nygaard level i
 
 
 class TorusDeRham:
-    def __init__(self, p, d, n):
+    def __init__(self, p, d):
         self.p, self.d = p, d
-        self.n = n  # coefficient precision Z/p^n at report time
 
     def rank(self, j):
         return comb(self.d, j) if 0 <= j <= self.d else 0
@@ -121,12 +120,6 @@ class TorusDeRham:
     def nygaard_scale(self, i, j):
         return self.p ** max(i - j, 0)
 
-    def require_precision(self, i):
-        """PrecisionExhausted when the internal precision n + i of the
-        Nygaard lattices N^{>=i} exceeds MAX_INTERNAL."""
-        if self.n + i > MAX_INTERNAL:
-            raise PrecisionExhausted("internal precision %d exceeds cap" % (self.n + i))
-
     def divided_frobenius_matrix(self, i, j):
         """phi_i on degree j from the normalized Nygaard basis to the dlog
         basis: p^{max(i-j,0)} * p^j divided by p^i.  The quotient exponent
@@ -136,10 +129,10 @@ class TorusDeRham:
         return mat_scale(self.p**e, identity(self.rank(j)))
 
 
-def build_torus(p, d, n):
-    if d < 1 or n < 1:
-        raise UsageError("the torus needs d >= 1 and n >= 1, got d = %d, n = %d" % (d, n))
-    return TorusDeRham(p, d, n)
+def build_torus(p, d):
+    if d < 1:
+        raise UsageError("the torus needs d >= 1, got d = %d" % d)
+    return TorusDeRham(p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +228,10 @@ def frobenius_eta_check(X, i, M):
     representatives m.
 
     Verified over Z, which also gives the identity mod p^n: equal lattices
-    have equal spans mod p^n."""
+    have equal spans mod p^n.  PrecisionExhausted above level MAX_LEVEL."""
+    if i > MAX_LEVEL:
+        raise PrecisionExhausted("Nygaard level %d exceeds cap %d" % (i, MAX_LEVEL))
     p = X.p
-    X.require_precision(i)
     report = {}
     for m in weight_classes(X.d, M):
         block = X.weight_block(tuple(p * a for a in m))

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import gc
 import json
@@ -342,7 +343,7 @@ def test_fibre_group_raises_under_python_O(argv, err, flags):
 
 @pytest.mark.parametrize("how", ["flag", "config"])
 def test_syntomic_charp_rejects_an_explicit_N(tmp_path, capsys, how):
-    # charp runs at N = 1, so an explicit other N would be echoed unused
+    # charp runs at N = 1 and reads no N, so an explicit N is a foreign field
     argv = ["syntomic", "--model", "charp", "-p", "2", "-d", "1", "-i", "1", "-r", "1", "-M", "1"]
     if how == "flag":
         argv += ["-N", "3"]
@@ -350,27 +351,129 @@ def test_syntomic_charp_rejects_an_explicit_N(tmp_path, capsys, how):
         (tmp_path / "run.cfg").write_text("N=3\n")
         argv += ["--config", str(tmp_path / "run.cfg")]
     assert cli.main(argv) == 1
-    assert capsys.readouterr().err == (
-        "usage error: syntomic --model charp runs at N = 1, got N = 3\n")
+    assert capsys.readouterr().err == "usage error: syntomic --model charp does not read N\n"
     # the default model is charp too
     assert cli.main(["syntomic", "-N", "3"]) == 1
-    assert "N = 3" in capsys.readouterr().err
+    assert capsys.readouterr().err == "usage error: syntomic --model charp does not read N\n"
 
 
 def test_syntomic_charp_envelope_echoes_the_N_it_runs_at(capsys):
-    # charp runs at N = 1, and its envelope config says so with or without
-    # -N, under the default model too; the q model keeps the default N = 4
+    # charp reads no N, and its envelope config has none, under the default
+    # model too; the q model keeps the default N = 4
     argv = ["syntomic", "-p", "2", "-d", "1", "-i", "1", "-r", "1", "-M", "1"]
-    for extra, N in ((["--model", "charp"], 1), (["--model", "charp", "-N", "1"], 1),
-                     ([], 1), (["--model", "q"], 4)):
+    for extra, N in ((["--model", "charp"], None), ([], None), (["--model", "q"], 4)):
         assert cli.main(argv + extra) == 0
-        assert json.loads(capsys.readouterr().out)["config"]["N"] == N
+        assert json.loads(capsys.readouterr().out)["config"].get("N") == N
 
 
-def test_syntomic_charp_N_1_is_the_run_without_N():
+def test_syntomic_charp_N_1_is_the_run_without_N(capsys):
+    # charp is the q-model at N = 1 and reads no N: even -N 1 is refused
     argv = ["syntomic", "--model", "charp", "-p", "3", "-d", "2", "-i", "1", "-r", "2", "-M", "1"]
-    assert cli.canonical_payload(_cli_result(argv + ["-N", "1"])) == \
-        cli.canonical_payload(_cli_result(argv))
+    assert cli.main(argv + ["-N", "1"]) == 1
+    assert capsys.readouterr().err == "usage error: syntomic --model charp does not read N\n"
+
+
+def _runs():
+    """(command, model) for every command, and syntomic once per model."""
+    return [(command, model) for command, fields in cli.READS.items()
+            for model in (fields if isinstance(fields, dict) else [None])]
+
+
+def _flag(field):
+    return ("-" if isinstance(cli._FIELDS[field][0], int) else "--") + field
+
+
+def test_each_command_takes_the_flags_of_its_fields():
+    # syntomic takes the fields of all its models; 31 (command, field) pairs
+    ap = cli.make_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    pairs = 0
+    for command in cli.COMMANDS:
+        fields = {k for model in (cli.READS["syntomic"] if command == "syntomic" else [None])
+                  for k in cli.reads(command, model)}
+        flags = {s for a in sub.choices[command]._actions for s in a.option_strings}
+        assert flags - {"-h", "--help", "--out", "--config", "--write-fixture"} == \
+            {_flag(k) for k in fields}, command
+        pairs += len(fields)
+    assert pairs == 31
+
+
+def test_each_fixture_pins_exactly_the_fields_its_run_reads():
+    for path in sorted(FIXTURES.rglob("*.json")):
+        blob = json.loads(path.read_text())
+        assert set(blob["config"]) == set(cli.reads(blob["command"], blob["config"].get("model"))), \
+            path
+
+
+@pytest.mark.parametrize("command, model, field", [
+    (command, model, k) for command, model in _runs()
+    for k in cli._FIELDS if k not in cli.reads(command, model)])
+def test_a_foreign_field_is_refused_at_every_entry(tmp_path, capsys, command, model, field):
+    # as a flag, as a --config key and as a RunConfig keyword; each refusal
+    # names the field
+    value = cli._FIELDS[field][0]
+    argv = [command] + (["--model", model] if model else [])
+    refusal = "%s does not read %s" % (" ".join(argv), field)
+    assert cli.main(argv + [_flag(field), str(value)]) == 1
+    err = capsys.readouterr().err
+    if command == "syntomic" and any(field in read for read in cli.READS["syntomic"].values()):
+        assert err == "usage error: %s\n" % refusal
+    else:
+        assert "unrecognized arguments: %s %s" % (_flag(field), value) in err
+    (tmp_path / "run.cfg").write_text("%s=%s\n" % (field, value))
+    assert cli.main(argv + ["--config", str(tmp_path / "run.cfg")]) == 1
+    assert capsys.readouterr().err == "usage error: %s\n" % refusal
+    values = {field: value, **({"model": model} if model else {})}
+    with pytest.raises(errors.UsageError, match="^%s$" % refusal):
+        cli.run_command(command, cli.RunConfig(**values))
+
+
+@pytest.mark.parametrize("command, model", _runs())
+def test_the_envelope_config_holds_the_fields_read_at_the_values_used(
+        tmp_path, capsys, command, model):
+    # a run with the defaults: W reads the window 3p^2 and V the window
+    # r + 1 that the run used, and the fixture it writes regresses
+    argv = [command] + (["--model", model] if model else [])
+    fixture = tmp_path / "run.json"
+    assert cli.main(argv + ["--write-fixture", str(fixture)]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert set(config) == set(cli.reads(command, model))
+    p, r = cli.RunConfig.p, cli.RunConfig.r
+    assert (config.get("W", 3 * p * p), config.get("V", r + 1)) == (3 * p * p, r + 1)
+    assert json.loads(fixture.read_text())["config"] == config
+    assert cli.main(["regress", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] == [str(fixture)]
+
+
+@pytest.mark.parametrize("argv, field, value", [
+    (["acrys", "-p", "3", "-n", "1", "-e", "1"], "W", 27),
+    (["acrys", "-p", "3", "-n", "1", "-e", "1", "-W", "13"], "W", 13),
+    (["syntomic", "--model", "acrys", "-p", "3", "-e", "1", "-r", "2"], "W", 27),
+    (["syntomic", "--model", "charp", "-r", "2", "-M", "1"], "V", 3),
+    (["syntomic", "--model", "q", "-r", "2", "-N", "2", "-M", "1"], "V", 3),
+])
+def test_the_envelope_resolves_the_window_defaults(capsys, argv, field, value):
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["config"][field] == value
+
+
+@pytest.mark.parametrize("option", ["--config", "--out", "--write-fixture"])
+def test_a_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, option):
+    path = tmp_path / "missing" / "run.json"
+    assert cli.main(["witt", "-p", "2", "-n", "1", option, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: [Errno 2] No such file or directory: %r\n" % str(path)
+
+
+def test_a_config_key_given_twice_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=2\nn=1\np=3\n")
+    assert cli.main(["witt", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "usage error: config key 'p' is given twice\n"
+    # a flag overrides the file's key
+    cfg.write_text("p=3\nn=1\n")
+    assert cli.main(["witt", "-p", "2", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == {"p": 2, "n": 1, "N": 4}
 
 
 def test_syntomic_q_p2_i1_r2_N4_M2(capsys):

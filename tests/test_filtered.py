@@ -149,7 +149,7 @@ for make, exc in (
      CompositeNonzero),
     (lambda: mat_mul([[1, 2]], [[1]]), UsageError),
     (lambda: build_qtorus(2, 1, 0), UsageError),
-    (lambda: build_torus(2, 0, 1), UsageError),
+    (lambda: build_torus(2, 0), UsageError),
     (lambda: PGroup(2, (0,)), UsageError),
     (lambda: PGroup(2, (1, 2)), UsageError),
     (lambda: PGroup(2, (), -1), UsageError),

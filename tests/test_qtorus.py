@@ -30,7 +30,7 @@ from oracles import presented_cohomology_mod, weights_box
 def test_n1_blocks_are_the_integral_torus_blocks(p, d):
     # at N = 1, B = Z and every block of the q-model is the scalar block of
     # the integral torus model, with exact integer entries; phi is p^j there
-    X, T = build_qtorus(p, d, 1), build_torus(p, d, 1)
+    X, T = build_qtorus(p, d, 1), build_torus(p, d)
 
     def same(A, B):
         assert A == B and all(type(x) is int for row in A for x in row)

@@ -18,7 +18,7 @@ from oracles import complex_cohomology
 
 
 def test_build_torus_weight_blocks_d1():
-    X = build_torus(3, 1, 1)
+    X = build_torus(3, 1)
     for k in (1, 2, 3, 6, -4):
         C = X.weight_block((k,))
         H = complex_cohomology(C.ranks, C.diffs, 3, modulus=3)
@@ -31,7 +31,7 @@ def test_build_torus_weight_blocks_d1():
 
 
 def test_weight_zero_block():
-    X = build_torus(5, 1, 2)
+    X = build_torus(5, 1)
     C = X.weight_block((0,))
     assert C.diffs[0] == [[0]]
     H = complex_cohomology(C.ranks, C.diffs, 5, modulus=25)
@@ -40,14 +40,14 @@ def test_weight_zero_block():
 
 
 def test_d2_top_cohomology_weight0():
-    X = build_torus(2, 2, 1)
+    X = build_torus(2, 2)
     C = X.weight_block((0, 0))
     H = complex_cohomology(C.ranks, C.diffs, 2, modulus=2)
     assert H[2] == PGroup(2, (1,))  # spanned by dlog T_1 ^ dlog T_2
 
 
 def test_d2_koszul_unit_weight_acyclic():
-    X = build_torus(2, 2, 1)
+    X = build_torus(2, 2)
     C = X.weight_block((1, 0))
     H = complex_cohomology(C.ranks, C.diffs, 2, modulus=2)
     assert all(g == PGroup.zero(2) for g in H.values())
@@ -56,7 +56,7 @@ def test_d2_koszul_unit_weight_acyclic():
 def test_dsquared_zero_random_weights():
     rng = random.Random(3)
     for d in (1, 2, 3):
-        X = build_torus(3, d, 2)
+        X = build_torus(3, d)
         for _ in range(10):
             m = tuple(rng.randint(-6, 6) for _ in range(d))
             X.weight_block(m)  # Complex __post_init__ checks d*d = 0
@@ -69,7 +69,7 @@ def test_frobenius_scales():
 
 
 def test_nygaard_lattices():
-    X = build_torus(2, 2, 2)
+    X = build_torus(2, 2)
     for i in range(5):
         for j in range(3):
             # d-stable: d maps p^{max(i-j,0)} into p^{max(i-j-1,0)}
@@ -82,22 +82,21 @@ def test_nygaard_lattices():
 
 def test_nygaard_shape_example():
     # i=1, d=1: [p*A -> Omega^1]
-    X = build_torus(3, 1, 2)
+    X = build_torus(3, 1)
     assert X.nygaard_scale(1, 0) == 3
     assert X.nygaard_scale(1, 1) == 1
 
 
 def test_precision_exhausted():
-    # the internal precision n + i of N^{>=i} is capped at 64: i = 62 is the
-    # last level at n = 2
-    X = build_torus(2, 1, 2)
+    # the Nygaard level i of N^{>=i} is capped at 62
+    X = build_torus(2, 1)
     assert frobenius_eta_check(X, 62, M=1)["all_ok"]
     with pytest.raises(PrecisionExhausted):
         frobenius_eta_check(X, 63, M=1)
 
 
 def test_divided_frobenius_values():
-    X = build_torus(2, 1, 3)
+    X = build_torus(2, 1)
     # phi_1(p * 1) = 1: degree 0 normalized matrix is the identity
     assert X.divided_frobenius_matrix(1, 0) == identity(1)
     # phi_1(dlog T) = dlog T
@@ -119,20 +118,20 @@ def test_dlog_classes():
 
 def test_conjugate_check_small():
     for p, d in ((2, 1), (3, 1), (2, 2)):
-        X = build_torus(p, d, 1)
+        X = build_torus(p, d)
         for i in range(0, d + 2):
             rep = conjugate_check(X, i, M=p + 1)
             assert rep["all_ok"], (p, d, i)
 
 
 def test_conjugate_check_d2_box():
-    X = build_torus(2, 2, 1)
+    X = build_torus(2, 2)
     rep = conjugate_check(X, 1, M=6)
     assert rep["all_ok"]
 
 
 def test_frobenius_eta_identity_i0_d1():
-    X = build_torus(2, 1, 2)
+    X = build_torus(2, 1)
     rep = frobenius_eta_check(X, 0, M=4)
     assert rep["all_ok"]
 
@@ -140,7 +139,7 @@ def test_frobenius_eta_identity_i0_d1():
 def test_frobenius_eta_identity_range():
     for p in (2, 3):
         for d in (1, 2):
-            X = build_torus(p, d, 3)
+            X = build_torus(p, d)
             for i in range(0, 4):
                 rep = frobenius_eta_check(X, i, M=2)
                 assert rep["all_ok"], (p, d, i)
@@ -163,7 +162,7 @@ def _zero_row_of_phi_i(X, jbad):
 def test_conjugate_check_rejects_a_corrupted_phi_i(p, d):
     for i in range(d + 1):
         for jbad in range(d + 1):
-            X = build_torus(p, d, 1)
+            X = build_torus(p, d)
             _zero_row_of_phi_i(X, jbad)
             rep = conjugate_check(X, i, M=2)
             failed = {w for w, v in rep.items() if w != "all_ok" and not v["ok"]}
@@ -187,7 +186,7 @@ def _shrink_nygaard_lattice(X, jbad):
 def test_frobenius_eta_check_rejects_a_corrupted_nygaard_lattice(p, d):
     for i in range(d + 1):
         for jbad in range(d + 1):
-            X = build_torus(p, d, 1)
+            X = build_torus(p, d)
             _shrink_nygaard_lattice(X, jbad)
             rep = frobenius_eta_check(X, i, M=2)
             # phi(N^{>=i}) is then p Fil^i eta_p in degree jbad, at every class

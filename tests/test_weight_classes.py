@@ -73,7 +73,7 @@ def _assert_class_verdicts(monkeypatch, check, X, i, M):
 @pytest.mark.parametrize("name", sorted(TORUS_CHECKS))
 @pytest.mark.parametrize("p, d", [(2, 1), (3, 1), (2, 2), (3, 2)])
 def test_torus_verdict_over_classes_is_the_verdict_over_the_box(monkeypatch, name, p, d):
-    X = build_torus(p, d, 2)
+    X = build_torus(p, d)
     for i in range(d + 1):
         _assert_class_verdicts(monkeypatch, TORUS_CHECKS[name], X, i, 3 if d == 1 else 2)
 
@@ -90,7 +90,7 @@ def test_q_verdict_over_classes_is_the_verdict_over_the_box(monkeypatch, name, p
 def test_a_corrupted_phi_i_fails_on_whole_classes(monkeypatch, p, d):
     # zeroing a row of phi_i makes the verdict false, at the classes c e_1
     # with p | c and at every weight of the box in them
-    X = build_torus(p, d, 1)
+    X = build_torus(p, d)
     orig = X.divided_frobenius_matrix
 
     def corrupted(i, j):
@@ -142,7 +142,7 @@ def test_per_weight_invariants_are_those_of_the_class(model, p, d, M):
     # the lemma is an isomorphism of filtered complexes, not only an
     # agreement of verdicts: the groups the checks compare agree too
     if model == "torus":
-        X, filtration = build_torus(p, d, 2), _torus_filtration
+        X, filtration = build_torus(p, d), _torus_filtration
     else:
         X, filtration = build_qtorus(p, d, int(model[1])), _q_filtration
     at_rep = {c: _signature(filtration, X, c) for c in weight_classes(d, M)}
