@@ -10,14 +10,15 @@ give a key only once.
 
 Output is canonical JSON (sorted keys); identical configs produce
 byte-identical payloads (the fixture regression in the tests compares them).
-Exit codes: 0 success; 1 on usage errors (UsageError: among them unknown,
-foreign, repeated or malformed config keys, a `--config` that cannot be
-read and an `--out` or `--write-fixture` that cannot be written); 2 when a
-computation cannot certify its answer (any NotCertified); and 141 when the
-reader of standard output closes it before the envelope or the `regress`
-report is written, as in `nygaard eta --fixture random3 | head -c 10`: the
-run ends quietly, with the status a shell gives a writer killed by SIGPIPE
-(128 + 13).
+Exit codes: 0 success; 1 on usage errors: an argument the subcommand does
+not take, reported with that subcommand's usage line, and any UsageError
+(among them unknown, foreign, repeated or malformed config keys, a
+`--config` that cannot be read and an `--out` or `--write-fixture` that
+cannot be written); 2 when a computation cannot certify its answer (any
+NotCertified); and 141 when the reader of standard output closes it before
+the envelope or the `regress` report is written, as in
+`nygaard eta --fixture random3 | head -c 10`: the run ends quietly, with the
+status a shell gives a writer killed by SIGPIPE (128 + 13).
 """
 
 import argparse
@@ -431,6 +432,9 @@ def make_parser():
         cmd.add_argument("--config", default=None, help="flat key=value config file")
         cmd.add_argument("--write-fixture", default=None, help=argparse.SUPPRESS)
     sub.add_parser("regress").add_argument("directory")
+    # each subcommand's parser, to report the arguments it does not take
+    for cmd in sub.choices.values():
+        cmd.set_defaults(parser=cmd)
     return ap
 
 
@@ -452,7 +456,11 @@ def _emit(text):
 def main(argv=None):
     ap = make_parser()
     try:
-        args = ap.parse_args(argv)
+        args, extras = ap.parse_known_args(argv)
+        if extras:
+            # argparse hands them back from the subcommand's parser, whose
+            # usage line names the flags it takes
+            args.parser.error("unrecognized arguments: %s" % " ".join(extras))
     except SystemExit as ex:
         # argparse uses exit code 2 for usage errors; the contract is 1
         return 1 if ex.code else 0

@@ -15,7 +15,12 @@ class NotCertified(Exception):
 
 
 class NotStabilized(NotCertified):
-    """A directed system or truncation did not stabilize within its budget."""
+    """A directed system or truncation did not stabilize within its budget;
+    `degrees` lists the cohomological degrees that did not, where known."""
+
+    def __init__(self, message, degrees=()):
+        super().__init__(message)
+        self.degrees = list(degrees)
 
 
 class PrecisionExhausted(NotCertified):

@@ -48,11 +48,11 @@ The weight-0 block has no Koszul differential: d_t = A_t = phi_i - can from
 N^t to X^t, square, so H^t = ker(A_t) + coker(A_{t-1}).
 
 Every primitive weight has the orbit window of e_1 = (1, 0, ..., 0), at
-every N.  So `_orbit_sum` builds one window, at e_1, and adds its groups once
-for each of the n = (2M+1)^d - (2 floor(M/p) + 1)^d primitive weights of the
-box (the box less its weights in pZ^d).  The proof, in the normalised
-coordinates of `qtorus`, for a primitive m0 with c = gcd(m0) > 0; c is prime
-to p because m0 is primitive:
+every N.  So `_orbit_sum` adds the groups of the orbit of e_1 once for each
+of the n = (2M+1)^d - (2 floor(M/p) + 1)^d primitive weights of the box (the
+box less its weights in pZ^d).  The proof, in the normalised coordinates of
+`qtorus`, for a primitive m0 with c = gcd(m0) > 0; c is prime to p because
+m0 is primitive:
 
 1-2. Step s of the orbit of m0 carries the weight p^s m0.  By steps 1 and 2
    of the weight-class lemma in the `torus` docstring, with
@@ -79,6 +79,71 @@ to p because m0 is primitive:
 At N = 1 every [k]_x is the integer k: g lies in GL_d(Z), and the rescaling
 is by c^{-1} mod p^r.
 
+Künneth: the orbit of e_1 is a sum of d = 1 orbits.  Write G_t(j) for the
+group in degree t of the orbit of e_1 = (1) on the 1-torus at twist j, and
+G(j) = 0 for j < 0.  Then the orbit of e_1 on the d-torus has, in degree t,
+
+    sum over t2 = 0..d-1 of C(d-1, t2) copies of G_{t-t2}(i - t2).
+
+Proof.  At the weight p^s e_1 the Koszul entries of the coordinates 2..d are
+[0]_x = 0.  So for each subset J of {2..d}, dlog T_J and dlog T_1 ^ dlog T_J
+span, on both sides and at every step, a summand closed under d:
+d(dlog T_J) = [p^s]_x dlog T_1 ^ dlog T_J (coordinate 1 comes first, so the
+Koszul sign is +), and d(dlog T_1 ^ dlog T_J) = 0.  Can, phi_i, the
+xi-scales and the normalised differential are scalars in each Koszul
+degree t: xi^{max(i-t,0)}, xi_tilde^{max(t-i,0)} phi and xi^{a-a'} with
+a = max(i-t,0), a' = max(i-t-1,0).  They depend on i and t only through
+t - i.  So the summand of J, with |J| = t2, is the orbit of e_1 on the
+1-torus at twist i - t2, with Koszul degree t1 placed in degree t1 + t2:
+every window, widening and boundary row splits the same way, and so do the
+images I_k and their orders.  The tail test at e_1 reads the blocks
++-[p^{V+1}]_x and 0, which is the test on the d = 1 block.  A summand with
+twist j = i - t2 < 0 vanishes: in every Koszul degree t1 >= 0 > j, can is 1
+and phi_j - can = xi_tilde^{t1-j} phi - 1 is invertible by the terminating
+series of `degree_bound_inverse_certificate`, and the fibre of a map that is
+an isomorphism in each Koszul degree is acyclic (filter by Koszul degree).
+The d = 1 engine certifies the degrees t1 <= min(j + 1, 2), so the sum
+covers every degree t <= i + 1.
+
+One engine run per twist i - t2 >= 0 replaces the d-dimensional window,
+whose ranks grow like 2^d.  The d-dimensional engine certifies degree t at
+the first widening where every summand's order is stable at once;
+`_orbit_sum` reports the largest of the summands' own widenings.  The two
+agree when a summand's order stays stable once it is; this is checked
+against the d-dimensional window, not proved.  A degree t1 that a summand
+could not certify is reported as degree t1 + t2.
+
+The d = 1 orbit in characteristic p: at N = 1, G_1(0) = Z/p^r and every
+other G_t(j) is 0.  Proof.  At d = 1 and N = 1 every block is 1 x 1.  At
+step s the full-side differential is p^s, the Nygaard-side one p^{s+1} if
+j >= 1 and p^s if j = 0; in Koszul degree t, can is p^{max(j-t,0)} and
+phi_j is p^{max(t-j,0)}.  On finite sequences (global sections are sums
+over finitely many steps), F_t = phi_j - can from N^t to X^t sends (n_s) to
+(a n_{s-1} - c n_s), with a = p^{max(t-j,0)}, c = p^{max(j-t,0)} and
+n_{-1} = 0.  If a = 1, F_t is injective (look at the last nonzero n_s), and
+x -> sum_s c^s x_s maps its cokernel isomorphically onto Z/p^r: it kills
+every F_t(e_s) = e_{s+1} - c e_s, and these give e_s = c^s e_0 modulo the
+image.  If c = 1 and a = p, F_t = -(1 - pS) for the shift S is invertible,
+as (pS)^r = 0 mod p^r.  The orbit complex C is the total complex of the
+square of F_0 and F_1 joined by d, so 0 -> fib(F_1)[-1] -> C -> fib(F_0)
+-> 0 is exact.  At j = 0, F_0 = S - 1 and F_1 = -(1 - pS), so
+H(C) = H(fib F_0): Z/p^r in degree 1, spanned by e_0 in X^0_0, and 0
+elsewhere.  At j >= 1, F_0 = S - p^j and F_1 = S - p^{j-1} are both
+injective with cokernel Z/p^r, and the connecting map between the cokernels
+is induced by the full-side d, which sends e_0 in X^0_0 to the e_0 in X^1_0
+([1] = 1 at step 0): generator to generator.  So C is acyclic.  The windows
+are subcomplexes whose union is C, so H(C) is the colimit of the H(W_V).
+H(W_V) is finite, so its image in H(W_{V+k}) is, for large k, its image in
+H(C); that is all of H(C), as e_0 lies in every window.  With the Künneth
+sum the charp orbit part is n C(d-1, i) copies of Z/p^r in degree i + 1
+(the summand t2 = i) and 0 elsewhere.  With the weight-0 block,
+H^i = (Z/p^r)^{C(d,i)}, the dlog T_I of W_r Omega^i_log, and
+H^{i+1} = (Z/p^r)^{C(d,i) + C(d-1,i) n}, its Artin-Schreier-Witt cokernel.
+The charp path reads this off, with no window and no elimination; it keeps
+the tail test, so NotStabilized is raised exactly when the box has a
+primitive weight and V + 1 < r.  Its V_used is V + 1 (0 without primitive weights),
+the window the tail test certified, though no window is built.
+
 The A_crys model, `syntomic_acrys`, is fib(phi_i - can: N^{>=i} -> A) on
 the divided-power algebra A of `pdalg` over Z/p^r.  H^0 = H^1 is read off
 the roots of the weight chains (`pdalg.fiber_group`); for i < 0 both vanish,
@@ -89,6 +154,8 @@ Global sections of the torus are Laurent polynomials, not their completion;
 kernels computed here are faithful, while cokernels in the Artin-Schreier
 direction carry an explicit "global model" flag.
 """
+
+from math import comb
 
 from .errors import BoundViolated, CompositeNonzero, NotStabilized, UsageError
 from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches hermite_form here)
@@ -134,13 +201,16 @@ class SyntomicResult:
 # the torus pipeline: windows, orbits, the entry point
 
 
-def _window_blocks(X, i, m0):
+def _window_blocks(X, i, m0, koszul=None):
     """The blocks of the windows of the orbit of m0, each fetched once and
     read by every window of the orbit: blocks("phi", 0, t) and
     blocks("can", 0, t) are phi_i and can in Koszul degree t,
     blocks("X", s, t) is the Koszul differential t -> t+1 at the weight
-    p^s m0, and blocks("N", s, t) its Nygaard-normalized form."""
+    p^s m0, and blocks("N", s, t) its Nygaard-normalized form.  The "X"
+    blocks do not depend on i and are kept in koszul, which the windows of
+    several twists of one orbit may share."""
     memo = {}
+    koszul = {} if koszul is None else koszul
     fetch = {
         "phi": lambda s, t: X.divided_frobenius_matrix(i, t),
         "can": lambda s, t: X.nygaard_lattice_rows(i, t),
@@ -149,10 +219,10 @@ def _window_blocks(X, i, m0):
     }
 
     def blocks(kind, s, t):
-        key = (kind, s, t)
-        if key not in memo:
-            memo[key] = fetch[kind](s, t)
-        return memo[key]
+        cache, key = koszul if kind == "X" else memo, (kind, s, t)
+        if key not in cache:
+            cache[key] = fetch[kind](s, t)
+        return cache[key]
 
     return blocks
 
@@ -250,7 +320,7 @@ def _orbit_contribution(X, m0, i, r, V, blocks=None):
                 prev[t] = order
         k += 1
     if pending:
-        raise NotStabilized("image chain did not stabilize in degrees %s" % pending)
+        raise NotStabilized("image chain did not stabilize in degrees %s" % pending, pending)
     return out, k_used
 
 
@@ -281,33 +351,60 @@ def _weight0(X, i, r):
                     "phi_fixed": _q_dlog_fixed(X.divided_frobenius_matrix(i, i), X.N)}
 
 
+def _charp_orbit(p, j, r):
+    """The groups of the orbit of e_1 on the 1-torus at N = 1 and twist
+    j >= 0, by the lemma of the module docstring: Z/p^r in degree 1 at
+    j = 0, and 0 otherwise."""
+    return {1: PGroup(p, (r,))} if j == 0 else {}
+
+
 def _orbit_sum(X, i, r, M, V):
     """fib(phi_i - can) summed over the primitive orbits of the weight box of
     radius M, plus the weight-0 block.
 
-    One window, at e_1: its groups are added once for each of the n
-    primitive weights of the box (module docstring).  Returns (total, dlog,
-    k_used, V_used): the groups per degree, the weight-0 dlog flags, the
-    widening k per degree at which the stable image of the e_1 window
-    certified, and V + 1.  When the box holds no primitive weight no window
-    is built: k_used is {} and V_used is 0.  Raises NotStabilized when the
-    tail test fails at e_1."""
+    The orbit of e_1 is added once for each of the n primitive weights of
+    the box, and it is the Künneth sum of orbits of e_1 on the 1-torus at
+    the twists i - t2 >= 0 (module docstring).  At N >= 2 each of those is
+    `_orbit_contribution`; at N = 1 it is read off by the lemma.  Returns
+    (total, dlog, k_used, V_used): the groups per degree, the weight-0 dlog
+    flags, per degree the largest widening k at which a summand certified
+    (None at N = 1, where no window runs), and V + 1.  When the box holds no
+    primitive weight k_used is {} (None at N = 1) and V_used is 0.  Raises
+    NotStabilized when a summand does not stabilise, or when the tail test
+    fails at e_1."""
     p, d = X.p, X.d
     n = (2 * M + 1) ** d - (2 * (M // p) + 1) ** d
     total, dlog = _weight0(X, i, r)
+    k_used = {} if X.N > 1 else None
     if not n:
-        return total, dlog, {}, 0
-    e1 = (1,) + (0,) * (d - 1)
-    blocks = _window_blocks(X, i, e1)
-    # degrees <= i+1 are certified by the stable window image; degrees >= i+2
-    # lie in the invertibility zone (Koszul degrees > i) where the twisted
-    # Frobenius minus one is invertible by a terminating series, so the orbit
-    # contributes nothing there
-    contrib, k_used = _orbit_contribution(X, e1, i, r, V, blocks=blocks)
-    if not _q_tail_vanishes(X, r, V, blocks):
+        return total, dlog, k_used, 0
+    X1 = X if d == 1 else build_qtorus(p, 1, X.N)
+    koszul, pending = {}, []
+    # the summand of dlog T_J, |J| = t2, at twist i - t2; those with
+    # negative twist vanish.  Degrees <= i+1 are certified by the stable
+    # window images; degrees >= i+2 lie in the invertibility zone (Koszul
+    # degrees > i), where the twisted Frobenius minus one is invertible by
+    # a terminating series, so the orbit contributes nothing there
+    for t2 in range(min(d - 1, i) + 1):
+        blocks = _window_blocks(X1, i - t2, (1,), koszul)
+        if k_used is None:
+            contrib = _charp_orbit(p, i - t2, r)
+        else:
+            try:
+                contrib, k = _orbit_contribution(X1, (1,), i - t2, r, V, blocks=blocks)
+            except NotStabilized as ex:
+                pending += [t + t2 for t in ex.degrees]
+                continue
+            for t, kt in k.items():
+                k_used[t + t2] = max(k_used.get(t + t2, 0), kt)
+        for t, g in contrib.items():
+            total[t + t2] = total[t + t2] + n * comb(d - 1, t2) * g
+    if pending:
+        pending = sorted(set(pending))
+        raise NotStabilized("image chain did not stabilize in degrees %s" % pending, pending)
+    # the tail test reads the Koszul blocks, which every twist shares
+    if not _q_tail_vanishes(X1, r, V, blocks):
         raise NotStabilized("orbit windows did not certify at V = %d" % V)
-    for t, g in contrib.items():
-        total[t] = total[t] + n * g
     return total, dlog, k_used, V + 1
 
 
@@ -359,8 +456,9 @@ def orbit_window(r, V=None):
 
 def syntomic_q(p, d, i, r, N=4, M=4, V=None):
     """Cohomology of fib(phi_i - can) on the d-torus in the q-model over
-    B/p^r, B = Z[q]/((q-1)^N), one window for all primitive weights (module
-    docstring), with the degree-bound invertibility certificate.
+    B/p^r, B = Z[q]/((q-1)^N), the orbit of e_1 for all primitive weights,
+    summed over orbits on the 1-torus (module docstring), with the
+    degree-bound invertibility certificate.
 
     N = 1 is characteristic p (model "charp"): B = Z, the crystalline prism.
     For N >= 2 (model "q") it reports the module structure of the truncated
@@ -381,13 +479,11 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None):
             certificates={"negative_twist_series": degree_bound_inverse_certificate(X, i, r)})
     V = orbit_window(r, V)
     total, dlog, k_used, V_used = _orbit_sum(X, i, r, M, V)
-    return SyntomicResult(
-        model, p, i, r, M, V_used, total, dlog=dlog,
-        certificates={
-            "stabilized": k_used,
-            "degree_bound_series": degree_bound_inverse_certificate(X, i, r),
-        },
-    )
+    certificates = {"degree_bound_series": degree_bound_inverse_certificate(X, i, r)}
+    if k_used is not None:
+        certificates["stabilized"] = k_used
+    return SyntomicResult(model, p, i, r, M, V_used, total, dlog=dlog,
+                          certificates=certificates)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,13 @@ from nygaard.pdalg import (
 )
 from nygaard.qbase import _binom
 from nygaard.rings import PolyTrunc
-from nygaard.syntomic import _nilpotency_index
+from nygaard.syntomic import (
+    _nilpotency_index,
+    _orbit_contribution,
+    _q_tail_vanishes,
+    _weight0,
+    _window_blocks,
+)
 
 
 def src_env():
@@ -687,6 +693,28 @@ def orbit_contribution_from_scratch(X, m0, i, r, V):
     if pending:
         raise NotStabilized("image chain did not stabilize in degrees %s" % pending)
     return out, k_used
+
+
+def orbit_sum_by_the_d_window(X, i, r, M, V):
+    """`syntomic._orbit_sum` from the window of the orbit of e_1 on the
+    d-torus itself, with no Künneth sum and no read-off: the weight-0 block
+    plus the engine's groups once per primitive weight of the box.  Returns
+    (total, dlog, k_used, V_used), k_used None at N = 1 as there, and raises
+    NotStabilized as the engine does, from the image chain first and then
+    from the tail test."""
+    d = X.d
+    n = len(primitive_weights(d, X.p, M))
+    total, dlog = _weight0(X, i, r)
+    if not n:
+        return total, dlog, {} if X.N > 1 else None, 0
+    e1 = (1,) + (0,) * (d - 1)
+    blocks = _window_blocks(X, i, e1)
+    contrib, k_used = _orbit_contribution(X, e1, i, r, V, blocks=blocks)
+    if not _q_tail_vanishes(X, r, V, blocks):
+        raise NotStabilized("orbit windows did not certify at V = %d" % V)
+    for t, g in contrib.items():
+        total[t] = total[t] + n * g
+    return total, dlog, k_used if X.N > 1 else None, V + 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from itertools import product
 from math import comb
 
 import pytest
@@ -22,6 +23,7 @@ from oracles import (
     cohomology_mod,
     negative_twist_series_by_blocks,
     orbit_contribution_from_scratch,
+    orbit_sum_by_the_d_window,
     phi_block,
     primitive_weights,
     window_n_then_x,
@@ -33,12 +35,14 @@ from oracles import (
 
 
 def test_charp_weight0_anchor():
-    # H^0(Z/p^r(0)) = Z/p^r (constants); orbit parts contribute nothing to H^0
+    # H^0(Z/p^r(0)) = Z/p^r (constants); orbit parts contribute nothing to H^0,
+    # by the engine too; charp runs no window, so it reports no widening
     for p, r in ((2, 1), (3, 2)):
         res = syntomic_q(p, 1, 0, r, N=1, M=4)
         assert res.groups[0] == PGroup(p, (r,))
-        _, k_used = _orbit_contribution(build_qtorus(p, 1, 1), (1,), 0, r, r + 1)
-        assert res.certificates["stabilized"] == k_used
+        groups, _ = _orbit_contribution(build_qtorus(p, 1, 1), (1,), 0, r, r + 1)
+        assert groups[0] == PGroup.zero(p)
+        assert "stabilized" not in res.certificates
 
 
 def test_charp_i0_r1_artin_schreier_h1():
@@ -172,29 +176,36 @@ def test_q_orbit_windows_agree_with_e1(p, d, r, N, M):
     (p, d, M) for p in (2, 3, 5) for d in (1, 2, 3) for M in range(5)])
 def test_orbit_sum_adds_e1_once_per_primitive_weight(monkeypatch, p, d, M):
     # the closed form n = (2M+1)^d - (2 floor(M/p) + 1)^d against the
-    # enumeration: with e_1 contributing one Z/p in degree 0, the orbit sum
-    # holds n more copies than the weight-0 block; M = 0 builds no window
+    # enumeration.  charp at i = 0: the orbit of e_1 is one Z/p in degree 1
+    # (the summand t2 = 0), so the orbit sum holds n more copies than the
+    # weight-0 block there.  q at i = 0, with the engine made to give one Z/p
+    # in degree 0: n more copies in degree 0.  M = 0 builds no window
+    n = len(primitive_weights(d, p, M))
+    X = build_qtorus(p, d, 1)
+    total, _, k_used, V_used = syntomic._orbit_sum(X, 0, 1, M, 1)
+    assert total[1] == _weight0_groups(X, 0, 1)[1] + n * PGroup(p, (1,))
+    assert (k_used, V_used) == (None, 2 if M else 0)
     monkeypatch.setattr(syntomic, "_orbit_contribution",
                         lambda X, m0, i, r, V, blocks=None: ({0: PGroup(p, (1,))}, {0: 0}))
-    X = build_qtorus(p, d, 1)
-    n = len(primitive_weights(d, p, M))
+    X = build_qtorus(p, d, 2)
     total, _, k_used, V_used = syntomic._orbit_sum(X, 0, 1, M, 1)
     assert total[0] == _weight0_groups(X, 0, 1)[0] + n * PGroup(p, (1,))
     assert (k_used, V_used) == (({0: 0}, 2) if M else ({}, 0))
 
 
 def test_one_orbit_window_at_the_frontier(monkeypatch):
-    # -p2 -d2 -N4 -M2 has 16 primitive weights and builds one orbit window
+    # -p2 -d2 -i1 -N4 -M2 has 16 primitive weights and builds one orbit
+    # window per Künneth summand: the 1-torus at the twists 1 and 0
     calls = []
     contribution = syntomic._orbit_contribution
 
     def counted(X, m0, i, r, V, blocks=None):
-        calls.append(m0)
+        calls.append((X.d, m0, i))
         return contribution(X, m0, i, r, V, blocks=blocks)
 
     monkeypatch.setattr(syntomic, "_orbit_contribution", counted)
     syntomic_q(2, 2, 1, 2, N=4, M=2)
-    assert calls == [(1, 0)]
+    assert calls == [(1, (1,), 1), (1, (1,), 0)]
 
 
 # every p and N <= 3 at d <= 2, where p = 2, N = 3, r = 3 does not stabilise
@@ -219,6 +230,55 @@ def test_orbit_contribution_matches_the_window_oracle(p, d, N):
                     except NotStabilized as ex:
                         answers.append(str(ex))
                 assert answers[0] == answers[1], (i, r, V)
+
+
+def _orbit_sum_or_raise(orbit_sum, X, i, r, M, V):
+    try:
+        return orbit_sum(X, i, r, M, V)
+    except NotStabilized as ex:
+        return [str(ex), ex.degrees]
+
+
+# charp: 1,620 configs, every p, d <= 3, i in 0..d+1, r <= 3, M <= 2 and
+# V in 0..r+2, of which 216 raise at the tail test
+@pytest.mark.parametrize("p, d", [(p, d) for p in (2, 3, 5) for d in (1, 2, 3)])
+def test_charp_read_off_matches_the_d_dimensional_window(p, d):
+    # the Künneth sum of the d = 1 lemma against the engine on the window of
+    # e_1 on the d-torus: groups, dlog, V_used, and NotStabilized with its
+    # message exactly when the box has a primitive weight and V + 1 < r
+    X = build_qtorus(p, d, 1)
+    for i, r, M in product(range(d + 2), (1, 2, 3), (0, 1, 2)):
+        for V in range(r + 3):
+            got = _orbit_sum_or_raise(syntomic._orbit_sum, X, i, r, M, V)
+            assert got == _orbit_sum_or_raise(orbit_sum_by_the_d_window, X, i, r, M, V), \
+                (i, r, M, V)
+            assert isinstance(got, list) is (M > 0 and V + 1 < r), (i, r, M, V)
+
+
+# q: every i in 0..d+1, r <= 3 and V in {r - 1, r + 1}; at p = 2, N = 3 some
+# summands raise from the image chain, and at V = r - 1 some from the tail
+@pytest.mark.parametrize("p, d, N", [
+    (p, d, N) for p in (2, 3) for d in (2, 3) for N in (2, 3)])
+def test_q_kunneth_sum_matches_the_d_dimensional_window(p, d, N):
+    # groups, dlog, the widenings k_used (the largest over the summands),
+    # V_used, and NotStabilized with its message and degrees
+    X = build_qtorus(p, d, N)
+    for i, r in product(range(d + 2), (1, 2, 3)):
+        for V in (r - 1, r + 1):
+            assert (_orbit_sum_or_raise(syntomic._orbit_sum, X, i, r, 1, V)
+                    == _orbit_sum_or_raise(orbit_sum_by_the_d_window, X, i, r, 1, V)), (i, r, V)
+
+
+def test_charp_orbit_lemma_matches_the_d1_engine():
+    # the orbit of e_1 on the 1-torus at N = 1: Z/p^r in degree 1 at twist
+    # 0 and 0 at every other twist, read off; the engine certifies the same
+    # groups at every window tried
+    for p, r, j in product((2, 3, 5, 7), (1, 2, 3, 4), (0, 1, 2, 3)):
+        X = build_qtorus(p, 1, 1)
+        for V in (r - 1, r + 1, r + 3):
+            groups, _ = _orbit_contribution(X, (1,), j, r, V)
+            nonzero = {t: g for t, g in groups.items() if g != PGroup.zero(p)}
+            assert nonzero == syntomic._charp_orbit(p, j, r), (p, r, j, V)
 
 
 @pytest.mark.parametrize("p, d, N", [(2, 1, 1), (3, 2, 2), (2, 3, 1), (5, 2, 3)])
@@ -298,6 +358,7 @@ def test_dlog_flags_read_false_on_a_corrupted_model(monkeypatch, p, d, i, r, N):
 
 
 def test_widening_window_checks_that_boundaries_are_cocycles(monkeypatch):
+    # q at N = 2 (charp runs no window): in the Künneth summand at twist i,
     # the first widening appends step group s = V + 1; its rows of d_1 get a
     # unit added at column 0, in the row that the least valuation entry b_c
     # of a new boundary row b of degree 1 reaches: b*d_1 = b_c e_0 is
@@ -323,14 +384,14 @@ def test_widening_window_checks_that_boundaries_are_cocycles(monkeypatch):
 
     monkeypatch.setattr(syntomic, "_tail_rows", corrupt)
     with pytest.raises(CompositeNonzero):
-        syntomic_q(p, d, i, r, N=1, M=1, V=V)
+        syntomic_q(p, d, i, r, N=2, M=1, V=V)
     assert corrupted == [V + 1]
 
 
 def _count_window_work(monkeypatch):
-    """eliminate_mod calls, and the window V of every preimage_mod that
-    presents the cocycles of an orbit window"""
-    calls, cocycle_windows, window, inside = [], [], [None], [False]
+    """eliminate_mod calls, the window V of every preimage_mod that presents
+    the cocycles of an orbit window, and the V of every assembled window"""
+    calls, cocycle_windows, window, inside, assembled = [], [], [None], [False], []
     eliminate, preimage = linalg.eliminate_mod, linalg.preimage_mod
     assemble, cocycles = syntomic._assemble_window, syntomic.cocycles_boundaries_mod
 
@@ -345,6 +406,7 @@ def _count_window_work(monkeypatch):
 
     def recorded_assemble(X, i, V, *args):
         window[0] = V
+        assembled.append(V)
         return assemble(X, i, V, *args)
 
     def recorded_cocycles(*args):
@@ -359,25 +421,50 @@ def _count_window_work(monkeypatch):
     monkeypatch.setattr(linalg, "preimage_mod", counted_preimage)
     monkeypatch.setattr(syntomic, "cocycles_boundaries_mod", recorded_cocycles)
     monkeypatch.setattr(syntomic, "_assemble_window", recorded_assemble)
-    return calls, cocycle_windows
+    return calls, cocycle_windows, assembled
 
 
 @pytest.mark.parametrize("config,most", [
-    # eliminate_mod calls here; when each widening window was presented by
-    # its boundaries from scratch, and its images compared by exponents: 30,
-    # 24 and 32; when every widening window was presented with cocycles too:
-    # 38, 30 and 41
+    # eliminate_mod calls here, the d + 1 of the weight-0 block included.
+    # q at d = 1: when each widening window was presented by its boundaries
+    # from scratch, and its images compared by exponents, 30; when every
+    # widening window was presented with cocycles too, 38
     ({"model": "q", "p": 2, "d": 1, "i": 1, "r": 2, "N": 3, "M": 1}, 26),
-    ({"model": "charp", "p": 3, "d": 2, "i": 1, "r": 2, "M": 3}, 18),
-    ({"model": "q", "p": 3, "d": 2, "i": 1, "r": 2, "N": 3, "M": 1}, 26),
+    # charp reads its orbit off the lemma: the weight-0 block alone, d + 1
+    # (18 when it ran the d = 2 window)
+    ({"model": "charp", "p": 3, "d": 2, "i": 1, "r": 2, "M": 3}, 3),
+    # q at d = 2: 3 + 22 + 10, the weight-0 block and the d = 1 summands at
+    # the twists 1 and 0 (26 with the d = 2 window, which took longer)
+    ({"model": "q", "p": 3, "d": 2, "i": 1, "r": 2, "N": 3, "M": 1}, 35),
 ])
 def test_window_elimination_count(monkeypatch, config, most):
     # of the orbit windows, only W_V (V = r + 1) is presented with cocycles;
-    # each widening eliminates carried pivot rows and the new step's rows
-    calls, cocycle_windows = _count_window_work(monkeypatch)
+    # each widening eliminates carried pivot rows and the new step's rows.
+    # charp assembles no window and eliminates only in the weight-0 block
+    calls, cocycle_windows, assembled = _count_window_work(monkeypatch)
     cli.run_command("syntomic", cli.RunConfig(**config))
+    if config["model"] == "charp":
+        assert len(calls) == config["d"] + 1 == most
+        assert assembled == cocycle_windows == []
+        return
     assert 0 < len(calls) <= most
-    assert set(cocycle_windows) == {config["r"] + 1}
+    assert set(cocycle_windows) == set(assembled) == {config["r"] + 1}
+
+
+def test_q_elimination_count_is_the_sum_over_the_d1_summands(monkeypatch):
+    # the q run at d = 2 eliminates d + 1 times in the weight-0 block and
+    # then exactly as the d = 1 engine run alone at the twists i and i - 1
+    p, d, i, r, N = 3, 2, 1, 2, 3
+    calls, _, _ = _count_window_work(monkeypatch)
+    per_summand = []
+    for j in (i, i - 1):
+        calls.clear()
+        _orbit_contribution(build_qtorus(p, 1, N), (1,), j, r, r + 1)
+        per_summand.append(len(calls))
+    calls.clear()
+    syntomic_q(p, d, i, r, N=N, M=1)
+    assert per_summand == [22, 10]
+    assert len(calls) == d + 1 + sum(per_summand)
 
 
 def test_charp_negative_twist_series_certificate():
@@ -393,8 +480,9 @@ def test_charp_box_radius_0_is_weight0(p, d, i, r):
     # -M 0 has no primitive weights, so no orbit class: only weight 0 remains
     res = syntomic_q(p, d, i, r, N=1, M=0)
     assert res.groups == _weight0_groups(build_qtorus(p, d, 1), i, r)
-    assert res.certificates["stabilized"] == {}
-    # no window is built, so V_used is 0, as for i < 0; M = 1 builds one
+    assert "stabilized" not in res.certificates
+    # no tail test runs, so V_used is 0, as for i < 0; at M = 1 the tail test
+    # certifies V = r + 1, though charp builds no window there either
     assert res.V_used == 0
     assert syntomic_q(p, d, i, r, N=1, M=1).V_used == r + 2
 
@@ -420,14 +508,21 @@ def test_charp_tail_test_is_class_invariant():
 @pytest.mark.parametrize("model, N", [("charp", 1), ("q", 3)])
 @pytest.mark.parametrize("p, d, i, r", [(2, 2, 1, 1), (3, 1, 0, 2), (2, 2, 2, 2)])
 def test_stabilized_is_the_widening_of_the_e1_window(model, N, p, d, i, r):
-    # per degree <= i+1, the widening k at which the stable image of the e_1
-    # window certified
+    # q: per degree <= i+1, the widening k at which the stable image of the
+    # d-dimensional e_1 window certified, which is the largest over the
+    # Künneth summands.  charp runs no window and reports no widening, and
+    # its groups are those of the d-dimensional window
     res = syntomic_q(p, d, i, r, N=N, M=2)
     assert res.model == model
+    X = build_qtorus(p, d, N)
     e1 = (1,) + (0,) * (d - 1)
-    _, k_used = _orbit_contribution(build_qtorus(p, d, N), e1, i, r, r + 1)
-    assert res.certificates["stabilized"] == k_used
+    groups, k_used = _orbit_contribution(X, e1, i, r, r + 1)
     assert sorted(k_used) == list(range(min(i + 1, d + 1) + 1))
+    if model == "charp":
+        assert "stabilized" not in res.certificates
+        assert res.groups == orbit_sum_by_the_d_window(X, i, r, 2, r + 1)[0]
+    else:
+        assert res.certificates["stabilized"] == k_used
 
 
 # ---------------------------------------------------------------------------
