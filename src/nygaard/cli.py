@@ -45,7 +45,7 @@ from .pdalg import (
     window,
 )
 from .qtorus import (
-    build_qtorus,
+    QTorusComplex,
     frobenius_chain_map_check,
     lnu_identification_check,
     q_divided_frobenius_checks,
@@ -53,7 +53,13 @@ from .qtorus import (
     specialization_check,
 )
 from .syntomic import orbit_window, syntomic_acrys, syntomic_q
-from .torus import build_torus, conjugate_check, frobenius_eta_check, weight_classes
+from .torus import (
+    TorusDeRham,
+    conjugate_check,
+    frobenius_eta_check,
+    summand_levels,
+    weight_classes,
+)
 from .witt import (
     FpSquareModel,
     QSquareModel,
@@ -242,24 +248,31 @@ def _require_nonnegative_twist(cfg):
 
 
 def cmd_derham(cfg):
+    """The checks at level i on the d-torus are the 1-torus checks at the
+    levels of `summand_levels` (the lemma in the `torus` docstring)."""
     _require_nonnegative_twist(cfg)
-    X = build_torus(cfg.p, cfg.d)
+    X = TorusDeRham(cfg.p)
+    levels = summand_levels(cfg.d, cfg.i)
+    # the levels start at i, so a level above the cap raises naming i
     payload = {
-        "conjugate_all_ok": conjugate_check(X, cfg.i, cfg.M)["all_ok"],
-        "frobenius_eta_all_ok": frobenius_eta_check(X, cfg.i, cfg.M)["all_ok"],
+        "conjugate_all_ok": all(conjugate_check(X, i, cfg.M)["all_ok"] for i in levels),
+        "frobenius_eta_all_ok": all(frobenius_eta_check(X, i, cfg.M)["all_ok"] for i in levels),
     }
     payload["all_ok"] = payload["conjugate_all_ok"] and payload["frobenius_eta_all_ok"]
     return payload
 
 
 def cmd_qderham(cfg):
+    """Every check runs at the levels 0..i or at none, so the verdict on the
+    d-torus is that of the 1-torus (the lemma in the `torus` docstring):
+    d is read for the config only."""
     _require_nonnegative_twist(cfg)
-    Xq = build_qtorus(cfg.p, cfg.d, cfg.N)
+    Xq = QTorusComplex(cfg.p, cfg.N)
     payload = {"specialization": specialization_check(Xq, M=cfg.M)}
-    # at N = 1 both sides of the chain-map check are p^{j+1} times the
-    # weight-m differential, so it could not read false there
+    # at N = 1 both sides of the chain-map check are p times the weight-m
+    # differential, so it could not read false there
     if cfg.N >= 2:
-        payload["chain_map"] = frobenius_chain_map_check(Xq, weight_classes(cfg.d, cfg.M))
+        payload["chain_map"] = frobenius_chain_map_check(Xq, weight_classes(cfg.M))
     payload["nygaard_stable"] = all(
         q_nygaard_stability_check(Xq, i, M=cfg.M) for i in range(cfg.i + 1))
     payload["divided_frobenius"] = all(

@@ -186,6 +186,7 @@ from math import comb, factorial
 
 from .errors import CompositeNonzero, TruncationTooTight, UsageError
 from .linalg import PGroup, _vp
+from .rings import power
 
 
 def _weight_chains(p, top, roots=None):
@@ -315,23 +316,11 @@ class PDAlgebra:
         return out
 
     def power(self, a, k):
-        """a^k by square and multiply, as `rings.PolyTrunc.pow`.  Regrouping
-        is sound though `mul` drops the monomials with l > W: l never drops
+        """a^k by the square and multiply of `rings.power`.  Regrouping is
+        sound though `mul` drops the monomials with l > W: l never drops
         under the binomial law (`mul_monomials`), so they span an ideal, and
         the truncated product, modulo that ideal, is associative."""
-        if not k:
-            return self.one()
-        while not k & 1:
-            a = self.mul(a, a)
-            k >>= 1
-        out = a
-        k >>= 1
-        while k:
-            a = self.mul(a, a)
-            if k & 1:
-                out = self.mul(out, a)
-            k >>= 1
-        return out
+        return power(self.mul, a, k) if k else self.one()
 
     # -- Frobenius --------------------------------------------------------
 

@@ -15,6 +15,23 @@ import operator
 from .errors import RingError
 
 
+def power(mul, a, e):
+    """a^e for e >= 1 in a ring whose product is mul, by square and
+    multiply, starting from the lowest set bit of e, so that one is never
+    multiplied in (a^2 is one product, not two)."""
+    while not e & 1:
+        a = mul(a, a)
+        e >>= 1
+    out = a
+    e >>= 1
+    while e:
+        a = mul(a, a)
+        if e & 1:
+            out = mul(out, a)
+        e >>= 1
+    return out
+
+
 class PolyTrunc:
     """Z[x]/(x^k), or Z/m[x]/(x^k) when modulus = m; elements are
     coefficient tuples of length k."""
@@ -51,21 +68,7 @@ class PolyTrunc:
         return self.reduce(out)
 
     def pow(self, a, e):
-        """a^e by square and multiply, starting from the lowest set bit of e,
-        so that one is never multiplied in (a^2 is one product, not two)."""
-        if not e:
-            return self.one
-        while not e & 1:
-            a = self.mul(a, a)
-            e >>= 1
-        out = a
-        e >>= 1
-        while e:
-            a = self.mul(a, a)
-            if e & 1:
-                out = self.mul(out, a)
-            e >>= 1
-        return out
+        return power(self.mul, a, e) if e else self.one
 
     def eq(self, a, b):
         return a == b

@@ -1,19 +1,19 @@
 """Syntomic complexes Z/p^r(i) as fibers of (divided Frobenius - can).
 
 One torus model computes them, through one entry point, `syntomic_q`: the
-q-de Rham torus `QTorusComplex` over B = Z[q]/((q-1)^N).  Nygaard
-coordinates are normalized by powers of xi, so the Nygaard-side differential
-is the normalized Koszul differential and can embeds the xi-power lattice
-rows.
+q-de Rham 1-torus `QTorusComplex` over B = Z[q]/((q-1)^N), which reaches the
+d-torus by the Künneth sums below.  Nygaard coordinates are normalized by
+powers of xi, so the Nygaard-side differential is the normalized Koszul
+differential and can embeds the xi-power lattice rows.
 
 Characteristic p is the same model at N = 1, reported as model "charp".
 There B = B/mu = Z is the crystalline prism (Z_p, (p)), the q = 1 fibre of
 the q-de Rham prism (Z_p[[q-1]], [p]_q) (Bhatt-Scholze, Prisms and
 prismatic cohomology, §16): mu = 0, xi = xi_tilde = p, and every block is
-the scalar block of the integral torus model `TorusDeRham`.  The Nygaard
-lattice in Koszul degree t is p^{max(i-t,0)} times the full term, and can is
-that scale.  So the collapse of the q-model along mu is the N = 1 model:
-Z/p^r(i) of the F_p-torus, which BMS2 §8 identifies with
+the scalar block of the integral torus model `torus.TorusDeRham`.  The
+Nygaard lattice in Koszul degree t is p^{max(i-t,0)} times the full term,
+and can is that scale.  So the collapse of the q-model along mu is the
+N = 1 model: Z/p^r(i) of the F_p-torus, which BMS2 §8 identifies with
 W_r Omega^i_log[-i].  For N >= 2 (model "q") the answer is relative to the
 truncated q-de Rham base.
 
@@ -45,7 +45,9 @@ Degrees j > i are also covered by the geometric-series invertibility of the
 twisted Frobenius.
 
 The weight-0 block has no Koszul differential: d_t = A_t = phi_i - can from
-N^t to X^t, square, so H^t = ker(A_t) + coker(A_{t-1}).
+N^t to X^t, square, so H^t = ker(A_t) + coker(A_{t-1}).  On the d-torus A_t
+is C(d, t) copies of the N x N block of the 1-torus model in degree t
+(the `torus` docstring), one elimination each.
 
 Every primitive weight has the orbit window of e_1 = (1, 0, ..., 0), at
 every N.  So `_orbit_sum` adds the groups of the orbit of e_1 once for each
@@ -105,13 +107,14 @@ an isomorphism in each Koszul degree is acyclic (filter by Koszul degree).
 The d = 1 engine certifies the degrees t1 <= min(j + 1, 2), so the sum
 covers every degree t <= i + 1.
 
-One engine run per twist i - t2 >= 0 replaces the d-dimensional window,
-whose ranks grow like 2^d.  The d-dimensional engine certifies degree t at
-the first widening where every summand's order is stable at once;
+One engine run per twist i - t2 >= 0, on the 1-torus, replaces the window
+of the d-torus, whose ranks grow like 2^d; the engine takes no weight, as it
+runs at e_1 = 1 only.  An engine on the d-torus window would certify degree
+t at the first widening where every summand's order is stable at once;
 `_orbit_sum` reports the largest of the summands' own widenings.  The two
 agree when a summand's order stays stable once it is; this is checked
-against the d-dimensional window, not proved.  A degree t1 that a summand
-could not certify is reported as degree t1 + t2.
+against the d-dimensional window of `tests/oracles.py`, not proved.  A
+degree t1 that a summand could not certify is reported as degree t1 + t2.
 
 The d = 1 orbit in characteristic p: at N = 1, G_1(0) = Z/p^r and every
 other G_t(j) is 0.  Proof.  At d = 1 and N = 1 every block is 1 x 1.  At
@@ -169,7 +172,7 @@ from .linalg import (  # noqa: F401 (the tracer self-test in bench/tests reaches
     quotient_exponents_mod,
 )
 from .pdalg import fiber_group, negative_twist_series, window
-from .qtorus import build_qtorus
+from .qtorus import QTorusComplex
 
 
 class SyntomicResult:
@@ -201,21 +204,21 @@ class SyntomicResult:
 # the torus pipeline: windows, orbits, the entry point
 
 
-def _window_blocks(X, i, m0, koszul=None):
-    """The blocks of the windows of the orbit of m0, each fetched once and
-    read by every window of the orbit: blocks("phi", 0, t) and
-    blocks("can", 0, t) are phi_i and can in Koszul degree t,
-    blocks("X", s, t) is the Koszul differential t -> t+1 at the weight
-    p^s m0, and blocks("N", s, t) its Nygaard-normalized form.  The "X"
+def _window_blocks(X, i, koszul=None):
+    """The blocks of the windows of the orbit of e_1 = 1 on the 1-torus X,
+    each fetched once and read by every window of the orbit:
+    blocks("phi", 0, t) and blocks("can", 0, t) are phi_i and can in Koszul
+    degree t, blocks("X", s, 0) is the Koszul differential 0 -> 1 at the
+    weight p^s, and blocks("N", s, 0) its Nygaard-normalized form.  The "X"
     blocks do not depend on i and are kept in koszul, which the windows of
-    several twists of one orbit may share."""
+    several twists may share."""
     memo = {}
     koszul = {} if koszul is None else koszul
     fetch = {
         "phi": lambda s, t: X.divided_frobenius_matrix(i, t),
         "can": lambda s, t: X.nygaard_lattice_rows(i, t),
-        "X": lambda s, t: X.diff_matrix(tuple(X.p**s * a for a in m0), t),
-        "N": lambda s, t: X.normalize_diff(i, t, blocks("X", s, t)),
+        "X": lambda s, t: X.diff_matrix(X.p**s),
+        "N": lambda s, t: X.normalize_diff(i, blocks("X", s, t)),
     }
 
     def blocks(kind, s, t):
@@ -239,17 +242,18 @@ def _tail_rows(blocks, rk, t, s):
     return rows
 
 
-def _assemble_window(X, i, V, m0, blocks=None, top=None):
-    """Total complex of fib(phi_i - can) on the window W_V of the orbit of m0.
+def _assemble_window(X, i, V, blocks=None, top=None):
+    """Total complex of fib(phi_i - can) on the window W_V of the orbit of
+    e_1 on the 1-torus X.
 
-    Degrees t = 0..top, top = d+1 unless given, with the differentials out of
+    Degrees t = 0..top, top = 2 unless given, with the differentials out of
     the degrees below top, in the step order of the module docstring.
     blocks is the orbit's `_window_blocks`, made here when not given.
     Returns (ranks, diffs, basis_info) with basis_info[t] listing labels
     ("N", s, k) and ("X", s, k)."""
-    top = X.d + 1 if top is None else top
-    rk = {j: X.exp_rank(j) for j in range(-1, X.d + 2)}
-    blocks = blocks or _window_blocks(X, i, m0)
+    top = 2 if top is None else top
+    rk = {j: X.rank(j) for j in range(-1, 3)}
+    blocks = blocks or _window_blocks(X, i)
     basis_info = {
         t: [("X", 0, k) for k in range(rk[t - 1])]
         + [(side, s + (side == "X"), k) for s in range(V + 1)
@@ -267,20 +271,21 @@ def _assemble_window(X, i, V, m0, blocks=None, top=None):
     return ranks, diffs, basis_info
 
 
-def _orbit_contribution(X, m0, i, r, V, blocks=None):
-    """Certified per-degree groups of the orbit of m0 in degrees <= i+1: the
-    stable image of H(W_V), certified at the first k >= 2 with
-    |I_k| = |I_{k-1}| (module docstring), and per degree that k (0 when
-    H^t(W_V) has no cocycles).  Raises NotStabilized after four widenings.
+def _orbit_contribution(X, i, r, V, blocks=None):
+    """Certified per-degree groups of the orbit of e_1 on the 1-torus X in
+    degrees <= i+1: the stable image of H(W_V), certified at the first
+    k >= 2 with |I_k| = |I_{k-1}| (module docstring), and per degree that k
+    (0 when H^t(W_V) has no cocycles).  Raises NotStabilized after four
+    widenings.
 
-    W_V is presented up to degree min(i+2, d+1), which the cocycles of degree
+    W_V is presented up to degree min(i+2, 2), which the cocycles of degree
     i+1 need.  blocks is the orbit's `_window_blocks`, made here when not
     given."""
     p, q = X.p, X.p**r
-    blocks = blocks or _window_blocks(X, i, m0)
-    top = min(i + 2, X.d + 1)
-    rk = {j: X.exp_rank(j) for j in range(-1, X.d + 2)}
-    ranks, diffs, _ = _assemble_window(X, i, V, m0, blocks, top)
+    blocks = blocks or _window_blocks(X, i)
+    top = min(i + 2, 2)
+    rk = {j: X.rank(j) for j in range(-1, 3)}
+    ranks, diffs, _ = _assemble_window(X, i, V, blocks, top)
     pres = cocycles_boundaries_mod(ranks, diffs, p, r)
     out, k_used, prev, pending = {}, {}, {}, []
     for t in range(min(top, i + 1) + 1):
@@ -324,23 +329,27 @@ def _orbit_contribution(X, m0, i, r, V, blocks=None):
     return out, k_used
 
 
-def _weight0(X, i, r):
-    """The groups of the weight-0 block and its dlog flags.
+def _weight0(X, d, i, r):
+    """The groups of the weight-0 block of the d-torus and its dlog flags.
 
-    ker(A_j) and coker(A_j) are both a Z/p^v per pivot v > 0 of A_j and a
-    Z/p^r per missing rank.  The dlog class is e_0 in N^i, the constant
-    coefficient of dlog T_1 ^ ... ^ dlog T_i: present when the cocycles
-    ker(A_i) + X^{i-1} are nonzero, as for every i >= 1; a cocycle iff row 0
-    of A_i is 0 mod p^r.  It is nonzero in H^i whenever present, since the
-    boundaries, the image of A_{i-1}, lie in X^{i-1}: nonzero_in_H holds by
-    this proof, not by a computation."""
-    p, d = X.p, X.d
+    In Koszul degree j, A_j = phi_i - can is C(d, j) copies of the N x N
+    block of X in degree j (the `torus` docstring), so ker(A_j) and
+    coker(A_j) are C(d, j) copies of a Z/p^v per pivot v > 0 of that block
+    and a Z/p^r per missing rank.  The dlog class is e_0 in N^i, the
+    constant coefficient of dlog T_1 ^ ... ^ dlog T_i: present when the
+    cocycles ker(A_i) + X^{i-1} are nonzero, as for every i >= 1; a cocycle
+    iff row 0 of A_i is 0 mod p^r.  It is nonzero in H^i whenever present,
+    since the boundaries, the image of A_{i-1}, lie in X^{i-1}: nonzero_in_H
+    holds by this proof, not by a computation.  phi_fixed: phi_i fixes the
+    constant coefficient of every dlog T_I of degree i, which is row 0 of
+    the block of phi_i in degree i."""
+    p = X.p
     exps, A = {}, {}
     for j in range(d + 1):
         A[j] = [[f - c for f, c in zip(fr, cr)] for fr, cr in
                 zip(X.divided_frobenius_matrix(i, j), X.nygaard_lattice_rows(i, j))]
         vals, _ = eliminate_mod(A[j], p, r)
-        exps[j] = [v for v in vals if v] + [r] * (len(A[j]) - len(vals))
+        exps[j] = comb(d, j) * ([v for v in vals if v] + [r] * (len(A[j]) - len(vals)))
     groups = {t: PGroup(p, tuple(sorted(exps.get(t, []) + exps.get(t - 1, []), reverse=True)))
               for t in range(d + 2)}
     if not 0 <= i <= d or not (i or exps[0]):
@@ -348,7 +357,7 @@ def _weight0(X, i, r):
     return groups, {"degree": i, "present": True,
                     "cocycle": not any(a % p**r for a in A[i][0]),
                     "nonzero_in_H": True,
-                    "phi_fixed": _q_dlog_fixed(X.divided_frobenius_matrix(i, i), X.N)}
+                    "phi_fixed": X.divided_frobenius_matrix(i, i)[0] == identity(X.N)[0]}
 
 
 def _charp_orbit(p, j, r):
@@ -358,9 +367,9 @@ def _charp_orbit(p, j, r):
     return {1: PGroup(p, (r,))} if j == 0 else {}
 
 
-def _orbit_sum(X, i, r, M, V):
-    """fib(phi_i - can) summed over the primitive orbits of the weight box of
-    radius M, plus the weight-0 block.
+def _orbit_sum(X, d, i, r, M, V):
+    """fib(phi_i - can) on the d-torus summed over the primitive orbits of
+    the weight box of radius M, plus the weight-0 block; X is the 1-torus.
 
     The orbit of e_1 is added once for each of the n primitive weights of
     the box, and it is the Künneth sum of orbits of e_1 on the 1-torus at
@@ -372,13 +381,12 @@ def _orbit_sum(X, i, r, M, V):
     primitive weight k_used is {} (None at N = 1) and V_used is 0.  Raises
     NotStabilized when a summand does not stabilise, or when the tail test
     fails at e_1."""
-    p, d = X.p, X.d
+    p = X.p
     n = (2 * M + 1) ** d - (2 * (M // p) + 1) ** d
-    total, dlog = _weight0(X, i, r)
+    total, dlog = _weight0(X, d, i, r)
     k_used = {} if X.N > 1 else None
     if not n:
         return total, dlog, k_used, 0
-    X1 = X if d == 1 else build_qtorus(p, 1, X.N)
     koszul, pending = {}, []
     # the summand of dlog T_J, |J| = t2, at twist i - t2; those with
     # negative twist vanish.  Degrees <= i+1 are certified by the stable
@@ -386,12 +394,12 @@ def _orbit_sum(X, i, r, M, V):
     # degrees > i), where the twisted Frobenius minus one is invertible by
     # a terminating series, so the orbit contributes nothing there
     for t2 in range(min(d - 1, i) + 1):
-        blocks = _window_blocks(X1, i - t2, (1,), koszul)
+        blocks = _window_blocks(X, i - t2, koszul)
         if k_used is None:
             contrib = _charp_orbit(p, i - t2, r)
         else:
             try:
-                contrib, k = _orbit_contribution(X1, (1,), i - t2, r, V, blocks=blocks)
+                contrib, k = _orbit_contribution(X, i - t2, r, V, blocks=blocks)
             except NotStabilized as ex:
                 pending += [t + t2 for t in ex.degrees]
                 continue
@@ -403,16 +411,16 @@ def _orbit_sum(X, i, r, M, V):
         pending = sorted(set(pending))
         raise NotStabilized("image chain did not stabilize in degrees %s" % pending, pending)
     # the tail test reads the Koszul blocks, which every twist shares
-    if not _q_tail_vanishes(X1, r, V, blocks):
+    if not _q_tail_vanishes(X, r, V, blocks):
         raise NotStabilized("orbit windows did not certify at V = %d" % V)
     return total, dlog, k_used, V + 1
 
 
 def _q_tail_vanishes(X, r, V, blocks):
-    """All Koszul block entries at step V+1 vanish mod p^r; blocks is the
-    orbit's `_window_blocks`, whose widenings fetched most of them."""
+    """All entries of the Koszul block at step V+1 vanish mod p^r; blocks is
+    the orbit's `_window_blocks`, whose widenings fetched most of them."""
     q = X.p**r
-    return not any(a % q for t in range(X.d) for row in blocks("X", V + 1, t) for a in row)
+    return not any(a % q for row in blocks("X", V + 1, 0) for a in row)
 
 
 def _nilpotency_index(T, p, r):
@@ -431,7 +439,7 @@ def _nilpotency_index(T, p, r):
     return k
 
 
-def degree_bound_inverse_certificate(X, i, r):
+def degree_bound_inverse_certificate(X, d, i, r):
     """In Koszul degrees j > i (and j >= 0) the operator xi_tilde^{j-i} phi - 1
     is invertible: the series -(1 + A + A^2 + ...) terminates because A^k = 0
     mod (p^r, mu^N).  Returns the termination exponents; at N = 1 the least
@@ -439,14 +447,7 @@ def degree_bound_inverse_certificate(X, i, r):
     B = X.B
     phi = B.phi_matrix()
     return {j: _nilpotency_index(mat_mul(phi, B.mult_matrix(B.pow(B.xi_tilde, j - i))), X.p, r)
-            for j in range(max(i + 1, 0), X.d + 1)}
-
-
-def _q_dlog_fixed(Phi, N):
-    """Whether Phi fixes every constant dlog vector: row k*N, the constant
-    coefficient of the k-th basis vector dlog T_I, is its own unit vector."""
-    I = identity(len(Phi))
-    return all(Phi[k] == I[k] for k in range(0, len(Phi), N))
+            for j in range(max(i + 1, 0), d + 1)}
 
 
 def orbit_window(r, V=None):
@@ -462,11 +463,19 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None):
 
     N = 1 is characteristic p (model "charp"): B = Z, the crystalline prism.
     For N >= 2 (model "q") it reports the module structure of the truncated
-    model.  For i < 0 every Koszul degree j >= 0 lies in the zone j > i,
+    model.  That answer depends on the orbit window V, which the charp
+    answer does not: `syntomic --model q -p2 -d1 -i1 -r1 -N2 -M1` has 7, 9
+    and 11 cyclic factors in H^0, and 10, 12 and 14 in H^1, at V = 2, 3 and
+    4, each run certified stable at k = 2; 32 of the 48 q configs of the
+    benchmark's q-windows grid change their groups between V = r + 1 and
+    V = r + 3 (ROADMAP item 6).  For i < 0 every Koszul degree j >= 0 lies
+    in the zone j > i,
     where xi_tilde^{j-i} phi - 1 is invertible by a terminating series, so
     all groups vanish; the certificate reports the termination exponent per
     degree."""
-    X = build_qtorus(p, d, N)
+    if d < 1 or N < 1:
+        raise UsageError("the q-torus needs d >= 1 and N >= 1, got d = %d, N = %d" % (d, N))
+    X = QTorusComplex(p, N)
     if r < 1:
         raise UsageError("the syntomic complex needs r >= 1, got r = %d" % r)
     if M < 0:
@@ -476,10 +485,10 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None):
         groups = {t: PGroup.zero(p) for t in range(d + 2)}
         return SyntomicResult(
             model, p, i, r, M, 0, groups,
-            certificates={"negative_twist_series": degree_bound_inverse_certificate(X, i, r)})
+            certificates={"negative_twist_series": degree_bound_inverse_certificate(X, d, i, r)})
     V = orbit_window(r, V)
-    total, dlog, k_used, V_used = _orbit_sum(X, i, r, M, V)
-    certificates = {"degree_bound_series": degree_bound_inverse_certificate(X, i, r)}
+    total, dlog, k_used, V_used = _orbit_sum(X, d, i, r, M, V)
+    certificates = {"degree_bound_series": degree_bound_inverse_certificate(X, d, i, r)}
     if k_used is not None:
         certificates["stabilized"] = k_used
     return SyntomicResult(model, p, i, r, M, V_used, total, dlog=dlog,

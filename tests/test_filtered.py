@@ -141,15 +141,16 @@ from nygaard.cli import RunConfig
 from nygaard.complexes import Complex, FilteredComplex
 from nygaard.errors import CompositeNonzero, UsageError
 from nygaard.linalg import PGroup, cocycles_boundaries_mod, mat_mul
-from nygaard.qtorus import build_qtorus
-from nygaard.torus import build_torus
+from nygaard.qtorus import QTorusComplex
+from nygaard.syntomic import syntomic_q
 for make, exc in (
     # a window whose d*d = 2 is nonzero mod 4
     (lambda: cocycles_boundaries_mod({0: 1, 1: 1, 2: 1}, {0: [[1]], 1: [[2]]}, 2, 2),
      CompositeNonzero),
     (lambda: mat_mul([[1, 2]], [[1]]), UsageError),
-    (lambda: build_qtorus(2, 1, 0), UsageError),
-    (lambda: build_torus(2, 0), UsageError),
+    (lambda: QTorusComplex(2, 0), UsageError),
+    (lambda: syntomic_q(2, 0, 1, 1), UsageError),
+    (lambda: syntomic_q(2, 1, 1, 1, N=0), UsageError),
     (lambda: PGroup(2, (0,)), UsageError),
     (lambda: PGroup(2, (1, 2)), UsageError),
     (lambda: PGroup(2, (), -1), UsageError),

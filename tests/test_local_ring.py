@@ -29,10 +29,11 @@ from nygaard.linalg import (
     span_exponent_mod,
     zeros,
 )
-from nygaard.qtorus import build_qtorus
+from nygaard.qtorus import QTorusComplex
 from nygaard.syntomic import _assemble_window
 
 from oracles import (
+    build_qtorus,
     cocycles_boundaries_rels_mod,
     cohomology_mod,
     embed_rows,
@@ -358,6 +359,14 @@ def integer_image(K0, B1, p, r, n):
     return PGroup.from_invariants(p, invs).exponents
 
 
+def orbit_window(X, i, V, m0):
+    """The window W_V of the orbit of m0 on the d-dimensional reference model
+    X; of e_1 at d = 1, the window the package assembles on the 1-torus."""
+    if m0 == (1,):
+        return _assemble_window(QTorusComplex(X.p, X.N), i, V)
+    return window_n_then_x(X, i, V, m0)
+
+
 def check_windows(X, i, r, M, V, extra_rels=None):
     p = X.p
     ranks0, diffs0, _ = window_n_then_x(X, i, 0)
@@ -367,7 +376,7 @@ def check_windows(X, i, r, M, V, extra_rels=None):
     for m0 in primitive_weights(X.d, p, M):
         wins = []
         for k in (0, 1):
-            ranks, diffs, basis = _assemble_window(X, i, V + k, m0)
+            ranks, diffs, basis = orbit_window(X, i, V + k, m0)
             extra = extra_rels(ranks) if extra_rels else None
             got = cohomology_mod(ranks, diffs, p, r, extra)
             assert got == integer_window_groups(ranks, diffs, p, r, extra), (m0, k)
@@ -411,7 +420,7 @@ def test_q_windows_mod_mu_are_the_n1_windows(p, d, r, N):
     rels = mu_rels(Xq)
 
     def groups(X, i, V, m0, extra):
-        ranks, diffs, basis = (_assemble_window if m0 else window_n_then_x)(X, i, V, m0)
+        ranks, diffs, basis = (orbit_window if m0 else window_n_then_x)(X, i, V, m0)
         window_rels = extra(ranks) if extra else None
         return (cohomology_mod(ranks, diffs, p, r, window_rels),
                 cocycles_boundaries_rels_mod(ranks, diffs, p, r, window_rels), basis)

@@ -5,28 +5,26 @@ import pytest
 
 from nygaard import cli, linalg, pdalg, syntomic
 from nygaard.errors import CompositeNonzero, UsageError
-from nygaard.linalg import PGroup, cocycles_boundaries_mod, span_contains_mod
+import oracles
+from nygaard.linalg import PGroup, block_diag
 from nygaard.syntomic import (
     NotStabilized,
     degree_bound_inverse_certificate,
     syntomic_acrys,
     _assemble_window,
     _orbit_contribution,
-    _q_dlog_fixed,
-    _q_tail_vanishes,
-    _window_blocks,
     syntomic_q,
 )
-from nygaard.qtorus import QTorusComplex, build_qtorus
+from nygaard.qtorus import QTorusComplex
 
 from oracles import (
-    cohomology_mod,
     negative_twist_series_by_blocks,
     orbit_contribution_from_scratch,
     orbit_sum_by_the_d_window,
     phi_block,
     primitive_weights,
-    window_n_then_x,
+    weight0_from_scratch,
+    weight0_on_the_d_torus,
 )
 
 
@@ -40,7 +38,7 @@ def test_charp_weight0_anchor():
     for p, r in ((2, 1), (3, 2)):
         res = syntomic_q(p, 1, 0, r, N=1, M=4)
         assert res.groups[0] == PGroup(p, (r,))
-        groups, _ = _orbit_contribution(build_qtorus(p, 1, 1), (1,), 0, r, r + 1)
+        groups, _ = _orbit_contribution(QTorusComplex(p, 1), 0, r, r + 1)
         assert groups[0] == PGroup.zero(p)
         assert "stabilized" not in res.certificates
 
@@ -102,43 +100,48 @@ def test_charp_module_scaling_sanity():
 @pytest.mark.parametrize("p, d, N", [(2, 3, 1), (3, 3, 1), (2, 2, 3), (3, 2, 2)])
 def test_window_up_to_top_is_the_sliced_full_window(p, d, N):
     # a window built up to degree top is the full window cut at top: the
-    # degrees 0..top, with the differentials out of the degrees below top
-    X = build_qtorus(p, d, N)
+    # degrees 0..top, with the differentials out of the degrees below top;
+    # at every twist -1..d, which the summands of the d-torus run at
+    X = QTorusComplex(p, N)
     for i in range(-1, d + 1):
-        top = min(i + 2, d + 1)
-        for m0 in primitive_weights(d, p, 1):
-            for V in (0, 2):
-                ranks, diffs, basis = _assemble_window(X, i, V, m0)
-                assert _assemble_window(X, i, V, m0, top=top) == (
-                    {t: ranks[t] for t in range(top + 1)},
-                    {t: diffs[t] for t in range(top)},
-                    {t: basis[t] for t in range(top + 1)},
-                ), (i, m0, V)
+        top = min(i + 2, 2)
+        for V in (0, 2):
+            ranks, diffs, basis = _assemble_window(X, i, V)
+            assert _assemble_window(X, i, V, top=top) == (
+                {t: ranks[t] for t in range(top + 1)},
+                {t: diffs[t] for t in range(top)},
+                {t: basis[t] for t in range(top + 1)},
+            ), (i, V)
 
 
-def _weight0_groups(X, i, r):
-    ranks, diffs, _ = window_n_then_x(X, i, 0)
-    return cohomology_mod(ranks, diffs, X.p, r)
+def _weight0_groups(p, d, N, i, r):
+    """The groups of the weight-0 block of the d-dimensional reference model,
+    presented from scratch."""
+    return weight0_from_scratch(oracles.build_qtorus(p, d, N), i, r)[0]
 
 
 def _orbit_and_tail(X, m0, i, r, V):
-    # the groups and the tail verdict of m0, both read from m0's own blocks
-    blocks = _window_blocks(X, i, m0)
-    return _orbit_contribution(X, m0, i, r, V, blocks=blocks), _q_tail_vanishes(X, r, V, blocks)
+    # the groups and the tail verdict of m0 on the d-dimensional reference
+    # model, its window presented from scratch
+    q = X.p**r
+    tail = (X.diff_matrix(tuple(X.p ** (V + 1) * a for a in m0), t) for t in range(X.d))
+    return (orbit_contribution_from_scratch(X, m0, i, r, V),
+            not any(a % q for D in tail for row in D for a in row))
 
 
 def _check_orbit_windows_agree_with_e1(p, d, r, N, M):
     # the GL_d(Z[q^{+-1}]) symmetry of the module docstring, checked weight by
-    # weight: every primitive orbit has the groups, stabilisation depth and
-    # tail verdict of e_1, at the default V and at V = r - 1, and the answer
-    # is the weight-0 groups plus the sum over the primitive weights
-    X = build_qtorus(p, d, N)
+    # weight on the d-dimensional reference model: every primitive orbit has
+    # the groups, stabilisation depth and tail verdict of e_1, at the default
+    # V and at V = r - 1, and the answer is the weight-0 groups plus the sum
+    # over the primitive weights
+    X = oracles.build_qtorus(p, d, N)
     e1 = (1,) + (0,) * (d - 1)
     weights = primitive_weights(d, p, M)
     for i in range(d + 1):
         for V in (r + 1, r - 1):
             ref = _orbit_and_tail(X, e1, i, r, V)
-            total = _weight0_groups(X, i, r)
+            total = _weight0_groups(p, d, N, i, r)
             for m0 in weights:
                 got = _orbit_and_tail(X, m0, i, r, V)
                 assert got == ref, (m0, i, V)
@@ -181,15 +184,13 @@ def test_orbit_sum_adds_e1_once_per_primitive_weight(monkeypatch, p, d, M):
     # weight-0 block there.  q at i = 0, with the engine made to give one Z/p
     # in degree 0: n more copies in degree 0.  M = 0 builds no window
     n = len(primitive_weights(d, p, M))
-    X = build_qtorus(p, d, 1)
-    total, _, k_used, V_used = syntomic._orbit_sum(X, 0, 1, M, 1)
-    assert total[1] == _weight0_groups(X, 0, 1)[1] + n * PGroup(p, (1,))
+    total, _, k_used, V_used = syntomic._orbit_sum(QTorusComplex(p, 1), d, 0, 1, M, 1)
+    assert total[1] == _weight0_groups(p, d, 1, 0, 1)[1] + n * PGroup(p, (1,))
     assert (k_used, V_used) == (None, 2 if M else 0)
     monkeypatch.setattr(syntomic, "_orbit_contribution",
-                        lambda X, m0, i, r, V, blocks=None: ({0: PGroup(p, (1,))}, {0: 0}))
-    X = build_qtorus(p, d, 2)
-    total, _, k_used, V_used = syntomic._orbit_sum(X, 0, 1, M, 1)
-    assert total[0] == _weight0_groups(X, 0, 1)[0] + n * PGroup(p, (1,))
+                        lambda X, i, r, V, blocks=None: ({0: PGroup(p, (1,))}, {0: 0}))
+    total, _, k_used, V_used = syntomic._orbit_sum(QTorusComplex(p, 2), d, 0, 1, M, 1)
+    assert total[0] == _weight0_groups(p, d, 2, 0, 1)[0] + n * PGroup(p, (1,))
     assert (k_used, V_used) == (({0: 0}, 2) if M else ({}, 0))
 
 
@@ -199,13 +200,13 @@ def test_one_orbit_window_at_the_frontier(monkeypatch):
     calls = []
     contribution = syntomic._orbit_contribution
 
-    def counted(X, m0, i, r, V, blocks=None):
-        calls.append((X.d, m0, i))
-        return contribution(X, m0, i, r, V, blocks=blocks)
+    def counted(X, i, r, V, blocks=None):
+        calls.append(i)
+        return contribution(X, i, r, V, blocks=blocks)
 
     monkeypatch.setattr(syntomic, "_orbit_contribution", counted)
     syntomic_q(2, 2, 1, 2, N=4, M=2)
-    assert calls == [(1, (1,), 1), (1, (1,), 0)]
+    assert calls == [1, 0]
 
 
 # every p and N <= 3 at d <= 2, where p = 2, N = 3, r = 3 does not stabilise
@@ -215,26 +216,28 @@ def test_one_orbit_window_at_the_frontier(monkeypatch):
     *((p, 3, 1) for p in (2, 3, 5)), (2, 3, 2),
 ])
 def test_orbit_contribution_matches_the_window_oracle(p, d, N):
-    # the windows grown one step group at a time and certified by orders give
-    # the groups, widenings and NotStabilized degrees of the windows built
-    # from scratch in the N-then-X order and compared by exponents
-    X = build_qtorus(p, d, N)
-    e1 = (1,) + (0,) * (d - 1)
+    # the windows of the 1-torus grown one step group at a time and certified
+    # by orders give the groups, widenings and NotStabilized degrees of the
+    # windows of the reference model at d = 1 built from scratch in the
+    # N-then-X order and compared by exponents, at the twists 0..d, which
+    # the summands of the d-torus run at
+    X, X1 = QTorusComplex(p, N), oracles.build_qtorus(p, 1, N)
     for i in range(d + 1):
         for r in (1, 2, 3):
             for V in (r - 1, r + 1):
                 answers = []
-                for contribution in (_orbit_contribution, orbit_contribution_from_scratch):
+                for contribution in (lambda: _orbit_contribution(X, i, r, V),
+                                     lambda: orbit_contribution_from_scratch(X1, (1,), i, r, V)):
                     try:
-                        answers.append(contribution(X, e1, i, r, V))
+                        answers.append(contribution())
                     except NotStabilized as ex:
-                        answers.append(str(ex))
+                        answers.append([str(ex), ex.degrees])
                 assert answers[0] == answers[1], (i, r, V)
 
 
-def _orbit_sum_or_raise(orbit_sum, X, i, r, M, V):
+def _orbit_sum_or_raise(orbit_sum, *args):
     try:
-        return orbit_sum(X, i, r, M, V)
+        return orbit_sum(*args)
     except NotStabilized as ex:
         return [str(ex), ex.degrees]
 
@@ -243,14 +246,15 @@ def _orbit_sum_or_raise(orbit_sum, X, i, r, M, V):
 # V in 0..r+2, of which 216 raise at the tail test
 @pytest.mark.parametrize("p, d", [(p, d) for p in (2, 3, 5) for d in (1, 2, 3)])
 def test_charp_read_off_matches_the_d_dimensional_window(p, d):
-    # the Künneth sum of the d = 1 lemma against the engine on the window of
-    # e_1 on the d-torus: groups, dlog, V_used, and NotStabilized with its
-    # message exactly when the box has a primitive weight and V + 1 < r
-    X = build_qtorus(p, d, 1)
+    # the Künneth sum of the d = 1 lemma against the window of e_1 on the
+    # d-dimensional reference model, presented from scratch: groups, dlog,
+    # V_used, and NotStabilized with its message exactly when the box has a
+    # primitive weight and V + 1 < r
+    X, Xd = QTorusComplex(p, 1), oracles.build_qtorus(p, d, 1)
     for i, r, M in product(range(d + 2), (1, 2, 3), (0, 1, 2)):
         for V in range(r + 3):
-            got = _orbit_sum_or_raise(syntomic._orbit_sum, X, i, r, M, V)
-            assert got == _orbit_sum_or_raise(orbit_sum_by_the_d_window, X, i, r, M, V), \
+            got = _orbit_sum_or_raise(syntomic._orbit_sum, X, d, i, r, M, V)
+            assert got == _orbit_sum_or_raise(orbit_sum_by_the_d_window, Xd, i, r, M, V), \
                 (i, r, M, V)
             assert isinstance(got, list) is (M > 0 and V + 1 < r), (i, r, M, V)
 
@@ -262,11 +266,11 @@ def test_charp_read_off_matches_the_d_dimensional_window(p, d):
 def test_q_kunneth_sum_matches_the_d_dimensional_window(p, d, N):
     # groups, dlog, the widenings k_used (the largest over the summands),
     # V_used, and NotStabilized with its message and degrees
-    X = build_qtorus(p, d, N)
+    X, Xd = QTorusComplex(p, N), oracles.build_qtorus(p, d, N)
     for i, r in product(range(d + 2), (1, 2, 3)):
         for V in (r - 1, r + 1):
-            assert (_orbit_sum_or_raise(syntomic._orbit_sum, X, i, r, 1, V)
-                    == _orbit_sum_or_raise(orbit_sum_by_the_d_window, X, i, r, 1, V)), (i, r, V)
+            assert (_orbit_sum_or_raise(syntomic._orbit_sum, X, d, i, r, 1, V)
+                    == _orbit_sum_or_raise(orbit_sum_by_the_d_window, Xd, i, r, 1, V)), (i, r, V)
 
 
 def test_charp_orbit_lemma_matches_the_d1_engine():
@@ -274,9 +278,9 @@ def test_charp_orbit_lemma_matches_the_d1_engine():
     # 0 and 0 at every other twist, read off; the engine certifies the same
     # groups at every window tried
     for p, r, j in product((2, 3, 5, 7), (1, 2, 3, 4), (0, 1, 2, 3)):
-        X = build_qtorus(p, 1, 1)
+        X = QTorusComplex(p, 1)
         for V in (r - 1, r + 1, r + 3):
-            groups, _ = _orbit_contribution(X, (1,), j, r, V)
+            groups, _ = _orbit_contribution(X, j, r, V)
             nonzero = {t: g for t, g in groups.items() if g != PGroup.zero(p)}
             assert nonzero == syntomic._charp_orbit(p, j, r), (p, r, j, V)
 
@@ -285,13 +289,13 @@ def test_charp_orbit_lemma_matches_the_d1_engine():
 def test_window_is_the_top_left_block_of_the_next(p, d, N):
     # in the step order W_K is a prefix of W_{K+1} and a subcomplex of it: the
     # basis of W_K starts that of W_{K+1}, d_t of W_K is the top-left block
-    # of d_t of W_{K+1}, and its rows are zero in the new columns
-    X = build_qtorus(p, d, N)
-    e1 = (1,) + (0,) * (d - 1)
+    # of d_t of W_{K+1}, and its rows are zero in the new columns; at every
+    # twist -1..d+1 of the summands of the d-torus
+    X = QTorusComplex(p, N)
     for i in range(-1, d + 2):
         for K in range(3):
-            ranks, diffs, basis = _assemble_window(X, i, K, e1)
-            _, big_diffs, big_basis = _assemble_window(X, i, K + 1, e1)
+            ranks, diffs, basis = _assemble_window(X, i, K)
+            _, big_diffs, big_basis = _assemble_window(X, i, K + 1)
             for t in ranks:
                 assert big_basis[t][:ranks[t]] == basis[t], (i, K, t)
             for t, D in diffs.items():
@@ -300,33 +304,31 @@ def test_window_is_the_top_left_block_of_the_next(p, d, N):
                 assert not any(a for row in old_rows for a in row[ranks[t + 1]:]), (i, K, t)
 
 
-def _oracle_dlog(X, i, r):
-    # the dlog flags read off the presentation of the oracle's weight-0
-    # block, whose N-side degree-i basis starts at position 0
-    if not 0 <= i <= X.d:
-        return {"degree": i, "present": False}
-    ranks, diffs, _ = window_n_then_x(X, i, 0)
-    K, B = cocycles_boundaries_mod(ranks, diffs, X.p, r)[i]
-    if not K:
-        return {"degree": i, "present": False}
-    vec = [1] + [0] * (ranks[i] - 1)
-    return {"degree": i, "present": True, "cocycle": span_contains_mod(K, vec, X.p, r),
-            "nonzero_in_H": not span_contains_mod(B, vec, X.p, r),
-            "phi_fixed": _q_dlog_fixed(X.divided_frobenius_matrix(i, i), X.N)}
-
-
 @pytest.mark.parametrize("p, N", [(p, N) for p in (2, 3, 5) for N in (1, 2, 3)])
 def test_weight0_groups_and_dlog_match_the_oracle_block(p, N):
-    # H^t = ker(A_t) + coker(A_{t-1}) from one elimination per Koszul degree,
-    # against the cohomology of the oracle's weight-0 block, and the dlog
-    # flags against those read off its presentation
+    # H^t = ker(A_t) + coker(A_{t-1}) from one N x N elimination per Koszul
+    # degree, against the cohomology of the weight-0 block of the
+    # d-dimensional reference model, and the dlog flags against those read
+    # off its presentation
+    X = QTorusComplex(p, N)
     for d in (1, 2, 3):
-        X = build_qtorus(p, d, N)
+        Xd = oracles.build_qtorus(p, d, N)
         for i in range(-1, d + 3):
             for r in (1, 2, 3):
-                groups, dlog = syntomic._weight0(X, i, r)
-                assert groups == _weight0_groups(X, i, r), (d, i, r)
-                assert dlog == _oracle_dlog(X, i, r), (d, i, r)
+                assert syntomic._weight0(X, d, i, r) == weight0_from_scratch(Xd, i, r), (d, i, r)
+
+
+# 864 configs: every p <= 5, d <= 4, N <= 4, i in 0..5 and r <= 3
+@pytest.mark.parametrize("p, N", [(p, N) for p in (2, 3, 5) for N in (1, 2, 3, 4)])
+def test_weight0_blocks_match_the_d_dimensional_elimination(p, N):
+    # C(d, j) copies of one N x N block per Koszul degree j give the groups
+    # and dlog flags of the elimination of the whole d-dimensional block
+    X = QTorusComplex(p, N)
+    configs = list(product((1, 2, 3, 4), range(6), (1, 2, 3)))
+    for d, i, r in configs:
+        Xd = oracles.build_qtorus(p, d, N)
+        assert syntomic._weight0(X, d, i, r) == weight0_on_the_d_torus(Xd, i, r), (d, i, r)
+    assert len(configs) * 12 == 864
 
 
 def _corrupt_method(monkeypatch, obj, name, corrupt):
@@ -339,21 +341,21 @@ def test_dlog_flags_read_false_on_a_corrupted_model(monkeypatch, p, d, i, r, N):
     # a unit added to row 0 of phi_i in degree i makes e_0 no cocycle; a unit
     # added to row 0 of the coefficient Frobenius moves the constant dlog
     # vectors, so phi_i no longer fixes them
-    assert syntomic._weight0(build_qtorus(p, d, N), i, r)[1]["cocycle"]
+    assert syntomic._weight0(QTorusComplex(p, N), d, i, r)[1]["cocycle"]
 
     def bump_row0(mat):
         mat = [row[:] for row in mat]
         mat[0][-1] += 1
         return mat
 
-    X = build_qtorus(p, d, N)
+    X = QTorusComplex(p, N)
     _corrupt_method(monkeypatch, X, "divided_frobenius_matrix",
                     lambda args, mat: bump_row0(mat) if args[1] == i else mat)
-    dlog = syntomic._weight0(X, i, r)[1]
+    dlog = syntomic._weight0(X, d, i, r)[1]
     assert dlog["present"] and not dlog["cocycle"]
-    X = build_qtorus(p, d, N)
+    X = QTorusComplex(p, N)
     _corrupt_method(monkeypatch, X.B, "phi_matrix", lambda args, mat: bump_row0(mat))
-    dlog = syntomic._weight0(X, i, r)[1]
+    dlog = syntomic._weight0(X, d, i, r)[1]
     assert dlog["present"] and not dlog["phi_fixed"]
 
 
@@ -459,7 +461,7 @@ def test_q_elimination_count_is_the_sum_over_the_d1_summands(monkeypatch):
     per_summand = []
     for j in (i, i - 1):
         calls.clear()
-        _orbit_contribution(build_qtorus(p, 1, N), (1,), j, r, r + 1)
+        _orbit_contribution(QTorusComplex(p, N), j, r, r + 1)
         per_summand.append(len(calls))
     calls.clear()
     syntomic_q(p, d, i, r, N=N, M=1)
@@ -479,7 +481,7 @@ def test_charp_negative_twist_series_certificate():
 def test_charp_box_radius_0_is_weight0(p, d, i, r):
     # -M 0 has no primitive weights, so no orbit class: only weight 0 remains
     res = syntomic_q(p, d, i, r, N=1, M=0)
-    assert res.groups == _weight0_groups(build_qtorus(p, d, 1), i, r)
+    assert res.groups == _weight0_groups(p, d, 1, i, r)
     assert "stabilized" not in res.certificates
     # no tail test runs, so V_used is 0, as for i < 0; at M = 1 the tail test
     # certifies V = r + 1, though charp builds no window there either
@@ -509,14 +511,15 @@ def test_charp_tail_test_is_class_invariant():
 @pytest.mark.parametrize("p, d, i, r", [(2, 2, 1, 1), (3, 1, 0, 2), (2, 2, 2, 2)])
 def test_stabilized_is_the_widening_of_the_e1_window(model, N, p, d, i, r):
     # q: per degree <= i+1, the widening k at which the stable image of the
-    # d-dimensional e_1 window certified, which is the largest over the
-    # Künneth summands.  charp runs no window and reports no widening, and
-    # its groups are those of the d-dimensional window
+    # d-dimensional e_1 window of the reference model certified, which is
+    # the largest over the Künneth summands.  charp runs no window and
+    # reports no widening, and its groups are those of the d-dimensional
+    # window
     res = syntomic_q(p, d, i, r, N=N, M=2)
     assert res.model == model
-    X = build_qtorus(p, d, N)
+    X = oracles.build_qtorus(p, d, N)
     e1 = (1,) + (0,) * (d - 1)
-    groups, k_used = _orbit_contribution(X, e1, i, r, r + 1)
+    groups, k_used = orbit_contribution_from_scratch(X, e1, i, r, r + 1)
     assert sorted(k_used) == list(range(min(i + 1, d + 1) + 1))
     if model == "charp":
         assert "stabilized" not in res.certificates
@@ -545,13 +548,34 @@ def test_q_dlog_and_degree_bound():
 
 
 def test_q_dlog_flag_reads_every_dlog_row():
-    # d = 2, i = 1: the dlog vectors of T_1 and T_2 sit at rows 0 and N
+    # d = 2, i = 1: the dlog vectors of T_1 and T_2 sit at rows 0 and N of
+    # the d-dimensional phi_i, which is two copies of the one block whose
+    # row 0 the payload reads; the reference flag reads every dlog row
     N = 3
-    Phi = build_qtorus(2, 2, N).divided_frobenius_matrix(1, 1)
-    assert _q_dlog_fixed(Phi, N)
+    X = QTorusComplex(2, N)
+    Phi = oracles.build_qtorus(2, 2, N).divided_frobenius_matrix(1, 1)
+    assert Phi == block_diag(X.divided_frobenius_matrix(1, 1), 2)
+    assert oracles.q_dlog_fixed(Phi, N) and syntomic._weight0(X, 2, 1, 1)[1]["phi_fixed"]
     moved = [row[:] for row in Phi]
     moved[N][N + 1] += 1
-    assert moved[0][0] == 1 and not _q_dlog_fixed(moved, N)
+    assert moved[0][0] == 1 and not oracles.q_dlog_fixed(moved, N)
+
+
+def test_charp_groups_do_not_depend_on_the_window_but_q_groups_do():
+    # charp: the same groups at every window V from r - 1, the least that
+    # passes the tail test, to r + 3.  q: the groups of -p2 -d1 -i1 -r1 -N2
+    # -M1 grow by one Z/2 per primitive weight and window step, though each
+    # run certifies its stable image at k = 2.  The q side records a defect
+    # of the full-B answer (ROADMAP item 6), which will change it on purpose
+    for p, d, i, r in product((2, 3), (1, 2), (0, 1, 2), (1, 2, 3)):
+        groups = [syntomic_q(p, d, i, r, N=1, M=1, V=V).groups for V in range(r - 1, r + 4)]
+        assert all(g == groups[0] for g in groups), (p, d, i, r)
+    counts = []
+    for V in (2, 3, 4):
+        res = syntomic_q(2, 1, 1, 1, N=2, M=1, V=V)
+        assert res.certificates["stabilized"] == {0: 2, 1: 2, 2: 2}
+        counts.append((len(res.groups[0].exponents), len(res.groups[1].exponents)))
+    assert counts == [(7, 10), (9, 12), (11, 14)]
 
 
 def test_q_matches_charp_mod_mu():
@@ -567,7 +591,7 @@ def test_q_matches_charp_mod_mu():
 @pytest.mark.parametrize("i, r", [(0, 1), (1, 2)])
 def test_q_box_radius_0_is_weight0(i, r):
     res = syntomic_q(2, 1, i, r, N=3, M=0)
-    assert res.groups == _weight0_groups(build_qtorus(2, 1, 3), i, r)
+    assert res.groups == _weight0_groups(2, 1, 3, i, r)
     assert res.certificates["stabilized"] == {}
     assert res.V_used == 0
     assert syntomic_q(2, 1, i, r, N=3, M=1).V_used == r + 2
@@ -603,8 +627,8 @@ def test_negative_box_radius_is_rejected(N):
 
 
 def test_degree_bound_series_terminates():
-    Xq = build_qtorus(2, 1, 4)
-    cert = degree_bound_inverse_certificate(Xq, 0, 1)
+    Xq = QTorusComplex(2, 4)
+    cert = degree_bound_inverse_certificate(Xq, 1, 0, 1)
     assert 1 in cert and cert[1] >= 1
 
 
@@ -627,9 +651,9 @@ def test_orbit_sum_fetches_each_koszul_block_once(monkeypatch):
     fetched = []
     diff = QTorusComplex.diff_matrix
 
-    def counted(X, m, j):
-        fetched.append((m, j))
-        return diff(X, m, j)
+    def counted(X, m):
+        fetched.append(m)
+        return diff(X, m)
 
     monkeypatch.setattr(QTorusComplex, "diff_matrix", counted)
     syntomic_q(2, 2, 1, 2, N=3, M=2)

@@ -1,31 +1,30 @@
-"""The weight-class lemma of the `torus` docstring, against the box oracle:
-every per-weight check gives the same verdict at m as at gcd(m) e_1, and the
-invariants those verdicts are read from agree too."""
+"""The weight-class lemma of the `torus` docstring, steps 1-4, against the
+box oracle: every per-weight check of the d-dimensional reference model gives
+the same verdict at m as at gcd(m) e_1, and the invariants those verdicts are
+read from agree too.  The package runs these checks on the 1-torus only, by
+step 5 (tests/test_kunneth.py)."""
 
 from math import gcd
 
 import pytest
 
-from nygaard import qtorus, torus
+import oracles
 from nygaard.complexes import eta
 from nygaard.linalg import identity, mat_scale, quotient_invariants, restrict_lattice
-from nygaard.qtorus import (
+from oracles import (
     build_qtorus,
+    build_torus,
+    conjugate_check,
     eta_filtration,
-    frobenius_chain_map_check,
     eta_lattices_B,
+    frobenius_chain_map_check,
+    frobenius_eta_check,
     lnu_identification_check,
     q_nygaard_stability_check,
     specialization_check,
-)
-from nygaard.torus import (
-    build_torus,
-    conjugate_check,
-    frobenius_eta_check,
     weight_classes,
+    weights_box,
 )
-
-from oracles import weights_box
 
 
 def representative(m):
@@ -34,7 +33,7 @@ def representative(m):
 
 def _chain_map(X, i, M):
     # looked up at call time, so that the patched weight loop reaches it
-    return frobenius_chain_map_check(X, torus.weight_classes(X.d, M))
+    return frobenius_chain_map_check(X, oracles.weight_classes(X.d, M))
 
 
 TORUS_CHECKS = {
@@ -55,8 +54,7 @@ Q_CHECKS = {
 def _verdict_over(monkeypatch, weights, check, X, i, M):
     """The verdict of check with its weight loop run over weights."""
     with monkeypatch.context() as patch:
-        for module in (torus, qtorus):
-            patch.setattr(module, "weight_classes", lambda d, M: weights)
+        patch.setattr(oracles, "weight_classes", lambda d, M: weights)
         return check(X, i, M)
 
 
