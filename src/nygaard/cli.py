@@ -5,8 +5,11 @@ Each command owns its parameters: `READS` maps each command, and each
 `syntomic` model, to the fields it reads.  A command takes those flags
 only; `run_command` refuses any other field set on its config, and the
 envelope's `config` holds exactly the fields read, W and V at the values
-the run used.  A flag overrides a `--config` file's key, and the file may
-give a key only once.
+the run used.  V is read off the result: `syntomic` reports the window its
+tail test certified as V_used = V + 1, and V_used = 0 when it tests none
+(at i < 0, or in a box with no primitive weight), so the config's V is
+V_used - 1, or 0 when V_used is 0, whatever V was asked for.  A flag
+overrides a `--config` file's key, and the file may give a key only once.
 
 Output is canonical JSON (sorted keys); identical configs produce
 byte-identical payloads (the fixture regression in the tests compares them).
@@ -52,7 +55,7 @@ from .qtorus import (
     q_nygaard_stability_check,
     specialization_check,
 )
-from .syntomic import orbit_window, syntomic_acrys, syntomic_q
+from .syntomic import syntomic_acrys, syntomic_q
 from .torus import (
     TorusDeRham,
     conjugate_check,
@@ -355,7 +358,7 @@ def run_command(command, cfg):
     if "W" in config:
         config["W"] = window(cfg.p, cfg.n if command == "acrys" else cfg.r, cfg.e, cfg.W or None)
     if "V" in config:
-        config["V"] = orbit_window(cfg.r, cfg.V or None)
+        config["V"] = max(payload["V_used"] - 1, 0)
     return {
         "tool": "nygaard %s" % __version__,
         "command": command,

@@ -8,6 +8,11 @@ zerodivisor mod p^n and division by it must be performed over Z.
 
 At N = 1, B = Z[q]/(q-1) = Z with mu = 0 and xi = xi_tilde = p: the
 crystalline base (Z_p, (p)), the q = 1 fibre of the q-de Rham base.
+
+`mult_matrix(a)` builds the matrix of multiplication by a once per element
+and keeps it on its QBase, which the run builds: every later call returns
+the same list of lists.  It is shared and read-only; a caller that needs a
+changed matrix builds a new one.
 """
 
 from math import comb
@@ -43,6 +48,7 @@ class QBase(PolyTrunc):
         self._phi_rows = [self.one]
         for _ in range(N - 1):
             self._phi_rows.append(self.mul(self._phi_rows[-1], qp_minus_1))
+        self._mult_matrices = {}
         self.xi = self.q_integer(p)
         self.xi_tilde = self.phi(self.xi)
 
@@ -66,12 +72,14 @@ class QBase(PolyTrunc):
         return tuple(out)
 
     def mult_matrix(self, a):
-        """Row-convention matrix of multiplication by a: coeffs(x*a) = x * M."""
-        rows = []
-        for i in range(self.N):
-            mu_i = tuple(1 if j == i else 0 for j in range(self.N))
-            rows.append(list(self.mul(mu_i, a)))
-        return rows
+        """Row-convention matrix of multiplication by a: coeffs(x*a) = x * M,
+        row k the coefficients of mu^k * a.  Built once per element and kept
+        on this base: the matrix is shared, and no caller may change it."""
+        a = tuple(a)
+        M = self._mult_matrices.get(a)
+        if M is None:
+            M = self._mult_matrices[a] = [[0] * k + list(a[:self.N - k]) for k in range(self.N)]
+        return M
 
     def phi_matrix(self):
         return [list(row) for row in self._phi_rows]

@@ -6,8 +6,10 @@ F_p[x]/(x^k) at m = p.  Elements are coefficient tuples, plain immutable
 data.  `cover(L)` is the ring of the ghost components of length-L Witt
 vectors: the ring itself over Z, and Z/m^L[x]/(x^k) over Z/m, built once
 per L; the `witt` docstring proves it enough when m is a power of the Witt
-prime.  The `witt` command runs on F_p[x]/(x^3); `qbase.QBase` is
-Z[mu]/(mu^N).
+prime.  A ring that serves as a cover keeps the rows c, c^p, c^{p^2}, ...
+that the ghost map has asked for in its table `pth_powers`
+(`pth_power_row`).  The `witt` command runs on F_p[x]/(x^3); `qbase.QBase`
+is Z[mu]/(mu^N).
 """
 
 import operator
@@ -42,6 +44,7 @@ class PolyTrunc:
         self.zero = (0,) * k
         self.one = tuple(1 if i == 0 else 0 for i in range(k))
         self._covers = {}
+        self.pth_powers = {}
 
     def cover(self, L):
         """The ring of the ghost components of length-L Witt vectors."""
@@ -69,6 +72,15 @@ class PolyTrunc:
 
     def pow(self, a, e):
         return power(self.mul, a, e) if e else self.one
+
+    def pth_power_row(self, p, c, n):
+        """[c, c^p, c^{p^2}, ...], at least n terms, from the table
+        pth_powers, (p, c) -> row, which keeps each row for the life of the
+        ring and lengthens it on demand."""
+        row = self.pth_powers.setdefault((p, c), [c])
+        while len(row) < n:
+            row.append(self.pow(row[-1], p))
+        return row
 
     def eq(self, a, b):
         return a == b

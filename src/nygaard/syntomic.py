@@ -450,11 +450,6 @@ def degree_bound_inverse_certificate(X, d, i, r):
             for j in range(max(i + 1, 0), d + 1)}
 
 
-def orbit_window(r, V=None):
-    """The orbit window of `syntomic_q` at precision r: V, or r + 1 if None."""
-    return V if V is not None else r + 1
-
-
 def syntomic_q(p, d, i, r, N=4, M=4, V=None):
     """Cohomology of fib(phi_i - can) on the d-torus in the q-model over
     B/p^r, B = Z[q]/((q-1)^N), the orbit of e_1 for all primitive weights,
@@ -463,16 +458,16 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None):
 
     N = 1 is characteristic p (model "charp"): B = Z, the crystalline prism.
     For N >= 2 (model "q") it reports the module structure of the truncated
-    model.  That answer depends on the orbit window V, which the charp
-    answer does not: `syntomic --model q -p2 -d1 -i1 -r1 -N2 -M1` has 7, 9
-    and 11 cyclic factors in H^0, and 10, 12 and 14 in H^1, at V = 2, 3 and
-    4, each run certified stable at k = 2; 32 of the 48 q configs of the
-    benchmark's q-windows grid change their groups between V = r + 1 and
-    V = r + 3 (ROADMAP item 6).  For i < 0 every Koszul degree j >= 0 lies
-    in the zone j > i,
-    where xi_tilde^{j-i} phi - 1 is invertible by a terminating series, so
-    all groups vanish; the certificate reports the termination exponent per
-    degree."""
+    model.  That answer depends on the orbit window V (r + 1 when None),
+    which the charp answer does not: `syntomic --model q -p2 -d1 -i1 -r1
+    -N2 -M1` has 7, 9 and 11 cyclic factors in H^0, and 10, 12 and 14 in
+    H^1, at V = 2, 3 and 4, each run certified stable at k = 2; 32 of the
+    48 q configs of the benchmark's q-windows grid change their groups
+    between V = r + 1 and V = r + 3 (ROADMAP item 6).  For i < 0 every
+    Koszul degree j >= 0 lies in the zone j > i, where xi_tilde^{j-i} phi - 1
+    is invertible by a terminating series, so all groups vanish, no window
+    is tested and V_used is 0; the certificate reports the termination
+    exponent per degree."""
     if d < 1 or N < 1:
         raise UsageError("the q-torus needs d >= 1 and N >= 1, got d = %d, N = %d" % (d, N))
     X = QTorusComplex(p, N)
@@ -486,7 +481,7 @@ def syntomic_q(p, d, i, r, N=4, M=4, V=None):
         return SyntomicResult(
             model, p, i, r, M, 0, groups,
             certificates={"negative_twist_series": degree_bound_inverse_certificate(X, d, i, r)})
-    V = orbit_window(r, V)
+    V = r + 1 if V is None else V
     total, dlog, k_used, V_used = _orbit_sum(X, d, i, r, M, V)
     certificates = {"degree_bound_series": degree_bound_inverse_certificate(X, d, i, r)}
     if k_used is not None:

@@ -14,6 +14,24 @@ F_p[x]/(x^k) the cover is Z/p^L[x]/(x^k), so no coefficient reaches p^L:
   needs p^{s+L-1}, which divides the cover's p^{sL}.)
 - p^i divides a residue mod p^L exactly when it divides the integer, so
   `exact_div_int` makes the same check as over Z and still raises RingError.
+- So the inverse may reduce each coordinate to the ring as soon as it is
+  found, and raise the reduced one, when the ring is Z or an algebra over
+  Z/p^s for the Witt prime p.  Over Z/p^s, s >= 1: if a = b mod p^s,
+  then a^{p^m} = b^{p^m} mod p^{s+m}, so p^j a^{p^{i-j}} = p^j b^{p^{i-j}}
+  mod p^{s+i}.  Each numerator changes by a multiple of p^{s+i}, and
+  p^{s+i} divides the cover's modulus p^{sL}, if it has one, for i < L;
+  so each division by p^i is exact, or raises, as before, and each
+  coordinate changes by a multiple of p^s, the same ring element.  By
+  induction on i this holds for every coordinate.  Over Z nothing is
+  reduced.
+
+Each cover keeps a table `pth_powers`, (p, c) -> [c, c^p, c^{p^2}, ...],
+filled on first use by its `pth_power_row`; the ghost map and its inverse
+read p^j c_j^{p^{i-j}} from it.  The inverse looks up reduced coordinates, so
+over a finite ring the table has at most |R| keys per prime: p^3 for the
+F_p[x]/(x^3) of the `witt` command.  The exact cover Z serves every length
+and every prime, hence p in the key.  The table lives on the cover, which
+the run's ring builds, so it ends with the run.
 
 Each ghost component, and each step of its inverse, is one linear
 combination with integer coefficients (`combine`).  A WittVector, never
@@ -51,16 +69,14 @@ class WittVector:
 
     @cached_property
     def ghost(self):
-        """g_i = sum_{j<=i} p^j w_j^{p^{i-j}} over ring.cover(len(self));
-        pows[j] = w_j^{p^{i-j}} is raised to the p-th power as i grows."""
-        ring, p = self.ring, self.p
-        cover = ring.cover(len(self.coords))
-        weights = [p**j for j in range(len(self.coords))]
-        out, pows = [], []
-        for c in self.coords:
-            pows = [cover.pow(x, p) for x in pows] + [ring.lift(c)]
-            out.append(cover.combine(weights, pows))
-        return tuple(out)
+        """g_i = sum_{j<=i} p^j w_j^{p^{i-j}} over ring.cover(len(self)), the
+        powers w_j^{p^{i-j}} read from the cover's table."""
+        ring, p, L = self.ring, self.p, len(self.coords)
+        cover = ring.cover(L)
+        weights = [p**j for j in range(L)]
+        rows = [cover.pth_power_row(p, ring.lift(c), L - j) for j, c in enumerate(self.coords)]
+        return tuple(cover.combine(weights, [rows[j][i - j] for j in range(i + 1)])
+                     for i in range(L))
 
 
 def witt(ring, p, coords):
@@ -80,16 +96,18 @@ def teichmuller(ring, p, a, n):
 
 
 def _from_ghost_cover(ring, p, g):
-    """Invert the ghost map over ring.cover(len(g)), then reduce to the ring;
-    the powers coords_j^{p^{i-j}} are kept as in the ghost."""
-    cover = ring.cover(len(g))
-    weights = [1] + [-(p**j) for j in range(len(g))]
-    coords, pows = [], []
+    """Invert the ghost map over ring.cover(len(g)); each coordinate is
+    reduced to the ring as soon as it is found, and its powers are read from
+    the cover's table (module docstring)."""
+    L = len(g)
+    cover = ring.cover(L)
+    weights = [1] + [-(p**j) for j in range(L)]
+    coords, rows = [], []
     for i, acc in enumerate(g):
-        pows = [cover.pow(x, p) for x in pows]
-        coords.append(cover.exact_div_int(cover.combine(weights, [acc] + pows), p**i))
-        pows.append(coords[-1])
-    return witt(ring, p, [ring.reduce(c) for c in coords])
+        pows = [row[i - j] for j, row in enumerate(rows)]
+        coords.append(ring.reduce(cover.exact_div_int(cover.combine(weights, [acc] + pows), p**i)))
+        rows.append(cover.pth_power_row(p, ring.lift(coords[-1]), L - i))
+    return witt(ring, p, coords)
 
 
 def _check_compatible(w, w2):

@@ -1,8 +1,9 @@
 """Oracles the tests check live code against, kept out of the package
 because no command uses them: enumerations that a proven symmetry replaces,
 among them the d-dimensional torus models with their checks, a canonical
-form, further coefficient rings and the universal polynomials of
-Witt-vector arithmetic, the kernel and the preimage of a lattice and the
+form, further coefficient rings, the universal polynomials of
+Witt-vector arithmetic and the inverse of its ghost map on unreduced
+coordinates, the kernel and the preimage of a lattice and the
 solutions of x*M = y computed on their own, cohomology of a complex of free
 Z-modules and, as groups, of a complex of presented groups mod p^r, the
 syntomic windows presented from scratch, property checks of the
@@ -64,6 +65,7 @@ from nygaard.pdalg import (
 from nygaard.qbase import QBase, _binom
 from nygaard.rings import PolyTrunc
 from nygaard.syntomic import _nilpotency_index
+from nygaard.witt import witt
 
 
 def src_env():
@@ -152,7 +154,8 @@ def howell_form(M, p, n):
 
 # ---------------------------------------------------------------------------
 # coefficient rings the Witt tests run on besides the truncated polynomials;
-# each takes its pow, square and multiply over its mul and one, from PolyTrunc
+# each takes its pow, square and multiply over its mul and one, from PolyTrunc,
+# and each exact cover its table of p-power rows
 
 
 class ZRing:
@@ -162,6 +165,10 @@ class ZRing:
     one = 0 + 1
 
     pow = PolyTrunc.pow
+    pth_power_row = PolyTrunc.pth_power_row
+
+    def __init__(self):
+        self.pth_powers = {}
 
     def cover(self, L):
         return self
@@ -206,11 +213,12 @@ class ZModRing:
         self.m = m
         self.zero = 0
         self.one = 1 % m
+        self._z = ZRing()
 
     pow = PolyTrunc.pow
 
     def cover(self, L):
-        return ZRing()
+        return self._z
 
     def add(self, a, b):
         return (a + b) % self.m
@@ -248,8 +256,10 @@ class PerfTruncZ:
         self.bound = k * p**e
         self.zero = ()
         self.one = ((0, 1),)
+        self.pth_powers = {}
 
     pow = PolyTrunc.pow
+    pth_power_row = PolyTrunc.pth_power_row
 
     def cover(self, L):
         return self
@@ -489,6 +499,22 @@ def eval_universal(ring, poly, xs, ys):
 
 # ---------------------------------------------------------------------------
 # integer lattices
+
+
+def from_ghost_by_powers(ring, p, g):
+    """The inverse of the ghost map over ring.cover(len(g)) that keeps each
+    coordinate unreduced in the cover and raises it to its p-th power once
+    per step, reducing to the ring only at the end: the reference for
+    `witt._from_ghost_cover`, which reduces each coordinate when it is found
+    and reads its powers from the cover's table."""
+    cover = ring.cover(len(g))
+    weights = [1] + [-(p**j) for j in range(len(g))]
+    coords, pows = [], []
+    for i, acc in enumerate(g):
+        pows = [cover.pow(x, p) for x in pows]
+        coords.append(cover.exact_div_int(cover.combine(weights, [acc] + pows), p**i))
+        pows.append(coords[-1])
+    return witt(ring, p, [ring.reduce(c) for c in coords])
 
 
 def kernel_int(M):

@@ -503,6 +503,20 @@ def test_the_envelope_resolves_the_window_defaults(capsys, argv, field, value):
     assert json.loads(capsys.readouterr().out)["config"][field] == value
 
 
+@pytest.mark.parametrize("model", ["charp", "q"])
+@pytest.mark.parametrize("window", [[], ["-V", "5"]], ids=["default V", "explicit V"])
+def test_the_envelope_V_is_the_window_the_result_used(capsys, model, window):
+    # config V = V_used - 1 when the tail test ran, and 0 with V_used = 0
+    # when no window ran: at i < 0, and in a box with no primitive weight
+    argv = ["syntomic", "--model", model, "-r", "2"] + (["-N", "2"] if model == "q" else [])
+    V = int(window[1]) if window else 3
+    for flags, want in ((["-i", "-1", "-M", "1"], (0, 0)), (["-i", "1", "-M", "0"], (0, 0)),
+                        (["-i", "1", "-M", "1"], (V, V + 1))):
+        assert cli.main(argv + window + flags) == 0
+        envelope = json.loads(capsys.readouterr().out)
+        assert (envelope["config"]["V"], envelope["result"]["V_used"]) == want
+
+
 @pytest.mark.parametrize("option", ["--config", "--out", "--write-fixture"])
 def test_a_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, option):
     path = tmp_path / "missing" / "run.json"
