@@ -390,7 +390,7 @@ def _vp(x, p):
     return v
 
 
-def eliminate_mod(M, p, r, T=None):
+def eliminate_mod(M, p, r, T=None, whole=False):
     """Smith-style elimination of the rows of M over Z/p^r.
 
     Each step takes an entry of least p-valuation v among the rows not yet
@@ -405,9 +405,11 @@ def eliminate_mod(M, p, r, T=None):
     are applied to it, and T' holds its rows in pivot order followed by the
     rows whose M-part ended at zero.  With T = identity, T' = U is
     invertible and U*M*V is diagonal with entries unit*p^vals, then zero
-    rows, for some invertible V.  When T is None, T' holds the len(vals)
-    pivot rows: the row operations are invertible and the other rows end at
-    zero, so they span span(M).
+    rows, for some invertible V.  With whole=True each row of T' keeps its
+    M-part in front of its T-part, so pivot rows can be carried into a
+    later elimination (the orbit widenings of `syntomic`).  When T is None,
+    T' holds the len(vals) pivot rows: the row operations are invertible and
+    the other rows end at zero, so they span span(M).
     """
     q = p**r
     n = len(M[0]) if M else 0
@@ -450,7 +452,7 @@ def eliminate_mod(M, p, r, T=None):
             low = [g for g in low if g < q]
     if T is None:
         return vals, pivots
-    return vals, [row[n:] for row in pivots + null]
+    return vals, pivots + null if whole else [row[n:] for row in pivots + null]
 
 
 def preimage_mod(D, L, p, r):

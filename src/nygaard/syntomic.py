@@ -32,17 +32,40 @@ The orbit group in degree t is the stable image I_k of H(W_V) in
 H(W_{V+k}), span(K_V + B_k)/span(B_k) for the cocycles K_V of W_V and the
 boundaries B_k of W_{V+k}.  I_{k+1} is the image of I_k, so equal orders
 |I_{k+1}| = |I_k| mean an isomorphism and end the search.  Lemma:
-|I_k| = |K_V| |pi B_k| / |B_k|, pi dropping the W_V coordinates.  Proof:
-|I_k| = |K_V| / |K_V ∩ B_k|; a boundary with pi b = 0 lies in the
-subcomplex W_V, where its differential is zero, so it lies in K_V, all of
-W_V's cocycles; so K_V ∩ B_k = ker(pi on B_k), of order |B_k| / |pi B_k|.
-Each widening eliminates the pivot rows of span(B_k) and span(pi B_k)
-carried from the last, zero-padded, with the new rows, and checks
-d*d = 0 mod p^r on the new rows only (the old ones were checked before);
-the group is read off once, where it certifies.  Beyond the window every
-Koszul entry vanishes mod p^r (valuations are monotone along the orbit).
-Degrees j > i are also covered by the geometric-series invertibility of the
-twisted Frobenius.
+I_k = K_V / (B_k ∩ W_V), and B_k ∩ W_V = ker(pi on B_k), pi dropping the
+W_V coordinates.  Proof: I_k = K_V / (K_V ∩ B_k); a boundary with
+pi b = 0 lies in the subcomplex W_V, where its differential is zero, so it
+lies in K_V, all of W_V's cocycles; so K_V ∩ B_k = ker(pi on B_k).  So
+log_p |I_k| is log_p |K_V| - log_p |B_k ∩ W_V| (the same number as
+log_p |K_V| + log_p |pi B_k| - log_p |B_k|), and I_k is a quotient in the
+W_V coordinates.
+
+Each widening keeps, per degree, the pivot rows P_k of an elimination of
+the pi-parts of B_k, each row written [pi-part | W_V-part], and rows
+spanning B_k ∩ W_V.  Lemma: with P_k zero-padded by one step group and R
+the new rows, B_{k+1} ∩ W_V = (B_k ∩ W_V) + ker(pi on span[P_k; R]).
+Proof: the elimination of B_k leaves P_k and null rows whose pi-parts are
+zero (P_0 is empty: B_0 lies in W_V), so B_k = span(P_k) + (B_k ∩ W_V);
+padding keeps pi b = 0, so B_{k+1} = span[P_k; R] + (B_k ∩ W_V), and
+B_k ∩ W_V lies in B_{k+1} ∩ W_V.  For b = x + y with x in span[P_k; R]
+and y in B_k ∩ W_V, pi b = pi x, so pi b = 0 iff pi x = 0.  The second
+summand is read off one elimination of the pi-parts of [P_k; R] with the
+W_V-parts tracked, by the argument of
+`preimage_mod`: after column operations on the pi-parts, which change no
+kernel, the pivot rows are unit * p^v times distinct unit vectors and the
+null rows are zero, so sum c_j x_j has pi-part 0 iff p^{r-v_j} divides
+c_j at each pivot j.  So ker(pi) is spanned by the W_V-parts of the null
+rows and p^{r-v} times the W_V-parts of the pivot rows, and the pivot rows
+are P_{k+1}.  These rows and those of B_k ∩ W_V are eliminated together,
+ranks of W_V wide, and the order is read off that elimination.  Where it
+certifies, I_k is `quotient_exponents_mod`(K_V, B_k ∩ W_V) in the W_V
+coordinates.  In the top degree presented no differential leaves W_V, so
+K_V is all of W_V^t and I_k = W_V^t / (B_k ∩ W_V) is read off the same
+elimination: a Z/p^v per pivot of valuation v > 0 and a Z/p^r per missing
+rank.  Each widening checks d*d = 0 mod p^r on the new rows only (the old
+ones were checked before).  Beyond the window every Koszul entry vanishes
+mod p^r (valuations are monotone along the orbit).  Degrees j > i are also
+covered by the geometric-series invertibility of the twisted Frobenius.
 
 The weight-0 block has no Koszul differential: d_t = A_t = phi_i - can from
 N^t to X^t, square, so H^t = ker(A_t) + coker(A_{t-1}).  On the d-torus A_t
@@ -278,9 +301,12 @@ def _orbit_contribution(X, i, r, V, blocks=None):
     (0 when H^t(W_V) has no cocycles).  Raises NotStabilized after four
     widenings.
 
-    W_V is presented up to degree min(i+2, 2), which the cocycles of degree
-    i+1 need.  blocks is the orbit's `_window_blocks`, made here when not
-    given."""
+    Per pending degree each widening makes one elimination of the pi-parts
+    of the carried pivot rows and the new rows, with the W_V-parts tracked,
+    and one of the rows of B_k ∩ W_V, whose valuations give the order and,
+    in the top degree, the group (module docstring).  W_V is presented up
+    to degree min(i+2, 2), which the cocycles of degree i+1 need.  blocks
+    is the orbit's `_window_blocks`, made here when not given."""
     p, q = X.p, X.p**r
     blocks = blocks or _window_blocks(X, i)
     top = min(i + 2, 2)
@@ -293,14 +319,17 @@ def _orbit_contribution(X, i, r, V, blocks=None):
             pending.append(t)
         else:
             out[t], k_used[t] = PGroup.zero(p), 0
-    # per pending degree, rows spanning B_t and pi(B_t) in the latest window
-    span = {t: (pres[t][1], []) for t in pending}
+    # per pending degree: the pivot rows of B_k, each written [pi-part |
+    # W_V-part], and rows spanning B_k ∩ W_V; every boundary of W_V lies in
+    # W_V, so at k = 0 there are no pivots
+    piv = {t: [] for t in pending}
+    meet = {t: pres[t][1] for t in pending}
     k = 1
     while pending and k <= 4:
         s = V + k
         for t in list(pending):
-            g = rk[t] + rk[t - 1]
-            width = ranks[t] + k * g
+            g, w = rk[t] + rk[t - 1], ranks[t]
+            n, m = (k - 1) * g, k * g  # widths of the pi-parts before and after
             new = _tail_rows(blocks, rk, t - 1, s) if t else []
             if new and t < top:
                 # the new boundary rows reach the rows X^{t-1}_s of d_t and
@@ -309,17 +338,29 @@ def _orbit_contribution(X, i, r, V, blocks=None):
                 if any(a % q for row in mat_mul(new, D + _tail_rows(blocks, rk, t, s)) for a in row):
                     raise CompositeNonzero(
                         "degree %d: boundaries are not cocycles mod %d" % (t, q))
-            new = [[0] * (width - len(row)) + row for row in new]
+            # the new rows start at X^{t-1}_s, which closes W_V when k = 1
+            new = [[0] * (w + m - len(row)) + row for row in new]
             pad = [0] * g
-            B, piB = ([row + pad for row in rows] for rows in span[t])
-            vals, B = eliminate_mod(B + new, p, r)
-            pvals, piB = eliminate_mod(piB + [row[ranks[t]:] for row in new], p, r)
-            span[t] = B, piB
-            # log_p |pi B_k| - log_p |B_k| = log_p |I_k| - log_p |K_V|
-            order = r * (len(pvals) - len(vals)) - sum(pvals) + sum(vals)
+            vals, rows = eliminate_mod(
+                [row[:n] + pad for row in piv[t]] + [row[w:] for row in new], p, r,
+                [row[n:] for row in piv[t]] + [row[:w] for row in new], whole=True)
+            piv[t] = rows[:len(vals)]
+            # ker(pi) on these rows, as in preimage_mod: p^{r-v} times the
+            # W_V-part of each pivot of valuation v, and the W_V-part of each
+            # null row
+            kernel = [[p ** (r - v) * a % q for a in row[m:]] for v, row in zip(vals, rows) if v]
+            kernel += [row[m:] for row in rows[len(vals):]]
+            mvals, meet[t] = eliminate_mod(meet[t] + kernel, p, r)
+            # -log_p |B_k ∩ W_V| = log_p |I_k| - log_p |K_V|
+            order = sum(mvals) - r * len(mvals)
             if prev.get(t) == order:
-                K = [row + [0] * (width - ranks[t]) for row in pres[t][0]]
-                out[t], k_used[t] = PGroup(p, quotient_exponents_mod(K, B, p, r)), k
+                if t == top:
+                    # K_V is all of W_V^t: I_k = W_V^t / (B_k ∩ W_V)
+                    exps = [v for v in mvals if v] + [r] * (w - len(mvals))
+                    out[t] = PGroup(p, tuple(sorted(exps, reverse=True)))
+                else:
+                    out[t] = PGroup(p, quotient_exponents_mod(pres[t][0], meet[t], p, r))
+                k_used[t] = k
                 pending.remove(t)
             else:
                 prev[t] = order

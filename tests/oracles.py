@@ -6,7 +6,8 @@ Witt-vector arithmetic and the inverse of its ghost map on unreduced
 coordinates, the kernel and the preimage of a lattice and the
 solutions of x*M = y computed on their own, cohomology of a complex of free
 Z-modules and, as groups, of a complex of presented groups mod p^r, the
-syntomic windows presented from scratch, property checks of the
+syntomic windows presented from scratch and their stable images certified
+by span(B_k) and span(pi B_k) carried apart, property checks of the
 divided-power algebra, its powers by repeated multiplication, its weight
 chains found by search, its two-variable model as the tensor square of the
 one-variable one, its Frobenius on a weight chain built monomial by monomial
@@ -64,6 +65,7 @@ from nygaard.pdalg import (
 )
 from nygaard.qbase import QBase, _binom
 from nygaard.rings import PolyTrunc
+from nygaard import syntomic
 from nygaard.syntomic import _nilpotency_index
 from nygaard.witt import witt
 
@@ -1254,6 +1256,63 @@ def orbit_contribution_from_scratch(X, m0, i, r, V):
                 pending.remove(t)
             else:
                 prev[t] = cur
+        k += 1
+    if pending:
+        raise NotStabilized("image chain did not stabilize in degrees %s" % pending, pending)
+    return out, k_used
+
+
+def orbit_contribution_by_two_spans(X, i, r, V, orders=None):
+    """`syntomic._orbit_contribution` with span(B_k) and span(pi B_k)
+    carried apart: each widening eliminates the pivot rows of both,
+    zero-padded by one step group, with the new rows; the order
+    -log_p |B_k ∩ W_V| is log_p |pi B_k| - log_p |B_k|, and the group is
+    the quotient of K_V, zero-padded to the width of W_{V+k}, by span(B_k).
+    The window, its blocks, its new rows and the d*d = 0 check on them are
+    those of `syntomic`, looked up at call time, so a test that patches
+    `syntomic._tail_rows` patches both.  orders, when given, receives
+    (t, order) at every widening, in the engine's order of k, then t."""
+    p, q = X.p, X.p**r
+    blocks = syntomic._window_blocks(X, i)
+    top = min(i + 2, 2)
+    rk = {j: X.rank(j) for j in range(-1, 3)}
+    ranks, diffs, _ = syntomic._assemble_window(X, i, V, blocks, top)
+    pres = cocycles_boundaries_mod(ranks, diffs, p, r)
+    out, k_used, prev, pending = {}, {}, {}, []
+    for t in range(min(top, i + 1) + 1):
+        if pres[t][0]:
+            pending.append(t)
+        else:
+            out[t], k_used[t] = PGroup.zero(p), 0
+    span = {t: (pres[t][1], []) for t in pending}
+    k = 1
+    while pending and k <= 4:
+        s = V + k
+        for t in list(pending):
+            g = rk[t] + rk[t - 1]
+            width = ranks[t] + k * g
+            new = syntomic._tail_rows(blocks, rk, t - 1, s) if t else []
+            if new and t < top:
+                D = [[-a for a in x] + [0] * (rk[t + 1] + rk[t]) for x in blocks("X", s, t - 1)]
+                D += syntomic._tail_rows(blocks, rk, t, s)
+                if any(a % q for row in mat_mul(new, D) for a in row):
+                    raise CompositeNonzero(
+                        "degree %d: boundaries are not cocycles mod %d" % (t, q))
+            new = [[0] * (width - len(row)) + row for row in new]
+            pad = [0] * g
+            B, piB = ([row + pad for row in rows] for rows in span[t])
+            vals, B = eliminate_mod(B + new, p, r)
+            pvals, piB = eliminate_mod(piB + [row[ranks[t]:] for row in new], p, r)
+            span[t] = B, piB
+            order = r * (len(pvals) - len(vals)) - sum(pvals) + sum(vals)
+            if orders is not None:
+                orders.append((t, order))
+            if prev.get(t) == order:
+                K = [row + [0] * (width - ranks[t]) for row in pres[t][0]]
+                out[t], k_used[t] = PGroup(p, quotient_exponents_mod(K, B, p, r)), k
+                pending.remove(t)
+            else:
+                prev[t] = order
         k += 1
     if pending:
         raise NotStabilized("image chain did not stabilize in degrees %s" % pending, pending)

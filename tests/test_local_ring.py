@@ -117,6 +117,23 @@ def test_tracked_columns_of_lower_valuation_change_no_pivot(data, draw):
 
 
 @settings(max_examples=150, deadline=None)
+@given(local_matrices(), st.data())
+def test_whole_rows_keep_the_M_part_in_front(data, draw):
+    # whole=True returns the rows of the same elimination uncut: their
+    # T-parts are T' and the M-parts of the pivot rows are the rows of the
+    # elimination without T; the null rows have M-part zero
+    M, p, r, n = data
+    q = p**r
+    T = [draw.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2)) for _ in M]
+    vals, T2 = eliminate_mod(M, p, r, T)
+    whole_vals, W = eliminate_mod(M, p, r, T, whole=True)
+    assert whole_vals == vals
+    assert [row[n:] for row in W] == T2
+    assert [row[:n] for row in W[:len(vals)]] == eliminate_mod(M, p, r)[1]
+    assert not any(a for row in W[len(vals):] for a in row[:n])
+
+
+@settings(max_examples=150, deadline=None)
 @given(local_matrices())
 def test_pivot_rows_span_the_input(data):
     # without T, eliminate_mod returns one pivot row per pivot, and they span
