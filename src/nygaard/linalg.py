@@ -390,7 +390,7 @@ def _vp(x, p):
     return v
 
 
-def eliminate_mod(M, p, r, T=None, whole=False):
+def eliminate_mod(M, p, r, T=None):
     """Smith-style elimination of the rows of M over Z/p^r.
 
     Each step takes an entry of least p-valuation v among the rows not yet
@@ -400,16 +400,17 @@ def eliminate_mod(M, p, r, T=None, whole=False):
     operation that changes no other row, because the pivot column is then
     zero in every other row; it is left implicit.  Entries stay in [0, p^r).
 
-    Returns (vals, T'): vals lists the pivot valuations (each < r) in pivot
-    order.  When T is given (one row per row of M), the same row operations
-    are applied to it, and T' holds its rows in pivot order followed by the
-    rows whose M-part ended at zero.  With T = identity, T' = U is
-    invertible and U*M*V is diagonal with entries unit*p^vals, then zero
-    rows, for some invertible V.  With whole=True each row of T' keeps its
-    M-part in front of its T-part, so pivot rows can be carried into a
-    later elimination (the orbit widenings of `syntomic`).  When T is None,
-    T' holds the len(vals) pivot rows: the row operations are invertible and
-    the other rows end at zero, so they span span(M).
+    Returns (vals, rows): vals lists the pivot valuations (each < r) in
+    pivot order.  When T is None, rows holds the len(vals) pivot rows: the
+    row operations are invertible and the other rows end at zero, so they
+    span span(M).  When T is given (one row per row of M), the same row
+    operations are applied to it, and rows holds every row [M-part |
+    T-part], the pivot rows in pivot order followed by the rows whose
+    M-part ended at zero.  Its T-parts T' are U*T: with T = identity,
+    U*M*V is diagonal with entries unit*p^vals, then zero rows, for some
+    invertible V.  A caller slices off the part it reads, or carries the
+    pivot rows into a later elimination (the orbit widenings of
+    `syntomic`).
     """
     q = p**r
     n = len(M[0]) if M else 0
@@ -450,9 +451,7 @@ def eliminate_mod(M, p, r, T=None, whole=False):
             null += [row for row, g in zip(active, low) if g == q]
             active = [row for row, g in zip(active, low) if g < q]
             low = [g for g in low if g < q]
-    if T is None:
-        return vals, pivots
-    return vals, pivots + null if whole else [row[n:] for row in pivots + null]
+    return vals, pivots if T is None else pivots + null
 
 
 def preimage_mod(D, L, p, r):
@@ -465,9 +464,10 @@ def preimage_mod(D, L, p, r):
     m = len(D)
     if not m:
         return []
-    q = p**r
+    q, n = p**r, len(D[0])
     T = identity(m) + zeros(len(L), m)
-    vals, U = eliminate_mod(D + L, p, r, T)
+    vals, rows = eliminate_mod(D + L, p, r, T)
+    U = [row[n:] for row in rows]
     out = [[p ** (r - v) * a % q for a in row] for v, row in zip(vals, U) if v]
     out += U[len(vals):]
     return [row for row in out if any(row)]

@@ -52,8 +52,10 @@ r p^k < T.  Proof:
 - Every nonzero weight is r p^k for exactly one r prime to p and one k, so
   the chains partition the basis.
 
-The chains depend only on (p, e, W), not on the precision n, so they are
-computed once per basis and shared by the algebras at every precision.
+The chains depend only on (p, e, W), not on the precision n.  No check
+walks them all: each walks only the roots its bound needs, from
+`_weight_chains` with a root bound (`frobenius_table` the roots with
+l < top, `fiber_group` those below (n + i) p^e).
 
 On a chain, phi is therefore a weighted shift, stored as its coefficient
 list c = (c_0, ..., c_{m-1}): phi(e_k) = c_k e_{k+1}.  The one exception is
@@ -103,11 +105,15 @@ about a chain save work:
   `conjugate_filtration_equality_check` grows one reached set level by level,
   searching only from the new seeds.
 
-Per-basis tables.  The divided-power exponent l = w // p^e and the
-conjugate level floor(l / p) = w // p^{e+1} of a basis monomial depend only
-on its weight w, so `_Basis` holds them in the lists `pd` and `conj`, indexed
-by weight and filled once where the basis is built.  The checks below read
-these lists and recompute neither.
+Levels by arithmetic.  The divided-power exponent of the monomial of
+weight w is l = w // p^e, and its conjugate level floor(l / p) is
+w // p^{e+1}, since floor(floor(w / p^e) / p) = floor(w / p^{e+1}).  The
+checks read both off the weight; no table holds them.  So each filtration
+by a level is a range of weights:
+
+- Fil^conj_n, the monomials of conjugate level at most n, is the weights
+  below min(T, (n + 1) p^{e+1}): w // p^{e+1} <= n iff w < (n + 1) p^{e+1};
+- Fil^m_pd, the monomials with l >= m, is the weights from m p^e on.
 
 Spans over Z/p^n come in two kinds.  The conjugate and divided-power
 filtrations are spanned by monomials, and so is every span built from them by
@@ -181,7 +187,6 @@ by chain, and `fiber_group` reads it off the levels of the chains:
   (`frobenius_monomial`).
 """
 
-import weakref
 from math import comb, factorial
 
 from .errors import CompositeNonzero, TruncationTooTight, UsageError
@@ -204,23 +209,6 @@ def _weight_chains(p, top, roots=None):
     return chains
 
 
-class _Basis:
-    """The monomials of one (p, e, W), as weights, and what is read off them
-    once."""
-
-    def __init__(self, monomials, p, pe):
-        self.monomials = monomials
-        self.chains = _weight_chains(p, len(monomials))  # see `orbit_blocks`
-        self.pd = [w // pe for w in monomials]  # divided-power exponent per weight
-        self.conj = [w // (pe * p) for w in monomials]  # conjugate level per weight
-
-
-# (p, e, W) -> _Basis.  The basis does not depend on the precision n, so the
-# algebras of one run at n and at 1 share it.  An entry lives
-# exactly as long as some algebra holds its basis.
-_BASES = weakref.WeakValueDictionary()
-
-
 def window(p, n, e, W=None):
     """The window W of the model at (p, n, e), 3p^2 when W is None.  The
     one check of the parameters, for `PDAlgebra` and the read-offs of the
@@ -240,19 +228,12 @@ class PDAlgebra:
         self.p, self.n, self.e = p, n, e
         self.W = W = window(p, n, e, W)
         self.pe, self.q, self.T = p**e, p**n, (W + 1) * p**e
-        key = (p, e, W)
-        self._basis = _BASES.get(key)
-        if self._basis is None:
-            self._basis = _BASES[key] = _Basis(self.monomials(), p, self.pe)
 
     # -- monomial basis --------------------------------------------------
 
     def monomials(self):
         """The basis: the weights 0, 1, ..., T - 1."""
         return range(self.T)
-
-    def basis(self):
-        return self._basis.monomials
 
     def one(self):
         return {0: 1}
@@ -369,15 +350,11 @@ class PDAlgebra:
 
 def conjugate_filtration_spans(A, nmax):
     """Fil_n for n <= nmax as monomial index sets, via description (2):
-    A-multiples of x^{[pk]} with k <= n."""
-    levels = [[] for _ in range(nmax + 1)]
-    for t, lv in enumerate(A._basis.conj):
-        if lv <= nmax:
-            levels[lv].append(t)
-    fil = {-1: set()}
-    for nn in range(nmax + 1):
-        fil[nn] = fil[nn - 1].union(levels[nn])
-    return fil
+    A-multiples of x^{[pk]} with k <= n, the weights of conjugate level at
+    most n, which are those below min(T, (n + 1) p^{e+1}) (module
+    docstring)."""
+    step = A.pe * A.p
+    return {nn: set(range(min(A.T, (nn + 1) * step))) for nn in range(-1, nmax + 1)}
 
 
 def conjugate_filtration_description1(A, nn, below=None):
@@ -456,14 +433,17 @@ def conj_graded_map_check(A, nn):
     x^{[r + pn]}, since (r + pn choose r) = 1 mod p by Lucas.  Within the
     truncation both sides are monomial: the source is enumerated from this
     definition, (c, r) with r < p and r + pn <= W, and the target is the
-    basis monomials of conjugate level n.  Bijectivity is checked by rank.
+    basis monomials of conjugate level n, read off
+    `conjugate_filtration_spans` as Fil_n minus Fil_{n-1}.  Bijectivity is
+    checked by rank.
     The scaling factor needs no check: the multiples of p in [1, pn]
     multiply to p^n n!, so (pn)!/(p^n n!) is the product of the integers in
     [1, pn] prime to p, a unit mod p."""
     p = A.p
     # target: monomials of conjugate level exactly nn, i.e. floor(l/p) = n,
     # presented as gr = Fil_n / Fil_{n-1}
-    tgt = A._basis.conj.count(nn)
+    fil = conjugate_filtration_spans(A, nn)
+    tgt = len(fil[nn]) - len(fil[nn - 1])
     src = [(c, r) for r in range(p) if r + p * nn <= A.W for c in range(A.pe)]
     if len(src) != tgt:
         return {"ok": False, "reason": "rank mismatch", "src": len(src), "tgt": tgt}
@@ -475,14 +455,15 @@ def conj_graded_map_check(A, nn):
 
 
 def phi_pth_power_check(A, rng, trials=30):
-    """phi(a) = a^p mod p for monomial generators and random elements."""
-    basis, pd, top = A.basis(), A._basis.pd, A.W // A.p
-    elements = [{m: 1} for m, lam in zip(basis, pd) if lam <= top]
+    """phi(a) = a^p mod p for the monomials with l <= W // p, the weights
+    below (W // p + 1) p^e, and random elements of their span."""
+    basis, bound = A.monomials(), (A.W // A.p + 1) * A.pe
+    elements = [{m: 1} for m in basis[:bound]]
     for _ in range(trials):
         a = {}
         for _ in range(3):
             t = rng.randrange(len(basis))  # draws as rng.choice(basis) does
-            if pd[t] <= top:
+            if t < bound:
                 a = A.add(a, {basis[t]: rng.randrange(A.q)})
         elements.append(a)
     for a in elements:
@@ -497,12 +478,6 @@ def phi_pth_power_check(A, rng, trials=30):
 
 # ---------------------------------------------------------------------------
 # weight chains (module docstring)
-
-
-def orbit_blocks(A):
-    """Lists of basis indices, one per maximal phi-chain of weights; computed
-    once per basis and shared, so callers must not modify them."""
-    return A._basis.chains
 
 
 def _phi_shift(A, idxs):
@@ -526,10 +501,11 @@ def _phi_shift(A, idxs):
 
 def frobenius_table(A, top):
     """(indices, exact coefficient list) for each weight chain of A whose
-    root has l < top, in chain order: every list that `_phi_shifts` reads
-    at a precision up to top, built once (module docstring)."""
-    pd = A._basis.pd
-    return [(idxs, _phi_shift(A, idxs)) for idxs in orbit_blocks(A) if pd[idxs[0]] < top]
+    root has l < top, top >= 1, in chain order: every list that
+    `_phi_shifts` reads at a precision up to top, built once.  Only those
+    roots are walked: l < top iff the root lies below top p^e (module
+    docstring)."""
+    return [(idxs, _phi_shift(A, idxs)) for idxs in _weight_chains(A.p, A.T, top * A.pe)]
 
 
 def _phi_shifts(A, n=None, table=None):
@@ -541,12 +517,12 @@ def _phi_shifts(A, n=None, table=None):
     of these chains that ends at l < n: phi of its last monomial is nonzero
     mod p^n and leaves the window (module docstring)."""
     n = A.n if n is None else n
-    pd, q = A._basis.pd, A.p**n
+    pe, q = A.pe, A.p**n
     out = []
     for idxs, c in frobenius_table(A, n) if table is None else table:
-        if pd[idxs[0]] < n:
+        if idxs[0] // pe < n:
             if idxs[0]:
-                _chain_end((pd[idxs[-1]],), n, A.W)
+                _chain_end((idxs[-1] // pe,), n, A.W)
             out.append((idxs, [a % q for a in c]))
     return out
 
@@ -563,6 +539,14 @@ def _nygaard_exponents(c, p, n, i):
         if a < n:
             out[k] = a
     return out
+
+
+def _restricted_conj(A, i):
+    """Fil^conj_i restricted to the numerators divisible by p, as weights:
+    those below min(T, (i + 1) p^{e+1}) with p dividing w mod p^e.  For
+    e >= 1, p divides p^e, so these are the multiples of p; for e = 0 every
+    numerator is 0."""
+    return set(range(0, min(A.T, (i + 1) * A.pe * A.p), A.p if A.e else 1))
 
 
 def nygaard_graded_image_check(A, i, table=None):
@@ -585,7 +569,7 @@ def nygaard_graded_image_check(A, i, table=None):
     of one run; it is built here when None (module docstring)."""
     p = A.p
     n, pi = A.n + i + 1, p**i
-    fil_idx = {w for w, lv in enumerate(A._basis.conj) if lv <= i and w % A.pe % p == 0}
+    fil_idx = _restricted_conj(A, i)
     shifts = _phi_shifts(A, n, table)
     # a chain on which phi is zero has no image and no graded piece, so the
     # image matches the filtration there iff the chain holds none of it
@@ -682,7 +666,10 @@ def span_identity_check(A, j):
     """Fil^conj_{j-1} + Fil^{pj}_pd covers the whole algebra mod p.
 
     Both sides are monomial spans: a monomial escapes Fil^conj_{j-1} exactly
-    when floor(l/p) >= j, which forces l >= pj."""
+    when floor(l/p) >= j, which forces l >= pj.  Fil^conj_{j-1} is read off
+    `conjugate_filtration_spans`, and a monomial lies outside Fil^{pj}_pd
+    iff l = w // p^e < pj, i.e. w < pj p^e."""
     if j < 1:
         raise UsageError("span identity needs j >= 1, got %d" % j)
-    return all(lv <= j - 1 or lam >= A.p * j for lv, lam in zip(A._basis.conj, A._basis.pd))
+    fil = conjugate_filtration_spans(A, j - 1)[j - 1]
+    return all(w in fil for w in range(min(A.T, A.p * j * A.pe)))

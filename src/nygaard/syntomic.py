@@ -327,15 +327,21 @@ def _orbit_contribution(X, i, r, V, blocks=None):
     k = 1
     while pending and k <= 4:
         s = V + k
+        # the rows of d_t at step group s, built for the d∘d check of
+        # degree t and read again as the new rows of degree t + 1
+        tails = {}
         for t in list(pending):
             g, w = rk[t] + rk[t - 1], ranks[t]
             n, m = (k - 1) * g, k * g  # widths of the pi-parts before and after
-            new = _tail_rows(blocks, rk, t - 1, s) if t else []
+            if t and t - 1 not in tails:
+                tails[t - 1] = _tail_rows(blocks, rk, t - 1, s)
+            new = tails.get(t - 1, [])
             if new and t < top:
+                tails[t] = _tail_rows(blocks, rk, t, s)
                 # the new boundary rows reach the rows X^{t-1}_s of d_t and
                 # the rows of d_t at step group s
                 D = [[-a for a in x] + [0] * (rk[t + 1] + rk[t]) for x in blocks("X", s, t - 1)]
-                if any(a % q for row in mat_mul(new, D + _tail_rows(blocks, rk, t, s)) for a in row):
+                if any(a % q for row in mat_mul(new, D + tails[t]) for a in row):
                     raise CompositeNonzero(
                         "degree %d: boundaries are not cocycles mod %d" % (t, q))
             # the new rows start at X^{t-1}_s, which closes W_V when k = 1
@@ -343,7 +349,7 @@ def _orbit_contribution(X, i, r, V, blocks=None):
             pad = [0] * g
             vals, rows = eliminate_mod(
                 [row[:n] + pad for row in piv[t]] + [row[w:] for row in new], p, r,
-                [row[n:] for row in piv[t]] + [row[:w] for row in new], whole=True)
+                [row[n:] for row in piv[t]] + [row[:w] for row in new])
             piv[t] = rows[:len(vals)]
             # ker(pi) on these rows, as in preimage_mod: p^{r-v} times the
             # W_V-part of each pivot of valuation v, and the W_V-part of each

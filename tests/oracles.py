@@ -22,7 +22,6 @@ from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from pathlib import Path
-from types import SimpleNamespace
 
 from nygaard.complexes import Complex, acyclic_mod, eta_lattices, presented_cone
 from nygaard.errors import (
@@ -60,8 +59,8 @@ from nygaard.pdalg import (
     TruncationTooTight,
     _nygaard_exponents,
     _phi_shifts,
+    _weight_chains,
     conjugate_filtration_spans,
-    orbit_blocks,
 )
 from nygaard.qbase import QBase, _binom
 from nygaard.rings import PolyTrunc
@@ -1403,7 +1402,7 @@ def power_by_repeated_multiplication(A, a, k):
 def phi_multiplicative_check(A, rng, trials=50):
     """phi(ab) = phi(a) phi(b) on random retained pairs: pairs whose product
     leaves the weight window, read off `mul_monomials`, are skipped."""
-    basis = [w for w in A.basis() if w // A.pe <= A.W // A.p // 2]
+    basis = [w for w in A.monomials() if w // A.pe <= A.W // A.p // 2]
     if not basis:
         return True
     for _ in range(trials):
@@ -1465,16 +1464,15 @@ class TwoVariablePD(PDAlgebra):
         # window of the one-variable factor never cuts it; the total is
         # checked here
         self.factor = PDAlgebra(p, n, e, p * (W + 1))
-        pd = self.factor._basis.pd
         one = range((W + 1) * self.pe)
-        self.pairs = [(u, v) for u in one for v in one if pd[u] + pd[v] <= W]
+        self.pairs = [(u, v) for u in one for v in one
+                      if u // self.pe + v // self.pe <= W]
         self.T = len(self.pairs)
         self._index = {m: t for t, m in enumerate(self.pairs)}
-        self._basis = SimpleNamespace(
-            monomials=range(self.T),
-            pd=[pd[u] + pd[v] for u, v in self.pairs],
-            conj=[pd[u] // p + pd[v] // p for u, v in self.pairs],
-        )
+        # per index: the total divided-power exponent, and the total
+        # conjugate level, the sum of each variable's floor(l / p)
+        self.pd = [u // self.pe + v // self.pe for u, v in self.pairs]
+        self.conj = [u // self.pe // p + v // self.pe // p for u, v in self.pairs]
 
     def index(self, u, v):
         """The index of the pair of weights (u, v), T beyond the window."""
@@ -1497,7 +1495,7 @@ class TwoVariablePD(PDAlgebra):
         # v_p of the coefficient is the total exponent, so the image
         # vanishes mod p^n iff that is at least n
         (u, cu), (v, cv) = map(self.factor.frobenius_monomial, self.pairs[t])
-        image, l = self.index(u, v), self._basis.pd[t]
+        image, l = self.index(u, v), self.pd[t]
         if image == self.T and l < self.n:
             raise TruncationTooTight("phi image of weight %d leaves W = %d" % (l, self.W))
         return image, cu * cv
@@ -1528,9 +1526,9 @@ def nygaard_graded_image_check_per_level(A, i):
     p = A.p
     Acmp = PDAlgebra(p, A.n + i + 1, A.e, A.W)
     n, pi = Acmp.n, p**i
-    fil_idx = {w for w, lv in enumerate(A._basis.conj) if lv <= i and w % A.pe % p == 0}
-    shifts = [(idxs, phi_shift_by_monomials(Acmp, idxs)) for idxs in orbit_blocks(Acmp)
-              if Acmp._basis.pd[idxs[0]] < n]
+    fil_idx = {w for w in range(A.T) if w // (A.pe * p) <= i and w % A.pe % p == 0}
+    shifts = [(idxs, phi_shift_by_monomials(Acmp, idxs)) for idxs in _weight_chains(p, Acmp.T)
+              if idxs[0] // Acmp.pe < n]
     # a chain on which phi is zero has no image and no graded piece, so the
     # image matches the filtration there iff the chain holds none of it
     same = fil_idx <= {t for idxs, _ in shifts for t in idxs}
@@ -1629,8 +1627,7 @@ def frobenius_fixed_points(A, i):
         if inv1 != inv2:
             raise NotStabilized("W = %d gives %s, W = %d gives %s" % (A.W, inv1, A.W + p, inv2))
         case = "W + p"
-    basis = A.basis()
-    gens = [{basis[t]: a for t, a in zip(idxs, row) if a} for idxs, row in K1]
+    gens = [{t: a for t, a in zip(idxs, row) if a} for idxs, row in K1]
     return {"group": PGroup(p, inv1, 0), "generators": gens, "certified_by": case}
 
 
@@ -1640,24 +1637,23 @@ def frobenius_fixed_points(A, i):
 
 def fiber_group_on_the_basis(A, i):
     """`pdalg.fiber_group` at (A.p, A.n, A.e, A.W), read off every weight
-    chain of A's basis and its table of divided-power exponents: the
-    reference the read-off from the roots replaced."""
+    chain of A's basis and the divided-power exponent w // p^e of each
+    weight: the reference the read-off from the roots replaced."""
     if i < 0:
         raise UsageError("the fibre group needs i >= 0, got i = %d" % i)
     n, W = A.n, A.W
     if W < n + i:
         raise TruncationTooTight("phi images need W >= n + i = %d, got W = %d" % (n + i, W))
-    pd = A._basis.pd
     exps = []
-    for idxs in orbit_blocks(A):
+    for idxs in _weight_chains(A.p, A.T):
         if not idxs[0]:  # the weight-0 chain [1]
             if i == 0:
                 exps.append(n)
             continue
-        end = pd[idxs[-1]]
+        end = idxs[-1] // A.pe
         if end < n + i:
             raise TruncationTooTight("phi image of weight %d leaves W = %d" % (end, W))
-        w = sum(max(0, i - pd[t]) for t in idxs)
+        w = sum(max(0, i - t // A.pe) for t in idxs)
         if w:
             exps.append(min(n, w))
     return PGroup(A.p, tuple(sorted(exps, reverse=True)))

@@ -1,6 +1,5 @@
 import argparse
 import ast
-import gc
 import importlib
 import json
 import subprocess
@@ -629,10 +628,9 @@ def test_acrys_runs_every_level_up_to_i(monkeypatch):
 
 
 def test_acrys_builds_one_basis_and_one_algebra_mod_p(monkeypatch):
-    # the algebras of one run share one basis, and the checks mod p share
-    # one algebra at n = 1; the collector runs first, so that no basis of
-    # an earlier test is left in the cache (`pdalg._BASES`)
-    gc.collect()
+    # an algebra keeps no basis: one run lists the monomials once, for the
+    # draws of `phi_pth_power_check`, and every other check reads levels
+    # off the weights; the checks mod p share one algebra at n = 1
     built, inits = [], []
     monomials, init = pdalg.PDAlgebra.monomials, pdalg.PDAlgebra.__init__
 
@@ -647,7 +645,7 @@ def test_acrys_builds_one_basis_and_one_algebra_mod_p(monkeypatch):
     monkeypatch.setattr(pdalg.PDAlgebra, "monomials", counted_monomials)
     monkeypatch.setattr(pdalg.PDAlgebra, "__init__", counted_init)
     assert cli.cmd_acrys(cli.RunConfig(p=3, n=2, e=1, i=2, W=13))["all_ok"]
-    assert len(built) == 1
+    assert built == [2]
     # no algebra per Nygaard level: the levels share one Frobenius table
     assert inits == [2, 1]
 
@@ -656,8 +654,9 @@ def test_the_benchmark_tracer_installs_and_counts_the_acrys_algebras():
     # `bench/tracer.py` wraps each method its METHODS names (install() fails
     # with a KeyError when one is gone), and reads pdalg.algebras and
     # pdalg.basis_builds off `PDAlgebra.__init__` and `monomials`; one acrys
-    # run builds two algebras on one basis.  A fresh interpreter holds no
-    # cached basis, and keeps the wrapping away from the other tests
+    # run builds two algebras and lists the monomials once, for the draws of
+    # `phi_pth_power_check`.  A fresh interpreter keeps the wrapping away
+    # from the other tests
     code = """
 import json
 import sys
@@ -682,35 +681,6 @@ print(json.dumps(tracer.layer_metrics()))
     assert metrics["pdalg.algebras"] == 2
     assert metrics["pdalg.basis_builds"] == 1
     assert metrics["pdalg.mul.calls"] and metrics["pdalg.frobenius.calls"]
-
-
-def test_acrys_basis_builds_do_not_depend_on_the_collector(monkeypatch):
-    # a basis lives as long as the algebras of one run: two runs of one
-    # config build it twice whether the cyclic collector runs between them
-    # or not at all
-    monomials = pdalg.PDAlgebra.monomials
-    built = []
-
-    def counted_monomials(self):
-        built.append(1)
-        return monomials(self)
-
-    monkeypatch.setattr(pdalg.PDAlgebra, "monomials", counted_monomials)
-    cfg = cli.RunConfig(p=3, n=2, e=1, i=2, W=13)
-    counts = []
-    for collect in (False, True):
-        gc.collect()
-        gc.disable()
-        try:
-            del built[:]
-            for _ in range(2):
-                cli.run_command("acrys", cfg)
-                if collect:
-                    gc.collect()
-        finally:
-            gc.enable()
-        counts.append(len(built))
-    assert counts == [2, 2]
 
 
 def test_acrys_runs_the_level_checks_at_level_0_for_a_negative_twist(monkeypatch):

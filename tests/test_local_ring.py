@@ -84,12 +84,13 @@ def test_kernel_annihilates_and_has_predicted_order(data):
 
 def test_tracked_columns_never_choose_a_pivot():
     # the T columns are carried along, but only the M-part picks pivots: a
-    # unit in T does not lower the pivot valuation, nor revive a zero M-part
+    # unit in T does not lower the pivot valuation, nor revive a zero M-part;
+    # each row comes back whole, M-part then T-part
     for p in (2, 3):
-        assert eliminate_mod([[p]], p, 2, T=[[1]]) == ([1], [[1]])
-        assert eliminate_mod([[0]], p, 2, T=[[1]]) == ([], [[1]])
+        assert eliminate_mod([[p]], p, 2, T=[[1]]) == ([1], [[p, 1]])
+        assert eliminate_mod([[0]], p, 2, T=[[1]]) == ([], [[0, 1]])
         assert eliminate_mod([[p, 0], [0, p * p]], p, 3, T=[[1, 0], [0, 1]]) == (
-            [1, 2], [[1, 0], [0, 1]])
+            [1, 2], [[p, 0, 1, 0], [0, p * p, 0, 1]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,8 +107,9 @@ def test_tracked_columns_of_lower_valuation_change_no_pivot(data, draw):
     units = draw.draw(st.lists(
         st.integers(0, q - 1).filter(lambda a: a % p), min_size=m, max_size=m))
     T = [[u] + e for u, e in zip(units, identity(m))]
-    vals, T2 = eliminate_mod(M, p, r, T)
+    vals, rows = eliminate_mod(M, p, r, T)
     assert vals == eliminate_mod(M, p, r)[0]
+    T2 = [row[n:] for row in rows]
     U = [row[1:] for row in T2]
     assert [row[0] for row in T2] == [sum(a * u for a, u in zip(row, units)) % q for row in U]
     UM = [[a % q for a in row] for row in mat_mul(U, M)]
@@ -119,16 +121,15 @@ def test_tracked_columns_of_lower_valuation_change_no_pivot(data, draw):
 @settings(max_examples=150, deadline=None)
 @given(local_matrices(), st.data())
 def test_whole_rows_keep_the_M_part_in_front(data, draw):
-    # whole=True returns the rows of the same elimination uncut: their
-    # T-parts are T' and the M-parts of the pivot rows are the rows of the
-    # elimination without T; the null rows have M-part zero
+    # with T given, every row comes back whole, M-part then T-part: the
+    # M-parts of the pivot rows are the rows of the elimination without T,
+    # the null rows have M-part zero, and there is one row per row of M
     M, p, r, n = data
     q = p**r
     T = [draw.draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2)) for _ in M]
-    vals, T2 = eliminate_mod(M, p, r, T)
-    whole_vals, W = eliminate_mod(M, p, r, T, whole=True)
-    assert whole_vals == vals
-    assert [row[n:] for row in W] == T2
+    vals, W = eliminate_mod(M, p, r, T)
+    assert vals == eliminate_mod(M, p, r)[0]
+    assert len(W) == len(M) and all(len(row) == n + 2 for row in W)
     assert [row[:n] for row in W[:len(vals)]] == eliminate_mod(M, p, r)[1]
     assert not any(a for row in W[len(vals):] for a in row[:n])
 

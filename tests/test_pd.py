@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, floor
 
 import pytest
 
@@ -31,7 +31,6 @@ from nygaard.pdalg import (
     fiber_group,
     frobenius_table,
     nygaard_graded_image_check,
-    orbit_blocks,
     phi_pth_power_check,
     span_identity_check,
 )
@@ -90,6 +89,17 @@ def from_variables(A, ws):
     return A.index(*ws) if isinstance(A, TwoVariablePD) else ws[0]
 
 
+def level(A, m):
+    """The divided-power exponent of the monomial m of either model: in
+    two variables, the total exponent."""
+    return sum(v // A.pe for v in variables(A, m))
+
+
+def every_chain(A):
+    """Every weight chain of A: `pdalg._weight_chains` over its window."""
+    return pdalg._weight_chains(A.p, A.T)
+
+
 def every_chain_kernel(A, i):
     """The Nygaard kernel of every chain of A as the diagonal rows
     p^{a_k} e_k of `_nygaard_exponents`: phi is zero on a chain that
@@ -99,7 +109,7 @@ def every_chain_kernel(A, i):
         exps = pdalg._nygaard_exponents(c, A.p, A.n, i)
         kernels[tuple(idxs)] = [[A.p**a if j == k else 0 for j in range(len(c))]
                                 for k, a in exps.items()]
-    return [(idxs, kernels.get(tuple(idxs), identity(len(idxs)))) for idxs in orbit_blocks(A)]
+    return [(idxs, kernels.get(tuple(idxs), identity(len(idxs)))) for idxs in every_chain(A)]
 
 
 def in_nygaard(A, i, vec):
@@ -150,7 +160,7 @@ def test_power_by_squaring_is_repeated_multiplication(p, e, g, n):
     # At g = 2 the inherited square and multiply runs on the tensor square,
     # where l is the total divided-power exponent
     A = pd_model(p, g, n, e, 2 * p if g == 1 else p)
-    basis = A.basis()
+    basis = A.monomials()
     rng = random.Random(100 * p + 10 * e + g + n)
     elements = [{m: 1} for m in basis]
     elements += [A.add(A.add({rng.choice(basis): rng.randrange(1, A.q)},
@@ -161,14 +171,14 @@ def test_power_by_squaring_is_repeated_multiplication(p, e, g, n):
         for k in (0, 1, 2, p, 2 * p + 1):
             want = power_by_repeated_multiplication(A, a, k)
             assert A.power(a, k) == want, (a, k)
-            edge += any(A._basis.pd[m] == A.W for m in want) and k > 1
+            edge += any(level(A, m) == A.W for m in want) and k > 1
     assert edge
 
 
 def test_pd_mul_associative_commutative():
     A = small_algebra(p=2, n=2, e=1, W=6)
     rng = random.Random(1)
-    basis = A.basis()
+    basis = A.monomials()
     for _ in range(40):
         a = {rng.choice(basis): rng.randrange(1, 4)}
         b = {rng.choice(basis): rng.randrange(1, 4)}
@@ -234,7 +244,7 @@ def test_mul_and_mul_monomials_match_the_merged_law(p, e, g, n):
     # at g = 2 the inherited bilinear `mul` runs on the tensor square, whose
     # `mul_monomials` is the one-variable law in each variable
     A = pd_model(p, g, n, e, 2 * p if g == 1 else 2)
-    basis = A.basis()
+    basis = A.monomials()
     for m1 in basis:
         for m2 in basis:
             a, b = {m1: 1}, {m2: 1}
@@ -272,11 +282,12 @@ def test_conjugate_filtration_two_descriptions():
 
 def test_conjugate_filtration_equality_g2():
     # descriptions (1) and (2) agree in two variables too, where products
-    # take the one-variable law in each variable
+    # take the one-variable law in each variable; description (2) is read
+    # off the model's own conjugate levels, the sum over the variables
     A = TwoVariablePD(2, n=1, e=1, W=5)
-    fil2 = conjugate_filtration_spans(A, 1)
     for nn in (0, 1):
-        assert description1_all_multipliers(A, nn) == fil2[nn], nn
+        fil2 = {t for t, lv in enumerate(A.conj) if lv <= nn}
+        assert description1_all_multipliers(A, nn) == fil2, nn
 
 
 def dense_description1(A, nn):
@@ -304,7 +315,7 @@ def dense_description1(A, nn):
 @one_variable("p,e,n", [(p, e, n) for p in (2, 3) for e in (1, 2) for n in (1, 2)], 1)
 def test_description1_index_set_matches_dense_closure(p, e, n):
     A = PDAlgebra(p, n=n, e=e, W=2 * p)
-    units = identity(len(A.basis()))
+    units = identity(A.T)
     for nn in (0, 1, 2):
         reached = conjugate_filtration_description1(A, nn)
         want = [units[t] for t in sorted(reached)]
@@ -329,7 +340,7 @@ def description1_all_multipliers(A, nn):
     variable is a multiple of p^e and its exponents add up to less than
     (n + 1) p."""
     pe = A.p**A.e
-    frontier = [m for m in A.basis()
+    frontier = [m for m in A.monomials()
                 if not any(v % pe for v in variables(A, m))
                 and sum(v // pe for v in variables(A, m)) < (nn + 1) * A.p]
     reached = set(frontier)
@@ -434,13 +445,17 @@ def test_conj_graded_map_is_bijective_at_every_window():
 
 def test_conj_graded_map_rank_mismatch_on_a_missing_monomial(monkeypatch):
     # Gamma^2 is enumerated from its definition, not from the basis, so a
-    # conjugate-level table missing one monomial of level 2 has a smaller
-    # target
+    # Fil_2 missing one monomial of level 2 has a smaller target
     A = small_algebra(p=2, n=1, e=1, W=10)
     rank = conj_graded_map_check(A, 2)["rank"]
-    conj = A._basis.conj
-    gone = conj.index(2)
-    monkeypatch.setattr(A._basis, "conj", conj[:gone] + conj[gone + 1:])
+    spans = conjugate_filtration_spans
+
+    def drop_one_of_level_2(A, nmax):
+        fil = spans(A, nmax)
+        fil[2] = fil[2] - {min(fil[2] - fil[1])}
+        return fil
+
+    monkeypatch.setattr(pdalg, "conjugate_filtration_spans", drop_one_of_level_2)
     assert conj_graded_map_check(A, 2) == {"ok": False, "reason": "rank mismatch",
                                            "src": rank, "tgt": rank - 1}
 
@@ -500,7 +515,7 @@ def test_frobenius_coefficient_has_valuation_pd_weight(p, e, g):
     # total exponent
     A = pd_model(p, g, 1, e, 2 * p if g == 1 else p)
     at = {n: pd_model(p, g, n, e, A.W) for n in range(1, A.W + 2)}  # by precision
-    for m in A.basis():
+    for m in A.monomials():
         coeff, image, w = 1, [], 0
         for v in variables(A, m):
             l, c = divmod(v, p**e)
@@ -530,16 +545,16 @@ def test_frobenius_coefficient_has_valuation_pd_weight(p, e, g):
 
 def test_orbit_blocks_partition():
     A = small_algebra(p=2, n=1, e=1, W=4)
-    blocks = orbit_blocks(A)
+    blocks = every_chain(A)
     seen = sorted(t for b in blocks for t in b)
-    assert seen == list(range(len(A.basis())))
+    assert seen == list(range(A.T))
 
 
 def fraction_weight_chains(A):
     """Reference chains from the weights c/p^e + l as exact fractions: start
     at each weight that is not p times another, multiply by p while the
     weight stays in the basis."""
-    weight = {Fraction(t % A.pe, A.pe) + t // A.pe: t for t in A.basis()}
+    weight = {Fraction(t % A.pe, A.pe) + t // A.pe: t for t in A.monomials()}
     chains = []
     for w, t in weight.items():
         if w and w / A.p in weight:
@@ -554,33 +569,46 @@ def fraction_weight_chains(A):
 
 @one_variable("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (0, 1, 2, 3)], 2)
 def test_basis_tables_are_each_monomials_pd_weight_and_conjugate_level(p, e):
-    # the basis order (index = weight l p^e + c) and the tables filled once
-    # per basis against a recomputation per monomial, and the closed-form
-    # chains beside them against the weight-dictionary search and the
-    # fraction oracle; at W = 0 and e = 0 the basis is [1] alone
+    # the levels are read off the weight by arithmetic, so the index sets
+    # built from them are checked against the level sets of the fraction
+    # weights l + c/p^e: Fil^conj_n of `conjugate_filtration_spans` at every
+    # level up to one past the window's top, and the restricted Fil^conj_n
+    # of `nygaard_graded_image_check`; and the closed-form chains against
+    # the weight-dictionary search and the fraction oracle.  At W = 0 and
+    # e = 0 the basis is [1] alone
+    pe = p**e
     for W in (0, 1, p, 2 * p + 1, 3 * p * p):
         A = PDAlgebra(p, n=1, e=e, W=W)
-        pairs = [(c, l) for l in range(W + 1) for c in range(p**e)]
-        basis = A.basis()
-        assert list(basis) == [l * p**e + c for c, l in pairs] == list(range(A.T))
-        assert A._basis.pd == [l for _, l in pairs]
-        assert A._basis.conj == [l // p for _, l in pairs]
-        chains = orbit_blocks(A)
+        # the index of each monomial [x^{c/p^e}] x^{[l]}, by its fraction
+        # weight, with its conjugate level floor(l / p) = floor(weight / p)
+        # and its numerator c
+        weights = [Fraction(c, pe) + l for l in range(W + 1) for c in range(pe)]
+        index = {f: int(f * pe) for f in weights}
+        assert list(A.monomials()) == sorted(index.values()) == list(range(A.T))
+        levels = [(index[f], floor(f / p), (f - floor(f)) * pe) for f in weights]
+        top = W // p + 1
+        fil = conjugate_filtration_spans(A, top)
+        for n in range(top + 1):
+            assert fil[n] == {t for t, lv, _ in levels if lv <= n}, (W, n)
+            assert pdalg._restricted_conj(A, n) == {
+                t for t, lv, c in levels if lv <= n and c % p == 0}, (W, n)
+        assert fil[-1] == set() and fil[top] == set(range(A.T))
+        chains = every_chain(A)
         assert chains == weight_chains_by_search(A)
         assert sorted(map(tuple, chains)) == sorted(fraction_weight_chains(A))
         if W == e == 0:
-            assert list(basis) == [0] and chains == [[0]]
+            assert list(A.monomials()) == [0] and chains == [[0]]
 
 
 @one_variable("p,e", [(p, e) for p in (2, 3, 5) for e in (0, 1, 2)], 2)
 def test_integer_weight_chains_match_fraction_oracle(p, e):
     A = PDAlgebra(p, n=1, e=e, W=2 * p)
-    chains = [tuple(c) for c in orbit_blocks(A)]
+    chains = [tuple(c) for c in every_chain(A)]
     assert len(chains) == len(set(chains))
     assert set(chains) == set(fraction_weight_chains(A))
     assert max(map(len, chains)) >= 2
-    # one set of chains per basis, shared by every precision
-    assert orbit_blocks(PDAlgebra(p, n=3, e=e, W=A.W)) is orbit_blocks(A)
+    # the chains do not depend on the precision
+    assert every_chain(PDAlgebra(p, n=3, e=e, W=A.W)) == list(map(list, chains))
 
 
 @pytest.mark.parametrize("p,e,n,i", [
@@ -604,7 +632,7 @@ def _fixed_points_eliminating_every_chain(A, i):
     Aw = PDAlgebra(A.p, A.n + i, A.e, A.W)
     invs = []
     gens = []
-    for idxs in orbit_blocks(Aw):
+    for idxs in every_chain(Aw):
         op = phi_block(phi_shift_by_monomials(Aw, idxs))
         for t in range(len(op)):
             op[t][t] -= A.p**i
@@ -614,7 +642,7 @@ def _fixed_points_eliminating_every_chain(A, i):
         if proj:
             invs.extend(module_invariants_mod(proj, A.p, A.n))
         for row in proj:
-            full = [0] * len(Aw.basis())
+            full = [0] * Aw.T
             for k, t in enumerate(idxs):
                 full[t] = row[k]
             gens.append(full)
@@ -640,7 +668,7 @@ def test_zero_phi_block_shortcut_matches_elimination(p, e, n):
         invs, gens = oracles.fixed_points_at(A, i, A.W)
         want_invs, want_gens = _fixed_points_eliminating_every_chain(A, i)
         assert fibre(A, i).exponents == invs == want_invs
-        full = [[0] * len(A.basis()) for _ in gens]
+        full = [[0] * A.T for _ in gens]
         for row, (idxs, local) in zip(full, gens):
             for t, a in zip(idxs, local):
                 row[t] = a
@@ -679,7 +707,7 @@ def _phi_shifts_building_every_list(A):
     p^n, monomial by monomial, and keep the nonzero ones, as before the root
     rule and the exact lists."""
     out = []
-    for idxs in pdalg.orbit_blocks(A):
+    for idxs in pdalg._weight_chains(A.p, A.T):
         c = phi_shift_by_monomials(A, idxs)
         if any(c):
             out.append((idxs, c))
@@ -862,7 +890,7 @@ def test_phi_block_that_is_not_a_shift_raises(flags):
 from nygaard import pdalg
 from nygaard.errors import CompositeNonzero
 A = pdalg.PDAlgebra(2, 3, 1, 8)
-chain = next(c for c in pdalg.orbit_blocks(A) if len(c) >= 3)
+chain = next(c for c in pdalg._weight_chains(A.p, A.T) if len(c) >= 3)
 if not pdalg._phi_shift(A, chain)[0]:
     raise SystemExit("phi is zero on the root of the chain")
 phi = A.frobenius_monomial
@@ -917,7 +945,7 @@ def _graded_image_eliminating_every_chain(A, i):
     fil_idx = {t for t in pdalg.conjugate_filtration_spans(A, i + 1)[i]
                if t % A.pe % p == 0}
     same, dim_src, dim_img = True, 0, 0
-    for idxs in orbit_blocks(Acmp):
+    for idxs in every_chain(Acmp):
         M = phi_block(phi_shift_by_monomials(Acmp, idxs))
         units = identity(len(idxs))
         Ki, Ki1 = (preimage_mod(M, mat_scale(p**j, units), p, Acmp.n) for j in (i, i + 1))
@@ -942,7 +970,7 @@ def _syntomic_acrys_eliminating_every_chain(A, i):
     Aint = PDAlgebra(p, r + i, A.e, A.W)
     q = p**r
     h1, chains = PGroup.zero(p), []
-    for idxs in orbit_blocks(Aint):
+    for idxs in every_chain(Aint):
         M = phi_block(phi_shift_by_monomials(Aint, idxs))
         units = identity(len(idxs))
         gens = preimage_mod(M, mat_scale(p**i, units), p, Aint.n)
@@ -960,7 +988,7 @@ def _surjectivity_mechanism(A, i, chains):
     and i >= 1."""
     p = A.p
     parts = {
-        "pd_part": {t for t in A.basis() if t // A.pe >= i + 1},
+        "pd_part": {t for t in A.monomials() if t // A.pe >= i + 1},
         "conj_part": {t for t in conjugate_filtration_spans(A, i)[i - 1]
                       if t % A.pe % p == 0},
     }
@@ -996,20 +1024,21 @@ def test_graded_image_check_matches_elimination_on_every_chain(p, e, n):
 
 
 def test_graded_image_check_reads_fil_on_zero_chains(monkeypatch):
-    # an index of the restricted Fil^conj_i on a zero chain has no preimage
+    # an index of the restricted Fil^conj_i on a zero chain has no preimage:
+    # a restricted Fil^conj_i that also holds a weight of level i + 1 on a
+    # zero chain no longer matches the image, and nothing else changes
     p, i = 2, 1
     A = small_algebra(p=p, n=1, e=2)
-    assert nygaard_graded_image_check(A, i)["image_matches_fil"]
+    want = nygaard_graded_image_check(A, i)
+    assert want["image_matches_fil"] and want == _graded_image_eliminating_every_chain(A, i)
     Acmp = PDAlgebra(p, A.n + i + 1, A.e, A.W)
-    t = next(t for idxs in orbit_blocks(Acmp) if not any(phi_shift_by_monomials(Acmp, idxs))
+    t = next(t for idxs in every_chain(Acmp) if not any(phi_shift_by_monomials(Acmp, idxs))
              for t in idxs if t % A.pe % p == 0)
-    conj = list(A._basis.conj)
-    assert conj[t] > i
-    conj[t] = i
-    monkeypatch.setattr(A._basis, "conj", conj)
+    assert t // (A.pe * p) > i and t not in pdalg._restricted_conj(A, i)
+    restricted = pdalg._restricted_conj
+    monkeypatch.setattr(pdalg, "_restricted_conj", lambda A, i: restricted(A, i) | {t})
     rep = nygaard_graded_image_check(A, i)
-    assert not rep["image_matches_fil"]
-    assert rep == _graded_image_eliminating_every_chain(A, i)
+    assert rep == dict(want, image_matches_fil=False, ok=False)
 
 
 @pytest.mark.parametrize("p,e,r", [(p, e, r) for p in (2, 3, 5) for e in (1, 2) for r in (1, 2)])
@@ -1128,7 +1157,7 @@ def test_acrys_block_and_product_count(monkeypatch, command, config, blocks, pro
     shift, mul = pdalg._phi_shift, PDAlgebra.mul
 
     def counted_shift(A, idxs):
-        assert A._basis.pd[idxs[0]] < config["i"] + 2
+        assert idxs[0] // A.pe < config["i"] + 2
         built.append(tuple(idxs))
         return shift(A, idxs)
 
@@ -1223,7 +1252,8 @@ def test_phi_divisibility_checks_raise(monkeypatch, check):
 
 def test_phi_leaving_its_weight_chain_raises(monkeypatch):
     A = small_algebra(p=2, n=2, e=1, W=6)
-    monkeypatch.setattr(pdalg, "orbit_blocks", lambda A: [[t] for t in range(len(A.basis()))])
+    monkeypatch.setattr(pdalg, "_weight_chains",
+                        lambda p, top, roots=None: [[t] for t in range(min(top, roots or top))])
     with pytest.raises(CompositeNonzero):
         pdalg._phi_shifts(A)
 
@@ -1458,14 +1488,19 @@ def test_span_identity():
 
 
 def test_span_identity_reads_the_tables(monkeypatch):
-    # a monomial of conjugate level j whose |l| the table gives as 0 lies in
+    # a Fil^conj_{j-1} missing a monomial with l < pj: that monomial lies in
     # neither Fil^conj_{j-1} nor Fil^{pj}_pd
     p, j = 2, 1
     A = small_algebra(p=p, n=1, e=2)
     assert span_identity_check(A, j)
-    pd = list(A._basis.pd)
-    pd[A._basis.conj.index(j)] = 0
-    monkeypatch.setattr(A._basis, "pd", pd)
+    spans = conjugate_filtration_spans
+
+    def drop_the_last(A, nmax):
+        fil = spans(A, nmax)
+        fil[j - 1] = fil[j - 1] - {max(fil[j - 1])}
+        return fil
+
+    monkeypatch.setattr(pdalg, "conjugate_filtration_spans", drop_the_last)
     assert not span_identity_check(A, j)
 
 

@@ -9,7 +9,7 @@ from nygaard.linalg import (
     presented_complex_cohomology,
 )
 import oracles
-from nygaard import qtorus
+from nygaard import cli, qtorus
 from nygaard.qbase import QBase
 from nygaard.qtorus import (
     QTorusComplex,
@@ -80,6 +80,22 @@ def test_specialization_to_integral_torus():
     for p in (2, 3):
         assert specialization_check(QTorusComplex(p, 4), M=3)
     assert oracles.specialization_check(oracles.build_qtorus(2, 2, 4), M=3)
+
+
+def test_specialization_reads_false_when_a_q_integer_is_off(monkeypatch):
+    # the constant coefficient of [m]_{q^p} is compared with m itself, so a
+    # [k]_q whose constant coefficient is off by one turns qderham's
+    # specialization false; [p]_q is left as it is, so xi is unchanged
+    q_integer = QBase.q_integer
+
+    def off_by_one(B, k):
+        a = q_integer(B, k)
+        return a if k == B.p else (a[0] + 1,) + a[1:]
+
+    monkeypatch.setattr(QBase, "q_integer", off_by_one)
+    for N in (1, 2):
+        result = cli.run_command("qderham", cli.RunConfig(p=2, N=N, M=1))["result"]
+        assert result["specialization"] is False and result["all_ok"] is False, N
 
 
 def test_d2_mixed_weight_dsquared():

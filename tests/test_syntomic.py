@@ -480,6 +480,20 @@ def test_widening_window_checks_that_boundaries_are_cocycles(monkeypatch):
     assert corrupted == [V + 1]
 
 
+def test_each_widening_builds_the_rows_of_d_t_once(monkeypatch):
+    # the rows of d_t at step group s serve the d∘d check of degree t and
+    # the new rows of degree t + 1, so one orbit builds each (t, s) once,
+    # whether the window or a widening reads it; the grid holds widenings
+    # with degrees 1 and 2 both pending, where each was built twice before
+    tail_rows, built = syntomic._tail_rows, []
+    monkeypatch.setattr(syntomic, "_tail_rows",
+                        lambda blocks, rk, t, s: built.append((t, s)) or tail_rows(blocks, rk, t, s))
+    for p, N, i, r in product((2, 3), (2, 3), (0, 1, 2), (1, 2)):
+        del built[:]
+        _outcome(_orbit_contribution, QTorusComplex(p, N), i, r, r + 1)
+        assert len(built) == len(set(built)), (p, N, i, r)
+
+
 def _count_window_work(monkeypatch):
     """eliminate_mod calls, the window V of every preimage_mod that presents
     the cocycles of an orbit window, and the V of every assembled window"""

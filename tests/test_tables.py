@@ -152,10 +152,7 @@ def test_fresh_rings_start_with_empty_tables(p):
 
 
 # module-level state a function may write, by the reason it is allowed
-MODULE_STATE_ALLOWED = {
-    ("pdalg", "_BASES"): "a WeakValueDictionary: an entry lives exactly as long as an "
-                         "algebra of the run holds its basis",
-}
+MODULE_STATE_ALLOWED = {}
 
 _MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "append",
              "extend", "insert", "add", "remove", "discard"}
