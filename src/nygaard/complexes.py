@@ -1,25 +1,25 @@
-"""Filtered complexes, the Beilinson t-structure, and the decalage eta_f.
+"""Complexes of free Z-modules, the decalage eta_f, and acyclicity of
+presented complexes mod p^r.
 
 Complexes are bounded cochain complexes of finite free Z-modules in the row
-convention of linalg.  Filtrations are stored on a finite index window with a
-declared extension pattern; operations refuse inputs whose result would
-depend on indices outside the declared pattern.
+convention of linalg; `eta` certifies H^j(eta_f C) = H^j(C)/H^j(C)[f]
+degree by degree.  A presented complex is a pair (terms, maps): terms[j] =
+(gens, rels) with span(rels) ⊆ span(gens) in a common ambient Z^{n_j}, and
+maps[j] the ambient matrix from degree j to j+1.  The checks of `torus` and
+`qtorus` build such complexes and their cones, and ask only whether they
+are acyclic mod p^r.
 """
 
-from .errors import CompositeNonzero, NotNonzerodivisor, UsageError, WindowTooSmall
+from .errors import CompositeNonzero, NotNonzerodivisor, UsageError
 from .linalg import (
     PGroup,
     _hnf_coordinates,
-    cocycles_boundaries,
     cohomology_invariants,
     hermite_form,
     identity,
-    lattice_contains,
     mat_is_zero,
     mat_mul,
     mat_scale,
-    presented_complex_cohomology,
-    quotient_invariants,
     restrict_lattice,
     row_mul,
     span_exponent_mod,
@@ -77,7 +77,7 @@ def eta(f, C):
     f^n = f^{-n}; any other f raises UsageError.
     """
     if f == 0:
-        raise NotNonzerodivisor("f = 0")
+        raise NotNonzerodivisor("f must be nonzero")
     degs = C.degrees()
     for n in degs:
         if n < 0 and C.rank(n) and abs(f) != 1:
@@ -131,147 +131,16 @@ def eta_cohomology_law_check(f, C, p):
 
 
 # ---------------------------------------------------------------------------
-# filtered complexes
-
-
-class FilteredComplex:
-    """Descending filtration by sub-lattices over a finite index window.
-
-    lat[(i, n)] holds generator rows of Fil^i in degree n.  Below the window
-    the filtration is constant; above it follows `above`, either ("zero",)
-    or ("f-adic", f) meaning Fil^{i1+k} = f^k * Fil^{i1}.
-    """
-
-    def __init__(self, C, i0, i1, lat, above=("zero",)):
-        self.C, self.i0, self.i1, self.lat, self.above = C, i0, i1, lat, above
-
-    def fil(self, i, n):
-        if i <= self.i0:
-            return self.lat[(self.i0, n)]
-        if i <= self.i1:
-            return self.lat[(i, n)]
-        if self.above[0] == "zero":
-            return []
-        if self.above[0] == "f-adic":
-            f = self.above[1]
-            base = self.lat[(self.i1, n)]
-            c = f ** (i - self.i1)
-            return [[c * a for a in row] for row in base]
-        raise WindowTooSmall("no extension pattern above index %d" % self.i1)
-
-    def validate(self):
-        for i in range(self.i0, self.i1 + 1):
-            for n in self.C.degrees():
-                G = self.fil(i, n)
-                Gn = self.fil(i + 1, n)
-                if not lattice_contains(G, Gn):
-                    raise CompositeNonzero("Fil^%d not inside Fil^%d in degree %d" % (i + 1, i, n))
-                img = mat_mul(G, self.C.diff(n))
-                if self.C.rank(n + 1) and not lattice_contains(self.fil(i, n + 1), img):
-                    raise CompositeNonzero("d does not preserve Fil^%d in degree %d" % (i, n))
-        return True
-
-
-def f_adic_filtration(f, C, i1):
-    """The filtration f^* (x) C: Fil^i = f^max(i,0) C, f-adic above i1."""
-    lat = {}
-    for i in range(0, i1 + 1):
-        for n in C.degrees():
-            r = C.rank(n)
-            lat[(i, n)] = mat_scale(f**i, identity(r)) if r else []
-    return FilteredComplex(C, 0, i1, lat, above=("f-adic", f))
-
-
-def trivial_filtration(C, i1=1):
-    """Fil^0 = all, Fil^i = 0 for i >= 1."""
-    lat = {}
-    for n in C.degrees():
-        r = C.rank(n)
-        lat[(0, n)] = identity(r) if r else []
-        for i in range(1, i1 + 1):
-            lat[(i, n)] = []
-    return FilteredComplex(C, 0, i1, lat, above=("zero",))
-
-
-def beilinson_truncate(F):
-    """Connective cover for the Beilinson t-structure (filtration decalee).
-
-    (tau F)(i)^n = {x in F(max(i,n))^n : dx in F(max(i,n)+1)^{n+1}}; for
-    n < i the d-condition is automatic.  The graded-piece law
-    gr^i(tau F) = tau^{<=i} gr^i(F) then holds degreewise.
-    """
-    C = F.C
-    degs = C.degrees()
-    top = max(degs) if degs else 0
-    if F.above[0] not in ("zero", "f-adic"):
-        raise WindowTooSmall("need an extension pattern above the window")
-    lat = {}
-    for i in range(F.i0, F.i1 + 1):
-        for n in degs:
-            j = max(i, n)
-            if n >= i and C.rank(n + 1):
-                # the d-condition dx in F(n+1) only bites in degrees n >= i;
-                # below it d(F(i)) lies in F(i) already
-                lat[(i, n)] = restrict_lattice(F.fil(j, n), C.diff(n), F.fil(j + 1, n + 1))
-            else:
-                lat[(i, n)] = hermite_form(F.fil(j, n))
-    return FilteredComplex(C, F.i0, F.i1, lat, above=F.above)
-
-
-def underlying_complex_lattices(F):
-    """Per-degree lattice of the i -> -infinity colimit of (tau_B F): for
-    i <= n the degree-n piece is {x in F(n)^n : dx in F(n+1)^{n+1}}."""
-    C = F.C
-    return {
-        n: restrict_lattice(F.fil(n, n), C.diff(n), F.fil(n + 1, n + 1))
-        if C.rank(n + 1) else hermite_form(F.fil(n, n))
-        for n in C.degrees()
-    }
-
-
-def graded_piece(F, i):
-    """gr^i F as a presented complex: terms (Fil^i gens, Fil^{i+1} rels)."""
-    terms = {}
-    maps = {}
-    for n in F.C.degrees():
-        terms[n] = (F.fil(i, n), F.fil(i + 1, n))
-        if F.C.rank(n + 1):
-            maps[n] = F.C.diff(n)
-    return terms, maps
-
-
-def truncated_graded_cohomology(F, i, p):
-    """Cohomology of tau^{<=i} gr^i(F) as PGroups (zero above degree i)."""
-    terms, maps = graded_piece(F, i)
-    full = presented_complex_cohomology(terms, maps, p)
-    return {n: (g if n <= i else PGroup.zero(p)) for n, g in full.items()}
-
-
-def graded_law_check(F, p):
-    """gr^i(beilinson_truncate(F)) vs tau^{<=i} gr^i(F), via cohomology."""
-    T = beilinson_truncate(F)
-    report = {}
-    for i in range(F.i0, F.i1):
-        terms, maps = graded_piece(T, i)
-        got = presented_complex_cohomology(terms, maps, p)
-        expect = truncated_graded_cohomology(F, i, p)
-        ok = all(got.get(n, PGroup.zero(p)) == expect.get(n, PGroup.zero(p)) for n in F.C.degrees())
-        report[i] = {"match": ok, "got": {n: str(g) for n, g in got.items()},
-                     "expected": {n: str(g) for n, g in expect.items()}}
-    return report
-
-
-# ---------------------------------------------------------------------------
 # cones of maps of presented complexes
 
 
 def presented_cone(src, tgt, fmaps):
     """Cone of a chain map f: src -> tgt of presented complexes.
 
-    src and tgt are (terms, maps) pairs as in presented_complex_cohomology;
-    fmaps[j] is f in degree j on the ambients.  E^n = src^{n+1} (+) tgt^n
-    with d(x, y) = (-x d_src, x f + y d_tgt), so f is a quasi-isomorphism
-    iff the cone is acyclic."""
+    src and tgt are presented complexes (terms, maps), as in the module
+    docstring; fmaps[j] is f in degree j on the ambients.  E^n = src^{n+1}
+    (+) tgt^n with d(x, y) = (-x d_src, x f + y d_tgt), so f is a
+    quasi-isomorphism iff the cone is acyclic."""
     (s_terms, s_maps), (t_terms, t_maps) = src, tgt
 
     def width(terms, j):
@@ -308,10 +177,10 @@ def presented_cone(src, tgt, fmaps):
 
 
 def acyclic_mod(terms, maps, p, r):
-    """Whether a complex of presented groups has zero cohomology mod p^r;
-    terms and maps are as in presented_complex_cohomology.  False as well
-    when it is not one: a row leaves its generator span, or a relation or a
-    boundary does not map into the next relations.
+    """Whether a presented complex (terms, maps), as in the module
+    docstring, has zero cohomology mod p^r.  False as well when it is not
+    one: a row leaves its generator span, or a relation or a boundary does
+    not map into the next relations.
 
     The rels of degree t and the images of the Hermite rows of degree t-1
     are written in the Hermite coordinates of the gens of degree t (the one
@@ -347,52 +216,3 @@ def acyclic_mod(terms, maps, p, r):
             return False
     return all(r * len(H[t]) - e[t] == im.get(t - 1, 0) + im.get(t, 0) for t in H)
 
-
-# ---------------------------------------------------------------------------
-# the heart: chain complexes from filtered complexes
-
-
-class ChainComplexObject:
-    """Heart object: slot i carries H^i(gr^i F) with the boundary map.
-
-    slots: i -> (invariants, free rank); diff: i -> matrix from the slot i
-    generators to the slot i+1 generators; gens: i -> generator rows
-    (ambient)."""
-
-    def __init__(self, slots, diff, gens):
-        self.slots, self.diff, self.gens = slots, diff, gens
-
-
-def beilinson_H0(F, p):
-    """The heart object (H^i(gr^i F), Bockstein-style boundary), d^2 = 0.
-
-    Also returns the full graded cohomology table H^n(gr^i F) for reporting.
-    Slot i and row i of the table come from one presentation of gr^i F.
-    """
-    C = F.C
-    cocycles = {}
-    boundaries = {}
-    slots = {}
-    table = {}
-    for i in range(F.i0, F.i1 + 1):
-        pres = cocycles_boundaries(*graded_piece(F, i))
-        inv = {n: quotient_invariants(Z, B) for n, (Z, B) in pres.items()}
-        table[i] = {n: PGroup.from_invariants(p, *iv).to_json() for n, iv in inv.items()}
-        cocycles[i], boundaries[i] = pres.get(i, ([], []))
-        slots[i] = inv.get(i, ([], 0))
-    diff = {}
-    for i in sorted(cocycles):
-        if i + 1 not in cocycles or not cocycles[i] or not cocycles[i + 1]:
-            continue
-        # the cocycle rows are a Hermite basis (`cocycles_boundaries`)
-        rows = _hnf_coordinates(cocycles[i + 1], mat_mul(cocycles[i], C.diff(i)))
-        if None in rows:
-            raise CompositeNonzero("slot %d: the boundary image is not a graded cocycle" % i)
-        diff[i] = rows
-    # d^2 = 0 in the presented sense: composite lands in boundaries
-    for i in diff:
-        if i + 1 in diff:
-            amb = mat_mul(mat_mul(diff[i], diff[i + 1]), cocycles[i + 2])
-            if not lattice_contains(boundaries[i + 2], amb):
-                raise CompositeNonzero("heart differential does not square to zero at %d" % i)
-    return ChainComplexObject(slots, diff, cocycles), table

@@ -45,11 +45,6 @@ class NotNonzerodivisor(UsageError):
     """The element given to the decalage eta_f is not a nonzerodivisor."""
 
 
-class WindowTooSmall(UsageError):
-    """A filtration declares no extension pattern above its index window, so
-    the requested piece depends on indices it does not describe."""
-
-
 class LengthMismatch(UsageError):
     """Witt vectors of different lengths were combined."""
 

@@ -23,26 +23,25 @@ by the matrix product B*d = 0 mod p^r, and its cocycle rows Z, one
 `complexes.acyclic_mod` decides whether a complex of presented groups is
 acyclic mod p^r from span orders alone, with no cocycles and no quotient.
 
-The side over Z mirrors it: `cocycles_boundaries` presents each degree of a
-complex of presented groups by cocycle rows Z and boundary rows B, and
-`quotient_invariants(Z, B)` reads the group off one Hermite form of Z,
+Cohomology over Z has one routine, `cohomology_invariants`, for a complex
+of free Z-modules (the one shape `complexes.eta` needs): the cocycles of
+degree j are the kernel of d_j, the boundaries the nonzero rows of d_{j-1},
+and `quotient_invariants(Z, B)` reads the group off one Hermite form of Z,
 raising when a row of B leaves span(Z); that raise is the only check of B
 in Z over Z.  The invariant factors of the coordinates of B come from
 Hermite forms of their columns and rows in turn, with no transforms.
-`cohomology_invariants` (gens = I, no relations), `complexes.beilinson_H0`
-and `presented_complex_cohomology` all read from it; the last is reached
-only through the Beilinson code of `complexes`.  Membership queries take a
-block of rows; `_hnf_coordinates` finds the pivots of a Hermite form once
-per block and builds no transform.  `lattice_contains` reads from it, and so
-do the solves of `complexes`, whose lattices are Hermite bases already.
+Membership queries take a block of rows; `_hnf_coordinates` finds the
+pivots of a Hermite form once per block and builds no transform.
+`lattice_contains` reads from it, and so do the solves of `complexes`,
+whose lattices are Hermite bases already.
 
 Every sublattice cut out by a condition is one restriction:
 `restrict_lattice(G, D, L)` = {x in span(G) : x*D in span(L)} is one
 integer kernel, that of [G*D; -L], cut to its G coordinates and written back
 through G.  With D = None it is span(G) ∩ span(L); with G = I and L = []
-it is the kernel of D.  The cocycles of `cocycles_boundaries`, eta and the
-Beilinson truncation in `complexes`, the decalage filtrations of `torus` and
-`qtorus` and the random fixture complexes of `cli` all come from it.
+it is the kernel of D.  The cocycles of `cohomology_invariants`, eta in
+`complexes`, the decalage filtrations of `torus` and `qtorus` and the
+random fixture complexes of `cli` all come from it.
 `block_diag(blk, copies)` puts one square block on every summand of a free
 module, e.g. multiplication by an element of B = Z[q]/((q-1)^N) on B^k.
 """
@@ -312,46 +311,18 @@ def quotient_invariants(L, M):
 
 def cohomology_invariants(ranks, diffs):
     """Per-degree (invariant factors, free rank) of a complex of free
-    Z-modules: the presented complex with gens = I and no relations."""
-    terms = {j: (identity(r), []) for j, r in ranks.items()}
-    pres = cocycles_boundaries(terms, diffs)
-    return {j: quotient_invariants(Z, B) for j, (Z, B) in pres.items()}
-
-
-# ---------------------------------------------------------------------------
-# presented modules and presented complexes (subquotients of Z^n)
-
-
-def presented_complex_cohomology(terms, maps, p):
-    """Cohomology over Z of a complex of presented groups, as PGroups.
-
-    terms[j] = (gens, rels) with span(rels) ⊆ span(gens) in a common ambient
-    Z^{n_j}; maps[j] is the ambient matrix from degree j to j+1.
-    CompositeNonzero when a boundary leaves the cocycles."""
-    pres = cocycles_boundaries(terms, maps)
-    return {j: PGroup.from_invariants(p, *quotient_invariants(Z, B)) for j, (Z, B) in pres.items()}
-
-
-def cocycles_boundaries(terms, maps):
-    """Cocycle rows Z_j and boundary rows B_j per degree, over Z.
-
-    terms and maps are as in presented_complex_cohomology.  Z_j is the
-    Hermite basis of the elements of span(gens_j) that map into
-    span(rels_{j+1}); B_j holds the nonzero rows of rels_j and of the image
-    of gens_{j-1}, all in the ambient Z^{n_j}.  Whether B_j lies in Z_j is
-    left to quotient_invariants(Z_j, B_j), which raises when it does not."""
-    pres = {}
-    for j in sorted(terms):
-        gens, rels = terms[j]
-        B = list(rels)
-        if j + 1 in terms and maps.get(j) is not None:
-            Z = restrict_lattice(gens, maps[j], terms[j + 1][1])
-        else:
-            Z = hermite_form(gens)
-        if j - 1 in terms and maps.get(j - 1) is not None:
-            B += mat_mul(terms[j - 1][0], maps[j - 1])
-        pres[j] = (Z, [b for b in B if any(b)])
-    return pres
+    Z-modules, diffs[j] mapping degree j to j+1.  The cocycles Z_j are the
+    kernel restrict_lattice(I, d_j, []), and the boundaries B_j the nonzero
+    rows of d_{j-1}; quotient_invariants(Z_j, B_j) raises CompositeNonzero
+    when a row of B_j leaves span(Z_j), that is when d_{j-1} d_j != 0."""
+    out = {}
+    for j in sorted(ranks):
+        I = identity(ranks[j])
+        D = diffs.get(j) if j + 1 in ranks else None
+        E = diffs.get(j - 1) if j - 1 in ranks else None
+        Z = I if D is None else restrict_lattice(I, D, [])
+        out[j] = quotient_invariants(Z, [b for b in E or [] if any(b)])
+    return out
 
 
 def cocycles_boundaries_mod(ranks, diffs, p, r):

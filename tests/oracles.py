@@ -5,9 +5,9 @@ form, further coefficient rings, the universal polynomials of
 Witt-vector arithmetic and the inverse of its ghost map on unreduced
 coordinates, the kernel and the preimage of a lattice and the
 solutions of x*M = y computed on their own, cohomology of a complex of free
-Z-modules and, as groups, of a complex of presented groups mod p^r, the
-syntomic windows presented from scratch and their stable images certified
-by span(B_k) and span(pi B_k) carried apart, property checks of the
+Z-modules and, as groups, of a complex of presented groups over Z and mod
+p^r, the syntomic windows presented from scratch and their stable images
+certified by span(B_k) and span(pi B_k) carried apart, property checks of the
 divided-power algebra, its powers by repeated multiplication, its weight
 chains found by search, its two-variable model as the tensor square of the
 one-variable one, its Frobenius on a weight chain built monomial by monomial
@@ -48,6 +48,7 @@ from nygaard.linalg import (
     mat_scale,
     preimage_mod,
     quotient_exponents_mod,
+    quotient_invariants,
     restrict_lattice,
     row_mul,
     span_contains_mod,
@@ -605,11 +606,44 @@ def cohomology_mod(ranks, diffs, p, r, rels=None):
     return {t: PGroup(p, quotient_exponents_mod(Z, B, p, r)) for t, (Z, B) in pres.items()}
 
 
+def cocycles_boundaries(terms, maps):
+    """Cocycle rows Z_j and boundary rows B_j per degree of a complex of
+    presented groups, over Z.
+
+    terms[j] = (gens, rels) with span(rels) ⊆ span(gens) in a common ambient
+    Z^{n_j}; maps[j] is the ambient matrix from degree j to j+1.  Z_j is the
+    Hermite basis of the elements of span(gens_j) that map into
+    span(rels_{j+1}); B_j holds the nonzero rows of rels_j and of the image
+    of gens_{j-1}, all in the ambient Z^{n_j}.  Whether B_j lies in Z_j is
+    left to quotient_invariants(Z_j, B_j), which raises when it does not."""
+    pres = {}
+    for j in sorted(terms):
+        gens, rels = terms[j]
+        B = list(rels)
+        if j + 1 in terms and maps.get(j) is not None:
+            Z = restrict_lattice(gens, maps[j], terms[j + 1][1])
+        else:
+            Z = hermite_form(gens)
+        if j - 1 in terms and maps.get(j - 1) is not None:
+            B += mat_mul(terms[j - 1][0], maps[j - 1])
+        pres[j] = (Z, [b for b in B if any(b)])
+    return pres
+
+
+def presented_complex_cohomology(terms, maps, p):
+    """Cohomology over Z of a complex of presented groups, as PGroups: the
+    reference the mod p^r routines on presented complexes are checked
+    against.  terms and maps are as in cocycles_boundaries.
+    CompositeNonzero when a boundary leaves the cocycles."""
+    pres = cocycles_boundaries(terms, maps)
+    return {j: PGroup.from_invariants(p, *quotient_invariants(Z, B)) for j, (Z, B) in pres.items()}
+
+
 def presented_cohomology_mod(terms, maps, p, r):
     """Cohomology of a complex of presented groups tensored with Z/p^r, as
     groups: the rels and the images of the Hermite rows of the gens are
     written in the Hermite coordinates of the gens, and cohomology_mod does
-    the rest.  terms and maps are as in linalg.presented_complex_cohomology.
+    the rest.  terms and maps are as in cocycles_boundaries.
     CompositeNonzero when a row leaves its generator span, or a boundary
     leaves the cocycles."""
     H = {j: hermite_form(g) if g else [] for j, (g, _) in terms.items()}

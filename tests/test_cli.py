@@ -31,14 +31,6 @@ UNREACHED = {
         "witt.witt_zero", "witt.witt_one", "witt.witt_add"),
     "the PD element API the tests build elements with": (
         "pdalg.PDAlgebra.monomial", "pdalg.PDAlgebra.to_vector", "pdalg.PDAlgebra.from_vector"),
-    "the Beilinson truncation and the cohomology it reads, which eta does not run yet "
-    "(ROADMAP item 7)": (
-        "complexes.FilteredComplex", "complexes.f_adic_filtration",
-        "complexes.trivial_filtration", "complexes.beilinson_truncate",
-        "complexes.underlying_complex_lattices", "complexes.graded_piece",
-        "complexes.truncated_graded_cohomology", "complexes.graded_law_check",
-        "complexes.ChainComplexObject", "complexes.beilinson_H0", "errors.WindowTooSmall",
-        "linalg.presented_complex_cohomology"),
 }
 
 
@@ -192,6 +184,12 @@ def test_main_usage_exit_1(argv):
     assert cli.main(argv) == 1
 
 
+def test_main_eta_f_zero_exit_1(capsys):
+    # eta itself refuses f = 0, with a NotNonzerodivisor, which is a UsageError
+    assert cli.main(["eta", "--f", "0"]) == 1
+    assert capsys.readouterr().err == "usage error: f must be nonzero\n"
+
+
 @pytest.mark.parametrize("token", ["abc", "p^x", "p^-1"])
 def test_main_malformed_f_exit_1(capsys, token):
     # --f takes an integer, p or p^k with k >= 0
@@ -239,7 +237,6 @@ def test_main_not_certified_exit_2(monkeypatch, exc):
 
 MOVED_ERRORS = [
     (complexes, "NotNonzerodivisor", errors.UsageError),
-    (complexes, "WindowTooSmall", errors.UsageError),
     (witt, "LengthMismatch", errors.UsageError),
     (rings, "RingError", errors.NotCertified),
 ]

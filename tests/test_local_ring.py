@@ -21,7 +21,6 @@ from nygaard.linalg import (
     mat_scale,
     mat_mul,
     preimage_mod,
-    presented_complex_cohomology,
     quotient_exponents_mod,
     quotient_invariants,
     row_mul,
@@ -42,6 +41,7 @@ from oracles import (
     module_invariants_mod,
     preimage_lattice,
     presented_cohomology_mod,
+    presented_complex_cohomology,
     primitive_weights,
     window_n_then_x,
 )

@@ -6,7 +6,6 @@ from nygaard.linalg import (
     lattice_contains,
     mat_mul,
     mat_scale,
-    presented_complex_cohomology,
 )
 import oracles
 from nygaard import cli, qtorus
@@ -23,7 +22,7 @@ from nygaard.qtorus import (
 )
 from nygaard.torus import TorusDeRham
 
-from oracles import presented_cohomology_mod, weights_box
+from oracles import presented_cohomology_mod, presented_complex_cohomology, weights_box
 
 
 def _same(A, B):
