@@ -293,9 +293,9 @@ def cmd_acrys(cfg):
     # the fixed points mean something at i < 0 too; the level checks run
     # over 0..max(i, 0), since an empty range of levels would certify nothing
     top = max(cfg.i, 0)
-    # one exact Frobenius list per chain, read by the Nygaard check of every
-    # level j at its precision j + 2
-    table = frobenius_table(A1, top + 2)
+    # the exact Frobenius lists of [1] and the roots with l < top, shared by
+    # the Nygaard levels j <= top, which read the other chains off their levels
+    table = frobenius_table(A1, top)
     payload = {
         "conjugate_filtration_eq": conjugate_filtration_equality_check(A1, nmax=top + 1)["ok"],
         "graded_map": all(conj_graded_map_check(A1, nn)["ok"] for nn in range(top + 1)),

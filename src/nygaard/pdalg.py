@@ -36,6 +36,22 @@ valuation exactly floor(w/E).  Proof:
 
 So phi of a monomial vanishes mod p^n iff its l is at least n.
 
+phi(m) = m^p mod p by classes.  For a monomial m of weight w put
+lambda(w) = (floor(kw/E))_{k=1..p}.  Whether phi(m) raises, and phi(m) - m^p,
+depend on w only through lambda(w), so `phi_pth_power_check` tests one
+monomial per class.  Proof:
+
+- `mul_monomials` reads w1 and w2 only through floor(w1/E), floor(w2/E) and
+  floor((w1 + w2)/E), and `mul` drops the product iff the last exceeds W.
+  `power` multiplies only monomials of weights kw, k <= p.
+- `frobenius_monomial` reads floor(w/E) and floor(pw/E), and raises iff
+  floor(pw/E) > W and floor(w/E) < n.  Both images have weight pw.
+- In level l, w = lE + c and floor(kw/E) = kl + floor(kc/E) >= kl + j iff
+  c >= ceil(jE/k).  So lambda is constant from one breakpoint ceil(jE/k) < E,
+  1 <= k <= p, 0 <= j < k, to the next.  Distinct fractions j/k with k <= p
+  differ by at least 1/p^2, so for e >= 2 a level has one breakpoint per
+  fraction, however large e is.
+
 Weight chains.  Frobenius multiplies weights by p.  So phi maps each basis
 monomial to a multiple of the monomial of p times its weight, and the basis
 splits into maximal chains t_0 -> t_1 -> ..., along which every kernel
@@ -67,17 +83,14 @@ list serves every precision:
 - phi of the last monomial of a chain other than [1] leaves the window, and
   the list holds c_{m-1} = 0 there.  At precision N that is right when the
   monomial has l >= N, since phi of it vanishes mod p^N.  When l < N, phi of
-  it is nonzero mod p^N and TruncationTooTight is raised.
-- So `_phi_shifts` at precision N reduces the lists mod p^N and raises at
-  the first chain that ends at l < N: the chain and the message that
-  `frobenius_monomial` at precision N would raise on.  A higher precision
-  can raise where a lower one does not, so each precision decides its own
-  raise from the chain levels.
-- `frobenius_table` builds the lists once for every precision up to a
-  bound, and the Nygaard check of each level reads them (`cli.cmd_acrys`).
+  it is nonzero mod p^N, and the Nygaard check at precision N raises
+  TruncationTooTight at the first such chain in root order, as
+  `frobenius_monomial` would.  So each precision decides its own raise from
+  the chain levels.
+- `frobenius_table` builds the lists once for every level of a run.
 
-A check reads every kernel and image of a chain from its list.  Four facts
-about a chain save work:
+A check reads every kernel and image of a chain from its list or its
+levels.  Facts about a chain save work:
 
 - The Nygaard kernel is diagonal.  Over Z/p^n, {x : phi(x) = 0 mod p^i} is
   the sum of the p^{a_k} Z/p^n e_k with a_k = max(0, i - v_p(c_k)) (i capped
@@ -91,19 +104,20 @@ about a chain save work:
   integer coefficients.  So {x : phi(x) = 0 mod p^i} at precision n + i + 1,
   reduced mod p^{n+i}, is the same module at precision n + i, and one
   exponent map per level serves both precisions.
-- v_p of phi's coefficient on [x^{c/p^e}] x^{[l]} is exactly l (the
-  powers of t above), and l only grows along a chain.  So phi vanishes
-  mod p^n on a chain iff its root has l >= n, and such a chain is known in
-  closed form without building its list (`_phi_shifts` leaves it out).  Its
-  Nygaard kernel is the whole chain at every level and phi_i is zero on it.
-  So in `nygaard_graded_image_check` it has no image and no graded piece,
-  and the image matches Fil^conj_i on it iff it holds no index of the
-  restricted filtration.
+- v_p of phi's coefficient on [x^{c/p^e}] x^{[l]} is exactly l (the powers
+  of t above), and l only grows along a chain.  So phi vanishes mod p^n on
+  a chain iff its root has l >= n; in `nygaard_graded_image_check` such a
+  chain has no image and no graded piece.  A chain whose root has l >= i
+  needs no list at level i and precision N = n + i + 1: each c_k mod p^N is
+  0 or has v_p(c_k) = l_k >= i (the chain end, at l >= N unless it raises,
+  has c = 0).  So every a_k is 0, every b_k is 0 or 1, and phi_i sends e_k
+  to a unit times e_{k+1} iff l_k = i: the image is {k + 1 : l_k = i}, and
+  the graded piece N^i / N^{i+1} has one factor per such k.
 - Description (1) of the conjugate filtration is a closure of seed monomials
-  under multiplication.  The seeds of level n contain those of level n - 1,
-  and what a closure reaches is the union of what each seed reaches, so
-  `conjugate_filtration_equality_check` grows one reached set level by level,
-  searching only from the new seeds.
+  under multiplication.  What it reaches is the union of what each seed
+  reaches, and the seeds of level n contain those of level n - 1, so
+  `conjugate_filtration_equality_check` grows one reached set level by level
+  from the new seeds.
 
 Levels by arithmetic.  The divided-power exponent of the monomial of
 weight w is l = w // p^e, and its conjugate level floor(l / p) is
@@ -116,25 +130,23 @@ by a level is a range of weights:
 - Fil^m_pd, the monomials with l >= m, is the weights from m p^e on.
 
 Spans over Z/p^n come in two kinds.  The conjugate and divided-power
-filtrations are spanned by monomials, and so is every span built from them by
-multiplying monomials: these are sets of weights and are compared as sets.
-The Nygaard filtration and the image of phi_i are read off the coefficient
-lists and exponent maps, again without elimination.  N^{>=i} on
-a chain is the sum of the p^{a_k} Z/p^n e_k, and phi_i = phi / p^i sends
-the summand of k onto that of p^{a_k - i} c_k e_{k+1} (e_0 on [1]), a
-multiple of a single basis vector, with distinct k going to distinct
-targets.  So in `nygaard_graded_image_check`:
+filtrations, and every span built from them by multiplying monomials, are
+spanned by monomials: sets of weights, compared as sets.  The Nygaard
+filtration and the image of phi_i are read off the lists, exponent maps and
+levels, without elimination.  N^{>=i} on a chain is the sum of the
+p^{a_k} Z/p^n e_k, and phi_i = phi / p^i sends the summand of k onto that
+of p^{a_k - i} c_k e_{k+1} (e_0 on [1]), distinct k to distinct basis
+vectors.  So in `nygaard_graded_image_check`:
 
 - phi is divisible by p^i on N^{>=i} iff p^i divides every p^{a_k} c_k
   (CompositeNonzero otherwise);
 - the image of phi_i mod p is spanned by the targets of the k with
-  p^{a_k - i} c_k a unit mod p, and it equals the restricted Fil^conj_i on a
-  chain iff those targets are the chain's filtration indices;
+  p^{a_k - i} c_k a unit mod p; as the chains partition the basis, it is
+  the restricted Fil^conj_i iff these targets are its weights;
 - N^{>=i+1} lies in N^{>=i} iff b_k >= a_k for every k, with b the
-  level-(i+1) exponent map and an absent k at exponent n + i + 1, the
-  precision;
-- N^i / N^{i+1} is the sum of the Z/p^{b_k - a_k}, so its number of cyclic
-  factors is the number of k whose exponent grows.
+  level-(i+1) exponent map and an absent k at exponent n + i + 1;
+- N^i / N^{i+1} is the sum of the Z/p^{b_k - a_k}: one cyclic factor per k
+  whose exponent grows.
 
 The syntomic fibre.  Z/p^n(i) on this model is the fibre of
 phi_i - can: N^{>=i} -> A over Z/p^n, so H^0 and H^1 are the kernel and the
@@ -360,17 +372,12 @@ def conjugate_filtration_spans(A, nmax):
 def conjugate_filtration_description1(A, nn, below=None):
     """Fil_n via description (1): the span of the divided powers x^{[l]} of
     the ideal generator with l < (n+1)p, closed under multiplication by base
-    monomials.
-
-    Returns the set of weights the closure reaches; Fil_n mod p is
-    spanned by their unit vectors.  This is exact: every seed and every
+    monomials.  Returns the set of weights the closure reaches; Fil_n mod p
+    is spanned by their unit vectors.  This is exact: every seed and every
     multiplier is a single monomial, so each product is a single monomial
-    times a coefficient, and a unit factor mod p never decides whether a later
-    product vanishes mod p.  Each monomial is therefore expanded once, with
-    coefficient 1, and kept when its coefficient is nonzero mod p.
-
-    `below`, when given, is the closure of level n - 1: the search starts
-    from it and expands only the new seeds (module docstring).
+    times a coefficient, and a unit factor mod p never decides whether a
+    later product vanishes mod p.  `below`, when given, is the closure of
+    level n - 1, and only the new seeds are walked (module docstring).
 
     The base monomials [x^{1/p^e}] and x generate the rest, so they are the
     only multipliers: the closure under all [x^{a/p^e}], 0 < a < p^e, is the
@@ -382,27 +389,26 @@ def conjugate_filtration_description1(A, nn, below=None):
     intermediate monomial has divided-power exponent l or l + 1, no larger
     than the product's, so it lies in the window whenever the product does.
     Hence the single step keeps its product (a unit mod p, inside the window)
-    iff every unit step does."""
-    p = A.p
+    iff every unit step does.
+
+    The closure is a union of whole levels, walked level by level.  A step
+    by [x^{1/p^e}] inside level l has coefficient 1, so the seed x^{[l]}
+    reaches all of level l.  A step leaves level l only into level l + 1, by
+    x (coefficient (l + 1 choose l)) or by [x^{1/p^e}] from numerator
+    p^e - 1 (the overflow factor), both l + 1, the coefficient of
+    `mul_monomials(l p^e, p^e)`.  So each seed level leads up to the first
+    level l with l + 1 = 0 mod p, or l = W.  At e = 0 the one multiplier x
+    has weight 1 = p^e, and the same walk holds."""
+    p, pe = A.p, A.pe
     reached = set(below or ())
-    frontier = []
     for l in range(min((nn + 1) * p - 1, A.W) + 1):
-        w = l * A.pe  # the weight of x^{[l]}
-        if w not in reached:
-            reached.add(w)
-            frontier.append(w)
-    # close under multiplication by [x^{1/p^e}] and x = 1! * x^{[1]}, of
-    # weights 1 and p^e; a product of weight T or more leaves the window
-    multipliers = [1, A.pe] if A.e else [1]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for v in multipliers:
-                r = A.mul_monomials(w, v)
-                if r and r[0] < A.T and r[1] % p and r[0] not in reached:
-                    reached.add(r[0])
-                    nxt.append(r[0])
-        frontier = nxt
+        # x^{[l]} and the levels it leads to, up to one already reached
+        while l <= A.W and l * pe not in reached:
+            reached.update(range(l * pe, (l + 1) * pe))
+            r = A.mul_monomials(l * pe, pe)
+            if not (r and r[1] % p):
+                break
+            l += 1
     return reached
 
 
@@ -456,9 +462,13 @@ def conj_graded_map_check(A, nn):
 
 def phi_pth_power_check(A, rng, trials=30):
     """phi(a) = a^p mod p for the monomials with l <= W // p, the weights
-    below (W // p + 1) p^e, and random elements of their span."""
-    basis, bound = A.monomials(), (A.W // A.p + 1) * A.pe
-    elements = [{m: 1} for m in basis[:bound]]
+    below (W // p + 1) p^e, and random elements of their span.  Of those
+    monomials, the breakpoints of each level stand for the rest, one per
+    class of lambda(w) (module docstring)."""
+    p, pe = A.p, A.pe
+    basis, bound = A.monomials(), (A.W // p + 1) * pe
+    cuts = sorted({-(-j * pe // k) for k in range(1, p + 1) for j in range(k)} - {pe})
+    elements = [{l * pe + c: 1} for l in range(A.W // p + 1) for c in cuts]
     for _ in range(trials):
         a = {}
         for _ in range(3):
@@ -468,10 +478,10 @@ def phi_pth_power_check(A, rng, trials=30):
         elements.append(a)
     for a in elements:
         try:
-            diff = A.add(A.frobenius(a), A.scale(-1, A.power(a, A.p)))
+            diff = A.add(A.frobenius(a), A.scale(-1, A.power(a, p)))
         except TruncationTooTight:
             continue
-        if any(c % A.p for c in diff.values()):
+        if any(c % p for c in diff.values()):
             return False
     return True
 
@@ -484,9 +494,9 @@ def _phi_shift(A, idxs):
     """phi on the chain of basis indices idxs as its exact coefficient list
     c, from `frobenius_monomial`: phi(e_k) = c_k e_{k+1}, or c_0 e_0 on a
     chain of one index.  c_k stays 0 where phi(e_k), of weight p t, leaves
-    the window; the precision decides whether that is zero or a raise
-    (`_phi_shifts`).  CompositeNonzero when phi leaves the chain or is no
-    such shift (module docstring)."""
+    the window; the precision decides whether that is zero or a raise.
+    CompositeNonzero when phi leaves the chain or is no such shift (module
+    docstring)."""
     pos = {t: k for k, t in enumerate(idxs)}
     c = [0] * len(idxs)
     for k, t in enumerate(idxs):
@@ -500,31 +510,12 @@ def _phi_shift(A, idxs):
 
 
 def frobenius_table(A, top):
-    """(indices, exact coefficient list) for each weight chain of A whose
-    root has l < top, top >= 1, in chain order: every list that
-    `_phi_shifts` reads at a precision up to top, built once.  Only those
-    roots are walked: l < top iff the root lies below top p^e (module
-    docstring)."""
+    """(indices, exact coefficient list) for the weight chain [1] and each
+    weight chain of A whose root has l < top, top >= 0, in chain order:
+    built once, and read by the Nygaard check of every level up to top.
+    Only those roots are walked: l < top iff the root lies below top p^e
+    (module docstring).  At top = 0 the table is [1] alone, with phi(1) = 1."""
     return [(idxs, _phi_shift(A, idxs)) for idxs in _weight_chains(A.p, A.T, top * A.pe)]
-
-
-def _phi_shifts(A, n=None, table=None):
-    """(indices, coefficient list mod p^n) for each weight chain of A on
-    which phi is nonzero mod p^n, n = A.n unless given, in chain order: those
-    whose root has l < n.  phi is zero on the others, and their lists are
-    never read.  The lists come from `table`, a `frobenius_table` of A at
-    some top >= n, built here when None.  TruncationTooTight at the first
-    of these chains that ends at l < n: phi of its last monomial is nonzero
-    mod p^n and leaves the window (module docstring)."""
-    n = A.n if n is None else n
-    pe, q = A.pe, A.p**n
-    out = []
-    for idxs, c in frobenius_table(A, n) if table is None else table:
-        if idxs[0] // pe < n:
-            if idxs[0]:
-                _chain_end((idxs[-1] // pe,), n, A.W)
-            out.append((idxs, [a % q for a in c]))
-    return out
 
 
 def _nygaard_exponents(c, p, n, i):
@@ -555,47 +546,53 @@ def nygaard_graded_image_check(A, i, table=None):
     At finite perfection depth e the Frobenius image only reaches Teichmuller
     numerators divisible by p (depth e-1), so the comparison intersects the
     conjugate filtration with that sublattice; at e = infinity (genuine
-    semiperfect base) the restriction is vacuous.  Everything shards by
-    weight chain: phi preserves the chains and the filtration is monomial.
-    Per chain, the image and the filtration are compared mod p, and the
-    graded piece N^i / N^{i+1} is read off at the common precision n + i + 1,
-    where N^{i+1} must lie inside N^i.  Two exponent maps per chain suffice:
-    phi(x) = 0 mod p^i depends only on x mod p^i, so the level-i kernel at
-    n + i + 1 reduced mod p^{n+i} is the level-i kernel at n + i, and the
-    image phi(x)/p^i mod p, which depends only on x mod p^{i+1}, is read off
-    from it directly.  Both maps and the image come from one coefficient
-    list per chain, reduced mod p^{n+i+1}, with no elimination.  `table` is
-    a `frobenius_table` of A at some top >= n + i + 1, shared by the levels
-    of one run; it is built here when None (module docstring)."""
-    p = A.p
+    semiperfect base) the restriction is vacuous.  The graded piece
+    N^i / N^{i+1} is read off at the common precision N = n + i + 1, where
+    N^{i+1} must lie inside N^i.  By weight chain (module docstring): [1] and
+    the chains whose root has l < i are read from their lists in `table`, a
+    `frobenius_table` of A at some top >= i shared by the levels of one run
+    (built here when None), and the other roots below N p^e off their
+    levels.  Two exponent maps per list suffice: phi(x) = 0 mod p^i depends
+    only on x mod p^i, so the level-i kernel at N reduced mod p^{n+i} is the
+    level-i kernel at n + i, and the image phi(x)/p^i mod p, which depends
+    only on x mod p^{i+1}, is read off from it directly.  Every chain end is
+    checked, in root order, before any other raise."""
+    p, pe = A.p, A.pe
     n, pi = A.n + i + 1, p**i
-    fil_idx = _restricted_conj(A, i)
-    shifts = _phi_shifts(A, n, table)
-    # a chain on which phi is zero has no image and no graded piece, so the
-    # image matches the filtration there iff the chain holds none of it
-    same = fil_idx <= {t for idxs, _ in shifts for t in idxs}
-    dim_src = 0
-    dim_img = 0
-    for idxs, c in shifts:
+    lo = max(i * pe, 1)  # [1] and the roots with l < i have lists
+    listed = []
+    for idxs, c in frobenius_table(A, i) if table is None else table:
+        if idxs[0] < lo:
+            if idxs[0]:
+                _chain_end((idxs[-1] // pe,), n, A.W)
+            listed.append((idxs, [a % p**n for a in c]))
+    # the targets of phi_i mod p, first from the chains read off their
+    # levels: p w for each w of level i, one graded factor each
+    image = set()
+    for w in range(lo, min(A.T, n * pe)):
+        if w % p:
+            while p * w < A.T:
+                if w // pe == i:
+                    image.add(p * w)
+                w *= p
+            if w // pe < n:  # the chain ends at l < n
+                _chain_end((w // pe,), n, A.W)
+    dim_src = len(image)
+    for idxs, c in listed:
         src, src1 = _nygaard_exponents(c, p, n, i), _nygaard_exponents(c, p, n, i + 1)
         if any(p**a * c[k] % pi for k, a in src.items()):
             raise CompositeNonzero("Nygaard generator not phi-divisible")
         # the span mod p of the image: the targets of the unit coefficients
-        img = {k + 1 if len(c) > 1 else 0 for k, a in src.items() if p**a * c[k] // pi % p}
-        if img != {k for k, t in enumerate(idxs) if t in fil_idx}:
-            same = False
-        dim_img += len(img)
+        image.update(idxs[k + 1 if len(c) > 1 else 0]
+                     for k, a in src.items() if p**a * c[k] // pi % p)
         # an absent k has exponent n, the common precision
         if any(b < src.get(k, n) for k, b in src1.items()):
             raise CompositeNonzero("N^{>=%d} is not inside N^{>=%d}" % (i + 1, i))
         dim_src += sum(src1.get(k, n) > a for k, a in src.items())
-    return {
-        "image_matches_fil": same,
-        "dim_graded": dim_src,
-        "dim_image": dim_img,
-        "injective": dim_src == dim_img,
-        "ok": same and dim_src == dim_img,
-    }
+    # the chains partition the basis, and distinct k hit distinct targets
+    same, dim_img = image == _restricted_conj(A, i), len(image)
+    return {"image_matches_fil": same, "dim_graded": dim_src, "dim_image": dim_img,
+            "injective": dim_src == dim_img, "ok": same and dim_src == dim_img}
 
 
 # ---------------------------------------------------------------------------

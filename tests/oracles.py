@@ -11,9 +11,11 @@ certified by span(B_k) and span(pi B_k) carried apart, property checks of the
 divided-power algebra, its powers by repeated multiplication, its weight
 chains found by search, its two-variable model as the tensor square of the
 one-variable one, its Frobenius on a weight chain built monomial by monomial
-and as a dense block, its Nygaard check at a precision of its own per level,
-its Frobenius fixed points solved by elimination and its syntomic fibre and
-negative-twist series read off the whole basis.  `src_env` is the environment
+and as a dense block, its Nygaard check at a precision of its own per level
+and with a list per chain, its p-th power check per monomial, its
+description-(1) closure searched weight by weight, its Frobenius fixed
+points solved by elimination and its syntomic fibre and negative-twist
+series read off the whole basis.  `src_env` is the environment
 of a python subprocess that imports the package from this source tree."""
 
 import os
@@ -55,13 +57,15 @@ from nygaard.linalg import (
     span_exponent_mod,
     zeros,
 )
+from nygaard import pdalg
 from nygaard.pdalg import (
     PDAlgebra,
     TruncationTooTight,
+    _chain_end,
     _nygaard_exponents,
-    _phi_shifts,
     _weight_chains,
     conjugate_filtration_spans,
+    frobenius_table,
 )
 from nygaard.qbase import QBase, _binom
 from nygaard.rings import PolyTrunc
@@ -1535,6 +1539,109 @@ class TwoVariablePD(PDAlgebra):
         return image, cu * cv
 
 
+def phi_shifts(A, n=None, table=None):
+    """(indices, coefficient list mod p^n) for each weight chain of A on
+    which phi is nonzero mod p^n, n = A.n unless given, in chain order: those
+    whose root has l < n.  The lists come from `table`, a `frobenius_table`
+    of A at some top >= n, built here when None.  TruncationTooTight at the
+    first of these chains that ends at l < n: phi of its last monomial is
+    nonzero mod p^n and leaves the window.  The step the Nygaard check took
+    before it read the chains with l >= i off their levels."""
+    n = A.n if n is None else n
+    pe, q = A.pe, A.p**n
+    out = []
+    for idxs, c in frobenius_table(A, n) if table is None else table:
+        if idxs[0] // pe < n:
+            if idxs[0]:
+                _chain_end((idxs[-1] // pe,), n, A.W)
+            out.append((idxs, [a % q for a in c]))
+    return out
+
+
+def nygaard_graded_image_check_per_chain(A, i, table=None):
+    """`pdalg.nygaard_graded_image_check` as it ran before the level
+    read-off: every chain whose root has l < n + i + 1 is read from its
+    coefficient list, so `table` must be a `frobenius_table` of A at some
+    top >= n + i + 1 (built here when None), and the image is compared with
+    the restricted filtration chain by chain."""
+    p = A.p
+    n, pi = A.n + i + 1, p**i
+    fil_idx = pdalg._restricted_conj(A, i)
+    shifts = phi_shifts(A, n, table)
+    # a chain on which phi is zero has no image and no graded piece, so the
+    # image matches the filtration there iff the chain holds none of it
+    same = fil_idx <= {t for idxs, _ in shifts for t in idxs}
+    dim_src = 0
+    dim_img = 0
+    for idxs, c in shifts:
+        src, src1 = _nygaard_exponents(c, p, n, i), _nygaard_exponents(c, p, n, i + 1)
+        if any(p**a * c[k] % pi for k, a in src.items()):
+            raise CompositeNonzero("Nygaard generator not phi-divisible")
+        img = {k + 1 if len(c) > 1 else 0 for k, a in src.items() if p**a * c[k] // pi % p}
+        if img != {k for k, t in enumerate(idxs) if t in fil_idx}:
+            same = False
+        dim_img += len(img)
+        if any(b < src.get(k, n) for k, b in src1.items()):
+            raise CompositeNonzero("N^{>=%d} is not inside N^{>=%d}" % (i + 1, i))
+        dim_src += sum(src1.get(k, n) > a for k, a in src.items())
+    return {
+        "image_matches_fil": same,
+        "dim_graded": dim_src,
+        "dim_image": dim_img,
+        "injective": dim_src == dim_img,
+        "ok": same and dim_src == dim_img,
+    }
+
+
+def phi_pth_power_check_per_monomial(A, rng, trials=30):
+    """`pdalg.phi_pth_power_check` as it ran before the classes of
+    lambda(w): every monomial with l <= W // p is tested, then the same
+    random elements, from the same draws."""
+    basis, bound = A.monomials(), (A.W // A.p + 1) * A.pe
+    elements = [{m: 1} for m in basis[:bound]]
+    for _ in range(trials):
+        a = {}
+        for _ in range(3):
+            t = rng.randrange(len(basis))
+            if t < bound:
+                a = A.add(a, {basis[t]: rng.randrange(A.q)})
+        elements.append(a)
+    for a in elements:
+        try:
+            diff = A.add(A.frobenius(a), A.scale(-1, A.power(a, A.p)))
+        except TruncationTooTight:
+            continue
+        if any(c % A.p for c in diff.values()):
+            return False
+    return True
+
+
+def conjugate_filtration_description1_per_weight(A, nn, below=None):
+    """`pdalg.conjugate_filtration_description1` as it ran before the walk
+    by levels: a search over weights from the seeds x^{[l]}, l < (n + 1) p,
+    multiplying each new monomial by [x^{1/p^e}] and x, and keeping a
+    product inside the window whose coefficient is nonzero mod p."""
+    p = A.p
+    reached = set(below or ())
+    frontier = []
+    for l in range(min((nn + 1) * p - 1, A.W) + 1):
+        w = l * A.pe
+        if w not in reached:
+            reached.add(w)
+            frontier.append(w)
+    multipliers = [1, A.pe] if A.e else [1]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for v in multipliers:
+                r = A.mul_monomials(w, v)
+                if r and r[0] < A.T and r[1] % p and r[0] not in reached:
+                    reached.add(r[0])
+                    nxt.append(r[0])
+        frontier = nxt
+    return reached
+
+
 def phi_shift_by_monomials(A, idxs):
     """`pdalg._phi_shift` reduced mod p^n, as it was built before the
     exact lists: `frobenius_monomial` at the precision of A on every index
@@ -1627,7 +1734,7 @@ def fixed_points_at(A, i, W):
     invs = []
     gens = []
     # a zero chain is left out: ker(-p^i) mod p^{n+i} projects to 0 mod p^n
-    for idxs, c in _phi_shifts(Aw):
+    for idxs, c in phi_shifts(Aw):
         M = phi_block(c)
         for t in range(len(M)):
             M[t][t] -= p**i
@@ -1696,8 +1803,8 @@ def fiber_group_on_the_basis(A, i):
 def negative_twist_series_by_blocks(A, i):
     """`pdalg.negative_twist_series` at (A.p, A.n, A.e, A.W), for i < 0:
     the least k with T^k = 0 mod p^n, T = p^{-i} phi, over the dense
-    phi-blocks of the chains `pdalg._phi_shifts` builds, whose raises it
+    phi-blocks of the chains `phi_shifts` builds, whose raises it
     keeps: the reference the valuation rule replaced."""
     return max([1] + [_nilpotency_index([[A.p**-i * a for a in row] for row in phi_block(c)],
                                         A.p, A.n)
-                      for _, c in _phi_shifts(A)])
+                      for _, c in phi_shifts(A)])

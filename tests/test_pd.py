@@ -37,15 +37,18 @@ from nygaard.pdalg import (
 
 import oracles
 from oracles import (
+    conjugate_filtration_description1_per_weight,
     fiber_group_on_the_basis,
     filtration_multiplicativity_check,
     frobenius_fixed_points,
     howell_form,
     module_invariants_mod,
     negative_twist_series_by_blocks,
+    nygaard_graded_image_check_per_chain,
     nygaard_graded_image_check_per_level,
     phi_block,
     phi_multiplicative_check,
+    phi_pth_power_check_per_monomial,
     phi_shift_by_monomials,
     power_by_repeated_multiplication,
     src_env,
@@ -103,9 +106,9 @@ def every_chain(A):
 def every_chain_kernel(A, i):
     """The Nygaard kernel of every chain of A as the diagonal rows
     p^{a_k} e_k of `_nygaard_exponents`: phi is zero on a chain that
-    `_phi_shifts` leaves out, whose kernel is the whole chain."""
+    `oracles.phi_shifts` leaves out, whose kernel is the whole chain."""
     kernels = {}
-    for idxs, c in pdalg._phi_shifts(A):
+    for idxs, c in oracles.phi_shifts(A):
         exps = pdalg._nygaard_exponents(c, A.p, A.n, i)
         kernels[tuple(idxs)] = [[A.p**a if j == k else 0 for j in range(len(c))]
                                 for k, a in exps.items()]
@@ -696,16 +699,16 @@ def _algebra_holding_phi(p, n, e):
     for W in itertools.count(p):
         A = PDAlgebra(p, n=n, e=e, W=W)
         try:
-            pdalg._phi_shifts(A)
+            oracles.phi_shifts(A)
             return A
         except TruncationTooTight:
             pass
 
 
 def _phi_shifts_building_every_list(A):
-    """Reference for `_phi_shifts`: build every chain's coefficient list mod
-    p^n, monomial by monomial, and keep the nonzero ones, as before the root
-    rule and the exact lists."""
+    """Reference for `oracles.phi_shifts`: build every chain's coefficient
+    list mod p^n, monomial by monomial, and keep the nonzero ones, as before
+    the root rule and the exact lists."""
     out = []
     for idxs in pdalg._weight_chains(A.p, A.T):
         c = phi_shift_by_monomials(A, idxs)
@@ -720,10 +723,10 @@ def test_phi_blocks_skip_exactly_the_zero_chains(p, e):
     tight = 0
     for n in (1, 2, 3):
         A = _algebra_holding_phi(p, n, e)
-        assert pdalg._phi_shifts(A) == _phi_shifts_building_every_list(A), n
+        assert oracles.phi_shifts(A) == _phi_shifts_building_every_list(A), n
         if A.W > p:  # one less is too tight for phi: both raise
             B = PDAlgebra(p, n=n, e=e, W=A.W - 1)
-            assert (_outcome(pdalg._phi_shifts, B) is TruncationTooTight
+            assert (_outcome(oracles.phi_shifts, B) is TruncationTooTight
                     is _outcome(_phi_shifts_building_every_list, B))
             tight += 1
     assert tight
@@ -734,6 +737,9 @@ def test_phi_blocks_skip_exactly_the_zero_chains_under_O(flags):
     # the window test is a raise, not an assert, so python -O keeps it
     code = inspect.getsource(phi_shift_by_monomials) + inspect.getsource(
         _phi_shifts_building_every_list) + """
+import sys
+sys.path.insert(0, %r)
+import oracles
 from nygaard import pdalg
 from nygaard.errors import CompositeNonzero, TruncationTooTight
 
@@ -747,20 +753,20 @@ for p, e, n in ((2, 1, 3), (3, 2, 2), (2, 2, 2), (5, 1, 2)):
     outcomes = []
     for W in range(1, 5 * p):
         A = pdalg.PDAlgebra(p, n, e, W)
-        got = outcome(pdalg._phi_shifts, A)
+        got = outcome(oracles.phi_shifts, A)
         if got != outcome(_phi_shifts_building_every_list, A):
-            raise SystemExit("mismatch at %r" % ((p, e, n, W),))
+            raise SystemExit("mismatch at %%r" %% ((p, e, n, W),))
         outcomes.append(got == "TruncationTooTight")
     if outcomes != sorted(outcomes, reverse=True) or not outcomes[0] or outcomes[-1]:
-        raise SystemExit("W never went from too tight to holding at %r" % ((p, e, n),))
-"""
+        raise SystemExit("W never went from too tight to holding at %%r" %% ((p, e, n),))
+""" % os.path.dirname(os.path.abspath(__file__))
     out = subprocess.run([sys.executable, *flags, "-c", code], env=src_env(),
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr + out.stdout
 
 
 def _closed_form_shifts(p, n, e, W):
-    """The lists of `pdalg._phi_shifts` in closed form (ROADMAP item 15),
+    """The lists of `oracles.phi_shifts` in closed form (ROADMAP item 15),
     written from the weights alone, with E = p^e and T = (W + 1) E: the
     chain [0], and the chain r, rp, rp^2, ... below T of each root r prime
     to p with r // E < n.  On the weight w_k of a chain,
@@ -796,7 +802,7 @@ def test_phi_shifts_match_the_closed_form(p):
             if (W + 1) * p**e > 60000:
                 continue
             A = PDAlgebra(p, n, e, W)
-            got = _outcome_and_message(pdalg._phi_shifts, A)
+            got = _outcome_and_message(oracles.phi_shifts, A)
             want = _outcome_and_message(_closed_form_shifts, p, n, e, W)
             if want[0] is TruncationTooTight:
                 assert got == want, (e, n, W)
@@ -865,6 +871,83 @@ for p in (2, 3, 5, 7):
     assert out.returncode == 0, out.stderr + out.stdout
 
 
+def _acrys_check_parity(p):
+    """The three acrys checks against the forms they replaced, as
+    `cli.cmd_acrys` runs them, over e <= 3, n <= 3, i in -1..3 and the
+    windows 3p^2 (the default) and n + top, n + top + 1, top = max(i, 0):
+    the description-(1) closure grown over the levels 0..top + 1 on A mod p,
+    the p-th power check on A with the same draws, and the Nygaard check of
+    each level 0..top on A mod p, from one table at top against the
+    per-chain form on a table at top + 2.  Returns the configs where the
+    values, or the raise types and messages, differ, and the kinds of
+    outcome seen."""
+    def outcome(check, *args):
+        try:
+            return check(*args)
+        except (TruncationTooTight, CompositeNonzero) as ex:
+            return type(ex).__name__, str(ex)
+
+    bad, kinds = [], set()
+    for e, n, i in itertools.product(range(4), (1, 2, 3), range(-1, 4)):
+        top = max(i, 0)
+        for W in (None, n + top, n + top + 1):
+            A = pdalg.PDAlgebra(p, n, e, W)
+            A1 = pdalg.PDAlgebra(p, 1, e, A.W)
+            got, want = [None], [None]
+            for nn in range(top + 2):
+                got.append(pdalg.conjugate_filtration_description1(A1, nn, got[-1]))
+                want.append(conjugate_filtration_description1_per_weight(A1, nn, want[-1]))
+            got.append(pdalg.phi_pth_power_check(A, random.Random(0)))
+            want.append(phi_pth_power_check_per_monomial(A, random.Random(0)))
+            table, table2 = pdalg.frobenius_table(A1, top), pdalg.frobenius_table(A1, top + 2)
+            for j in range(top + 1):
+                got.append(outcome(pdalg.nygaard_graded_image_check, A1, j, table))
+                want.append(outcome(nygaard_graded_image_check_per_chain, A1, j, table2))
+                kinds.add(got[-1][0] if type(got[-1]) is tuple else got[-1]["ok"])
+            if got != want:
+                bad.append((e, n, i, W))
+    return bad, kinds
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_acrys_checks_match_the_forms_they_replaced(p):
+    # one monomial per class of lambda(w), the closure walked by levels and
+    # the chains with l >= i read off their levels give every value, raise
+    # type and message of the per-monomial, per-weight and per-chain forms
+    bad, kinds = _acrys_check_parity(p)
+    assert bad == []
+    assert {True, False, "TruncationTooTight"} <= kinds
+
+
+def test_acrys_checks_match_the_forms_they_replaced_under_O():
+    # the raises are raises, not asserts, so python -O keeps the parity
+    code = inspect.getsource(_acrys_check_parity) + """
+import itertools
+import random
+import sys
+sys.path.insert(0, %r)
+from nygaard import pdalg
+from nygaard.errors import CompositeNonzero, TruncationTooTight
+from oracles import (conjugate_filtration_description1_per_weight,
+                     nygaard_graded_image_check_per_chain, phi_pth_power_check_per_monomial)
+for p in (2, 3, 5, 7):
+    bad, kinds = _acrys_check_parity(p)
+    if bad or not {True, False, "TruncationTooTight"} <= kinds:
+        raise SystemExit("p = %%d: mismatch at %%r, kinds %%r" %% (p, bad[:3], kinds))
+""" % os.path.dirname(os.path.abspath(__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=src_env(),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr + out.stdout
+
+
+def test_frobenius_table_at_top_0_is_the_chain_of_1():
+    # no root has l < 0, and [1] is always listed, with phi(1) = 1
+    for p, n, e, W in ((2, 1, 0, 0), (3, 2, 1, None), (5, 1, 2, 4)):
+        A = PDAlgebra(p, n, e, W)
+        assert frobenius_table(A, 0) == [([0], [1])]
+        assert frobenius_table(A, 1)[0] == ([0], [1])
+
+
 @one_variable("p,e", [(p, e) for p in (2, 3, 5) for e in (0, 1, 2)], 2)
 def test_shift_kernel_matches_preimage(p, e):
     # the diagonal Nygaard kernel of every chain spans what elimination gives
@@ -887,6 +970,9 @@ def test_shift_kernel_matches_preimage(p, e):
 def test_phi_block_that_is_not_a_shift_raises(flags):
     # the shape check is a raise, not an assert, so python -O keeps it
     code = """
+import sys
+sys.path.insert(0, %r)
+import oracles
 from nygaard import pdalg
 from nygaard.errors import CompositeNonzero
 A = pdalg.PDAlgebra(2, 3, 1, 8)
@@ -901,13 +987,13 @@ for bad in (
     lambda w: (chain[1], 1) if w == chain[1] else phi(w),
 ):
     A.frobenius_monomial = bad
-    for build in (lambda: pdalg._phi_shift(A, chain), lambda: pdalg._phi_shifts(A)):
+    for build in (lambda: pdalg._phi_shift(A, chain), lambda: oracles.phi_shifts(A)):
         try:
             build()
         except CompositeNonzero:
             continue
         raise SystemExit("no CompositeNonzero")
-"""
+""" % os.path.dirname(os.path.abspath(__file__))
     out = subprocess.run([sys.executable, *flags, "-c", code], env=src_env(),
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr + out.stdout
@@ -1140,24 +1226,26 @@ def test_fixed_points_solve_once_at_the_default_window(monkeypatch):
 
 
 @pytest.mark.parametrize("command,config,blocks,products", [
-    # 81 lists and 1,290 products here: one list per chain whose root has
-    # |l| < i + 2, the precision of the top Nygaard level (183 lists when
-    # each level built its own, 7,705 when every list was built; 2,150
-    # products when `power` multiplied p times from one, 14,650 when
-    # description (1) multiplied through `mul`)
-    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 400, 1500),
+    # 41 lists and 570 products: one list for [1] and one per chain whose
+    # root has l < i, the top Nygaard level, and one p-th power per class
+    # of lambda(w) and per random element (81 lists and 1,290 products when
+    # the lists reached l < i + 2 and every monomial was raised to the p-th
+    # power; 183 lists when each level built its own, 7,705 when every list
+    # was built; 2,150 products when `power` multiplied p times from one,
+    # 14,650 when description (1) multiplied through `mul`)
+    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 41, 570),
     # no list and no product: the fibre group reads the chains alone
     ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}, 0, 0),
 ])
 def test_acrys_block_and_product_count(monkeypatch, command, config, blocks, products):
     # each list is built once per run, shared by the Nygaard levels, and
-    # only on a chain whose root has |l| < i + 2; the description-(1)
+    # only on [1] and on a chain whose root has l < i; the description-(1)
     # closure multiplies monomials without `mul`
     built, muls = [], []
     shift, mul = pdalg._phi_shift, PDAlgebra.mul
 
     def counted_shift(A, idxs):
-        assert idxs[0] // A.pe < config["i"] + 2
+        assert idxs[0] // A.pe < max(config["i"], 1)
         built.append(tuple(idxs))
         return shift(A, idxs)
 
@@ -1174,6 +1262,128 @@ def test_acrys_block_and_product_count(monkeypatch, command, config, blocks, pro
     assert len(muls) <= products
 
 
+def _without_the_overflow_factor(A, w1, w2):
+    """`PDAlgebra.mul_monomials` without the overflow factor l + 1: the
+    product law of a model whose [x]^1 x^{[l]} would be x^{[l + 1]}."""
+    l1, l2 = w1 // A.pe, w2 // A.pe
+    coeff = comb(l1 + l2, l1) % A.q
+    return (w1 + w2, coeff) if coeff else None
+
+
+@pytest.mark.parametrize("p,e,n", [(3, 1, 1), (5, 2, 2), (7, 1, 1)])
+def test_phi_pth_power_reads_false_without_the_overflow_factor(monkeypatch, p, e, n):
+    # the mutation row of `phi_pth_power`: a monomial of level 0 with
+    # L = floor(pw / p^e) >= 2 has phi(m) = L! t^{pw}, but m^p = t^{pw}
+    # without the overflow factors, and L! is not 1 mod p for 2 <= L < p
+    A = PDAlgebra(p, n, e)
+    assert phi_pth_power_check(A, random.Random(0))
+    assert phi_pth_power_check_per_monomial(A, random.Random(0))
+    monkeypatch.setattr(PDAlgebra, "mul_monomials", _without_the_overflow_factor)
+    assert not phi_pth_power_check(A, random.Random(0))
+    assert not phi_pth_power_check_per_monomial(A, random.Random(0))
+    payload = cli.cmd_acrys(cli.RunConfig(p=p, e=e, n=n, i=1))
+    assert payload["phi_pth_power"] is False and payload["all_ok"] is False
+
+
+def test_nygaard_image_reads_false_on_a_chain_read_off_its_levels(monkeypatch):
+    # the mutation row of the level read-off: drop from the restricted
+    # Fil^conj_i the target p r of a root r of level i, whose chain is read
+    # off its levels; the check and its per-chain form read false, and
+    # nothing else changes
+    p, e, i = 2, 2, 1
+    A = small_algebra(p=p, n=1, e=e)
+    want = nygaard_graded_image_check(A, i)
+    assert want["ok"] and want == nygaard_graded_image_check_per_chain(A, i)
+    r = next(r for r in range(i * A.pe, (i + 1) * A.pe) if r % p and p * r < A.T)
+    restricted = pdalg._restricted_conj
+    assert p * r in restricted(A, i)
+    monkeypatch.setattr(pdalg, "_restricted_conj", lambda A, i: restricted(A, i) - {p * r})
+    assert nygaard_graded_image_check(A, i) == dict(want, image_matches_fil=False, ok=False)
+    assert nygaard_graded_image_check_per_chain(A, i) == dict(want, image_matches_fil=False,
+                                                              ok=False)
+    payload = cli.cmd_acrys(cli.RunConfig(p=p, e=e, n=1, i=i))
+    assert payload["nygaard_image"] is False and payload["all_ok"] is False
+
+
+@pytest.mark.parametrize("p,e,n", [(p, e, n) for p in (2, 3, 5) for e in (0, 1, 2) for n in (1, 2)])
+def test_the_law_reads_only_levels_and_the_pth_power_only_lambda(p, e, n):
+    # `mul_monomials` reads w1 and w2 only through their levels and the
+    # level of w1 + w2, and so phi(m) - m^p, or its raise, is a function of
+    # lambda(w) = (floor(k w / p^e))_{k=1..p}, and the breakpoints of
+    # `phi_pth_power_check` meet every class (module docstring)
+    A = PDAlgebra(p, n, e, W=p + 1)
+    pe = A.pe
+    law = {}
+    for w1, w2 in itertools.product(range(A.T), repeat=2):
+        r = A.mul_monomials(w1, w2)
+        assert r is None or r[0] == w1 + w2
+        key = (w1 // pe, w2 // pe, (w1 + w2) // pe)
+        assert law.setdefault(key, r and r[1]) == (r and r[1]), (w1, w2)
+    assert e == 0 or len(law) < A.T**2
+    cuts = {-(-j * pe // k) for k in range(1, p + 1) for j in range(k)}
+    classes, met = {}, set()
+    for w in range(A.T):
+        lam = tuple(k * w // pe for k in range(1, p + 1))
+        try:
+            diff = A.add(A.frobenius({w: 1}), A.scale(-1, A.power({w: 1}, p)))
+        except TruncationTooTight:
+            diff = "raises"
+        assert classes.setdefault(lam, diff if diff == "raises" else diff.get(p * w, 0)) == (
+            diff if diff == "raises" else diff.get(p * w, 0)), w
+        assert diff == "raises" or set(diff) <= {p * w}
+        if w % pe in cuts:
+            met.add(lam)
+    assert met == set(classes)
+
+
+@pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in (0, 1, 2, 3)])
+def test_pth_power_check_raises_one_monomial_per_class(monkeypatch, p, e):
+    # with no random element, the check raises exactly one monomial of each
+    # class of lambda(w) below (W // p + 1) p^e to the p-th power
+    A = PDAlgebra(p, 1, e, W=2 * p + 1)
+    tested = []
+    frobenius = PDAlgebra.frobenius
+
+    def recorded(A, a):
+        tested.append(a)
+        return frobenius(A, a)
+
+    monkeypatch.setattr(PDAlgebra, "frobenius", recorded)
+    assert phi_pth_power_check(A, random.Random(0), trials=0)
+    assert all(list(a.values()) == [1] for a in tested)
+
+    def lam(w):
+        return tuple(k * w // A.pe for k in range(1, p + 1))
+
+    assert sorted(lam(w) for a in tested for w in a) == sorted(
+        {lam(w) for w in range((A.W // p + 1) * A.pe)})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_level_walks_make_as_many_products_at_every_e(monkeypatch, p):
+    # the description-(1) closure evaluates the law once per level it
+    # walks, and the monomial part of the p-th power check raises one
+    # monomial per class of lambda(w): neither count grows with p^e
+    calls = []
+    law = PDAlgebra.mul_monomials
+
+    def counted(A, w1, w2):
+        calls.append(1)
+        return law(A, w1, w2)
+
+    monkeypatch.setattr(PDAlgebra, "mul_monomials", counted)
+    counts = []
+    for e in range(2, 7):
+        A = PDAlgebra(p, 1, e, W=2 * p + 1)
+        del calls[:]
+        assert conjugate_filtration_equality_check(A, nmax=2)["ok"]
+        closure = len(calls)
+        del calls[:]
+        assert phi_pth_power_check(A, random.Random(0), trials=0)
+        counts.append((closure, len(calls)))
+    assert len(set(counts)) == 1 and min(counts[0]) > 0, counts
+
+
 def test_pd_algebra_rejects_bad_parameters():
     for kw in ({"n": 0}, {"e": -1}, {"W": -1}):
         with pytest.raises(UsageError):
@@ -1184,7 +1394,7 @@ def test_pd_algebra_rejects_bad_parameters():
 
 def test_nygaard_i0_everything():
     A = small_algebra(p=2)
-    shifts = pdalg._phi_shifts(A)
+    shifts = oracles.phi_shifts(A)
     assert shifts
     for idxs, c in shifts:
         assert pdalg._nygaard_exponents(c, 2, A.n, 0) == dict.fromkeys(range(len(idxs)), 0)
@@ -1225,7 +1435,7 @@ def test_phi_divisibility_ladder():
     for i in (0, 1):
         Acmp = PDAlgebra(2, A.n + i + 1, 1, A.W)
         images = 0
-        for _, c in pdalg._phi_shifts(Acmp):
+        for _, c in oracles.phi_shifts(Acmp):
             for k, a in pdalg._nygaard_exponents(c, 2, Acmp.n, i + 1).items():
                 img = 2**a * c[k]  # phi of the generator 2^{a_k} e_k of N^{>= i+1}
                 assert img % 2**(i + 1) == 0
@@ -1255,7 +1465,7 @@ def test_phi_leaving_its_weight_chain_raises(monkeypatch):
     monkeypatch.setattr(pdalg, "_weight_chains",
                         lambda p, top, roots=None: [[t] for t in range(min(top, roots or top))])
     with pytest.raises(CompositeNonzero):
-        pdalg._phi_shifts(A)
+        oracles.phi_shifts(A)
 
 
 # ---------------------------------------------------------------------------
