@@ -69,55 +69,54 @@ r p^k < T.  Proof:
   the chains partition the basis.
 
 The chains depend only on (p, e, W), not on the precision n.  No check
-walks them all: each walks only the roots its bound needs, from
-`_weight_chains` with a root bound (`frobenius_table` the roots with
-l < top, `fiber_group` those below (n + i) p^e).
+walks them all: `_chains` walks the chains other than [1] whose roots lie
+below bound p^e, for the bound the check needs.
 
-On a chain, phi is therefore a weighted shift, stored as its coefficient
-list c = (c_0, ..., c_{m-1}): phi(e_k) = c_k e_{k+1}.  The one exception is
-the weight-0 chain [1], where phi(e_0) = c_0 e_0 with c_0 = 1.  `_phi_shift`
-builds a list from `frobenius_monomial` and checks this shape
-(CompositeNonzero otherwise).  The list is exact, not reduced mod p^n, so one
-list serves every precision:
+On a chain, phi is therefore a weighted shift: phi(e_k) = c_k e_{k+1}, with
+c_k the exact coefficient of `frobenius_monomial`, of valuation exactly
+l_k = floor(w_k / E) (the powers of t above).  The one exception is the
+weight-0 chain [1], where phi(e_0) = e_0.  The levels l_k never drop along
+a chain, so phi vanishes mod p^N on a chain iff its root has l >= N.  phi
+of the last monomial of a chain leaves the window: that is phi = 0 mod p^N
+there when the monomial has l >= N, and TruncationTooTight from
+`frobenius_monomial` when l < N.  So a check at precision N raises at the
+first chain in root order that ends at l < N (`_chains` with bound N), and
+otherwise reads c_k mod p^N off the levels: 0 at the chain end and where
+l_k >= N, of valuation exactly l_k < N elsewhere.  No check builds the
+coefficients (`tests/oracles.py` keeps them as exact lists, the reference
+of these read-offs).
 
-- phi of the last monomial of a chain other than [1] leaves the window, and
-  the list holds c_{m-1} = 0 there.  At precision N that is right when the
-  monomial has l >= N, since phi of it vanishes mod p^N.  When l < N, phi of
-  it is nonzero mod p^N, and the Nygaard check at precision N raises
-  TruncationTooTight at the first such chain in root order, as
-  `frobenius_monomial` would.  So each precision decides its own raise from
-  the chain levels.
-- `frobenius_table` builds the lists once for every level of a run.
+The Nygaard read-off.  `nygaard_graded_image_check` at level i compares
+N^{>=i} and N^{>=i+1} at the common precision N = n + i + 1, and reads
+every chain off its levels, without elimination:
 
-A check reads every kernel and image of a chain from its list or its
-levels.  Facts about a chain save work:
-
-- The Nygaard kernel is diagonal.  Over Z/p^n, {x : phi(x) = 0 mod p^i} is
-  the sum of the p^{a_k} Z/p^n e_k with a_k = max(0, i - v_p(c_k)) (i capped
-  at n, v_p(0) taken as n).  Proof: the terms x_k c_k of phi(x) sit on
-  distinct basis vectors, so phi(x) = 0 mod p^i iff x_k c_k = 0 mod p^i for
-  every k, i.e. v_p(x_k) >= i - v_p(c_k).  No elimination is needed:
-  `_nygaard_exponents` returns the exponent map {k: a_k}, leaving out the k
-  with a_k = n, whose summand is zero.  a_k does not drop as i grows, since
-  i - v_p(c_k), the max with 0 and the cap at n are all monotone in i.
-- Whether phi(x) = 0 mod p^i depends only on x mod p^i, because phi has
-  integer coefficients.  So {x : phi(x) = 0 mod p^i} at precision n + i + 1,
-  reduced mod p^{n+i}, is the same module at precision n + i, and one
-  exponent map per level serves both precisions.
-- v_p of phi's coefficient on [x^{c/p^e}] x^{[l]} is exactly l (the powers
-  of t above), and l only grows along a chain.  So phi vanishes mod p^n on
-  a chain iff its root has l >= n; in `nygaard_graded_image_check` such a
-  chain has no image and no graded piece.  A chain whose root has l >= i
-  needs no list at level i and precision N = n + i + 1: each c_k mod p^N is
-  0 or has v_p(c_k) = l_k >= i (the chain end, at l >= N unless it raises,
-  has c = 0).  So every a_k is 0, every b_k is 0 or 1, and phi_i sends e_k
-  to a unit times e_{k+1} iff l_k = i: the image is {k + 1 : l_k = i}, and
-  the graded piece N^i / N^{i+1} has one factor per such k.
-- Description (1) of the conjugate filtration is a closure of seed monomials
-  under multiplication.  What it reaches is the union of what each seed
-  reaches, and the seeds of level n contain those of level n - 1, so
-  `conjugate_filtration_equality_check` grows one reached set level by level
-  from the new seeds.
+- The Nygaard kernel is diagonal.  Over Z/p^N, {x : phi(x) = 0 mod p^i} is
+  the sum of the p^{a_k} Z/p^N e_k with a_k = max(0, i - v_p(c_k)), v_p of
+  c_k mod p^N, and a_k = 0 where c_k = 0 mod p^N.  Proof: the terms
+  x_k c_k of phi(x) sit on distinct basis vectors, so phi(x) = 0 mod p^i
+  iff x_k c_k = 0 mod p^i for every k, i.e. v_p(x_k) >= i - v_p(c_k).  At
+  level i + 1 the exponents are b_k, the same with i + 1.
+- phi_i = phi / p^i sends the summand of k onto that of
+  p^{a_k - i} c_k e_{k+1} (e_0 on [1]), distinct k to distinct basis
+  vectors.  Where c_k != 0 mod p^N, p^{a_k} c_k has valuation
+  max(l_k, i) >= i: if l_k >= i, a_k = 0 and the valuation is l_k; if
+  l_k < i, a_k = i - l_k and it is exactly i.  So phi is divisible by p^i
+  on N^{>=i}, and p^{a_k - i} c_k is a unit iff l_k <= i.  The image of
+  phi_i mod p is spanned by the targets p w_k of the non-final k with
+  l_k <= i (such an l_k < N, so c_k != 0 mod p^N).
+- b_k >= a_k for every k, so N^{>=i+1} lies in N^{>=i}, and
+  N^i / N^{i+1} is the sum of the Z/p^{b_k - a_k}: b_k = a_k + 1 at the
+  non-final k with l_k <= i, and b_k = a_k elsewhere.  So each target has
+  one graded factor.
+- A chain whose root has l >= N has every l_k >= N > i: no image and no
+  graded piece, and it is not read.
+- [1]: phi(1) = 1, so a_0 = i and b_0 = i + 1 at i >= 0: the target 0 and
+  one graded factor.  At i < 0, N^{>=i} = N^{>=i+1} is everything and
+  phi_i = p^{-i} phi vanishes mod p: no target and no factor on any chain.
+- The chains partition the basis and distinct k have distinct targets, so
+  the image of phi_i mod p is the restricted Fil^conj_i iff the targets are
+  its weights, and phi_i is injective on N^i / N^{i+1} iff the targets are
+  as many as the graded factors.
 
 Levels by arithmetic.  The divided-power exponent of the monomial of
 weight w is l = w // p^e, and its conjugate level floor(l / p) is
@@ -129,24 +128,13 @@ by a level is a range of weights:
   below min(T, (n + 1) p^{e+1}): w // p^{e+1} <= n iff w < (n + 1) p^{e+1};
 - Fil^m_pd, the monomials with l >= m, is the weights from m p^e on.
 
-Spans over Z/p^n come in two kinds.  The conjugate and divided-power
-filtrations, and every span built from them by multiplying monomials, are
-spanned by monomials: sets of weights, compared as sets.  The Nygaard
-filtration and the image of phi_i are read off the lists, exponent maps and
-levels, without elimination.  N^{>=i} on a chain is the sum of the
-p^{a_k} Z/p^n e_k, and phi_i = phi / p^i sends the summand of k onto that
-of p^{a_k - i} c_k e_{k+1} (e_0 on [1]), distinct k to distinct basis
-vectors.  So in `nygaard_graded_image_check`:
-
-- phi is divisible by p^i on N^{>=i} iff p^i divides every p^{a_k} c_k
-  (CompositeNonzero otherwise);
-- the image of phi_i mod p is spanned by the targets of the k with
-  p^{a_k - i} c_k a unit mod p; as the chains partition the basis, it is
-  the restricted Fil^conj_i iff these targets are its weights;
-- N^{>=i+1} lies in N^{>=i} iff b_k >= a_k for every k, with b the
-  level-(i+1) exponent map and an absent k at exponent n + i + 1;
-- N^i / N^{i+1} is the sum of the Z/p^{b_k - a_k}: one cyclic factor per k
-  whose exponent grows.
+The conjugate and divided-power filtrations, and every span built from them
+by multiplying monomials, are spanned by monomials over Z/p^n: sets of
+weights, compared as sets.  Description (1) of the conjugate filtration is
+a closure of seed monomials under multiplication.  What it reaches is the
+union of what each seed reaches, and the seeds of level n contain those of
+level n - 1, so `conjugate_filtration_equality_check` grows one reached set
+level by level from the new seeds.
 
 The syntomic fibre.  Z/p^n(i) on this model is the fibre of
 phi_i - can: N^{>=i} -> A over Z/p^n, so H^0 and H^1 are the kernel and the
@@ -154,7 +142,7 @@ cokernel of phi_i - can.  Both maps preserve the chains, so the fibre shards
 by chain, and `fiber_group` reads it off the levels of the chains:
 
 - The block is square.  On a chain, phi(e_k) = c_k e_{k+1} with
-  v_p(c_k) = l_k non-decreasing (the facts above), and N^{>=i} tensor
+  v_p(c_k) = l_k non-decreasing (the weight chains above), and N^{>=i} tensor
   Z/p^n is free on p^{a_k} e_k, a_k = max(0, i - l_k) <= i.  So the block
   of phi_i - can is square, with row k equal to
   -p^{a_k} e_k + unit * p^{max(0, l_k - i)} e_{k+1}.  Over Z/p^n a square
@@ -201,8 +189,8 @@ by chain, and `fiber_group` reads it off the levels of the chains:
 
 from math import comb, factorial
 
-from .errors import CompositeNonzero, TruncationTooTight, UsageError
-from .linalg import PGroup, _vp
+from .errors import TruncationTooTight, UsageError
+from .linalg import PGroup
 from .rings import power
 
 
@@ -328,7 +316,7 @@ class PDAlgebra:
         window."""
         l = w // self.pe
         if self.p * w >= self.T and l < self.n:
-            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (l, self.W))
+            raise TruncationTooTight("phi image of level %d leaves W = %d" % (l, self.W))
         return self.p * w, factorial(self.p * w // self.pe) // factorial(l)
 
     def frobenius(self, a):
@@ -487,49 +475,20 @@ def phi_pth_power_check(A, rng, trials=30):
 
 
 # ---------------------------------------------------------------------------
-# weight chains (module docstring)
+# the read-offs from the weight chains (module docstring)
 
 
-def _phi_shift(A, idxs):
-    """phi on the chain of basis indices idxs as its exact coefficient list
-    c, from `frobenius_monomial`: phi(e_k) = c_k e_{k+1}, or c_0 e_0 on a
-    chain of one index.  c_k stays 0 where phi(e_k), of weight p t, leaves
-    the window; the precision decides whether that is zero or a raise.
-    CompositeNonzero when phi leaves the chain or is no such shift (module
-    docstring)."""
-    pos = {t: k for k, t in enumerate(idxs)}
-    c = [0] * len(idxs)
-    for k, t in enumerate(idxs):
-        if A.p * t < A.T:
-            tt, c[k] = A.frobenius_monomial(t)
-            if tt not in pos:
-                raise CompositeNonzero("phi leaked out of its weight chain")
-            if pos[tt] != (k + 1 if len(idxs) > 1 else 0):
-                raise CompositeNonzero("phi-block of a weight chain is not a weighted shift")
-    return c
-
-
-def frobenius_table(A, top):
-    """(indices, exact coefficient list) for the weight chain [1] and each
-    weight chain of A whose root has l < top, top >= 0, in chain order:
-    built once, and read by the Nygaard check of every level up to top.
-    Only those roots are walked: l < top iff the root lies below top p^e
-    (module docstring).  At top = 0 the table is [1] alone, with phi(1) = 1."""
-    return [(idxs, _phi_shift(A, idxs)) for idxs in _weight_chains(A.p, A.T, top * A.pe)]
-
-
-def _nygaard_exponents(c, p, n, i):
-    """{k: a_k}: over Z/p^n, {x : phi(x) = 0 mod p^i} on the chain with
-    coefficient list c, reduced mod p^n, is the sum of the p^{a_k} Z/p^n e_k,
-    with a_k = max(0, i - v_p(c_k)), i capped at n and v_p(0) taken as n; a
-    k with a_k = n, whose summand is zero, is left out (module docstring)."""
-    i = min(i, n)
-    out = {}
-    for k, ck in enumerate(c):
-        a = max(0, i - _vp(ck, p)) if ck else 0
-        if a < n:
-            out[k] = a
-    return out
+def _chains(p, e, W, bound):
+    """The weights of each chain other than [1] of the model at (p, e, W)
+    whose root lies below bound * p^e, in root order.  TruncationTooTight
+    at the first of them that ends at l < bound: phi of its last monomial is
+    nonzero mod p^bound and leaves the window."""
+    pe = p**e
+    for chain in _weight_chains(p, (W + 1) * pe, bound * pe)[1:]:
+        if chain[-1] // pe < bound:
+            raise TruncationTooTight("phi image of level %d leaves W = %d"
+                                     % (chain[-1] // pe, W))
+        yield chain
 
 
 def _restricted_conj(A, i):
@@ -540,86 +499,31 @@ def _restricted_conj(A, i):
     return set(range(0, min(A.T, (i + 1) * A.pe * A.p), A.p if A.e else 1))
 
 
-def nygaard_graded_image_check(A, i, table=None):
+def nygaard_graded_image_check(A, i):
     """phi_i mod p on N^i is injective with image Fil^conj_i (within W).
 
     At finite perfection depth e the Frobenius image only reaches Teichmuller
     numerators divisible by p (depth e-1), so the comparison intersects the
     conjugate filtration with that sublattice; at e = infinity (genuine
     semiperfect base) the restriction is vacuous.  The graded piece
-    N^i / N^{i+1} is read off at the common precision N = n + i + 1, where
-    N^{i+1} must lie inside N^i.  By weight chain (module docstring): [1] and
-    the chains whose root has l < i are read from their lists in `table`, a
-    `frobenius_table` of A at some top >= i shared by the levels of one run
-    (built here when None), and the other roots below N p^e off their
-    levels.  Two exponent maps per list suffice: phi(x) = 0 mod p^i depends
-    only on x mod p^i, so the level-i kernel at N reduced mod p^{n+i} is the
-    level-i kernel at n + i, and the image phi(x)/p^i mod p, which depends
-    only on x mod p^{i+1}, is read off from it directly.  Every chain end is
-    checked, in root order, before any other raise."""
+    N^i / N^{i+1} is read off at the common precision n + i + 1, every chain
+    off its levels (module docstring): [1] gives the target 0 and one graded
+    factor at i >= 0, and every other chain the target p w_k and one graded
+    factor for each non-final weight w_k of level at most i.  A chain that
+    ends at l < n + i + 1 raises, the first in root order."""
     p, pe = A.p, A.pe
-    n, pi = A.n + i + 1, p**i
-    lo = max(i * pe, 1)  # [1] and the roots with l < i have lists
-    listed = []
-    for idxs, c in frobenius_table(A, i) if table is None else table:
-        if idxs[0] < lo:
-            if idxs[0]:
-                _chain_end((idxs[-1] // pe,), n, A.W)
-            listed.append((idxs, [a % p**n for a in c]))
-    # the targets of phi_i mod p, first from the chains read off their
-    # levels: p w for each w of level i, one graded factor each
-    image = set()
-    for w in range(lo, min(A.T, n * pe)):
-        if w % p:
-            while p * w < A.T:
-                if w // pe == i:
-                    image.add(p * w)
-                w *= p
-            if w // pe < n:  # the chain ends at l < n
-                _chain_end((w // pe,), n, A.W)
+    image = {0} if i >= 0 else set()
     dim_src = len(image)
-    for idxs, c in listed:
-        src, src1 = _nygaard_exponents(c, p, n, i), _nygaard_exponents(c, p, n, i + 1)
-        if any(p**a * c[k] % pi for k, a in src.items()):
-            raise CompositeNonzero("Nygaard generator not phi-divisible")
-        # the span mod p of the image: the targets of the unit coefficients
-        image.update(idxs[k + 1 if len(c) > 1 else 0]
-                     for k, a in src.items() if p**a * c[k] // pi % p)
-        # an absent k has exponent n, the common precision
-        if any(b < src.get(k, n) for k, b in src1.items()):
-            raise CompositeNonzero("N^{>=%d} is not inside N^{>=%d}" % (i + 1, i))
-        dim_src += sum(src1.get(k, n) > a for k, a in src.items())
-    # the chains partition the basis, and distinct k hit distinct targets
+    for chain in _chains(p, A.e, A.W, A.n + i + 1):
+        for w in chain[:-1]:
+            if w // pe <= i:
+                image.add(p * w)
+                dim_src += 1
+    # the chains partition the basis, so the image is the restricted
+    # filtration iff the targets are its weights
     same, dim_img = image == _restricted_conj(A, i), len(image)
     return {"image_matches_fil": same, "dim_graded": dim_src, "dim_image": dim_img,
             "injective": dim_src == dim_img, "ok": same and dim_src == dim_img}
-
-
-# ---------------------------------------------------------------------------
-# the syntomic fibre
-
-
-def _root_levels(p, e, W, roots):
-    """The levels l_k = floor(w_k / p^e) of each weight chain other than [1]
-    of the model at (p, e, W) whose root lies below roots, in root order."""
-    pe = p**e
-    for chain in _weight_chains(p, (W + 1) * pe, roots)[1:]:
-        yield [w // pe for w in chain]
-
-
-def _chain_end(levels, bound, W):
-    """TruncationTooTight when the chain with levels l_k ends at l < bound:
-    phi of its last monomial is nonzero mod p^bound and leaves the window W.
-    Only the last level is read."""
-    if levels[-1] < bound:
-        raise TruncationTooTight("phi image of weight %d leaves W = %d" % (levels[-1], W))
-
-
-def _fiber_exponent(levels, n, i, W):
-    """min(n, w), w = sum_k max(0, i - l_k), on a chain other than [1] with
-    levels l_k; TruncationTooTight when it ends at l < n + i."""
-    _chain_end(levels, n + i, W)
-    return min(n, sum(max(0, i - l) for l in levels))
 
 
 def fiber_group(p, n, e, W, i):
@@ -633,9 +537,10 @@ def fiber_group(p, n, e, W, i):
         raise UsageError("the fibre group needs i >= 0, got i = %d" % i)
     if W < n + i:
         raise TruncationTooTight("phi images need W >= n + i = %d, got W = %d" % (n + i, W))
+    pe = p**e
     exps = [n] if i == 0 else []
-    for levels in _root_levels(p, e, W, (n + i) * p**e):
-        a = _fiber_exponent(levels, n, i, W)
+    for chain in _chains(p, e, W, n + i):
+        a = min(n, sum(max(0, i - w // pe) for w in chain))
         if a:
             exps.append(a)
     return PGroup(p, tuple(sorted(exps, reverse=True)))
@@ -650,8 +555,8 @@ def negative_twist_series(p, r, e, W, i):
     W = window(p, r, e, W)
     if i >= 0:
         raise UsageError("the series needs i < 0, got i = %d" % i)
-    for levels in _root_levels(p, e, W, r * p**e):
-        _chain_end(levels, r, W)
+    for _ in _chains(p, e, W, r):  # only the chain ends are read
+        pass
     return -(r // i)
 
 

@@ -10,8 +10,8 @@ p^r, the syntomic windows presented from scratch and their stable images
 certified by span(B_k) and span(pi B_k) carried apart, property checks of the
 divided-power algebra, its powers by repeated multiplication, its weight
 chains found by search, its two-variable model as the tensor square of the
-one-variable one, its Frobenius on a weight chain built monomial by monomial
-and as a dense block, its Nygaard check at a precision of its own per level
+one-variable one, its Frobenius on a weight chain as an exact coefficient
+list, built monomial by monomial and as a dense block, its Nygaard check at a precision of its own per level
 and with a list per chain, its p-th power check per monomial, its
 description-(1) closure searched weight by weight, its Frobenius fixed
 points solved by elimination and its syntomic fibre and negative-twist
@@ -61,11 +61,8 @@ from nygaard import pdalg
 from nygaard.pdalg import (
     PDAlgebra,
     TruncationTooTight,
-    _chain_end,
-    _nygaard_exponents,
     _weight_chains,
     conjugate_filtration_spans,
-    frobenius_table,
 )
 from nygaard.qbase import QBase, _binom
 from nygaard.rings import PolyTrunc
@@ -1535,8 +1532,76 @@ class TwoVariablePD(PDAlgebra):
         (u, cu), (v, cv) = map(self.factor.frobenius_monomial, self.pairs[t])
         image, l = self.index(u, v), self.pd[t]
         if image == self.T and l < self.n:
-            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (l, self.W))
+            raise TruncationTooTight("phi image of level %d leaves W = %d" % (l, self.W))
         return image, cu * cv
+
+
+# ---------------------------------------------------------------------------
+# the Frobenius on a weight chain as its exact coefficient list
+#
+# On a weight chain t_0 -> t_1 -> ..., phi is a weighted shift, stored as its
+# coefficient list c = (c_0, ..., c_{m-1}): phi(e_k) = c_k e_{k+1}, or
+# phi(e_0) = c_0 e_0 with c_0 = 1 on the weight-0 chain [1].  The list is
+# exact, not reduced mod p^n, so one list serves every precision:
+#
+# - phi of the last monomial of a chain other than [1] leaves the window, and
+#   the list holds c_{m-1} = 0 there.  At precision N that is right when the
+#   monomial has l >= N, since phi of it vanishes mod p^N.  When l < N, phi
+#   of it is nonzero mod p^N, and a read at precision N raises
+#   TruncationTooTight at the first such chain in root order, as
+#   `frobenius_monomial` would.  So each precision decides its own raise from
+#   the chain levels.
+# - `frobenius_table` builds the lists once for every level of a run.
+#
+# Over Z/p^n, {x : phi(x) = 0 mod p^i} on a chain is the sum of the
+# p^{a_k} Z/p^n e_k with a_k = max(0, i - v_p(c_k)) (i capped at n, v_p(0)
+# taken as n): the terms x_k c_k of phi(x) sit on distinct basis vectors.
+# `nygaard_exponents` returns the exponent map {k: a_k}.  Whether
+# phi(x) = 0 mod p^i depends only on x mod p^i, so one exponent map per level
+# serves the precisions n + i and n + i + 1.  These lists are what
+# `pdalg.nygaard_graded_image_check`, `pdalg.fiber_group` and
+# `pdalg.negative_twist_series` read off the chain levels instead.
+
+
+def phi_shift(A, idxs):
+    """phi on the chain of basis indices idxs as its exact coefficient list
+    c, from `frobenius_monomial`: phi(e_k) = c_k e_{k+1}, or c_0 e_0 on a
+    chain of one index.  c_k stays 0 where phi(e_k), of weight p t, leaves
+    the window; the precision decides whether that is zero or a raise.
+    CompositeNonzero when phi leaves the chain or is no such shift."""
+    pos = {t: k for k, t in enumerate(idxs)}
+    c = [0] * len(idxs)
+    for k, t in enumerate(idxs):
+        if A.p * t < A.T:
+            tt, c[k] = A.frobenius_monomial(t)
+            if tt not in pos:
+                raise CompositeNonzero("phi leaked out of its weight chain")
+            if pos[tt] != (k + 1 if len(idxs) > 1 else 0):
+                raise CompositeNonzero("phi-block of a weight chain is not a weighted shift")
+    return c
+
+
+def frobenius_table(A, top):
+    """(indices, exact coefficient list) for the weight chain [1] and each
+    weight chain of A whose root has l < top, top >= 0, in chain order:
+    built once, and read at every level up to top.  Only those roots are
+    walked: l < top iff the root lies below top p^e.  At top = 0 the table
+    is [1] alone, with phi(1) = 1."""
+    return [(idxs, phi_shift(A, idxs)) for idxs in pdalg._weight_chains(A.p, A.T, top * A.pe)]
+
+
+def nygaard_exponents(c, p, n, i):
+    """{k: a_k}: over Z/p^n, {x : phi(x) = 0 mod p^i} on the chain with
+    coefficient list c, reduced mod p^n, is the sum of the p^{a_k} Z/p^n e_k,
+    with a_k = max(0, i - v_p(c_k)), i capped at n and v_p(0) taken as n; a
+    k with a_k = n, whose summand is zero, is left out."""
+    i = min(i, n)
+    out = {}
+    for k, ck in enumerate(c):
+        a = max(0, i - _vp(ck, p)) if ck else 0
+        if a < n:
+            out[k] = a
+    return out
 
 
 def phi_shifts(A, n=None, table=None):
@@ -1546,14 +1611,15 @@ def phi_shifts(A, n=None, table=None):
     of A at some top >= n, built here when None.  TruncationTooTight at the
     first of these chains that ends at l < n: phi of its last monomial is
     nonzero mod p^n and leaves the window.  The step the Nygaard check took
-    before it read the chains with l >= i off their levels."""
+    before it read the chains off their levels."""
     n = A.n if n is None else n
     pe, q = A.pe, A.p**n
     out = []
     for idxs, c in frobenius_table(A, n) if table is None else table:
         if idxs[0] // pe < n:
-            if idxs[0]:
-                _chain_end((idxs[-1] // pe,), n, A.W)
+            if idxs[0] and idxs[-1] // pe < n:
+                raise TruncationTooTight("phi image of level %d leaves W = %d"
+                                         % (idxs[-1] // pe, A.W))
             out.append((idxs, [a % q for a in c]))
     return out
 
@@ -1574,7 +1640,7 @@ def nygaard_graded_image_check_per_chain(A, i, table=None):
     dim_src = 0
     dim_img = 0
     for idxs, c in shifts:
-        src, src1 = _nygaard_exponents(c, p, n, i), _nygaard_exponents(c, p, n, i + 1)
+        src, src1 = nygaard_exponents(c, p, n, i), nygaard_exponents(c, p, n, i + 1)
         if any(p**a * c[k] % pi for k, a in src.items()):
             raise CompositeNonzero("Nygaard generator not phi-divisible")
         img = {k + 1 if len(c) > 1 else 0 for k, a in src.items() if p**a * c[k] // pi % p}
@@ -1643,7 +1709,7 @@ def conjugate_filtration_description1_per_weight(A, nn, below=None):
 
 
 def phi_shift_by_monomials(A, idxs):
-    """`pdalg._phi_shift` reduced mod p^n, as it was built before the
+    """`phi_shift` reduced mod p^n, as it was built before the
     exact lists: `frobenius_monomial` at the precision of A on every index
     of the chain, the last one included, so that TruncationTooTight comes
     from it.  An image beyond the window that does not raise vanishes mod
@@ -1676,7 +1742,7 @@ def nygaard_graded_image_check_per_level(A, i):
     dim_src = 0
     dim_img = 0
     for idxs, c in shifts:
-        src, src1 = _nygaard_exponents(c, p, n, i), _nygaard_exponents(c, p, n, i + 1)
+        src, src1 = nygaard_exponents(c, p, n, i), nygaard_exponents(c, p, n, i + 1)
         if any(p**a * c[k] % pi for k, a in src.items()):
             raise CompositeNonzero("Nygaard generator not phi-divisible")
         # the span mod p of the image: the targets of the unit coefficients
@@ -1703,7 +1769,7 @@ def nygaard_graded_image_check_per_level(A, i):
 
 def phi_block(c):
     """The dense phi-block (row convention) of a weight chain with
-    coefficient list c (`pdalg._phi_shift`): row k holds c_k in column
+    coefficient list c (`phi_shift`): row k holds c_k in column
     k + 1, or in column 0 on a chain of one index."""
     m = len(c)
     M = zeros(m, m)
@@ -1793,7 +1859,7 @@ def fiber_group_on_the_basis(A, i):
             continue
         end = idxs[-1] // A.pe
         if end < n + i:
-            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (end, W))
+            raise TruncationTooTight("phi image of level %d leaves W = %d" % (end, W))
         w = sum(max(0, i - t // A.pe) for t in idxs)
         if w:
             exps.append(min(n, w))

@@ -359,8 +359,8 @@ def test_syntomic_result_same_under_python_O(argv):
     (["syntomic", "--model", "acrys", "-p", "2", "-e", "1", "-i", "1", "-r", "2", "-W", "2"],
      "phi images need W >= n + i = 3, got W = 2"),
     # the chain of [x^{1/2}] ends at x^{[2]}, and 2 < n + i = 3
-    (["syntomic", "--model", "acrys", "-p", "2", "-e", "1", "-i", "1", "-r", "2", "-W", "3"],
-     "phi image of weight 2 leaves W = 3"),
+    pytest.param(["syntomic", "--model", "acrys", "-p", "2", "-e", "1", "-i", "1", "-r", "2",
+                  "-W", "3"], "phi image of level 2 leaves W = 3", id="argv1-chain ends at level 2"),
 ])
 @pytest.mark.parametrize("flags", [[], ["-O"]])
 def test_fibre_group_raises_under_python_O(argv, err, flags):
@@ -613,7 +613,7 @@ def test_acrys_runs_every_level_up_to_i(monkeypatch):
         levels["conjugate"].append(nmax)
         return {"ok": True}
 
-    def nygaard(A, j, table):
+    def nygaard(A, j):
         levels["nygaard"].append(j)
         return {"ok": True}
 
@@ -643,7 +643,7 @@ def test_acrys_builds_one_basis_and_one_algebra_mod_p(monkeypatch):
     monkeypatch.setattr(pdalg.PDAlgebra, "__init__", counted_init)
     assert cli.cmd_acrys(cli.RunConfig(p=3, n=2, e=1, i=2, W=13))["all_ok"]
     assert built == [2]
-    # no algebra per Nygaard level: the levels share one Frobenius table
+    # no algebra per Nygaard level: each reads the chain levels of A mod p
     assert inits == [2, 1]
 
 

@@ -162,8 +162,8 @@ def test_kernel_mod_matches_integer_preimage(data):
 @given(local_matrices(), st.integers(0, 3))
 def test_preimage_of_scaled_identity_matches_integer_preimage(data, i):
     # {x : x*M = 0 mod p^i} at precision r >= i: for the dense phi-block M
-    # of a weight chain, the Nygaard kernel that `pdalg._nygaard_exponents`
-    # reads off the chain's coefficient list
+    # of a weight chain, the Nygaard kernel that `oracles.nygaard_exponents`
+    # reads off the chain's coefficient list, and `pdalg` off its levels
     M, p, r, n = data
     if not M or not n:
         return

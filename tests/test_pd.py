@@ -29,7 +29,6 @@ from nygaard.pdalg import (
     conjugate_filtration_equality_check,
     conjugate_filtration_spans,
     fiber_group,
-    frobenius_table,
     nygaard_graded_image_check,
     phi_pth_power_check,
     span_identity_check,
@@ -41,9 +40,11 @@ from oracles import (
     fiber_group_on_the_basis,
     filtration_multiplicativity_check,
     frobenius_fixed_points,
+    frobenius_table,
     howell_form,
     module_invariants_mod,
     negative_twist_series_by_blocks,
+    nygaard_exponents,
     nygaard_graded_image_check_per_chain,
     nygaard_graded_image_check_per_level,
     phi_block,
@@ -105,11 +106,11 @@ def every_chain(A):
 
 def every_chain_kernel(A, i):
     """The Nygaard kernel of every chain of A as the diagonal rows
-    p^{a_k} e_k of `_nygaard_exponents`: phi is zero on a chain that
+    p^{a_k} e_k of `oracles.nygaard_exponents`: phi is zero on a chain that
     `oracles.phi_shifts` leaves out, whose kernel is the whole chain."""
     kernels = {}
     for idxs, c in oracles.phi_shifts(A):
-        exps = pdalg._nygaard_exponents(c, A.p, A.n, i)
+        exps = nygaard_exponents(c, A.p, A.n, i)
         kernels[tuple(idxs)] = [[A.p**a if j == k else 0 for j in range(len(c))]
                                 for k, a in exps.items()]
     return [(idxs, kernels.get(tuple(idxs), identity(len(idxs)))) for idxs in every_chain(A)]
@@ -783,7 +784,7 @@ def _closed_form_shifts(p, n, e, W):
         while r and chain[-1] * p < T:
             chain.append(chain[-1] * p)
         if r and chain[-1] // E < n:
-            raise TruncationTooTight("phi image of weight %d leaves W = %d" % (chain[-1] // E, W))
+            raise TruncationTooTight("phi image of level %d leaves W = %d" % (chain[-1] // E, W))
         c = [factorial(p * w // E) // factorial(w // E) if p * w < T else 0 for w in chain]
         exact.append((chain, c))
         lists.append((chain, [0 if w // E >= n else a % p**n for w, a in zip(chain, c)]))
@@ -818,11 +819,11 @@ def test_phi_shifts_match_the_closed_form(p):
 
 
 def _graded_image_parity(p):
-    """`nygaard_graded_image_check` on one `frobenius_table` per algebra,
-    shared by the levels i = 0..4, against the per-level oracle, over
-    e <= 3, n <= 3 and the windows 3p^2 (the default), 7, and n + i,
-    n + i + 1 for each i: the configs where the values, or the raise types
-    and messages, differ, and the kinds of outcome seen."""
+    """`nygaard_graded_image_check` at the levels i = 0..4 against the
+    per-level oracle, over e <= 3, n <= 3 and the windows 3p^2 (the
+    default), 7, and n + i, n + i + 1 for each i: the configs where the
+    values, or the raise types and messages, differ, and the kinds of
+    outcome seen."""
     def outcome(check, *args):
         try:
             return check(*args)
@@ -833,9 +834,8 @@ def _graded_image_parity(p):
     for e, n in itertools.product(range(4), (1, 2, 3)):
         for W in sorted({3 * p * p, 7} | {n + i + d for i in range(5) for d in (0, 1)}):
             A = pdalg.PDAlgebra(p, n, e, W)
-            table = pdalg.frobenius_table(A, n + 5)
             for i in range(5):
-                got = outcome(pdalg.nygaard_graded_image_check, A, i, table)
+                got = outcome(pdalg.nygaard_graded_image_check, A, i)
                 if got != outcome(nygaard_graded_image_check_per_level, A, i):
                     bad.append((e, n, W, i))
                 kinds.add(got[0] if type(got) is tuple else got["ok"])
@@ -877,10 +877,9 @@ def _acrys_check_parity(p):
     windows 3p^2 (the default) and n + top, n + top + 1, top = max(i, 0):
     the description-(1) closure grown over the levels 0..top + 1 on A mod p,
     the p-th power check on A with the same draws, and the Nygaard check of
-    each level 0..top on A mod p, from one table at top against the
-    per-chain form on a table at top + 2.  Returns the configs where the
-    values, or the raise types and messages, differ, and the kinds of
-    outcome seen."""
+    each level 0..top on A mod p against the per-chain form on one table
+    at top + 2.  Returns the configs where the values, or the raise types
+    and messages, differ, and the kinds of outcome seen."""
     def outcome(check, *args):
         try:
             return check(*args)
@@ -899,10 +898,10 @@ def _acrys_check_parity(p):
                 want.append(conjugate_filtration_description1_per_weight(A1, nn, want[-1]))
             got.append(pdalg.phi_pth_power_check(A, random.Random(0)))
             want.append(phi_pth_power_check_per_monomial(A, random.Random(0)))
-            table, table2 = pdalg.frobenius_table(A1, top), pdalg.frobenius_table(A1, top + 2)
+            table = frobenius_table(A1, top + 2)
             for j in range(top + 1):
-                got.append(outcome(pdalg.nygaard_graded_image_check, A1, j, table))
-                want.append(outcome(nygaard_graded_image_check_per_chain, A1, j, table2))
+                got.append(outcome(pdalg.nygaard_graded_image_check, A1, j))
+                want.append(outcome(nygaard_graded_image_check_per_chain, A1, j, table))
                 kinds.add(got[-1][0] if type(got[-1]) is tuple else got[-1]["ok"])
             if got != want:
                 bad.append((e, n, i, W))
@@ -928,7 +927,7 @@ import sys
 sys.path.insert(0, %r)
 from nygaard import pdalg
 from nygaard.errors import CompositeNonzero, TruncationTooTight
-from oracles import (conjugate_filtration_description1_per_weight,
+from oracles import (conjugate_filtration_description1_per_weight, frobenius_table,
                      nygaard_graded_image_check_per_chain, phi_pth_power_check_per_monomial)
 for p in (2, 3, 5, 7):
     bad, kinds = _acrys_check_parity(p)
@@ -977,7 +976,7 @@ from nygaard import pdalg
 from nygaard.errors import CompositeNonzero
 A = pdalg.PDAlgebra(2, 3, 1, 8)
 chain = next(c for c in pdalg._weight_chains(A.p, A.T) if len(c) >= 3)
-if not pdalg._phi_shift(A, chain)[0]:
+if not oracles.phi_shift(A, chain)[0]:
     raise SystemExit("phi is zero on the root of the chain")
 phi = A.frobenius_monomial
 for bad in (
@@ -987,7 +986,7 @@ for bad in (
     lambda w: (chain[1], 1) if w == chain[1] else phi(w),
 ):
     A.frobenius_monomial = bad
-    for build in (lambda: pdalg._phi_shift(A, chain), lambda: oracles.phi_shifts(A)):
+    for build in (lambda: oracles.phi_shift(A, chain), lambda: oracles.phi_shifts(A)):
         try:
             build()
         except CompositeNonzero:
@@ -1000,15 +999,15 @@ for bad in (
 
 
 def test_graded_image_check_raises_when_n_i1_is_not_inside_n_i(monkeypatch):
-    # the whole chain handed in as N^{>=i+1} is not inside N^{>=i}
-    exponents = pdalg._nygaard_exponents
-
+    # the whole chain handed in as N^{>=i+1} is not inside N^{>=i}; the
+    # check reads the chain levels, on which this holds by proof (`pdalg`
+    # docstring), so the raise lives in the per-chain form
     def whole_algebra_at_i1(c, p, n, i):
-        return _whole_algebra_as_nygaard(c, p, n, i) if i == 2 else exponents(c, p, n, i)
+        return _whole_algebra_as_nygaard(c, p, n, i) if i == 2 else nygaard_exponents(c, p, n, i)
 
-    monkeypatch.setattr(pdalg, "_nygaard_exponents", whole_algebra_at_i1)
+    monkeypatch.setattr(oracles, "nygaard_exponents", whole_algebra_at_i1)
     with pytest.raises(CompositeNonzero, match=r"N\^\{>=2\} is not inside N\^\{>=1\}"):
-        nygaard_graded_image_check(small_algebra(p=2, n=1, e=1, W=8), 1)
+        nygaard_graded_image_check_per_chain(small_algebra(p=2, n=1, e=1, W=8), 1)
 
 
 def _divided_phi_rows(rows, M, p, i):
@@ -1226,39 +1225,47 @@ def test_fixed_points_solve_once_at_the_default_window(monkeypatch):
 
 
 @pytest.mark.parametrize("command,config,blocks,products", [
-    # 41 lists and 570 products: one list for [1] and one per chain whose
-    # root has l < i, the top Nygaard level, and one p-th power per class
-    # of lambda(w) and per random element (81 lists and 1,290 products when
-    # the lists reached l < i + 2 and every monomial was raised to the p-th
-    # power; 183 lists when each level built its own, 7,705 when every list
-    # was built; 2,150 products when `power` multiplied p times from one,
-    # 14,650 when description (1) multiplied through `mul`)
-    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 41, 570),
+    # no list and 570 products: every Nygaard level reads every chain off
+    # its levels, and the p-th power check raises one monomial per class of
+    # lambda(w) and each random element to the p-th power (41 lists when
+    # [1] and the roots with l < i had lists; 81 lists and 1,290 products
+    # when the lists reached l < i + 2 and every monomial was raised to the
+    # p-th power; 183 lists when each level built its own, 7,705 when every
+    # list was built; 2,150 products when `power` multiplied p times from
+    # one, 14,650 when description (1) multiplied through `mul`)
+    ("acrys", {"p": 5, "e": 2, "i": 2, "n": 1}, 0, 570),
     # no list and no product: the fibre group reads the chains alone
     ("syntomic", {"model": "acrys", "p": 5, "e": 2, "i": 1, "r": 2}, 0, 0),
 ])
 def test_acrys_block_and_product_count(monkeypatch, command, config, blocks, products):
-    # each list is built once per run, shared by the Nygaard levels, and
-    # only on [1] and on a chain whose root has l < i; the description-(1)
-    # closure multiplies monomials without `mul`
-    built, muls = [], []
-    shift, mul = pdalg._phi_shift, PDAlgebra.mul
+    # a coefficient list is built from `frobenius_monomial` outside
+    # `frobenius`, so a run builds none when every such call is one of a
+    # `frobenius` call; the description-(1) closure multiplies monomials
+    # without `mul`
+    listed, muls, inside = [], [], []
+    frobenius, monomial, mul = PDAlgebra.frobenius, PDAlgebra.frobenius_monomial, PDAlgebra.mul
 
-    def counted_shift(A, idxs):
-        assert idxs[0] // A.pe < max(config["i"], 1)
-        built.append(tuple(idxs))
-        return shift(A, idxs)
+    def counted_frobenius(A, a):
+        inside.append(1)
+        try:
+            return frobenius(A, a)
+        finally:
+            inside.pop()
+
+    def counted_monomial(A, w):
+        if not inside:
+            listed.append(w)
+        return monomial(A, w)
 
     def counted_mul(A, *args, **kw):
         muls.append(1)
         return mul(A, *args, **kw)
 
-    monkeypatch.setattr(pdalg, "_phi_shift", counted_shift)
+    monkeypatch.setattr(PDAlgebra, "frobenius", counted_frobenius)
+    monkeypatch.setattr(PDAlgebra, "frobenius_monomial", counted_monomial)
     monkeypatch.setattr(PDAlgebra, "mul", counted_mul)
     cli.run_command(command, cli.RunConfig(**config))
-    assert len(built) <= blocks
-    assert len(set(built)) == len(built)
-    assert bool(built) == bool(blocks)
+    assert len(listed) <= blocks
     assert len(muls) <= products
 
 
@@ -1297,6 +1304,26 @@ def test_nygaard_image_reads_false_on_a_chain_read_off_its_levels(monkeypatch):
     r = next(r for r in range(i * A.pe, (i + 1) * A.pe) if r % p and p * r < A.T)
     restricted = pdalg._restricted_conj
     assert p * r in restricted(A, i)
+    monkeypatch.setattr(pdalg, "_restricted_conj", lambda A, i: restricted(A, i) - {p * r})
+    assert nygaard_graded_image_check(A, i) == dict(want, image_matches_fil=False, ok=False)
+    assert nygaard_graded_image_check_per_chain(A, i) == dict(want, image_matches_fil=False,
+                                                              ok=False)
+    payload = cli.cmd_acrys(cli.RunConfig(p=p, e=e, n=1, i=i))
+    assert payload["nygaard_image"] is False and payload["all_ok"] is False
+
+
+def test_nygaard_image_reads_false_on_a_root_below_level_i(monkeypatch):
+    # the mutation row of the read-off below level i: drop from the
+    # restricted Fil^conj_i the target p r of a root r with 0 < l < i, where
+    # p^{a_0} c_0 has valuation exactly i (`pdalg` docstring); the check,
+    # its per-chain form and the payload read false, and nothing else changes
+    p, e, i = 2, 2, 2
+    A = small_algebra(p=p, n=1, e=e)
+    want = nygaard_graded_image_check(A, i)
+    assert want["ok"] and want == nygaard_graded_image_check_per_chain(A, i)
+    r = next(r for r in range(A.pe, i * A.pe) if r % p)
+    restricted = pdalg._restricted_conj
+    assert 0 < r // A.pe < i and p * r in restricted(A, i)
     monkeypatch.setattr(pdalg, "_restricted_conj", lambda A, i: restricted(A, i) - {p * r})
     assert nygaard_graded_image_check(A, i) == dict(want, image_matches_fil=False, ok=False)
     assert nygaard_graded_image_check_per_chain(A, i) == dict(want, image_matches_fil=False,
@@ -1397,7 +1424,7 @@ def test_nygaard_i0_everything():
     shifts = oracles.phi_shifts(A)
     assert shifts
     for idxs, c in shifts:
-        assert pdalg._nygaard_exponents(c, 2, A.n, 0) == dict.fromkeys(range(len(idxs)), 0)
+        assert nygaard_exponents(c, 2, A.n, 0) == dict.fromkeys(range(len(idxs)), 0)
 
 
 def test_p_in_nygaard_1():
@@ -1436,7 +1463,7 @@ def test_phi_divisibility_ladder():
         Acmp = PDAlgebra(2, A.n + i + 1, 1, A.W)
         images = 0
         for _, c in oracles.phi_shifts(Acmp):
-            for k, a in pdalg._nygaard_exponents(c, 2, Acmp.n, i + 1).items():
+            for k, a in nygaard_exponents(c, 2, Acmp.n, i + 1).items():
                 img = 2**a * c[k]  # phi of the generator 2^{a_k} e_k of N^{>= i+1}
                 assert img % 2**(i + 1) == 0
                 assert img // 2**i == 2 * (img // 2**(i + 1))
@@ -1449,13 +1476,14 @@ def _whole_algebra_as_nygaard(c, p, n, i):
 
 
 @pytest.mark.parametrize("check", [
-    lambda: nygaard_graded_image_check(small_algebra(p=2, n=1, e=1, W=6), 1),
-    lambda: nygaard_graded_image_check(small_algebra(p=3, n=2, e=2), 2),
+    lambda: nygaard_graded_image_check_per_chain(small_algebra(p=2, n=1, e=1, W=6), 1),
+    lambda: nygaard_graded_image_check_per_chain(small_algebra(p=3, n=2, e=2), 2),
 ])
 def test_phi_divisibility_checks_raise(monkeypatch, check):
     # hand the whole algebra in as N^{>=i}: the divided Frobenius of 1
-    # fails, at level 1 and at level 2
-    monkeypatch.setattr(pdalg, "_nygaard_exponents", _whole_algebra_as_nygaard)
+    # fails, at level 1 and at level 2, in the per-chain form; the check
+    # reads the chain levels, on which phi_i is divisible by proof
+    monkeypatch.setattr(oracles, "nygaard_exponents", _whole_algebra_as_nygaard)
     with pytest.raises(CompositeNonzero):
         check()
 
@@ -1603,30 +1631,40 @@ def test_fiber_group_raises_exactly_where_the_solver_raised(p):
     assert solved_at_0
 
 
-def test_fiber_group_raises_at_a_chain_that_ends_short():
+def _fibre_of_chains(monkeypatch, chains, n, i, W=12):
+    """`fiber_group` at p = 2, e = 0, where a weight is its level, with the
+    given chains besides [1]."""
+    monkeypatch.setattr(pdalg, "_weight_chains", lambda p, top, roots=None: [[0]] + chains)
+    return fiber_group(2, n, 0, W, i)
+
+
+def test_fiber_group_raises_at_a_chain_that_ends_short(monkeypatch):
     # a chain whose last monomial has l < n + i: its phi image is nonzero
-    # mod p^{n+i} and leaves the window; at l = n + i it stays
-    n, i, W = 2, 3, 12
-    with pytest.raises(TruncationTooTight, match="phi image of weight 4 leaves W = 12"):
-        pdalg._fiber_exponent([0, 1, 4], n, i, W)
-    assert pdalg._fiber_exponent([0, 1, 5], n, i, W) == n
-    with pytest.raises(TruncationTooTight, match="phi image of weight 4 leaves W = 12"):
-        pdalg._fiber_exponent([4], n, i, W)
+    # mod p^{n+i} and leaves the window; at l = n + i it stays.  The chain
+    # of [x^{1/2}] at p = 2, e = 1, W = 3 ends at x^{[2]}, and 2 < n + i = 3
+    with pytest.raises(TruncationTooTight, match="phi image of level 2 leaves W = 3"):
+        fiber_group(2, 2, 1, 3, 1)
+    n, i = 2, 3
+    with pytest.raises(TruncationTooTight, match="phi image of level 4 leaves W = 12"):
+        _fibre_of_chains(monkeypatch, [[0, 1, 4]], n, i)
+    assert _fibre_of_chains(monkeypatch, [[0, 1, 5]], n, i) == PGroup(2, (n,))
+    with pytest.raises(TruncationTooTight, match="phi image of level 4 leaves W = 12"):
+        _fibre_of_chains(monkeypatch, [[4], [3]], n, i)
 
 
 def test_fiber_group_reads_the_pd_weight_table(monkeypatch):
     # each level l < i adds i - l to its chain's w, capped at n, and a chain
     # with every level at least i adds no factor; the group has one factor
     # per chain with w >= 1, and Z/p^n for the chain [1] at i = 0 only
-    n, i, W = 2, 3, 12
-    assert pdalg._fiber_exponent([3, 6, 12], n, i, W) == 0
-    assert pdalg._fiber_exponent([2, 6, 12], n, i, W) == 1  # a level i - 1 adds Z/p
-    assert pdalg._fiber_exponent([1, 2, 8], 4, i, W) == 3
-    assert pdalg._fiber_exponent([0, 1, 2, 8], 4, i, W) == 4  # w = 6, capped at n
+    n, i = 2, 3
+    for levels, nn, want in (([3, 6, 12], n, ()),
+                             ([2, 6, 12], n, (1,)),  # a level i - 1 adds Z/p
+                             ([1, 2, 8], 4, (3,)),
+                             ([0, 1, 2, 8], 4, (4,))):  # w = 6, capped at n
+        assert _fibre_of_chains(monkeypatch, [levels], nn, i).exponents == want, levels
     chains = [[3, 6], [2, 6], [0, 1, 6]]
-    monkeypatch.setattr(pdalg, "_root_levels", lambda p, e, W, roots: iter(chains))
-    assert fiber_group(2, n, 1, W, i) == PGroup(2, (2, 1))
-    assert fiber_group(2, n, 1, W, 0) == PGroup(2, (n,))
+    assert _fibre_of_chains(monkeypatch, chains, n, i) == PGroup(2, (2, 1))
+    assert _fibre_of_chains(monkeypatch, chains, n, 0) == PGroup(2, (n,))
 
 
 def _outcome_and_message(f, *args):

@@ -801,19 +801,24 @@ def test_acrys_negative_twist_series_is_computed(p, e, i, r):
     assert k == -(-r // -i)
 
 
-def test_acrys_negative_twist_series_reads_the_blocks():
+def test_acrys_negative_twist_series_reads_the_blocks(monkeypatch):
     # a chain with levels l_k, phi(e_k) = p^{l_k} e_{k+1}, needs at most the
     # ceil(r / -i) terms of [1], since levels are >= 0: a two-step shift
     # ends before ceil(4 / 1) = 4, a chain of m = 2 at k = 2, a chain with
     # l_0 - i >= r at k = 1, and a chain of levels 0 at the bound; a chain
-    # end with l < r raises, as phi of it leaves the window
+    # end with l < r raises, as phi of it leaves the window.  The series
+    # reads these chains at e = 0, where a weight is its level
     p, i, r, W = 2, -1, 4, 9
-    for levels, want in (([1, 1, 1, 5], 2), ([0, 4], 2), ([3, 4, 9], 1), ([0, 0, 0, 4], 4)):
+    cases = (([1, 1, 1, 5], 2), ([0, 4], 2), ([3, 4, 9], 1), ([0, 0, 0, 4], 4))
+    for levels, want in cases:
         T = linalg.mat_scale(p**-i, phi_block([p**l for l in levels[:-1]] + [0]))
         assert syntomic._nilpotency_index(T, p, r) == want <= -(-r // -i)
-        pdalg._chain_end(levels, r, W)
-    with pytest.raises(pdalg.TruncationTooTight, match="phi image of weight 3 leaves W = 9"):
-        pdalg._chain_end([0, 3], r, W)
+    chains = [levels for levels, _ in cases]
+    monkeypatch.setattr(pdalg, "_weight_chains", lambda p, top, roots=None: [[0]] + chains)
+    assert pdalg.negative_twist_series(p, r, 0, W, i) == -(-r // -i)
+    chains.append([0, 3])
+    with pytest.raises(pdalg.TruncationTooTight, match="phi image of level 3 leaves W = 9"):
+        pdalg.negative_twist_series(p, r, 0, W, i)
 
 
 @pytest.mark.parametrize("p,e,i,r", [

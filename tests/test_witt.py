@@ -9,8 +9,8 @@ from nygaard.rings import PolyTrunc, RingError
 from nygaard.witt import (
     FpSquareModel,
     LengthMismatch,
+    PerfectoidPresentation,
     QSquareModel,
-    build_perfectoid_square,
     _from_ghost_cover,
     frobenius_W,
     teichmuller,
@@ -310,17 +310,18 @@ def test_perfect_truncation_frobenius():
 
 def test_fp_square_relations():
     for p, n in ((2, 4), (3, 4), (5, 2)):
-        sq = build_perfectoid_square(FpSquareModel(p, n))
+        sq = PerfectoidPresentation(FpSquareModel(p, n))
         checks = sq.check_all()
         assert all(checks.values()), checks
-        # phi(v) = p * sigma^{-1} in this model
-        assert sq.phi_map((-1, 1)) == (-1, p)
+        # phi(v) = p * sigma^{-1} in this model, whose base is the q-base
+        # at N = 1, Z with elements as 1-tuples
+        assert sq.phi_map((-1, (1,))) == (-1, (p,))
 
 
 def test_q_square_relations():
     for p, N in ((2, 4), (3, 4)):
         model = QSquareModel(p, 4, N)
-        sq = build_perfectoid_square(model)
+        sq = PerfectoidPresentation(model)
         checks = sq.check_all()
         assert all(checks.values()), checks
 
